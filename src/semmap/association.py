@@ -227,7 +227,8 @@ class LandmarkMap:
         When `timings` is given, seconds spent in the centroid gate and
         in the cloud nearest-neighbor disambiguation are accumulated
         under 'association_path1' / 'association_path2', and the map
-        mutation under 'landmark_update_merge'.
+        mutation (create or fuse) under 'landmark_update'. The
+        post-solve merge pass is timed by the caller as 'landmark_merge'.
         """
         t0 = time.perf_counter()
         gate = self.preselect(cand, now, cfg)
@@ -281,8 +282,8 @@ class LandmarkMap:
             self.landmarks[target.id] = fused
             decision = Matched(target.id, nn_dist, emit)
         if timings is not None:
-            timings["landmark_update_merge"] = timings.get(
-                "landmark_update_merge", 0.0
+            timings["landmark_update"] = timings.get(
+                "landmark_update", 0.0
             ) + (time.perf_counter() - t3)
         return decision
 

@@ -17,7 +17,8 @@ STAGE_NAMES = (
     "candidate_proposal",
     "association_path1",
     "association_path2",
-    "landmark_update_merge",
+    "landmark_update",
+    "landmark_merge",
     "optimize",
 )
 

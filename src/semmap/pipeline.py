@@ -202,7 +202,7 @@ class RunResult:
     timings: dict[str, list[float]]
     proposals: list[ProposalRecord]
     counts: dict
-    last_solve: SolveReport | None
+    solves: list[SolveReport]  # one per optimize call, in run order
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ class _StageB:
             "optimize_iterations": 0,
             "merges": 0,
         }
-        self.last_solve: SolveReport | None = None
+        self.solves: list[SolveReport] = []
         self._solved_observations = 0
         # sigma 0 declares the odometry exact: poses become hard
         # constraints and only landmarks are optimized
@@ -320,7 +320,7 @@ class _StageB:
             t1 = perf_counter()
             if instrument:
                 self.timings["optimize"].append(t1 - t0)
-            self.last_solve = report
+            self.solves.append(report)
             self.counts["optimize_calls"] += 1
             self.counts["optimize_iterations"] += report.iterations
             self._solved_observations = len(self.graph.observations)
@@ -331,7 +331,7 @@ class _StageB:
             self.graph.merge_landmarks(old_id, kept_id)
         t3 = perf_counter()
         if instrument:
-            self.timings["landmark_update_merge"].append(t3 - t2)
+            self.timings["landmark_merge"].append(t3 - t2)
         self.counts["merges"] += len(merges)
 
     def finish(self) -> None:
@@ -452,9 +452,10 @@ def run_pipeline(frames, odometry: Trajectory,
     stage_b.finish()
     counts.update(stage_b.counts)
     counts["landmarks"] = len(stage_b.map)
-    last = stage_b.last_solve
-    counts["deactivated_observations"] = (
-        last.deactivated_observations if last else 0)
+    # behind-camera observation factors, counted at each solve's final
+    # linearization point and summed over the run's solves
+    counts["deactivated_observations"] = sum(
+        s.deactivated_observations for s in stage_b.solves)
 
     corrected = Trajectory(
         odometry.stamps,
@@ -466,7 +467,7 @@ def run_pipeline(frames, odometry: Trajectory,
         timings=timings,
         proposals=stage_b.records,
         counts=counts,
-        last_solve=last,
+        solves=stage_b.solves,
     )
 
 

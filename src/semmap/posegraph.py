@@ -1,5 +1,5 @@
 """Pose graph with landmark reprojection factors, solved by
-Levenberg-Marquardt on sparse normal equations.
+Levenberg-Marquardt on the normal equations.
 
 State: one 6-dof node per camera frame (retracted on the right,
 pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
@@ -11,9 +11,16 @@ pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
   Huber kernel; observations whose landmark sits behind the camera at
   the linearization point are deactivated for that iteration
 
-The normal equations are assembled sparsely; at the few-hundred-pose
-scale of a desk scan a sparse LU factorization solves them in
-milliseconds where a dense factorization would dominate the runtime.
+The pipeline adds odometry only between consecutive frames and keeps a
+handful of landmarks, so the normal equations are an arrowhead: a
+block-tridiagonal pose chain plus a thin landmark border. Linearization
+writes them straight into block storage (the chain's lower band, the
+dense pose x landmark border and the landmark block) through index maps
+built once per solve; each damped step factors the band by banded
+Cholesky and eliminates the landmarks by Schur complement. A graph with
+an odometry factor between non-neighbouring poses (a loop closure) is
+solved by sparse LU instead. No matrix of pose dimension squared is
+ever formed.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -135,7 +143,7 @@ def _bquat_from_rotvec(rv: np.ndarray) -> np.ndarray:
 def _binv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
     theta2 = np.einsum("ni,ni->n", phi, phi)
     w = _bskew(phi)
-    ww = np.einsum("nab,nbc->nac", w, w)
+    ww = w @ w
     small = theta2 < 1e-12
     theta = np.sqrt(np.where(small, 1.0, theta2))
     sin_t = np.sin(theta)
@@ -144,6 +152,40 @@ def _binv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
         small, 1.0 / 12.0, 1.0 / np.where(small, 1.0, theta2) - (1.0 + np.cos(theta)) / denom
     )
     return np.eye(3) + 0.5 * w + coef[:, None, None] * ww
+
+
+def _entry_indices(blocks: list[tuple[np.ndarray, int]]):
+    """Where a factor group's normal-equation entries land.
+
+    blocks lists the variables each factor of the group touches: the
+    global dof offset of that variable per factor (n,) and its dof
+    count. A factor's stacked Jacobian [J_a | J_b | ...] has D columns;
+    returns the global row and column of each entry of its D x D
+    Hessian (row-major) and the dof of each of its D gradient entries,
+    factor-major and flattened.
+    """
+    dofs = np.concatenate([off[:, None] + np.arange(d) for off, d in blocks], axis=1)
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    return rows.ravel(), cols.ravel(), dofs.ravel()
+
+
+def _normal_entries(jac: np.ndarray, r: np.ndarray, w_info: np.ndarray):
+    """Hessian J^T W J (n, D, D) and gradient J^T W r (n, D) of each
+    factor from its stacked Jacobian (n, res, D), residual (n, res) and
+    weighted information (n, res, res)."""
+    half = np.swapaxes(jac, 1, 2) @ w_info
+    return half @ jac, (half @ r[:, :, None])[:, :, 0]
+
+
+def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray):
+    """State after a step: poses move on the right, pose * exp(delta),
+    so the translation step is expressed in the pose frame; landmarks
+    move additively."""
+    base = 6 * q.shape[0]
+    dp = delta[:base].reshape(-1, 6)
+    q_new = _bquat_normalize(_bquat_mul(q, _bquat_from_rotvec(dp[:, 3:])))
+    t_new = t + np.einsum("nab,nb->na", _bquat_to_matrix(q), dp[:, :3])
+    return q_new, t_new, lm + delta[base:].reshape(-1, 3)
 
 
 def odometry_residual_jacobians(
@@ -249,11 +291,139 @@ class SolveReport:
     converged: bool
     lambda_trace: list[float] = field(default_factory=list)
     cost_trace: list[float] = field(default_factory=list)
+    # observations behind their camera at the final linearization point
     deactivated_observations: int = 0
 
 
 DEFAULT_PRIOR_INFORMATION = np.eye(6) * 1e8
 DEFAULT_ODOMETRY_INFORMATION = np.eye(6) * 1e4
+
+
+# ----------------------------------------------------------------------
+# linear algebra of one damped step: a chain graph's arrowhead system by
+# banded Cholesky plus a landmark Schur complement (Triggs et al.,
+# "Bundle Adjustment - A Modern Synthesis", 2000), any other by sparse LU
+# ----------------------------------------------------------------------
+
+# half-bandwidth of a block-tridiagonal chain of 6-dof poses
+_CHAIN_KD = 11
+
+
+def solve_chain_schur(
+    band: np.ndarray, border: np.ndarray, lm_block: np.ndarray,
+    g_pose: np.ndarray, g_lm: np.ndarray,
+) -> np.ndarray | None:
+    """Solve [[A, B], [B^T, C]] [dp; dl] = -[g_pose; g_lm].
+
+    A is given by its lower band (LAPACK pbtrf layout, A[i, j] at
+    band[i - j, j]), B = border (P, M) is dense and C = lm_block is
+    (M, M). With A = L L^T and W = L^-1 [g_pose | B], the landmark step
+    solves (C - W_B^T W_B) dl = W_B^T w_g - g_lm, and the pose step is
+    dp = -L^-T (w_g + W_B dl). Returns [dp; dl], or None when A or the
+    Schur complement is not positive definite. band and lm_block are
+    overwritten.
+    """
+    p, m = border.shape
+    if p:
+        chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            return None
+        w, _ = scipy.linalg.lapack.dtbtrs(
+            chol, np.column_stack([g_pose, border]), uplo="L"
+        )
+        w_g, w_b = w[:, 0], w[:, 1:]
+        schur = lm_block - w_b.T @ w_b
+        rhs = w_b.T @ w_g - g_lm
+    else:
+        schur, rhs = lm_block, -g_lm
+    dl = np.zeros(0)
+    if m:
+        c, info = scipy.linalg.lapack.dpotrf(schur, lower=1, overwrite_a=1)
+        if info != 0:
+            return None
+        dl, _ = scipy.linalg.lapack.dpotrs(c, rhs, lower=1)
+    if not p:
+        return dl
+    dp, _ = scipy.linalg.lapack.dtbtrs(
+        chol, -(w_g + w_b @ dl)[:, None], uplo="L", trans="T"
+    )
+    return np.concatenate([dp[:, 0], dl])
+
+
+class _ChainLayout:
+    """Normal equations of a graph whose odometry joins only neighbouring
+    pose positions, written straight into block storage: the pose
+    chain's lower band, the dense pose x landmark border B and the
+    landmark block C (block-diagonal: no factor joins two landmarks).
+    With fix_poses the pose block is empty and C is the whole system.
+    The index map from Hessian entries to storage is built once."""
+
+    def __init__(self, static: dict, fix_poses: bool):
+        base = static["base"]
+        p = 0 if fix_poses else base
+        m = static["dim"] - base
+        self.base, self.p, self.m = base, p, m
+        self.kd = max(min(_CHAIN_KD, p - 1), 0)
+        self.band_end = (self.kd + 1) * p
+        self.border_end = self.band_end + p * m
+        self.size = self.border_end + m * m
+        rows, cols = static["h_rows"], static["h_cols"]
+        pose_r, pose_c = rows < base, cols < base
+        # the upper triangle, B^T and, with fix_poses, every pose entry
+        # land in one slot past the end that assemble() discards
+        target = np.full(rows.shape, self.size)
+        if p:
+            lower = pose_r & pose_c & (rows >= cols)
+            target[lower] = ((rows - cols) * p + cols)[lower]
+            pl = pose_r & ~pose_c
+            target[pl] = (self.band_end + rows * m + cols - base)[pl]
+        ll = ~pose_r & ~pose_c
+        target[ll] = (self.border_end + (rows - base) * m + cols - base)[ll]
+        self.target = target
+
+    def assemble(self, vals: np.ndarray):
+        """(band, B, C) from the Hessian entries of one linearization."""
+        store = np.bincount(self.target, vals, minlength=self.size + 1)
+        return (
+            store[:self.band_end].reshape(self.kd + 1, self.p),
+            store[self.band_end:self.border_end].reshape(self.p, self.m),
+            store[self.border_end:self.size].reshape(self.m, self.m),
+        )
+
+    def step(self, system, g: np.ndarray, lam: float) -> np.ndarray | None:
+        band, border, lm_block = system
+        damped_band = band.copy(order="F")  # factored in place
+        damped_band[0] += np.maximum(band[0], 1e-12) * lam
+        damped_lm = lm_block.copy()
+        damped_lm[np.diag_indices(self.m)] += np.maximum(np.diagonal(lm_block), 1e-12) * lam
+        return solve_chain_schur(damped_band, border, damped_lm, g[:self.p], g[self.base:])
+
+
+class _SparseLayout:
+    """Normal equations of any graph as a sparse matrix, solved by sparse
+    LU; the path for graphs with an odometry factor off the chain, such
+    as a loop closure."""
+
+    def __init__(self, static: dict, fix_poses: bool):
+        self.rows, self.cols = static["h_rows"], static["h_cols"]
+        self.dim = static["dim"]
+        self.lo = static["base"] if fix_poses else 0
+
+    def assemble(self, vals: np.ndarray):
+        h = scipy.sparse.coo_matrix(
+            (vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
+        ).tocsc()
+        if self.lo:
+            h = h[self.lo:, self.lo:].tocsc()
+        return h, h.diagonal()
+
+    def step(self, system, g: np.ndarray, lam: float) -> np.ndarray | None:
+        h, diag = system
+        damped = h + scipy.sparse.diags(np.maximum(diag, 1e-12) * lam)
+        try:
+            return scipy.sparse.linalg.splu(damped.tocsc()).solve(-g[self.lo:])
+        except RuntimeError:
+            return None
 
 
 class PoseGraph:
@@ -370,8 +540,18 @@ class PoseGraph:
         return total
 
     def _prepare_factors(self, pose_pos: dict[int, int], lm_pos: dict[int, int]):
-        """Stack factor constants into arrays indexed by node position."""
+        """Stack factor constants into arrays indexed by node position.
+
+        Also lays out the normal equations: h_rows/h_cols hold the
+        global row and column of every Hessian entry the factors
+        contribute, and g_dofs the dof of every gradient entry, in the
+        order _linearize_arrays emits their values.
+        """
         static: dict[str, np.ndarray] = {}
+        base = 6 * len(pose_pos)
+        static["base"] = base
+        static["dim"] = base + 3 * len(lm_pos)
+        static["prior_pos"] = pose_pos[self.prior.pose_id]
         odo = self.odometry
         static["odo_i"] = np.array([pose_pos[f.from_id] for f in odo], dtype=int)
         static["odo_j"] = np.array([pose_pos[f.to_id] for f in odo], dtype=int)
@@ -388,45 +568,44 @@ class PoseGraph:
             static["obs_px"] = np.stack([f.pixel for f in obs])
             static["obs_info"] = np.stack([f.information for f in obs])
             static["obs_k"] = np.sqrt(static["obs_info"][:, 0, 0])
+        groups = [
+            [(np.array([6 * static["prior_pos"]]), 6)],
+            [(6 * static["odo_i"], 6), (6 * static["odo_j"], 6)],
+            [(6 * static["obs_p"], 6), (base + 3 * static["obs_l"], 3)],
+        ]
+        rows, cols, dofs = zip(*(_entry_indices(blocks) for blocks in groups))
+        static["h_rows"] = np.concatenate(rows)
+        static["h_cols"] = np.concatenate(cols)
+        static["g_dofs"] = np.concatenate(dofs)
         return static
 
-    def _linearize_arrays(self, q, t, lm, static, cfg: OptimizerConfig, dim: int):
-        """Normal equations H, gradient g, robust cost and the count of
-        behind-camera observations, all at the array-valued state."""
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        g = np.zeros(dim)
-        total_cost = 0.0
+    def _state_arrays(self, pose_ids: list[int], lm_ids: list[int]):
+        """Estimates as arrays in node-position order: quaternions (n, 4),
+        translations (n, 3) and landmark positions (m, 3)."""
+        q = np.stack([self.poses[pid].rotation for pid in pose_ids])
+        t = np.stack([self.poses[pid].translation for pid in pose_ids])
+        lm = (
+            np.stack([self.landmarks[lid] for lid in lm_ids])
+            if lm_ids else np.zeros((0, 3))
+        )
+        return q, t, lm
+
+    def _linearize_arrays(self, q, t, lm, static, cfg: OptimizerConfig):
+        """Hessian entries (aligned with static h_rows/h_cols), gradient,
+        robust cost and the count of behind-camera observations, all at
+        the array-valued state."""
+        h_parts: list[np.ndarray] = []
+        g_parts: list[np.ndarray] = []
         deactivated = 0
-        n_pose = q.shape[0]
         rot_all = _bquat_to_matrix(q)
 
-        def scatter(offs_a, offs_b, blocks):
-            n, da, db = blocks.shape
-            r_idx = offs_a[:, None, None] + np.arange(da)[None, :, None]
-            c_idx = offs_b[:, None, None] + np.arange(db)[None, None, :]
-            rows.append(np.broadcast_to(r_idx, blocks.shape).ravel())
-            cols.append(np.broadcast_to(c_idx, blocks.shape).ravel())
-            vals.append(blocks.ravel())
-
-        def accumulate(offs_and_jacs, r, w_info):
-            """offs_and_jacs: [(dof offsets (n,), jacobian (n, res, dof))]."""
-            info_r = np.einsum("nij,nj->ni", w_info, r)
-            for offs_a, j_a in offs_and_jacs:
-                ga = np.einsum("nra,nr->na", j_a, info_r)
-                np.add.at(g, offs_a[:, None] + np.arange(j_a.shape[2])[None, :], ga)
-                half = np.einsum("nra,nrs->nas", j_a, w_info)
-                for offs_b, j_b in offs_and_jacs:
-                    scatter(offs_a, offs_b, np.einsum("nas,nsb->nab", half, j_b))
-
-        if self.prior is not None:
-            pos = static["prior_pos"]
-            pose = Pose(q[pos], t[pos])
-            r, j = prior_residual_jacobian(pose, self.prior.pose)
-            off = np.array([6 * pos])
-            accumulate([(off, j[None])], r[None], self.prior.information[None])
-            total_cost += float(r @ self.prior.information @ r)
+        pos = static["prior_pos"]
+        r, j = prior_residual_jacobian(Pose(q[pos], t[pos]), self.prior.pose)
+        info = self.prior.information
+        h, g = _normal_entries(j[None], r[None], info[None])
+        h_parts.append(h)
+        g_parts.append(g)
+        total_cost = float(r @ info @ r)
 
         if static["odo_i"].size:
             idx_i, idx_j = static["odo_i"], static["odo_j"]
@@ -441,15 +620,17 @@ class PoseGraph:
             r = np.concatenate([te, phi], axis=1)
             jr_inv = _binv_right_jacobian_so3(phi)
             n = r.shape[0]
-            j_i = np.zeros((n, 6, 6))
-            j_i[:, :3, :3] = -rz_t
-            j_i[:, :3, 3:] = np.einsum("nab,nbc->nac", rz_t, _bskew(td))
-            j_i[:, 3:, 3:] = -np.einsum("nab,ncb->nac", jr_inv, _bquat_to_matrix(qd))
-            j_j = np.zeros((n, 6, 6))
-            j_j[:, :3, :3] = _bquat_to_matrix(qe)
-            j_j[:, 3:, 3:] = jr_inv
+            # stacked [J_i | J_j]
+            jac = np.zeros((n, 6, 12))
+            jac[:, :3, :3] = -rz_t
+            jac[:, :3, 3:6] = rz_t @ _bskew(td)
+            jac[:, 3:, 3:6] = -(jr_inv @ np.swapaxes(_bquat_to_matrix(qd), 1, 2))
+            jac[:, :3, 6:9] = _bquat_to_matrix(qe)
+            jac[:, 3:, 9:] = jr_inv
             info = static["odo_info"]
-            accumulate([(6 * idx_i, j_i), (6 * idx_j, j_j)], r, info)
+            h, g = _normal_entries(jac, r, info)
+            h_parts.append(h)
+            g_parts.append(g)
             total_cost += float(np.einsum("ni,nij,nj->", r, info, r))
 
         if static["obs_p"].size:
@@ -458,6 +639,9 @@ class PoseGraph:
             p = np.einsum("nba,nb->na", rot, lm[idx_l] - t[idx_p])
             active = p[:, 2] > _Z_EPS
             deactivated = int(np.count_nonzero(~active))
+            # a deactivated observation keeps its slots with zero values
+            h = np.zeros((active.size, 9, 9))
+            g = np.zeros((active.size, 9))
             if np.any(active):
                 p = p[active]
                 rot = rot[active]
@@ -478,8 +662,10 @@ class PoseGraph:
                 lift = np.concatenate(
                     [np.broadcast_to(-np.eye(3), (m, 3, 3)), _bskew(p)], axis=2
                 )
-                j_pose = np.einsum("nab,nbc->nac", j_pi, lift)
-                j_lm = np.einsum("nab,ncb->nac", j_pi, rot)
+                # stacked [J_pose | J_landmark]
+                jac = np.concatenate(
+                    [j_pi @ lift, j_pi @ np.swapaxes(rot, 1, 2)], axis=2
+                )
                 chi2 = np.maximum(np.einsum("ni,nij,nj->n", r, info, r), 0.0)
                 chi = np.sqrt(chi2)
                 hk = cfg.huber_scale_px * static["obs_k"][active]
@@ -488,16 +674,18 @@ class PoseGraph:
                 total_cost += float(
                     np.sum(np.where(inlier, chi2, 2.0 * hk * chi - hk * hk))
                 )
-                accumulate(
-                    [(6 * idx_p[active], j_pose), (6 * n_pose + 3 * idx_l[active], j_lm)],
-                    r, info * w[:, None, None],
+                h[active], g[active] = _normal_entries(
+                    jac, r, info * w[:, None, None]
                 )
+            h_parts.append(h)
+            g_parts.append(g)
 
-        h = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsc()
-        return h, g, total_cost, deactivated
+        grad = np.bincount(
+            static["g_dofs"], np.concatenate([x.ravel() for x in g_parts]),
+            minlength=static["dim"],
+        )
+        return (np.concatenate([x.ravel() for x in h_parts]), grad, total_cost,
+                deactivated)
 
     # ------------------------------------------------------------------
     # solve
@@ -525,31 +713,23 @@ class PoseGraph:
         lm_ids = sorted(self.landmarks)
         pose_pos = {pid: i for i, pid in enumerate(pose_ids)}
         lm_pos = {lid: i for i, lid in enumerate(lm_ids)}
-        base = 6 * len(pose_ids)
-        dim = base + 3 * len(lm_ids)
         static = self._prepare_factors(pose_pos, lm_pos)
-        static["prior_pos"] = pose_pos[self.prior.pose_id]
+        base, dim = static["base"], static["dim"]
+        # odometry between neighbouring pose positions keeps the pose
+        # block inside the band; any other odometry needs the general solve
+        chain = fix_poses or bool(np.all(np.abs(static["odo_i"] - static["odo_j"]) <= 1))
+        layout = (_ChainLayout if chain else _SparseLayout)(static, fix_poses)
 
-        q = np.stack([self.poses[pid].rotation for pid in pose_ids])
-        t = np.stack([self.poses[pid].translation for pid in pose_ids])
-        lm = (
-            np.stack([self.landmarks[lid] for lid in lm_ids])
-            if lm_ids else np.zeros((0, 3))
-        )
+        q, t, lm = self._state_arrays(pose_ids, lm_ids)
 
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
-        h, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, cfg, dim)
+        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, cfg)
         report.initial_cost = cost_now
         report.cost_trace.append(cost_now)
         report.deactivated_observations = deact
 
         lo = base if fix_poses else 0
-
-        def active(h_full, g_full):
-            if fix_poses:
-                return h_full[base:, base:].tocsc(), g_full[base:]
-            return h_full, g_full
 
         # structural rank check: every node must be referenced by some
         # factor. A zero diagonal from behind-camera deactivation is
@@ -569,40 +749,28 @@ class PoseGraph:
             lid = lm_ids[int(np.argmin(cov_lm))]
             raise SingularSystemError(f"landmark {lid} has no factor")
 
-        h_a, g_a = active(h, g)
-        diag = h_a.diagonal()
+        system = layout.assemble(vals)
 
         for _ in range(cfg.max_iterations):
-            gmax = float(np.max(np.abs(g_a))) if g_a.size else 0.0
+            gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
             if gmax < cfg.gradient_tol:
                 report.converged = True
                 break
             accepted = False
             while lam <= cfg.lambda_max:
-                damped = h_a + scipy.sparse.diags(np.maximum(diag, 1e-12) * lam)
-                try:
-                    solved = scipy.sparse.linalg.splu(damped.tocsc()).solve(-g_a)
-                except RuntimeError:
-                    lam *= cfg.lambda_up
-                    continue
-                if not np.all(np.isfinite(solved)):
+                solved = layout.step(system, g, lam)
+                if solved is None or not np.all(np.isfinite(solved)):
                     lam *= cfg.lambda_up
                     continue
                 delta = np.zeros(dim)
                 delta[lo:] = solved
-                dp = delta[:base].reshape(-1, 6)
-                # right retraction, pose * exp(delta): the translation
-                # step is expressed in the pose frame
-                q_new = _bquat_normalize(_bquat_mul(q, _bquat_from_rotvec(dp[:, 3:])))
-                t_new = t + np.einsum("nab,nb->na", _bquat_to_matrix(q), dp[:, :3])
-                lm_new = lm + delta[base:].reshape(-1, 3)
-                h2, g2, cost_new, deact = self._linearize_arrays(
-                    q_new, t_new, lm_new, static, cfg, dim
+                q_new, t_new, lm_new = _retract(q, t, lm, delta)
+                vals, g_new, cost_new, deact = self._linearize_arrays(
+                    q_new, t_new, lm_new, static, cfg
                 )
                 if cost_new < cost_now:
-                    q, t, lm = q_new, t_new, lm_new
-                    h_a, g_a = active(h2, g2)
-                    diag = h_a.diagonal()
+                    q, t, lm, g = q_new, t_new, lm_new, g_new
+                    system = layout.assemble(vals)
                     report.iterations += 1
                     report.lambda_trace.append(lam)
                     report.cost_trace.append(cost_new)
@@ -614,7 +782,7 @@ class PoseGraph:
                 lam *= cfg.lambda_up
             if not accepted:
                 # damping exhausted without an acceptable step: stalled
-                gmax = float(np.max(np.abs(g_a))) if g_a.size else 0.0
+                gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
                 report.converged = gmax < math.sqrt(cfg.gradient_tol)
                 break
             if abs(prev_cost - cost_now) <= cfg.min_rel_decrease * max(prev_cost, 1e-300):

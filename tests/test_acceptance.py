@@ -21,6 +21,7 @@ from test_candidate import _k, _tracklet_viewing
 from test_posegraph import (
     K,
     _build_consistent_graph,
+    _linearized,
     _num_jac_point,
     _num_jac_pose,
     _random_pose,
@@ -33,6 +34,8 @@ from semmap.evaluation import ate_rmse, evaluate_ate, score_landmarks
 from semmap.geometry import Frame, PointCloud, Pose, Trajectory, quat_from_rotvec
 from semmap.pipeline import PipelineConfig, cmd_run, cmd_simulate, run_pipeline
 from semmap.posegraph import (
+    OptimizerConfig,
+    _retract,
     observation_residual_jacobians,
     odometry_residual_jacobians,
     prior_residual_jacobian,
@@ -229,12 +232,40 @@ def test_criterion_6_optimizer_correctness(report):
             lambda p: prior_residual_jacobian(p, target)[0], pose, 6)
         worst = max(worst, _rel_err(j, fd))
 
+    # the solver's own assembled gradient against central differences of
+    # the cost it returns, through its own retraction. The cost is
+    # r^T W r, so its gradient is twice J^T W r. A small perturbation
+    # (the gauge pose included) keeps every observation an inlier.
+    # Compared node by node, so the gauge prior's large gradient does
+    # not mask an error in a landmark's.
+    fd_graph, _, _ = _build_consistent_graph(perturb_scale=0.002, seed=6)
+    fd_graph.poses[0] = fd_graph.poses[0].retract(rng.normal(scale=0.002, size=6))
+    cfg = OptimizerConfig()
+    k_huber = cfg.huber_scale_px * math.sqrt(fd_graph.observations[0].information[0, 0])
+    for f in fd_graph.observations:
+        r = observation_residual_jacobians(
+            fd_graph.poses[f.pose_id], fd_graph.landmarks[f.landmark_id], f.pixel, K)[0]
+        assert math.sqrt(r @ f.information @ r) < k_huber
+    static, state, _, grad, _, _ = _linearized(fd_graph, cfg)
+
+    def cost_at(delta):
+        return fd_graph._linearize_arrays(*_retract(*state, delta), static, cfg)[2]
+
+    h = 1e-6
+    fd = np.array([(cost_at(h * e) - cost_at(-h * e)) / (2.0 * h)
+                   for e in np.eye(grad.size)])
+    base = static["base"]
+    for node in np.split(np.arange(grad.size),
+                         [*range(6, base + 1, 6), *range(base + 3, grad.size, 3)]):
+        worst = max(worst, _rel_err(2.0 * grad[node], fd[node]))
+
     graph, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=6)
     rep = graph.optimize()
     monotone = all(b < a for a, b in zip(rep.cost_trace, rep.cost_trace[1:]))
     ok = worst < 1e-4 and rep.final_cost < 1e-12 and monotone
     report(6, ok,
-           f"100 factors, max FD rel err {worst:.2e} < 1e-4; satisfiable "
+           f"100 factors and the solver's {grad.size}-dof gradient, max FD "
+           f"rel err {worst:.2e} < 1e-4; satisfiable "
            f"graph cost {rep.final_cost:.2e} < 1e-12; "
            f"{len(rep.cost_trace) - 1} accepted steps monotone: {monotone}")
 

@@ -235,6 +235,8 @@ class TestAssociate:
         assert decision.nn_distance is None
         assert "association_path2" not in timings
         assert "association_path1" in timings
+        # the fusion is timed on its own; merging is the caller's stage
+        assert set(timings) == {"association_path1", "landmark_update"}
 
 
 class TestFuse:

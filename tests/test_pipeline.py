@@ -11,6 +11,7 @@ import pytest
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
+from semmap import posegraph
 from semmap.pipeline import PipelineConfig, run_pipeline
 from semmap.simulator import (
     FrameDetections,
@@ -170,3 +171,31 @@ class TestDriftReduction:
         assert len(result.timings["detection_ingest"]) == len(bundle.odometry)
         assert len(result.timings["association_path1"]) > 0
         assert result.counts["landmarks"] == len(result.landmark_map)
+
+
+class TestRunRecords:
+    def test_one_solve_report_per_solve_and_split_stages(self, monkeypatch):
+        # every solve reports one deactivated observation, so the run's
+        # count is the number of solves only when it sums over them
+        optimize = posegraph.PoseGraph.optimize
+
+        def one_deactivated(self, *args, **kwargs):
+            report = optimize(self, *args, **kwargs)
+            report.deactivated_observations = 1
+            return report
+
+        monkeypatch.setattr(posegraph.PoseGraph, "optimize", one_deactivated)
+        bundle = _small_desk(seed=1)
+        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
+        solves = result.solves
+        assert len(solves) >= 2
+        assert len(solves) == result.counts["optimize_calls"]
+        assert sum(s.iterations for s in solves) == \
+            result.counts["optimize_iterations"]
+        assert result.counts["deactivated_observations"] == len(solves)
+        # fusion inside associate and the post-solve merge pass are
+        # separate stages
+        assert len(result.timings["landmark_update"]) == \
+            result.counts["proposals_accepted"]
+        assert len(result.timings["landmark_merge"]) >= len(solves)
+        assert "landmark_update_merge" not in result.timings

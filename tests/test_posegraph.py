@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from semmap import posegraph
 from semmap.association import AssociationConfig, Landmark, LandmarkMap
 from semmap.errors import SingularSystemError, UnknownNodeError
 from semmap.geometry import CameraIntrinsics, PointCloud, Frame, Pose, quat_from_rotvec
 from semmap.posegraph import (
     OptimizerConfig,
     PoseGraph,
+    _ChainLayout,
+    _SparseLayout,
     apply_correction,
     observation_residual_jacobians,
     odometry_residual_jacobians,
@@ -420,7 +424,6 @@ class TestBatchedAssembly:
         return h, grad, cost, deactivated
 
     def test_matches_per_factor_assembly(self):
-        rng = np.random.default_rng(11)
         g, poses, landmarks = _build_consistent_graph(perturb_scale=0.4, seed=11)
         # one landmark behind its only strong view plus a far outlier
         # pixel exercises deactivation and the robust-kernel branch
@@ -428,24 +431,156 @@ class TestBatchedAssembly:
                           landmark_position=poses[0].translation * 1.5)
         g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
         cfg = OptimizerConfig()
-        pose_ids = sorted(g.poses)
-        lm_ids = sorted(g.landmarks)
-        static = g._prepare_factors(
-            {pid: i for i, pid in enumerate(pose_ids)},
-            {lid: i for i, lid in enumerate(lm_ids)},
-        )
-        static["prior_pos"] = pose_ids.index(g.prior.pose_id)
-        q = np.stack([g.poses[p].rotation for p in pose_ids])
-        t = np.stack([g.poses[p].translation for p in pose_ids])
-        lm = np.stack([g.landmarks[l] for l in lm_ids])
-        dim = 6 * len(pose_ids) + 3 * len(lm_ids)
-        h, grad, cost, deact = g._linearize_arrays(q, t, lm, static, cfg, dim)
+        static, _, vals, grad, cost, deact = _linearized(g, cfg)
+        band, border, lm_block = _ChainLayout(static, False).assemble(vals)
         h_ref, grad_ref, cost_ref, deact_ref = self._dense_oracle(
-            g, cfg, pose_ids, lm_ids)
+            g, cfg, sorted(g.poses), sorted(g.landmarks))
         assert deact == deact_ref == 1
         assert cost == pytest.approx(cost_ref, rel=1e-12)
         np.testing.assert_allclose(grad, grad_ref, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(h.toarray(), h_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(
+            _dense_from_blocks(band, border, lm_block), h_ref, rtol=1e-9, atol=1e-9)
+        # the general path assembles the same matrix
+        h_sparse, _ = _SparseLayout(static, False).assemble(vals)
+        np.testing.assert_allclose(h_sparse.toarray(), h_ref, rtol=1e-9, atol=1e-9)
+
+
+def _linearized(g, cfg=None):
+    """The solver's own factor layout, state arrays, Hessian entries,
+    gradient, cost and deactivated count at the graph's estimates."""
+    pose_ids, lm_ids = sorted(g.poses), sorted(g.landmarks)
+    static = g._prepare_factors(
+        {pid: i for i, pid in enumerate(pose_ids)},
+        {lid: i for i, lid in enumerate(lm_ids)},
+    )
+    state = g._state_arrays(pose_ids, lm_ids)
+    vals, grad, cost, deact = g._linearize_arrays(*state, static, cfg or OptimizerConfig())
+    return static, state, vals, grad, cost, deact
+
+
+def _dense_from_blocks(band, border, lm_block):
+    """The full normal matrix from the chain layout's block storage."""
+    p = border.shape[0]
+    a = np.zeros((p, p))
+    for d in range(band.shape[0]):
+        # entries past the end of a diagonal are padding, never written
+        assert not band[d, p - d:].any()
+        idx = np.arange(p - d)
+        a[idx + d, idx] = band[d, :p - d]
+    a += np.tril(a, -1).T
+    return np.block([[a, border], [border.T, lm_block]])
+
+
+def _damped_steps(g, lam=1e-3, fix_poses=False):
+    """One damped step of the banded Schur solve and of the sparse-LU
+    reference on the same linearization."""
+    static, _, vals, grad, _, _ = _linearized(g)
+    steps = []
+    for layout in (_ChainLayout(static, fix_poses), _SparseLayout(static, fix_poses)):
+        steps.append(layout.step(layout.assemble(vals), grad, lam))
+    return steps
+
+
+def _assert_same_step(step, ref):
+    assert step.shape == ref.shape
+    assert np.max(np.abs(step - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+class TestChainSolve:
+    """The banded pose chain plus landmark Schur complement against the
+    sparse LU solve of the full normal equations."""
+
+    def test_step_matches_sparse_lu(self):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=4)
+        for lam in (1e-6, 1e-3, 10.0):
+            _assert_same_step(*_damped_steps(g, lam))
+
+    def test_single_pose_graph(self):
+        # one pose is narrower than the chain's band: kd is clamped to 5
+        poses, landmarks = _circle_scene()
+        g = PoseGraph(K)
+        g.add_prior(0, poses[0])
+        for lid, point in enumerate(landmarks[:3]):
+            g.add_observation(0, lid, _pixel_of(poses[0], point) + 2.0, np.eye(2) / 16.0,
+                              landmark_position=point)
+        g.poses[0] = g.poses[0].retract(np.full(6, 1e-3))
+        assert _ChainLayout(_linearized(g)[0], False).kd == 5
+        step, ref = _damped_steps(g)
+        _assert_same_step(step, ref)
+        report = g.optimize()
+        assert report.converged
+
+    def test_fully_deactivated_landmark_step_is_exactly_zero(self):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.05, seed=8)
+        behind = poses[0].translation * 1.5
+        g.add_observation(0, 99, np.array([320.0, 240.0]), np.eye(2) / 16.0,
+                          landmark_position=behind)
+        step, ref = _damped_steps(g)
+        _assert_same_step(step, ref)
+        # landmark 99 sorts last; it has no active factor
+        np.testing.assert_array_equal(step[-3:], 0.0)
+        report = g.optimize()
+        assert report.deactivated_observations == 1
+        np.testing.assert_array_equal(g.landmarks[99], behind)
+
+    def test_huber_branch(self):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=9)
+        g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
+        f = g.observations[-1]
+        r = observation_residual_jacobians(
+            g.poses[2], g.landmarks[0], f.pixel, K)[0]
+        k = OptimizerConfig().huber_scale_px * math.sqrt(f.information[0, 0])
+        assert math.sqrt(r @ f.information @ r) > k
+        _assert_same_step(*_damped_steps(g))
+
+    def test_fixed_poses(self):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=10)
+        step, ref = _damped_steps(g, fix_poses=True)
+        assert step.shape == (3 * len(g.landmarks),)
+        _assert_same_step(step, ref)
+
+    def test_not_positive_definite_returns_none(self):
+        # LM raises the damping when the factorization fails
+        spd = np.array([[4.0, 4.0], [1.0, 0.0]])  # A = [[4, 1], [1, 4]]
+        border = np.array([[1.0], [0.0]])
+        g_pose, g_lm = np.ones(2), np.ones(1)
+        assert posegraph.solve_chain_schur(
+            spd.copy(), border, np.array([[1.0]]), g_pose, g_lm) is not None
+        indefinite = np.array([[1.0, 1.0], [2.0, 0.0]])  # A = [[1, 2], [2, 1]]
+        assert posegraph.solve_chain_schur(
+            indefinite, border, np.array([[1.0]]), g_pose, g_lm) is None
+        # C - B^T A^-1 B = 0.2 - 4/15 < 0
+        assert posegraph.solve_chain_schur(
+            spd.copy(), border, np.array([[0.2]]), g_pose, g_lm) is None
+
+    def test_chain_graph_never_calls_sparse_lu(self, monkeypatch):
+        def no_splu(*args, **kwargs):
+            raise AssertionError("chain graph took the sparse-LU path")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        g, _, _ = _build_consistent_graph(perturb_scale=0.02)
+        assert g.optimize().final_cost < 1e-12
+
+    def test_loop_closure_takes_sparse_lu(self, monkeypatch):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=12)
+        last = len(poses) - 1
+        g.add_odometry(last, 0, poses[last].inverse().compose(poses[0]))
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("loop closure took the banded path")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+        monkeypatch.setattr(posegraph, "solve_chain_schur", no_chain)
+        report = g.optimize()
+        assert calls
+        assert report.converged
+        assert report.final_cost < 1e-12
 
 
 class TestFixedPoseSolve:
