@@ -74,19 +74,16 @@ class RandomWalkConfig:
 
     The walk proposes Gaussian steps of scale step_sigma from the
     current point and moves only on improvement, so the reported
-    maximum never falls below the triangulation seed. burn_in delays
-    sample recording; with the keep-best rule the recorded argmax is
-    unaffected by it, the field exists for interface stability.
+    maximum never falls below the triangulation seed.
     """
 
     n_samples: int = 2000
-    burn_in: int = 200
     step_sigma: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.n_samples:
-            raise ValueError("need 0 <= burn_in < n_samples")
+        if self.n_samples < 0:
+            raise ValueError("n_samples must be non-negative")
         if self.step_sigma <= 0:
             raise ValueError("step_sigma must be positive")
 

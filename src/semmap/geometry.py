@@ -30,7 +30,6 @@ from .errors import (
 
 class Frame(Enum):
     WORLD = "world"
-    CAMERA = "camera"
 
 
 class Pixel(NamedTuple):
@@ -39,13 +38,41 @@ class Pixel(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# quaternion helpers, (w, x, y, z) order
+# quaternion helpers, (w, x, y, z) order. Each works over the last axis,
+# so it takes one quaternion (4,) or a stack (n, 4); a row of a stack
+# gets the same bits as that row alone. .T unpacks the components along
+# the last axis, and .T stacks them back.
 # ----------------------------------------------------------------------
 
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis. vecdot reduces each contiguous
+    row with the same BLAS dot np.dot uses on a single vector."""
+    v = np.ascontiguousarray(v)
+    return np.vecdot(v, v)
+
+
+# numpy's vectorized arctan2 differs from the C library's in the last bit
+# on some inputs; rotations keep the C library's
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrix [v]x: (3,) -> (3, 3), (n, 3) -> (n, 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    aw, ax, ay, az = np.asarray(a, dtype=float).T
+    bw, bx, by, bz = np.asarray(b, dtype=float).T
+    out = np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
@@ -53,28 +80,37 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
+    return np.ascontiguousarray(out.T)
+
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * _CONJUGATE
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = math.sqrt(float(np.dot(q, q)))
-    if n == 0.0 or not math.isfinite(n):
+    q = np.asarray(q, dtype=float)
+    n = np.sqrt(_sq_norm(q))
+    ok = (n > 0.0) & (n < math.inf)
+    # one quaternion's flag is a numpy bool, whose .all() is slow
+    if not (ok.all() if ok.ndim else ok):
         raise ValueError("cannot normalize zero or non-finite quaternion")
-    return q / n
+    return q / n[..., None]
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
+    """Rotation matrix: (4,) -> (3, 3), (n, 4) -> (n, 3, 3)."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return np.ascontiguousarray(m.T.swapaxes(-1, -2))
 
 
 def quat_from_matrix(r: np.ndarray) -> np.ndarray:
@@ -113,26 +149,29 @@ def quat_from_matrix(r: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation vector: (3,) -> (4,), (n, 3) -> (n, 4)."""
     rv = np.asarray(rv, dtype=float)
-    angle = math.sqrt(float(np.dot(rv, rv)))
-    if angle < 1e-12:
-        # second order series of sin(a/2)/a keeps this smooth through zero
-        half = 0.5 - angle * angle / 48.0
-        return quat_normalize(np.array([1.0, *(half * rv)]))
-    axis = rv / angle
-    s = math.sin(angle / 2.0)
-    return np.array([math.cos(angle / 2.0), *(s * axis)])
+    angle = np.sqrt(_sq_norm(rv))
+    small = angle < 1e-12
+    x, y, z = rv.T / np.where(small, 1.0, angle).T
+    s = np.sin(angle / 2.0)
+    q = np.array([np.cos(angle / 2.0), s * x, s * y, s * z]).T
+    # second order series of sin(a/2)/a keeps this smooth through zero
+    x, y, z = (0.5 - angle * angle / 48.0).T * rv.T
+    near = np.array([np.ones_like(x), x, y, z]).T
+    near = near / np.sqrt(_sq_norm(near))[..., None]
+    return np.ascontiguousarray(np.where(small[..., None], near, q))
 
 
 def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    if w < 0.0:  # keep the angle in [0, pi]
-        w, x, y, z = -w, -x, -y, -z
-    sin_half = math.sqrt(x * x + y * y + z * z)
-    if sin_half < 1e-12:
-        return 2.0 * np.array([x, y, z])
-    angle = 2.0 * math.atan2(sin_half, w)
-    return (angle / sin_half) * np.array([x, y, z])
+    """Rotation vector with angle in [0, pi]: (4,) -> (3,), (n, 4) -> (n, 3)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.where(q[..., :1] < 0.0, -q, q).T  # keep the angle in [0, pi]
+    sin_half = np.sqrt(x * x + y * y + z * z)
+    small = sin_half < 1e-12
+    angle = 2.0 * np.asarray(_atan2(sin_half, w), dtype=float)
+    scale = np.where(small, 2.0, angle / np.where(small, 1.0, sin_half))
+    return np.ascontiguousarray((scale * np.array([x, y, z])).T)
 
 
 def quat_slerp(qa: np.ndarray, qb: np.ndarray, alpha: float) -> np.ndarray:
@@ -209,12 +248,6 @@ class Pose:
         if pts.ndim == 1:
             return r @ pts + self.translation
         return pts @ r.T + self.translation
-
-    def difference(self, other: "Pose") -> tuple[float, float]:
-        """(rotation angle rad, translation distance m) between two poses."""
-        rel = self.inverse().compose(other)
-        angle = float(np.linalg.norm(rotvec_from_quat(rel.rotation)))
-        return angle, float(np.linalg.norm(self.translation - other.translation))
 
 
 @dataclass(frozen=True)

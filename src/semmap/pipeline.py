@@ -5,10 +5,7 @@ The run is split into two stages with strict state ownership. Stage A
 (ingest, track, localize) reads raw odometry only, so the candidate
 stream never depends on when the optimizer last ran; stage B
 (associate, optimize, correct, merge) owns the pose graph and the
-landmark registry. Because stage B consumes one ordered event stream,
-the two-worker mode produces bit-identical results to the sequential
-one: corrections land at the same frame boundaries either way, the
-worker just overlaps them with ingestion in wall time.
+landmark registry and consumes stage A's proposals in frame order.
 
 Duplicate landmarks are a designed-for consequence of this split: under
 odometry drift a revisited object can fall outside its own validation
@@ -17,8 +14,6 @@ optimizer pulls them together, and the overlap merge collapses them.
 """
 
 import json
-import queue
-import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -99,8 +94,6 @@ class PipelineConfig:
     odometry_translation_sigma: float = 0.005
     odometry_rotation_sigma: float = 0.0017453292519943295
     seed: int = 0
-    instrumentation: bool = True
-    parallel: bool = False
 
     def __post_init__(self):
         if self.pixel_noise_sigma <= 0:
@@ -128,8 +121,6 @@ class PipelineConfig:
             "odometry_translation_sigma": self.odometry_translation_sigma,
             "odometry_rotation_sigma": self.odometry_rotation_sigma,
             "seed": self.seed,
-            "instrumentation": self.instrumentation,
-            "parallel": self.parallel,
         }
 
     @classmethod
@@ -260,7 +251,6 @@ class _StageB:
 
     def on_frame(self, frame_id: int, stamp: float,
                  proposals: list[Proposal]) -> None:
-        instrument = self.cfg.instrumentation
         if frame_id == 0:
             self.graph.add_prior(0, self.odometry.poses[0])
         else:
@@ -275,7 +265,7 @@ class _StageB:
 
         due = (frame_id + 1) % self.cfg.optimize_every == 0
         if self.graph.observations and (emitted or due):
-            self._optimize_and_merge(instrument)
+            self._optimize_and_merge()
 
     def _handle_proposal(self, prop: Proposal, frame_id: int,
                          stamp: float) -> int:
@@ -287,8 +277,7 @@ class _StageB:
 
         call_timings: dict[str, float] = {}
         decision = self.map.associate(
-            prop.candidate, stamp, self.cfg.association,
-            call_timings if self.cfg.instrumentation else None)
+            prop.candidate, stamp, self.cfg.association, call_timings)
         for key, seconds in call_timings.items():
             self.timings[key].append(seconds)
 
@@ -309,7 +298,7 @@ class _StageB:
             decision.landmark_id, bool(emitted)))
         return 1 if emitted else 0
 
-    def _optimize_and_merge(self, instrument: bool) -> None:
+    def _optimize_and_merge(self) -> None:
         # a graph extended only by odometry since the last solve keeps
         # its previous optimum (new chain factors are exactly satisfied
         # by the composed initialization), so re-solving would only
@@ -317,9 +306,7 @@ class _StageB:
         if len(self.graph.observations) > self._solved_observations:
             t0 = perf_counter()
             report = self.graph.optimize(self.cfg.optimizer, fix_poses=self.fix_poses)
-            t1 = perf_counter()
-            if instrument:
-                self.timings["optimize"].append(t1 - t0)
+            self.timings["optimize"].append(perf_counter() - t0)
             self.solves.append(report)
             self.counts["optimize_calls"] += 1
             self.counts["optimize_iterations"] += report.iterations
@@ -329,14 +316,12 @@ class _StageB:
         merges = self.map.merge_overlapping(self.cfg.association)
         for old_id, kept_id in merges:
             self.graph.merge_landmarks(old_id, kept_id)
-        t3 = perf_counter()
-        if instrument:
-            self.timings["landmark_merge"].append(t3 - t2)
+        self.timings["landmark_merge"].append(perf_counter() - t2)
         self.counts["merges"] += len(merges)
 
     def finish(self) -> None:
         if self.graph.observations:
-            self._optimize_and_merge(self.cfg.instrumentation)
+            self._optimize_and_merge()
 
 
 def _index_detections(frames, odometry: Trajectory,
@@ -378,7 +363,6 @@ def run_pipeline(frames, odometry: Trajectory,
     tracker = IouTracker(cfg.tracker)
     timings: dict[str, list[float]] = {name: [] for name in STAGE_NAMES}
     stage_b = _StageB(cfg, odometry, timings)
-    instrument = cfg.instrumentation
 
     counts = {
         "frames": len(odometry),
@@ -389,65 +373,27 @@ def run_pipeline(frames, odometry: Trajectory,
         "proposals_rejected": 0,
     }
 
-    work: queue.Queue | None = None
-    worker_error: list[BaseException] = []
-    worker = None
-    if cfg.parallel:
-        work = queue.Queue()
+    for i in range(len(odometry)):
+        stamp = float(odometry.stamps[i])
+        raw = by_frame.get(i, [])
+        t0 = perf_counter()
+        kept = filter_detections(raw, cfg.tracker)
+        promoted, _ = tracker.step(kept, stamp)
+        timings["detection_ingest"].append(perf_counter() - t0)
+        counts["detections"] += len(raw)
+        counts["detections_kept"] += len(kept)
+        counts["tracklets_promoted"] += len(promoted)
 
-        def drain():
-            while True:
-                item = work.get()
-                if item is None:
-                    return
-                try:
-                    stage_b.on_frame(*item)
-                except BaseException as exc:  # re-raised on the caller
-                    worker_error.append(exc)
-                    return
-
-        worker = threading.Thread(target=drain, name="stage-b")
-        worker.start()
-
-    try:
-        for i in range(len(odometry)):
-            stamp = float(odometry.stamps[i])
-            raw = by_frame.get(i, [])
-            t0 = perf_counter()
-            kept = filter_detections(raw, cfg.tracker)
-            promoted, _ = tracker.step(kept, stamp)
+        proposals = []
+        for tracklet in promoted:
             t1 = perf_counter()
-            if instrument:
-                timings["detection_ingest"].append(t1 - t0)
-            counts["detections"] += len(raw)
-            counts["detections_kept"] += len(kept)
-            counts["tracklets_promoted"] += len(promoted)
-
-            proposals = []
-            for tracklet in promoted:
-                t2 = perf_counter()
-                prop = propose_candidate(tracklet, odometry, cfg.camera,
-                                         sampler, noise, walk,
-                                         cfg.mad_threshold)
-                t3 = perf_counter()
-                if instrument:
-                    timings["candidate_proposal"].append(t3 - t2)
-                counts["proposals_accepted" if prop.accepted
-                       else "proposals_rejected"] += 1
-                proposals.append(prop)
-
-            if work is not None:
-                if worker_error:
-                    break
-                work.put((i, stamp, proposals))
-            else:
-                stage_b.on_frame(i, stamp, proposals)
-    finally:
-        if work is not None:
-            work.put(None)
-            worker.join()
-    if worker_error:
-        raise worker_error[0]
+            prop = propose_candidate(tracklet, odometry, cfg.camera, sampler,
+                                     noise, walk, cfg.mad_threshold)
+            timings["candidate_proposal"].append(perf_counter() - t1)
+            counts["proposals_accepted" if prop.accepted
+                   else "proposals_rejected"] += 1
+            proposals.append(prop)
+        stage_b.on_frame(i, stamp, proposals)
 
     stage_b.finish()
     counts.update(stage_b.counts)

@@ -4,7 +4,8 @@ Levenberg-Marquardt on the normal equations.
 State: one 6-dof node per camera frame (retracted on the right,
 pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
 
-* prior on the first pose (gauge fixing), residual log(P^-1 X)
+* prior on the first pose (gauge fixing), residual log(P^-1 X): the
+  odometry residual from the identity to X
 * odometry between consecutive or loop frames, residual
   log(Z^-1 X_i^-1 X_j) split as [translation, rotation vector]
 * pixel observations of landmarks, residual proj(X^-1 l) - z with a
@@ -34,115 +35,31 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import SingularSystemError, UnknownNodeError
-from .geometry import CameraIntrinsics, Pose, rotvec_from_quat
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    quat_conjugate,
+    quat_from_rotvec,
+    quat_mul,
+    quat_normalize,
+    quat_to_matrix,
+    rotvec_from_quat,
+    skew,
+)
 
 _Z_EPS = 1e-9
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+_IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
 
 
 def _inv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian of the SO(3) log map.
+    """Inverse right Jacobian of the SO(3) log map, stacked (n, 3, 3).
 
-    d/d eps log(R exp(eps)) = Jr_inv(log R). Series expansion below
+    d/d eps log(R exp(eps)) = Jr_inv(log R) (Sola et al., "A micro Lie
+    theory for state estimation in robotics", 2018). The series below
     1e-6 rad keeps it smooth through zero.
     """
-    theta2 = float(phi @ phi)
-    w = _skew(phi)
-    if theta2 < 1e-12:
-        return np.eye(3) + 0.5 * w + (1.0 / 12.0) * (w @ w)
-    theta = math.sqrt(theta2)
-    coef = 1.0 / theta2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
-    return np.eye(3) + 0.5 * w + coef * (w @ w)
-
-
-def _pose_error(meas: Pose, delta: Pose) -> tuple[np.ndarray, Pose]:
-    """Residual [t, rotvec] of meas^-1 * delta and the error pose."""
-    err = meas.inverse().compose(delta)
-    return np.concatenate([err.translation, rotvec_from_quat(err.rotation)]), err
-
-
-# ----------------------------------------------------------------------
-# batched counterparts of the per-factor math above; the solver
-# evaluates hundreds of factors per iteration, so the inner loop works
-# on stacked arrays and only materializes Pose objects on exit
-# ----------------------------------------------------------------------
-
-def _bskew(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
-def _bquat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
-def _bquat_conj(q: np.ndarray) -> np.ndarray:
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _bquat_normalize(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
-def _bquat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3))
-    out[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    out[..., 0, 1] = 2 * (x * y - w * z)
-    out[..., 0, 2] = 2 * (x * z + w * y)
-    out[..., 1, 0] = 2 * (x * y + w * z)
-    out[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    out[..., 1, 2] = 2 * (y * z - w * x)
-    out[..., 2, 0] = 2 * (x * z - w * y)
-    out[..., 2, 1] = 2 * (y * z + w * x)
-    out[..., 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
-
-
-def _brotvec_from_quat(q: np.ndarray) -> np.ndarray:
-    q = np.where(q[..., :1] < 0.0, -q, q)  # keep the angle in [0, pi]
-    v = q[..., 1:]
-    sin_half = np.linalg.norm(v, axis=-1)
-    small = sin_half < 1e-12
-    safe = np.where(small, 1.0, sin_half)
-    scale = np.where(small, 2.0, 2.0 * np.arctan2(sin_half, q[..., 0]) / safe)
-    return scale[..., None] * v
-
-
-def _bquat_from_rotvec(rv: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(rv, axis=-1)
-    small = angle < 1e-12
-    safe = np.where(small, 1.0, angle)
-    # second order series of sin(a/2)/a keeps this smooth through zero
-    half = np.where(small, 0.5 - angle * angle / 48.0, np.sin(safe / 2.0) / safe)
-    out = np.concatenate([np.cos(angle / 2.0)[..., None], half[..., None] * rv], axis=-1)
-    return _bquat_normalize(out)
-
-
-def _binv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
     theta2 = np.einsum("ni,ni->n", phi, phi)
-    w = _bskew(phi)
+    w = skew(phi)
     ww = w @ w
     small = theta2 < 1e-12
     theta = np.sqrt(np.where(small, 1.0, theta2))
@@ -152,6 +69,70 @@ def _binv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
         small, 1.0 / 12.0, 1.0 / np.where(small, 1.0, theta2) - (1.0 + np.cos(theta)) / denom
     )
     return np.eye(3) + 0.5 * w + coef[:, None, None] * ww
+
+
+# ----------------------------------------------------------------------
+# factor kernels: the solver evaluates hundreds of factors per
+# iteration, so each kernel works on the factors of one type stacked
+# along the first axis
+# ----------------------------------------------------------------------
+
+def odometry_kernel(q_i, t_i, q_j, t_j, q_z, t_z) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals log(Z^-1 X_i^-1 X_j) (n, 6), split as [translation,
+    rotation vector], and their Jacobians [J_i | J_j] (n, 6, 12) wrt
+    right perturbations of X_i and X_j. Poses and measurements Z are
+    given as quaternions (n, 4) and translations (n, 3).
+
+    With Delta = X_i^-1 X_j and E = Z^-1 Delta:
+      dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
+      dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
+      dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
+    """
+    rz_t = np.swapaxes(quat_to_matrix(q_z), 1, 2)
+    td = np.einsum("nba,nb->na", quat_to_matrix(q_i), t_j - t_i)
+    qd = quat_normalize(quat_mul(quat_conjugate(q_i), q_j))
+    qe = quat_normalize(quat_mul(quat_conjugate(q_z), qd))
+    phi = rotvec_from_quat(qe)
+    r = np.concatenate([np.einsum("nab,nb->na", rz_t, td - t_z), phi], axis=1)
+    jr_inv = _inv_right_jacobian_so3(phi)
+    jac = np.zeros((r.shape[0], 6, 12))
+    jac[:, :3, :3] = -rz_t
+    jac[:, :3, 3:6] = rz_t @ skew(td)
+    jac[:, 3:, 3:6] = -(jr_inv @ np.swapaxes(quat_to_matrix(qd), 1, 2))
+    jac[:, :3, 6:9] = quat_to_matrix(qe)
+    jac[:, 3:, 9:] = jr_inv
+    return r, jac
+
+
+def observation_kernel(q, t, landmarks, pixels, k: CameraIntrinsics):
+    """Pixel residuals proj(X^-1 l) - z (n, 2), their Jacobians
+    [J_pose | J_landmark] (n, 2, 9) and the mask of active observations.
+
+    An observation whose landmark is behind the camera is deactivated:
+    its mask entry is False and its residual and Jacobian are zero.
+    With p = R^T (l - t):
+      dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
+      dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
+    """
+    rot = quat_to_matrix(q)
+    p = np.einsum("nba,nb->na", rot, landmarks - t)
+    active = p[:, 2] > _Z_EPS
+    r = np.zeros((active.size, 2))
+    jac = np.zeros((active.size, 2, 9))
+    p, rot, px = p[active], rot[active], pixels[active]
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    r[active] = np.stack(
+        [k.fx * x / z + k.cx - px[:, 0], k.fy * y / z + k.cy - px[:, 1]], axis=1
+    )
+    m = p.shape[0]
+    j_pi = np.zeros((m, 2, 3))
+    j_pi[:, 0, 0] = k.fx / z
+    j_pi[:, 0, 2] = -k.fx * x / (z * z)
+    j_pi[:, 1, 1] = k.fy / z
+    j_pi[:, 1, 2] = -k.fy * y / (z * z)
+    lift = np.concatenate([np.broadcast_to(-np.eye(3), (m, 3, 3)), skew(p)], axis=2)
+    jac[active] = np.concatenate([j_pi @ lift, j_pi @ np.swapaxes(rot, 1, 2)], axis=2)
+    return r, jac, active
 
 
 def _entry_indices(blocks: list[tuple[np.ndarray, int]]):
@@ -183,69 +164,9 @@ def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray):
     move additively."""
     base = 6 * q.shape[0]
     dp = delta[:base].reshape(-1, 6)
-    q_new = _bquat_normalize(_bquat_mul(q, _bquat_from_rotvec(dp[:, 3:])))
-    t_new = t + np.einsum("nab,nb->na", _bquat_to_matrix(q), dp[:, :3])
+    q_new = quat_normalize(quat_mul(q, quat_from_rotvec(dp[:, 3:])))
+    t_new = t + np.einsum("nab,nb->na", quat_to_matrix(q), dp[:, :3])
     return q_new, t_new, lm + delta[base:].reshape(-1, 3)
-
-
-def odometry_residual_jacobians(
-    pose_i: Pose, pose_j: Pose, meas: Pose
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual (6,) and Jacobians (6, 6) wrt right perturbations of i, j.
-
-    With Delta = X_i^-1 X_j and E = Z^-1 Delta:
-      dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
-      dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
-      dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
-    """
-    delta = pose_i.inverse().compose(pose_j)
-    r, err = _pose_error(meas, delta)
-    rz_t = meas.rotation_matrix().T
-    delta_r = delta.rotation_matrix()
-    jr_inv = _inv_right_jacobian_so3(r[3:])
-
-    j_i = np.zeros((6, 6))
-    j_i[:3, :3] = -rz_t
-    j_i[:3, 3:] = rz_t @ _skew(delta.translation)
-    j_i[3:, 3:] = -jr_inv @ delta_r.T
-
-    j_j = np.zeros((6, 6))
-    j_j[:3, :3] = err.rotation_matrix()
-    j_j[3:, 3:] = jr_inv
-    return r, j_i, j_j
-
-
-def prior_residual_jacobian(pose: Pose, prior: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Residual (6,) and Jacobian (6, 6) of log(P^-1 X) wrt X."""
-    r, err = _pose_error(prior, pose)
-    j = np.zeros((6, 6))
-    j[:3, :3] = err.rotation_matrix()
-    j[3:, 3:] = _inv_right_jacobian_so3(r[3:])
-    return r, j
-
-
-def observation_residual_jacobians(
-    pose: Pose, landmark: np.ndarray, pixel: np.ndarray, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Residual (2,) plus Jacobians wrt pose (2, 6) and landmark (2, 3).
-
-    Returns None when the landmark is behind the camera (factor
-    deactivated). With p = R^T (l - t):
-      dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
-      dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
-    """
-    rot = pose.rotation_matrix()
-    p = rot.T @ (np.asarray(landmark, dtype=float) - pose.translation)
-    if p[2] <= _Z_EPS:
-        return None
-    x, y, z = p
-    r = np.array([k.fx * x / z + k.cx - pixel[0], k.fy * y / z + k.cy - pixel[1]])
-    j_pi = np.array(
-        [[k.fx / z, 0.0, -k.fx * x / (z * z)], [0.0, k.fy / z, -k.fy * y / (z * z)]]
-    )
-    j_pose = j_pi @ np.hstack([-np.eye(3), _skew(p)])
-    j_lm = j_pi @ rot.T
-    return r, j_pose, j_lm
 
 
 @dataclass(frozen=True)
@@ -500,44 +421,8 @@ class PoseGraph:
         ]
 
     # ------------------------------------------------------------------
-    # evaluation
+    # linearization
     # ------------------------------------------------------------------
-
-    def _huber(self, chi2: float, info: np.ndarray, scale_px: float) -> tuple[float, float]:
-        """(cost, reweight) for one observation residual.
-
-        chi is compared against the scale converted to whitened units
-        via the leading information entry (isotropic in practice).
-        """
-        k = scale_px * math.sqrt(info[0, 0])
-        chi = math.sqrt(max(chi2, 0.0))
-        if chi <= k:
-            return chi2, 1.0
-        return 2.0 * k * chi - k * k, k / chi
-
-    def cost(self, cfg: OptimizerConfig | None = None) -> float:
-        """Total (robustified) cost at the current estimates."""
-        cfg = cfg or OptimizerConfig()
-        total = 0.0
-        if self.prior is not None and self.prior.pose_id in self.poses:
-            r, _ = _pose_error(self.prior.pose, self.poses[self.prior.pose_id])
-            total += float(r @ self.prior.information @ r)
-        for f in self.odometry:
-            delta = self.poses[f.from_id].inverse().compose(self.poses[f.to_id])
-            r, _ = _pose_error(f.rel, delta)
-            total += float(r @ f.information @ r)
-        for f in self.observations:
-            out = observation_residual_jacobians(
-                self.poses[f.pose_id], self.landmarks[f.landmark_id], f.pixel,
-                self.intrinsics,
-            )
-            if out is None:
-                continue
-            r = out[0]
-            chi2 = float(r @ f.information @ r)
-            c, _ = self._huber(chi2, f.information, cfg.huber_scale_px)
-            total += c
-        return total
 
     def _prepare_factors(self, pose_pos: dict[int, int], lm_pos: dict[int, int]):
         """Stack factor constants into arrays indexed by node position.
@@ -555,12 +440,13 @@ class PoseGraph:
         odo = self.odometry
         static["odo_i"] = np.array([pose_pos[f.from_id] for f in odo], dtype=int)
         static["odo_j"] = np.array([pose_pos[f.to_id] for f in odo], dtype=int)
-        if odo:
-            qz = np.stack([f.rel.rotation for f in odo])
-            static["odo_qz_conj"] = _bquat_conj(qz)
-            static["odo_rz_t"] = np.transpose(_bquat_to_matrix(qz), (0, 2, 1))
-            static["odo_tz"] = np.stack([f.rel.translation for f in odo])
-            static["odo_info"] = np.stack([f.information for f in odo])
+        # the prior log(P^-1 X) is the odometry residual from the identity
+        # to X, so it rides as row 0 of the odometry kernel's batch
+        static["rel_j"] = np.concatenate([[static["prior_pos"]], static["odo_j"]])
+        rel = [self.prior.pose] + [f.rel for f in odo]
+        static["rel_q"] = np.stack([z.rotation for z in rel])
+        static["rel_t"] = np.stack([z.translation for z in rel])
+        static["odo_info"] = np.array([f.information for f in odo]).reshape(-1, 6, 6)
         obs = self.observations
         static["obs_p"] = np.array([pose_pos[f.pose_id] for f in obs], dtype=int)
         static["obs_l"] = np.array([lm_pos[f.landmark_id] for f in obs], dtype=int)
@@ -594,89 +480,40 @@ class PoseGraph:
         """Hessian entries (aligned with static h_rows/h_cols), gradient,
         robust cost and the count of behind-camera observations, all at
         the array-valued state."""
-        h_parts: list[np.ndarray] = []
-        g_parts: list[np.ndarray] = []
-        deactivated = 0
-        rot_all = _bquat_to_matrix(q)
-
-        pos = static["prior_pos"]
-        r, j = prior_residual_jacobian(Pose(q[pos], t[pos]), self.prior.pose)
+        idx_i = static["odo_i"]
+        r, jac = odometry_kernel(
+            np.concatenate([_IDENTITY, q[idx_i]]),
+            np.concatenate([np.zeros((1, 3)), t[idx_i]]),
+            q[static["rel_j"]], t[static["rel_j"]], static["rel_q"], static["rel_t"],
+        )
         info = self.prior.information
-        h, g = _normal_entries(j[None], r[None], info[None])
-        h_parts.append(h)
-        g_parts.append(g)
-        total_cost = float(r @ info @ r)
-
-        if static["odo_i"].size:
-            idx_i, idx_j = static["odo_i"], static["odo_j"]
-            qi, qj = q[idx_i], q[idx_j]
-            ri = rot_all[idx_i]
-            td = np.einsum("nba,nb->na", ri, t[idx_j] - t[idx_i])
-            qd = _bquat_normalize(_bquat_mul(_bquat_conj(qi), qj))
-            qe = _bquat_normalize(_bquat_mul(static["odo_qz_conj"], qd))
-            rz_t = static["odo_rz_t"]
-            te = np.einsum("nab,nb->na", rz_t, td - static["odo_tz"])
-            phi = _brotvec_from_quat(qe)
-            r = np.concatenate([te, phi], axis=1)
-            jr_inv = _binv_right_jacobian_so3(phi)
-            n = r.shape[0]
-            # stacked [J_i | J_j]
-            jac = np.zeros((n, 6, 12))
-            jac[:, :3, :3] = -rz_t
-            jac[:, :3, 3:6] = rz_t @ _bskew(td)
-            jac[:, 3:, 3:6] = -(jr_inv @ np.swapaxes(_bquat_to_matrix(qd), 1, 2))
-            jac[:, :3, 6:9] = _bquat_to_matrix(qe)
-            jac[:, 3:, 9:] = jr_inv
-            info = static["odo_info"]
-            h, g = _normal_entries(jac, r, info)
-            h_parts.append(h)
-            g_parts.append(g)
-            total_cost += float(np.einsum("ni,nij,nj->", r, info, r))
+        # the prior keeps only the J_j half: its X_i is the fixed identity
+        h_prior, g_prior = _normal_entries(jac[:1, :, 6:], r[:1], info[None])
+        total_cost = float(r[0] @ info @ r[0])
+        r, jac, info = r[1:], jac[1:], static["odo_info"]
+        h_odo, g_odo = _normal_entries(jac, r, info)
+        total_cost += float(np.einsum("ni,nij,nj->", r, info, r))
+        h_parts = [h_prior, h_odo]
+        g_parts = [g_prior, g_odo]
+        deactivated = 0
 
         if static["obs_p"].size:
-            idx_p, idx_l = static["obs_p"], static["obs_l"]
-            rot = rot_all[idx_p]
-            p = np.einsum("nba,nb->na", rot, lm[idx_l] - t[idx_p])
-            active = p[:, 2] > _Z_EPS
+            idx_p = static["obs_p"]
+            r, jac, active = observation_kernel(
+                q[idx_p], t[idx_p], lm[static["obs_l"]], static["obs_px"], self.intrinsics
+            )
             deactivated = int(np.count_nonzero(~active))
+            info = static["obs_info"]
+            chi2 = np.maximum(np.einsum("ni,nij,nj->n", r, info, r), 0.0)
+            chi = np.sqrt(chi2)
+            hk = cfg.huber_scale_px * static["obs_k"]
+            inlier = chi <= hk
+            w = np.where(inlier, 1.0, hk / np.maximum(chi, 1e-300))
+            total_cost += float(
+                np.sum(np.where(inlier, chi2, 2.0 * hk * chi - hk * hk)[active])
+            )
             # a deactivated observation keeps its slots with zero values
-            h = np.zeros((active.size, 9, 9))
-            g = np.zeros((active.size, 9))
-            if np.any(active):
-                p = p[active]
-                rot = rot[active]
-                px = static["obs_px"][active]
-                info = static["obs_info"][active]
-                k = self.intrinsics
-                x, y, z = p[:, 0], p[:, 1], p[:, 2]
-                r = np.stack(
-                    [k.fx * x / z + k.cx - px[:, 0], k.fy * y / z + k.cy - px[:, 1]],
-                    axis=1,
-                )
-                m = r.shape[0]
-                j_pi = np.zeros((m, 2, 3))
-                j_pi[:, 0, 0] = k.fx / z
-                j_pi[:, 0, 2] = -k.fx * x / (z * z)
-                j_pi[:, 1, 1] = k.fy / z
-                j_pi[:, 1, 2] = -k.fy * y / (z * z)
-                lift = np.concatenate(
-                    [np.broadcast_to(-np.eye(3), (m, 3, 3)), _bskew(p)], axis=2
-                )
-                # stacked [J_pose | J_landmark]
-                jac = np.concatenate(
-                    [j_pi @ lift, j_pi @ np.swapaxes(rot, 1, 2)], axis=2
-                )
-                chi2 = np.maximum(np.einsum("ni,nij,nj->n", r, info, r), 0.0)
-                chi = np.sqrt(chi2)
-                hk = cfg.huber_scale_px * static["obs_k"][active]
-                inlier = chi <= hk
-                w = np.where(inlier, 1.0, hk / np.maximum(chi, 1e-300))
-                total_cost += float(
-                    np.sum(np.where(inlier, chi2, 2.0 * hk * chi - hk * hk))
-                )
-                h[active], g[active] = _normal_entries(
-                    jac, r, info * w[:, None, None]
-                )
+            h, g = _normal_entries(jac, r, info * w[:, None, None])
             h_parts.append(h)
             g_parts.append(g)
 
@@ -798,9 +635,6 @@ class PoseGraph:
     # ------------------------------------------------------------------
     # exports
     # ------------------------------------------------------------------
-
-    def trajectory(self) -> list[tuple[int, Pose]]:
-        return [(pid, self.poses[pid]) for pid in sorted(self.poses)]
 
     def landmark_positions(self) -> dict[int, np.ndarray]:
         return {lid: pos.copy() for lid, pos in self.landmarks.items()}

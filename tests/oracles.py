@@ -1,13 +1,18 @@
 """Independent reference implementations used by several test modules.
 
 Everything here is written deliberately differently from the package
-internals (explicit loops, different algorithms) so the two routes can
-cross-check each other.
+internals (explicit loops, different algorithms, one item at a time
+where the package works on stacks) so the two routes can cross-check
+each other.
 """
 
 import math
 
 import numpy as np
+
+from semmap.geometry import CameraIntrinsics, Pose, rotvec_from_quat
+
+_Z_EPS = 1e-9
 
 
 def pinhole_uv(point_world, pose, k):
@@ -122,3 +127,158 @@ def horn_quaternion_align(src, dst):
     )
     t = mu_d - rot @ mu_s
     return rot, t
+
+
+# ----------------------------------------------------------------------
+# quaternion ops one quaternion at a time with Python math, (w, x, y, z)
+# order: the scalar formulas the package's stacked ops must reproduce
+# bit for bit
+# ----------------------------------------------------------------------
+
+def scalar_quat_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def scalar_quat_conjugate(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def scalar_quat_normalize(q):
+    n = math.sqrt(float(np.dot(q, q)))
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("cannot normalize zero or non-finite quaternion")
+    return q / n
+
+
+def scalar_quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def scalar_quat_from_rotvec(rv):
+    rv = np.asarray(rv, dtype=float)
+    angle = math.sqrt(float(np.dot(rv, rv)))
+    if angle < 1e-12:
+        half = 0.5 - angle * angle / 48.0
+        return scalar_quat_normalize(np.array([1.0, *(half * rv)]))
+    axis = rv / angle
+    s = math.sin(angle / 2.0)
+    return np.array([math.cos(angle / 2.0), *(s * axis)])
+
+
+def scalar_rotvec_from_quat(q):
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    sin_half = math.sqrt(x * x + y * y + z * z)
+    if sin_half < 1e-12:
+        return 2.0 * np.array([x, y, z])
+    angle = 2.0 * math.atan2(sin_half, w)
+    return (angle / sin_half) * np.array([x, y, z])
+
+
+# ----------------------------------------------------------------------
+# per-factor residuals and Jacobians, one factor at a time on Pose
+# objects: the reference for the solver's stacked factor kernels
+# ----------------------------------------------------------------------
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    return np.array(
+        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
+    )
+
+
+def _inv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of the SO(3) log map.
+
+    d/d eps log(R exp(eps)) = Jr_inv(log R). Series expansion below
+    1e-6 rad keeps it smooth through zero.
+    """
+    theta2 = float(phi @ phi)
+    w = _skew(phi)
+    if theta2 < 1e-12:
+        return np.eye(3) + 0.5 * w + (1.0 / 12.0) * (w @ w)
+    theta = math.sqrt(theta2)
+    coef = 1.0 / theta2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
+    return np.eye(3) + 0.5 * w + coef * (w @ w)
+
+
+def _pose_error(meas: Pose, delta: Pose) -> tuple[np.ndarray, Pose]:
+    """Residual [t, rotvec] of meas^-1 * delta and the error pose."""
+    err = meas.inverse().compose(delta)
+    return np.concatenate([err.translation, rotvec_from_quat(err.rotation)]), err
+
+
+def odometry_residual_jacobians(
+    pose_i: Pose, pose_j: Pose, meas: Pose
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual (6,) and Jacobians (6, 6) wrt right perturbations of i, j.
+
+    With Delta = X_i^-1 X_j and E = Z^-1 Delta:
+      dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
+      dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
+      dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
+    """
+    delta = pose_i.inverse().compose(pose_j)
+    r, err = _pose_error(meas, delta)
+    rz_t = meas.rotation_matrix().T
+    delta_r = delta.rotation_matrix()
+    jr_inv = _inv_right_jacobian_so3(r[3:])
+
+    j_i = np.zeros((6, 6))
+    j_i[:3, :3] = -rz_t
+    j_i[:3, 3:] = rz_t @ _skew(delta.translation)
+    j_i[3:, 3:] = -jr_inv @ delta_r.T
+
+    j_j = np.zeros((6, 6))
+    j_j[:3, :3] = err.rotation_matrix()
+    j_j[3:, 3:] = jr_inv
+    return r, j_i, j_j
+
+
+def prior_residual_jacobian(pose: Pose, prior: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Residual (6,) and Jacobian (6, 6) of log(P^-1 X) wrt X."""
+    r, err = _pose_error(prior, pose)
+    j = np.zeros((6, 6))
+    j[:3, :3] = err.rotation_matrix()
+    j[3:, 3:] = _inv_right_jacobian_so3(r[3:])
+    return r, j
+
+
+def observation_residual_jacobians(
+    pose: Pose, landmark: np.ndarray, pixel: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Residual (2,) plus Jacobians wrt pose (2, 6) and landmark (2, 3).
+
+    Returns None when the landmark is behind the camera (factor
+    deactivated). With p = R^T (l - t):
+      dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
+      dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
+    """
+    rot = pose.rotation_matrix()
+    p = rot.T @ (np.asarray(landmark, dtype=float) - pose.translation)
+    if p[2] <= _Z_EPS:
+        return None
+    x, y, z = p
+    r = np.array([k.fx * x / z + k.cx - pixel[0], k.fy * y / z + k.cy - pixel[1]])
+    j_pi = np.array(
+        [[k.fx / z, 0.0, -k.fx * x / (z * z)], [0.0, k.fy / z, -k.fy * y / (z * z)]]
+    )
+    j_pose = j_pi @ np.hstack([-np.eye(3), _skew(p)])
+    j_lm = j_pi @ rot.T
+    return r, j_pose, j_lm

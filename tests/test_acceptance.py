@@ -22,8 +22,10 @@ from test_posegraph import (
     K,
     _build_consistent_graph,
     _linearized,
-    _num_jac_point,
-    _num_jac_pose,
+    _observation,
+    _observation_fd_error,
+    _odometry_fd_error,
+    _prior_fd_error,
     _random_pose,
     _rel_err,
 )
@@ -33,13 +35,7 @@ from semmap.candidate import PixelNoiseModel, RandomWalkConfig, estimate_centroi
 from semmap.evaluation import ate_rmse, evaluate_ate, score_landmarks
 from semmap.geometry import Frame, PointCloud, Pose, Trajectory, quat_from_rotvec
 from semmap.pipeline import PipelineConfig, cmd_run, cmd_simulate, run_pipeline
-from semmap.posegraph import (
-    OptimizerConfig,
-    _retract,
-    observation_residual_jacobians,
-    odometry_residual_jacobians,
-    prior_residual_jacobian,
-)
+from semmap.posegraph import OptimizerConfig, _retract
 from semmap.simulator import (
     desk_preset,
     drift_loop_preset,
@@ -197,40 +193,26 @@ def test_criterion_5_map_localization(report):
 
 
 def test_criterion_6_optimizer_correctness(report):
+    # the solver's factor kernels against central differences: 40
+    # odometry, 40 observation and 20 prior factors, each kind in one call
     rng = np.random.default_rng(6)
-    worst = 0.0
+    odo = []
     for _ in range(40):
         pose_i, pose_j = _random_pose(rng), _random_pose(rng)
-        meas = pose_i.inverse().compose(pose_j).compose(
-            _random_pose(rng, 0.2, 0.1))
-        _, j_i, j_j = odometry_residual_jacobians(pose_i, pose_j, meas)
-        fd_i = _num_jac_pose(
-            lambda p: odometry_residual_jacobians(p, pose_j, meas)[0],
-            pose_i, 6)
-        fd_j = _num_jac_pose(
-            lambda p: odometry_residual_jacobians(pose_i, p, meas)[0],
-            pose_j, 6)
-        worst = max(worst, _rel_err(j_i, fd_i), _rel_err(j_j, fd_j))
+        odo.append((pose_i, pose_j, pose_i.inverse().compose(pose_j).compose(
+            _random_pose(rng, 0.2, 0.1))))
+    obs = []
     for _ in range(40):
         pose = _random_pose(rng)
         point = pose.transform(np.array([rng.uniform(-0.8, 0.8),
                                          rng.uniform(-0.6, 0.6),
                                          rng.uniform(1.0, 5.0)]))
         pixel = np.array([rng.uniform(0, 640), rng.uniform(0, 480)])
-        _, j_pose, j_lm = observation_residual_jacobians(pose, point, pixel, K)
-        fd_pose = _num_jac_pose(
-            lambda p: observation_residual_jacobians(p, point, pixel, K)[0],
-            pose, 2)
-        fd_lm = _num_jac_point(
-            lambda x: observation_residual_jacobians(pose, x, pixel, K)[0],
-            point, 2)
-        worst = max(worst, _rel_err(j_pose, fd_pose), _rel_err(j_lm, fd_lm))
-    for _ in range(20):
-        pose, target = _random_pose(rng), _random_pose(rng)
-        _, j = prior_residual_jacobian(pose, target)
-        fd = _num_jac_pose(
-            lambda p: prior_residual_jacobian(p, target)[0], pose, 6)
-        worst = max(worst, _rel_err(j, fd))
+        obs.append((pose, point, pixel))
+    prior = [(_random_pose(rng), _random_pose(rng)) for _ in range(20)]
+    worst = max(_odometry_fd_error(*zip(*odo)),
+                _observation_fd_error(*zip(*obs)),
+                _prior_fd_error(*zip(*prior)))
 
     # the solver's own assembled gradient against central differences of
     # the cost it returns, through its own retraction. The cost is
@@ -243,8 +225,8 @@ def test_criterion_6_optimizer_correctness(report):
     cfg = OptimizerConfig()
     k_huber = cfg.huber_scale_px * math.sqrt(fd_graph.observations[0].information[0, 0])
     for f in fd_graph.observations:
-        r = observation_residual_jacobians(
-            fd_graph.poses[f.pose_id], fd_graph.landmarks[f.landmark_id], f.pixel, K)[0]
+        r = _observation([fd_graph.poses[f.pose_id]], [fd_graph.landmarks[f.landmark_id]],
+                         [f.pixel])[0][0]
         assert math.sqrt(r @ f.information @ r) < k_huber
     static, state, _, grad, _, _ = _linearized(fd_graph, cfg)
 
@@ -257,7 +239,7 @@ def test_criterion_6_optimizer_correctness(report):
     base = static["base"]
     for node in np.split(np.arange(grad.size),
                          [*range(6, base + 1, 6), *range(base + 3, grad.size, 3)]):
-        worst = max(worst, _rel_err(2.0 * grad[node], fd[node]))
+        worst = max(worst, _rel_err([2.0 * grad[node]], [fd[node]]))
 
     graph, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=6)
     rep = graph.optimize()

@@ -10,6 +10,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    _skew,
+    scalar_quat_conjugate,
+    scalar_quat_from_rotvec,
+    scalar_quat_mul,
+    scalar_quat_normalize,
+    scalar_quat_to_matrix,
+    scalar_rotvec_from_quat,
+)
+
 from semmap.errors import (
     BehindCameraError,
     EmptyCloudError,
@@ -28,11 +38,14 @@ from semmap.geometry import (
     centroid,
     merge_clouds,
     project,
+    quat_conjugate,
     quat_from_rotvec,
     quat_mul,
+    quat_normalize,
     quat_slerp,
     quat_to_matrix,
     rotvec_from_quat,
+    skew,
 )
 
 
@@ -165,6 +178,55 @@ class TestPose:
             quat_to_matrix(qa) @ quat_to_matrix(qb),
             atol=1e-12,
         )
+
+
+
+def _quats(rng, n=200):
+    q = rng.normal(size=(n, 4))
+    q[::5, 0] = -np.abs(q[::5, 0])  # w < 0: rotvec_from_quat flips the sign
+    q[1::7, 1:] *= 1e-13  # near the identity: the small-angle branch
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def _rotvecs(rng, n=200):
+    rv = rng.normal(size=(n, 3)) * rng.uniform(0.0, 3.0, size=(n, 1))
+    rv[1::7] *= 1e-13  # the small-angle series
+    rv[3] = 0.0
+    return rv
+
+
+# op, its scalar formula in oracles.py, and a draw of stacked arguments
+_STACKED_OPS = {
+    "quat_mul": (quat_mul, scalar_quat_mul, lambda rng: (_quats(rng), _quats(rng))),
+    "quat_conjugate": (quat_conjugate, scalar_quat_conjugate, lambda rng: (_quats(rng),)),
+    "quat_normalize": (quat_normalize, scalar_quat_normalize,
+                       lambda rng: (3.0 * _quats(rng),)),
+    "quat_to_matrix": (quat_to_matrix, scalar_quat_to_matrix, lambda rng: (_quats(rng),)),
+    "quat_from_rotvec": (quat_from_rotvec, scalar_quat_from_rotvec,
+                         lambda rng: (_rotvecs(rng),)),
+    "rotvec_from_quat": (rotvec_from_quat, scalar_rotvec_from_quat,
+                         lambda rng: (_quats(rng),)),
+    "skew": (skew, _skew, lambda rng: (rng.normal(size=(200, 3)),)),
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_OPS))
+def test_stacked_op_matches_scalar_formula(name):
+    """One item gives the scalar formula's bits; row i of a stack gives
+    the bits of item i alone."""
+    op, scalar, draw = _STACKED_OPS[name]
+    args = draw(np.random.default_rng(31))
+    stacked = op(*args)
+    assert len(stacked) == len(args[0])
+    for i in range(len(args[0])):
+        one = op(*(a[i] for a in args))
+        assert _same_bits(one, scalar(*(a[i] for a in args))), i
+        assert _same_bits(stacked[i], one), i
 
 
 class TestCentroid:

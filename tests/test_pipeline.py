@@ -1,9 +1,8 @@
 """End-to-end runner: config round trips, input validation, the
-zero-noise exactness invariant, determinism across execution modes,
+zero-noise exactness invariant, determinism across reruns,
 dynamic-object exclusion and drift reduction on small scenes."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,26 +121,20 @@ class TestZeroNoiseExactness:
 
 
 class TestDeterminism:
-    def test_reruns_and_parallel_mode_agree_exactly(self):
+    def test_reruns_agree_exactly(self):
         bundle = _small_desk(seed=4)
         cfg = PipelineConfig(seed=4)
-        runs = [
-            run_pipeline(bundle.frames, bundle.odometry, cfg),
-            run_pipeline(bundle.frames, bundle.odometry, cfg),
-            run_pipeline(bundle.frames, bundle.odometry,
-                         replace(cfg, parallel=True)),
-        ]
-        first = runs[0]
-        for other in runs[1:]:
-            for a, b in zip(first.corrected.poses, other.corrected.poses):
-                np.testing.assert_array_equal(a.translation, b.translation)
-                np.testing.assert_array_equal(a.rotation, b.rotation)
-            assert sorted(first.landmark_map.landmarks) == \
-                sorted(other.landmark_map.landmarks)
-            for lid, lm in first.landmark_map.landmarks.items():
-                np.testing.assert_array_equal(
-                    lm.centroid, other.landmark_map.landmarks[lid].centroid)
-            assert first.counts == other.counts
+        first, other = (run_pipeline(bundle.frames, bundle.odometry, cfg)
+                        for _ in range(2))
+        for a, b in zip(first.corrected.poses, other.corrected.poses):
+            np.testing.assert_array_equal(a.translation, b.translation)
+            np.testing.assert_array_equal(a.rotation, b.rotation)
+        assert sorted(first.landmark_map.landmarks) == \
+            sorted(other.landmark_map.landmarks)
+        for lid, lm in first.landmark_map.landmarks.items():
+            np.testing.assert_array_equal(
+                lm.centroid, other.landmark_map.landmarks[lid].centroid)
+        assert first.counts == other.counts
 
 
 class TestDynamicExclusion:

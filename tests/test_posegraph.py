@@ -7,6 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from oracles import (
+    observation_residual_jacobians,
+    odometry_residual_jacobians,
+    prior_residual_jacobian,
+)
+
 from semmap import posegraph
 from semmap.association import AssociationConfig, Landmark, LandmarkMap
 from semmap.errors import SingularSystemError, UnknownNodeError
@@ -17,9 +23,8 @@ from semmap.posegraph import (
     _ChainLayout,
     _SparseLayout,
     apply_correction,
-    observation_residual_jacobians,
-    odometry_residual_jacobians,
-    prior_residual_jacobian,
+    observation_kernel,
+    odometry_kernel,
 )
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -35,111 +40,154 @@ def _random_pose(rng, rot_scale=1.0, t_scale=2.0):
     )
 
 
-def _num_jac_pose(fn, pose, dim_out, h=1e-6):
-    """Central differences through the right retraction."""
-    j = np.zeros((dim_out, 6))
+def _num_jac_pose(fn, poses, dim_out, h=1e-6):
+    """Central differences through the right retraction, one Jacobian
+    (dim_out, 6) per factor. fn maps a list of poses to the stacked
+    residuals (n, dim_out), row i depending on poses[i] only, so every
+    factor is perturbed at once."""
+    j = np.zeros((len(poses), dim_out, 6))
     for k in range(6):
         step = np.zeros(6)
         step[k] = h
-        j[:, k] = (fn(pose.retract(step)) - fn(pose.retract(-step))) / (2.0 * h)
+        plus = fn([p.retract(step) for p in poses])
+        minus = fn([p.retract(-step) for p in poses])
+        j[:, :, k] = (plus - minus) / (2.0 * h)
     return j
 
 
-def _num_jac_point(fn, point, dim_out, h=1e-6):
-    j = np.zeros((dim_out, 3))
+def _num_jac_point(fn, points, dim_out, h=1e-6):
+    """Central differences wrt stacked points (n, 3), as _num_jac_pose."""
+    j = np.zeros((len(points), dim_out, 3))
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        j[:, k] = (fn(point + step) - fn(point - step)) / (2.0 * h)
+        j[:, :, k] = (fn(points + step) - fn(points - step)) / (2.0 * h)
     return j
 
 
 def _rel_err(analytic, numeric):
-    scale = max(float(np.max(np.abs(analytic))), 1.0)
-    return float(np.max(np.abs(analytic - numeric))) / scale
+    """Worst per-factor error relative to that factor's largest entry."""
+    return max(
+        float(np.max(np.abs(a - n))) / max(float(np.max(np.abs(a))), 1.0)
+        for a, n in zip(analytic, numeric)
+    )
+
+
+def _stack(poses):
+    """Quaternions (n, 4) and translations (n, 3) of a list of poses."""
+    return (np.stack([p.rotation for p in poses]),
+            np.stack([p.translation for p in poses]))
+
+
+def _odometry(poses_i, poses_j, meas):
+    """odometry_kernel on lists of poses: residuals and [J_i | J_j]."""
+    return odometry_kernel(*_stack(poses_i), *_stack(poses_j), *_stack(meas))
+
+
+def _prior(poses, priors):
+    """The prior log(P^-1 X) as the solver linearizes it: the odometry
+    kernel from the identity to X, keeping the J_j half."""
+    ident = [Pose.identity()] * len(poses)
+    r, jac = _odometry(ident, poses, priors)
+    return r, jac[:, :, 6:]
+
+
+def _observation(poses, landmarks, pixels):
+    """observation_kernel on a list of poses: residuals, [J_pose | J_landmark]
+    and the active mask."""
+    return observation_kernel(*_stack(poses), np.asarray(landmarks, float),
+                              np.asarray(pixels, float), K)
+
+
+def _odometry_fd_error(poses_i, poses_j, meas):
+    """Worst FD error of both halves of the odometry kernel's Jacobian."""
+    _, jac = _odometry(poses_i, poses_j, meas)
+    num_i = _num_jac_pose(lambda ps: _odometry(ps, poses_j, meas)[0], poses_i, 6)
+    num_j = _num_jac_pose(lambda ps: _odometry(poses_i, ps, meas)[0], poses_j, 6)
+    return max(_rel_err(jac[:, :, :6], num_i), _rel_err(jac[:, :, 6:], num_j))
+
+
+def _prior_fd_error(poses, priors):
+    _, jac = _prior(poses, priors)
+    num = _num_jac_pose(lambda ps: _prior(ps, priors)[0], poses, 6)
+    return _rel_err(jac, num)
+
+
+def _observation_fd_error(poses, landmarks, pixels):
+    """Worst FD error of both halves of the observation kernel's Jacobian;
+    every observation must be active."""
+    _, jac, active = _observation(poses, landmarks, pixels)
+    assert active.all()
+    num_pose = _num_jac_pose(lambda ps: _observation(ps, landmarks, pixels)[0], poses, 2)
+    num_lm = _num_jac_point(lambda ls: _observation(poses, ls, pixels)[0],
+                            np.asarray(landmarks, float), 2)
+    return max(_rel_err(jac[:, :, :6], num_pose), _rel_err(jac[:, :, 6:], num_lm))
 
 
 class TestOdometryJacobians:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(7)
+        factors = []
         for _ in range(30):
-            pose_i = _random_pose(rng)
-            pose_j = _random_pose(rng)
+            pose_i, pose_j = _random_pose(rng), _random_pose(rng)
             # measurement near the estimated relative motion keeps the
             # rotation residual well inside the principal log branch
             meas = pose_i.inverse().compose(pose_j).compose(_random_pose(rng, 0.2, 0.1))
-            _, j_i, j_j = odometry_residual_jacobians(pose_i, pose_j, meas)
-            num_i = _num_jac_pose(
-                lambda p: odometry_residual_jacobians(p, pose_j, meas)[0], pose_i, 6
-            )
-            num_j = _num_jac_pose(
-                lambda p: odometry_residual_jacobians(pose_i, p, meas)[0], pose_j, 6
-            )
-            assert _rel_err(j_i, num_i) < 1e-6
-            assert _rel_err(j_j, num_j) < 1e-6
+            factors.append((pose_i, pose_j, meas))
+        assert _odometry_fd_error(*zip(*factors)) < 1e-6
 
     def test_zero_residual_at_exact_measurement(self):
         rng = np.random.default_rng(8)
-        pose_i = _random_pose(rng)
-        pose_j = _random_pose(rng)
-        meas = pose_i.inverse().compose(pose_j)
-        r, _, _ = odometry_residual_jacobians(pose_i, pose_j, meas)
-        np.testing.assert_allclose(r, np.zeros(6), atol=1e-12)
+        poses_i = [_random_pose(rng) for _ in range(5)]
+        poses_j = [_random_pose(rng) for _ in range(5)]
+        meas = [a.inverse().compose(b) for a, b in zip(poses_i, poses_j)]
+        r, _ = _odometry(poses_i, poses_j, meas)
+        np.testing.assert_allclose(r, np.zeros((5, 6)), atol=1e-12)
 
 
 class TestPriorJacobian:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(9)
+        factors = []
         for _ in range(30):
             pose = _random_pose(rng)
-            prior = pose.compose(_random_pose(rng, 0.3, 0.2))
-            _, j = prior_residual_jacobian(pose, prior)
-            num = _num_jac_pose(
-                lambda p: prior_residual_jacobian(p, prior)[0], pose, 6
-            )
-            assert _rel_err(j, num) < 1e-6
+            factors.append((pose, pose.compose(_random_pose(rng, 0.3, 0.2))))
+        assert _prior_fd_error(*zip(*factors)) < 1e-6
 
 
 class TestObservationJacobians:
-    def _setup(self, rng):
-        pose = _random_pose(rng)
-        p_cam = np.array(
-            [rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(1.0, 8.0)]
-        )
-        landmark = pose.rotation_matrix() @ p_cam + pose.translation
-        pixel = np.array([K.fx * p_cam[0] / p_cam[2] + K.cx,
-                          K.fy * p_cam[1] / p_cam[2] + K.cy])
-        pixel += rng.normal(scale=3.0, size=2)
-        return pose, landmark, pixel
-
     def test_matches_central_differences(self):
         rng = np.random.default_rng(10)
+        factors = []
         for _ in range(30):
-            pose, landmark, pixel = self._setup(rng)
-            _, j_pose, j_lm = observation_residual_jacobians(pose, landmark, pixel, K)
-            num_pose = _num_jac_pose(
-                lambda p: observation_residual_jacobians(p, landmark, pixel, K)[0],
-                pose, 2,
+            pose = _random_pose(rng)
+            p_cam = np.array(
+                [rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(1.0, 8.0)]
             )
-            num_lm = _num_jac_point(
-                lambda l: observation_residual_jacobians(pose, l, pixel, K)[0],
-                landmark, 2,
-            )
-            assert _rel_err(j_pose, num_pose) < 1e-6
-            assert _rel_err(j_lm, num_lm) < 1e-6
+            landmark = pose.rotation_matrix() @ p_cam + pose.translation
+            pixel = np.array([K.fx * p_cam[0] / p_cam[2] + K.cx,
+                              K.fy * p_cam[1] / p_cam[2] + K.cy])
+            pixel += rng.normal(scale=3.0, size=2)
+            factors.append((pose, landmark, pixel))
+        assert _observation_fd_error(*zip(*factors)) < 1e-6
 
-    def test_behind_camera_returns_none(self):
-        pose = Pose.identity()
-        assert observation_residual_jacobians(pose, np.array([0.0, 0.0, -1.0]),
-                                              np.array([320.0, 240.0]), K) is None
+    def test_behind_camera_is_inactive(self):
+        # the middle landmark is behind the identity camera
+        landmarks = [[0.0, 0.0, 2.0], [0.0, 0.0, -1.0], [0.5, 0.0, 2.0]]
+        r, jac, active = _observation([Pose.identity()] * 3, landmarks,
+                                      [[300.0, 240.0]] * 3)
+        np.testing.assert_array_equal(active, [True, False, True])
+        np.testing.assert_array_equal(r[1], 0.0)
+        np.testing.assert_array_equal(jac[1], 0.0)
+        assert np.all(r[[0, 2], 0] != 0.0)
 
     def test_residual_zero_at_exact_projection(self):
-        pose = Pose.identity()
-        out = observation_residual_jacobians(
-            pose, np.array([0.5, 0.0, 2.0]), np.array([445.0, 240.0]), K
+        # u = 500 * 0.5/2 + 320 = 445, v = 240; u = 500 * -1/4 + 320 = 195
+        r, _, _ = _observation(
+            [Pose.identity()] * 2, [[0.5, 0.0, 2.0], [-1.0, 0.0, 4.0]],
+            [[445.0, 240.0], [195.0, 240.0]],
         )
-        # u = 500 * 0.5/2 + 320 = 445, v = 240
-        np.testing.assert_allclose(out[0], np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(r, np.zeros((2, 2)), atol=1e-12)
 
 
 def _circle_scene(n_poses=10, n_landmarks=6, radius=3.0):
@@ -375,7 +423,7 @@ class TestApplyCorrection:
 
 class TestBatchedAssembly:
     """The solver linearizes factors in stacked arrays; the per-factor
-    residual functions are the oracle for that assembly."""
+    residual functions in oracles.py are the reference for that assembly."""
 
     def _dense_oracle(self, g, cfg, pose_ids, lm_ids):
         pose_index = {pid: 6 * i for i, pid in enumerate(pose_ids)}
@@ -527,8 +575,7 @@ class TestChainSolve:
         g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=9)
         g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
         f = g.observations[-1]
-        r = observation_residual_jacobians(
-            g.poses[2], g.landmarks[0], f.pixel, K)[0]
+        r = _observation([g.poses[2]], [g.landmarks[0]], [f.pixel])[0][0]
         k = OptimizerConfig().huber_scale_px * math.sqrt(f.information[0, 0])
         assert math.sqrt(r @ f.information @ r) > k
         _assert_same_step(*_damped_steps(g))
