@@ -113,25 +113,36 @@ def nn_cloud_distance(candidate_cloud: PointCloud, landmark_cloud: PointCloud) -
 def voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
     """Deterministic voxel downsample keeping the first point per cell.
 
-    Doubles the voxel edge until at most `cap` points remain, so the
-    result never exceeds the cap whatever the input density.
+    A point's cell is floor(p / edge) per axis, kept as float64: the
+    values are exact integers, so no integer conversion can overflow.
+    The first point of each cell is kept, and the kept points stay in
+    input order. The voxel edge doubles until at most `cap` points
+    remain, so the result never exceeds the cap whatever the input
+    density. Raises ValueError when `cap` is below 1, a point is not
+    finite, or `points / edge` is not (an edge too small for the
+    coordinates).
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("voxel_thin needs finite points")
     if pts.shape[0] <= cap:
         return pts
     edge = max(edge, 1e-9)
+    # the edge only grows from here, so one check covers every pass
+    if not math.isfinite(float(np.abs(pts).max()) / edge):
+        raise ValueError("points / edge is not finite")
     while True:
-        seen: dict[tuple[int, int, int], int] = {}
-        for i in range(pts.shape[0]):
-            key = (
-                int(math.floor(pts[i, 0] / edge)),
-                int(math.floor(pts[i, 1] / edge)),
-                int(math.floor(pts[i, 2] / edge)),
-            )
-            if key not in seen:
-                seen[key] = i
-        if len(seen) <= cap:
-            return pts[sorted(seen.values())]
+        cells = np.floor(pts / edge)
+        # stable sort: the first row of each run of equal cells is the
+        # first point of that cell
+        order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+        ranked = cells[order]
+        starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
+        first = order[starts]
+        if first.size <= cap:
+            return pts[np.sort(first)]
         edge *= 2.0
 
 

@@ -13,7 +13,11 @@ centroids, a walking person does not. Surviving tracklets get a single
             + T * log norm const,   z_t = box center of measurement t,
 
 seeded by midpoint triangulation of the box-center rays and refined by a
-random-walk search that keeps the best sample seen.
+random-walk search that keeps the best sample seen. The walk scores a
+block of proposals per call through a folded projection: the
+intrinsics and each box center fold into three rows per view, so one
+matrix product gives every residual numerator and depth (see
+_LikelihoodEvaluator).
 """
 
 from __future__ import annotations
@@ -216,14 +220,35 @@ def validate_mad(centroids: np.ndarray, threshold: float) -> bool:
 # ----------------------------------------------------------------------
 
 class _LikelihoodEvaluator:
-    """Vectorized ll over query points for a fixed measurement set."""
+    """Vectorized ll over query points for a fixed measurement set.
+
+    The folded projection: with R_t the world-to-camera rotation, C_t
+    the camera center and (u_t, v_t) the box center of view t, the rows
+
+        a_t = fx R_t[0] + (cx - u_t) R_t[2]
+        b_t = fy R_t[1] + (cy - v_t) R_t[2]
+        c_t = R_t[2]
+
+    give the pixel residuals as ru = a_t.(x - C_t) / c_t.(x - C_t) and
+    rv = b_t.(x - C_t) / c_t.(x - C_t). All 3T rows sit in one (3, 3T)
+    matrix with one offset each, so a single product yields every
+    numerator and depth. Points are taken relative to the mean camera
+    center, which bounds the cancellation far from the origin.
+    """
 
     def __init__(self, poses: Sequence[Pose], centers_px: np.ndarray,
                  k: CameraIntrinsics, noise: PixelNoiseModel):
-        self.world_to_cam = np.stack([p.rotation_matrix().T for p in poses])
-        self.cam_centers = np.stack([p.translation for p in poses])
-        self.centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
-        self.k = k
+        world_to_cam = np.stack([p.rotation_matrix().T for p in poses])
+        cam_centers = np.stack([p.translation for p in poses])
+        centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
+        rows = np.concatenate([
+            k.fx * world_to_cam[:, 0] + (k.cx - centers_px[:, :1]) * world_to_cam[:, 2],
+            k.fy * world_to_cam[:, 1] + (k.cy - centers_px[:, 1:]) * world_to_cam[:, 2],
+            world_to_cam[:, 2],
+        ])
+        self.ref = cam_centers.mean(axis=0)
+        self.rows_t = rows.T
+        self.offsets = np.sum(rows * np.tile(cam_centers - self.ref, (3, 1)), axis=1)
         self.info = np.linalg.inv(noise.covariance)
         _, logdet = np.linalg.slogdet(noise.covariance)
         # 2D Gaussian: log(1 / sqrt((2 pi)^2 det)) per measurement
@@ -233,22 +258,20 @@ class _LikelihoodEvaluator:
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """xs (m, 3) -> ll (m,); -inf where behind any camera."""
         xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-        d = xs[:, None, :] - self.cam_centers[None, :, :]
-        p = np.einsum("tij,mtj->mti", self.world_to_cam, d)
-        z = p[..., 2]
-        ok = np.all(z > 0.0, axis=1)
-        out = np.full(xs.shape[0], -np.inf)
-        if not np.any(ok):
-            return out
-        pz = z[ok]
-        ru = self.k.fx * p[ok, :, 0] / pz + self.k.cx - self.centers_px[:, 0]
-        rv = self.k.fy * p[ok, :, 1] / pz + self.k.cy - self.centers_px[:, 1]
-        quad = (
-            self.info[0, 0] * ru * ru
-            + 2.0 * self.info[0, 1] * ru * rv
-            + self.info[1, 1] * rv * rv
-        )
-        out[ok] = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
+        proj = ((xs - self.ref) @ self.rows_t - self.offsets).reshape(-1, 3, self.count)
+        num_u, num_v, z = proj[:, 0], proj[:, 1], proj[:, 2]
+        # rows behind a camera may divide by zero or overflow; they are
+        # overwritten with -inf below
+        with np.errstate(all="ignore"):
+            ru = num_u / z
+            rv = num_v / z
+            quad = (
+                self.info[0, 0] * ru * ru
+                + 2.0 * self.info[0, 1] * ru * rv
+                + self.info[1, 1] * rv * rv
+            )
+            out = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
+        out[np.any(z <= 0.0, axis=1)] = -np.inf
         return out
 
 

@@ -78,6 +78,67 @@ def grid_search_max(centers, poses, k, cov, around, half=0.5, step=0.01):
     return best_pt, best_val
 
 
+def dict_voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
+    """Deterministic voxel downsample keeping the first point per cell.
+
+    Doubles the voxel edge until at most `cap` points remain, so the
+    result never exceeds the cap whatever the input density.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] <= cap:
+        return pts
+    edge = max(edge, 1e-9)
+    while True:
+        seen: dict[tuple[int, int, int], int] = {}
+        for i in range(pts.shape[0]):
+            key = (
+                int(math.floor(pts[i, 0] / edge)),
+                int(math.floor(pts[i, 1] / edge)),
+                int(math.floor(pts[i, 2] / edge)),
+            )
+            if key not in seen:
+                seen[key] = i
+        if len(seen) <= cap:
+            return pts[sorted(seen.values())]
+        edge *= 2.0
+
+
+class EinsumLikelihoodEvaluator:
+    """Vectorized ll over query points for a fixed measurement set."""
+
+    def __init__(self, poses, centers_px, k, noise):
+        self.world_to_cam = np.stack([p.rotation_matrix().T for p in poses])
+        self.cam_centers = np.stack([p.translation for p in poses])
+        self.centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
+        self.k = k
+        self.info = np.linalg.inv(noise.covariance)
+        _, logdet = np.linalg.slogdet(noise.covariance)
+        # 2D Gaussian: log(1 / sqrt((2 pi)^2 det)) per measurement
+        self.log_norm = -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet)
+        self.count = len(poses)
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """xs (m, 3) -> ll (m,); -inf where behind any camera."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+        d = xs[:, None, :] - self.cam_centers[None, :, :]
+        p = np.einsum("tij,mtj->mti", self.world_to_cam, d)
+        z = p[..., 2]
+        ok = np.all(z > 0.0, axis=1)
+        out = np.full(xs.shape[0], -np.inf)
+        if not np.any(ok):
+            return out
+        pz = z[ok]
+        ru = self.k.fx * p[ok, :, 0] / pz + self.k.cx - self.centers_px[:, 0]
+        rv = self.k.fy * p[ok, :, 1] / pz + self.k.cy - self.centers_px[:, 1]
+        quad = (
+            self.info[0, 0] * ru * ru
+            + 2.0 * self.info[0, 1] * ru * rv
+            + self.info[1, 1] * rv * rv
+        )
+        out[ok] = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
+        return out
+
+
 def brute_force_nn_mean(query_pts, target_pts):
     """Mean over query points of the distance to the closest target."""
     total = 0.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_nn_mean
+from oracles import brute_force_nn_mean, dict_voxel_thin
 
 from semmap.association import (
     AssociationConfig,
@@ -127,6 +127,32 @@ class TestNnCloudDistance:
             nn_cloud_distance(a, b)
 
 
+def _thin_cases():
+    """Inputs on which voxel_thin must equal the dict-loop oracle."""
+    rng = np.random.default_rng(7)
+    cases = {
+        "duplicates": (np.repeat(rng.normal(size=(60, 3)), 5, axis=0), 100, 0.1),
+        # every coordinate a multiple of the edge
+        "cell_boundaries": (rng.integers(-6, 6, size=(400, 3)) * 0.25, 50, 0.25),
+        "negative_and_signed_zero": (
+            rng.choice([-0.0, 0.0, -0.25, 0.25, -1e-300], size=(300, 3)), 10, 0.25),
+        "cap_one": (rng.normal(size=(200, 3)), 1, 0.01),
+        "tiny_edge": (rng.normal(size=(300, 3)) * 1e-6, 40, 1e-9),
+        "below_edge_floor": (rng.normal(size=(300, 3)) * 1e-6, 40, 1e-15),
+        "many_doublings": (rng.normal(size=(2000, 3)) * 50.0, 30, 1e-3),
+        "far_from_origin": (1e12 + rng.normal(size=(500, 3)), 64, 0.5),
+        "landmark_cloud": (rng.normal(size=(4096, 3)) * 0.05, 2048, 0.2 / 32.0),
+    }
+    return [pytest.param(*args, id=name) for name, args in cases.items()]
+
+
+def _assert_thin_matches_oracle(pts, cap, edge):
+    got = voxel_thin(pts, cap, edge)
+    want = dict_voxel_thin(pts, cap, edge)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestVoxelThin:
     def test_under_cap_unchanged(self):
         pts = np.random.default_rng(4).normal(size=(10, 3))
@@ -142,6 +168,43 @@ class TestVoxelThin:
         np.testing.assert_array_equal(
             voxel_thin(pts, 500, 0.05), voxel_thin(pts, 500, 0.05)
         )
+
+    @pytest.mark.parametrize("pts, cap, edge", _thin_cases())
+    def test_matches_dict_oracle(self, pts, cap, edge):
+        _assert_thin_matches_oracle(pts, cap, edge)
+
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(
+                st.integers(-8, 8).map(lambda i: i * 0.125),
+                st.sampled_from([-0.0, 0.0]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            )] * 3),
+            min_size=2, max_size=120,
+        ),
+        st.integers(1, 40),
+        st.sampled_from([1e-9, 0.125, 0.3, 2.0]),
+    )
+    def test_matches_dict_oracle_fuzzed(self, rows, cap, edge):
+        _assert_thin_matches_oracle(np.array(rows, dtype=float), cap, edge)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_non_finite_point_rejected(self, bad, n):
+        pts = np.random.default_rng(8).normal(size=(n, 3))
+        pts[n // 2, 1] = bad
+        with pytest.raises(ValueError):
+            voxel_thin(pts, 10, 0.1)
+
+    def test_non_finite_cell_index_rejected(self):
+        # finite points, but p / edge overflows to inf
+        pts = np.random.default_rng(9).normal(size=(50, 3)) * 1e300
+        with pytest.raises(ValueError):
+            voxel_thin(pts, 10, 1e-9)
+
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            voxel_thin(np.zeros((3, 3)), 0, 0.1)
 
 
 class TestAssociate:

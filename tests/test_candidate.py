@@ -5,18 +5,21 @@ likelihood against a plain per-view loop implementation (see oracles.py).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import grid_search_max, loop_log_likelihood
+from oracles import EinsumLikelihoodEvaluator, grid_search_max, loop_log_likelihood
 
 from semmap.candidate import (
     Candidate,
     PixelNoiseModel,
     RandomWalkConfig,
+    _hill_climb,
+    _LikelihoodEvaluator,
     cuboid_box_sampler,
     cuboid_half_depth,
     estimate_centroid,
@@ -152,6 +155,38 @@ class TestLogLikelihood:
             want = loop_log_likelihood(x, centers, poses, _k(), noise.covariance)
             got = log_likelihood(x, tracklet, poses, _k(), noise)
             assert got == pytest.approx(want, rel=1e-9)
+        # one batch mixing points in front of every camera with points
+        # behind camera 0 and at its center: those rows are exactly -inf,
+        # and no division or overflow warning escapes
+        eye = poses[0].translation
+        front = point + rng.normal(0, 0.3, (20, 3))
+        behind = eye - rng.uniform(0.5, 5.0, (6, 1)) * (point - eye)
+        xs = np.concatenate([front[:10], behind, eye[None, :], front[10:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _LikelihoodEvaluator(poses, centers, _k(), noise)(xs)
+        want = [loop_log_likelihood(x, centers, poses, _k(), noise.covariance)
+                for x in xs]
+        assert np.all(got[10:17] == -np.inf)
+        assert np.all(np.isfinite(got[:10])) and np.all(np.isfinite(got[17:]))
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-9)
+
+    def test_point_on_image_plane_is_minus_inf_without_warning(self):
+        # camera 0 at the origin looks down +z, camera 1 at z = 4 looks
+        # back (180 degrees about x); every value is dyadic, so a point
+        # in camera 0's plane z = 0 has a depth of exactly 0, and the
+        # division by it must not warn
+        poses = [Pose.identity(),
+                 Pose(np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 4.0]))]
+        centers = [project([0.25, 0.5, 2.0], pose, _k()) for pose in poses]
+        xs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.5, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _LikelihoodEvaluator(poses, centers, _k(),
+                                       PixelNoiseModel.isotropic())(xs)
+        assert got[0] == -np.inf and got[1] == -np.inf
+        assert np.isfinite(got[2])
 
     def test_perturbation_decreases_likelihood(self):
         point, tracklet, poses = self._setup()
@@ -183,6 +218,71 @@ class TestLogLikelihood:
         assert log_likelihood(
             moved_point, tracklet, moved_poses, _k(), noise
         ) == pytest.approx(base, abs=1e-6)
+
+
+def _random_tracklet_views(rng):
+    """Box centers, poses and true point of a random 3-8 view tracklet.
+
+    A third of the tracklets sit about 1 km from the origin. Some views
+    look almost edge-on: the optical axis points 80-85 degrees away from
+    the object, which lies far outside the image. Closer to the image
+    plane both evaluators lose digits to the tiny depth alike.
+    """
+    point = rng.normal(0.0, 1.0, 3)
+    if rng.random() < 1.0 / 3.0:
+        point += 1e3 * rng.choice([-1.0, 1.0], 3) * rng.uniform(0.5, 1.0, 3)
+    k = _k()
+    centers, poses = [], []
+    for _ in range(int(rng.integers(3, 9))):
+        edge_on = rng.random() < 0.25
+        eye = point + rng.uniform(2.0 if edge_on else 1.0, 4.0) * _unit(rng)
+        if edge_on:
+            to_point = (point - eye) / np.linalg.norm(point - eye)
+            side = np.cross(to_point, _unit(rng))
+            side /= np.linalg.norm(side)
+            angle = math.radians(rng.uniform(80.0, 85.0))
+            target = eye + math.cos(angle) * to_point + math.sin(angle) * side
+        else:
+            target = point + rng.normal(0.0, 0.2, 3)
+        pose = _look_at(eye, target)
+        centers.append(np.array(project(point, pose, k)) + rng.normal(0.0, 3.0, 2))
+        poses.append(pose)
+    return np.array(centers), poses, point
+
+
+def _unit(rng):
+    v = rng.normal(0.0, 1.0, 3)
+    return v / np.linalg.norm(v)
+
+
+class TestFoldedLikelihood:
+    def test_walk_matches_einsum_oracle(self):
+        # the walk only compares likelihoods, so the folded evaluator must
+        # accept exactly the oracle's steps and return the same point bytes
+        rng = np.random.default_rng(2024)
+        noise = PixelNoiseModel.isotropic(4.0)
+        walks = 0
+        while walks < 200:
+            centers, poses, point = _random_tracklet_views(rng)
+            folded = _LikelihoodEvaluator(poses, centers, _k(), noise)
+            oracle = EinsumLikelihoodEvaluator(poses, centers, _k(), noise)
+            seed = point + rng.normal(0.0, 0.05, 3)
+            ll_seed = oracle(seed[None, :])[0]
+            if not np.isfinite(ll_seed):
+                continue
+            walks += 1
+            steps = rng.normal(0.0, 0.05, size=(2000, 3))
+            batch = seed + steps[:256]
+            got, want = folded(batch), oracle(batch)
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            ok = np.isfinite(want)
+            np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
+            ll_seed_folded = folded(seed[None, :])[0]
+            assert ll_seed_folded == pytest.approx(ll_seed, rel=1e-12, abs=0.0)
+            x_got, ll_got = _hill_climb(seed, ll_seed_folded, steps, folded)
+            x_want, ll_want = _hill_climb(seed, ll_seed, steps, oracle)
+            assert x_got.tobytes() == x_want.tobytes()
+            assert ll_got == pytest.approx(ll_want, rel=1e-12, abs=0.0)
 
 
 class TestTriangulationSeed:
