@@ -7,12 +7,11 @@ constraints to correct odometry drift.
 
 __version__ = "0.1.0"
 
-from .geometry import CameraIntrinsics, Frame, Pixel, PointCloud, Pose, Trajectory
+from .geometry import CameraIntrinsics, Pixel, PointCloud, Pose, Trajectory
 from .pipeline import PipelineConfig, RunResult, run_pipeline
 
 __all__ = [
     "CameraIntrinsics",
-    "Frame",
     "Pixel",
     "PipelineConfig",
     "PointCloud",

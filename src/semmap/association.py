@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .candidate import Candidate
 from .errors import EmptyCloudError
-from .geometry import Frame, PointCloud, merge_clouds
+from .geometry import PointCloud, merge_clouds
 
 # floor for degenerate (flat) bounding volumes when computing overlap
 _FLAT_EPS = 1e-6
@@ -103,7 +103,6 @@ def nn_cloud_distance(candidate_cloud: PointCloud, landmark_cloud: PointCloud) -
     Asymmetric on purpose: the candidate usually covers one viewpoint
     while the landmark cloud accumulates all of them.
     """
-    assert candidate_cloud.frame is landmark_cloud.frame
     if len(candidate_cloud) == 0 or len(landmark_cloud) == 0:
         raise EmptyCloudError("nn distance needs non-empty clouds")
     dists, _ = cKDTree(landmark_cloud.points).query(candidate_cloud.points, k=1)
@@ -155,7 +154,6 @@ def fuse(lm: Landmark, cand: Candidate, now: float, cfg: AssociationConfig) -> L
     thinning trimmed outlying points.
     """
     cand_cloud = merge_clouds(list(cand.clouds))
-    assert cand_cloud.frame is lm.cloud.frame
     new_centroid = (lm.n_fused * lm.centroid + cand.map_centroid) / (lm.n_fused + 1)
     union = np.vstack([lm.cloud.points, cand_cloud.points])
     extent = union.max(axis=0) - union.min(axis=0)
@@ -164,7 +162,7 @@ def fuse(lm: Landmark, cand: Candidate, now: float, cfg: AssociationConfig) -> L
     return replace(
         lm,
         centroid=new_centroid,
-        cloud=PointCloud(thinned, lm.cloud.frame),
+        cloud=PointCloud(thinned),
         size=size,
         last_association=now,
         n_fused=lm.n_fused + 1,
@@ -278,7 +276,7 @@ class LandmarkMap:
                 id=lid,
                 class_id=cand.class_id,
                 centroid=np.asarray(cand.map_centroid, dtype=float).copy(),
-                cloud=PointCloud(thinned, cloud.frame),
+                cloud=PointCloud(thinned),
                 size=cand.size_estimate,
                 last_association=now,
                 n_fused=1,
@@ -343,7 +341,7 @@ class LandmarkMap:
         return replace(
             a,
             centroid=centroid,
-            cloud=PointCloud(thinned, a.cloud.frame),
+            cloud=PointCloud(thinned),
             size=size,
             last_association=max(a.last_association, b.last_association),
             n_fused=total,
@@ -368,5 +366,5 @@ class LandmarkMap:
             self.landmarks[lid] = replace(
                 lm,
                 centroid=lm.centroid + delta,
-                cloud=PointCloud(lm.cloud.points + delta, lm.cloud.frame),
+                cloud=PointCloud(lm.cloud.points + delta),
             )

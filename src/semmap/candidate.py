@@ -35,7 +35,6 @@ from .errors import (
 )
 from .geometry import (
     CameraIntrinsics,
-    Frame,
     PointCloud,
     Pose,
     Trajectory,
@@ -188,7 +187,7 @@ def extract_clouds(
                 f"no samples survive the frustum of frame {m.frame_id}"
             )
         pts = backproject_pixels(raw[:, :2], raw[:, 2], pose, k)
-        clouds.append(PointCloud(pts, Frame.WORLD))
+        clouds.append(PointCloud(pts))
     return clouds
 
 
@@ -208,11 +207,6 @@ def mad_deviation(centroids: np.ndarray) -> float:
         raise TooFewMeasurementsError("deviation needs at least 2 centroids")
     mad = np.abs(c - c.mean(axis=0)).mean(axis=0)
     return float(np.linalg.norm(mad))
-
-
-def validate_mad(centroids: np.ndarray, threshold: float) -> bool:
-    """True when the centroids look static (deviation within threshold)."""
-    return mad_deviation(centroids) <= threshold
 
 
 # ----------------------------------------------------------------------

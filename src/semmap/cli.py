@@ -27,15 +27,12 @@ import numpy as np
 
 from .errors import DataError, MappingError, NumericalError
 from .io_formats import parse_landmark_map, write_ply
-from .pipeline import PipelineConfig, cmd_eval, cmd_run, cmd_simulate
+from .pipeline import CONFIG_SECTIONS, PipelineConfig, cmd_eval, cmd_run, cmd_simulate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-_CONFIG_SECTIONS = ("camera", "tracker", "association", "random_walk",
-                    "optimizer")
 
 
 def _flag(name: str) -> str:
@@ -49,7 +46,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline config overrides")
     defaults = PipelineConfig()
     for f in fields(PipelineConfig):
-        if f.name in _CONFIG_SECTIONS:
+        if f.name in CONFIG_SECTIONS:
             section = getattr(defaults, f.name)
             for sub in fields(type(section)):
                 group.add_argument(
@@ -57,10 +54,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                     dest=f"cfg_{f.name}__{sub.name}",
                     type=type(getattr(section, sub.name)), default=None,
                     help=f"{f.name}.{sub.name}")
-        elif f.type in (bool, "bool"):
-            group.add_argument(
-                _flag(f.name), dest=f"cfg_{f.name}", default=None,
-                action=argparse.BooleanOptionalAction, help=f.name)
         else:
             group.add_argument(
                 _flag(f.name), dest=f"cfg_{f.name}",

@@ -65,14 +65,10 @@ def match_timestamps(
     return [(est.poses[i], gt.poses[j]) for i, j in picked], dropped
 
 
-def align_umeyama(
-    est_positions: np.ndarray, gt_positions: np.ndarray, with_scale: bool = False
-) -> tuple[Pose, float]:
+def align_umeyama(est_positions: np.ndarray, gt_positions: np.ndarray) -> Pose:
     """Least-squares rigid transform S with S(est) ~ gt.
 
-    Returns (S, scale); scale is 1 unless with_scale is set (the scaled
-    variant exists for stereo-style comparisons and is excluded from
-    the headline error numbers). Requires >= 3 non-collinear points.
+    Requires >= 3 non-collinear points.
     """
     p = np.asarray(est_positions, dtype=float).reshape(-1, 3)
     q = np.asarray(gt_positions, dtype=float).reshape(-1, 3)
@@ -96,12 +92,7 @@ def align_umeyama(
     if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
         d[2, 2] = -1.0
     rot = u @ d @ vt
-    scale = 1.0
-    if with_scale:
-        var_p = float((a * a).sum()) / len(p)
-        scale = float(np.trace(np.diag(s) @ d)) / var_p
-    t = mu_q - scale * rot @ mu_p
-    return Pose(rotation=quat_from_matrix(rot), translation=t), scale
+    return Pose(rotation=quat_from_matrix(rot), translation=mu_q - rot @ mu_p)
 
 
 @dataclass(frozen=True)
@@ -113,12 +104,9 @@ class AlignedError:
     per_frame_errors: tuple[float, ...]
     rmse: float
     dropped: int = 0
-    scale: float = 1.0
 
 
-def evaluate_ate(
-    est: Trajectory, gt: Trajectory, window: float = 0.02, with_scale: bool = False
-) -> AlignedError:
+def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> AlignedError:
     """Absolute trajectory error after timestamp matching + alignment."""
     pairs, dropped = match_timestamps(est, gt, window)
     if len(pairs) < 3:
@@ -127,15 +115,14 @@ def evaluate_ate(
         )
     p = np.array([e.translation for e, _ in pairs])
     q = np.array([g.translation for _, g in pairs])
-    s, scale = align_umeyama(p, q, with_scale=with_scale)
-    residual = (scale * (s.rotation_matrix() @ p.T).T + s.translation) - q
+    s = align_umeyama(p, q)
+    residual = ((s.rotation_matrix() @ p.T).T + s.translation) - q
     errors = np.linalg.norm(residual, axis=1)
     return AlignedError(
         transform=s,
         per_frame_errors=tuple(float(e) for e in errors),
         rmse=float(np.sqrt(np.mean(errors**2))),
         dropped=dropped,
-        scale=scale,
     )
 
 
@@ -245,12 +232,6 @@ class StageStat:
 class StageTimings:
     stages: dict[str, StageStat] = field(default_factory=dict)
     no_data: bool = False
-
-    def mean_ms(self, stage: str) -> float:
-        return self.stages[stage].mean_ms if stage in self.stages else 0.0
-
-    def max_ms(self, stage: str) -> float:
-        return self.stages[stage].max_ms if stage in self.stages else 0.0
 
 
 def timing_report(trace: dict[str, list[float]]) -> StageTimings:

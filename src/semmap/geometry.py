@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole projection and point cloud primitives.
+"""Rigid transforms, pinhole back-projection and point cloud primitives.
 
 Conventions used across the package:
 
@@ -15,21 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
-    BehindCameraError,
     EmptyCloudError,
     MissingPoseError,
     NonPositiveDepthError,
 )
-
-
-class Frame(Enum):
-    WORLD = "world"
 
 
 class Pixel(NamedTuple):
@@ -223,9 +217,6 @@ class Pose:
         xi = np.asarray(xi, dtype=float).reshape(6)
         return Pose(quat_from_rotvec(xi[3:]), xi[:3].copy())
 
-    def log(self) -> np.ndarray:
-        return np.concatenate([self.translation, rotvec_from_quat(self.rotation)])
-
     def compose(self, other: "Pose") -> "Pose":
         q = quat_normalize(quat_mul(self.rotation, other.rotation))
         t = self.translation + quat_to_matrix(self.rotation) @ other.translation
@@ -272,8 +263,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class PointCloud:
-    points: np.ndarray  # (N, 3) float64
-    frame: Frame
+    points: np.ndarray  # (N, 3) float64, world frame
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -306,30 +296,14 @@ def centroid(cloud: PointCloud) -> np.ndarray:
 
 
 def merge_clouds(clouds: Sequence[PointCloud]) -> PointCloud:
-    frames = {c.frame for c in clouds}
-    assert len(frames) <= 1, "cannot merge clouds from different frames"
     if not clouds:
         raise EmptyCloudError("merge of zero clouds")
-    return PointCloud(np.vstack([c.points for c in clouds]), clouds[0].frame)
+    return PointCloud(np.vstack([c.points for c in clouds]))
 
 
 # ----------------------------------------------------------------------
-# projection
+# back-projection
 # ----------------------------------------------------------------------
-
-def project(point_world: np.ndarray, pose: Pose, k: CameraIntrinsics) -> Pixel:
-    """Project a world point through a camera at `pose`.
-
-    Raises BehindCameraError when the camera-frame depth is <= 0. The
-    result may fall outside the image bounds; callers clip if they care.
-    """
-    p = np.asarray(point_world, dtype=float).reshape(3)
-    p_cam = pose.inverse().transform(p)
-    z = p_cam[2]
-    if z <= 0.0:
-        raise BehindCameraError(f"depth {z:.6f} <= 0")
-    return Pixel(k.fx * p_cam[0] / z + k.cx, k.fy * p_cam[1] / z + k.cy)
-
 
 def backproject(pixel: Pixel | Sequence[float], depth: float, pose: Pose,
                 k: CameraIntrinsics) -> np.ndarray:

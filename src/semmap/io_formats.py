@@ -23,7 +23,7 @@ from .errors import (
     MalformedLineError,
     NonUnitQuaternionError,
 )
-from .geometry import Frame, PointCloud, Pose, Trajectory
+from .geometry import PointCloud, Pose, Trajectory
 from .simulator import (
     CameraPathSpec,
     CameraIntrinsics,
@@ -271,9 +271,7 @@ def parse_landmark_map(path: str) -> LandmarkMap:
             lm = Landmark(
                 id=int(rec["id"]), class_id=rec["class_id"],
                 centroid=np.array(rec["centroid"], dtype=float),
-                cloud=PointCloud(
-                    np.array(rec["points"], dtype=float).reshape(-1, 3), Frame.WORLD
-                ),
+                cloud=PointCloud(np.array(rec["points"], dtype=float).reshape(-1, 3)),
                 size=float(rec["size"]),
                 last_association=float(rec["last_association"]),
                 n_fused=int(rec["n_fused"]),

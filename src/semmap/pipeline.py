@@ -14,7 +14,7 @@ optimizer pulls them together, and the overlap merge collapses them.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -106,39 +106,15 @@ class PipelineConfig:
             raise ValueError("odometry sigmas must be non-negative")
 
     def to_dict(self) -> dict:
-        def section(obj):
-            return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-        return {
-            "camera": section(self.camera),
-            "tracker": section(self.tracker),
-            "association": section(self.association),
-            "random_walk": section(self.random_walk),
-            "optimizer": section(self.optimizer),
-            "pixel_noise_sigma": self.pixel_noise_sigma,
-            "mad_threshold": self.mad_threshold,
-            "optimize_every": self.optimize_every,
-            "odometry_translation_sigma": self.odometry_translation_sigma,
-            "odometry_rotation_sigma": self.odometry_rotation_sigma,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        sections = {
-            "camera": CameraIntrinsics,
-            "tracker": TrackerConfig,
-            "association": AssociationConfig,
-            "random_walk": RandomWalkConfig,
-            "optimizer": OptimizerConfig,
-        }
-        scalars = {
-            f.name for f in fields(cls) if f.name not in sections
-        }
+        scalars = {f.name for f in fields(cls) if f.name not in CONFIG_SECTIONS}
         kwargs = {}
         for key, value in doc.items():
-            if key in sections:
-                klass = sections[key]
+            if key in CONFIG_SECTIONS:
+                klass = CONFIG_SECTIONS[key]
                 known = {f.name for f in fields(klass)}
                 bad = set(value) - known
                 if bad:
@@ -158,15 +134,13 @@ class PipelineConfig:
     def hash(self) -> str:
         return config_hash(self.canonical_json())
 
-    def to_json_file(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+# PipelineConfig's nested sections, each a dataclass: field name -> type
+CONFIG_SECTIONS = {f.name: f.type for f in fields(PipelineConfig) if is_dataclass(f.type)}
 
 
 @dataclass(frozen=True)
@@ -562,8 +536,7 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
     with open(out / "aligned_trajectory.csv", "w", encoding="utf-8") as fh:
         fh.write("timestamp,est_x,est_y,est_z,gt_x,gt_y,gt_z,error_m\n")
         for i, j in picked:
-            p = ate.scale * (rot @ est.poses[i].translation) \
-                + ate.transform.translation
+            p = rot @ est.poses[i].translation + ate.transform.translation
             q = gt.poses[j].translation
             err = float(np.linalg.norm(p - q))
             fh.write(f"{float(est.stamps[i]):.10f},"

@@ -6,7 +6,7 @@ pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
 
 * prior on the first pose (gauge fixing), residual log(P^-1 X): the
   odometry residual from the identity to X
-* odometry between consecutive or loop frames, residual
+* odometry between neighbouring frames, residual
   log(Z^-1 X_i^-1 X_j) split as [translation, rotation vector]
 * pixel observations of landmarks, residual proj(X^-1 l) - z with a
   Huber kernel; observations whose landmark sits behind the camera at
@@ -18,10 +18,10 @@ block-tridiagonal pose chain plus a thin landmark border. Linearization
 writes them straight into block storage (the chain's lower band, the
 dense pose x landmark border and the landmark block) through index maps
 built once per solve; each damped step factors the band by banded
-Cholesky and eliminates the landmarks by Schur complement. A graph with
-an odometry factor between non-neighbouring poses (a loop closure) is
-solved by sparse LU instead. No matrix of pose dimension squared is
-ever formed.
+Cholesky and eliminates the landmarks by Schur complement. No matrix of
+pose dimension squared is ever formed. Odometry between poses that are
+not neighbours (a loop closure) would leave the band, so optimize
+rejects it with a DataError unless the poses are held fixed.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import SingularSystemError, UnknownNodeError
+from .errors import DataError, SingularSystemError, UnknownNodeError
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -221,9 +219,10 @@ DEFAULT_ODOMETRY_INFORMATION = np.eye(6) * 1e4
 
 
 # ----------------------------------------------------------------------
-# linear algebra of one damped step: a chain graph's arrowhead system by
-# banded Cholesky plus a landmark Schur complement (Triggs et al.,
-# "Bundle Adjustment - A Modern Synthesis", 2000), any other by sparse LU
+# linear algebra of one damped step: the chain graph's arrowhead system
+# by banded Cholesky plus a landmark Schur complement (Triggs et al.,
+# "Bundle Adjustment - A Modern Synthesis", 2000); odometry off the
+# chain is rejected before it gets here
 # ----------------------------------------------------------------------
 
 # half-bandwidth of a block-tridiagonal chain of 6-dof poses
@@ -318,33 +317,6 @@ class _ChainLayout:
         damped_lm = lm_block.copy()
         damped_lm[np.diag_indices(self.m)] += np.maximum(np.diagonal(lm_block), 1e-12) * lam
         return solve_chain_schur(damped_band, border, damped_lm, g[:self.p], g[self.base:])
-
-
-class _SparseLayout:
-    """Normal equations of any graph as a sparse matrix, solved by sparse
-    LU; the path for graphs with an odometry factor off the chain, such
-    as a loop closure."""
-
-    def __init__(self, static: dict, fix_poses: bool):
-        self.rows, self.cols = static["h_rows"], static["h_cols"]
-        self.dim = static["dim"]
-        self.lo = static["base"] if fix_poses else 0
-
-    def assemble(self, vals: np.ndarray):
-        h = scipy.sparse.coo_matrix(
-            (vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        ).tocsc()
-        if self.lo:
-            h = h[self.lo:, self.lo:].tocsc()
-        return h, h.diagonal()
-
-    def step(self, system, g: np.ndarray, lam: float) -> np.ndarray | None:
-        h, diag = system
-        damped = h + scipy.sparse.diags(np.maximum(diag, 1e-12) * lam)
-        try:
-            return scipy.sparse.linalg.splu(damped.tocsc()).solve(-g[self.lo:])
-        except RuntimeError:
-            return None
 
 
 class PoseGraph:
@@ -542,6 +514,11 @@ class PoseGraph:
         infinite odometry information: a floor on the information
         matrix would still let pixel residuals bend the soft long-chain
         modes of a perfectly consistent trajectory.
+
+        Raises DataError, leaving every estimate unchanged, when poses
+        are solved and an odometry factor joins two poses that are not
+        neighbours in id order (a loop closure): the solver factors the
+        pose block as a band. With fix_poses any odometry is accepted.
         """
         cfg = cfg or OptimizerConfig()
         if self.prior is None:
@@ -553,9 +530,15 @@ class PoseGraph:
         static = self._prepare_factors(pose_pos, lm_pos)
         base, dim = static["base"], static["dim"]
         # odometry between neighbouring pose positions keeps the pose
-        # block inside the band; any other odometry needs the general solve
-        chain = fix_poses or bool(np.all(np.abs(static["odo_i"] - static["odo_j"]) <= 1))
-        layout = (_ChainLayout if chain else _SparseLayout)(static, fix_poses)
+        # block inside the band
+        off_chain = np.abs(static["odo_i"] - static["odo_j"]) > 1
+        if not fix_poses and np.any(off_chain):
+            f = self.odometry[int(np.argmax(off_chain))]
+            raise DataError(
+                f"odometry {f.from_id} -> {f.to_id} joins poses that are not "
+                "neighbours; only a chain of poses can be solved"
+            )
+        layout = _ChainLayout(static, fix_poses)
 
         q, t, lm = self._state_arrays(pose_ids, lm_ids)
 

@@ -9,6 +9,8 @@ each other.
 import math
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from semmap.geometry import CameraIntrinsics, Pose, rotvec_from_quat
 
@@ -343,3 +345,30 @@ def observation_residual_jacobians(
     j_pose = j_pi @ np.hstack([-np.eye(3), _skew(p)])
     j_lm = j_pi @ rot.T
     return r, j_pose, j_lm
+
+
+class _SparseLayout:
+    """Normal equations of any graph as a sparse matrix, solved by sparse
+    LU; the reference for the solver's banded chain step, with the same
+    assemble/step interface as posegraph._ChainLayout."""
+
+    def __init__(self, static: dict, fix_poses: bool):
+        self.rows, self.cols = static["h_rows"], static["h_cols"]
+        self.dim = static["dim"]
+        self.lo = static["base"] if fix_poses else 0
+
+    def assemble(self, vals: np.ndarray):
+        h = scipy.sparse.coo_matrix(
+            (vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
+        ).tocsc()
+        if self.lo:
+            h = h[self.lo:, self.lo:].tocsc()
+        return h, h.diagonal()
+
+    def step(self, system, g: np.ndarray, lam: float) -> np.ndarray | None:
+        h, diag = system
+        damped = h + scipy.sparse.diags(np.maximum(diag, 1e-12) * lam)
+        try:
+            return scipy.sparse.linalg.splu(damped.tocsc()).solve(-g[self.lo:])
+        except RuntimeError:
+            return None

@@ -33,7 +33,7 @@ from test_posegraph import (
 from semmap.association import nn_cloud_distance
 from semmap.candidate import PixelNoiseModel, RandomWalkConfig, estimate_centroid
 from semmap.evaluation import ate_rmse, evaluate_ate, score_landmarks
-from semmap.geometry import Frame, PointCloud, Pose, Trajectory, quat_from_rotvec
+from semmap.geometry import PointCloud, Pose, Trajectory, quat_from_rotvec
 from semmap.pipeline import PipelineConfig, cmd_run, cmd_simulate, run_pipeline
 from semmap.posegraph import OptimizerConfig, _retract
 from semmap.simulator import (
@@ -153,8 +153,8 @@ def test_criterion_4_nn_association_matches_brute_force(report):
         na, nb = rng.integers(5, 501, size=2)
         a = rng.uniform(-3.0, 3.0, size=(int(na), 3))
         b = rng.uniform(-3.0, 3.0, size=(int(nb), 3))
-        got = nn_cloud_distance(PointCloud(a, Frame.WORLD),
-                                PointCloud(b, Frame.WORLD))
+        got = nn_cloud_distance(PointCloud(a),
+                                PointCloud(b))
         worst = max(worst, abs(got - brute_force_nn_mean(a, b)))
     report(4, worst < 1e-9,
            f"100 cloud pairs (<= 500 pts), max |diff| {worst:.2e} < 1e-9")

@@ -26,7 +26,7 @@ from semmap.association import (
 )
 from semmap.candidate import Candidate
 from semmap.errors import EmptyCloudError
-from semmap.geometry import Frame, PointCloud
+from semmap.geometry import PointCloud
 from semmap.tracker import BoundingBox, Measurement, Tracklet
 
 
@@ -42,7 +42,7 @@ def _tracklet(tid=0, class_id="cup"):
 def _cand(center, size=0.3, class_id="cup", seed=0, n=60, tid=0):
     rng = np.random.default_rng(seed)
     pts = np.asarray(center) + rng.uniform(-size / 2, size / 2, size=(n, 3))
-    cloud = PointCloud(pts, Frame.WORLD)
+    cloud = PointCloud(pts)
     return Candidate(
         tracklet=_tracklet(tid, class_id),
         clouds=(cloud,),
@@ -58,7 +58,7 @@ def _landmark(lid, center, size=0.3, class_id="cup", seed=1, n=80, last=0.0):
     pts = np.asarray(center) + rng.uniform(-size / 2, size / 2, size=(n, 3))
     return Landmark(
         id=lid, class_id=class_id, centroid=np.asarray(center, dtype=float),
-        cloud=PointCloud(pts, Frame.WORLD), size=size, last_association=last,
+        cloud=PointCloud(pts), size=size, last_association=last,
     )
 
 
@@ -94,18 +94,18 @@ class TestGateRadius:
 class TestNnCloudDistance:
     def test_identical_clouds_zero(self):
         pts = np.random.default_rng(2).normal(size=(40, 3))
-        c = PointCloud(pts, Frame.WORLD)
+        c = PointCloud(pts)
         assert nn_cloud_distance(c, c) == 0.0
 
     def test_single_points(self):
-        a = PointCloud(np.array([[0.0, 0.0, 0.0]]), Frame.WORLD)
-        b = PointCloud(np.array([[3.0, 4.0, 0.0]]), Frame.WORLD)
+        a = PointCloud(np.array([[0.0, 0.0, 0.0]]))
+        b = PointCloud(np.array([[3.0, 4.0, 0.0]]))
         assert nn_cloud_distance(a, b) == pytest.approx(5.0, abs=1e-12)
 
     def test_asymmetry(self):
         # candidate covering a superset sees extra far points
-        a = PointCloud(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]), Frame.WORLD)
-        b = PointCloud(np.array([[0.0, 0.0, 0.0]]), Frame.WORLD)
+        a = PointCloud(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
+        b = PointCloud(np.array([[0.0, 0.0, 0.0]]))
         assert nn_cloud_distance(a, b) == pytest.approx(5.0, abs=1e-12)
         assert nn_cloud_distance(b, a) == 0.0
 
@@ -116,13 +116,13 @@ class TestNnCloudDistance:
             a = rng.normal(size=(na, 3))
             b = rng.normal(size=(nb, 3))
             got = nn_cloud_distance(
-                PointCloud(a, Frame.WORLD), PointCloud(b, Frame.WORLD)
+                PointCloud(a), PointCloud(b)
             )
             assert got == pytest.approx(brute_force_nn_mean(a, b), abs=1e-9)
 
     def test_empty_cloud_raises(self):
-        a = PointCloud(np.zeros((0, 3)), Frame.WORLD)
-        b = PointCloud(np.zeros((1, 3)), Frame.WORLD)
+        a = PointCloud(np.zeros((0, 3)))
+        b = PointCloud(np.zeros((1, 3)))
         with pytest.raises(EmptyCloudError):
             nn_cloud_distance(a, b)
 
@@ -270,7 +270,7 @@ class TestAssociate:
         # shift the candidate cloud onto landmark 1 without moving its centroid
         cand = Candidate(
             tracklet=cand.tracklet,
-            clouds=(PointCloud(cand.clouds[0].points + [0.25, 0, 0], Frame.WORLD),),
+            clouds=(PointCloud(cand.clouds[0].points + [0.25, 0, 0]),),
             per_measurement_centroids=cand.per_measurement_centroids,
             map_centroid=cand.map_centroid,
             size_estimate=cand.size_estimate,
@@ -327,11 +327,11 @@ class TestFuse:
         front = np.column_stack([np.zeros(40), face])
         lm = Landmark(
             id=0, class_id="cup", centroid=np.array([0.0, 0.2, 0.2]),
-            cloud=PointCloud(front, Frame.WORLD), size=0.4, last_association=0.0,
+            cloud=PointCloud(front), size=0.4, last_association=0.0,
         )
         back = np.column_stack([np.full(40, 0.6), face])
         cand = Candidate(
-            tracklet=_tracklet(), clouds=(PointCloud(back, Frame.WORLD),),
+            tracklet=_tracklet(), clouds=(PointCloud(back),),
             per_measurement_centroids=np.tile([0.6, 0.2, 0.2], (2, 1)),
             map_centroid=np.array([0.6, 0.2, 0.2]), size_estimate=0.4, class_id="cup",
         )

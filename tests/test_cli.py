@@ -75,7 +75,8 @@ class TestRun:
         from semmap.pipeline import PipelineConfig
 
         cfg_path = tmp_path / "cfg.json"
-        PipelineConfig(seed=3, optimize_every=7).to_json_file(cfg_path)
+        cfg_path.write_text(json.dumps(PipelineConfig(seed=3, optimize_every=7).to_dict()),
+                            encoding="utf-8")
         sim = workspace / "sim"
         code = main(["run", "--detections", str(sim / "detections.txt"),
                      "--odometry", str(sim / "odometry.txt"),

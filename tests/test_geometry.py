@@ -1,4 +1,4 @@
-"""Geometry tests: pinhole projection, pose algebra, cloud centroids.
+"""Geometry tests: pinhole back-projection, pose algebra, cloud centroids.
 
 Expected values are computed by hand from the pinhole model
     u = fx * x / z + cx,  v = fy * y / z + cy
@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     _skew,
+    pinhole_uv,
     scalar_quat_conjugate,
     scalar_quat_from_rotvec,
     scalar_quat_mul,
@@ -21,14 +22,12 @@ from oracles import (
 )
 
 from semmap.errors import (
-    BehindCameraError,
     EmptyCloudError,
     MissingPoseError,
     NonPositiveDepthError,
 )
 from semmap.geometry import (
     CameraIntrinsics,
-    Frame,
     Pixel,
     PointCloud,
     Pose,
@@ -37,7 +36,6 @@ from semmap.geometry import (
     backproject_pixels,
     centroid,
     merge_clouds,
-    project,
     quat_conjugate,
     quat_from_rotvec,
     quat_mul,
@@ -57,32 +55,6 @@ def _random_pose(rng):
     rv = rng.normal(0.0, 0.6, 3)
     t = rng.normal(0.0, 2.0, 3)
     return Pose(quat_from_rotvec(rv), t)
-
-
-class TestProjection:
-    def test_optical_axis_point(self):
-        # x=0, y=0, z=2 -> u = 320, v = 240 exactly
-        px = project(np.array([0.0, 0.0, 2.0]), Pose.identity(), _k())
-        assert px == Pixel(320.0, 240.0)
-
-    def test_offset_point(self):
-        # x=1, z=2 -> u = 500 * 1/2 + 320 = 570
-        px = project(np.array([1.0, 0.0, 2.0]), Pose.identity(), _k())
-        np.testing.assert_allclose(px, (570.0, 240.0), atol=1e-12)
-
-    def test_behind_camera_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), Pose.identity(), _k())
-
-    def test_point_at_zero_depth_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.3, 0.1, 0.0]), Pose.identity(), _k())
-
-    def test_translated_camera(self):
-        # camera at (3, 0, 0) looking down +z: world (3, 0, 2) is on axis
-        pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
-        px = project(np.array([3.0, 0.0, 2.0]), pose, _k())
-        np.testing.assert_allclose(px, (320.0, 240.0), atol=1e-12)
 
 
 class TestBackprojection:
@@ -112,7 +84,7 @@ class TestBackprojection:
                 [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 20.0)]
             )
             p_world = pose.transform(p_cam)
-            px = project(p_world, pose, k)
+            px = pinhole_uv(p_world, pose, k)
             back = backproject(px, p_cam[2], pose, k)
             np.testing.assert_allclose(back, p_world, atol=1e-9)
 
@@ -155,7 +127,9 @@ class TestPose:
         rng = np.random.default_rng(19)
         for _ in range(50):
             xi = rng.normal(0, 0.8, 6)
-            np.testing.assert_allclose(Pose.exp(xi).log(), xi, atol=1e-9)
+            pose = Pose.exp(xi)
+            log = np.concatenate([pose.translation, rotvec_from_quat(pose.rotation)])
+            np.testing.assert_allclose(log, xi, atol=1e-9)
 
     def test_rotvec_quat_roundtrip(self):
         # log returns the principal branch, so only angles < pi roundtrip
@@ -231,15 +205,15 @@ def test_stacked_op_matches_scalar_formula(name):
 
 class TestCentroid:
     def test_two_point_midpoint(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), Frame.WORLD)
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
         np.testing.assert_allclose(centroid(cloud), [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_single_point(self):
-        cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]), Frame.WORLD)
+        cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(centroid(cloud), [1.0, 2.0, 3.0], atol=1e-15)
 
     def test_empty_cloud_raises(self):
-        cloud = PointCloud(np.zeros((0, 3)), Frame.WORLD)
+        cloud = PointCloud(np.zeros((0, 3)))
         with pytest.raises(EmptyCloudError):
             centroid(cloud)
 
@@ -248,23 +222,23 @@ class TestCentroid:
         # axis, sd of the sample mean is sqrt(1/12)/sqrt(1000) ~ 0.009,
         # so 0.05 is a > 5 sigma bound
         rng = np.random.default_rng(101)
-        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(1000, 3)), Frame.WORLD)
+        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(1000, 3)))
         np.testing.assert_allclose(centroid(cloud), [0.5, 0.5, 0.5], atol=0.05)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(103)
         pts = rng.normal(size=(40, 3))
         shift = np.array([4.0, -2.0, 0.5])
-        c0 = centroid(PointCloud(pts, Frame.WORLD))
-        c1 = centroid(PointCloud(pts + shift, Frame.WORLD))
+        c0 = centroid(PointCloud(pts))
+        c1 = centroid(PointCloud(pts + shift))
         np.testing.assert_allclose(c1, c0 + shift, atol=1e-12)
 
-    def test_merge_preserves_frame_and_counts(self):
-        a = PointCloud(np.zeros((3, 3)), Frame.WORLD)
-        b = PointCloud(np.ones((2, 3)), Frame.WORLD)
+    def test_merge_stacks_points_in_order(self):
+        a = PointCloud(np.zeros((3, 3)))
+        b = PointCloud(np.ones((2, 3)))
         merged = merge_clouds([a, b])
         assert len(merged) == 5
-        assert merged.frame is Frame.WORLD
+        np.testing.assert_array_equal(merged.points, np.vstack([a.points, b.points]))
 
 
 class TestTrajectory:

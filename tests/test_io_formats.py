@@ -14,7 +14,7 @@ from semmap.errors import (
     MalformedLineError,
     NonUnitQuaternionError,
 )
-from semmap.geometry import CameraIntrinsics, Frame, PointCloud, Pose, Trajectory, quat_from_rotvec
+from semmap.geometry import CameraIntrinsics, PointCloud, Pose, Trajectory, quat_from_rotvec
 from semmap.io_formats import (
     config_hash,
     parse_detection_log,
@@ -202,7 +202,7 @@ def _toy_map():
         pts = np.asarray(c) + rng.normal(scale=0.05, size=(12, 3))
         lm_map.landmarks[lid] = Landmark(
             id=lid, class_id=cls, centroid=np.asarray(c, dtype=float),
-            cloud=PointCloud(pts, Frame.WORLD), size=0.3,
+            cloud=PointCloud(pts), size=0.3,
             last_association=4.5, n_fused=3,
         )
     lm_map.aliases = {7: 0}

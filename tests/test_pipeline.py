@@ -39,7 +39,7 @@ class TestConfigRoundTrip:
     def test_json_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(seed=3, pixel_noise_sigma=2.5)
         path = tmp_path / "config.json"
-        cfg.to_json_file(path)
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         again = PipelineConfig.from_json_file(path)
         assert again.to_dict() == cfg.to_dict()
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse.linalg
 
 from oracles import (
+    _SparseLayout,
     observation_residual_jacobians,
     odometry_residual_jacobians,
     prior_residual_jacobian,
@@ -15,13 +16,12 @@ from oracles import (
 
 from semmap import posegraph
 from semmap.association import AssociationConfig, Landmark, LandmarkMap
-from semmap.errors import SingularSystemError, UnknownNodeError
-from semmap.geometry import CameraIntrinsics, PointCloud, Frame, Pose, quat_from_rotvec
+from semmap.errors import DataError, SingularSystemError, UnknownNodeError
+from semmap.geometry import CameraIntrinsics, PointCloud, Pose, quat_from_rotvec
 from semmap.posegraph import (
     OptimizerConfig,
     PoseGraph,
     _ChainLayout,
-    _SparseLayout,
     apply_correction,
     observation_kernel,
     odometry_kernel,
@@ -409,7 +409,7 @@ class TestApplyCorrection:
         g.add_observation(0, 0, np.array([320.0, 240.0]), np.eye(2),
                           landmark_position=np.array([0.1, 0.0, 2.0]))
         lm_map = LandmarkMap()
-        cloud = PointCloud(np.array([[0.0, 0.0, 1.9], [0.0, 0.0, 2.1]]), Frame.WORLD)
+        cloud = PointCloud(np.array([[0.0, 0.0, 1.9], [0.0, 0.0, 2.1]]))
         lm_map.landmarks[0] = Landmark(
             id=0, class_id="cup", centroid=np.array([0.0, 0.0, 2.0]),
             cloud=cloud, size=0.2, last_association=0.0,
@@ -488,7 +488,7 @@ class TestBatchedAssembly:
         np.testing.assert_allclose(grad, grad_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(
             _dense_from_blocks(band, border, lm_block), h_ref, rtol=1e-9, atol=1e-9)
-        # the general path assembles the same matrix
+        # the sparse-LU reference assembles the same matrix
         h_sparse, _ = _SparseLayout(static, False).assemble(vals)
         np.testing.assert_allclose(h_sparse.toarray(), h_ref, rtol=1e-9, atol=1e-9)
 
@@ -608,24 +608,25 @@ class TestChainSolve:
         g, _, _ = _build_consistent_graph(perturb_scale=0.02)
         assert g.optimize().final_cost < 1e-12
 
-    def test_loop_closure_takes_sparse_lu(self, monkeypatch):
+    def test_loop_closure_raises_and_leaves_estimates(self):
         g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=12)
         last = len(poses) - 1
         g.add_odometry(last, 0, poses[last].inverse().compose(poses[0]))
-        calls = []
-        splu = scipy.sparse.linalg.splu
+        poses_before = dict(g.poses)
+        landmarks_before = {lid: p.copy() for lid, p in g.landmarks.items()}
+        with pytest.raises(DataError, match=f"odometry {last} -> 0"):
+            g.optimize()
+        assert g.poses.keys() == poses_before.keys()
+        assert all(g.poses[pid] is p for pid, p in poses_before.items())
+        assert g.landmarks.keys() == landmarks_before.keys()
+        for lid, p in landmarks_before.items():
+            np.testing.assert_array_equal(g.landmarks[lid], p)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-
-        def no_chain(*args, **kwargs):
-            raise AssertionError("loop closure took the banded path")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-        monkeypatch.setattr(posegraph, "solve_chain_schur", no_chain)
+    def test_duplicate_odometry_between_neighbours_is_solved(self):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=13)
+        g.add_odometry(2, 3, poses[2].inverse().compose(poses[3]))
+        g.add_odometry(4, 3, poses[4].inverse().compose(poses[3]))
         report = g.optimize()
-        assert calls
         assert report.converged
         assert report.final_cost < 1e-12
 
@@ -633,6 +634,9 @@ class TestChainSolve:
 class TestFixedPoseSolve:
     def test_poses_pinned_landmarks_refined(self):
         g, poses, landmarks = _build_consistent_graph(perturb_scale=0.0, seed=2)
+        # with the poses pinned, odometry off the chain is accepted
+        last = len(poses) - 1
+        g.add_odometry(last, 0, poses[last].inverse().compose(poses[0]))
         rng = np.random.default_rng(2)
         for lid in g.landmarks:
             g.landmarks[lid] = g.landmarks[lid] + rng.normal(scale=0.3, size=3)
