@@ -169,14 +169,18 @@ def fuse(lm: Landmark, cand: Candidate, now: float, cfg: AssociationConfig) -> L
     )
 
 
-def _bounds_overlap_ratio(a: PointCloud, b: PointCloud) -> float:
-    """Intersection volume over the smaller bounding volume.
+Bounds = tuple[np.ndarray, np.ndarray]
+
+
+def _bounds_overlap_ratio(a: Bounds, b: Bounds) -> float:
+    """Intersection volume over the smaller bounding volume, given two
+    clouds' (lo, hi) bounds.
 
     Flat boxes are padded to a tiny thickness so coincident planar
     clouds still count as fully overlapping.
     """
-    a_lo, a_hi = a.bounds()
-    b_lo, b_hi = b.bounds()
+    a_lo, a_hi = a
+    b_lo, b_hi = b
     a_ext = np.maximum(a_hi - a_lo, _FLAT_EPS)
     b_ext = np.maximum(b_hi - b_lo, _FLAT_EPS)
     a_hi = a_lo + a_ext
@@ -304,6 +308,15 @@ class LandmarkMap:
         is returned and recorded as alias old -> kept.
         """
         records: list[tuple[int, int]] = []
+        # each landmark's bounds, computed when a same-class pair first
+        # needs them and dropped when a merge changes the landmark
+        bounds: dict[int, Bounds] = {}
+
+        def bounds_of(lid: int) -> Bounds:
+            if lid not in bounds:
+                bounds[lid] = self.landmarks[lid].cloud.bounds()
+            return bounds[lid]
+
         changed = True
         while changed:
             changed = False
@@ -316,10 +329,13 @@ class LandmarkMap:
                     b = self.landmarks[high]
                     if a.class_id != b.class_id:
                         continue
-                    if _bounds_overlap_ratio(a.cloud, b.cloud) < cfg.merge_overlap_ratio:
+                    ratio = _bounds_overlap_ratio(bounds_of(low), bounds_of(high))
+                    if ratio < cfg.merge_overlap_ratio:
                         continue
                     self.landmarks[low] = self._merge_pair(a, b, cfg)
                     del self.landmarks[high]
+                    bounds.pop(low)
+                    bounds.pop(high)
                     # re-point stale aliases at the survivor
                     for old, kept in list(self.aliases.items()):
                         if kept == high:

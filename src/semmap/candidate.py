@@ -3,7 +3,11 @@ localization.
 
 A promoted tracklet becomes a candidate in three steps. Each measurement
 is lifted to a small world-frame cloud (bounded by the box frustum and a
-depth window around the range hint). The per-measurement cloud centroids
+depth window around the range hint). The tracklet's T views travel as
+stacks: one (T, 3, 3) rotation stack per proposal serves extraction, the
+likelihood and the seed rays, and the samples of all views are filtered
+and lifted to the camera frame in one pass before each view's rotation
+moves its slice into the world. The per-measurement cloud centroids
 feed a mean-absolute-deviation gate that rejects moving objects: a
 static object re-observed from a moving camera yields nearly coincident
 centroids, a walking person does not. Surviving tracklets get a single
@@ -39,9 +43,9 @@ from .geometry import (
     Pose,
     Trajectory,
     backproject,
-    backproject_pixels,
     centroid,
     merge_clouds,
+    quat_to_matrix,
 )
 from .tracker import Measurement, Tracklet
 
@@ -140,19 +144,29 @@ def cuboid_box_sampler(k: CameraIntrinsics, grid: tuple[int, int, int] = (5, 5, 
     """Deterministic (u, v, depth) grid filling the box frustum slab.
 
     Cell centers keep every sample strictly inside the box and inside
-    the depth window, so extraction never filters them away.
+    the depth window, so extraction never filters them away. Rows run
+    in meshgrid 'ij' order (depth fastest), which voxel thinning's
+    first-point-per-cell rule depends on.
     """
     nu, nv, nd = grid
+    uu, vv, dd = np.meshgrid(np.arange(nu) + 0.5, np.arange(nv) + 0.5,
+                             np.arange(nd) + 0.5, indexing="ij")
+    unit = np.column_stack([uu.ravel(), vv.ravel(), dd.ravel()])
+    counts = np.array([nu, nv, nd], dtype=float)
 
     def sample(m: Measurement) -> np.ndarray:
-        us = m.box.x_min + (np.arange(nu) + 0.5) * m.box.width / nu
-        vs = m.box.y_min + (np.arange(nv) + 0.5) * m.box.height / nv
         h = cuboid_half_depth(m, k)
-        ds = m.depth_hint - h + (np.arange(nd) + 0.5) * (2.0 * h) / nd
-        uu, vv, dd = np.meshgrid(us, vs, ds, indexing="ij")
-        return np.column_stack([uu.ravel(), vv.ravel(), dd.ravel()])
+        lo = np.array([m.box.x_min, m.box.y_min, m.depth_hint - h])
+        span = np.array([m.box.width, m.box.height, 2.0 * h])
+        # x_min + c * width / nu per axis, evaluated in that order
+        return lo + unit * span / counts
 
     return sample
+
+
+def _rotations(poses: Sequence[Pose]) -> np.ndarray:
+    """(T, 3, 3) camera-to-world rotations of the views."""
+    return quat_to_matrix(np.stack([p.rotation for p in poses]))
 
 
 def extract_clouds(
@@ -160,35 +174,52 @@ def extract_clouds(
     poses: Sequence[Pose],
     k: CameraIntrinsics,
     sampler: Sampler,
+    rotations: np.ndarray | None = None,
 ) -> list[PointCloud]:
     """World-frame cloud per measurement from sampled (u, v, depth) triples.
 
     Samples outside the bounding box or beyond the depth window around
     the range hint are dropped; an exhausted measurement raises
-    EmptyCloudError.
+    EmptyCloudError naming the first such frame. `rotations` is the
+    views' rotation stack when the caller already has it.
     """
-    if len(poses) != len(tracklet.measurements):
+    ms = tracklet.measurements
+    if len(poses) != len(ms):
         raise ValueError("one pose per measurement required")
-    clouds = []
-    for m, pose in zip(tracklet.measurements, poses):
-        raw = np.asarray(sampler(m), dtype=float).reshape(-1, 3)
-        h = cuboid_half_depth(m, k)
-        keep = (
-            (raw[:, 0] >= m.box.x_min)
-            & (raw[:, 0] <= m.box.x_max)
-            & (raw[:, 1] >= m.box.y_min)
-            & (raw[:, 1] <= m.box.y_max)
-            & (np.abs(raw[:, 2] - m.depth_hint) <= h)
-            & (raw[:, 2] > 0)
-        )
-        raw = raw[keep]
-        if raw.shape[0] == 0:
-            raise EmptyCloudError(
-                f"no samples survive the frustum of frame {m.frame_id}"
-            )
-        pts = backproject_pixels(raw[:, :2], raw[:, 2], pose, k)
-        clouds.append(PointCloud(pts))
-    return clouds
+    if not ms:
+        return []
+    raws = [np.asarray(sampler(m), dtype=float).reshape(-1, 3) for m in ms]
+    sizes = [r.shape[0] for r in raws]
+    raw = np.concatenate(raws)
+    # each row is checked against its own measurement's box and window
+    limits = np.repeat(
+        np.array([[m.box.x_min, m.box.x_max, m.box.y_min, m.box.y_max,
+                   m.depth_hint, cuboid_half_depth(m, k)] for m in ms]),
+        sizes, axis=0,
+    )
+    keep = (
+        (raw[:, 0] >= limits[:, 0])
+        & (raw[:, 0] <= limits[:, 1])
+        & (raw[:, 1] >= limits[:, 2])
+        & (raw[:, 1] <= limits[:, 3])
+        & (np.abs(raw[:, 2] - limits[:, 4]) <= limits[:, 5])
+        & (raw[:, 2] > 0)
+    )
+    kept = np.bincount(np.repeat(np.arange(len(ms)), sizes)[keep],
+                       minlength=len(ms))
+    if not kept.all():
+        m = ms[int(np.argmin(kept))]
+        raise EmptyCloudError(f"no samples survive the frustum of frame {m.frame_id}")
+    raw = raw[keep]
+    d = raw[:, 2]
+    cam = np.column_stack([(raw[:, 0] - k.cx) * d / k.fx, (raw[:, 1] - k.cy) * d / k.fy, d])
+    if rotations is None:
+        rotations = _rotations(poses)
+    ends = np.cumsum(kept).tolist()
+    return [
+        PointCloud(cam[start:end] @ r.T + pose.translation)
+        for start, end, r, pose in zip([0] + ends[:-1], ends, rotations, poses)
+    ]
 
 
 def resolve_poses(tracklet: Tracklet, trajectory: Trajectory) -> list[Pose]:
@@ -228,11 +259,16 @@ class _LikelihoodEvaluator:
     matrix with one offset each, so a single product yields every
     numerator and depth. Points are taken relative to the mean camera
     center, which bounds the cancellation far from the origin.
+    `rotations` is the views' camera-to-world stack when the caller
+    already has it.
     """
 
     def __init__(self, poses: Sequence[Pose], centers_px: np.ndarray,
-                 k: CameraIntrinsics, noise: PixelNoiseModel):
-        world_to_cam = np.stack([p.rotation_matrix().T for p in poses])
+                 k: CameraIntrinsics, noise: PixelNoiseModel,
+                 rotations: np.ndarray | None = None):
+        if rotations is None:
+            rotations = _rotations(poses)
+        world_to_cam = rotations.transpose(0, 2, 1)
         cam_centers = np.stack([p.translation for p in poses])
         centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
         rows = np.concatenate([
@@ -290,12 +326,14 @@ def triangulate_midpoint(origins: np.ndarray, directions: np.ndarray) -> np.ndar
     Minimizes sum_t |(I - d_t d_t^T)(x - c_t)|^2 which reduces to the
     linear system (sum (I - d d^T)) x = sum (I - d d^T) c.
     """
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    ms = np.eye(3) - d[:, :, None] * d[:, None, :]
+    mcs = np.matmul(ms, np.asarray(origins, dtype=float).reshape(-1, 3)[..., None])
     a = np.zeros((3, 3))
     b = np.zeros(3)
-    for c, d in zip(origins, directions):
-        m = np.eye(3) - np.outer(d, d)
+    for m, mc in zip(ms, mcs[..., 0]):  # view order fixes the rounding
         a += m
-        b += m @ c
+        b += mc
     w = np.linalg.eigvalsh(a)
     if w[0] < 1e-9:
         return None
@@ -337,6 +375,7 @@ def estimate_centroid(
     k: CameraIntrinsics,
     noise: PixelNoiseModel,
     walk: RandomWalkConfig,
+    rotations: np.ndarray | None = None,
 ) -> CentroidEstimate:
     """MAP position of the object from its box centers.
 
@@ -345,13 +384,16 @@ def estimate_centroid(
     the depth is unobservable; the estimate falls back to the last
     measurement's back-projected range hint, flagged low confidence.
     The RNG stream is derived from (walk.seed, tracklet.id) so results
-    are reproducible per tracklet.
+    are reproducible per tracklet. `rotations` is the views' rotation
+    stack when the caller already has it.
     """
     ms = tracklet.measurements
     if len(ms) < 2:
         raise TooFewMeasurementsError("localization needs >= 2 measurements")
+    if rotations is None:
+        rotations = _rotations(poses)
     centers = np.array([m.box.center for m in ms])
-    evaluate = _LikelihoodEvaluator(poses, centers, k, noise)
+    evaluate = _LikelihoodEvaluator(poses, centers, k, noise, rotations)
 
     def fallback() -> CentroidEstimate:
         point = backproject(centers[-1], ms[-1].depth_hint, poses[-1], k)
@@ -370,9 +412,7 @@ def estimate_centroid(
             np.ones(len(ms)),
         ]
     )
-    dirs = np.stack(
-        [p.rotation_matrix() @ r for p, r in zip(poses, rays_cam)]
-    )
+    dirs = np.matmul(rotations, rays_cam[..., None])[..., 0]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     seed = triangulate_midpoint(origins, dirs)
     if seed is None:
@@ -407,12 +447,13 @@ def propose_candidate(
 ) -> Proposal:
     """Validate and localize one promoted tracklet."""
     poses = resolve_poses(tracklet, trajectory)
-    clouds = extract_clouds(tracklet, poses, k, sampler)
+    rotations = _rotations(poses)
+    clouds = extract_clouds(tracklet, poses, k, sampler, rotations)
     cents = np.array([centroid(c) for c in clouds])
     mad = mad_deviation(cents)
     if mad > mad_threshold:
         return Proposal(tracklet, accepted=False, mad=mad, candidate=None)
-    est = estimate_centroid(tracklet, poses, k, noise, walk)
+    est = estimate_centroid(tracklet, poses, k, noise, walk, rotations)
     merged = merge_clouds(clouds)
     size = max(float(merged.extent().max()), MIN_SIZE)
     cand = Candidate(

@@ -315,18 +315,6 @@ def backproject(pixel: Pixel | Sequence[float], depth: float, pose: Pose,
     return pose.transform(p_cam)
 
 
-def backproject_pixels(uv: np.ndarray, depths: np.ndarray, pose: Pose,
-                       k: CameraIntrinsics) -> np.ndarray:
-    """Vectorized backproject: uv (N, 2), depths (N,) -> world points (N, 3)."""
-    uv = np.asarray(uv, dtype=float)
-    depths = np.asarray(depths, dtype=float)
-    if np.any(depths <= 0.0):
-        raise NonPositiveDepthError("all depths must be positive")
-    x = (uv[:, 0] - k.cx) * depths / k.fx
-    y = (uv[:, 1] - k.cy) * depths / k.fy
-    return pose.transform(np.column_stack([x, y, depths]))
-
-
 # ----------------------------------------------------------------------
 # timestamped trajectory
 # ----------------------------------------------------------------------

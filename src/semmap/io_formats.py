@@ -232,29 +232,76 @@ def parse_registry(path: str) -> tuple[SceneObject, ...]:
 # landmark map document (JSON)
 # ----------------------------------------------------------------------
 
+# a landmark entry as json.dump(indent=2, sort_keys=True) lays it out at
+# its depth in the document; the point rows are filled in separately
+_LANDMARK_ENTRY = """{
+      "centroid": %s,
+      "class_id": %s,
+      "id": %s,
+      "last_association": %s,
+      "last_emission": %s,
+      "n_fused": %s,
+      "points": %s,
+      "size": %s
+    }"""
+_POINT_ROW = "[\n          %r,\n          %r,\n          %r\n        ]"
+_STREAMED = object()
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """Already encoded items as an indent=2 JSON array closing at `pad`."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _landmark_json(lm: Landmark) -> str:
+    dumps = json.dumps
+    points = lm.cloud.points
+    # PointCloud points are finite, and json prints a finite float with
+    # float.__repr__, which is what %r gives; one template fills all rows
+    rows = ",\n        ".join([_POINT_ROW] * len(points)) % tuple(points.ravel().tolist())
+    return _LANDMARK_ENTRY % (
+        _json_array([dumps(float(x)) for x in lm.centroid], " " * 6),
+        dumps(lm.class_id),
+        dumps(lm.id),
+        dumps(float(lm.last_association)),
+        dumps(float(lm.last_emission)),
+        dumps(lm.n_fused),
+        _json_array([rows] if len(points) else [], " " * 6),
+        dumps(float(lm.size)),
+    )
+
+
 def write_landmark_map(path: str, lm_map: LandmarkMap,
                        extra: dict | None = None) -> None:
-    doc = {
-        "landmarks": [
-            {
-                "id": lm.id,
-                "class_id": lm.class_id,
-                "centroid": [float(x) for x in lm.centroid],
-                "size": float(lm.size),
-                "n_fused": lm.n_fused,
-                "last_association": float(lm.last_association),
-                "last_emission": float(lm.last_emission),
-                "points": [[float(v) for v in p] for p in lm.cloud.points],
-            }
-            for lm in lm_map.ordered()
-        ],
+    """Write the map document; `extra` adds top-level string keys.
+
+    The bytes equal json.dump(doc, fh, indent=2, sort_keys=True) plus a
+    newline. Landmarks are encoded and written one at a time, without
+    json's pure-Python indenting encoder; every other value goes through
+    json.dumps.
+    """
+    top = {
+        "landmarks": _STREAMED,
         "aliases": {str(k): v for k, v in sorted(lm_map.aliases.items())},
     }
     if extra:
-        doc.update(extra)
+        top.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted(top)):
+            fh.write(("{" if i == 0 else ",") + "\n  " + json.dumps(key) + ": ")
+            if top[key] is _STREAMED:
+                sep = "["
+                for lm in lm_map.ordered():
+                    fh.write(sep + "\n    " + _landmark_json(lm))
+                    sep = ","
+                fh.write("[]" if sep == "[" else "\n  ]")
+            else:
+                text = json.dumps(top[key], indent=2, sort_keys=True)
+                fh.write(text.replace("\n", "\n  "))
+        fh.write("\n}\n")
 
 
 def parse_landmark_map(path: str) -> LandmarkMap:

@@ -6,12 +6,14 @@ where the package works on stacks) so the two routes can cross-check
 each other.
 """
 
+import json
 import math
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from semmap.errors import EmptyCloudError
 from semmap.geometry import CameraIntrinsics, Pose, rotvec_from_quat
 
 _Z_EPS = 1e-9
@@ -190,6 +192,106 @@ def horn_quaternion_align(src, dst):
     )
     t = mu_d - rot @ mu_s
     return rot, t
+
+
+# ----------------------------------------------------------------------
+# the proposal path one view at a time: the references for the package's
+# stacked sampler, extraction and seed triangulation, which must match
+# them bit for bit
+# ----------------------------------------------------------------------
+
+def meshgrid_box_sampler(k, grid=(5, 5, 3)):
+    """(u, v, depth) cell centers of the box frustum slab, one meshgrid
+    per measurement."""
+    nu, nv, nd = grid
+
+    def sample(m):
+        us = m.box.x_min + (np.arange(nu) + 0.5) * m.box.width / nu
+        vs = m.box.y_min + (np.arange(nv) + 0.5) * m.box.height / nv
+        h = 0.5 * m.box.width * m.depth_hint / k.fx
+        ds = m.depth_hint - h + (np.arange(nd) + 0.5) * (2.0 * h) / nd
+        uu, vv, dd = np.meshgrid(us, vs, ds, indexing="ij")
+        return np.column_stack([uu.ravel(), vv.ravel(), dd.ravel()])
+
+    return sample
+
+
+def loop_extract_clouds(tracklet, poses, k, sampler):
+    """World points per measurement: filter, lift and rotate one view at
+    a time."""
+    clouds = []
+    for m, pose in zip(tracklet.measurements, poses):
+        raw = np.asarray(sampler(m), dtype=float).reshape(-1, 3)
+        h = 0.5 * m.box.width * m.depth_hint / k.fx
+        keep = (
+            (raw[:, 0] >= m.box.x_min)
+            & (raw[:, 0] <= m.box.x_max)
+            & (raw[:, 1] >= m.box.y_min)
+            & (raw[:, 1] <= m.box.y_max)
+            & (np.abs(raw[:, 2] - m.depth_hint) <= h)
+            & (raw[:, 2] > 0)
+        )
+        raw = raw[keep]
+        if raw.shape[0] == 0:
+            raise EmptyCloudError(
+                f"no samples survive the frustum of frame {m.frame_id}"
+            )
+        x = (raw[:, 0] - k.cx) * raw[:, 2] / k.fx
+        y = (raw[:, 1] - k.cy) * raw[:, 2] / k.fy
+        clouds.append(pose.transform(np.column_stack([x, y, raw[:, 2]])))
+    return clouds
+
+
+def loop_triangulate_midpoint(origins, directions):
+    """Least-squares ray intersection, one view's projector at a time;
+    None when ill conditioned."""
+    a = np.zeros((3, 3))
+    b = np.zeros(3)
+    for c, d in zip(origins, directions):
+        m = np.eye(3) - np.outer(d, d)
+        a += m
+        b += m @ c
+    w = np.linalg.eigvalsh(a)
+    if w[0] < 1e-9:
+        return None
+    return np.linalg.solve(a, b)
+
+
+def loop_box_center_rays(centers_px, poses, k):
+    """Unit world-frame directions of the box-center rays, one view at a
+    time."""
+    dirs = []
+    for (u, v), pose in zip(centers_px, poses):
+        ray = np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0])
+        dirs.append(pose.rotation_matrix() @ ray)
+    dirs = np.stack(dirs)
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def json_dump_landmark_map(path, lm_map, extra=None):
+    """The landmark map document through json.dump: the reference for the
+    package's streaming writer, which must write the same bytes."""
+    doc = {
+        "landmarks": [
+            {
+                "id": lm.id,
+                "class_id": lm.class_id,
+                "centroid": [float(x) for x in lm.centroid],
+                "size": float(lm.size),
+                "n_fused": lm.n_fused,
+                "last_association": float(lm.last_association),
+                "last_emission": float(lm.last_emission),
+                "points": [[float(v) for v in p] for p in lm.cloud.points],
+            }
+            for lm in lm_map.ordered()
+        ],
+        "aliases": {str(k): v for k, v in sorted(lm_map.aliases.items())},
+    }
+    if extra:
+        doc.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ----------------------------------------------------------------------

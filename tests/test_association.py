@@ -401,7 +401,8 @@ class TestMergeOverlapping:
             for b in ids[i + 1:]:
                 la, lb = m.landmarks[a], m.landmarks[b]
                 if la.class_id == lb.class_id:
-                    assert _bounds_overlap_ratio(la.cloud, lb.cloud) < cfg.merge_overlap_ratio
+                    ratio = _bounds_overlap_ratio(la.cloud.bounds(), lb.cloud.bounds())
+                    assert ratio < cfg.merge_overlap_ratio
 
     def test_merge_matches_transitive_closure_oracle(self):
         # survivors == number of connected components of the initial

@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 from oracles import (
     EinsumLikelihoodEvaluator,
     grid_search_max,
+    loop_box_center_rays,
+    loop_extract_clouds,
     loop_log_likelihood,
+    loop_triangulate_midpoint,
+    meshgrid_box_sampler,
     pinhole_uv,
 )
 
@@ -43,8 +47,10 @@ from semmap.errors import (
 )
 from semmap.geometry import (
     CameraIntrinsics,
+    Pixel,
     Pose,
     Trajectory,
+    backproject,
     centroid,
     quat_from_matrix,
 )
@@ -257,6 +263,68 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
+def _random_tracklet(rng):
+    """Tracklet and poses over _random_tracklet_views: boxes of random
+    size around the centers, range hints within 20 % of the truth."""
+    centers, poses, point = _random_tracklet_views(rng)
+    t = Tracklet(int(rng.integers(0, 1000)), "cup")
+    for i, (c, pose) in enumerate(zip(centers, poses)):
+        hw, hh = rng.uniform(2.0, 60.0, 2)
+        box = BoundingBox(c[0] - hw, c[1] - hh, c[0] + hw, c[1] + hh)
+        depth = float(np.linalg.norm(point - pose.translation)) * rng.uniform(0.8, 1.2)
+        t.append(Measurement(0.1 * i, 10 + i, "cup", 0.9, box, depth))
+    return t, poses
+
+
+def _ragged_rows(t, rng, exhausted=()):
+    """Per-frame samples of 1-40 rows, about a third outside the box, the
+    depth window or in front of the camera. Views at the `exhausted`
+    indices get no surviving row: no rows at all, or only rejected ones."""
+    k = _k()
+    rows = {}
+    for i, m in enumerate(t.measurements):
+        h = cuboid_half_depth(m, k)
+        n = int(rng.integers(1, 41))
+        u = rng.uniform(m.box.x_min, m.box.x_max, n)
+        v = rng.uniform(m.box.y_min, m.box.y_max, n)
+        d = rng.uniform(m.depth_hint - h, m.depth_hint + h, n)
+        bad = rng.random(n) < 1.0 / 3.0
+        if i in exhausted:
+            bad[:] = True
+        which = rng.integers(0, 4, n)
+        u[bad & (which == 0)] += 1.5 * m.box.width
+        v[bad & (which == 1)] -= 1.5 * m.box.height
+        d[bad & (which == 2)] += 2.5 * h
+        d[bad & (which == 3)] = -rng.uniform(0.0, 1.0, int(np.sum(bad & (which == 3))))
+        r = np.column_stack([u, v, d])
+        if i in exhausted and rng.random() < 0.5:
+            r = r[:0]
+        elif i not in exhausted:
+            r[0] = [*m.box.center, m.depth_hint]  # one row always survives
+        rows[m.frame_id] = r
+    return rows
+
+
+def _loop_estimate(t, poses, noise, walk):
+    """estimate_centroid one view at a time: per-view rotation matrices,
+    the loop triangulation; None where it falls back to the range hint."""
+    k = _k()
+    centers = np.array([m.box.center for m in t.measurements])
+    evaluate = _LikelihoodEvaluator(poses, centers, k, noise,
+                                    np.stack([p.rotation_matrix() for p in poses]))
+    origins = np.stack([p.translation for p in poses])
+    seed = loop_triangulate_midpoint(origins, loop_box_center_rays(centers, poses, k))
+    if seed is None:
+        return None
+    ll_seed = float(evaluate(seed[None, :])[0])
+    if not np.isfinite(ll_seed):
+        return None
+    steps = np.random.default_rng((walk.seed, t.id)).normal(
+        0.0, walk.step_sigma, size=(walk.n_samples, 3))
+    point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
+    return seed, point, ll
+
+
 class TestFoldedLikelihood:
     def test_walk_matches_einsum_oracle(self):
         # the walk only compares likelihoods, so the folded evaluator must
@@ -422,6 +490,17 @@ class TestExtractClouds:
                 t, [Pose.identity()], _k(), lambda m: np.array([[0.0, 0.0, 2.0]])
             )
 
+    def test_lift_matches_scalar_backproject(self):
+        # every kept sample lands where backproject puts its pixel and depth
+        rng = np.random.default_rng(3)
+        k = _k()
+        t, poses = _random_tracklet(rng)
+        sampler = cuboid_box_sampler(k)
+        clouds = extract_clouds(t, poses, k, sampler)
+        for m, pose, cloud in zip(t.measurements, poses, clouds):
+            for (u, v, d), p in zip(sampler(m), cloud.points):
+                np.testing.assert_allclose(p, backproject(Pixel(u, v), d, pose, k), atol=1e-12)
+
     def test_sphere_surface_centroid(self):
         # sampler returning true surface points of a sphere: the cloud
         # centroid must sit near the visible (front) surface centroid
@@ -454,6 +533,98 @@ class TestExtractClouds:
         kept = len(clouds[0])
         assert kept > 1000  # most of the hemisphere fits the depth window
         assert np.linalg.norm(got - front_mean) < 0.05
+
+
+class TestStackedViews:
+    """The stacked proposal path against the one-view-at-a-time oracles:
+    the same bytes on random tracklets."""
+
+    def test_sampler_matches_meshgrid_oracle(self):
+        rng = np.random.default_rng(71)
+        for grid in [(5, 5, 3), (1, 1, 1), (2, 7, 4)]:
+            new = cuboid_box_sampler(_k(), grid)
+            old = meshgrid_box_sampler(_k(), grid)
+            for _ in range(20):
+                t, _ = _random_tracklet(rng)
+                for m in t.measurements:
+                    got, want = new(m), old(m)
+                    assert got.shape == want.shape == (int(np.prod(grid)), 3)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["grid", "ragged"])
+    def test_clouds_match_loop_oracle(self, ragged):
+        rng = np.random.default_rng(72 + ragged)
+        for _ in range(100):
+            t, poses = _random_tracklet(rng)
+            if ragged:
+                rows = _ragged_rows(t, rng)
+                new = old = lambda m: rows[m.frame_id]  # noqa: E731
+            else:
+                new, old = cuboid_box_sampler(_k()), meshgrid_box_sampler(_k())
+            got = extract_clouds(t, poses, _k(), new)
+            want = loop_extract_clouds(t, poses, _k(), old)
+            assert len(got) == len(want) == len(poses)
+            for g, w in zip(got, want):
+                assert g.points.shape == w.shape
+                assert g.points.tobytes() == w.tobytes()
+
+    def test_first_exhausted_frame_named(self):
+        rng = np.random.default_rng(75)
+        for _ in range(40):
+            t, poses = _random_tracklet(rng)
+            n = len(poses)
+            exhausted = {int(i) for i in rng.choice(n, int(rng.integers(1, n + 1)),
+                                                    replace=False)}
+            rows = _ragged_rows(t, rng, exhausted)
+            with pytest.raises(EmptyCloudError) as got:
+                extract_clouds(t, poses, _k(), lambda m: rows[m.frame_id])
+            with pytest.raises(EmptyCloudError) as want:
+                loop_extract_clouds(t, poses, _k(), lambda m: rows[m.frame_id])
+            assert str(got.value) == str(want.value)
+            assert f"frame {10 + min(exhausted)}" in str(got.value)
+
+    def test_triangulation_matches_loop_oracle(self):
+        rng = np.random.default_rng(76)
+        degenerate = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 9))
+            origins = rng.normal(0.0, 1.0, (n, 3)) * (1e3 if trial % 3 == 0 else 1.0)
+            if trial % 5 == 0:  # parallel rays: no intersection
+                dirs = np.tile(_unit(rng), (n, 1))
+            else:
+                dirs = np.stack([_unit(rng) for _ in range(n)])
+            got = triangulate_midpoint(origins, dirs)
+            want = loop_triangulate_midpoint(origins, dirs)
+            if want is None:
+                degenerate += 1
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert degenerate >= 50
+
+    def test_estimate_matches_loop_oracle(self):
+        rng = np.random.default_rng(77)
+        noise = PixelNoiseModel.isotropic(4.0)
+        walk = RandomWalkConfig(n_samples=300, seed=5)
+        walked = 0
+        for _ in range(80):
+            t, poses = _random_tracklet(rng)
+            want = _loop_estimate(t, poses, noise, walk)
+            try:
+                got = estimate_centroid(t, poses, _k(), noise, walk)
+            except BehindCameraError:
+                assert want is None
+                continue
+            if want is None:
+                assert got.low_confidence
+                continue
+            walked += 1
+            seed, point, ll = want
+            assert not got.low_confidence
+            assert got.seed_point.tobytes() == seed.tobytes()
+            assert got.point.tobytes() == point.tobytes()
+            assert got.log_likelihood == ll
+        assert walked >= 60
 
 
 class TestProposeCandidate:

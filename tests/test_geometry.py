@@ -33,7 +33,6 @@ from semmap.geometry import (
     Pose,
     Trajectory,
     backproject,
-    backproject_pixels,
     centroid,
     merge_clouds,
     quat_conjugate,
@@ -87,17 +86,6 @@ class TestBackprojection:
             px = pinhole_uv(p_world, pose, k)
             back = backproject(px, p_cam[2], pose, k)
             np.testing.assert_allclose(back, p_world, atol=1e-9)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        pose = _random_pose(rng)
-        k = _k()
-        uv = rng.uniform([0, 0], [640, 480], size=(50, 2))
-        depths = rng.uniform(0.5, 10.0, size=50)
-        batch = backproject_pixels(uv, depths, pose, k)
-        for i in range(50):
-            single = backproject(Pixel(*uv[i]), depths[i], pose, k)
-            np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
 class TestPose:

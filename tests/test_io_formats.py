@@ -5,6 +5,7 @@ import logging
 
 import numpy as np
 import pytest
+from oracles import json_dump_landmark_map
 
 from semmap.association import AssociationConfig, LandmarkMap
 from semmap.candidate import Candidate
@@ -231,6 +232,83 @@ class TestLandmarkMapDocument:
         write_landmark_map(path, _toy_map())
         back = parse_landmark_map(path)
         assert back._next_id == 8
+
+
+def _map_of(clouds, aliases=None, class_ids=None):
+    """LandmarkMap with one landmark per (N, 3) cloud, ids 0, 1, ..."""
+    from semmap.association import Landmark
+
+    lm_map = LandmarkMap()
+    for lid, pts in enumerate(clouds):
+        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+        lm_map.landmarks[lid] = Landmark(
+            id=lid, class_id=(class_ids or {}).get(lid, "cup"),
+            centroid=pts.mean(axis=0), cloud=PointCloud(pts), size=0.25 + lid,
+            last_association=1.5 * lid, n_fused=lid + 1, last_emission=0.5 * lid,
+        )
+    lm_map.aliases = dict(aliases or {})
+    return lm_map
+
+
+class TestLandmarkMapBytes:
+    """The streaming writer against json.dump (oracles.py): equal bytes,
+    and the parser reads the points back exactly."""
+
+    def _check(self, tmp_path, lm_map, extra=None):
+        got_path, want_path = tmp_path / "got.json", tmp_path / "want.json"
+        write_landmark_map(str(got_path), lm_map, extra)
+        json_dump_landmark_map(str(want_path), lm_map, extra)
+        assert got_path.read_bytes() == want_path.read_bytes()
+        back = parse_landmark_map(str(got_path))
+        assert sorted(back.landmarks) == sorted(lm_map.landmarks)
+        assert back.aliases == lm_map.aliases
+        for lid, lm in lm_map.landmarks.items():
+            got = back.landmarks[lid]
+            assert got.class_id == lm.class_id
+            assert got.cloud.points.tobytes() == lm.cloud.points.tobytes()
+            assert got.centroid.tobytes() == lm.centroid.tobytes()
+        return got_path.read_text(encoding="utf-8")
+
+    def test_empty_map(self, tmp_path):
+        assert self._check(tmp_path, LandmarkMap()) == (
+            '{\n  "aliases": {},\n  "landmarks": []\n}\n')
+        self._check(tmp_path, LandmarkMap(), extra={"config_hash": "abc"})
+
+    def test_aliases_empty_and_multi_digit(self, tmp_path):
+        clouds = [np.full((2, 3), float(i)) for i in range(3)]
+        self._check(tmp_path, _map_of(clouds))
+        text = self._check(tmp_path, _map_of(clouds, {10: 0, 2: 1, 31: 2, 3: 0}))
+        # keys sort as strings: "10" before "2"
+        assert text.index('"10"') < text.index('"2"') < text.index('"3"')
+
+    def test_extra_keys(self, tmp_path):
+        lm_map = _map_of([np.ones((3, 3))], {4: 0})
+        self._check(tmp_path, lm_map, extra=None)
+        self._check(tmp_path, lm_map, extra={})
+        self._check(tmp_path, lm_map, extra={
+            "config_hash": "0123abcd", "b": {"z": [1, [2.5, None]], "a": {}},
+            "zz": [], "landmarks_note": "x\ty", "cl\u00e9": 1})
+
+    def test_non_ascii_class_id(self, tmp_path):
+        lm_map = _map_of([np.ones((2, 3)), np.zeros((1, 3))],
+                         class_ids={0: "chaise_longue_\u00e9", 1: "\u6905\u5b50 \"q\""})
+        self._check(tmp_path, lm_map)
+
+    def test_float_spellings(self, tmp_path):
+        pts = np.array([
+            [-0.0, 0.0, 1e-300],
+            [1e22, -1e22, 1e16],
+            [1.0, 2.0, -3.0],
+            [5e-324, 0.1, 123456789.0],
+            [np.pi, -np.e, 1.7976931348623157e308],
+        ])
+        self._check(tmp_path, _map_of([pts, pts[::-1] * -1.0]))
+
+    def test_random_clouds(self, tmp_path):
+        rng = np.random.default_rng(17)
+        clouds = [rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (int(rng.integers(1, 60)), 3))
+                  for _ in range(8)]
+        self._check(tmp_path, _map_of(clouds, {9: 3, 12: 0}), {"config_hash": "f" * 16})
 
 
 class TestPly:
