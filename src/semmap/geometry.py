@@ -45,11 +45,6 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
     return np.vecdot(v, v)
 
 
-# numpy's vectorized arctan2 differs from the C library's in the last bit
-# on some inputs; rotations keep the C library's
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x: (3,) -> (3, 3), (n, 3) -> (n, 3, 3)."""
     v = np.asarray(v, dtype=float)
@@ -163,7 +158,12 @@ def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
     w, x, y, z = np.where(q[..., :1] < 0.0, -q, q).T  # keep the angle in [0, pi]
     sin_half = np.sqrt(x * x + y * y + z * z)
     small = sin_half < 1e-12
-    angle = 2.0 * np.asarray(_atan2(sin_half, w), dtype=float)
+    # numpy's vectorized arctan2 differs from the C library's in the last
+    # bit on some inputs; rotations keep the C library's
+    angle = 2.0 * np.fromiter(
+        map(math.atan2, sin_half.ravel().tolist(), w.ravel().tolist()),
+        float, sin_half.size,
+    ).reshape(sin_half.shape)
     scale = np.where(small, 2.0, angle / np.where(small, 1.0, sin_half))
     return np.ascontiguousarray((scale * np.array([x, y, z])).T)
 

@@ -50,7 +50,13 @@ from .io_formats import (
     write_registry,
     write_tum_trajectory,
 )
-from .posegraph import OptimizerConfig, PoseGraph, SolveReport, apply_correction
+from .posegraph import (
+    STOP_REASONS,
+    OptimizerConfig,
+    PoseGraph,
+    SolveReport,
+    apply_correction,
+)
 from .simulator import ground_truth_bundle
 from .tracker import IouTracker, TrackerConfig, filter_detections
 
@@ -81,13 +87,19 @@ class PipelineConfig:
     factors and should match the sensor; they are floored at 1e-4 so a
     zero value means "trust fully" rather than a singular information
     matrix.
+
+    The optimizer section stops a solve at a 1e-6 relative cost
+    decrease, where a standalone OptimizerConfig stops at 1e-9: the
+    pipeline re-solves a few frames later from the warm estimates, so
+    digits below that are redone anyway.
     """
 
     camera: CameraIntrinsics = field(default_factory=lambda: DEFAULT_CAMERA)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     association: AssociationConfig = field(default_factory=AssociationConfig)
     random_walk: RandomWalkConfig = field(default_factory=RandomWalkConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: OptimizerConfig = field(
+        default_factory=lambda: OptimizerConfig(min_rel_decrease=1e-6))
     pixel_noise_sigma: float = 4.0
     mad_threshold: float = 0.15
     optimize_every: int = 10
@@ -110,17 +122,19 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """Config from a (possibly partial) document: a section overrides
+        only the keys it names, on top of PipelineConfig()'s section."""
         scalars = {f.name for f in fields(cls) if f.name not in CONFIG_SECTIONS}
+        defaults = cls()
         kwargs = {}
         for key, value in doc.items():
             if key in CONFIG_SECTIONS:
-                klass = CONFIG_SECTIONS[key]
-                known = {f.name for f in fields(klass)}
+                known = {f.name for f in fields(CONFIG_SECTIONS[key])}
                 bad = set(value) - known
                 if bad:
                     raise ValueError(
                         f"unknown {key} config key {sorted(bad)[0]!r}")
-                kwargs[key] = klass(**value)
+                kwargs[key] = replace(getattr(defaults, key), **value)
             elif key in scalars:
                 kwargs[key] = value
             else:
@@ -376,6 +390,10 @@ def run_pipeline(frames, odometry: Trajectory,
     # linearization point and summed over the run's solves
     counts["deactivated_observations"] = sum(
         s.deactivated_observations for s in stage_b.solves)
+    # which stopping rule ended each solve
+    counts["solves_by_stop_reason"] = {
+        reason: sum(s.stop_reason == reason for s in stage_b.solves)
+        for reason in STOP_REASONS}
 
     corrected = Trajectory(
         odometry.stamps,

@@ -27,6 +27,7 @@ rejects it with a DataError unless the poses are held fixed.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ from .geometry import (
 
 _Z_EPS = 1e-9
 _IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
+_IDENTITY_R = quat_to_matrix(_IDENTITY)
 
 
 def _inv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
@@ -75,19 +77,26 @@ def _inv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
 # along the first axis
 # ----------------------------------------------------------------------
 
-def odometry_kernel(q_i, t_i, q_j, t_j, q_z, t_z) -> tuple[np.ndarray, np.ndarray]:
+def odometry_kernel(
+    q_i, t_i, q_j, t_j, q_z, t_z, rot_i=None, rz_t=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Residuals log(Z^-1 X_i^-1 X_j) (n, 6), split as [translation,
     rotation vector], and their Jacobians [J_i | J_j] (n, 6, 12) wrt
     right perturbations of X_i and X_j. Poses and measurements Z are
-    given as quaternions (n, 4) and translations (n, 3).
+    given as quaternions (n, 4) and translations (n, 3). A caller that
+    already holds quat_to_matrix(q_i) passes it as rot_i, and the
+    transposed quat_to_matrix(q_z) as rz_t.
 
     With Delta = X_i^-1 X_j and E = Z^-1 Delta:
       dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
       dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
       dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
     """
-    rz_t = np.swapaxes(quat_to_matrix(q_z), 1, 2)
-    td = np.einsum("nba,nb->na", quat_to_matrix(q_i), t_j - t_i)
+    if rz_t is None:
+        rz_t = np.swapaxes(quat_to_matrix(q_z), 1, 2)
+    if rot_i is None:
+        rot_i = quat_to_matrix(q_i)
+    td = np.einsum("nba,nb->na", rot_i, t_j - t_i)
     qd = quat_normalize(quat_mul(quat_conjugate(q_i), q_j))
     qe = quat_normalize(quat_mul(quat_conjugate(q_z), qd))
     phi = rotvec_from_quat(qe)
@@ -102,9 +111,10 @@ def odometry_kernel(q_i, t_i, q_j, t_j, q_z, t_z) -> tuple[np.ndarray, np.ndarra
     return r, jac
 
 
-def observation_kernel(q, t, landmarks, pixels, k: CameraIntrinsics):
+def observation_kernel(q, t, landmarks, pixels, k: CameraIntrinsics, rot=None):
     """Pixel residuals proj(X^-1 l) - z (n, 2), their Jacobians
     [J_pose | J_landmark] (n, 2, 9) and the mask of active observations.
+    A caller that already holds quat_to_matrix(q) passes it as rot.
 
     An observation whose landmark is behind the camera is deactivated:
     its mask entry is False and its residual and Jacobian are zero.
@@ -112,7 +122,8 @@ def observation_kernel(q, t, landmarks, pixels, k: CameraIntrinsics):
       dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
       dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
     """
-    rot = quat_to_matrix(q)
+    if rot is None:
+        rot = quat_to_matrix(q)
     p = np.einsum("nba,nb->na", rot, landmarks - t)
     active = p[:, 2] > _Z_EPS
     r = np.zeros((active.size, 2))
@@ -156,14 +167,17 @@ def _normal_entries(jac: np.ndarray, r: np.ndarray, w_info: np.ndarray):
     return half @ jac, (half @ r[:, :, None])[:, :, 0]
 
 
-def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray):
+def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray,
+             rot: np.ndarray | None = None):
     """State after a step: poses move on the right, pose * exp(delta),
     so the translation step is expressed in the pose frame; landmarks
-    move additively."""
+    move additively. rot is quat_to_matrix(q) when the caller has it."""
     base = 6 * q.shape[0]
     dp = delta[:base].reshape(-1, 6)
+    if rot is None:
+        rot = quat_to_matrix(q)
     q_new = quat_normalize(quat_mul(q, quat_from_rotvec(dp[:, 3:])))
-    t_new = t + np.einsum("nab,nb->na", quat_to_matrix(q), dp[:, :3])
+    t_new = t + np.einsum("nab,nb->na", rot, dp[:, :3])
     return q_new, t_new, lm + delta[base:].reshape(-1, 3)
 
 
@@ -202,6 +216,12 @@ class OptimizerConfig:
     huber_scale_px: float = 5.0
 
 
+# why a solve stopped: the gradient fell below gradient_tol, an accepted
+# step decreased the cost by at most min_rel_decrease relative, damping
+# reached lambda_max without an acceptable step, or max_iterations ran out
+STOP_REASONS = ("gradient", "rel_decrease", "stalled", "max_iterations")
+
+
 @dataclass
 class SolveReport:
     iterations: int
@@ -212,6 +232,7 @@ class SolveReport:
     cost_trace: list[float] = field(default_factory=list)
     # observations behind their camera at the final linearization point
     deactivated_observations: int = 0
+    stop_reason: str = "max_iterations"  # one of STOP_REASONS
 
 
 DEFAULT_PRIOR_INFORMATION = np.eye(6) * 1e8
@@ -319,12 +340,82 @@ class _ChainLayout:
         return solve_chain_schur(damped_band, border, damped_lm, g[:self.p], g[self.base:])
 
 
+def _unit_pose(q: np.ndarray, t: np.ndarray) -> Pose:
+    """A Pose holding q and t as given, without renormalizing q. q is a
+    row of quat_normalize's output, which is exactly what Pose stores
+    for the quaternion it normalized; normalizing again could move the
+    last bit."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "rotation", q)
+    object.__setattr__(pose, "translation", t)
+    return pose
+
+
+class PoseEstimates(Mapping):
+    """Pose estimates keyed by id, stored as growing quaternion (n, 4)
+    and translation (n, 3) arrays in insertion order.
+
+    Reading an id builds its Pose on first access and keeps it until the
+    solver rewrites the arrays; assigning a Pose stores its rows and
+    keeps that object, so reads return it unchanged.
+    """
+
+    def __init__(self):
+        self._row: dict[int, int] = {}
+        self._q = np.empty((64, 4))
+        self._t = np.empty((64, 3))
+        self._built: dict[int, Pose] = {}
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __contains__(self, pid) -> bool:
+        return pid in self._row
+
+    def __getitem__(self, pid) -> Pose:
+        pose = self._built.get(pid)
+        if pose is None:
+            i = self._row[pid]
+            pose = _unit_pose(self._q[i].copy(), self._t[i].copy())
+            self._built[pid] = pose
+        return pose
+
+    def __setitem__(self, pid, pose: Pose) -> None:
+        i = self._row.setdefault(pid, len(self._row))
+        if i == len(self._q):
+            self._q = np.concatenate([self._q, np.empty_like(self._q)])
+            self._t = np.concatenate([self._t, np.empty_like(self._t)])
+        self._q[i] = pose.rotation
+        self._t[i] = pose.translation
+        self._built[pid] = pose
+
+    def _rows(self, ids: list[int]) -> np.ndarray:
+        return np.fromiter(map(self._row.__getitem__, ids), int, len(ids))
+
+    def arrays(self, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Quaternions (n, 4) and translations (n, 3) of ids, in order."""
+        rows = self._rows(ids)
+        return self._q[rows], self._t[rows]
+
+    def store(self, ids: list[int], q: np.ndarray, t: np.ndarray) -> None:
+        """Overwrite the estimates of ids. One stacked quat_normalize
+        gives each row the bits Pose(q[i], t[i]) would hold."""
+        rows = self._rows(ids)
+        self._q[rows] = quat_normalize(q)
+        self._t[rows] = t
+        self._built.clear()
+
+
 class PoseGraph:
-    """Mutable graph; estimates live in public dicts keyed by id."""
+    """Mutable graph; pose estimates live in a PoseEstimates mapping and
+    landmark positions in a dict, both keyed by id."""
 
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
-        self.poses: dict[int, Pose] = {}
+        self.poses = PoseEstimates()
         self.landmarks: dict[int, np.ndarray] = {}
         self.prior: PriorFactor | None = None
         self.odometry: list[OdometryFactor] = []
@@ -339,7 +430,8 @@ class PoseGraph:
             raise ValueError("graph already has its gauge prior")
         info = DEFAULT_PRIOR_INFORMATION if information is None else np.asarray(information, float)
         self.prior = PriorFactor(pose_id, pose, info)
-        self.poses.setdefault(pose_id, pose)
+        if pose_id not in self.poses:
+            self.poses[pose_id] = pose
 
     def add_odometry(
         self, from_id: int, to_id: int, rel: Pose, information: np.ndarray | None = None
@@ -418,6 +510,7 @@ class PoseGraph:
         rel = [self.prior.pose] + [f.rel for f in odo]
         static["rel_q"] = np.stack([z.rotation for z in rel])
         static["rel_t"] = np.stack([z.translation for z in rel])
+        static["rel_rt"] = np.swapaxes(quat_to_matrix(static["rel_q"]), 1, 2)
         static["odo_info"] = np.array([f.information for f in odo]).reshape(-1, 6, 6)
         obs = self.observations
         static["obs_p"] = np.array([pose_pos[f.pose_id] for f in obs], dtype=int)
@@ -440,23 +533,26 @@ class PoseGraph:
     def _state_arrays(self, pose_ids: list[int], lm_ids: list[int]):
         """Estimates as arrays in node-position order: quaternions (n, 4),
         translations (n, 3) and landmark positions (m, 3)."""
-        q = np.stack([self.poses[pid].rotation for pid in pose_ids])
-        t = np.stack([self.poses[pid].translation for pid in pose_ids])
+        q, t = self.poses.arrays(pose_ids)
         lm = (
             np.stack([self.landmarks[lid] for lid in lm_ids])
             if lm_ids else np.zeros((0, 3))
         )
         return q, t, lm
 
-    def _linearize_arrays(self, q, t, lm, static, cfg: OptimizerConfig):
+    def _linearize_arrays(self, q, t, lm, static, cfg: OptimizerConfig, rot=None):
         """Hessian entries (aligned with static h_rows/h_cols), gradient,
         robust cost and the count of behind-camera observations, all at
-        the array-valued state."""
+        the array-valued state. rot is quat_to_matrix(q) when the caller
+        has it; both kernels read their pose rotations from it."""
+        if rot is None:
+            rot = quat_to_matrix(q)
         idx_i = static["odo_i"]
         r, jac = odometry_kernel(
             np.concatenate([_IDENTITY, q[idx_i]]),
             np.concatenate([np.zeros((1, 3)), t[idx_i]]),
             q[static["rel_j"]], t[static["rel_j"]], static["rel_q"], static["rel_t"],
+            rot_i=np.concatenate([_IDENTITY_R, rot[idx_i]]), rz_t=static["rel_rt"],
         )
         info = self.prior.information
         # the prior keeps only the J_j half: its X_i is the fixed identity
@@ -472,7 +568,8 @@ class PoseGraph:
         if static["obs_p"].size:
             idx_p = static["obs_p"]
             r, jac, active = observation_kernel(
-                q[idx_p], t[idx_p], lm[static["obs_l"]], static["obs_px"], self.intrinsics
+                q[idx_p], t[idx_p], lm[static["obs_l"]], static["obs_px"], self.intrinsics,
+                rot=rot[idx_p],
             )
             deactivated = int(np.count_nonzero(~active))
             info = static["obs_info"]
@@ -541,10 +638,11 @@ class PoseGraph:
         layout = _ChainLayout(static, fix_poses)
 
         q, t, lm = self._state_arrays(pose_ids, lm_ids)
+        rot = quat_to_matrix(q)
 
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
-        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, cfg)
+        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, cfg, rot)
         report.initial_cost = cost_now
         report.cost_trace.append(cost_now)
         report.deactivated_observations = deact
@@ -575,6 +673,7 @@ class PoseGraph:
             gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
             if gmax < cfg.gradient_tol:
                 report.converged = True
+                report.stop_reason = "gradient"
                 break
             accepted = False
             while lam <= cfg.lambda_max:
@@ -584,12 +683,13 @@ class PoseGraph:
                     continue
                 delta = np.zeros(dim)
                 delta[lo:] = solved
-                q_new, t_new, lm_new = _retract(q, t, lm, delta)
+                q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
+                rot_new = quat_to_matrix(q_new)
                 vals, g_new, cost_new, deact = self._linearize_arrays(
-                    q_new, t_new, lm_new, static, cfg
+                    q_new, t_new, lm_new, static, cfg, rot_new
                 )
                 if cost_new < cost_now:
-                    q, t, lm, g = q_new, t_new, lm_new, g_new
+                    q, t, lm, g, rot = q_new, t_new, lm_new, g_new, rot_new
                     system = layout.assemble(vals)
                     report.iterations += 1
                     report.lambda_trace.append(lam)
@@ -604,13 +704,15 @@ class PoseGraph:
                 # damping exhausted without an acceptable step: stalled
                 gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
                 report.converged = gmax < math.sqrt(cfg.gradient_tol)
+                report.stop_reason = "stalled"
                 break
             if abs(prev_cost - cost_now) <= cfg.min_rel_decrease * max(prev_cost, 1e-300):
                 report.converged = True
+                report.stop_reason = "rel_decrease"
                 break
         else:
             report.converged = False
-        self.poses = {pid: Pose(q[i], t[i]) for i, pid in enumerate(pose_ids)}
+        self.poses.store(pose_ids, q, t)
         self.landmarks = {lid: lm[i].copy() for i, lid in enumerate(lm_ids)}
         report.final_cost = cost_now
         return report

@@ -449,6 +449,12 @@ def observation_residual_jacobians(
     return r, j_pose, j_lm
 
 
+def rebuilt_poses(pose_ids, q, t):
+    """Solved estimates as one Pose per id, each normalizing its own
+    quaternion: the reference for the graph's stacked write-back."""
+    return {pid: Pose(q[i], t[i]) for i, pid in enumerate(pose_ids)}
+
+
 class _SparseLayout:
     """Normal equations of any graph as a sparse matrix, solved by sparse
     LU; the reference for the solver's banded chain step, with the same

@@ -147,6 +147,9 @@ def _quats(rng, n=200):
     q = rng.normal(size=(n, 4))
     q[::5, 0] = -np.abs(q[::5, 0])  # w < 0: rotvec_from_quat flips the sign
     q[1::7, 1:] *= 1e-13  # near the identity: the small-angle branch
+    # signed zeros: the identity, its negation (w < 0 flips every zero)
+    # and a half turn whose w = -0.0 is not flipped
+    q[2:5] = [[1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0], [-0.0, 0.0, -1.0, 0.0]]
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 

@@ -3,15 +3,19 @@ zero-noise exactness invariant, determinism across reruns,
 dynamic-object exclusion and drift reduction on small scenes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from oracles import rebuilt_poses
 
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
 from semmap import posegraph
 from semmap.pipeline import PipelineConfig, run_pipeline
+from semmap.posegraph import STOP_REASONS, OptimizerConfig
 from semmap.simulator import (
     FrameDetections,
     desk_preset,
@@ -30,11 +34,21 @@ def _small_desk(seed=0, **noise_overrides):
 
 class TestConfigRoundTrip:
     def test_dict_round_trip_preserves_every_field(self):
-        cfg = PipelineConfig(seed=7, optimize_every=3, mad_threshold=0.2,
-                             odometry_translation_sigma=0.001)
-        again = PipelineConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
-        assert again.hash() == cfg.hash()
+        for cfg in (PipelineConfig(),
+                    PipelineConfig(seed=7, optimize_every=3, mad_threshold=0.2,
+                                   odometry_translation_sigma=0.001)):
+            again = PipelineConfig.from_dict(cfg.to_dict())
+            assert again.to_dict() == cfg.to_dict()
+            assert again.hash() == cfg.hash()
+
+    def test_pipeline_solves_stop_earlier_than_standalone(self):
+        assert PipelineConfig().optimizer.min_rel_decrease == 1e-6
+        assert OptimizerConfig().min_rel_decrease == 1e-9
+
+    def test_partial_section_overrides_only_its_keys(self):
+        cfg = PipelineConfig.from_dict({"optimizer": {"max_iterations": 50}})
+        assert cfg.optimizer == replace(PipelineConfig().optimizer, max_iterations=50)
+        assert cfg.optimizer.min_rel_decrease == 1e-6
 
     def test_json_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(seed=3, pixel_noise_sigma=2.5)
@@ -186,9 +200,55 @@ class TestRunRecords:
         assert sum(s.iterations for s in solves) == \
             result.counts["optimize_iterations"]
         assert result.counts["deactivated_observations"] == len(solves)
+        assert result.counts["solves_by_stop_reason"] == {
+            reason: sum(s.stop_reason == reason for s in solves)
+            for reason in STOP_REASONS}
         # fusion inside associate and the post-solve merge pass are
         # separate stages
         assert len(result.timings["landmark_update"]) == \
             result.counts["proposals_accepted"]
         assert len(result.timings["landmark_merge"]) >= len(solves)
         assert "landmark_update_merge" not in result.timings
+
+    def test_solved_poses_match_per_pose_rebuild(self, monkeypatch):
+        # over a whole run some rows change their last bit when normalized
+        # again, so the stacked write-back must match Pose's own rounding
+        store = posegraph.PoseEstimates.store
+        checked = []
+
+        def checked_store(self, ids, q, t):
+            store(self, ids, q, t)
+            for pid, ref in rebuilt_poses(ids, q, t).items():
+                assert self[pid].rotation.tobytes() == ref.rotation.tobytes()
+                assert self[pid].translation.tobytes() == ref.translation.tobytes()
+            checked.append(len(ids))
+
+        monkeypatch.setattr(posegraph.PoseEstimates, "store", checked_store)
+        bundle = _small_desk(seed=1)
+        run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
+        assert len(checked) >= 2
+
+    def test_optimize_builds_no_pose(self, monkeypatch):
+        # the solver reads and writes the graph's pose arrays; Poses are
+        # built only where the pipeline reads graph.poses
+        optimize, post_init = posegraph.PoseGraph.optimize, Pose.__post_init__
+        inside = {"solving": False, "built": 0, "solves": 0}
+
+        def counted_optimize(self, *args, **kwargs):
+            inside["solving"] = True
+            try:
+                return optimize(self, *args, **kwargs)
+            finally:
+                inside["solving"] = False
+                inside["solves"] += 1
+
+        def counted_post_init(self):
+            inside["built"] += inside["solving"]
+            post_init(self)
+
+        monkeypatch.setattr(posegraph.PoseGraph, "optimize", counted_optimize)
+        monkeypatch.setattr(Pose, "__post_init__", counted_post_init)
+        bundle = _small_desk(seed=1)
+        run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
+        assert inside["solves"] >= 2
+        assert inside["built"] == 0

@@ -17,7 +17,13 @@ from oracles import (
 from semmap import posegraph
 from semmap.association import AssociationConfig, Landmark, LandmarkMap
 from semmap.errors import DataError, SingularSystemError, UnknownNodeError
-from semmap.geometry import CameraIntrinsics, PointCloud, Pose, quat_from_rotvec
+from semmap.geometry import (
+    CameraIntrinsics,
+    PointCloud,
+    Pose,
+    quat_from_rotvec,
+    quat_to_matrix,
+)
 from semmap.posegraph import (
     OptimizerConfig,
     PoseGraph,
@@ -332,6 +338,20 @@ class TestOptimize:
         with pytest.raises(SingularSystemError):
             g.optimize()
 
+    @pytest.mark.parametrize("perturb, outlier, cfg, reason", [
+        (0.0, False, OptimizerConfig(), "gradient"),
+        (0.05, True, OptimizerConfig(), "rel_decrease"),
+        (0.05, False, OptimizerConfig(lambda_init=1e13), "stalled"),
+        (0.05, False, OptimizerConfig(max_iterations=1), "max_iterations"),
+    ])
+    def test_stop_reason(self, perturb, outlier, cfg, reason):
+        g, _, _ = _build_consistent_graph(perturb_scale=perturb, seed=3)
+        if outlier:
+            # a far outlier pixel leaves a nonzero optimum, so the
+            # gradient never reaches gradient_tol
+            g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
+        assert g.optimize(cfg).stop_reason == reason
+
     def test_deterministic_repeat(self):
         g1, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=5)
         g2, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=5)
@@ -400,6 +420,44 @@ class TestGraphConstruction:
         g.merge_landmarks(7, 3)
         assert set(g.landmarks) == {3}
         np.testing.assert_allclose(g.landmarks[3], [0.02, 0.0, 2.0])
+
+
+class TestPoseEstimates:
+    """Pose estimates live in arrays; graph.poses reads them as Poses."""
+
+    def test_reads_keep_identity_until_the_next_solve(self):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=3)
+        moved = g.poses[2].retract(np.full(6, 1e-3))
+        g.poses[2] = moved
+        assert g.poses[2] is moved
+        assert g.poses[4] is g.poses[4]
+        g.optimize()
+        assert g.poses[2] is not moved
+        assert g.poses[2] is g.poses[2]
+
+    def test_insertion_order_does_not_change_the_solve(self):
+        # the same factors over poses stored in ascending and descending
+        # id order: the solver gathers rows by id
+        poses, landmarks = _circle_scene()
+        solved = []
+        for order in (range(len(poses)), range(len(poses) - 1, -1, -1)):
+            g = PoseGraph(K)
+            for pid in order:
+                g.poses[pid] = poses[pid].retract(np.full(6, 0.01 * pid))
+            g.add_prior(0, poses[0])
+            for i in range(1, len(poses)):
+                g.add_odometry(i - 1, i, poses[i - 1].inverse().compose(poses[i]))
+            for lid, point in enumerate(landmarks):
+                g.add_observation(1, lid, _pixel_of(poses[1], point), np.eye(2) / 16.0,
+                                  landmark_position=point)
+            assert list(g.poses) == list(order)
+            g.optimize()
+            solved.append(g)
+        for pid in range(len(poses)):
+            np.testing.assert_array_equal(solved[0].poses[pid].rotation,
+                                          solved[1].poses[pid].rotation)
+            np.testing.assert_array_equal(solved[0].poses[pid].translation,
+                                          solved[1].poses[pid].translation)
 
 
 class TestApplyCorrection:
@@ -491,6 +549,24 @@ class TestBatchedAssembly:
         # the sparse-LU reference assembles the same matrix
         h_sparse, _ = _SparseLayout(static, False).assemble(vals)
         np.testing.assert_allclose(h_sparse.toarray(), h_ref, rtol=1e-9, atol=1e-9)
+
+
+    def test_shared_rotations_match_kernels_computing_their_own(self, monkeypatch):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.4, seed=11)
+        g.add_observation(0, 50, np.array([11.0, 13.0]), np.eye(2) / 16.0,
+                          landmark_position=poses[0].translation * 1.5)
+        g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
+        static, state, *_ = _linearized(g)
+        cfg = OptimizerConfig()
+        shared = g._linearize_arrays(*state, static, cfg, quat_to_matrix(state[0]))
+        odometry, observation = posegraph.odometry_kernel, posegraph.observation_kernel
+        monkeypatch.setattr(posegraph, "odometry_kernel",
+                            lambda *args, rot_i=None, rz_t=None: odometry(*args))
+        monkeypatch.setattr(posegraph, "observation_kernel",
+                            lambda *args, rot=None: observation(*args))
+        own = g._linearize_arrays(*state, static, cfg)
+        for a, b in zip(shared, own):
+            np.testing.assert_array_equal(a, b)
 
 
 def _linearized(g, cfg=None):
