@@ -4,13 +4,18 @@
 Renders each scene of `mapbench/workloads.py` through `cmd_simulate`,
 maps it through `cmd_run` with the scene's config, and records the
 digest of `corrected_trajectory.txt`, `landmark_map.json` and
-`graph.g2o` (each embeds the config hash). A refactor that claims
-byte-identical outputs compares its digests with the parent's:
+`graph.g2o` (each embeds the config hash). Each `landmark_map.json`
+also gets a content digest under `<scene>/landmark_map.json#content`:
+the sha256 of the parsed document re-dumped with sorted keys, which
+stays the same when only the file's layout changes. A refactor that
+claims byte-identical outputs compares its digests with the parent's:
 
     python3 scripts/output_digests.py --out parent.json      # on the parent
     python3 scripts/output_digests.py --compare parent.json  # on the change
 
---compare prints the files whose digests differ and exits 1 if any do.
+--compare prints the files whose bytes differ and, separately, the
+maps whose content differs; it exits 1 if any bytes differ. A parent
+file without content digests gets only the byte comparison.
 """
 
 import argparse
@@ -26,6 +31,14 @@ sys.path.insert(0, str(ROOT / "mapbench"))
 
 from semmap.pipeline import DETERMINISTIC_RUN_OUTPUTS, cmd_run, cmd_simulate  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
+
+CONTENT = "#content"
+
+
+def content_digest(data: bytes) -> str:
+    """sha256 of a JSON document re-dumped with sorted keys."""
+    doc = json.loads(data)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def scene_digests(work: Path) -> dict[str, str]:
@@ -43,6 +56,8 @@ def scene_digests(work: Path) -> dict[str, str]:
             for name in DETERMINISTIC_RUN_OUTPUTS:
                 data = (base / "run" / name).read_bytes()
                 out[f"{scene.name}/{name}"] = hashlib.sha256(data).hexdigest()
+                if name == "landmark_map.json":
+                    out[f"{scene.name}/{name}{CONTENT}"] = content_digest(data)
             print(f"{scene.name}: done", file=sys.stderr)
     return out
 
@@ -61,12 +76,20 @@ def main(argv=None) -> int:
     if args.compare is None:
         return 0
     parent = json.loads(args.compare.read_text(encoding="utf-8"))
-    differ = sorted(k for k in parent.keys() | digests.keys()
-                    if parent.get(k) != digests.get(k))
+    keys = sorted(parent.keys() | digests.keys())
+    byte_keys = [k for k in keys if not k.endswith(CONTENT)]
+    has_content = any(k.endswith(CONTENT) for k in parent)
+    content_keys = [k for k in keys if k.endswith(CONTENT)] if has_content else []
+    differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
     for key in differ:
-        print(f"differs: {key}")
-    same = sum(parent.get(k) == v for k, v in digests.items())
-    print(f"{same}/{len(digests)} outputs byte-identical")
+        print(f"bytes differ: {key}")
+    content_differ = [k for k in content_keys if parent.get(k) != digests.get(k)]
+    for key in content_differ:
+        print(f"content differs: {key.removesuffix(CONTENT)}")
+    print(f"{len(byte_keys) - len(differ)}/{len(byte_keys)} outputs byte-identical")
+    if content_keys:
+        print(f"{len(content_keys) - len(content_differ)}/{len(content_keys)} "
+              "landmark maps content-identical")
     return 1 if differ else 0
 
 

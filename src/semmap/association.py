@@ -145,24 +145,31 @@ def voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
         edge *= 2.0
 
 
+def _thinned_union(a: np.ndarray, b: np.ndarray, size: float,
+                   cap: int) -> tuple[PointCloud, float]:
+    """The voxel-thinned union of two point sets, and `size` grown to the
+    union's largest axis extent (it never shrinks, so earlier growth is
+    kept even after thinning trimmed outlying points)."""
+    union = np.vstack([a, b])
+    extent = union.max(axis=0) - union.min(axis=0)
+    size = max(size, float(extent.max()))
+    return PointCloud(voxel_thin(union, cap, edge=size / 32.0)), size
+
+
 def fuse(lm: Landmark, cand: Candidate, now: float, cfg: AssociationConfig) -> Landmark:
     """Absorb a candidate into a landmark.
 
-    The centroid is the running mean weighted by n_fused, the cloud is
-    the thinned union, and the size never shrinks: it tracks the max
-    axis extent of the merged cloud but keeps earlier growth even after
-    thinning trimmed outlying points.
+    The centroid is the running mean weighted by n_fused; the cloud and
+    the size come from `_thinned_union`.
     """
     cand_cloud = merge_clouds(list(cand.clouds))
     new_centroid = (lm.n_fused * lm.centroid + cand.map_centroid) / (lm.n_fused + 1)
-    union = np.vstack([lm.cloud.points, cand_cloud.points])
-    extent = union.max(axis=0) - union.min(axis=0)
-    size = max(lm.size, float(extent.max()))
-    thinned = voxel_thin(union, cfg.cloud_cap, edge=size / 32.0)
+    cloud, size = _thinned_union(lm.cloud.points, cand_cloud.points, lm.size,
+                                 cfg.cloud_cap)
     return replace(
         lm,
         centroid=new_centroid,
-        cloud=PointCloud(thinned),
+        cloud=cloud,
         size=size,
         last_association=now,
         n_fused=lm.n_fused + 1,
@@ -245,28 +252,22 @@ class LandmarkMap:
         """
         t0 = time.perf_counter()
         gate = self.preselect(cand, now, cfg)
+        t1 = time.perf_counter()
+        if timings is not None:
+            timings["association_path1"] = timings.get("association_path1", 0.0) + (t1 - t0)
+        target = gate[0] if gate else None
         nn_dist: float | None = None
-        if len(gate) <= 1:
-            target = gate[0] if gate else None
-            t1 = time.perf_counter()
-            if timings is not None:
-                timings["association_path1"] = timings.get("association_path1", 0.0) + (t1 - t0)
-        else:
-            t1 = time.perf_counter()
+        if len(gate) > 1:
             cand_cloud = merge_clouds(list(cand.clouds))
-            best = None
-            best_d = math.inf
+            nn_dist = math.inf
             for lm in gate:  # gate is id-ordered, ties keep the lower id
                 d = nn_cloud_distance(cand_cloud, lm.cloud)
-                if d < best_d:
-                    best_d = d
-                    best = lm
-            target = best
-            nn_dist = best_d
-            t2 = time.perf_counter()
+                if d < nn_dist:
+                    nn_dist = d
+                    target = lm
             if timings is not None:
-                timings["association_path1"] = timings.get("association_path1", 0.0) + (t1 - t0)
-                timings["association_path2"] = timings.get("association_path2", 0.0) + (t2 - t1)
+                timings["association_path2"] = timings.get("association_path2", 0.0) + (
+                    time.perf_counter() - t1)
 
         t3 = time.perf_counter()
         if target is None:
@@ -350,14 +351,12 @@ class LandmarkMap:
     def _merge_pair(a: Landmark, b: Landmark, cfg: AssociationConfig) -> Landmark:
         total = a.n_fused + b.n_fused
         centroid = (a.n_fused * a.centroid + b.n_fused * b.centroid) / total
-        union = np.vstack([a.cloud.points, b.cloud.points])
-        extent = union.max(axis=0) - union.min(axis=0)
-        size = max(a.size, b.size, float(extent.max()))
-        thinned = voxel_thin(union, cfg.cloud_cap, edge=size / 32.0)
+        cloud, size = _thinned_union(a.cloud.points, b.cloud.points,
+                                     max(a.size, b.size), cfg.cloud_cap)
         return replace(
             a,
             centroid=centroid,
-            cloud=PointCloud(thinned),
+            cloud=cloud,
             size=size,
             last_association=max(a.last_association, b.last_association),
             n_fused=total,

@@ -20,13 +20,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, MappingError, NumericalError
-from .io_formats import parse_landmark_map, write_ply
+from .io_formats import parse_landmark_map, read_json, write_ply
 from .pipeline import CONFIG_SECTIONS, PipelineConfig, cmd_eval, cmd_run, cmd_simulate
 
 EXIT_OK = 0
@@ -62,22 +62,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = (PipelineConfig.from_json_file(args.config)
-           if args.config else PipelineConfig())
-    section_over: dict[str, dict] = {}
+    """The config file's document with the flags merged in, read by
+    PipelineConfig.from_dict once."""
+    doc = read_json(args.config) if args.config else {}
     for key, value in vars(args).items():
         if not key.startswith("cfg_") or value is None:
             continue
         name = key[4:]
         if "__" in name:
             section, sub = name.split("__", 1)
-            section_over.setdefault(section, {})[sub] = value
+            section_doc = doc.setdefault(section, {})
+            if isinstance(section_doc, dict):  # else from_dict rejects it
+                section_doc[sub] = value
         else:
-            cfg = replace(cfg, **{name: value})
-    for section, over in section_over.items():
-        cfg = replace(cfg, **{
-            section: replace(getattr(cfg, section), **over)})
-    return cfg
+            doc[name] = value
+    return PipelineConfig.from_dict(doc)
 
 
 def _cmd_simulate(args) -> int:

@@ -241,18 +241,12 @@ def timing_report(trace: dict[str, list[float]]) -> StageTimings:
     no_data flag.
     """
     stages: dict[str, StageStat] = {}
-    any_data = False
-    for name in STAGE_NAMES:
+    extra = [name for name in trace if name not in STAGE_NAMES]
+    for name in (*STAGE_NAMES, *extra):
         samples = trace.get(name, [])
         if samples:
-            any_data = True
             ms = np.asarray(samples, dtype=float) * 1e3
             stages[name] = StageStat(float(ms.mean()), float(ms.max()), len(ms))
-        else:
+        elif name in STAGE_NAMES:
             stages[name] = StageStat(0.0, 0.0, 0)
-    for name, samples in trace.items():
-        if name not in stages and samples:
-            any_data = True
-            ms = np.asarray(samples, dtype=float) * 1e3
-            stages[name] = StageStat(float(ms.mean()), float(ms.max()), len(ms))
-    return StageTimings(stages=stages, no_data=not any_data)
+    return StageTimings(stages=stages, no_data=not any(s.count for s in stages.values()))

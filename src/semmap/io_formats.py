@@ -4,7 +4,9 @@ configs.
 
 Every writer prints floats with fixed formatting so identical inputs
 produce byte-identical files; every parser reports the offending line
-number on malformed input.
+number on malformed input. JSON files are read and written only by
+read_json and write_json; a malformed JSON document raises
+ConfigParseError.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from typing import Iterable
 
 import numpy as np
@@ -183,6 +186,63 @@ def parse_detection_log(path: str) -> list[FrameDetections]:
 
 
 # ----------------------------------------------------------------------
+# JSON documents: every JSON file goes through read_json and write_json
+# ----------------------------------------------------------------------
+
+def read_json(path) -> dict:
+    """Decode a JSON file whose top level must be an object.
+
+    Decode errors and any other top-level value raise ConfigParseError,
+    with the line and column where the decoder gives them.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigParseError(f"col {exc.colno}: {exc.msg}", line=exc.lineno) from exc
+    return _expect(doc, dict, "the top level of a JSON document")
+
+
+def write_json(path, doc: dict, indent: int | None = None) -> None:
+    """Write `doc` with sorted keys and a trailing newline; indent=None
+    gives the compact one-line layout."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+_KIND_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+# what a well-formed JSON document with a wrong field raises on the way
+# into the package's types (an integer too large for a float overflows)
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, ArithmeticError)
+
+
+def _expect(value, kind: type, what: str):
+    """`value` when it has the JSON type `kind`, else ConfigParseError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigParseError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r:.40}")
+    return value
+
+
+def _vec3(value, what: str) -> tuple:
+    """Three finite JSON numbers, kept as given."""
+    if not (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+        raise ConfigParseError(f"{what} must be 3 finite numbers, got {value!r:.40}")
+    return tuple(value)
+
+
+def _scene_object(o) -> SceneObject:
+    o = _expect(o, dict, "an object record")
+    return SceneObject(
+        class_id=_expect(o["class_id"], str, "class_id"),
+        center=_vec3(o["center"], "center"),
+        extent=_vec3(o["extent"], "extent"),
+        velocity=_vec3(o.get("velocity", [0.0, 0.0, 0.0]), "velocity"),
+    )
+
+
+# ----------------------------------------------------------------------
 # object registry (JSON)
 # ----------------------------------------------------------------------
 
@@ -202,29 +262,14 @@ def write_registry(path: str, registry: Iterable[SceneObject],
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=2)
 
 
 def parse_registry(path: str) -> tuple[SceneObject, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(
-                f"col {exc.colno}: {exc.msg}", line=exc.lineno
-            ) from exc
+    doc = read_json(path)
     try:
-        return tuple(
-            SceneObject(
-                class_id=o["class_id"], center=tuple(o["center"]),
-                extent=tuple(o["extent"]),
-                velocity=tuple(o.get("velocity", (0.0, 0.0, 0.0))),
-            )
-            for o in doc["objects"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return tuple(_scene_object(o) for o in _expect(doc["objects"], list, "objects"))
+    except _FIELD_ERRORS as exc:
         raise ConfigParseError(f"bad registry document: {exc}") from exc
 
 
@@ -232,102 +277,55 @@ def parse_registry(path: str) -> tuple[SceneObject, ...]:
 # landmark map document (JSON)
 # ----------------------------------------------------------------------
 
-# a landmark entry as json.dump(indent=2, sort_keys=True) lays it out at
-# its depth in the document; the point rows are filled in separately
-_LANDMARK_ENTRY = """{
-      "centroid": %s,
-      "class_id": %s,
-      "id": %s,
-      "last_association": %s,
-      "last_emission": %s,
-      "n_fused": %s,
-      "points": %s,
-      "size": %s
-    }"""
-_POINT_ROW = "[\n          %r,\n          %r,\n          %r\n        ]"
-_STREAMED = object()
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """Already encoded items as an indent=2 JSON array closing at `pad`."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
-def _landmark_json(lm: Landmark) -> str:
-    dumps = json.dumps
-    points = lm.cloud.points
-    # PointCloud points are finite, and json prints a finite float with
-    # float.__repr__, which is what %r gives; one template fills all rows
-    rows = ",\n        ".join([_POINT_ROW] * len(points)) % tuple(points.ravel().tolist())
-    return _LANDMARK_ENTRY % (
-        _json_array([dumps(float(x)) for x in lm.centroid], " " * 6),
-        dumps(lm.class_id),
-        dumps(lm.id),
-        dumps(float(lm.last_association)),
-        dumps(float(lm.last_emission)),
-        dumps(lm.n_fused),
-        _json_array([rows] if len(points) else [], " " * 6),
-        dumps(float(lm.size)),
-    )
-
-
 def write_landmark_map(path: str, lm_map: LandmarkMap,
                        extra: dict | None = None) -> None:
-    """Write the map document; `extra` adds top-level string keys.
-
-    The bytes equal json.dump(doc, fh, indent=2, sort_keys=True) plus a
-    newline. Landmarks are encoded and written one at a time, without
-    json's pure-Python indenting encoder; every other value goes through
-    json.dumps.
-    """
-    top = {
-        "landmarks": _STREAMED,
+    """Write the map document on one line; `extra` adds top-level keys."""
+    doc = {
+        "landmarks": [
+            {
+                "id": lm.id,
+                "class_id": lm.class_id,
+                "centroid": lm.centroid.tolist(),
+                "size": float(lm.size),
+                "n_fused": lm.n_fused,
+                "last_association": float(lm.last_association),
+                "last_emission": float(lm.last_emission),
+                "points": lm.cloud.points.tolist(),
+            }
+            for lm in lm_map.ordered()
+        ],
         "aliases": {str(k): v for k, v in sorted(lm_map.aliases.items())},
     }
     if extra:
-        top.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, key in enumerate(sorted(top)):
-            fh.write(("{" if i == 0 else ",") + "\n  " + json.dumps(key) + ": ")
-            if top[key] is _STREAMED:
-                sep = "["
-                for lm in lm_map.ordered():
-                    fh.write(sep + "\n    " + _landmark_json(lm))
-                    sep = ","
-                fh.write("[]" if sep == "[" else "\n  ]")
-            else:
-                text = json.dumps(top[key], indent=2, sort_keys=True)
-                fh.write(text.replace("\n", "\n  "))
-        fh.write("\n}\n")
+        doc.update(extra)
+    write_json(path, doc)
+
+
+def _landmark(rec) -> Landmark:
+    rec = _expect(rec, dict, "a landmark record")
+    return Landmark(
+        id=_expect(rec["id"], int, "id"),
+        class_id=_expect(rec["class_id"], str, "class_id"),
+        centroid=np.array(_vec3(rec["centroid"], "centroid"), dtype=float),
+        cloud=PointCloud(np.array(rec["points"], dtype=float).reshape(-1, 3)),
+        size=float(rec["size"]),
+        last_association=float(rec["last_association"]),
+        n_fused=_expect(rec["n_fused"], int, "n_fused"),
+        last_emission=float(rec.get("last_emission", rec["last_association"])),
+    )
 
 
 def parse_landmark_map(path: str) -> LandmarkMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(
-                f"col {exc.colno}: {exc.msg}", line=exc.lineno
-            ) from exc
+    doc = read_json(path)
     lm_map = LandmarkMap()
     try:
-        for rec in doc["landmarks"]:
-            lm = Landmark(
-                id=int(rec["id"]), class_id=rec["class_id"],
-                centroid=np.array(rec["centroid"], dtype=float),
-                cloud=PointCloud(np.array(rec["points"], dtype=float).reshape(-1, 3)),
-                size=float(rec["size"]),
-                last_association=float(rec["last_association"]),
-                n_fused=int(rec["n_fused"]),
-                last_emission=float(
-                    rec.get("last_emission", rec["last_association"])),
-            )
+        for rec in _expect(doc["landmarks"], list, "landmarks"):
+            lm = _landmark(rec)
             lm_map.landmarks[lm.id] = lm
-        lm_map.aliases = {int(k): int(v) for k, v in doc.get("aliases", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        aliases = _expect(doc.get("aliases", {}), dict, "aliases")
+        lm_map.aliases = {int(k): _expect(v, int, "an alias target")
+                          for k, v in aliases.items()}
+    except _FIELD_ERRORS as exc:
         raise ConfigParseError(f"bad landmark map document: {exc}") from exc
     ids = list(lm_map.landmarks) + list(lm_map.aliases)
     lm_map._next_id = max(ids, default=-1) + 1
@@ -421,55 +419,46 @@ def parse_scenario_config(path: str) -> tuple[WorldSpec, SensorNoiseSpec]:
     Preset form: {"preset": "desk", "seed": 3, "noise": {...overrides}}
     plus optional preset arguments (duration, frame_rate). Explicit
     form: {"world": {objects, path, camera, duration, frame_rate},
-    "noise": {...}}.
+    "noise": {...}}. The seed, wherever it is given, must be a
+    non-negative integer.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    doc = read_json(path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"col {exc.colno}: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(doc, dict):
-        raise ConfigParseError("scenario config must be a JSON object")
-
-    try:
-        if "preset" in doc:
-            name = doc["preset"]
-            if name not in PRESETS:
-                raise ConfigParseError(
-                    f"unknown preset {name!r}; available: {sorted(PRESETS)}"
-                )
-            kwargs = {k: v for k, v in doc.items() if k not in ("preset", "noise")}
-            overrides = doc.get("noise", {})
-            return PRESETS[name](**kwargs, **overrides)
-        if "world" not in doc:
-            raise ConfigParseError("config needs either 'preset' or 'world'")
-        w = doc["world"]
-        world = WorldSpec(
-            objects=tuple(
-                SceneObject(
-                    class_id=o["class_id"], center=tuple(o["center"]),
-                    extent=tuple(o["extent"]),
-                    velocity=tuple(o.get("velocity", (0.0, 0.0, 0.0))),
-                )
-                for o in w["objects"]
-            ),
-            path=CameraPathSpec(
-                waypoints=tuple(tuple(p) for p in w["path"]["waypoints"]),
-                target=tuple(w["path"]["target"]),
-                speed=float(w["path"]["speed"]),
-                closed=bool(w["path"].get("closed", False)),
-            ),
-            camera=CameraIntrinsics(**w["camera"]),
-            duration=float(w["duration"]),
-            frame_rate=float(w["frame_rate"]),
-        )
-        noise = SensorNoiseSpec(**{
-            k: tuple(v) if isinstance(v, list) else v
-            for k, v in doc.get("noise", {}).items()
-        })
-        return world, noise
-    except ConfigParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        world, noise = _scenario(doc)
+    except _FIELD_ERRORS as exc:
         raise ConfigParseError(f"bad scenario config: {exc}") from exc
+    if _expect(noise.seed, int, "seed") < 0:
+        raise ConfigParseError(f"seed must be non-negative, got {noise.seed}")
+    return world, noise
+
+
+def _scenario(doc: dict) -> tuple[WorldSpec, SensorNoiseSpec]:
+    if "preset" in doc:
+        name = doc["preset"]
+        if name not in PRESETS:
+            raise ConfigParseError(
+                f"unknown preset {name!r}; available: {sorted(PRESETS)}"
+            )
+        kwargs = {k: v for k, v in doc.items() if k not in ("preset", "noise")}
+        overrides = doc.get("noise", {})
+        return PRESETS[name](**kwargs, **overrides)
+    if "world" not in doc:
+        raise ConfigParseError("config needs either 'preset' or 'world'")
+    w = doc["world"]
+    world = WorldSpec(
+        objects=tuple(_scene_object(o) for o in w["objects"]),
+        path=CameraPathSpec(
+            waypoints=tuple(_vec3(p, "waypoint") for p in w["path"]["waypoints"]),
+            target=_vec3(w["path"]["target"], "target"),
+            speed=float(w["path"]["speed"]),
+            closed=bool(w["path"].get("closed", False)),
+        ),
+        camera=CameraIntrinsics(**w["camera"]),
+        duration=float(w["duration"]),
+        frame_rate=float(w["frame_rate"]),
+    )
+    noise = SensorNoiseSpec(**{
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in doc.get("noise", {}).items()
+    })
+    return world, noise

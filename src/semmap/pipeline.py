@@ -14,6 +14,7 @@ optimizer pulls them together, and the overlap merge collapses them.
 """
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -44,8 +45,10 @@ from .io_formats import (
     parse_registry,
     parse_scenario_config,
     parse_tum_trajectory,
+    read_json,
     write_detection_log,
     write_g2o,
+    write_json,
     write_landmark_map,
     write_registry,
     write_tum_trajectory,
@@ -57,11 +60,8 @@ from .posegraph import (
     SolveReport,
     apply_correction,
 )
-from .simulator import ground_truth_bundle
+from .simulator import DEFAULT_CAMERA, ground_truth_bundle
 from .tracker import IouTracker, TrackerConfig, filter_detections
-
-DEFAULT_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
-                                  width=640, height=480)
 
 # information matrices blow up as sigma -> 0; the floor keeps a
 # zero-noise configuration solvable while still pinning poses hard
@@ -82,11 +82,11 @@ class PipelineConfig:
     """Every tunable of one mapping run.
 
     seed replaces random_walk.seed at run time so a single knob drives
-    the only stochastic stage; the nested field stays for standalone
-    use of the walk. The odometry sigmas weight the relative-motion
-    factors and should match the sensor; they are floored at 1e-4 so a
-    zero value means "trust fully" rather than a singular information
-    matrix.
+    the only stochastic stage; the nested field must keep its default
+    (it stays for standalone use of the walk). The odometry sigmas
+    weight the relative-motion factors and should match the sensor;
+    they are floored at 1e-4 so a zero value means "trust fully" rather
+    than a singular information matrix.
 
     The optimizer section stops a solve at a 1e-6 relative cost
     decrease, where a standalone OptimizerConfig stops at 1e-9: the
@@ -94,7 +94,7 @@ class PipelineConfig:
     digits below that are redone anyway.
     """
 
-    camera: CameraIntrinsics = field(default_factory=lambda: DEFAULT_CAMERA)
+    camera: CameraIntrinsics = DEFAULT_CAMERA
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     association: AssociationConfig = field(default_factory=AssociationConfig)
     random_walk: RandomWalkConfig = field(default_factory=RandomWalkConfig)
@@ -116,6 +116,9 @@ class PipelineConfig:
             raise ValueError("optimize_every must be at least 1")
         if self.odometry_translation_sigma < 0 or self.odometry_rotation_sigma < 0:
             raise ValueError("odometry sigmas must be non-negative")
+        if self.random_walk.seed != RandomWalkConfig.seed:
+            raise ValueError("random_walk.seed is replaced by seed at run time; "
+                             "set seed instead")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -123,22 +126,20 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """Config from a (possibly partial) document: a section overrides
-        only the keys it names, on top of PipelineConfig()'s section."""
-        scalars = {f.name for f in fields(cls) if f.name not in CONFIG_SECTIONS}
+        only the keys it names, on top of PipelineConfig()'s section.
+        Every value must have its field's type (a float field takes any
+        finite number); anything else raises ValueError."""
         defaults = cls()
         kwargs = {}
         for key, value in doc.items():
             if key in CONFIG_SECTIONS:
-                known = {f.name for f in fields(CONFIG_SECTIONS[key])}
-                bad = set(value) - known
-                if bad:
-                    raise ValueError(
-                        f"unknown {key} config key {sorted(bad)[0]!r}")
-                kwargs[key] = replace(getattr(defaults, key), **value)
-            elif key in scalars:
-                kwargs[key] = value
+                if not isinstance(value, dict):
+                    raise ValueError(f"config section {key!r} must be an object")
+                section = getattr(defaults, key)
+                kwargs[key] = replace(section, **{
+                    sub: _typed(section, sub, v, f"{key} ") for sub, v in value.items()})
             else:
-                raise ValueError(f"unknown config key {key!r}")
+                kwargs[key] = _typed(defaults, key, value)
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
@@ -150,11 +151,32 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
 
 # PipelineConfig's nested sections, each a dataclass: field name -> type
 CONFIG_SECTIONS = {f.name: f.type for f in fields(PipelineConfig) if is_dataclass(f.type)}
+
+
+def _typed(defaults, key: str, value, section: str = ""):
+    """`value` for the field `key` of the dataclass instance `defaults`,
+    when it has the type of that field's default (a float field takes
+    any finite number)."""
+    if key not in {f.name for f in fields(defaults)}:
+        raise ValueError(f"unknown {section}config key {key!r}")
+    default = getattr(defaults, key)
+    if isinstance(default, float):
+        # an int may stand for a float, if a float can hold it
+        kind = "finite number"
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    else:
+        kind = type(default).__name__
+        ok = type(value) is type(default)
+    if not ok:
+        raise ValueError(f"{section}config key {key!r} must be a {kind}, "
+                         f"got {value!r:.40}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,15 +217,7 @@ class RunManifest:
     counts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
-            "deterministic_outputs": list(self.deterministic_outputs),
-            "timing_trace": self.timing_trace,
-            "counts": dict(self.counts),
-        }
+        return asdict(self)
 
 
 class _StageB:
@@ -473,9 +487,7 @@ def cmd_run(detections_path, odometry_path, out_dir,
             for name, stat in sorted(stats.stages.items())
         },
     }
-    (out / "timings.json").write_text(
-        json.dumps(timing_doc, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(out / "timings.json", timing_doc, indent=2)
 
     manifest = RunManifest(
         config_hash=run_hash,
@@ -487,9 +499,7 @@ def cmd_run(detections_path, odometry_path, out_dir,
         timing_trace=str(out / "timings.json"),
         counts=result.counts,
     )
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(out / "run_manifest.json", manifest.to_dict(), indent=2)
     return manifest
 
 
@@ -534,7 +544,7 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
             "dynamic_matches": len(score.dynamic_matches),
             "empty_map": score.empty_map,
         }
-        doc = json.loads(Path(map_path).read_text(encoding="utf-8"))
+        doc = read_json(map_path)
         if "config_hash" in doc:
             report["config_hash"] = doc["config_hash"]
     else:
@@ -542,8 +552,7 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
             "skipped": "need both --map and --registry to score landmarks"}
 
     if timings_path is not None and Path(timings_path).exists():
-        report["timing"] = json.loads(
-            Path(timings_path).read_text(encoding="utf-8"))
+        report["timing"] = read_json(timings_path)
     else:
         report["timing"] = {"no_data": True}
 
@@ -560,6 +569,5 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
             fh.write(f"{float(est.stamps[i]):.10f},"
                      f"{p[0]:.6f},{p[1]:.6f},{p[2]:.6f},"
                      f"{q[0]:.6f},{q[1]:.6f},{q[2]:.6f},{err:.6f}\n")
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "report.json", report, indent=2)
     return report

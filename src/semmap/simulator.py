@@ -121,10 +121,10 @@ class WorldSpec:
     frame_rate: float
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if self.frame_rate <= 0.0:
-            raise ValueError("frame_rate must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if not 0.0 < self.frame_rate < math.inf:
+            raise ValueError("frame_rate must be positive and finite")
         if not self.objects:
             raise ValueError("world needs at least one object")
 
@@ -364,7 +364,9 @@ def ground_truth_bundle(
 # presets
 # ----------------------------------------------------------------------
 
-_VGA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+# the camera of every preset, and PipelineConfig's default camera
+DEFAULT_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
+                                  width=640, height=480)
 
 # a long workbench: objects spread to +-0.95 m so that a tight orbit
 # sweeps them in and out of the field of view. The visibility gaps let
@@ -409,7 +411,7 @@ def desk_preset(
             waypoints=_orbit(radius, 1.45), target=(0.0, 0.0, 0.85),
             speed=speed, closed=True,
         ),
-        camera=_VGA, duration=duration, frame_rate=frame_rate,
+        camera=DEFAULT_CAMERA, duration=duration, frame_rate=frame_rate,
     )
     defaults = dict(
         box_center_sigma=1.0, box_size_sigma=1.0, false_positive_rate=0.05,
@@ -442,7 +444,7 @@ def walking_preset(seed: int = 0, **noise_overrides) -> tuple[WorldSpec, SensorN
             waypoints=((-1.0, -6.0, 1.5), (1.0, -6.0, 1.5)),
             target=(0.0, 2.0, 0.9), speed=2.0 / 30.0,
         ),
-        camera=_VGA, duration=30.0, frame_rate=4.0,
+        camera=DEFAULT_CAMERA, duration=30.0, frame_rate=4.0,
     )
     defaults = dict(
         box_center_sigma=1.0, box_size_sigma=1.0, false_positive_rate=0.05,

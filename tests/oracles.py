@@ -269,8 +269,9 @@ def loop_box_center_rays(centers_px, poses, k):
 
 
 def json_dump_landmark_map(path, lm_map, extra=None):
-    """The landmark map document through json.dump: the reference for the
-    package's streaming writer, which must write the same bytes."""
+    """The landmark map document through json.dump, compact and with
+    sorted keys: the reference for the package's writer, which must
+    write the same bytes."""
     doc = {
         "landmarks": [
             {
@@ -290,7 +291,7 @@ def json_dump_landmark_map(path, lm_map, extra=None):
     if extra:
         doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 

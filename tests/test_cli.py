@@ -156,6 +156,84 @@ class TestExport:
         assert len(per) == manifest["counts"]["landmarks"]
 
 
+class TestMalformedJson:
+    """A malformed JSON document exits 2 with an error line, never a
+    traceback."""
+
+    @staticmethod
+    def _doc(tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _exits_2(argv, capsys, names):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and names in err
+
+    def _export(self, tmp_path, capsys, text, names):
+        self._exits_2(["export", "--map", self._doc(tmp_path, text),
+                       "--out-dir", str(tmp_path / "ply")], capsys, names)
+
+    def _run(self, tmp_path, capsys, names, *flags):
+        # the config is read before the (absent) inputs
+        self._exits_2(["run", "--detections", str(tmp_path / "absent.txt"),
+                       "--odometry", str(tmp_path / "absent.txt"),
+                       "--out-dir", str(tmp_path / "run"), *flags], capsys, names)
+
+    def test_export_aliases_not_an_object(self, tmp_path, capsys):
+        self._export(tmp_path, capsys, '{"landmarks": [], "aliases": [1, 2]}', "aliases")
+
+    def test_export_landmark_id_overflows(self, tmp_path, capsys):
+        lm = ('{"id": 1e400, "class_id": "cup", "centroid": [0, 0, 0], '
+              '"points": [], "size": 1, "last_association": 0, "n_fused": 1}')
+        self._export(tmp_path, capsys, '{"landmarks": [%s]}' % lm, "id")
+
+    def test_export_alias_target_overflows(self, tmp_path, capsys):
+        self._export(tmp_path, capsys, '{"landmarks": [], "aliases": {"3": 1e400}}',
+                     "alias target")
+
+    def test_run_config_not_an_object(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, "top level", "--config", self._doc(tmp_path, "[1]"))
+
+    def test_run_config_section_not_an_object(self, tmp_path, capsys):
+        config = self._doc(tmp_path, '{"tracker": 5}')
+        self._run(tmp_path, capsys, "tracker", "--config", config)
+        # a flag into the same section does not get past it either
+        self._run(tmp_path, capsys, "tracker", "--config", config,
+                  "--tracker-max-gap", "0.4")
+
+    def test_run_random_walk_seed_rejected(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, "random_walk.seed", "--random-walk-seed", "5")
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"preset": "desk", "seed": 1e400}', "seed"),
+        ('{"preset": "desk", "duration": 1e400}', "duration")])
+    def test_simulate_bad_preset_value(self, tmp_path, capsys, text, names):
+        self._exits_2(["simulate", self._doc(tmp_path, text),
+                       "--out-dir", str(tmp_path / "sim")], capsys, names)
+
+
+class TestConfigFlags:
+    def test_file_and_flag_keys_of_one_section_both_kept(self, tmp_path):
+        from semmap.cli import _config_from_args, build_parser
+        from semmap.pipeline import PipelineConfig
+        from semmap.tracker import TrackerConfig
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"tracker": {"iou_threshold": 0.35}, "seed": 4}',
+                            encoding="utf-8")
+        args = build_parser().parse_args([
+            "run", "--detections", "d", "--odometry", "o", "--out-dir", "x",
+            "--config", str(cfg_path), "--tracker-max-gap", "0.75"])
+        cfg = _config_from_args(args)
+        direct = PipelineConfig(
+            seed=4, tracker=TrackerConfig(iou_threshold=0.35, max_gap=0.75))
+        assert cfg == direct
+        assert cfg.hash() == direct.hash()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -251,7 +251,7 @@ def _map_of(clouds, aliases=None, class_ids=None):
 
 
 class TestLandmarkMapBytes:
-    """The streaming writer against json.dump (oracles.py): equal bytes,
+    """The writer against json.dump (oracles.py): equal bytes,
     and the parser reads the points back exactly."""
 
     def _check(self, tmp_path, lm_map, extra=None):
@@ -271,7 +271,7 @@ class TestLandmarkMapBytes:
 
     def test_empty_map(self, tmp_path):
         assert self._check(tmp_path, LandmarkMap()) == (
-            '{\n  "aliases": {},\n  "landmarks": []\n}\n')
+            '{"aliases": {}, "landmarks": []}\n')
         self._check(tmp_path, LandmarkMap(), extra={"config_hash": "abc"})
 
     def test_aliases_empty_and_multi_digit(self, tmp_path):

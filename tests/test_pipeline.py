@@ -14,6 +14,7 @@ from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
 from semmap import posegraph
+from semmap.candidate import RandomWalkConfig
 from semmap.pipeline import PipelineConfig, run_pipeline
 from semmap.posegraph import STOP_REASONS, OptimizerConfig
 from semmap.simulator import (
@@ -68,6 +69,29 @@ class TestConfigRoundTrip:
         doc["tracker"]["iou_treshold"] = 0.3
         with pytest.raises(ValueError, match="iou_treshold"):
             PipelineConfig.from_dict(doc)
+
+    def test_random_walk_seed_must_keep_its_default(self):
+        with pytest.raises(ValueError, match="seed"):
+            PipelineConfig.from_dict({"random_walk": {"seed": 5}})
+        with pytest.raises(ValueError, match="seed"):
+            PipelineConfig(random_walk=RandomWalkConfig(seed=1))
+        same = PipelineConfig.from_dict({"random_walk": {"seed": 0}})
+        assert same.hash() == PipelineConfig().hash()
+
+    @pytest.mark.parametrize("doc", [
+        {"tracker": 5}, {"tracker": [1]}, {"pixel_noise_sigma": "4"},
+        {"optimize_every": 2.0}, {"seed": True}, {"camera": {"width": 640.0}},
+        {"association": {"cloud_cap": None}}, {"odometry_translation_sigma": 10**400},
+        {"mad_threshold": float("nan")}, {"tracker": {"max_gap": float("inf")}}])
+    def test_value_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict(doc)
+
+    def test_hash_pinned(self):
+        # the hashes in the run outputs of these configs stay as they were
+        assert PipelineConfig().hash() == "352ffb70756a688f"
+        assert PipelineConfig.from_dict({"seed": 3, "odometry_translation_sigma": 0.002}
+                                        ).hash() == "43db65c5ac42605a"
 
     def test_hash_tracks_content(self):
         assert PipelineConfig().hash() == PipelineConfig().hash()
