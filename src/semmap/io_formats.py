@@ -145,7 +145,8 @@ def write_detection_log(
 
 
 def parse_detection_log(path: str) -> list[FrameDetections]:
-    """Groups records by frame id; frames come back in time order."""
+    """Groups records by frame id; frames come back in time order. All
+    records of one frame id must carry the same timestamp."""
     by_frame: dict[int, list[Measurement]] = {}
     stamps: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -175,8 +176,12 @@ def parse_detection_log(path: str) -> list[FrameDetections]:
                 )
             except ValueError as exc:
                 raise MalformedLineError(str(exc), line=line_no) from exc
+            if stamps.setdefault(frame_id, stamp) != stamp:
+                raise MalformedLineError(
+                    f"frame {frame_id} has timestamp {tokens[0]}, but its earlier "
+                    f"records have {stamps[frame_id]!r}", line=line_no
+                )
             by_frame.setdefault(frame_id, []).append(meas)
-            stamps[frame_id] = stamp
     frames = [
         FrameDetections(frame_id=fid, timestamp=stamps[fid],
                         detections=tuple(by_frame[fid]))

@@ -14,6 +14,7 @@ optimizer pulls them together, and the overlap merge collapses them.
 """
 
 import json
+import logging
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -62,6 +63,8 @@ from .posegraph import (
 )
 from .simulator import DEFAULT_CAMERA, ground_truth_bundle
 from .tracker import IouTracker, TrackerConfig, filter_detections
+
+logger = logging.getLogger("semmap")
 
 # information matrices blow up as sigma -> 0; the floor keeps a
 # zero-noise configuration solvable while still pinning poses hard
@@ -235,6 +238,7 @@ class _StageB:
             "observations_emitted": 0,
             "optimize_calls": 0,
             "optimize_iterations": 0,
+            "optimize_steps": 0,
             "merges": 0,
         }
         self.solves: list[SolveReport] = []
@@ -312,6 +316,13 @@ class _StageB:
             self.solves.append(report)
             self.counts["optimize_calls"] += 1
             self.counts["optimize_iterations"] += report.iterations
+            self.counts["optimize_steps"] += report.steps
+            logger.debug(
+                "solve: %d poses, %d landmarks, %d observations, %d iterations, "
+                "%d steps, stop %s, cost %.6g -> %.6g",
+                len(self.graph.poses), len(self.graph.landmarks),
+                len(self.graph.observations), report.iterations, report.steps,
+                report.stop_reason, report.initial_cost, report.final_cost)
             self._solved_observations = len(self.graph.observations)
             apply_correction(self.graph, self.map)
         t2 = perf_counter()
@@ -320,6 +331,7 @@ class _StageB:
             self.graph.merge_landmarks(old_id, kept_id)
         self.timings["landmark_merge"].append(perf_counter() - t2)
         self.counts["merges"] += len(merges)
+        logger.debug("merge pass: %d merges", len(merges))
 
     def finish(self) -> None:
         if self.graph.observations:

@@ -47,6 +47,8 @@ from .geometry import (
 )
 
 _Z_EPS = 1e-9
+# tau of the small_step stopping rule (see optimize)
+_STEP_TOL = 1e-10
 _IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
 _IDENTITY_R = quat_to_matrix(_IDENTITY)
 
@@ -217,9 +219,12 @@ class OptimizerConfig:
 
 
 # why a solve stopped: the gradient fell below gradient_tol, an accepted
-# step decreased the cost by at most min_rel_decrease relative, damping
-# reached lambda_max without an acceptable step, or max_iterations ran out
-STOP_REASONS = ("gradient", "rel_decrease", "stalled", "max_iterations")
+# step decreased the cost by at most min_rel_decrease relative, a damped
+# step was no longer than _STEP_TOL relative to the free state (Madsen,
+# Nielsen & Tingleff, "Methods for Non-Linear Least Squares Problems",
+# 2004, section 3.2), damping reached lambda_max without an acceptable
+# step, or max_iterations ran out
+STOP_REASONS = ("gradient", "rel_decrease", "small_step", "stalled", "max_iterations")
 
 
 @dataclass
@@ -233,6 +238,8 @@ class SolveReport:
     # observations behind their camera at the final linearization point
     deactivated_observations: int = 0
     stop_reason: str = "max_iterations"  # one of STOP_REASONS
+    # damped steps tried, accepted and rejected: one factorization each
+    steps: int = 0
 
 
 DEFAULT_PRIOR_INFORMATION = np.eye(6) * 1e8
@@ -604,7 +611,25 @@ class PoseGraph:
 
         Accepted steps strictly decrease the cost; the report carries
         the accepted damping values and the cost after each accepted
-        step.
+        step. The solve stops (report.stop_reason, one of STOP_REASONS)
+        at the first of:
+
+        * gradient: the largest free gradient entry is below
+          cfg.gradient_tol;
+        * rel_decrease: an accepted step lowered the cost by at most
+          cfg.min_rel_decrease relative;
+        * small_step: a damped step delta, before it is tried, satisfies
+          |delta| <= tau (|x| + tau) with tau = 1e-10, where x is the
+          free state (the poses' translations and the landmark
+          positions; the landmarks alone with fix_poses). This is the
+          step-size test of Madsen, Nielsen & Tingleff, "Methods for
+          Non-Linear Least Squares Problems" (2004), section 3.2
+          (MINPACK's xtol). At the rounding floor the cost only
+          fluctuates, and without it damping would climb to
+          cfg.lambda_max one rejected step at a time;
+        * stalled: damping exceeded cfg.lambda_max without an acceptable
+          step;
+        * max_iterations: cfg.max_iterations steps were accepted.
 
         fix_poses treats every pose as a hard constraint and solves
         only for landmark positions. This is the exact limit of
@@ -675,12 +700,18 @@ class PoseGraph:
                 report.converged = True
                 report.stop_reason = "gradient"
                 break
-            accepted = False
+            # the small_step test's scale: |x| of the free state
+            x_norm = math.hypot(np.linalg.norm(lm), 0.0 if fix_poses else np.linalg.norm(t))
+            accepted = small = False
             while lam <= cfg.lambda_max:
                 solved = layout.step(system, g, lam)
+                report.steps += 1
                 if solved is None or not np.all(np.isfinite(solved)):
                     lam *= cfg.lambda_up
                     continue
+                if np.linalg.norm(solved) <= _STEP_TOL * (x_norm + _STEP_TOL):
+                    small = True
+                    break
                 delta = np.zeros(dim)
                 delta[lo:] = solved
                 q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
@@ -700,6 +731,10 @@ class PoseGraph:
                     prev_cost, cost_now = cost_now, cost_new
                     break
                 lam *= cfg.lambda_up
+            if small:
+                report.converged = True
+                report.stop_reason = "small_step"
+                break
             if not accepted:
                 # damping exhausted without an acceptable step: stalled
                 gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0

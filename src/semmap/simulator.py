@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,13 @@ class SensorNoiseSpec:
         for name in ("false_positive_rate", "missed_detection_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("odom_translation_bias", "odom_rotation_bias"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list, np.ndarray)) and len(value) == 3
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                            and abs(v) < math.inf for v in value)):
+                raise ValueError(
+                    f"{name} must be three finite real numbers, got {value!r:.40}")
 
 
 @dataclass(frozen=True)

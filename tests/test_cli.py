@@ -88,6 +88,22 @@ class TestRun:
         expected = PipelineConfig(seed=11, optimize_every=7).hash()
         assert manifest["config_hash"] == expected
 
+    def test_frame_with_two_stamps_exits_2(self, workspace, tmp_path, capsys):
+        # one frame id whose records disagree on the timestamp is named by
+        # its line, not left for the tracker to trip over
+        lines = (workspace / "sim" / "detections.txt").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        stamp, rest = lines[first].split(" ", 1)
+        lines.insert(first + 1, f"{float(stamp) + 1.5:.10f} {rest}")
+        bad = tmp_path / "detections.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["run", "--detections", str(bad),
+                     "--odometry", str(workspace / "sim" / "odometry.txt"),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {first + 2}:" in err and "timestamp" in err
+
     def test_missing_input_exits_2(self, workspace, tmp_path, capsys):
         code = main(["run", "--detections", str(tmp_path / "absent.txt"),
                      "--odometry",
@@ -209,7 +225,11 @@ class TestMalformedJson:
 
     @pytest.mark.parametrize("text, names", [
         ('{"preset": "desk", "seed": 1e400}', "seed"),
-        ('{"preset": "desk", "duration": 1e400}', "duration")])
+        ('{"preset": "desk", "duration": 1e400}', "duration"),
+        ('{"preset": "desk", "duration": 2.0, '
+         '"noise": {"odom_rotation_bias": ["a", "b", "c"]}}', "odom_rotation_bias"),
+        ('{"preset": "desk", "duration": 2.0, '
+         '"noise": {"odom_translation_bias": [0.1, 0.2]}}', "odom_translation_bias")])
     def test_simulate_bad_preset_value(self, tmp_path, capsys, text, names):
         self._exits_2(["simulate", self._doc(tmp_path, text),
                        "--out-dir", str(tmp_path / "sim")], capsys, names)

@@ -3,6 +3,8 @@ zero-noise exactness invariant, determinism across reruns,
 dynamic-object exclusion and drift reduction on small scenes."""
 
 import json
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,13 @@ from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
 from semmap import posegraph
 from semmap.candidate import RandomWalkConfig
-from semmap.pipeline import PipelineConfig, run_pipeline
+from semmap.pipeline import (
+    DETERMINISTIC_RUN_OUTPUTS,
+    PipelineConfig,
+    cmd_run,
+    cmd_simulate,
+    run_pipeline,
+)
 from semmap.posegraph import STOP_REASONS, OptimizerConfig
 from semmap.simulator import (
     FrameDetections,
@@ -227,6 +235,9 @@ class TestRunRecords:
         assert result.counts["solves_by_stop_reason"] == {
             reason: sum(s.stop_reason == reason for s in solves)
             for reason in STOP_REASONS}
+        # every accepted step is one of the damped steps tried
+        assert all(s.steps >= s.iterations for s in solves)
+        assert sum(s.steps for s in solves) == result.counts["optimize_steps"]
         # fusion inside associate and the post-solve merge pass are
         # separate stages
         assert len(result.timings["landmark_update"]) == \
@@ -276,3 +287,47 @@ class TestRunRecords:
         run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
         assert inside["solves"] >= 2
         assert inside["built"] == 0
+
+
+class TestDebugLog:
+    def test_one_line_per_solve_and_outputs_unchanged(self, tmp_path, caplog,
+                                                      monkeypatch):
+        reports = []
+        optimize = posegraph.PoseGraph.optimize
+
+        def recorded(self, *args, **kwargs):
+            reports.append(optimize(self, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(posegraph.PoseGraph, "optimize", recorded)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"preset": "desk", "seed": 1, "duration": 12.0, "frame_rate": 10.0,
+             "laps": 1.5}), encoding="utf-8")
+        sim = tmp_path / "sim"
+        cmd_simulate(scenario, sim)
+        outputs, lines, counts = {}, {}, {}
+        for level in (logging.WARNING, logging.DEBUG):
+            reports.clear()
+            caplog.clear()
+            caplog.set_level(level, logger="semmap")
+            out = tmp_path / logging.getLevelName(level)
+            manifest = cmd_run(sim / "detections.txt", sim / "odometry.txt", out,
+                               PipelineConfig(seed=1))
+            outputs[level] = {name: (out / name).read_bytes()
+                              for name in DETERMINISTIC_RUN_OUTPUTS}
+            lines[level] = [r.getMessage() for r in caplog.records
+                            if r.name == "semmap" and r.levelno == logging.DEBUG]
+            counts[level] = manifest.counts
+        assert outputs[logging.DEBUG] == outputs[logging.WARNING]
+        assert lines[logging.WARNING] == []
+        solve_lines = [m for m in lines[logging.DEBUG] if m.startswith("solve:")]
+        assert len(solve_lines) == len(reports) == counts[logging.DEBUG]["optimize_calls"]
+        assert len(reports) >= 2
+        for line, report in zip(solve_lines, reports):
+            assert f" {report.iterations} iterations, {report.steps} steps, " \
+                f"stop {report.stop_reason}," in line
+        merge_passes = [int(re.fullmatch(r"merge pass: (\d+) merges", m).group(1))
+                        for m in lines[logging.DEBUG] if m.startswith("merge pass:")]
+        assert len(merge_passes) >= len(reports)
+        assert sum(merge_passes) == counts[logging.DEBUG]["merges"]

@@ -21,6 +21,7 @@ from semmap.geometry import (
     CameraIntrinsics,
     PointCloud,
     Pose,
+    quat_from_matrix,
     quat_from_rotvec,
     quat_to_matrix,
 )
@@ -196,6 +197,17 @@ class TestObservationJacobians:
         np.testing.assert_allclose(r, np.zeros((2, 2)), atol=1e-12)
 
 
+def _look_at(center, target):
+    """Camera at center looking at target, image x horizontal."""
+    forward = np.asarray(target, float) - center
+    forward /= np.linalg.norm(forward)
+    right = np.cross(forward, [0.0, 0.0, 1.0])
+    right /= np.linalg.norm(right)
+    down = np.cross(forward, right)
+    return Pose(rotation=quat_from_matrix(np.column_stack([right, down, forward])),
+                translation=center)
+
+
 def _circle_scene(n_poses=10, n_landmarks=6, radius=3.0):
     """Poses on a circle looking inward, landmarks near the center."""
     rng = np.random.default_rng(42)
@@ -203,15 +215,7 @@ def _circle_scene(n_poses=10, n_landmarks=6, radius=3.0):
     for i in range(n_poses):
         a = 2.0 * math.pi * i / n_poses
         center = np.array([radius * math.cos(a), radius * math.sin(a), 0.0])
-        forward = -center / np.linalg.norm(center)
-        up = np.array([0.0, 0.0, 1.0])
-        right = np.cross(forward, up)
-        right /= np.linalg.norm(right)
-        down = np.cross(forward, right)
-        rot = np.column_stack([right, down, forward])
-        from semmap.geometry import quat_from_matrix
-
-        poses.append(Pose(rotation=quat_from_matrix(rot), translation=center))
+        poses.append(_look_at(center, np.zeros(3)))
     landmarks = rng.uniform(-0.8, 0.8, size=(n_landmarks, 3))
     return poses, landmarks
 
@@ -240,6 +244,24 @@ def _build_consistent_graph(perturb_scale=0.0, seed=0):
         for lid in g.landmarks:
             g.landmarks[lid] = g.landmarks[lid] + rng.normal(scale=perturb_scale, size=3)
     return g, poses, landmarks
+
+
+def _composed_chain_with_one_observation(n_poses=40):
+    """The walking preset's camera path and odometry sigmas: the chain
+    is initialized by composing its own odometry, and one landmark sits
+    0.5 m off the point its pixel was taken from."""
+    target = (0.0, 2.0, 0.9)
+    path = [_look_at(np.array([-1.0 + i / 60.0, -6.0, 1.5]), target) for i in range(n_poses)]
+    info = np.diag([1.0 / 0.002**2] * 3 + [1.0 / math.radians(0.05)**2] * 3)
+    g = PoseGraph(K)
+    g.add_prior(0, path[0])
+    for i in range(1, n_poses):
+        g.add_odometry(i - 1, i, path[i - 1].inverse().compose(path[i]), info)
+    point = np.array([1.4, 2.2, 0.9])
+    last = n_poses - 1
+    g.add_observation(last, 0, _pixel_of(g.poses[last], point), np.eye(2) / 16.0,
+                      landmark_position=point + np.array([0.5, -0.5, 0.25]))
+    return g
 
 
 class TestOptimize:
@@ -343,6 +365,7 @@ class TestOptimize:
         (0.05, True, OptimizerConfig(), "rel_decrease"),
         (0.05, False, OptimizerConfig(lambda_init=1e13), "stalled"),
         (0.05, False, OptimizerConfig(max_iterations=1), "max_iterations"),
+        (0.05, False, OptimizerConfig(), "small_step"),
     ])
     def test_stop_reason(self, perturb, outlier, cfg, reason):
         g, _, _ = _build_consistent_graph(perturb_scale=perturb, seed=3)
@@ -351,6 +374,29 @@ class TestOptimize:
             # gradient never reaches gradient_tol
             g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
         assert g.optimize(cfg).stop_reason == reason
+
+    def test_noise_floor_ends_by_step_size_not_damping(self):
+        # the walking scene's pattern: a chain composed exactly from its
+        # odometry, far from the origin, plus one observation of a
+        # landmark initialized off its pixel. The cost falls to rounding
+        # noise, where the relative-decrease test never fires; without
+        # the step-size test damping climbs to lambda_max
+        g = _composed_chain_with_one_observation()
+        report = g.optimize()
+        assert report.final_cost < 1e-12
+        assert report.converged
+        assert report.stop_reason == "small_step"
+        assert report.steps <= 10
+        assert report.iterations < report.steps
+
+    def test_step_size_rule_ends_a_fixed_pose_solve(self):
+        # with the gradient test off only the step-size rule can end the
+        # landmark-only solve short of lambda_max
+        g = _composed_chain_with_one_observation()
+        report = g.optimize(OptimizerConfig(gradient_tol=0.0), fix_poses=True)
+        assert report.final_cost < 1e-12
+        assert report.stop_reason == "small_step"
+        assert report.steps <= 10
 
     def test_deterministic_repeat(self):
         g1, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=5)
