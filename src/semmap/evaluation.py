@@ -1,6 +1,6 @@
-"""Trajectory and map scoring: rigid alignment, absolute trajectory
-error, landmark precision/recall against the simulated registry, and
-per-stage timing aggregation."""
+"""Trajectory and map scoring: rigid alignment (translation-only on a
+straight path), absolute trajectory error, landmark precision/recall
+against the simulated registry, and per-stage timing aggregation."""
 
 from __future__ import annotations
 
@@ -97,17 +97,26 @@ def align_umeyama(est_positions: np.ndarray, gt_positions: np.ndarray) -> Pose:
 
 @dataclass(frozen=True)
 class AlignedError:
-    """Rigid alignment of an estimate onto ground truth plus the
-    per-matched-frame translational errors it leaves."""
+    """Alignment of an estimate onto ground truth plus the
+    per-matched-frame translational errors it leaves. alignment is
+    "rigid" (align_umeyama) or "translation" (the rotation was not
+    determined)."""
 
     transform: Pose
     per_frame_errors: tuple[float, ...]
     rmse: float
     dropped: int = 0
+    alignment: str = "rigid"
 
 
 def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> AlignedError:
-    """Absolute trajectory error after timestamp matching + alignment."""
+    """Absolute trajectory error after timestamp matching + alignment.
+
+    The alignment is rigid. When the matched ground-truth positions are
+    collinear (a straight camera path), the rotation about that line is
+    not determined, so the estimate is only shifted by the difference
+    of the two centroids, its rotation left as it is.
+    """
     pairs, dropped = match_timestamps(est, gt, window)
     if len(pairs) < 3:
         raise TimestampMismatchError(
@@ -115,7 +124,11 @@ def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> Align
         )
     p = np.array([e.translation for e, _ in pairs])
     q = np.array([g.translation for _, g in pairs])
-    s = align_umeyama(p, q)
+    try:
+        s, alignment = align_umeyama(p, q), "rigid"
+    except DegenerateConfigurationError:  # collinear: there are >= 3 pairs
+        s = Pose(Pose.identity().rotation, q.mean(axis=0) - p.mean(axis=0))
+        alignment = "translation"
     residual = ((s.rotation_matrix() @ p.T).T + s.translation) - q
     errors = np.linalg.norm(residual, axis=1)
     return AlignedError(
@@ -123,6 +136,7 @@ def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> Align
         per_frame_errors=tuple(float(e) for e in errors),
         rmse=float(np.sqrt(np.mean(errors**2))),
         dropped=dropped,
+        alignment=alignment,
     )
 
 

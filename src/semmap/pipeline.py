@@ -478,6 +478,12 @@ def cmd_run(detections_path, odometry_path, out_dir,
     frames = parse_detection_log(detections_path)
     odometry = parse_tum_trajectory(odometry_path)
     result = run_pipeline(frames, odometry, cfg)
+    counts = result.counts
+    logger.info(
+        "run: %d frames, %d landmarks, %d solves (%s), %d steps, optimize %.3f s",
+        counts["frames"], counts["landmarks"], counts["optimize_calls"],
+        ", ".join(f"{reason} {n}" for reason, n in counts["solves_by_stop_reason"].items()),
+        counts["optimize_steps"], sum(result.timings["optimize"]))
     run_hash = cfg.hash()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -521,25 +527,16 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
     """Score a run against ground truth.
 
     Reports ATE RMSE (plus improvement over a baseline trajectory when
-    given), landmark precision/recall when both map and registry are
-    available, and the timing summary when a trace is available. Writes
-    report.json and aligned_trajectory.csv into out_dir.
+    given) and which alignment it used ("rigid", or "translation" on a
+    straight path; see evaluate_ate), landmark precision/recall when
+    both map and registry are available, and the timing summary when a
+    trace is available. The landmark score and the timing summary do
+    not depend on the alignment. Writes report.json and
+    aligned_trajectory.csv into out_dir.
     """
     est = parse_tum_trajectory(est_path)
     gt = parse_tum_trajectory(gt_path)
-    ate = evaluate_ate(est, gt, window=window)
-    report: dict = {
-        "ate_rmse": ate.rmse,
-        "matched_frames": len(ate.per_frame_errors),
-        "dropped_frames": ate.dropped,
-    }
-
-    if baseline_path is not None:
-        baseline = parse_tum_trajectory(baseline_path)
-        base = evaluate_ate(baseline, gt, window=window)
-        report["baseline_ate_rmse"] = base.rmse
-        report["improvement_percent"] = (
-            100.0 * (1.0 - ate.rmse / base.rmse) if base.rmse > 0 else None)
+    report: dict = {}
 
     if map_path is not None and registry_path is not None:
         lm_map = parse_landmark_map(map_path)
@@ -567,6 +564,18 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
         report["timing"] = read_json(timings_path)
     else:
         report["timing"] = {"no_data": True}
+
+    ate = evaluate_ate(est, gt, window=window)
+    report["ate_rmse"] = ate.rmse
+    report["alignment"] = ate.alignment
+    report["matched_frames"] = len(ate.per_frame_errors)
+    report["dropped_frames"] = ate.dropped
+    if baseline_path is not None:
+        baseline = parse_tum_trajectory(baseline_path)
+        base = evaluate_ate(baseline, gt, window=window)
+        report["baseline_ate_rmse"] = base.rmse
+        report["improvement_percent"] = (
+            100.0 * (1.0 - ate.rmse / base.rmse) if base.rmse > 0 else None)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,11 @@ pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
   odometry residual from the identity to X
 * odometry between neighbouring frames, residual
   log(Z^-1 X_i^-1 X_j) split as [translation, rotation vector]
-* pixel observations of landmarks, residual proj(X^-1 l) - z with a
-  Huber kernel; observations whose landmark sits behind the camera at
-  the linearization point are deactivated for that iteration
+* pixel observations of landmarks, residual proj(X^-1 l) - z;
+  observations whose landmark sits behind the camera at the
+  linearization point are deactivated for that iteration
+
+Every factor costs r^T W r: the cost is plain least squares.
 
 The pipeline adds odometry only between consecutive frames and keeps a
 handful of landmarks, so the normal equations are an arrowhead: a
@@ -161,12 +163,14 @@ def _entry_indices(blocks: list[tuple[np.ndarray, int]]):
     return rows.ravel(), cols.ravel(), dofs.ravel()
 
 
-def _normal_entries(jac: np.ndarray, r: np.ndarray, w_info: np.ndarray):
+def _normal_entries(jac: np.ndarray, r: np.ndarray, info: np.ndarray):
     """Hessian J^T W J (n, D, D) and gradient J^T W r (n, D) of each
-    factor from its stacked Jacobian (n, res, D), residual (n, res) and
-    weighted information (n, res, res)."""
-    half = np.swapaxes(jac, 1, 2) @ w_info
-    return half @ jac, (half @ r[:, :, None])[:, :, 0]
+    factor, and the group's cost sum r^T W r, from the stacked
+    Jacobians (n, res, D), residuals (n, res) and information (n, res,
+    res)."""
+    half = np.swapaxes(jac, 1, 2) @ info
+    return (half @ jac, (half @ r[:, :, None])[:, :, 0],
+            float(np.einsum("ni,nij,nj->", r, info, r)))
 
 
 def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray,
@@ -215,7 +219,6 @@ class OptimizerConfig:
     lambda_up: float = 10.0
     lambda_down: float = 0.3
     lambda_max: float = 1e12
-    huber_scale_px: float = 5.0
 
 
 # why a solve stopped: the gradient fell below gradient_tol, an accepted
@@ -525,7 +528,6 @@ class PoseGraph:
         if obs:
             static["obs_px"] = np.stack([f.pixel for f in obs])
             static["obs_info"] = np.stack([f.information for f in obs])
-            static["obs_k"] = np.sqrt(static["obs_info"][:, 0, 0])
         groups = [
             [(np.array([6 * static["prior_pos"]]), 6)],
             [(6 * static["odo_i"], 6), (6 * static["odo_j"], 6)],
@@ -547,10 +549,10 @@ class PoseGraph:
         )
         return q, t, lm
 
-    def _linearize_arrays(self, q, t, lm, static, cfg: OptimizerConfig, rot=None):
+    def _linearize_arrays(self, q, t, lm, static, rot=None):
         """Hessian entries (aligned with static h_rows/h_cols), gradient,
-        robust cost and the count of behind-camera observations, all at
-        the array-valued state. rot is quat_to_matrix(q) when the caller
+        cost and the count of behind-camera observations, all at the
+        array-valued state. rot is quat_to_matrix(q) when the caller
         has it; both kernels read their pose rotations from it."""
         if rot is None:
             rot = quat_to_matrix(q)
@@ -561,17 +563,12 @@ class PoseGraph:
             q[static["rel_j"]], t[static["rel_j"]], static["rel_q"], static["rel_t"],
             rot_i=np.concatenate([_IDENTITY_R, rot[idx_i]]), rz_t=static["rel_rt"],
         )
-        info = self.prior.information
-        # the prior keeps only the J_j half: its X_i is the fixed identity
-        h_prior, g_prior = _normal_entries(jac[:1, :, 6:], r[:1], info[None])
-        total_cost = float(r[0] @ info @ r[0])
-        r, jac, info = r[1:], jac[1:], static["odo_info"]
-        h_odo, g_odo = _normal_entries(jac, r, info)
-        total_cost += float(np.einsum("ni,nij,nj->", r, info, r))
-        h_parts = [h_prior, h_odo]
-        g_parts = [g_prior, g_odo]
+        parts = [
+            # the prior keeps only the J_j half: its X_i is the fixed identity
+            _normal_entries(jac[:1, :, 6:], r[:1], self.prior.information[None]),
+            _normal_entries(jac[1:], r[1:], static["odo_info"]),
+        ]
         deactivated = 0
-
         if static["obs_p"].size:
             idx_p = static["obs_p"]
             r, jac, active = observation_kernel(
@@ -579,26 +576,16 @@ class PoseGraph:
                 rot=rot[idx_p],
             )
             deactivated = int(np.count_nonzero(~active))
-            info = static["obs_info"]
-            chi2 = np.maximum(np.einsum("ni,nij,nj->n", r, info, r), 0.0)
-            chi = np.sqrt(chi2)
-            hk = cfg.huber_scale_px * static["obs_k"]
-            inlier = chi <= hk
-            w = np.where(inlier, 1.0, hk / np.maximum(chi, 1e-300))
-            total_cost += float(
-                np.sum(np.where(inlier, chi2, 2.0 * hk * chi - hk * hk)[active])
-            )
-            # a deactivated observation keeps its slots with zero values
-            h, g = _normal_entries(jac, r, info * w[:, None, None])
-            h_parts.append(h)
-            g_parts.append(g)
+            # a deactivated observation has a zero residual and Jacobian:
+            # it keeps its slots with zero values and costs nothing
+            parts.append(_normal_entries(jac, r, static["obs_info"]))
 
+        h_parts, g_parts, costs = zip(*parts)
         grad = np.bincount(
             static["g_dofs"], np.concatenate([x.ravel() for x in g_parts]),
             minlength=static["dim"],
         )
-        return (np.concatenate([x.ravel() for x in h_parts]), grad, total_cost,
-                deactivated)
+        return np.concatenate([x.ravel() for x in h_parts]), grad, sum(costs), deactivated
 
     # ------------------------------------------------------------------
     # solve
@@ -667,7 +654,7 @@ class PoseGraph:
 
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
-        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, cfg, rot)
+        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, rot)
         report.initial_cost = cost_now
         report.cost_trace.append(cost_now)
         report.deactivated_observations = deact
@@ -717,7 +704,7 @@ class PoseGraph:
                 q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
                 rot_new = quat_to_matrix(q_new)
                 vals, g_new, cost_new, deact = self._linearize_arrays(
-                    q_new, t_new, lm_new, static, cfg, rot_new
+                    q_new, t_new, lm_new, static, rot_new
                 )
                 if cost_new < cost_now:
                     q, t, lm, g, rot = q_new, t_new, lm_new, g_new, rot_new

@@ -127,6 +127,7 @@ class TestEval:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ate_rmse"] >= 0.0
+        assert report["alignment"] == "rigid"
         assert "improvement_percent" in report
         assert 0.0 <= report["landmarks"]["precision"] <= 1.0
         assert (tmp_path / "report.json").is_file()
@@ -143,7 +144,7 @@ class TestEval:
         assert report["ate_rmse"] == pytest.approx(0.0, abs=1e-12)
         assert "skipped" in report["landmarks"]
 
-    def test_degenerate_alignment_exits_3(self, tmp_path, capsys):
+    def test_collinear_path_aligned_by_translation(self, tmp_path, capsys):
         line = tmp_path / "line.txt"
         rows = [f"{0.1 * i:.1f} {float(i)} 0.0 0.0 0.0 0.0 0.0 1.0"
                 for i in range(3)]
@@ -151,8 +152,11 @@ class TestEval:
         code = main(["eval", "--estimate", str(line),
                      "--ground-truth", str(line),
                      "--out-dir", str(tmp_path)])
-        assert code == 3
-        assert "collinear" in capsys.readouterr().err
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["alignment"] == "translation"
+        assert report["ate_rmse"] == 0.0
+        assert json.loads((tmp_path / "report.json").read_text()) == report
 
 
 class TestExport:
@@ -222,6 +226,13 @@ class TestMalformedJson:
 
     def test_run_random_walk_seed_rejected(self, tmp_path, capsys):
         self._run(tmp_path, capsys, "random_walk.seed", "--random-walk-seed", "5")
+
+    def test_run_deleted_huber_scale_key_exits_2(self, tmp_path, capsys):
+        config = self._doc(tmp_path, '{"optimizer": {"huber_scale_px": 5.0}}')
+        self._run(tmp_path, capsys, "huber_scale_px", "--config", config)
+        # and the flag is gone with the field: a usage error
+        assert main(["run", "--detections", "d", "--odometry", "o", "--out-dir",
+                     str(tmp_path), "--optimizer-huber-scale-px", "5"]) == 1
 
     @pytest.mark.parametrize("text, names", [
         ('{"preset": "desk", "seed": 1e400}', "seed"),

@@ -169,6 +169,35 @@ class TestAte:
         with pytest.raises(TimestampMismatchError):
             evaluate_ate(a, b)
 
+    def test_rigid_alignment_is_umeyama_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        p = _circle_positions()
+        est = _traj_from_positions(p + rng.normal(scale=0.05, size=p.shape))
+        gt = _traj_from_positions(p)
+        report = evaluate_ate(est, gt)
+        s = align_umeyama(est.positions(), gt.positions())
+        resid = ((s.rotation_matrix() @ est.positions().T).T + s.translation) - p
+        assert report.alignment == "rigid"
+        assert report.transform.rotation.tobytes() == s.rotation.tobytes()
+        assert report.transform.translation.tobytes() == s.translation.tobytes()
+        assert report.rmse == float(np.sqrt(np.mean(np.linalg.norm(resid, axis=1) ** 2)))
+
+    def test_straight_path_aligned_by_translation(self):
+        # a straight line determines no rotation about itself: the
+        # estimate is shifted by the centroid difference, not rotated
+        rng = np.random.default_rng(7)
+        p = np.outer(np.arange(10.0), np.array([1.0, 0.5, 0.0]))
+        noise = rng.normal(scale=0.05, size=p.shape)
+        est = _traj_from_positions(p + noise + np.array([3.0, -1.0, 2.0]))
+        report = evaluate_ate(est, _traj_from_positions(p))
+        assert report.alignment == "translation"
+        np.testing.assert_array_equal(report.transform.rotation, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(report.transform.translation,
+                                   -noise.mean(axis=0) - [3.0, -1.0, 2.0], atol=1e-12)
+        centred = noise - noise.mean(axis=0)
+        np.testing.assert_allclose(report.per_frame_errors,
+                                   np.linalg.norm(centred, axis=1), atol=1e-12)
+
     def test_report_invariants(self):
         p = _circle_positions()
         rng = np.random.default_rng(5)

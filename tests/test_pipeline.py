@@ -20,6 +20,7 @@ from semmap.candidate import RandomWalkConfig
 from semmap.pipeline import (
     DETERMINISTIC_RUN_OUTPUTS,
     PipelineConfig,
+    cmd_eval,
     cmd_run,
     cmd_simulate,
     run_pipeline,
@@ -97,9 +98,15 @@ class TestConfigRoundTrip:
 
     def test_hash_pinned(self):
         # the hashes in the run outputs of these configs stay as they were
-        assert PipelineConfig().hash() == "352ffb70756a688f"
+        assert PipelineConfig().hash() == "e1cf73ee6f3d124b"
         assert PipelineConfig.from_dict({"seed": 3, "odometry_translation_sigma": 0.002}
-                                        ).hash() == "43db65c5ac42605a"
+                                        ).hash() == "a426d28f1905f6c5"
+
+    def test_deleted_huber_scale_key_rejected(self):
+        # the observation cost is plain least squares; the robust
+        # kernel's scale is no longer a config key
+        with pytest.raises(ValueError, match="huber_scale_px"):
+            PipelineConfig.from_dict({"optimizer": {"huber_scale_px": 5.0}})
 
     def test_hash_tracks_content(self):
         assert PipelineConfig().hash() == PipelineConfig().hash()
@@ -289,6 +296,46 @@ class TestRunRecords:
         assert inside["built"] == 0
 
 
+def _runs_at(levels, only, tmp_path, caplog):
+    """cmd_run of the small desk scene once at each log level, in order:
+    per level, the deterministic outputs, the semmap messages logged at
+    level `only` and the run's counts."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(
+        {"preset": "desk", "seed": 1, "duration": 12.0, "frame_rate": 10.0,
+         "laps": 1.5}), encoding="utf-8")
+    sim = tmp_path / "sim"
+    cmd_simulate(scenario, sim)
+    outputs, lines, counts = {}, {}, {}
+    for level in levels:
+        caplog.clear()
+        caplog.set_level(level, logger="semmap")
+        out = tmp_path / logging.getLevelName(level)
+        manifest = cmd_run(sim / "detections.txt", sim / "odometry.txt", out,
+                           PipelineConfig(seed=1))
+        outputs[level] = {name: (out / name).read_bytes()
+                          for name in DETERMINISTIC_RUN_OUTPUTS}
+        lines[level] = [r.getMessage() for r in caplog.records
+                        if r.name == "semmap" and r.levelno == only]
+        counts[level] = manifest.counts
+    return outputs, lines, counts
+
+
+class TestInfoLog:
+    def test_one_line_per_run_and_outputs_unchanged(self, tmp_path, caplog):
+        outputs, lines, counts = _runs_at((logging.WARNING, logging.INFO), logging.INFO,
+                                          tmp_path, caplog)
+        assert outputs[logging.INFO] == outputs[logging.WARNING]
+        assert lines[logging.WARNING] == []
+        c = counts[logging.INFO]
+        [line] = lines[logging.INFO]
+        by_reason = ", ".join(f"{r} {n}" for r, n in c["solves_by_stop_reason"].items())
+        assert re.fullmatch(
+            rf"run: {c['frames']} frames, {c['landmarks']} landmarks, "
+            rf"{c['optimize_calls']} solves \({by_reason}\), {c['optimize_steps']} "
+            r"steps, optimize \d+\.\d{3} s", line)
+
+
 class TestDebugLog:
     def test_one_line_per_solve_and_outputs_unchanged(self, tmp_path, caplog,
                                                       monkeypatch):
@@ -300,25 +347,10 @@ class TestDebugLog:
             return reports[-1]
 
         monkeypatch.setattr(posegraph.PoseGraph, "optimize", recorded)
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(
-            {"preset": "desk", "seed": 1, "duration": 12.0, "frame_rate": 10.0,
-             "laps": 1.5}), encoding="utf-8")
-        sim = tmp_path / "sim"
-        cmd_simulate(scenario, sim)
-        outputs, lines, counts = {}, {}, {}
-        for level in (logging.WARNING, logging.DEBUG):
-            reports.clear()
-            caplog.clear()
-            caplog.set_level(level, logger="semmap")
-            out = tmp_path / logging.getLevelName(level)
-            manifest = cmd_run(sim / "detections.txt", sim / "odometry.txt", out,
-                               PipelineConfig(seed=1))
-            outputs[level] = {name: (out / name).read_bytes()
-                              for name in DETERMINISTIC_RUN_OUTPUTS}
-            lines[level] = [r.getMessage() for r in caplog.records
-                            if r.name == "semmap" and r.levelno == logging.DEBUG]
-            counts[level] = manifest.counts
+        outputs, lines, counts = _runs_at((logging.WARNING, logging.DEBUG), logging.DEBUG,
+                                          tmp_path, caplog)
+        # the DEBUG run's reports follow the WARNING run's
+        del reports[:counts[logging.WARNING]["optimize_calls"]]
         assert outputs[logging.DEBUG] == outputs[logging.WARNING]
         assert lines[logging.WARNING] == []
         solve_lines = [m for m in lines[logging.DEBUG] if m.startswith("solve:")]
@@ -331,3 +363,29 @@ class TestDebugLog:
                         for m in lines[logging.DEBUG] if m.startswith("merge pass:")]
         assert len(merge_passes) >= len(reports)
         assert sum(merge_passes) == counts[logging.DEBUG]["merges"]
+
+
+class TestStraightPathEval:
+    def test_walking_scene_scored_with_translation_alignment(self, tmp_path):
+        # a straight camera path leaves the rotation undetermined; the
+        # report still carries the ATE, the landmark score and timings
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "walking", "seed": 0}),
+                            encoding="utf-8")
+        sim, run = tmp_path / "sim", tmp_path / "run"
+        cmd_simulate(scenario, sim)
+        _, noise = walking_preset(seed=0)
+        cmd_run(sim / "detections.txt", sim / "odometry.txt", run,
+                PipelineConfig(odometry_translation_sigma=noise.odom_translation_sigma,
+                               odometry_rotation_sigma=noise.odom_rotation_sigma))
+        report = cmd_eval(run / "corrected_trajectory.txt", sim / "ground_truth.txt",
+                          tmp_path / "eval", map_path=run / "landmark_map.json",
+                          registry_path=sim / "registry.json",
+                          baseline_path=sim / "odometry.txt",
+                          timings_path=run / "timings.json")
+        assert report["alignment"] == "translation"
+        assert report["matched_frames"] == 120
+        assert 0.0 < report["ate_rmse"] < 0.1
+        assert report["landmarks"]["matches"] > 0
+        assert report["timing"] == json.loads((run / "timings.json").read_text())
+        assert json.loads((tmp_path / "eval" / "report.json").read_text()) == report
