@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .candidate import Candidate
 from .errors import EmptyCloudError
-from .geometry import PointCloud, merge_clouds
+from .geometry import PointCloud
 
 # floor for degenerate (flat) bounding volumes when computing overlap
 _FLAT_EPS = 1e-6
@@ -162,9 +162,8 @@ def fuse(lm: Landmark, cand: Candidate, now: float, cfg: AssociationConfig) -> L
     The centroid is the running mean weighted by n_fused; the cloud and
     the size come from `_thinned_union`.
     """
-    cand_cloud = merge_clouds(list(cand.clouds))
     new_centroid = (lm.n_fused * lm.centroid + cand.map_centroid) / (lm.n_fused + 1)
-    cloud, size = _thinned_union(lm.cloud.points, cand_cloud.points, lm.size,
+    cloud, size = _thinned_union(lm.cloud.points, cand.cloud.points, lm.size,
                                  cfg.cloud_cap)
     return replace(
         lm,
@@ -258,10 +257,9 @@ class LandmarkMap:
         target = gate[0] if gate else None
         nn_dist: float | None = None
         if len(gate) > 1:
-            cand_cloud = merge_clouds(list(cand.clouds))
             nn_dist = math.inf
             for lm in gate:  # gate is id-ordered, ties keep the lower id
-                d = nn_cloud_distance(cand_cloud, lm.cloud)
+                d = nn_cloud_distance(cand.cloud, lm.cloud)
                 if d < nn_dist:
                     nn_dist = d
                     target = lm
@@ -273,9 +271,8 @@ class LandmarkMap:
         if target is None:
             lid = self._next_id
             self._next_id += 1
-            cloud = merge_clouds(list(cand.clouds))
             thinned = voxel_thin(
-                cloud.points, cfg.cloud_cap, edge=cand.size_estimate / 32.0
+                cand.cloud.points, cfg.cloud_cap, edge=cand.size_estimate / 32.0
             )
             self.landmarks[lid] = Landmark(
                 id=lid,

@@ -2,16 +2,17 @@
 localization.
 
 A promoted tracklet becomes a candidate in three steps. Each measurement
-is lifted to a small world-frame cloud (bounded by the box frustum and a
-depth window around the range hint). The tracklet's T views travel as
-stacks: one (T, 3, 3) rotation stack per proposal serves extraction, the
-likelihood and the seed rays, and the samples of all views are filtered
-and lifted to the camera frame in one pass before each view's rotation
-moves its slice into the world. The per-measurement cloud centroids
-feed a mean-absolute-deviation gate that rejects moving objects: a
-static object re-observed from a moving camera yields nearly coincident
-centroids, a walking person does not. Surviving tracklets get a single
-3D position by maximizing the measurement likelihood
+is lifted to a small world-frame cloud: a 5 x 5 x 3 grid of cell
+centres filling the box frustum over a depth window around the range
+hint. The tracklet's T views travel as stacks: one (T, 3, 3) rotation
+stack per proposal serves extraction, the likelihood and the seed rays,
+and the grids of all views are built and lifted to the camera frame in
+one pass before each view's rotation moves its slice into the world.
+The per-measurement cloud centroids feed a mean-absolute-deviation gate
+that rejects moving objects: a static object re-observed from a moving
+camera yields nearly coincident centroids, a walking person does not.
+Surviving tracklets get a single 3D position by maximizing the
+measurement likelihood
 
     ll(X) = sum_t [ -0.5 * (proj(X, pose_t) - z_t)^T S^-1 (proj(..) - z_t) ]
             + T * log norm const,   z_t = box center of measurement t,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .geometry import (
     Trajectory,
     backproject,
     centroid,
-    merge_clouds,
     quat_to_matrix,
 )
 from .tracker import Measurement, Tracklet
@@ -53,7 +53,12 @@ from .tracker import Measurement, Tracklet
 # merge volumes stay positive even for single-point clouds
 MIN_SIZE = 1e-3
 
-Sampler = Callable[[Measurement], np.ndarray]
+# cells of the (u, v, depth) sample grid per box frustum slab, and the
+# unit cell centres in meshgrid 'ij' row order (depth fastest), which
+# voxel thinning's first-point-per-cell rule depends on
+_GRID_COUNTS = np.array([5.0, 5.0, 3.0])
+_GRID_UNIT = np.stack(np.meshgrid(*(np.arange(n) + 0.5 for n in (5, 5, 3)),
+                                  indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,6 @@ class RandomWalkConfig:
 
     n_samples: int = 2000
     step_sigma: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 0:
@@ -105,17 +109,17 @@ class CentroidEstimate:
 
 @dataclass(frozen=True)
 class Candidate:
-    """Validated tracklet with clouds and a localized centroid."""
+    """Validated tracklet with its views' stacked cloud and a localized
+    centroid."""
 
     tracklet: Tracklet
-    clouds: tuple[PointCloud, ...]
-    per_measurement_centroids: np.ndarray  # (T, 3)
+    cloud: PointCloud
     map_centroid: np.ndarray  # (3,)
     size_estimate: float
     class_id: str
 
     def __post_init__(self):
-        assert len(self.clouds) > 0
+        assert len(self.cloud) > 0
         assert self.size_estimate > 0
         assert np.all(np.isfinite(self.map_centroid))
 
@@ -140,28 +144,20 @@ def cuboid_half_depth(m: Measurement, k: CameraIntrinsics) -> float:
     return 0.5 * m.box.width * m.depth_hint / k.fx
 
 
-def cuboid_box_sampler(k: CameraIntrinsics, grid: tuple[int, int, int] = (5, 5, 3)) -> Sampler:
-    """Deterministic (u, v, depth) grid filling the box frustum slab.
-
-    Cell centers keep every sample strictly inside the box and inside
-    the depth window, so extraction never filters them away. Rows run
-    in meshgrid 'ij' order (depth fastest), which voxel thinning's
-    first-point-per-cell rule depends on.
-    """
-    nu, nv, nd = grid
-    uu, vv, dd = np.meshgrid(np.arange(nu) + 0.5, np.arange(nv) + 0.5,
-                             np.arange(nd) + 0.5, indexing="ij")
-    unit = np.column_stack([uu.ravel(), vv.ravel(), dd.ravel()])
-    counts = np.array([nu, nv, nd], dtype=float)
-
-    def sample(m: Measurement) -> np.ndarray:
+def _frustum_grid(ms: Sequence[Measurement], k: CameraIntrinsics) -> np.ndarray:
+    """(T, 75, 3) (u, v, depth) cell centres filling each view's box
+    frustum slab: per axis x_min + c * width / nu, evaluated in that
+    order, with the depth axis spanning the range hint plus or minus
+    cuboid_half_depth."""
+    lo, span = [], []
+    for m in ms:
         h = cuboid_half_depth(m, k)
-        lo = np.array([m.box.x_min, m.box.y_min, m.depth_hint - h])
-        span = np.array([m.box.width, m.box.height, 2.0 * h])
-        # x_min + c * width / nu per axis, evaluated in that order
-        return lo + unit * span / counts
-
-    return sample
+        lo.append((m.box.x_min, m.box.y_min, m.depth_hint - h))
+        span.append((m.box.width, m.box.height, 2.0 * h))
+    # a half depth that overflows to inf gives NaN depths (-inf + inf),
+    # which extraction drops
+    with np.errstate(invalid="ignore"):
+        return np.array(lo)[:, None] + _GRID_UNIT * np.array(span)[:, None] / _GRID_COUNTS
 
 
 def _rotations(poses: Sequence[Pose]) -> np.ndarray:
@@ -173,44 +169,28 @@ def extract_clouds(
     tracklet: Tracklet,
     poses: Sequence[Pose],
     k: CameraIntrinsics,
-    sampler: Sampler,
     rotations: np.ndarray | None = None,
 ) -> list[PointCloud]:
-    """World-frame cloud per measurement from sampled (u, v, depth) triples.
+    """World-frame cloud per measurement from its frustum grid.
 
-    Samples outside the bounding box or beyond the depth window around
-    the range hint are dropped; an exhausted measurement raises
-    EmptyCloudError naming the first such frame. `rotations` is the
-    views' rotation stack when the caller already has it.
+    Cell centres at or behind the camera (depth not above 0, which
+    includes a depth that overflowed to NaN) are dropped; an exhausted
+    measurement raises EmptyCloudError naming the first such frame.
+    `rotations` is the views' rotation stack when the caller already
+    has it.
     """
     ms = tracklet.measurements
     if len(poses) != len(ms):
         raise ValueError("one pose per measurement required")
     if not ms:
         return []
-    raws = [np.asarray(sampler(m), dtype=float).reshape(-1, 3) for m in ms]
-    sizes = [r.shape[0] for r in raws]
-    raw = np.concatenate(raws)
-    # each row is checked against its own measurement's box and window
-    limits = np.repeat(
-        np.array([[m.box.x_min, m.box.x_max, m.box.y_min, m.box.y_max,
-                   m.depth_hint, cuboid_half_depth(m, k)] for m in ms]),
-        sizes, axis=0,
-    )
-    keep = (
-        (raw[:, 0] >= limits[:, 0])
-        & (raw[:, 0] <= limits[:, 1])
-        & (raw[:, 1] >= limits[:, 2])
-        & (raw[:, 1] <= limits[:, 3])
-        & (np.abs(raw[:, 2] - limits[:, 4]) <= limits[:, 5])
-        & (raw[:, 2] > 0)
-    )
-    kept = np.bincount(np.repeat(np.arange(len(ms)), sizes)[keep],
-                       minlength=len(ms))
+    grid = _frustum_grid(ms, k)
+    keep = grid[..., 2] > 0
+    kept = keep.sum(axis=1)
     if not kept.all():
         m = ms[int(np.argmin(kept))]
         raise EmptyCloudError(f"no samples survive the frustum of frame {m.frame_id}")
-    raw = raw[keep]
+    raw = grid[keep]
     d = raw[:, 2]
     cam = np.column_stack([(raw[:, 0] - k.cx) * d / k.fx, (raw[:, 1] - k.cy) * d / k.fy, d])
     if rotations is None:
@@ -375,6 +355,7 @@ def estimate_centroid(
     k: CameraIntrinsics,
     noise: PixelNoiseModel,
     walk: RandomWalkConfig,
+    run_seed: int,
     rotations: np.ndarray | None = None,
 ) -> CentroidEstimate:
     """MAP position of the object from its box centers.
@@ -383,7 +364,7 @@ def estimate_centroid(
     the random walk. With no baseline (all camera centers coincident)
     the depth is unobservable; the estimate falls back to the last
     measurement's back-projected range hint, flagged low confidence.
-    The RNG stream is derived from (walk.seed, tracklet.id) so results
+    The RNG stream is derived from (run_seed, tracklet.id) so results
     are reproducible per tracklet. `rotations` is the views' rotation
     stack when the caller already has it.
     """
@@ -425,7 +406,7 @@ def estimate_centroid(
             raise BehindCameraError("no finite-likelihood starting point")
         return est
 
-    rng = np.random.default_rng((walk.seed, tracklet.id))
+    rng = np.random.default_rng((run_seed, tracklet.id))
     steps = rng.normal(0.0, walk.step_sigma, size=(walk.n_samples, 3))
     point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
     assert ll >= ll_seed
@@ -440,28 +421,26 @@ def propose_candidate(
     tracklet: Tracklet,
     trajectory: Trajectory,
     k: CameraIntrinsics,
-    sampler: Sampler,
     noise: PixelNoiseModel,
     walk: RandomWalkConfig,
+    run_seed: int,
     mad_threshold: float = 0.15,
 ) -> Proposal:
-    """Validate and localize one promoted tracklet."""
+    """Validate and localize one promoted tracklet; `run_seed` seeds the
+    walk (see estimate_centroid)."""
     poses = resolve_poses(tracklet, trajectory)
     rotations = _rotations(poses)
-    clouds = extract_clouds(tracklet, poses, k, sampler, rotations)
-    cents = np.array([centroid(c) for c in clouds])
-    mad = mad_deviation(cents)
+    clouds = extract_clouds(tracklet, poses, k, rotations)
+    mad = mad_deviation(np.array([centroid(c) for c in clouds]))
     if mad > mad_threshold:
         return Proposal(tracklet, accepted=False, mad=mad, candidate=None)
-    est = estimate_centroid(tracklet, poses, k, noise, walk, rotations)
-    merged = merge_clouds(clouds)
-    size = max(float(merged.extent().max()), MIN_SIZE)
+    est = estimate_centroid(tracklet, poses, k, noise, walk, run_seed, rotations)
+    cloud = PointCloud(np.vstack([c.points for c in clouds]))
     cand = Candidate(
         tracklet=tracklet,
-        clouds=tuple(clouds),
-        per_measurement_centroids=cents,
+        cloud=cloud,
         map_centroid=est.point,
-        size_estimate=size,
+        size_estimate=max(float(cloud.extent().max()), MIN_SIZE),
         class_id=tracklet.class_id,
     )
     return Proposal(tracklet, accepted=True, mad=mad, candidate=cand,

@@ -295,12 +295,6 @@ def centroid(cloud: PointCloud) -> np.ndarray:
     return cloud.points.mean(axis=0)
 
 
-def merge_clouds(clouds: Sequence[PointCloud]) -> PointCloud:
-    if not clouds:
-        raise EmptyCloudError("merge of zero clouds")
-    return PointCloud(np.vstack([c.points for c in clouds]))
-
-
 # ----------------------------------------------------------------------
 # back-projection
 # ----------------------------------------------------------------------

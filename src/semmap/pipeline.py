@@ -27,7 +27,6 @@ from .candidate import (
     PixelNoiseModel,
     Proposal,
     RandomWalkConfig,
-    cuboid_box_sampler,
     propose_candidate,
 )
 from .errors import TimestampMismatchError
@@ -84,12 +83,13 @@ DETERMINISTIC_RUN_OUTPUTS = ("corrected_trajectory.txt", "landmark_map.json",
 class PipelineConfig:
     """Every tunable of one mapping run.
 
-    seed replaces random_walk.seed at run time so a single knob drives
-    the only stochastic stage; the nested field must keep its default
-    (it stays for standalone use of the walk). The odometry sigmas
-    weight the relative-motion factors and should match the sensor;
-    they are floored at 1e-4 so a zero value means "trust fully" rather
-    than a singular information matrix.
+    seed drives the random walk, the only stochastic stage: each
+    tracklet's stream is derived from (seed, tracklet id). The solver
+    runs on every frame that emitted an observation factor;
+    optimize_every only paces the merge-only passes between solves.
+    The odometry sigmas weight the relative-motion factors and should
+    match the sensor; they are floored at 1e-4 so a zero value means
+    "trust fully" rather than a singular information matrix.
 
     The optimizer section stops a solve at a 1e-6 relative cost
     decrease, where a standalone OptimizerConfig stops at 1e-9: the
@@ -119,9 +119,6 @@ class PipelineConfig:
             raise ValueError("optimize_every must be at least 1")
         if self.odometry_translation_sigma < 0 or self.odometry_rotation_sigma < 0:
             raise ValueError("odometry sigmas must be non-negative")
-        if self.random_walk.seed != RandomWalkConfig.seed:
-            raise ValueError("random_walk.seed is replaced by seed at run time; "
-                             "set seed instead")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -242,7 +239,6 @@ class _StageB:
             "merges": 0,
         }
         self.solves: list[SolveReport] = []
-        self._solved_observations = 0
         # sigma 0 declares the odometry exact: poses become hard
         # constraints and only landmarks are optimized
         self.fix_poses = (
@@ -269,9 +265,13 @@ class _StageB:
         for prop in proposals:
             emitted += self._handle_proposal(prop, frame_id, stamp)
 
+        # a graph extended only by odometry since the last solve keeps
+        # its previous optimum (new chain factors are exactly satisfied
+        # by the composed initialization), so re-solving would only
+        # churn; every frame that emitted an observation solves
         due = (frame_id + 1) % self.cfg.optimize_every == 0
-        if self.graph.observations and (emitted or due):
-            self._optimize_and_merge()
+        if emitted or (self.graph.observations and due):
+            self._optimize_and_merge(solve=bool(emitted))
 
     def _handle_proposal(self, prop: Proposal, frame_id: int,
                          stamp: float) -> int:
@@ -304,12 +304,8 @@ class _StageB:
             decision.landmark_id, bool(emitted)))
         return 1 if emitted else 0
 
-    def _optimize_and_merge(self) -> None:
-        # a graph extended only by odometry since the last solve keeps
-        # its previous optimum (new chain factors are exactly satisfied
-        # by the composed initialization), so re-solving would only
-        # churn; solve when observation factors arrived
-        if len(self.graph.observations) > self._solved_observations:
+    def _optimize_and_merge(self, solve: bool) -> None:
+        if solve:
             t0 = perf_counter()
             report = self.graph.optimize(self.cfg.optimizer, fix_poses=self.fix_poses)
             self.timings["optimize"].append(perf_counter() - t0)
@@ -323,7 +319,6 @@ class _StageB:
                 len(self.graph.poses), len(self.graph.landmarks),
                 len(self.graph.observations), report.iterations, report.steps,
                 report.stop_reason, report.initial_cost, report.final_cost)
-            self._solved_observations = len(self.graph.observations)
             apply_correction(self.graph, self.map)
         t2 = perf_counter()
         merges = self.map.merge_overlapping(self.cfg.association)
@@ -334,8 +329,9 @@ class _StageB:
         logger.debug("merge pass: %d merges", len(merges))
 
     def finish(self) -> None:
+        # the last emitting frame already solved; only merge
         if self.graph.observations:
-            self._optimize_and_merge()
+            self._optimize_and_merge(solve=False)
 
 
 def _index_detections(frames, odometry: Trajectory,
@@ -371,9 +367,7 @@ def run_pipeline(frames, odometry: Trajectory,
         raise TimestampMismatchError("odometry is empty")
     by_frame = _index_detections(frames, odometry)
 
-    sampler = cuboid_box_sampler(cfg.camera)
     noise = PixelNoiseModel.isotropic(cfg.pixel_noise_sigma)
-    walk = replace(cfg.random_walk, seed=cfg.seed)
     tracker = IouTracker(cfg.tracker)
     timings: dict[str, list[float]] = {name: [] for name in STAGE_NAMES}
     stage_b = _StageB(cfg, odometry, timings)
@@ -401,8 +395,8 @@ def run_pipeline(frames, odometry: Trajectory,
         proposals = []
         for tracklet in promoted:
             t1 = perf_counter()
-            prop = propose_candidate(tracklet, odometry, cfg.camera, sampler,
-                                     noise, walk, cfg.mad_threshold)
+            prop = propose_candidate(tracklet, odometry, cfg.camera, noise,
+                                     cfg.random_walk, cfg.seed, cfg.mad_threshold)
             timings["candidate_proposal"].append(perf_counter() - t1)
             counts["proposals_accepted" if prop.accepted
                    else "proposals_rejected"] += 1

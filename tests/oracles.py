@@ -196,8 +196,8 @@ def horn_quaternion_align(src, dst):
 
 # ----------------------------------------------------------------------
 # the proposal path one view at a time: the references for the package's
-# stacked sampler, extraction and seed triangulation, which must match
-# them bit for bit
+# stacked frustum grid, extraction and seed triangulation, which must
+# match them bit for bit
 # ----------------------------------------------------------------------
 
 def meshgrid_box_sampler(k, grid=(5, 5, 3)):

@@ -168,7 +168,7 @@ def test_criterion_5_map_localization(report):
             for a in angles]
     tracklet, poses = _tracklet_viewing(point, eyes, k)
     est = estimate_centroid(tracklet, poses, k, PixelNoiseModel.isotropic(4.0),
-                            RandomWalkConfig(seed=1))
+                            RandomWalkConfig(), 1)
     noise_free_err = float(np.linalg.norm(est.point - point))
 
     # two views at 1 px noise against the 1 cm grid oracle
@@ -179,7 +179,7 @@ def test_criterion_5_map_localization(report):
                                           rng=rng)
     noise = PixelNoiseModel.isotropic(1.0)
     est2 = estimate_centroid(tracklet2, poses2, k, noise,
-                             RandomWalkConfig(seed=2))
+                             RandomWalkConfig(), 2)
     centers = [m.box.center for m in tracklet2.measurements]
     oracle_pt, _ = grid_search_max(centers, poses2, k, noise.covariance,
                                    around=point2, half=0.5, step=0.01)

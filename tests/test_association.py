@@ -42,11 +42,9 @@ def _tracklet(tid=0, class_id="cup"):
 def _cand(center, size=0.3, class_id="cup", seed=0, n=60, tid=0):
     rng = np.random.default_rng(seed)
     pts = np.asarray(center) + rng.uniform(-size / 2, size / 2, size=(n, 3))
-    cloud = PointCloud(pts)
     return Candidate(
         tracklet=_tracklet(tid, class_id),
-        clouds=(cloud,),
-        per_measurement_centroids=np.tile(center, (2, 1)),
+        cloud=PointCloud(pts),
         map_centroid=np.asarray(center, dtype=float),
         size_estimate=size,
         class_id=class_id,
@@ -270,8 +268,7 @@ class TestAssociate:
         # shift the candidate cloud onto landmark 1 without moving its centroid
         cand = Candidate(
             tracklet=cand.tracklet,
-            clouds=(PointCloud(cand.clouds[0].points + [0.25, 0, 0]),),
-            per_measurement_centroids=cand.per_measurement_centroids,
+            cloud=PointCloud(cand.cloud.points + [0.25, 0, 0]),
             map_centroid=cand.map_centroid,
             size_estimate=cand.size_estimate,
             class_id=cand.class_id,
@@ -282,7 +279,7 @@ class TestAssociate:
         assert decision.nn_distance is not None
         # cross-check the reported distance against brute force
         want = brute_force_nn_mean(
-            cand.clouds[0].points, _landmark(1, [0.5, 0.0, 0.0], seed=13).cloud.points
+            cand.cloud.points, _landmark(1, [0.5, 0.0, 0.0], seed=13).cloud.points
         )
         assert decision.nn_distance == pytest.approx(want, abs=1e-9)
 
@@ -331,8 +328,7 @@ class TestFuse:
         )
         back = np.column_stack([np.full(40, 0.6), face])
         cand = Candidate(
-            tracklet=_tracklet(), clouds=(PointCloud(back),),
-            per_measurement_centroids=np.tile([0.6, 0.2, 0.2], (2, 1)),
+            tracklet=_tracklet(), cloud=PointCloud(back),
             map_centroid=np.array([0.6, 0.2, 0.2]), size_estimate=0.4, class_id="cup",
         )
         out = fuse(lm, cand, now=1.0, cfg=cfg)

@@ -6,6 +6,7 @@ likelihood against a plain per-view loop implementation (see oracles.py).
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from semmap.candidate import (
     Candidate,
     PixelNoiseModel,
     RandomWalkConfig,
+    _frustum_grid,
     _hill_climb,
     _LikelihoodEvaluator,
-    cuboid_box_sampler,
     cuboid_half_depth,
     estimate_centroid,
     extract_clouds,
@@ -54,6 +55,7 @@ from semmap.geometry import (
     centroid,
     quat_from_matrix,
 )
+from semmap.io_formats import parse_detection_log
 from semmap.tracker import BoundingBox, Measurement, Tracklet
 
 
@@ -263,49 +265,31 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
-def _random_tracklet(rng):
+def _random_tracklet(rng, wide=0.0):
     """Tracklet and poses over _random_tracklet_views: boxes of random
-    size around the centers, range hints within 20 % of the truth."""
+    size around the centers, range hints within 20 % of the truth. A
+    `wide` share of the views get boxes 3-10 fx wide, whose near depth
+    layer lies behind the camera."""
     centers, poses, point = _random_tracklet_views(rng)
     t = Tracklet(int(rng.integers(0, 1000)), "cup")
     for i, (c, pose) in enumerate(zip(centers, poses)):
         hw, hh = rng.uniform(2.0, 60.0, 2)
+        if wide and rng.random() < wide:
+            hw = rng.uniform(1.5, 5.0) * _k().fx
         box = BoundingBox(c[0] - hw, c[1] - hh, c[0] + hw, c[1] + hh)
         depth = float(np.linalg.norm(point - pose.translation)) * rng.uniform(0.8, 1.2)
         t.append(Measurement(0.1 * i, 10 + i, "cup", 0.9, box, depth))
     return t, poses
 
 
-def _ragged_rows(t, rng, exhausted=()):
-    """Per-frame samples of 1-40 rows, about a third outside the box, the
-    depth window or in front of the camera. Views at the `exhausted`
-    indices get no surviving row: no rows at all, or only rejected ones."""
-    k = _k()
-    rows = {}
-    for i, m in enumerate(t.measurements):
-        h = cuboid_half_depth(m, k)
-        n = int(rng.integers(1, 41))
-        u = rng.uniform(m.box.x_min, m.box.x_max, n)
-        v = rng.uniform(m.box.y_min, m.box.y_max, n)
-        d = rng.uniform(m.depth_hint - h, m.depth_hint + h, n)
-        bad = rng.random(n) < 1.0 / 3.0
-        if i in exhausted:
-            bad[:] = True
-        which = rng.integers(0, 4, n)
-        u[bad & (which == 0)] += 1.5 * m.box.width
-        v[bad & (which == 1)] -= 1.5 * m.box.height
-        d[bad & (which == 2)] += 2.5 * h
-        d[bad & (which == 3)] = -rng.uniform(0.0, 1.0, int(np.sum(bad & (which == 3))))
-        r = np.column_stack([u, v, d])
-        if i in exhausted and rng.random() < 0.5:
-            r = r[:0]
-        elif i not in exhausted:
-            r[0] = [*m.box.center, m.depth_hint]  # one row always survives
-        rows[m.frame_id] = r
-    return rows
+def _overflowing(m):
+    """`m` with a box whose half depth overflows: x 0 to 1e300 px at a
+    range hint of 1e10 leaves no sample with a positive depth."""
+    return replace(m, box=BoundingBox(0.0, m.box.y_min, 1e300, m.box.y_max),
+                   depth_hint=1e10)
 
 
-def _loop_estimate(t, poses, noise, walk):
+def _loop_estimate(t, poses, noise, walk, run_seed):
     """estimate_centroid one view at a time: per-view rotation matrices,
     the loop triangulation; None where it falls back to the range hint."""
     k = _k()
@@ -319,7 +303,7 @@ def _loop_estimate(t, poses, noise, walk):
     ll_seed = float(evaluate(seed[None, :])[0])
     if not np.isfinite(ll_seed):
         return None
-    steps = np.random.default_rng((walk.seed, t.id)).normal(
+    steps = np.random.default_rng((run_seed, t.id)).normal(
         0.0, walk.step_sigma, size=(walk.n_samples, 3))
     point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
     return seed, point, ll
@@ -379,7 +363,7 @@ class TestEstimateCentroid:
         eyes = [point + 2.5 * np.array([math.sin(a), -math.cos(a), 0.1 * a]) for a in angles]
         tracklet, poses = _tracklet_viewing(point, eyes, _k())
         est = estimate_centroid(
-            tracklet, poses, _k(), PixelNoiseModel.isotropic(4.0), RandomWalkConfig(seed=1)
+            tracklet, poses, _k(), PixelNoiseModel.isotropic(4.0), RandomWalkConfig(), 1
         )
         assert np.linalg.norm(est.point - point) < 1e-3
         assert not est.low_confidence
@@ -393,7 +377,7 @@ class TestEstimateCentroid:
             point, eyes, _k(), px_noise=1.0, rng=rng
         )
         noise = PixelNoiseModel.isotropic(1.0)
-        est = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(seed=2))
+        est = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 2)
         centers = [m.box.center for m in tracklet.measurements]
         oracle_pt, _ = grid_search_max(
             centers, poses, _k(), noise.covariance, around=point, half=0.5, step=0.01
@@ -408,7 +392,7 @@ class TestEstimateCentroid:
         rng = np.random.default_rng(21)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=3.0, rng=rng)
         noise = PixelNoiseModel.isotropic(4.0)
-        est = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(seed=3))
+        est = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 3)
         seed_ll = log_likelihood(est.seed_point, tracklet, poses, _k(), noise)
         assert est.log_likelihood >= seed_ll
 
@@ -417,7 +401,7 @@ class TestEstimateCentroid:
         eye = np.array([0.0, -2.0, 2.0])
         tracklet, poses = _tracklet_viewing(point, [eye, eye + 1e-12, eye], _k())
         est = estimate_centroid(
-            tracklet, poses, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(seed=4)
+            tracklet, poses, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(), 4
         )
         assert est.low_confidence
         # fallback point = backprojected box center at the range hint
@@ -429,8 +413,8 @@ class TestEstimateCentroid:
         rng = np.random.default_rng(33)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=2.0, rng=rng)
         noise = PixelNoiseModel.isotropic(2.0)
-        a = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(seed=9))
-        b = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(seed=9))
+        a = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 9)
+        b = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 9)
         assert np.array_equal(a.point, b.point)
         assert a.log_likelihood == b.log_likelihood
 
@@ -442,26 +426,28 @@ class TestEstimateCentroid:
         with pytest.raises(TooFewMeasurementsError):
             estimate_centroid(
                 t, [Pose.identity()], _k(), PixelNoiseModel.isotropic(),
-                RandomWalkConfig(),
+                RandomWalkConfig(), 0,
             )
 
 
 class TestExtractClouds:
     def test_single_ray_on_axis(self):
-        # one sample at the principal point, depth 2 -> cloud {(0, 0, 2)}
+        # a box centred on the principal point: the grid's centre column
+        # (u, v) = (cx, cy) lifts onto the optical axis at its 3 depths
         t = Tracklet(0, "cup")
         t.append(Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0))
-        clouds = extract_clouds(
-            t, [Pose.identity()], _k(), lambda m: np.array([[320.0, 240.0, 2.0]])
-        )
+        clouds = extract_clouds(t, [Pose.identity()], _k())
         assert len(clouds) == 1
-        np.testing.assert_allclose(clouds[0].points, [[0.0, 0.0, 2.0]], atol=1e-12)
+        axis = clouds[0].points.reshape(5, 5, 3, 3)[2, 2]
+        np.testing.assert_allclose(
+            axis, [[0.0, 0.0, 2.0 - 0.16 / 3.0], [0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 0.16 / 3.0]],
+            atol=1e-12)
 
     def test_default_sampler_fills_frustum(self):
         t = Tracklet(0, "cup")
         m = Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0)
         t.append(m)
-        clouds = extract_clouds(t, [Pose.identity()], _k(), cuboid_box_sampler(_k()))
+        clouds = extract_clouds(t, [Pose.identity()], _k())
         assert len(clouds[0]) == 5 * 5 * 3
         h = cuboid_half_depth(m, _k())
         # box is 40 px wide at depth 2 with fx=500 -> 0.16 m wide, h = 0.08
@@ -469,41 +455,48 @@ class TestExtractClouds:
         zs = clouds[0].points[:, 2]
         assert np.all(np.abs(zs - 2.0) <= h + 1e-12)
 
-    def test_out_of_frustum_samples_dropped(self):
-        t = Tracklet(0, "cup")
-        t.append(Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0))
-        samples = np.array(
-            [
-                [320.0, 240.0, 2.0],   # kept
-                [100.0, 240.0, 2.0],   # outside box
-                [320.0, 240.0, 9.0],   # outside depth window
-            ]
-        )
-        clouds = extract_clouds(t, [Pose.identity()], _k(), lambda m: samples)
-        assert len(clouds[0]) == 1
+    def test_out_of_frustum_samples_dropped(self, tmp_path):
+        # logged boxes wider than 3 fx put the near depth layer behind
+        # the camera: a 1600 px box at depth 2 keeps its middle and far
+        # layers; at 1e20 px the middle layer rounds to depth 0 as well
+        log = tmp_path / "detections.txt"
+        log.write_text("0.0 0 cup 0.9 -480 220 1120 260 2.0\n"
+                       "0.1 1 cup 0.9 -5e19 220 5e19 260 2.0\n", encoding="utf-8")
+        frames = parse_detection_log(str(log))
+        for frame, kept in zip(frames, (50, 25)):
+            t = Tracklet(0, "cup")
+            t.append(frame.detections[0])
+            clouds = extract_clouds(t, [Pose.identity()], _k())
+            assert len(clouds[0]) == kept
+            assert np.all(clouds[0].points[:, 2] > 0)
 
-    def test_exhausted_measurement_raises(self):
+    def test_exhausted_measurement_raises(self, tmp_path):
+        # a half depth that overflows leaves no sample in front of the
+        # camera; the parser accepts the box, extraction names the frame
+        log = tmp_path / "detections.txt"
+        log.write_text("0.0 7 cup 0.9 0 220 1e300 260 1e10\n", encoding="utf-8")
         t = Tracklet(0, "cup")
-        t.append(Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0))
-        with pytest.raises(EmptyCloudError):
-            extract_clouds(
-                t, [Pose.identity()], _k(), lambda m: np.array([[0.0, 0.0, 2.0]])
-            )
+        t.append(parse_detection_log(str(log))[0].detections[0])
+        with warnings.catch_warnings(), pytest.raises(EmptyCloudError, match="frame 7"):
+            warnings.simplefilter("error")
+            extract_clouds(t, [Pose.identity()], _k())
 
     def test_lift_matches_scalar_backproject(self):
         # every kept sample lands where backproject puts its pixel and depth
         rng = np.random.default_rng(3)
         k = _k()
         t, poses = _random_tracklet(rng)
-        sampler = cuboid_box_sampler(k)
-        clouds = extract_clouds(t, poses, k, sampler)
+        grid = meshgrid_box_sampler(k)
+        clouds = extract_clouds(t, poses, k)
         for m, pose, cloud in zip(t.measurements, poses, clouds):
-            for (u, v, d), p in zip(sampler(m), cloud.points):
+            assert len(cloud) == 75
+            for (u, v, d), p in zip(grid(m), cloud.points):
                 np.testing.assert_allclose(p, backproject(Pixel(u, v), d, pose, k), atol=1e-12)
 
     def test_sphere_surface_centroid(self):
-        # sampler returning true surface points of a sphere: the cloud
-        # centroid must sit near the visible (front) surface centroid
+        # a sphere's box with its visible surface's mean depth as range
+        # hint: the cloud centroid must sit near the visible (front)
+        # surface centroid
         k = _k()
         center = np.array([0.0, 0.0, 3.0])
         radius = 0.4
@@ -513,26 +506,16 @@ class TestExtractClouds:
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = dirs[dirs[:, 2] < 0.0]
-        surface = center + radius * dirs
-
-        def sampler(m):
-            u = k.fx * surface[:, 0] / surface[:, 2] + k.cx
-            v = k.fy * surface[:, 1] / surface[:, 2] + k.cy
-            return np.column_stack([u, v, surface[:, 2]])
-
-        # box big enough to hold the sphere, hint at the front surface mean
-        front_mean = surface.mean(axis=0)
+        front_mean = (center + radius * dirs).mean(axis=0)
         half_px = k.fx * radius / center[2] + 20
         box = BoundingBox(
             320 - half_px, 240 - half_px, 320 + half_px, 240 + half_px
         )
         t = Tracklet(0, "ball")
         t.append(Measurement(0.0, 0, "ball", 0.9, box, float(front_mean[2])))
-        clouds = extract_clouds(t, [Pose.identity()], k, sampler)
-        got = centroid(clouds[0])
-        kept = len(clouds[0])
-        assert kept > 1000  # most of the hemisphere fits the depth window
-        assert np.linalg.norm(got - front_mean) < 0.05
+        clouds = extract_clouds(t, [Pose.identity()], k)
+        assert len(clouds[0]) == 75
+        assert np.linalg.norm(centroid(clouds[0]) - front_mean) < 0.05
 
 
 class TestStackedViews:
@@ -541,45 +524,45 @@ class TestStackedViews:
 
     def test_sampler_matches_meshgrid_oracle(self):
         rng = np.random.default_rng(71)
-        for grid in [(5, 5, 3), (1, 1, 1), (2, 7, 4)]:
-            new = cuboid_box_sampler(_k(), grid)
-            old = meshgrid_box_sampler(_k(), grid)
-            for _ in range(20):
-                t, _ = _random_tracklet(rng)
-                for m in t.measurements:
-                    got, want = new(m), old(m)
-                    assert got.shape == want.shape == (int(np.prod(grid)), 3)
-                    assert got.tobytes() == want.tobytes()
+        oracle = meshgrid_box_sampler(_k())
+        for _ in range(60):
+            t, _ = _random_tracklet(rng, wide=0.3)
+            got = _frustum_grid(t.measurements, _k())
+            assert got.shape == (len(t), 75, 3)
+            for g, m in zip(got, t.measurements):
+                assert g.tobytes() == oracle(m).tobytes()
 
     @pytest.mark.parametrize("ragged", [False, True], ids=["grid", "ragged"])
     def test_clouds_match_loop_oracle(self, ragged):
+        # ragged: wide boxes lose their near layer, so views keep 50 or
+        # 75 samples
         rng = np.random.default_rng(72 + ragged)
+        sizes = set()
         for _ in range(100):
-            t, poses = _random_tracklet(rng)
-            if ragged:
-                rows = _ragged_rows(t, rng)
-                new = old = lambda m: rows[m.frame_id]  # noqa: E731
-            else:
-                new, old = cuboid_box_sampler(_k()), meshgrid_box_sampler(_k())
-            got = extract_clouds(t, poses, _k(), new)
-            want = loop_extract_clouds(t, poses, _k(), old)
+            t, poses = _random_tracklet(rng, wide=0.5 if ragged else 0.0)
+            got = extract_clouds(t, poses, _k())
+            want = loop_extract_clouds(t, poses, _k(), meshgrid_box_sampler(_k()))
             assert len(got) == len(want) == len(poses)
             for g, w in zip(got, want):
                 assert g.points.shape == w.shape
                 assert g.points.tobytes() == w.tobytes()
+                sizes.add(len(g))
+        assert sizes == ({50, 75} if ragged else {75})
 
     def test_first_exhausted_frame_named(self):
         rng = np.random.default_rng(75)
         for _ in range(40):
-            t, poses = _random_tracklet(rng)
+            t, poses = _random_tracklet(rng, wide=0.3)
             n = len(poses)
             exhausted = {int(i) for i in rng.choice(n, int(rng.integers(1, n + 1)),
                                                     replace=False)}
-            rows = _ragged_rows(t, rng, exhausted)
-            with pytest.raises(EmptyCloudError) as got:
-                extract_clouds(t, poses, _k(), lambda m: rows[m.frame_id])
-            with pytest.raises(EmptyCloudError) as want:
-                loop_extract_clouds(t, poses, _k(), lambda m: rows[m.frame_id])
+            t.measurements = [_overflowing(m) if i in exhausted else m
+                              for i, m in enumerate(t.measurements)]
+            with warnings.catch_warnings(), pytest.raises(EmptyCloudError) as got:
+                warnings.simplefilter("error")
+                extract_clouds(t, poses, _k())
+            with np.errstate(invalid="ignore"), pytest.raises(EmptyCloudError) as want:
+                loop_extract_clouds(t, poses, _k(), meshgrid_box_sampler(_k()))
             assert str(got.value) == str(want.value)
             assert f"frame {10 + min(exhausted)}" in str(got.value)
 
@@ -605,13 +588,13 @@ class TestStackedViews:
     def test_estimate_matches_loop_oracle(self):
         rng = np.random.default_rng(77)
         noise = PixelNoiseModel.isotropic(4.0)
-        walk = RandomWalkConfig(n_samples=300, seed=5)
+        walk = RandomWalkConfig(n_samples=300)
         walked = 0
         for _ in range(80):
             t, poses = _random_tracklet(rng)
-            want = _loop_estimate(t, poses, noise, walk)
+            want = _loop_estimate(t, poses, noise, walk, 5)
             try:
-                got = estimate_centroid(t, poses, _k(), noise, walk)
+                got = estimate_centroid(t, poses, _k(), noise, walk, 5)
             except BehindCameraError:
                 assert want is None
                 continue
@@ -646,14 +629,17 @@ class TestProposeCandidate:
     def test_static_object_accepted(self):
         t, traj, point = self._trajectory_and_tracklet(speed=0.0)
         prop = propose_candidate(
-            t, traj, _k(), cuboid_box_sampler(_k()), PixelNoiseModel.isotropic(),
-            RandomWalkConfig(seed=5), mad_threshold=0.15,
+            t, traj, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(), 5,
+            mad_threshold=0.15,
         )
         assert prop.accepted
         assert prop.mad < 0.15
         cand = prop.candidate
         assert isinstance(cand, Candidate)
         assert cand.size_estimate > 0
+        # one cloud: every view's cloud, stacked in view order
+        views = extract_clouds(t, resolve_poses(t, traj), _k())
+        assert cand.cloud.points.tobytes() == np.vstack([c.points for c in views]).tobytes()
         assert np.linalg.norm(cand.map_centroid - point) < 0.05
 
     def test_fast_object_rejected(self):
@@ -661,8 +647,8 @@ class TestProposeCandidate:
         # 5 step march is 1.2 * 0.15 = 0.18 > 0.15
         t, traj, _ = self._trajectory_and_tracklet(speed=1.5)
         prop = propose_candidate(
-            t, traj, _k(), cuboid_box_sampler(_k()), PixelNoiseModel.isotropic(),
-            RandomWalkConfig(seed=6), mad_threshold=0.15,
+            t, traj, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(), 6,
+            mad_threshold=0.15,
         )
         assert not prop.accepted
         assert prop.candidate is None

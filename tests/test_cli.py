@@ -225,7 +225,12 @@ class TestMalformedJson:
                   "--tracker-max-gap", "0.4")
 
     def test_run_random_walk_seed_rejected(self, tmp_path, capsys):
-        self._run(tmp_path, capsys, "random_walk.seed", "--random-walk-seed", "5")
+        # the top-level seed drives the walk; the nested key is unknown
+        config = self._doc(tmp_path, '{"random_walk": {"seed": 0}}')
+        self._run(tmp_path, capsys, "seed", "--config", config)
+        # and the flag is gone with the field: a usage error
+        assert main(["run", "--detections", "d", "--odometry", "o", "--out-dir",
+                     str(tmp_path), "--random-walk-seed", "5"]) == 1
 
     def test_run_deleted_huber_scale_key_exits_2(self, tmp_path, capsys):
         config = self._doc(tmp_path, '{"optimizer": {"huber_scale_px": 5.0}}')

@@ -34,7 +34,6 @@ from semmap.geometry import (
     Trajectory,
     backproject,
     centroid,
-    merge_clouds,
     quat_conjugate,
     quat_from_rotvec,
     quat_mul,
@@ -223,13 +222,6 @@ class TestCentroid:
         c0 = centroid(PointCloud(pts))
         c1 = centroid(PointCloud(pts + shift))
         np.testing.assert_allclose(c1, c0 + shift, atol=1e-12)
-
-    def test_merge_stacks_points_in_order(self):
-        a = PointCloud(np.zeros((3, 3)))
-        b = PointCloud(np.ones((2, 3)))
-        merged = merge_clouds([a, b])
-        assert len(merged) == 5
-        np.testing.assert_array_equal(merged.points, np.vstack([a.points, b.points]))
 
 
 class TestTrajectory:

@@ -79,13 +79,14 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="iou_treshold"):
             PipelineConfig.from_dict(doc)
 
-    def test_random_walk_seed_must_keep_its_default(self):
-        with pytest.raises(ValueError, match="seed"):
-            PipelineConfig.from_dict({"random_walk": {"seed": 5}})
-        with pytest.raises(ValueError, match="seed"):
-            PipelineConfig(random_walk=RandomWalkConfig(seed=1))
-        same = PipelineConfig.from_dict({"random_walk": {"seed": 0}})
-        assert same.hash() == PipelineConfig().hash()
+    def test_deleted_random_walk_seed_key_rejected(self):
+        # the top-level seed drives the walk; the nested key is gone, so
+        # even its old default is an unknown key
+        for value in (5, 0):
+            with pytest.raises(ValueError, match="unknown random_walk config key 'seed'"):
+                PipelineConfig.from_dict({"random_walk": {"seed": value}})
+        with pytest.raises(TypeError):
+            RandomWalkConfig(seed=1)
 
     @pytest.mark.parametrize("doc", [
         {"tracker": 5}, {"tracker": [1]}, {"pixel_noise_sigma": "4"},
@@ -97,10 +98,10 @@ class TestConfigRoundTrip:
             PipelineConfig.from_dict(doc)
 
     def test_hash_pinned(self):
-        # the hashes in the run outputs of these configs stay as they were
-        assert PipelineConfig().hash() == "e1cf73ee6f3d124b"
+        # the hashes the run outputs of these configs embed
+        assert PipelineConfig().hash() == "4589918507edebb4"
         assert PipelineConfig.from_dict({"seed": 3, "odometry_translation_sigma": 0.002}
-                                        ).hash() == "a426d28f1905f6c5"
+                                        ).hash() == "900e4c230cc25c8c"
 
     def test_deleted_huber_scale_key_rejected(self):
         # the observation cost is plain least squares; the robust
@@ -154,6 +155,40 @@ class TestInputValidation:
         result = run_pipeline([], odo)
         assert len(result.corrected) == 4
         assert len(result.landmark_map) == 0
+
+
+class TestStressScenes:
+    """Degenerate scenes through run_pipeline: a camera that never
+    moves, and detections that never form a tracklet."""
+
+    def test_static_camera_maps_on_the_no_baseline_fallback(self):
+        # one waypoint at speed 0 on exact odometry: no view has a
+        # baseline, so every accepted proposal falls back to its range
+        # hint; zero sigmas hold the poses fixed
+        world, noise = desk_preset(seed=0, duration=6.0, odom_translation_sigma=0.0,
+                                   odom_rotation_sigma=0.0)
+        world = replace(world, path=replace(world.path, waypoints=((0.9, 0.0, 1.45),),
+                                            speed=0.0))
+        bundle = ground_truth_bundle(world, noise)
+        result = run_pipeline(bundle.frames, bundle.odometry,
+                              PipelineConfig(odometry_translation_sigma=0.0,
+                                             odometry_rotation_sigma=0.0))
+        accepted = [p for p in result.proposals if p.accepted]
+        assert len(accepted) == 208
+        assert all(p.low_confidence for p in accepted)
+        assert len(result.landmark_map) == 6
+        np.testing.assert_array_equal(result.corrected.stamps, bundle.odometry.stamps)
+
+    def test_false_positives_only_give_an_empty_map(self):
+        world, noise = desk_preset(seed=0, duration=6.0, missed_detection_rate=1.0,
+                                   false_positive_rate=1.0)
+        bundle = ground_truth_bundle(world, noise)
+        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig())
+        assert result.counts["detections"] > 0
+        assert result.proposals == []
+        assert len(result.landmark_map) == 0
+        assert result.solves == []
+        np.testing.assert_array_equal(result.corrected.stamps, bundle.odometry.stamps)
 
 
 class TestZeroNoiseExactness:
