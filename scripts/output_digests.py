@@ -13,9 +13,17 @@ claims byte-identical outputs compares its digests with the parent's:
     python3 scripts/output_digests.py --out parent.json      # on the parent
     python3 scripts/output_digests.py --compare parent.json  # on the change
 
+--workload NAME (repeatable) maps only that workload's scenes, and
+--compare then checks only those scenes of the parent file:
+
+    python3 scripts/output_digests.py --workload desk --compare parent.json
+
 --compare prints the files whose bytes differ and, separately, the
-maps whose content differs; it exits 1 if any bytes differ. A parent
-file without content digests gets only the byte comparison.
+maps whose content differs. It lists each scene that one side has and
+the other lacks (a selected scene absent from the parent file, or a
+parent scene this run did not map), and exits 1 if any bytes differ or
+any scene is missing. A parent file without content digests gets only
+the byte comparison.
 """
 
 import argparse
@@ -41,11 +49,12 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def scene_digests(work: Path) -> dict[str, str]:
-    """'<scene>/<file>' -> sha256 hex digest, scenes in workload order."""
+def scene_digests(work: Path, workloads: list[str]) -> dict[str, str]:
+    """'<scene>/<file>' -> sha256 hex digest over the named workloads'
+    scenes, in workload order."""
     out = {}
-    for workload in WORKLOADS.values():
-        for scene in workload.scenes:
+    for name in workloads:
+        for scene in WORKLOADS[name].scenes:
             base = work / scene.name
             base.mkdir(parents=True)
             scenario = base / "scenario.json"
@@ -62,21 +71,40 @@ def scene_digests(work: Path) -> dict[str, str]:
     return out
 
 
+def scene_of(key: str) -> str:
+    return key.split("/", 1)[0]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="write the digests as JSON")
     parser.add_argument("--compare", type=Path, metavar="PARENT_JSON",
                         help="list the files whose digests differ from these")
+    parser.add_argument("--workload", action="append", choices=list(WORKLOADS),
+                        metavar="NAME", help="map only this workload's scenes "
+                        "(repeatable; default: every workload)")
     args = parser.parse_args(argv)
+    workloads = [w for w in WORKLOADS if w in args.workload] if args.workload else list(WORKLOADS)
 
     with tempfile.TemporaryDirectory() as tmp:
-        digests = scene_digests(Path(tmp))
+        digests = scene_digests(Path(tmp), workloads)
     if args.out:
         args.out.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
     if args.compare is None:
         return 0
     parent = json.loads(args.compare.read_text(encoding="utf-8"))
-    keys = sorted(parent.keys() | digests.keys())
+    mapped = {scene.name for w in workloads for scene in WORKLOADS[w].scenes}
+    if args.workload:
+        parent = {k: v for k, v in parent.items() if scene_of(k) in mapped}
+    parent_scenes = {scene_of(k) for k in parent}
+    missing = [f"scene missing from {args.compare}: {scene}"
+               for scene in sorted(mapped - parent_scenes)]
+    missing += [f"scene not mapped in this run: {scene}"
+                for scene in sorted(parent_scenes - mapped)]
+    for line in missing:
+        print(line)
+    keys = sorted(k for k in parent.keys() | digests.keys()
+                  if scene_of(k) in mapped & parent_scenes)
     byte_keys = [k for k in keys if not k.endswith(CONTENT)]
     has_content = any(k.endswith(CONTENT) for k in parent)
     content_keys = [k for k in keys if k.endswith(CONTENT)] if has_content else []
@@ -90,7 +118,7 @@ def main(argv=None) -> int:
     if content_keys:
         print(f"{len(content_keys) - len(content_differ)}/{len(content_keys)} "
               "landmark maps content-identical")
-    return 1 if differ else 0
+    return 1 if differ or missing else 0
 
 
 if __name__ == "__main__":

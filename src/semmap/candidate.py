@@ -21,8 +21,12 @@ seeded by midpoint triangulation of the box-center rays and refined by a
 random-walk search that keeps the best sample seen. The walk scores a
 block of proposals per call through a folded projection: the
 intrinsics and each box center fold into three rows per view, so one
-matrix product gives every residual numerator and depth (see
-_LikelihoodEvaluator).
+matrix product gives every residual numerator and depth. The kernel is
+view-major: that product is (3T, m), one contiguous row of m values per
+view and quantity, so the elementwise steps run over long rows instead
+of strided (m, 3, T) slices. The BLAS operand layout fixes the
+rounding, and the one chosen reproduces the point-major product bit for
+bit (see _LikelihoodEvaluator).
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ _GRID_COUNTS = np.array([5.0, 5.0, 3.0])
 _GRID_UNIT = np.stack(np.meshgrid(*(np.arange(n) + 0.5 for n in (5, 5, 3)),
                                   indexing="ij"), axis=-1).reshape(-1, 3)
 
+# proposals the random walk scores per call: the first block and the
+# cap it doubles up to while no proposal improves
+_WALK_BLOCK = 512
+_WALK_BLOCK_MAX = 1024
+
 
 @dataclass(frozen=True)
 class PixelNoiseModel:
@@ -74,6 +83,11 @@ class PixelNoiseModel:
         if np.any(np.linalg.eigvalsh(cov) <= 0):
             raise ValueError("covariance must be positive definite")
         object.__setattr__(self, "covariance", cov)
+        # run constants of the likelihood: the information matrix and the
+        # 2D Gaussian's log(1 / sqrt((2 pi)^2 det)) per measurement
+        object.__setattr__(self, "information", np.linalg.inv(cov))
+        _, logdet = np.linalg.slogdet(cov)
+        object.__setattr__(self, "log_norm", -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet))
 
     @staticmethod
     def isotropic(sigma_px: float = 4.0) -> "PixelNoiseModel":
@@ -235,10 +249,19 @@ class _LikelihoodEvaluator:
         c_t = R_t[2]
 
     give the pixel residuals as ru = a_t.(x - C_t) / c_t.(x - C_t) and
-    rv = b_t.(x - C_t) / c_t.(x - C_t). All 3T rows sit in one (3, 3T)
-    matrix with one offset each, so a single product yields every
-    numerator and depth. Points are taken relative to the mean camera
-    center, which bounds the cancellation far from the origin.
+    rv = b_t.(x - C_t) / c_t.(x - C_t). All 3T rows sit in one (3T, 3)
+    matrix with one offset each, and the kernel is view-major: one
+    product of the rows with the (3, m) block `xs.T - ref` gives a
+    (3T, m) array whose u numerators, v numerators and depths are each
+    T contiguous rows of m values, so every elementwise step runs over
+    whole rows. Points are taken relative to the mean camera center,
+    which bounds the cancellation far from the origin. The operand
+    layouts pick the BLAS kernel and so fix the rounding: with C-ordered
+    rows and a C-ordered point block, each value equals the point-major
+    product `(xs - ref) @ rows.T` bit for bit at every m, while the
+    transposed view of an (m, 3) block differs in some last bits above
+    m = 1024. A single point takes BLAS's matrix-vector path in either
+    layout, whose last bits can differ from a block's.
     `rotations` is the views' camera-to-world stack when the caller
     already has it.
     """
@@ -251,38 +274,64 @@ class _LikelihoodEvaluator:
         world_to_cam = rotations.transpose(0, 2, 1)
         cam_centers = np.stack([p.translation for p in poses])
         centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
-        rows = np.concatenate([
+        self.rows = np.concatenate([
             k.fx * world_to_cam[:, 0] + (k.cx - centers_px[:, :1]) * world_to_cam[:, 2],
             k.fy * world_to_cam[:, 1] + (k.cy - centers_px[:, 1:]) * world_to_cam[:, 2],
             world_to_cam[:, 2],
         ])
-        self.ref = cam_centers.mean(axis=0)
-        self.rows_t = rows.T
-        self.offsets = np.sum(rows * np.tile(cam_centers - self.ref, (3, 1)), axis=1)
-        self.info = np.linalg.inv(noise.covariance)
-        _, logdet = np.linalg.slogdet(noise.covariance)
-        # 2D Gaussian: log(1 / sqrt((2 pi)^2 det)) per measurement
-        self.log_norm = -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet)
+        ref = cam_centers.mean(axis=0)
+        self.ref = ref[:, None]
+        self.offsets = np.sum(self.rows * np.tile(cam_centers - ref, (3, 1)),
+                              axis=1)[:, None]
+        info = noise.information
+        self.weights = (info[0, 0], info[1, 1])
+        # a diagonal covariance makes the cross term a signed zero (NaN
+        # where the quadratic already is not finite), which moves no
+        # decision, so it is skipped
+        self.cross = 2.0 * info[0, 1] if info[0, 1] != 0.0 else None
         self.count = len(poses)
+        self.norm = self.count * noise.log_norm
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """xs (m, 3) -> ll (m,); -inf where behind any camera."""
         xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-        proj = ((xs - self.ref) @ self.rows_t - self.offsets).reshape(-1, 3, self.count)
-        num_u, num_v, z = proj[:, 0], proj[:, 1], proj[:, 2]
-        # rows behind a camera may divide by zero or overflow; they are
-        # overwritten with -inf below
+        t = self.count
+        # rows behind a camera may divide by zero or overflow, and are
+        # overwritten with -inf below; points far enough out to overflow
+        # the product come out -inf or NaN
         with np.errstate(all="ignore"):
-            ru = num_u / z
-            rv = num_v / z
-            quad = (
-                self.info[0, 0] * ru * ru
-                + 2.0 * self.info[0, 1] * ru * rv
-                + self.info[1, 1] * rv * rv
-            )
-            out = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
-        out[np.any(z <= 0.0, axis=1)] = -np.inf
+            proj = self.rows @ np.subtract(xs.T, self.ref, order="C")
+            proj -= self.offsets
+            ru, rv, z = proj[:t], proj[t:2 * t], proj[2 * t:]
+            ru /= z
+            rv /= z
+            quad = self.weights[0] * ru
+            quad *= ru
+            if self.cross is not None:
+                term = self.cross * ru
+                term *= rv
+                quad += term
+            term = self.weights[1] * rv
+            term *= rv
+            quad += term
+            out = _sum_views(quad)
+            out *= -0.5
+            out += self.norm
+        out[(z <= 0.0).any(axis=0)] = -np.inf
         return out
+
+
+def _sum_views(terms: np.ndarray) -> np.ndarray:
+    """(T, m) -> (m,): each column summed in the order numpy sums a
+    contiguous run of T values, so a point's total does not depend on
+    the layout. Runs shorter than 8 go left to right; longer ones go
+    through numpy's pairwise sum, here on the point-major copy."""
+    if len(terms) >= 8:
+        return np.ascontiguousarray(terms.T).sum(axis=1)
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
 
 
 def log_likelihood(
@@ -325,28 +374,35 @@ def _hill_climb(x0, ll0, steps, evaluate):
 
     Evaluating a block of pending proposals from the current point is
     exactly the sequential rule: the point only changes at the first
-    improving index, so proposals before it see the same state.
+    improving index, so proposals before it see the same state, and any
+    block schedule gives the same walk as long as `evaluate` scores a
+    point the same in every block (see _LikelihoodEvaluator for a
+    block of one). Improvements are rare (most walks have none or
+    one), so blocks start large.
     """
-    x = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)[:, None]
     llx = float(ll0)
     i = 0
     n = steps.shape[0]
-    block = 64
+    # proposals are built coordinate-major, (3, m), so each sum runs
+    # over whole rows; evaluate gets the (m, 3) view
+    steps = np.ascontiguousarray(steps.T)
+    block = _WALK_BLOCK
     while i < n:
         j = min(n, i + block)
-        cand = x + steps[i:j]
-        lls = evaluate(cand)
-        better = np.nonzero(lls > llx)[0]
+        cand = x + steps[:, i:j]
+        lls = evaluate(cand.T)
+        better = (lls > llx).nonzero()[0]
         if better.size == 0:
             i = j
-            block = min(block * 2, 1024)
+            block = min(block * 2, _WALK_BLOCK_MAX)
         else:
             first = int(better[0])
-            x = cand[first]
+            x = cand[:, first:first + 1]
             llx = float(lls[first])
             i += first + 1
-            block = 64
-    return x, llx
+            block = _WALK_BLOCK
+    return x[:, 0].copy(), llx
 
 
 def estimate_centroid(
@@ -407,7 +463,7 @@ def estimate_centroid(
         return est
 
     rng = np.random.default_rng((run_seed, tracklet.id))
-    steps = rng.normal(0.0, walk.step_sigma, size=(walk.n_samples, 3))
+    steps = rng.standard_normal(size=(walk.n_samples, 3)) * walk.step_sigma
     point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
     assert ll >= ll_seed
     return CentroidEstimate(point, ll, seed, low_confidence=False)

@@ -117,8 +117,9 @@ class TrackerConfig:
     max_gap: float = 0.5
 
     def __post_init__(self):
-        if self.min_tracklet_size < 1:
-            raise ValueError("min_tracklet_size must be >= 1")
+        # the motion gate and the localizer both need two views
+        if self.min_tracklet_size < 2:
+            raise ValueError("min_tracklet_size must be >= 2")
         if not 0.0 <= self.iou_threshold <= 1.0:
             raise ValueError("iou_threshold must lie in [0, 1]")
         if self.max_gap <= 0.0:

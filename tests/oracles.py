@@ -143,6 +143,61 @@ class EinsumLikelihoodEvaluator:
         return out
 
 
+class PointMajorLikelihoodEvaluator:
+    """The folded likelihood in the point-major layout the package used
+    before its view-major kernel, kept as that kernel's bit-exact
+    reference: `(xs - ref) @ rows.T` is read as strided (m, 3, T)
+    slices, the cross term is always added, and numpy sums each point's
+    T terms along its row. `rotations` is the views' camera-to-world
+    stack."""
+
+    def __init__(self, rotations, poses, centers_px, k, cov):
+        world_to_cam = np.asarray(rotations).transpose(0, 2, 1)
+        cam_centers = np.stack([p.translation for p in poses])
+        centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
+        rows = np.concatenate([
+            k.fx * world_to_cam[:, 0] + (k.cx - centers_px[:, :1]) * world_to_cam[:, 2],
+            k.fy * world_to_cam[:, 1] + (k.cy - centers_px[:, 1:]) * world_to_cam[:, 2],
+            world_to_cam[:, 2],
+        ])
+        self.ref = cam_centers.mean(axis=0)
+        self.rows_t = rows.T
+        self.offsets = np.sum(rows * np.tile(cam_centers - self.ref, (3, 1)), axis=1)
+        self.info = np.linalg.inv(cov)
+        _, logdet = np.linalg.slogdet(cov)
+        self.log_norm = -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet)
+        self.count = len(poses)
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+        proj = ((xs - self.ref) @ self.rows_t - self.offsets).reshape(-1, 3, self.count)
+        num_u, num_v, z = proj[:, 0], proj[:, 1], proj[:, 2]
+        with np.errstate(all="ignore"):
+            ru = num_u / z
+            rv = num_v / z
+            quad = (
+                self.info[0, 0] * ru * ru
+                + 2.0 * self.info[0, 1] * ru * rv
+                + self.info[1, 1] * rv * rv
+            )
+            out = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
+        out[np.any(z <= 0.0, axis=1)] = -np.inf
+        return out
+
+
+def sequential_walk(x0, ll0, steps, evaluate):
+    """First-improvement random walk scoring one proposal per call:
+    move to x + step whenever it beats the current likelihood."""
+    x = np.asarray(x0, dtype=float)
+    llx = float(ll0)
+    for step in steps:
+        cand = x + step
+        ll = float(evaluate(cand[None, :])[0])
+        if ll > llx:
+            x, llx = cand, ll
+    return x, llx
+
+
 def brute_force_nn_mean(query_pts, target_pts):
     """Mean over query points of the distance to the closest target."""
     total = 0.0

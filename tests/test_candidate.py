@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     EinsumLikelihoodEvaluator,
+    PointMajorLikelihoodEvaluator,
     grid_search_max,
     loop_box_center_rays,
     loop_extract_clouds,
@@ -22,15 +23,19 @@ from oracles import (
     loop_triangulate_midpoint,
     meshgrid_box_sampler,
     pinhole_uv,
+    sequential_walk,
 )
 
 from semmap.candidate import (
     Candidate,
     PixelNoiseModel,
     RandomWalkConfig,
+    _WALK_BLOCK,
+    _WALK_BLOCK_MAX,
     _frustum_grid,
     _hill_climb,
     _LikelihoodEvaluator,
+    _rotations,
     cuboid_half_depth,
     estimate_centroid,
     extract_clouds,
@@ -230,8 +235,9 @@ class TestLogLikelihood:
         ) == pytest.approx(base, abs=1e-6)
 
 
-def _random_tracklet_views(rng):
-    """Box centers, poses and true point of a random 3-8 view tracklet.
+def _random_tracklet_views(rng, count=None):
+    """Box centers, poses and true point of a random 3-8 view tracklet,
+    or of `count` views.
 
     A third of the tracklets sit about 1 km from the origin. Some views
     look almost edge-on: the optical axis points 80-85 degrees away from
@@ -243,7 +249,7 @@ def _random_tracklet_views(rng):
         point += 1e3 * rng.choice([-1.0, 1.0], 3) * rng.uniform(0.5, 1.0, 3)
     k = _k()
     centers, poses = [], []
-    for _ in range(int(rng.integers(3, 9))):
+    for _ in range(int(rng.integers(3, 9)) if count is None else count):
         edge_on = rng.random() < 0.25
         eye = point + rng.uniform(2.0 if edge_on else 1.0, 4.0) * _unit(rng)
         if edge_on:
@@ -337,6 +343,116 @@ class TestFoldedLikelihood:
             x_want, ll_want = _hill_climb(seed, ll_seed, steps, oracle)
             assert x_got.tobytes() == x_want.tobytes()
             assert ll_got == pytest.approx(ll_want, rel=1e-12, abs=0.0)
+
+
+def _kernel_queries(rng, point, poses):
+    """Rows around `point` (over 1024 of them), shuffled with rows behind
+    view 0's camera, at its center, on its image plane, and so far out
+    that the projection overflows (to NaN where infinite terms of
+    opposite sign meet)."""
+    eye = poses[0].translation
+    axes = poses[0].rotation_matrix()
+    front = point + rng.normal(0.0, 0.3, (1100, 3))
+    behind = eye - rng.uniform(0.5, 5.0, (8, 1)) * (point - eye)
+    plane = eye + rng.normal(0.0, 1.0, (8, 1)) * axes[:, 0] + rng.normal(0.0, 1.0, (8, 1)) * axes[:, 1]
+    huge = rng.choice([-1.0, 1.0], (16, 3)) * 10.0 ** rng.uniform(150.0, 308.0, (16, 3))
+    huge[:8] = np.copysign(1e308, huge[:8])
+    return rng.permutation(np.concatenate([front, behind, eye[None, :], plane, huge]))
+
+
+class TestViewMajorKernel:
+    @pytest.mark.parametrize("anisotropic", [False, True])
+    @pytest.mark.parametrize("count", range(2, 13))
+    def test_matches_point_major_oracle(self, count, anisotropic):
+        # the walk only compares likelihoods, so finite values must match
+        # the point-major layout bit for bit, and non-finite ones (-inf
+        # behind a camera, or NaN where the projection overflows) must
+        # fall on the same rows; the off-diagonal covariance exercises
+        # the cross term
+        rng = np.random.default_rng(100 + count)
+        cov = np.array([[9.0, 2.5], [2.5, 4.0]]) if anisotropic else np.eye(2) * 16.0
+        noise = PixelNoiseModel(cov)
+        for _ in range(3):
+            centers, poses, point = _random_tracklet_views(rng, count)
+            rotations = _rotations(poses)
+            new = _LikelihoodEvaluator(poses, centers, _k(), noise, rotations)
+            old = PointMajorLikelihoodEvaluator(rotations, poses, centers, _k(), cov)
+            xs = _kernel_queries(rng, point, poses)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = new(xs)
+                single = np.concatenate([new(x) for x in xs[:60]])
+            with np.errstate(all="ignore"):
+                want = old(xs)
+                # one point takes BLAS's matrix-vector path, whose last
+                # bits differ from a block's in both layouts
+                want_single = np.concatenate([old(x) for x in xs[:60]])
+            for g, w in ((got, want), (single, want_single)):
+                finite = np.isfinite(w)
+                np.testing.assert_array_equal(np.isfinite(g), finite)
+                assert g[finite].view(np.int64).tolist() == w[finite].view(np.int64).tolist()
+            assert np.isfinite(want).sum() >= 300
+            assert np.isneginf(want).any()
+
+
+class TestWalkSchedule:
+    @pytest.mark.parametrize("n_samples", [0, 1, _WALK_BLOCK - 1, _WALK_BLOCK,
+                                           _WALK_BLOCK + 1, 2000])
+    def test_matches_sequential_walk(self, n_samples):
+        # scoring blocks of proposals must take exactly the steps that
+        # scoring one proposal per call takes
+        rng = np.random.default_rng(n_samples)
+        noise = PixelNoiseModel.isotropic(4.0)
+        walks = moved = 0
+        while walks < 8:
+            centers, poses, point = _random_tracklet_views(rng)
+            kernel = _LikelihoodEvaluator(poses, centers, _k(), noise)
+
+            def evaluate(xs):
+                # every block at least two rows wide: a single point
+                # takes BLAS's matrix-vector path, whose last bits differ
+                return kernel(np.concatenate([xs, xs]))[:len(xs)]
+
+            seed = point + rng.normal(0.0, 0.05, 3)
+            ll_seed = float(evaluate(seed[None, :])[0])
+            if not np.isfinite(ll_seed):
+                continue
+            walks += 1
+            steps = rng.standard_normal((n_samples, 3)) * 0.05
+            x_got, ll_got = _hill_climb(seed, ll_seed, steps, evaluate)
+            x_want, ll_want = sequential_walk(seed, ll_seed, steps, evaluate)
+            assert x_got.tobytes() == x_want.tobytes()
+            assert ll_got == ll_want
+            moved += x_got.tobytes() != seed.tobytes()
+        assert n_samples < _WALK_BLOCK or moved >= 4
+
+    @pytest.mark.parametrize("improving", [
+        [0],  # first index of the first block
+        [_WALK_BLOCK - 1],  # its last index
+        [_WALK_BLOCK],  # first index of the doubled second block
+        [_WALK_BLOCK + _WALK_BLOCK_MAX - 1],  # its last index
+        [0, 1, 2],  # each the first index of the block after the last
+        [_WALK_BLOCK - 1, 2 * _WALK_BLOCK - 1],  # last of a block, twice
+        [1999],  # the last proposal
+    ])
+    def test_improvement_at_block_edges(self, improving):
+        # the likelihood is the first coordinate, and every step lowers it
+        # by 1 except those at `improving`, which raise it by 1: the walk
+        # must take exactly those
+        steps = np.random.default_rng(3).normal(0.0, 1.0, (2000, 3))
+        steps[:, 0] = -1.0
+        steps[improving, 0] = 1.0
+        scored = []
+
+        def evaluate(xs):
+            scored.append(len(xs))
+            return xs[:, 0].copy()
+
+        x, ll = _hill_climb(np.zeros(3), 0.0, steps, evaluate)
+        assert ll == len(improving)
+        want = sequential_walk(np.zeros(3), 0.0, steps, lambda xs: xs[:, 0].copy())
+        assert x.tobytes() == want[0].tobytes() and ll == want[1]
+        assert max(scored) > 1
 
 
 class TestTriangulationSeed:

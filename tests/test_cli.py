@@ -232,6 +232,11 @@ class TestMalformedJson:
         assert main(["run", "--detections", "d", "--odometry", "o", "--out-dir",
                      str(tmp_path), "--random-walk-seed", "5"]) == 1
 
+    def test_run_one_view_tracklets_rejected(self, tmp_path, capsys):
+        config = self._doc(tmp_path, '{"tracker": {"min_tracklet_size": 1}}')
+        self._run(tmp_path, capsys, "min_tracklet_size", "--config", config)
+        assert not (tmp_path / "run").exists()
+
     def test_run_deleted_huber_scale_key_exits_2(self, tmp_path, capsys):
         config = self._doc(tmp_path, '{"optimizer": {"huber_scale_px": 5.0}}')
         self._run(tmp_path, capsys, "huber_scale_px", "--config", config)

@@ -244,6 +244,11 @@ class TestTrackletInvariants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrackerConfig(min_tracklet_size=0)
+        # a one-view tracklet can pass neither the motion gate nor the
+        # localizer, which both need two views
+        with pytest.raises(ValueError, match="min_tracklet_size"):
+            TrackerConfig(min_tracklet_size=1)
+        assert TrackerConfig(min_tracklet_size=2).min_tracklet_size == 2
         with pytest.raises(ValueError):
             TrackerConfig(max_gap=0.0)
         with pytest.raises(ValueError):
