@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .candidate import Candidate
 from .errors import EmptyCloudError
-from .geometry import PointCloud
+from .geometry import PointCloud, column_bounds
 
 # floor for degenerate (flat) bounding volumes when computing overlap
 _FLAT_EPS = 1e-6
@@ -109,17 +109,43 @@ def nn_cloud_distance(candidate_cloud: PointCloud, landmark_cloud: PointCloud) -
     return float(np.mean(dists))
 
 
+# a point's three cell indices are packed into one uint16 sort key
+# while the key range fits: 34**3 keys at most in the pipeline, where
+# the edge is size / 32 and size is at least the cloud's extent
+_PACK_LIMIT = 2 ** 16
+# a negative coordinate at least this large in magnitude stays negative
+# when divided by any finite edge (2**-50 / 2**1024 is the smallest
+# subnormal), so it cannot change cell by underflowing to -0
+_NO_UNDERFLOW = 2.0 ** -50
+
+
 def voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
     """Deterministic voxel downsample keeping the first point per cell.
 
-    A point's cell is floor(p / edge) per axis, kept as float64: the
-    values are exact integers, so no integer conversion can overflow.
-    The first point of each cell is kept, and the kept points stay in
-    input order. The voxel edge doubles until at most `cap` points
-    remain, so the result never exceeds the cap whatever the input
-    density. Raises ValueError when `cap` is below 1, a point is not
-    finite, or `points / edge` is not (an edge too small for the
-    coordinates).
+    A point's cell is floor(p / edge) per axis, recomputed from the
+    coordinates on every pass. The first point of each cell is kept,
+    and the kept points stay in input order. The voxel edge doubles
+    until at most `cap` points remain, so the result never exceeds the
+    cap whatever the input density.
+
+    Cells are grouped by a stable sort. When the three cell spans
+    multiply to at most 2**16, the cells, offset by their minimum, are
+    packed into one uint16 key, (c0 * s1 + c1) * s2 + c2, which numpy
+    sorts by radix. The float64 offsets and keys are exact there: an
+    offset is the difference of two integer-valued floats, below 2**16.
+    Larger spans fall back to a lexicographic sort of the three cell
+    columns.
+
+    Once the edge is at least twice every |p|, each axis holds only the
+    cells -1 and 0, and later passes find the same cells until the edge
+    overflows to inf and every point shares one cell. If more than
+    `cap` cells remain there, the first point is returned at once,
+    which is what that overflow pass returns. The shortcut is skipped
+    when a negative coordinate is small enough to underflow to -0 on
+    the way.
+
+    Raises ValueError when `cap` is below 1, a point is not finite, or
+    `points / edge` is not (an edge too small for the coordinates).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -129,19 +155,33 @@ def voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
     if pts.shape[0] <= cap:
         return pts
     edge = max(edge, 1e-9)
+    reach = float(np.abs(pts).max())
     # the edge only grows from here, so one check covers every pass
-    if not math.isfinite(float(np.abs(pts).max()) / edge):
+    if not math.isfinite(reach / edge):
         raise ValueError("points / edge is not finite")
+    cols = np.ascontiguousarray(pts.T)
     while True:
-        cells = np.floor(pts / edge)
-        # stable sort: the first row of each run of equal cells is the
-        # first point of that cell
-        order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-        ranked = cells[order]
-        starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
-        first = order[starts]
+        cells = np.floor(cols / edge)
+        lo = cells.min(axis=1)
+        spans = cells.max(axis=1) - lo + 1.0
+        n_keys = spans[0] * spans[1] * spans[2]
+        # stable sorts: the first entry of each run of equal cells is
+        # the first point of that cell
+        if n_keys <= _PACK_LIMIT:
+            rel = cells - lo[:, None]
+            key = ((rel[0] * spans[1] + rel[1]) * spans[2] + rel[2]).astype(np.uint16)
+            order = np.argsort(key, kind="stable")
+            ranked = key[order]
+            new_run = ranked[1:] != ranked[:-1]
+        else:
+            order = np.lexsort(cells[::-1])
+            ranked = cells[:, order]
+            new_run = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+        first = order[np.concatenate(([True], new_run))]
         if first.size <= cap:
             return pts[np.sort(first)]
+        if edge >= 2.0 * reach and np.all((pts >= 0.0) | (pts <= -_NO_UNDERFLOW)):
+            return pts[:1].copy()
         edge *= 2.0
 
 
@@ -151,8 +191,8 @@ def _thinned_union(a: np.ndarray, b: np.ndarray, size: float,
     union's largest axis extent (it never shrinks, so earlier growth is
     kept even after thinning trimmed outlying points)."""
     union = np.vstack([a, b])
-    extent = union.max(axis=0) - union.min(axis=0)
-    size = max(size, float(extent.max()))
+    lo, hi = column_bounds(union)
+    size = max(size, float((hi - lo).max()))
     return PointCloud(voxel_thin(union, cap, edge=size / 32.0)), size
 
 
@@ -203,8 +243,29 @@ class LandmarkMap:
 
     def __init__(self):
         self.landmarks: dict[int, Landmark] = {}
-        self.aliases: dict[int, int] = {}
+        self.aliases = {}
         self._next_id = 0
+
+    @property
+    def aliases(self) -> dict[int, int]:
+        """Absorbed id -> surviving id, kept flat: each merge re-points
+        the aliases of the absorbed landmark at its survivor. Replace
+        the dict by assignment, not in place, so the reverse index the
+        merges use stays in step."""
+        return self._aliases
+
+    @aliases.setter
+    def aliases(self, aliases: dict[int, int]) -> None:
+        self._aliases = aliases
+        # target -> the ids that were aliased to it, a superset of the
+        # current ones: an id whose alias moved on is skipped on use
+        self._aliased_to: dict[int, list[int]] = {}
+        for old, kept in aliases.items():
+            self._aliased_to.setdefault(kept, []).append(old)
+
+    def _alias(self, old: int, kept: int) -> None:
+        self._aliases[old] = kept
+        self._aliased_to.setdefault(kept, []).append(old)
 
     def __len__(self) -> int:
         return len(self.landmarks)
@@ -334,11 +395,11 @@ class LandmarkMap:
                     del self.landmarks[high]
                     bounds.pop(low)
                     bounds.pop(high)
-                    # re-point stale aliases at the survivor
-                    for old, kept in list(self.aliases.items()):
-                        if kept == high:
-                            self.aliases[old] = low
-                    self.aliases[high] = low
+                    # re-point the aliases of the absorbed id at the survivor
+                    for old in self._aliased_to.pop(high, ()):
+                        if self._aliases.get(old) == high:
+                            self._alias(old, low)
+                    self._alias(high, low)
                     records.append((high, low))
                     changed = True
                     break

@@ -280,12 +280,32 @@ class PointCloud:
         """Per-axis span of the axis-aligned bounding box."""
         if len(self) == 0:
             raise EmptyCloudError("extent of empty cloud")
-        return self.points.max(axis=0) - self.points.min(axis=0)
+        lo, hi = column_bounds(self.points)
+        return hi - lo
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         if len(self) == 0:
             raise EmptyCloudError("bounds of empty cloud")
-        return self.points.min(axis=0), self.points.max(axis=0)
+        return column_bounds(self.points)
+
+
+def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis (min, max) of a non-empty (N, 3) array, with the bytes of
+    `points.min(axis=0), points.max(axis=0)`.
+
+    The reductions run over contiguous columns: an axis-0 reduction of a
+    C-ordered (N, 3) array runs a 3-wide inner loop, about ten times
+    slower. min and max select one of the values, so the order of the
+    reduction cannot change a bound, except for the sign of a zero.
+    When a bound is zero the row-wise reductions decide it. Not for sums
+    or means: a contiguous row is summed pairwise, which changes bits.
+    """
+    cols = np.ascontiguousarray(points.T)
+    lo = cols.min(axis=1)
+    hi = cols.max(axis=1)
+    if not (lo.all() and hi.all()):
+        return points.min(axis=0), points.max(axis=0)
+    return lo, hi
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:

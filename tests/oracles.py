@@ -82,6 +82,36 @@ def grid_search_max(centers, poses, k, cov, around, half=0.5, step=0.01):
     return best_pt, best_val
 
 
+def rowwise_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis (min, max) by axis-0 reductions of the (N, 3) rows: the
+    form `PointCloud.bounds` had before it reduced contiguous columns."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] == 0:
+        raise EmptyCloudError("bounds of empty cloud")
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+def rowwise_extent(points: np.ndarray) -> np.ndarray:
+    """Per-axis span by axis-0 reductions, as `PointCloud.extent` had it."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] == 0:
+        raise EmptyCloudError("extent of empty cloud")
+    return pts.max(axis=0) - pts.min(axis=0)
+
+
+def repoint_aliases(aliases: dict[int, int],
+                    records: list[tuple[int, int]]) -> dict[int, int]:
+    """Replay merge records (absorbed, kept) on a copy of `aliases` with
+    a scan of every alias per merge, as `merge_overlapping` once did."""
+    aliases = dict(aliases)
+    for high, low in records:
+        for old, kept in list(aliases.items()):
+            if kept == high:
+                aliases[old] = low
+        aliases[high] = low
+    return aliases
+
+
 def dict_voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
     """Deterministic voxel downsample keeping the first point per cell.
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_nn_mean, dict_voxel_thin
+from oracles import brute_force_nn_mean, dict_voxel_thin, repoint_aliases
 
 from semmap.association import (
     AssociationConfig,
@@ -141,7 +141,48 @@ def _thin_cases():
         "far_from_origin": (1e12 + rng.normal(size=(500, 3)), 64, 0.5),
         "landmark_cloud": (rng.normal(size=(4096, 3)) * 0.05, 2048, 0.2 / 32.0),
     }
+    # unit edge, integer coordinates: the cells are the coordinates.
+    # Spans (64, 64, 16) give 2**16 keys, the most one uint16 key packs
+    # (the largest key is 65535); one more cell on the last axis sends
+    # the cells to the column-by-column sort
+    for name, top in (("spans_at_2_16", 15), ("spans_above_2_16", 16)):
+        hi = np.array([63, 63, top], dtype=float)
+        corners = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 1]]) * hi
+        inner = np.floor(rng.uniform(size=(300, 3)) * (hi + 1))
+        pts = np.vstack([corners, inner, inner[:50], hi - inner[:20], hi - [0, 0, 1]])
+        cases[name] = (pts, 60, 1.0)
+    # spans (64, 64, 17): cell (60, 15, 1 + j) has key 65536 + j, which
+    # a uint16 key would wrap onto cell (0, 0, j); 21 cells, cap 20
+    past = np.array([[0, 0, j] for j in range(10)] + [[60, 15, 1 + j] for j in range(10)]
+                    + [[63, 63, 16]], dtype=float)
+    cases["keys_past_uint16"] = (past, 20, 1.0)
+    # spans multiplying to 2**60, around keys that float64 cannot tell
+    # apart: (2**40 - 1) * 2**20 + z for z in 0..9
+    wide = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0 ** 20 - 1]]
+                    + [[2.0 ** 40 - 1, 0.0, z] for z in range(10)])
+    cases["spans_at_2_60"] = (wide, 11, 1.0)
+    # cells above 2**53 in magnitude with small spans: the offsets from
+    # the minimum cell are exact although the cells are not dense
+    big = 2.0 ** 60 + rng.integers(0, 40, size=(400, 3)) * 256.0
+    cases["cells_above_2_53"] = (big, 50, 1.0)
+    cases["cells_below_minus_2_53"] = (-big, 50, 1.0)
+    cases["cells_far_apart_above_2_53"] = (np.vstack([big, -big]), 50, 1.0)
     return [pytest.param(*args, id=name) for name, args in cases.items()]
+
+
+def _tiny_cap_clouds():
+    """Clouds that keep more than 7 cells for a cap below 8."""
+    rng = np.random.default_rng(17)
+    straddle = rng.normal(size=(24, 3))  # every octant, all three planes
+    one_plane = np.abs(rng.normal(size=(24, 3)))
+    one_plane[::2, 0] *= -1.0
+    # a negative coordinate so small that dividing it by a large finite
+    # edge underflows to -0, moving its point from cell -1 to cell 0
+    # before the edge overflows: five cells become four on the way
+    underflow = np.array([[-1e-300, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
+                          [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
+    underflow = np.repeat(underflow, 3, axis=0)
+    return {"straddle": straddle, "one_plane": one_plane, "underflow": underflow}
 
 
 def _assert_thin_matches_oracle(pts, cap, edge):
@@ -203,6 +244,17 @@ class TestVoxelThin:
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             voxel_thin(np.zeros((3, 3)), 0, 0.1)
+
+    @pytest.mark.parametrize("cap", range(1, 8))
+    @pytest.mark.parametrize("name", sorted(_tiny_cap_clouds()))
+    def test_tiny_cap_matches_dict_oracle(self, name, cap):
+        _assert_thin_matches_oracle(_tiny_cap_clouds()[name], cap, 0.01)
+
+    def test_underflowing_cell_is_not_cut_short(self):
+        # four cells remain once -1e-300 / edge underflows, so cap 4
+        # keeps four points rather than the overflow pass's one
+        out = voxel_thin(_tiny_cap_clouds()["underflow"], 4, 0.01)
+        assert out.shape == (4, 3)
 
 
 class TestAssociate:
@@ -411,6 +463,43 @@ class TestMergeOverlapping:
         m._next_id = 5
         m.merge_overlapping(AssociationConfig())
         assert sorted(m.landmarks) == [0, 2, 4]
+
+    def test_aliases_match_a_scan_of_every_alias(self):
+        # landmarks arrive with shuffled ids, so a survivor that already
+        # holds aliases is often absorbed by a lower id later; the map
+        # starts from an assigned alias dict, as a parsed map does
+        rng = np.random.default_rng(71)
+        sites = np.arange(6)[:, None] * [2.0, 0.0, 0.0]
+        m = LandmarkMap()
+        m.landmarks[500] = _landmark(500, sites[0], seed=500)
+        m.landmarks[501] = _landmark(501, sites[3], seed=501)
+        initial = {600: 500, 601: 501, 602: 500}
+        m.aliases = dict(initial)
+        cfg = AssociationConfig()
+        records = []
+        for chunk in np.split(rng.permutation(240), 40):
+            for lid in map(int, chunk):
+                center = sites[rng.integers(6)] + rng.uniform(-0.05, 0.05, 3)
+                m.landmarks[lid] = _landmark(lid, center, seed=lid)
+            records += m.merge_overlapping(cfg)
+        want = repoint_aliases(initial, records)
+        assert list(m.aliases.items()) == list(want.items())
+        assert set(m.aliases.values()) <= set(m.landmarks)
+        # survivors that held aliases when absorbed: the re-point path
+        repointed = sum(any(v == high for v in repoint_aliases(initial, records[:i]).values())
+                        for i, (high, _) in enumerate(records))
+        assert len(records) > 200 and repointed > 10
+
+    def test_live_id_with_an_alias_keeps_the_scan_result(self):
+        # the map parser accepts an alias key that is also a live id;
+        # once 1 is absorbed into 0, absorbing 3 must not re-point it
+        m = LandmarkMap()
+        for lid, x in ((0, 0.0), (1, 0.01), (2, 5.0), (3, 5.01)):
+            m.landmarks[lid] = _landmark(lid, [x, 0.0, 0.0], seed=80 + lid)
+        m.aliases = {1: 3}
+        records = m.merge_overlapping(AssociationConfig())
+        assert records == [(1, 0), (3, 2)]
+        assert m.aliases == repoint_aliases({1: 3}, records) == {1: 0, 3: 2}
 
     def test_ids_never_reused_after_merge(self):
         m = LandmarkMap()

@@ -13,6 +13,8 @@ import pytest
 from oracles import (
     _skew,
     pinhole_uv,
+    rowwise_bounds,
+    rowwise_extent,
     scalar_quat_conjugate,
     scalar_quat_from_rotvec,
     scalar_quat_mul,
@@ -222,6 +224,45 @@ class TestCentroid:
         c0 = centroid(PointCloud(pts))
         c1 = centroid(PointCloud(pts + shift))
         np.testing.assert_allclose(c1, c0 + shift, atol=1e-12)
+
+
+def _bounds_cases():
+    """Clouds on which bounds and extent must keep the row-wise bytes."""
+    rng = np.random.default_rng(107)
+    cases = {f"random_{n}": rng.normal(size=(n, 3)) for n in (2, 9, 17, 2227)}
+    cases["one_point"] = np.array([[1.5, -2.0, 0.25]])
+    cases["far_from_origin"] = 1e12 + rng.normal(size=(300, 3))
+    cases["far_negative"] = -1e300 * rng.uniform(0.5, 1.0, size=(40, 3))
+    # a zero bound's sign depends on the reduction order; these sizes
+    # and seeds give the column form a different sign than the rows
+    for n in (9, 17, 33, 100):
+        for seed in range(4):
+            pts = np.random.default_rng(seed).normal(size=(n, 3))
+            pts[:, 1] = np.random.default_rng(seed).choice([-0.0, 0.0], size=n)
+            cases[f"signed_zeros_{n}_{seed}"] = pts
+    half = rng.uniform(0.0, 1.0, size=(33, 3))
+    half[::3, 2] = -0.0
+    half[1::3, 2] = 0.0
+    cases["zero_minimum"] = half
+    return [pytest.param(pts, id=name) for name, pts in cases.items()]
+
+
+class TestCloudBounds:
+    @pytest.mark.parametrize("pts", _bounds_cases())
+    def test_bounds_keep_rowwise_bytes(self, pts):
+        lo, hi = PointCloud(pts).bounds()
+        want_lo, want_hi = rowwise_bounds(pts)
+        assert lo.tobytes() == want_lo.tobytes()
+        assert hi.tobytes() == want_hi.tobytes()
+
+    @pytest.mark.parametrize("pts", _bounds_cases())
+    def test_extent_keeps_rowwise_bytes(self, pts):
+        assert PointCloud(pts).extent().tobytes() == rowwise_extent(pts).tobytes()
+
+    @pytest.mark.parametrize("method", ["bounds", "extent"])
+    def test_empty_cloud_raises(self, method):
+        with pytest.raises(EmptyCloudError):
+            getattr(PointCloud(np.zeros((0, 3))), method)()
 
 
 class TestTrajectory:

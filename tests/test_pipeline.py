@@ -159,7 +159,26 @@ class TestInputValidation:
 
 class TestStressScenes:
     """Degenerate scenes through run_pipeline: a camera that never
-    moves, and detections that never form a tracklet."""
+    moves, detections that never form a tracklet, and blackouts."""
+
+    @pytest.mark.parametrize("start, end, solves", [(6.0, 12.0, 12), (2.0, 18.0, 5)])
+    def test_blackout_maps_and_solves_cleanly(self, start, end, solves):
+        # every detection dropped for seconds on end: gates grow with
+        # the time since association, and the objects seen before the
+        # blackout are seen again after it
+        world, noise = desk_preset(seed=0, duration=20.0)
+        bundle = ground_truth_bundle(world, noise)
+        frames = [replace(f, detections=()) if start <= f.timestamp <= end else f
+                  for f in bundle.frames]
+        result = run_pipeline(frames, bundle.odometry, PipelineConfig())
+        assert len(result.landmark_map) == 8
+        made_before = {p.landmark_id for p in result.proposals
+                       if p.decision == "new" and p.timestamp < start}
+        assert any(p.decision == "matched" and p.landmark_id in made_before
+                   for p in result.proposals if p.timestamp > end)
+        assert len(result.solves) == solves
+        assert not {s.stop_reason for s in result.solves} & {"stalled", "max_iterations"}
+        np.testing.assert_array_equal(result.corrected.stamps, bundle.odometry.stamps)
 
     def test_static_camera_maps_on_the_no_baseline_fallback(self):
         # one waypoint at speed 0 on exact odometry: no view has a
