@@ -18,12 +18,16 @@ claims byte-identical outputs compares its digests with the parent's:
 
     python3 scripts/output_digests.py --workload desk --compare parent.json
 
---compare prints the files whose bytes differ and, separately, the
-maps whose content differs. It lists each scene that one side has and
-the other lacks (a selected scene absent from the parent file, or a
-parent scene this run did not map), and exits 1 if any bytes differ or
-any scene is missing. A parent file without content digests gets only
-the byte comparison.
+Each scene's `run_manifest.json` `counts` are recorded too, under
+`<scene>/run_manifest.json#counts`, so a refactor of the run loop can
+show its counts unchanged as well as its output files.
+
+--compare prints the files whose bytes differ, the scenes whose counts
+differ and, separately, the maps whose content differs. It lists each
+scene that one side has and the other lacks (a selected scene absent
+from the parent file, or a parent scene this run did not map), and
+exits 1 if any bytes or counts differ or any scene is missing. A parent
+file without content digests or counts gets only the byte comparison.
 """
 
 import argparse
@@ -41,6 +45,7 @@ from semmap.pipeline import DETERMINISTIC_RUN_OUTPUTS, cmd_run, cmd_simulate  # 
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
 CONTENT = "#content"
+COUNTS = "run_manifest.json#counts"
 
 
 def content_digest(data: bytes) -> str:
@@ -49,9 +54,10 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def scene_digests(work: Path, workloads: list[str]) -> dict[str, str]:
-    """'<scene>/<file>' -> sha256 hex digest over the named workloads'
-    scenes, in workload order."""
+def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
+    """'<scene>/<file>' -> sha256 hex digest, and '<scene>/<COUNTS>' ->
+    the run's counts, over the named workloads' scenes, in workload
+    order."""
     out = {}
     for name in workloads:
         for scene in WORKLOADS[name].scenes:
@@ -60,8 +66,10 @@ def scene_digests(work: Path, workloads: list[str]) -> dict[str, str]:
             scenario = base / "scenario.json"
             scenario.write_text(json.dumps(scene.scenario), encoding="utf-8")
             cmd_simulate(scenario, base / "sim")
-            cmd_run(base / "sim" / "detections.txt", base / "sim" / "odometry.txt",
-                    base / "run", pipeline_config(scenario))
+            manifest = cmd_run(base / "sim" / "detections.txt",
+                               base / "sim" / "odometry.txt",
+                               base / "run", pipeline_config(scenario))
+            out[f"{scene.name}/{COUNTS}"] = manifest.counts
             for name in DETERMINISTIC_RUN_OUTPUTS:
                 data = (base / "run" / name).read_bytes()
                 out[f"{scene.name}/{name}"] = hashlib.sha256(data).hexdigest()
@@ -105,12 +113,17 @@ def main(argv=None) -> int:
         print(line)
     keys = sorted(k for k in parent.keys() | digests.keys()
                   if scene_of(k) in mapped & parent_scenes)
-    byte_keys = [k for k in keys if not k.endswith(CONTENT)]
+    byte_keys = [k for k in keys if not k.endswith((CONTENT, COUNTS))]
     has_content = any(k.endswith(CONTENT) for k in parent)
     content_keys = [k for k in keys if k.endswith(CONTENT)] if has_content else []
+    has_counts = any(k.endswith(COUNTS) for k in parent)
+    count_keys = [k for k in keys if k.endswith(COUNTS)] if has_counts else []
     differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
     for key in differ:
         print(f"bytes differ: {key}")
+    counts_differ = [k for k in count_keys if parent.get(k) != digests.get(k)]
+    for key in counts_differ:
+        print(f"counts differ: {scene_of(key)}")
     content_differ = [k for k in content_keys if parent.get(k) != digests.get(k)]
     for key in content_differ:
         print(f"content differs: {key.removesuffix(CONTENT)}")
@@ -118,7 +131,10 @@ def main(argv=None) -> int:
     if content_keys:
         print(f"{len(content_keys) - len(content_differ)}/{len(content_keys)} "
               "landmark maps content-identical")
-    return 1 if differ or missing else 0
+    if count_keys:
+        print(f"{len(count_keys) - len(counts_differ)}/{len(count_keys)} "
+              "scenes with identical counts")
+    return 1 if differ or counts_differ or missing else 0
 
 
 if __name__ == "__main__":

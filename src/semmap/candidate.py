@@ -358,11 +358,10 @@ def triangulate_midpoint(origins: np.ndarray, directions: np.ndarray) -> np.ndar
     d = np.asarray(directions, dtype=float).reshape(-1, 3)
     ms = np.eye(3) - d[:, :, None] * d[:, None, :]
     mcs = np.matmul(ms, np.asarray(origins, dtype=float).reshape(-1, 3)[..., None])
-    a = np.zeros((3, 3))
-    b = np.zeros(3)
-    for m, mc in zip(ms, mcs[..., 0]):  # view order fixes the rounding
-        a += m
-        b += mc
+    # an axis-0 sum adds the views in order, from +0.0 as a running
+    # total would, so the rounding is the view-by-view sum's
+    a = ms.sum(axis=0, initial=0.0)
+    b = mcs[..., 0].sum(axis=0, initial=0.0)
     w = np.linalg.eigvalsh(a)
     if w[0] < 1e-9:
         return None

@@ -10,7 +10,7 @@ flags override it. SEMMAP_LOG selects the log level (debug, info,
 warning, error).
 
 Exit codes: 0 success, 1 usage error, 2 malformed or inconsistent
-data, 3 numerical failure.
+data or a path that cannot be read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MappingError, NumericalError
+from .errors import MappingError, NumericalError
 from .io_formats import parse_landmark_map, read_json, write_ply
 from .pipeline import CONFIG_SECTIONS, PipelineConfig, cmd_eval, cmd_run, cmd_simulate
 
@@ -174,10 +174,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MappingError as exc:
+    except (MappingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

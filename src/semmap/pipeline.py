@@ -1,18 +1,18 @@
 """Online mapping pipeline: detections + odometry in, landmark map and
 corrected trajectory out.
 
-The run is split into two stages with strict state ownership. Stage A
-(ingest, track, localize) reads raw odometry only, so the candidate
-stream never depends on when the optimizer last ran; stage B
-(associate, optimize, correct, merge) owns the pose graph and the
-landmark registry and consumes stage A's proposals in frame order.
+One loop runs per odometry frame: track the frame's detections, propose
+a localized candidate for each promoted tracklet, associate the accepted
+candidates with the landmark map, and optimize the pose graph on every
+frame that emitted an observation factor.
 
-Duplicate landmarks are a designed-for consequence of this split: under
-odometry drift a revisited object can fall outside its own validation
-gate and spawn a second landmark. Both keep emitting observations, the
-optimizer pulls them together, and the overlap merge collapses them.
+Candidates are localized on raw odometry, so the candidate stream never
+depends on when the optimizer last ran. Duplicate landmarks are a
+designed-for consequence: under odometry drift a revisited object can
+fall outside its own validation gate and spawn a second landmark. Both
+keep emitting observations, the optimizer pulls them together, and the
+overlap merge collapses them.
 """
-
 import json
 import logging
 import sys
@@ -25,7 +25,6 @@ import numpy as np
 from .association import AssociationConfig, LandmarkMap, Matched
 from .candidate import (
     PixelNoiseModel,
-    Proposal,
     RandomWalkConfig,
     propose_candidate,
 )
@@ -220,120 +219,6 @@ class RunManifest:
         return asdict(self)
 
 
-class _StageB:
-    """Graph and map owner; consumes the ordered proposal stream."""
-
-    def __init__(self, cfg: PipelineConfig, odometry: Trajectory,
-                 timings: dict[str, list[float]]):
-        self.cfg = cfg
-        self.odometry = odometry
-        self.timings = timings
-        self.graph = PoseGraph(cfg.camera)
-        self.map = LandmarkMap()
-        self.records: list[ProposalRecord] = []
-        self.counts = {
-            "observations_emitted": 0,
-            "optimize_calls": 0,
-            "optimize_iterations": 0,
-            "optimize_steps": 0,
-            "merges": 0,
-        }
-        self.solves: list[SolveReport] = []
-        # sigma 0 declares the odometry exact: poses become hard
-        # constraints and only landmarks are optimized
-        self.fix_poses = (
-            cfg.odometry_translation_sigma == 0.0
-            and cfg.odometry_rotation_sigma == 0.0
-        )
-        t = max(cfg.odometry_translation_sigma, _SIGMA_FLOOR)
-        r = max(cfg.odometry_rotation_sigma, _SIGMA_FLOOR)
-        self.odometry_information = np.diag([1.0 / t**2] * 3 + [1.0 / r**2] * 3)
-        self.observation_information = np.linalg.inv(
-            PixelNoiseModel.isotropic(cfg.pixel_noise_sigma).covariance)
-
-    def on_frame(self, frame_id: int, stamp: float,
-                 proposals: list[Proposal]) -> None:
-        if frame_id == 0:
-            self.graph.add_prior(0, self.odometry.poses[0])
-        else:
-            rel = self.odometry.poses[frame_id - 1].inverse().compose(
-                self.odometry.poses[frame_id])
-            self.graph.add_odometry(frame_id - 1, frame_id, rel,
-                                    self.odometry_information)
-
-        emitted = 0
-        for prop in proposals:
-            emitted += self._handle_proposal(prop, frame_id, stamp)
-
-        # a graph extended only by odometry since the last solve keeps
-        # its previous optimum (new chain factors are exactly satisfied
-        # by the composed initialization), so re-solving would only
-        # churn; every frame that emitted an observation solves
-        due = (frame_id + 1) % self.cfg.optimize_every == 0
-        if emitted or (self.graph.observations and due):
-            self._optimize_and_merge(solve=bool(emitted))
-
-    def _handle_proposal(self, prop: Proposal, frame_id: int,
-                         stamp: float) -> int:
-        if not prop.accepted:
-            self.records.append(ProposalRecord(
-                frame_id, stamp, prop.tracklet.id, prop.tracklet.class_id,
-                False, prop.mad, prop.low_confidence, None, None, False))
-            return 0
-
-        call_timings: dict[str, float] = {}
-        decision = self.map.associate(
-            prop.candidate, stamp, self.cfg.association, call_timings)
-        for key, seconds in call_timings.items():
-            self.timings[key].append(seconds)
-
-        emitted = isinstance(decision, Matched) and decision.emit_observation
-        if emitted:
-            last = prop.candidate.tracklet.measurements[-1]
-            landmark = self.map.landmarks[decision.landmark_id]
-            self.graph.add_observation(
-                last.frame_id, decision.landmark_id,
-                np.asarray(last.box.center),
-                self.observation_information,
-                landmark_position=landmark.centroid)
-            self.counts["observations_emitted"] += 1
-        self.records.append(ProposalRecord(
-            frame_id, stamp, prop.tracklet.id, prop.candidate.class_id,
-            True, prop.mad, prop.low_confidence,
-            "matched" if isinstance(decision, Matched) else "new",
-            decision.landmark_id, bool(emitted)))
-        return 1 if emitted else 0
-
-    def _optimize_and_merge(self, solve: bool) -> None:
-        if solve:
-            t0 = perf_counter()
-            report = self.graph.optimize(self.cfg.optimizer, fix_poses=self.fix_poses)
-            self.timings["optimize"].append(perf_counter() - t0)
-            self.solves.append(report)
-            self.counts["optimize_calls"] += 1
-            self.counts["optimize_iterations"] += report.iterations
-            self.counts["optimize_steps"] += report.steps
-            logger.debug(
-                "solve: %d poses, %d landmarks, %d observations, %d iterations, "
-                "%d steps, stop %s, cost %.6g -> %.6g",
-                len(self.graph.poses), len(self.graph.landmarks),
-                len(self.graph.observations), report.iterations, report.steps,
-                report.stop_reason, report.initial_cost, report.final_cost)
-            apply_correction(self.graph, self.map)
-        t2 = perf_counter()
-        merges = self.map.merge_overlapping(self.cfg.association)
-        for old_id, kept_id in merges:
-            self.graph.merge_landmarks(old_id, kept_id)
-        self.timings["landmark_merge"].append(perf_counter() - t2)
-        self.counts["merges"] += len(merges)
-        logger.debug("merge pass: %d merges", len(merges))
-
-    def finish(self) -> None:
-        # the last emitting frame already solved; only merge
-        if self.graph.observations:
-            self._optimize_and_merge(solve=False)
-
-
 def _index_detections(frames, odometry: Trajectory,
                       window: float = 0.02) -> dict[int, list]:
     """Group detections by frame id, validated against the odometry grid."""
@@ -369,17 +254,27 @@ def run_pipeline(frames, odometry: Trajectory,
 
     noise = PixelNoiseModel.isotropic(cfg.pixel_noise_sigma)
     tracker = IouTracker(cfg.tracker)
+    graph = PoseGraph(cfg.camera)
+    lm_map = LandmarkMap()
+    records: list[ProposalRecord] = []
+    solves: list[SolveReport] = []
     timings: dict[str, list[float]] = {name: [] for name in STAGE_NAMES}
-    stage_b = _StageB(cfg, odometry, timings)
+    detections = detections_kept = 0
+    # sigma 0 declares the odometry exact: poses become hard
+    # constraints and only landmarks are optimized
+    fix_poses = (cfg.odometry_translation_sigma == 0.0
+                 and cfg.odometry_rotation_sigma == 0.0)
+    sigma_t = max(cfg.odometry_translation_sigma, _SIGMA_FLOOR)
+    sigma_r = max(cfg.odometry_rotation_sigma, _SIGMA_FLOOR)
+    odometry_information = np.diag([1.0 / sigma_t**2] * 3 + [1.0 / sigma_r**2] * 3)
 
-    counts = {
-        "frames": len(odometry),
-        "detections": 0,
-        "detections_kept": 0,
-        "tracklets_promoted": 0,
-        "proposals_accepted": 0,
-        "proposals_rejected": 0,
-    }
+    def merge_pass() -> None:
+        t0 = perf_counter()
+        merges = lm_map.merge_overlapping(cfg.association)
+        for old_id, kept_id in merges:
+            graph.merge_landmarks(old_id, kept_id)
+        timings["landmark_merge"].append(perf_counter() - t0)
+        logger.debug("merge pass: %d merges", len(merges))
 
     for i in range(len(odometry)):
         stamp = float(odometry.stamps[i])
@@ -388,44 +283,104 @@ def run_pipeline(frames, odometry: Trajectory,
         kept = filter_detections(raw, cfg.tracker)
         promoted, _ = tracker.step(kept, stamp)
         timings["detection_ingest"].append(perf_counter() - t0)
-        counts["detections"] += len(raw)
-        counts["detections_kept"] += len(kept)
-        counts["tracklets_promoted"] += len(promoted)
+        detections += len(raw)
+        detections_kept += len(kept)
 
         proposals = []
         for tracklet in promoted:
-            t1 = perf_counter()
+            t0 = perf_counter()
             prop = propose_candidate(tracklet, odometry, cfg.camera, noise,
                                      cfg.random_walk, cfg.seed, cfg.mad_threshold)
-            timings["candidate_proposal"].append(perf_counter() - t1)
-            counts["proposals_accepted" if prop.accepted
-                   else "proposals_rejected"] += 1
+            timings["candidate_proposal"].append(perf_counter() - t0)
             proposals.append(prop)
-        stage_b.on_frame(i, stamp, proposals)
 
-    stage_b.finish()
-    counts.update(stage_b.counts)
-    counts["landmarks"] = len(stage_b.map)
-    # behind-camera observation factors, counted at each solve's final
-    # linearization point and summed over the run's solves
-    counts["deactivated_observations"] = sum(
-        s.deactivated_observations for s in stage_b.solves)
-    # which stopping rule ended each solve
-    counts["solves_by_stop_reason"] = {
-        reason: sum(s.stop_reason == reason for s in stage_b.solves)
-        for reason in STOP_REASONS}
+        if i == 0:
+            graph.add_prior(0, odometry.poses[0])
+        else:
+            rel = odometry.poses[i - 1].inverse().compose(odometry.poses[i])
+            graph.add_odometry(i - 1, i, rel, odometry_information)
 
+        emitted = False
+        for prop in proposals:
+            decision = None
+            if prop.accepted:
+                call_timings: dict[str, float] = {}
+                decision = lm_map.associate(
+                    prop.candidate, stamp, cfg.association, call_timings)
+                for key, seconds in call_timings.items():
+                    timings[key].append(seconds)
+            emit = isinstance(decision, Matched) and decision.emit_observation
+            if emit:
+                last = prop.tracklet.measurements[-1]
+                graph.add_observation(
+                    last.frame_id, decision.landmark_id,
+                    np.asarray(last.box.center), noise.information,
+                    landmark_position=lm_map.landmarks[decision.landmark_id].centroid)
+            emitted |= emit
+            records.append(ProposalRecord(
+                i, stamp, prop.tracklet.id, prop.tracklet.class_id,
+                prop.accepted, prop.mad, prop.low_confidence,
+                None if decision is None
+                else "matched" if isinstance(decision, Matched) else "new",
+                None if decision is None else decision.landmark_id, emit))
+
+        # a graph extended only by odometry since the last solve keeps
+        # its previous optimum (new chain factors are exactly satisfied
+        # by the composed initialization), so re-solving would only
+        # churn; every frame that emitted an observation solves
+        if emitted:
+            t0 = perf_counter()
+            report = graph.optimize(cfg.optimizer, fix_poses=fix_poses)
+            timings["optimize"].append(perf_counter() - t0)
+            solves.append(report)
+            logger.debug(
+                "solve: %d poses, %d landmarks, %d observations, %d iterations, "
+                "%d steps, stop %s, cost %.6g -> %.6g",
+                len(graph.poses), len(graph.landmarks), len(graph.observations),
+                report.iterations, report.steps, report.stop_reason,
+                report.initial_cost, report.final_cost)
+            apply_correction(graph, lm_map)
+        if emitted or (graph.observations and (i + 1) % cfg.optimize_every == 0):
+            merge_pass()
+
+    # the last emitting frame already solved; only merge
+    if graph.observations:
+        merge_pass()
+
+    accepted = sum(rec.accepted for rec in records)
+    counts = {
+        "frames": len(odometry),
+        "detections": detections,
+        "detections_kept": detections_kept,
+        "tracklets_promoted": len(records),
+        "proposals_accepted": accepted,
+        "proposals_rejected": len(records) - accepted,
+        "observations_emitted": sum(rec.emitted_observation for rec in records),
+        "optimize_calls": len(solves),
+        "optimize_iterations": sum(s.iterations for s in solves),
+        "optimize_steps": sum(s.steps for s in solves),
+        # each merge aliases the absorbed id, and ids are never reused
+        "merges": len(lm_map.aliases),
+        "landmarks": len(lm_map),
+        # behind-camera observation factors, counted at each solve's
+        # final linearization point and summed over the run's solves
+        "deactivated_observations": sum(s.deactivated_observations for s in solves),
+        # which stopping rule ended each solve
+        "solves_by_stop_reason": {
+            reason: sum(s.stop_reason == reason for s in solves)
+            for reason in STOP_REASONS},
+    }
     corrected = Trajectory(
         odometry.stamps,
-        [stage_b.graph.poses[i] for i in range(len(odometry))])
+        [graph.poses[i] for i in range(len(odometry))])
     return RunResult(
         corrected=corrected,
-        landmark_map=stage_b.map,
-        graph=stage_b.graph,
+        landmark_map=lm_map,
+        graph=graph,
         timings=timings,
-        proposals=stage_b.records,
+        proposals=records,
         counts=counts,
-        solves=stage_b.solves,
+        solves=solves,
     )
 
 

@@ -174,14 +174,12 @@ def _normal_entries(jac: np.ndarray, r: np.ndarray, info: np.ndarray):
 
 
 def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray,
-             rot: np.ndarray | None = None):
+             rot: np.ndarray):
     """State after a step: poses move on the right, pose * exp(delta),
     so the translation step is expressed in the pose frame; landmarks
-    move additively. rot is quat_to_matrix(q) when the caller has it."""
+    move additively. rot is quat_to_matrix(q)."""
     base = 6 * q.shape[0]
     dp = delta[:base].reshape(-1, 6)
-    if rot is None:
-        rot = quat_to_matrix(q)
     q_new = quat_normalize(quat_mul(q, quat_from_rotvec(dp[:, 3:])))
     t_new = t + np.einsum("nab,nb->na", rot, dp[:, :3])
     return q_new, t_new, lm + delta[base:].reshape(-1, 3)
@@ -549,13 +547,11 @@ class PoseGraph:
         )
         return q, t, lm
 
-    def _linearize_arrays(self, q, t, lm, static, rot=None):
+    def _linearize_arrays(self, q, t, lm, static, rot):
         """Hessian entries (aligned with static h_rows/h_cols), gradient,
         cost and the count of behind-camera observations, all at the
-        array-valued state. rot is quat_to_matrix(q) when the caller
-        has it; both kernels read their pose rotations from it."""
-        if rot is None:
-            rot = quat_to_matrix(q)
+        array-valued state. rot is quat_to_matrix(q); both kernels read
+        their pose rotations from it."""
         idx_i = static["odo_i"]
         r, jac = odometry_kernel(
             np.concatenate([_IDENTITY, q[idx_i]]),
@@ -723,8 +719,8 @@ class PoseGraph:
                 report.stop_reason = "small_step"
                 break
             if not accepted:
-                # damping exhausted without an acceptable step: stalled
-                gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
+                # damping exhausted without an acceptable step: stalled.
+                # No step was accepted, so g and gmax are the loop head's
                 report.converged = gmax < math.sqrt(cfg.gradient_tol)
                 report.stop_reason = "stalled"
                 break

@@ -337,12 +337,11 @@ def ground_truth_bundle(
     consecutive frames."""
     stamps = world.timestamps()
     gt = ground_truth_trajectory(world)
-    poses = [gt.pose_at(float(t)) for t in stamps]
 
     well_posed = False
     for obj in world.objects:
         run = 0
-        for t, pose in zip(stamps, poses):
+        for t, pose in zip(stamps, gt.poses):
             run = run + 1 if _visible(world, pose, obj, float(t)) else 0
             if run >= min_track:
                 well_posed = True

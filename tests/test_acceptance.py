@@ -32,7 +32,7 @@ from test_posegraph import (
 from semmap.association import nn_cloud_distance
 from semmap.candidate import PixelNoiseModel, RandomWalkConfig, estimate_centroid
 from semmap.evaluation import ate_rmse, evaluate_ate, score_landmarks
-from semmap.geometry import PointCloud, Pose, Trajectory, quat_from_rotvec
+from semmap.geometry import PointCloud, Pose, Trajectory, quat_from_rotvec, quat_to_matrix
 from semmap.pipeline import PipelineConfig, cmd_run, cmd_simulate, run_pipeline
 from semmap.posegraph import _retract
 from semmap.simulator import (
@@ -224,7 +224,8 @@ def test_criterion_6_optimizer_correctness(report):
     static, state, _, grad, _, _ = _linearized(fd_graph)
 
     def cost_at(delta):
-        return fd_graph._linearize_arrays(*_retract(*state, delta), static)[2]
+        q, t, lm = _retract(*state, delta, quat_to_matrix(state[0]))
+        return fd_graph._linearize_arrays(q, t, lm, static, quat_to_matrix(q))[2]
 
     h = 1e-6
     fd = np.array([(cost_at(h * e) - cost_at(-h * e)) / (2.0 * h)

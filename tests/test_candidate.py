@@ -683,13 +683,20 @@ class TestStackedViews:
             assert f"frame {10 + min(exhausted)}" in str(got.value)
 
     def test_triangulation_matches_loop_oracle(self):
+        # up to 39 views, so a reduction that summed the views in any
+        # order other than one at a time would show in the bytes
         rng = np.random.default_rng(76)
         degenerate = 0
         for trial in range(300):
-            n = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 40))
             origins = rng.normal(0.0, 1.0, (n, 3)) * (1e3 if trial % 3 == 0 else 1.0)
             if trial % 5 == 0:  # parallel rays: no intersection
                 dirs = np.tile(_unit(rng), (n, 1))
+            elif trial % 5 == 1:  # rays in the x = -0 plane: exact zeros
+                dirs = np.stack([_unit(rng) for _ in range(n)])
+                dirs[:, 0] = -0.0
+                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+                origins[:, :2] = -0.0
             else:
                 dirs = np.stack([_unit(rng) for _ in range(n)])
             got = triangulate_midpoint(origins, dirs)

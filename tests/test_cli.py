@@ -104,13 +104,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"line {first + 2}:" in err and "timestamp" in err
 
-    def test_missing_input_exits_2(self, workspace, tmp_path, capsys):
-        code = main(["run", "--detections", str(tmp_path / "absent.txt"),
-                     "--odometry",
-                     str(workspace / "sim" / "odometry.txt"),
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", ["absent_detections", "dir_detections",
+                                      "file_out_dir", "dir_estimate", "dir_map"])
+    def test_missing_input_exits_2(self, workspace, tmp_path, capsys, case):
+        # an absent or unreadable input, or an out-dir that is a file, is
+        # a data error: exit 2 with an error line, never a traceback
+        sim, run = workspace / "sim", workspace / "run"
+        a_file = tmp_path / "file.txt"
+        a_file.write_text("not a directory\n", encoding="utf-8")
+        odometry = ["--odometry", str(sim / "odometry.txt")]
+        ground_truth = ["--ground-truth", str(sim / "ground_truth.txt")]
+        out = ["--out-dir", str(tmp_path / "out")]
+        argv = {
+            "absent_detections": ["run", "--detections", str(tmp_path / "absent.txt"),
+                                  *odometry, *out],
+            "dir_detections": ["run", "--detections", str(tmp_path), *odometry, *out],
+            "file_out_dir": ["run", "--detections", str(sim / "detections.txt"),
+                             *odometry, "--out-dir", str(a_file)],
+            "dir_estimate": ["eval", "--estimate", str(tmp_path), *ground_truth, *out],
+            "dir_map": ["eval", "--estimate", str(run / "corrected_trajectory.txt"),
+                        *ground_truth, "--map", str(tmp_path),
+                        "--registry", str(sim / "registry.json"), *out],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestEval:

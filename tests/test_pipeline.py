@@ -15,7 +15,7 @@ from oracles import rebuilt_poses
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
-from semmap import posegraph
+from semmap import association, posegraph, tracker
 from semmap.candidate import RandomWalkConfig
 from semmap.pipeline import (
     DETERMINISTIC_RUN_OUTPUTS,
@@ -348,6 +348,41 @@ class TestRunRecords:
         run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
         assert inside["solves"] >= 2
         assert inside["built"] == 0
+
+    def test_counts_match_the_runs_own_records(self, monkeypatch):
+        # promotions and merges are tallied where they happen, so the
+        # counts derived from the records are checked against the run
+        seen = {"promoted": 0, "merges": 0}
+        step = tracker.IouTracker.step
+        merge = association.LandmarkMap.merge_overlapping
+
+        def counted_step(self, *args, **kwargs):
+            promoted, rest = step(self, *args, **kwargs)
+            seen["promoted"] += len(promoted)
+            return promoted, rest
+
+        def counted_merge(self, *args, **kwargs):
+            merges = merge(self, *args, **kwargs)
+            seen["merges"] += len(merges)
+            return merges
+
+        monkeypatch.setattr(tracker.IouTracker, "step", counted_step)
+        monkeypatch.setattr(association.LandmarkMap, "merge_overlapping", counted_merge)
+        bundle = _small_desk(seed=1)
+        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
+        counts, records = result.counts, result.proposals
+        # the scene exercises every path the counts summarize
+        assert counts["merges"] > 0 and counts["optimize_calls"] > 0
+        assert counts["proposals_rejected"] >= 1
+        assert counts["tracklets_promoted"] == len(records) == seen["promoted"]
+        assert counts["proposals_accepted"] == sum(r.accepted for r in records)
+        assert counts["proposals_rejected"] == sum(not r.accepted for r in records)
+        assert counts["observations_emitted"] == \
+            sum(r.emitted_observation for r in records)
+        assert all(r.decision is None and r.landmark_id is None
+                   and not r.emitted_observation
+                   for r in records if not r.accepted)
+        assert counts["merges"] == len(result.landmark_map.aliases) == seen["merges"]
 
 
 def _runs_at(levels, only, tmp_path, caplog):

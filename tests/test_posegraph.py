@@ -631,13 +631,14 @@ class TestBatchedAssembly:
                           landmark_position=poses[0].translation * 1.5)
         g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
         static, state, *_ = _linearized(g)
-        shared = g._linearize_arrays(*state, static, quat_to_matrix(state[0]))
+        rot = quat_to_matrix(state[0])
+        shared = g._linearize_arrays(*state, static, rot)
         odometry, observation = posegraph.odometry_kernel, posegraph.observation_kernel
         monkeypatch.setattr(posegraph, "odometry_kernel",
                             lambda *args, rot_i=None, rz_t=None: odometry(*args))
         monkeypatch.setattr(posegraph, "observation_kernel",
                             lambda *args, rot=None: observation(*args))
-        own = g._linearize_arrays(*state, static)
+        own = g._linearize_arrays(*state, static, rot)
         for a, b in zip(shared, own):
             np.testing.assert_array_equal(a, b)
 
@@ -651,7 +652,7 @@ def _linearized(g):
         {lid: i for i, lid in enumerate(lm_ids)},
     )
     state = g._state_arrays(pose_ids, lm_ids)
-    vals, grad, cost, deact = g._linearize_arrays(*state, static)
+    vals, grad, cost, deact = g._linearize_arrays(*state, static, quat_to_matrix(state[0]))
     return static, state, vals, grad, cost, deact
 
 
