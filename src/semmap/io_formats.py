@@ -4,8 +4,9 @@ configs.
 
 Every writer prints floats with fixed formatting so identical inputs
 produce byte-identical files; every parser reports the offending line
-number on malformed input. JSON files are read and written only by
-read_json and write_json; a malformed JSON document raises
+number on malformed input. JSON files are read only by read_json and
+written by write_json, or with its bytes by write_landmark_map, which
+streams the largest document; a malformed JSON document raises
 ConfigParseError.
 """
 
@@ -191,7 +192,8 @@ def parse_detection_log(path: str) -> list[FrameDetections]:
 
 
 # ----------------------------------------------------------------------
-# JSON documents: every JSON file goes through read_json and write_json
+# JSON documents: every JSON file is read by read_json and written with
+# write_json's bytes
 # ----------------------------------------------------------------------
 
 def read_json(path) -> dict:
@@ -284,26 +286,45 @@ def parse_registry(path: str) -> tuple[SceneObject, ...]:
 
 def write_landmark_map(path: str, lm_map: LandmarkMap,
                        extra: dict | None = None) -> None:
-    """Write the map document on one line; `extra` adds top-level keys."""
+    """Write the map document on one line; `extra` adds top-level keys.
+
+    The bytes are those of write_json, json.dumps(doc, sort_keys=True)
+    plus a newline, but the document is streamed: top-level keys in
+    sorted order, each landmark record dumped on its own, so no string
+    of the whole document is ever built.
+    """
+    landmarks = object()  # stands for the streamed record list
     doc = {
-        "landmarks": [
-            {
-                "id": lm.id,
-                "class_id": lm.class_id,
-                "centroid": lm.centroid.tolist(),
-                "size": float(lm.size),
-                "n_fused": lm.n_fused,
-                "last_association": float(lm.last_association),
-                "last_emission": float(lm.last_emission),
-                "points": lm.cloud.points.tolist(),
-            }
-            for lm in lm_map.ordered()
-        ],
+        "landmarks": landmarks,
         "aliases": {str(k): v for k, v in sorted(lm_map.aliases.items())},
     }
     if extra:
         doc.update(extra)
-    write_json(path, doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        for n, key in enumerate(sorted(doc)):
+            if n:
+                fh.write(", ")
+            if doc[key] is not landmarks:
+                # one key-value pair exactly as json.dumps writes it
+                fh.write(json.dumps({key: doc[key]}, sort_keys=True)[1:-1])
+                continue
+            fh.write(json.dumps({key: []})[1:-2])
+            for i, lm in enumerate(lm_map.ordered()):
+                if i:
+                    fh.write(", ")
+                fh.write(json.dumps({
+                    "id": lm.id,
+                    "class_id": lm.class_id,
+                    "centroid": lm.centroid.tolist(),
+                    "size": float(lm.size),
+                    "n_fused": lm.n_fused,
+                    "last_association": float(lm.last_association),
+                    "last_emission": float(lm.last_emission),
+                    "points": lm.cloud.points.tolist(),
+                }, sort_keys=True))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def _landmark(rec) -> Landmark:

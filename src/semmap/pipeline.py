@@ -335,10 +335,10 @@ def run_pipeline(frames, odometry: Trajectory,
             solves.append(report)
             logger.debug(
                 "solve: %d poses, %d landmarks, %d observations, %d iterations, "
-                "%d steps, stop %s, cost %.6g -> %.6g",
+                "%d steps, stop %s, cost %.6g -> %.6g, %.3f ms",
                 len(graph.poses), len(graph.landmarks), len(graph.observations),
                 report.iterations, report.steps, report.stop_reason,
-                report.initial_cost, report.final_cost)
+                report.initial_cost, report.final_cost, 1e3 * timings["optimize"][-1])
             apply_correction(graph, lm_map)
         if emitted or (graph.observations and (i + 1) % cfg.optimize_every == 0):
             merge_pass()
@@ -424,6 +424,9 @@ def cmd_run(detections_path, odometry_path, out_dir,
     wall-clock trace and run_manifest.json ties everything together.
     """
     cfg = config if config is not None else PipelineConfig()
+    # an out-dir that cannot be made fails here, not after the mapping
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     frames = parse_detection_log(detections_path)
     odometry = parse_tum_trajectory(odometry_path)
     result = run_pipeline(frames, odometry, cfg)
@@ -434,8 +437,6 @@ def cmd_run(detections_path, odometry_path, out_dir,
         ", ".join(f"{reason} {n}" for reason, n in counts["solves_by_stop_reason"].items()),
         counts["optimize_steps"], sum(result.timings["optimize"]))
     run_hash = cfg.hash()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = [f"config {run_hash}"]
 
     write_tum_trajectory(out / "corrected_trajectory.txt", result.corrected,

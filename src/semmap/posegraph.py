@@ -19,7 +19,9 @@ handful of landmarks, so the normal equations are an arrowhead: a
 block-tridiagonal pose chain plus a thin landmark border. Linearization
 writes them straight into block storage (the chain's lower band, the
 dense pose x landmark border and the landmark block) through index maps
-built once per solve; each damped step factors the band by banded
+the graph keeps between solves: each solve stacks only the odometry
+added since the last, plus the few observation factors. Each damped
+step factors the band, held in LAPACK's own band layout, by banded
 Cholesky and eliminates the landmarks by Schur complement. No matrix of
 pose dimension squared is ever formed. Odometry between poses that are
 not neighbours (a loop closure) would leave the band, so optimize
@@ -259,27 +261,26 @@ _CHAIN_KD = 11
 
 
 def solve_chain_schur(
-    band: np.ndarray, border: np.ndarray, lm_block: np.ndarray,
-    g_pose: np.ndarray, g_lm: np.ndarray,
+    band: np.ndarray, gb: np.ndarray, lm_block: np.ndarray, g_lm: np.ndarray,
 ) -> np.ndarray | None:
     """Solve [[A, B], [B^T, C]] [dp; dl] = -[g_pose; g_lm].
 
     A is given by its lower band (LAPACK pbtrf layout, A[i, j] at
-    band[i - j, j]), B = border (P, M) is dense and C = lm_block is
-    (M, M). With A = L L^T and W = L^-1 [g_pose | B], the landmark step
-    solves (C - W_B^T W_B) dl = W_B^T w_g - g_lm, and the pose step is
+    band[i - j, j]; Fortran order factors without a copy), gb = [g_pose
+    | B] is one Fortran-ordered (P, 1 + M) block, the right-hand sides
+    dtbtrs takes as they are, and C = lm_block is (M, M). With A = L L^T
+    and W = L^-1 [g_pose | B], the landmark step solves
+    (C - W_B^T W_B) dl = W_B^T w_g - g_lm, and the pose step is
     dp = -L^-T (w_g + W_B dl). Returns [dp; dl], or None when A or the
     Schur complement is not positive definite. band and lm_block are
-    overwritten.
+    overwritten; gb is kept.
     """
-    p, m = border.shape
+    p, m = gb.shape[0], gb.shape[1] - 1
     if p:
         chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             return None
-        w, _ = scipy.linalg.lapack.dtbtrs(
-            chol, np.column_stack([g_pose, border]), uplo="L"
-        )
+        w, _ = scipy.linalg.lapack.dtbtrs(chol, gb, uplo="L")
         w_g, w_b = w[:, 0], w[:, 1:]
         schur = lm_block - w_b.T @ w_b
         rhs = w_b.T @ w_g - g_lm
@@ -299,53 +300,189 @@ def solve_chain_schur(
     return np.concatenate([dp[:, 0], dl])
 
 
+class _Rows:
+    """Rows appended along the first axis of a buffer whose capacity
+    doubles as it fills; `rows` is the filled part."""
+
+    def __init__(self, row_shape=(), dtype=float):
+        self._buf = np.empty((16, *row_shape), dtype)
+        self.rows = self._buf[:0]
+
+    def _fit(self, end: int) -> None:
+        if end > len(self._buf):
+            n = len(self.rows)
+            self._buf = np.empty((max(end, 2 * len(self._buf)), *self._buf.shape[1:]),
+                                 self._buf.dtype)
+            self._buf[:n] = self.rows
+            self.rows = self._buf[:n]
+
+    def append(self, new: np.ndarray) -> None:
+        self.rows = self.with_tail(new)
+
+    def with_tail(self, tail: np.ndarray) -> np.ndarray:
+        """The filled rows followed by tail, written past them without
+        appending: the next append or with_tail overwrites it."""
+        n = len(self.rows)
+        self._fit(n + len(tail))
+        self._buf[n:n + len(tail)] = tail
+        return self._buf[:n + len(tail)]
+
+
 class _ChainLayout:
     """Normal equations of a graph whose odometry joins only neighbouring
     pose positions, written straight into block storage: the pose
     chain's lower band, the dense pose x landmark border B and the
     landmark block C (block-diagonal: no factor joins two landmarks).
     With fix_poses the pose block is empty and C is the whole system.
-    The index map from Hessian entries to storage is built once."""
 
-    def __init__(self, static: dict, fix_poses: bool):
-        base = static["base"]
-        p = 0 if fix_poses else base
-        m = static["dim"] - base
-        self.base, self.p, self.m = base, p, m
-        self.kd = max(min(_CHAIN_KD, p - 1), 0)
-        self.band_end = (self.kd + 1) * p
-        self.border_end = self.band_end + p * m
+    The graph keeps one layout between solves. Its chain part, the
+    prior as row 0 and the odometry factors after it, lives in growing
+    buffers: the measurement constants, the storage slot of every
+    Hessian entry and the dof of every gradient entry. Each solve
+    appends only the chain factors added since the last (append_chain)
+    and stacks the observation factors anew (set_observations), which
+    merging re-points. Storage is one flat array [discard | band | gB |
+    C]: the band in LAPACK's column-major layout, A[i, j] at
+    (i - j) + j (kd + 1), so a pose entry's slot depends on (i, j) alone
+    and not on the pose count; gB the Fortran-ordered [g_pose | B]
+    block; and slot 0 taking every discarded entry (the upper triangle,
+    B^T and, with fix_poses, every pose entry). A layout is valid for
+    one prior, one fix_poses and one kd, and for pose positions that
+    only grow at the end; anything else builds a new one.
+    """
+
+    def __init__(self, prior: PriorFactor, fix_poses: bool, kd: int):
+        self.prior, self.fix_poses, self.kd = prior, fix_poses, kd
+        self.pose_ids: list[int] = []
+        self.pose_pos: dict[int, int] = {}
+        # pose positions no chain factor references
+        self.uncovered: set[int] = set()
+        # per odometry factor: the from position and the information
+        self.odo_i = _Rows((), int)
+        self.odo_info = _Rows((6, 6))
+        # per chain row, the prior as row 0 and odometry factor k as row
+        # k + 1: the to position and the measurement (quaternion,
+        # translation, rotation matrix)
+        self.rel_j = _Rows((), int)
+        self.rel_q = _Rows((4,))
+        self.rel_t = _Rows((3,))
+        self.rel_r = _Rows((3, 3))
+        self._h_slots = _Rows((), np.intp)
+        self._g_dofs = _Rows((), np.intp)
+
+    @property
+    def n_odometry(self) -> int:
+        return len(self.odo_i.rows)
+
+    def add_poses(self, pose_ids: list[int]) -> None:
+        """Extend the node positions to the sorted pose_ids, whose head
+        is the layout's pose_ids."""
+        first = len(self.pose_ids)
+        for i, pid in enumerate(pose_ids[first:], first):
+            self.pose_pos[pid] = i
+        self.uncovered.update(range(first, len(pose_ids)))
+        self.pose_ids = pose_ids
+        self.base = 6 * len(pose_ids)
+        self.p = 0 if self.fix_poses else self.base
+        self.band_end = 1 + (self.kd + 1) * self.p
+
+    def append_chain(self, odometry: list[OdometryFactor]) -> None:
+        """Stack the prior (on the first call) and the given odometry
+        factors after the chain rows. Raises DataError, stacking
+        nothing, when poses are solved and a factor joins two poses that
+        are not neighbours."""
+        first = not len(self.rel_j.rows)
+        if not (first or odometry):
+            return
+        pos = self.pose_pos
+        odo_i = np.array([pos[f.from_id] for f in odometry], dtype=int)
+        odo_j = np.array([pos[f.to_id] for f in odometry], dtype=int)
+        # odometry between neighbouring pose positions keeps the pose
+        # block inside the band
+        off_chain = np.abs(odo_i - odo_j) > 1
+        if not self.fix_poses and np.any(off_chain):
+            f = odometry[int(np.argmax(off_chain))]
+            raise DataError(
+                f"odometry {f.from_id} -> {f.to_id} joins poses that are not "
+                "neighbours; only a chain of poses can be solved"
+            )
+        rel = [f.rel for f in odometry]
+        rel_j = odo_j
+        groups = [[(6 * odo_i, 6), (6 * odo_j, 6)]]
+        if first:
+            # the prior log(P^-1 X) is the odometry residual from the
+            # identity to X, so it rides as row 0 of the odometry batch
+            prior_pos = pos[self.prior.pose_id]
+            rel = [self.prior.pose] + rel
+            rel_j = np.concatenate([[prior_pos], odo_j])
+            groups.insert(0, [(np.array([6 * prior_pos]), 6)])
+        rel_q = np.stack([z.rotation for z in rel])
+        rows, cols, dofs = zip(*(_entry_indices(blocks) for blocks in groups))
+        self.odo_i.append(odo_i)
+        self.rel_j.append(rel_j)
+        self.rel_q.append(rel_q)
+        self.rel_t.append(np.stack([z.translation for z in rel]))
+        self.rel_r.append(quat_to_matrix(rel_q))
+        self.odo_info.append(np.array([f.information for f in odometry]).reshape(-1, 6, 6))
+        self._h_slots.append(self._pose_slots(np.concatenate(rows), np.concatenate(cols)))
+        self._g_dofs.append(np.concatenate(dofs))
+        self.uncovered.difference_update(rel_j.tolist(), odo_i.tolist())
+
+    def set_observations(self, observations: list[ObservationFactor],
+                         lm_pos: dict[int, int]) -> None:
+        """Stack the observation factors and complete the slots and
+        gradient dofs of every entry, in the order _linearize_arrays
+        emits their values: prior, odometry, observations."""
+        base, p = self.base, self.p
+        m = self.m = 3 * len(lm_pos)
+        self.dim = base + m
+        self.border_end = self.band_end + p * (1 + m)
         self.size = self.border_end + m * m
-        rows, cols = static["h_rows"], static["h_cols"]
+        self.obs_p = np.array([self.pose_pos[f.pose_id] for f in observations], dtype=int)
+        self.obs_l = np.array([lm_pos[f.landmark_id] for f in observations], dtype=int)
+        if observations:
+            self.obs_px = np.stack([f.pixel for f in observations])
+            self.obs_info = np.stack([f.information for f in observations])
+        rows, cols, dofs = _entry_indices([(6 * self.obs_p, 6), (base + 3 * self.obs_l, 3)])
         pose_r, pose_c = rows < base, cols < base
-        # the upper triangle, B^T and, with fix_poses, every pose entry
-        # land in one slot past the end that assemble() discards
-        target = np.full(rows.shape, self.size)
+        # B^T lands in the discard slot 0
+        slots = np.zeros(rows.shape, dtype=np.intp)
+        pp = pose_r & pose_c
+        slots[pp] = self._pose_slots(rows[pp], cols[pp])
         if p:
-            lower = pose_r & pose_c & (rows >= cols)
-            target[lower] = ((rows - cols) * p + cols)[lower]
             pl = pose_r & ~pose_c
-            target[pl] = (self.band_end + rows * m + cols - base)[pl]
+            slots[pl] = (self.band_end + (1 + cols - base) * p + rows)[pl]
         ll = ~pose_r & ~pose_c
-        target[ll] = (self.border_end + (rows - base) * m + cols - base)[ll]
-        self.target = target
+        slots[ll] = (self.border_end + (rows - base) * m + cols - base)[ll]
+        self.h_slots = self._h_slots.with_tail(slots)
+        self.g_dofs = self._g_dofs.with_tail(dofs)
 
-    def assemble(self, vals: np.ndarray):
-        """(band, B, C) from the Hessian entries of one linearization."""
-        store = np.bincount(self.target, vals, minlength=self.size + 1)
+    def _pose_slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Slots of pose x pose entries: the lower band, or the discard
+        slot for the upper triangle and, with fix_poses, every entry."""
+        if not self.p:
+            return np.zeros(rows.shape, dtype=np.intp)
+        return np.where(rows >= cols, 1 + rows - cols + cols * (self.kd + 1), 0)
+
+    def assemble(self, vals: np.ndarray, g: np.ndarray):
+        """(band, gB, C) from the Hessian entries and the gradient of one
+        linearization; band and gB are Fortran-ordered views."""
+        store = np.bincount(self.h_slots, vals, minlength=self.size)
+        gb = store[self.band_end:self.border_end].reshape(1 + self.m, self.p).T
+        gb[:, 0] = g[:self.p]
         return (
-            store[:self.band_end].reshape(self.kd + 1, self.p),
-            store[self.band_end:self.border_end].reshape(self.p, self.m),
-            store[self.border_end:self.size].reshape(self.m, self.m),
+            store[1:self.band_end].reshape(self.p, self.kd + 1).T,
+            gb,
+            store[self.border_end:].reshape(self.m, self.m),
         )
 
     def step(self, system, g: np.ndarray, lam: float) -> np.ndarray | None:
-        band, border, lm_block = system
+        band, gb, lm_block = system
         damped_band = band.copy(order="F")  # factored in place
         damped_band[0] += np.maximum(band[0], 1e-12) * lam
         damped_lm = lm_block.copy()
         damped_lm[np.diag_indices(self.m)] += np.maximum(np.diagonal(lm_block), 1e-12) * lam
-        return solve_chain_schur(damped_band, border, damped_lm, g[:self.p], g[self.base:])
+        return solve_chain_schur(damped_band, gb, damped_lm, g[self.base:])
 
 
 def _unit_pose(q: np.ndarray, t: np.ndarray) -> Pose:
@@ -370,8 +507,8 @@ class PoseEstimates(Mapping):
 
     def __init__(self):
         self._row: dict[int, int] = {}
-        self._q = np.empty((64, 4))
-        self._t = np.empty((64, 3))
+        self._q = _Rows((4,))
+        self._t = _Rows((3,))
         self._built: dict[int, Pose] = {}
 
     def __len__(self) -> int:
@@ -387,17 +524,18 @@ class PoseEstimates(Mapping):
         pose = self._built.get(pid)
         if pose is None:
             i = self._row[pid]
-            pose = _unit_pose(self._q[i].copy(), self._t[i].copy())
+            pose = _unit_pose(self._q.rows[i].copy(), self._t.rows[i].copy())
             self._built[pid] = pose
         return pose
 
     def __setitem__(self, pid, pose: Pose) -> None:
         i = self._row.setdefault(pid, len(self._row))
-        if i == len(self._q):
-            self._q = np.concatenate([self._q, np.empty_like(self._q)])
-            self._t = np.concatenate([self._t, np.empty_like(self._t)])
-        self._q[i] = pose.rotation
-        self._t[i] = pose.translation
+        if i == len(self._q.rows):
+            self._q.append(pose.rotation[None])
+            self._t.append(pose.translation[None])
+        else:
+            self._q.rows[i] = pose.rotation
+            self._t.rows[i] = pose.translation
         self._built[pid] = pose
 
     def _rows(self, ids: list[int]) -> np.ndarray:
@@ -406,20 +544,22 @@ class PoseEstimates(Mapping):
     def arrays(self, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Quaternions (n, 4) and translations (n, 3) of ids, in order."""
         rows = self._rows(ids)
-        return self._q[rows], self._t[rows]
+        return self._q.rows[rows], self._t.rows[rows]
 
     def store(self, ids: list[int], q: np.ndarray, t: np.ndarray) -> None:
         """Overwrite the estimates of ids. One stacked quat_normalize
         gives each row the bits Pose(q[i], t[i]) would hold."""
         rows = self._rows(ids)
-        self._q[rows] = quat_normalize(q)
-        self._t[rows] = t
+        self._q.rows[rows] = quat_normalize(q)
+        self._t.rows[rows] = t
         self._built.clear()
 
 
 class PoseGraph:
     """Mutable graph; pose estimates live in a PoseEstimates mapping and
-    landmark positions in a dict, both keyed by id."""
+    landmark positions in a dict, both keyed by id. The odometry list
+    only grows: each solve stacks the factors past those it stacked
+    before."""
 
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
@@ -428,6 +568,8 @@ class PoseGraph:
         self.prior: PriorFactor | None = None
         self.odometry: list[OdometryFactor] = []
         self.observations: list[ObservationFactor] = []
+        # the chain system kept between solves (see _ChainLayout)
+        self._layout: _ChainLayout | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -496,46 +638,27 @@ class PoseGraph:
     # linearization
     # ------------------------------------------------------------------
 
-    def _prepare_factors(self, pose_pos: dict[int, int], lm_pos: dict[int, int]):
-        """Stack factor constants into arrays indexed by node position.
+    def _synced_layout(self, pose_ids: list[int], lm_ids: list[int],
+                       fix_poses: bool) -> _ChainLayout:
+        """The graph's kept layout, extended by the poses and odometry
+        added since the last solve and holding the current observations.
 
-        Also lays out the normal equations: h_rows/h_cols hold the
-        global row and column of every Hessian entry the factors
-        contribute, and g_dofs the dof of every gradient entry, in the
-        order _linearize_arrays emits their values.
+        A pose id that sorts before a kept one, a new prior, or a change
+        of fix_poses or of kd starts a new layout, which stacks every
+        factor from the first through the same append.
         """
-        static: dict[str, np.ndarray] = {}
-        base = 6 * len(pose_pos)
-        static["base"] = base
-        static["dim"] = base + 3 * len(lm_pos)
-        static["prior_pos"] = pose_pos[self.prior.pose_id]
-        odo = self.odometry
-        static["odo_i"] = np.array([pose_pos[f.from_id] for f in odo], dtype=int)
-        static["odo_j"] = np.array([pose_pos[f.to_id] for f in odo], dtype=int)
-        # the prior log(P^-1 X) is the odometry residual from the identity
-        # to X, so it rides as row 0 of the odometry kernel's batch
-        static["rel_j"] = np.concatenate([[static["prior_pos"]], static["odo_j"]])
-        rel = [self.prior.pose] + [f.rel for f in odo]
-        static["rel_q"] = np.stack([z.rotation for z in rel])
-        static["rel_t"] = np.stack([z.translation for z in rel])
-        static["rel_rt"] = np.swapaxes(quat_to_matrix(static["rel_q"]), 1, 2)
-        static["odo_info"] = np.array([f.information for f in odo]).reshape(-1, 6, 6)
-        obs = self.observations
-        static["obs_p"] = np.array([pose_pos[f.pose_id] for f in obs], dtype=int)
-        static["obs_l"] = np.array([lm_pos[f.landmark_id] for f in obs], dtype=int)
-        if obs:
-            static["obs_px"] = np.stack([f.pixel for f in obs])
-            static["obs_info"] = np.stack([f.information for f in obs])
-        groups = [
-            [(np.array([6 * static["prior_pos"]]), 6)],
-            [(6 * static["odo_i"], 6), (6 * static["odo_j"], 6)],
-            [(6 * static["obs_p"], 6), (base + 3 * static["obs_l"], 3)],
-        ]
-        rows, cols, dofs = zip(*(_entry_indices(blocks) for blocks in groups))
-        static["h_rows"] = np.concatenate(rows)
-        static["h_cols"] = np.concatenate(cols)
-        static["g_dofs"] = np.concatenate(dofs)
-        return static
+        p = 0 if fix_poses else 6 * len(pose_ids)
+        kd = max(min(_CHAIN_KD, p - 1), 0)
+        layout = self._layout
+        if (layout is None or layout.prior is not self.prior
+                or layout.fix_poses != fix_poses or layout.kd != kd
+                or pose_ids[:len(layout.pose_ids)] != layout.pose_ids):
+            layout = self._layout = _ChainLayout(self.prior, fix_poses, kd)
+        layout.add_poses(pose_ids)
+        layout.append_chain(self.odometry[layout.n_odometry:])
+        layout.set_observations(self.observations,
+                                {lid: i for i, lid in enumerate(lm_ids)})
+        return layout
 
     def _state_arrays(self, pose_ids: list[int], lm_ids: list[int]):
         """Estimates as arrays in node-position order: quaternions (n, 4),
@@ -547,39 +670,40 @@ class PoseGraph:
         )
         return q, t, lm
 
-    def _linearize_arrays(self, q, t, lm, static, rot):
-        """Hessian entries (aligned with static h_rows/h_cols), gradient,
-        cost and the count of behind-camera observations, all at the
+    def _linearize_arrays(self, q, t, lm, layout: _ChainLayout, rot):
+        """Hessian entries (aligned with layout.h_slots), gradient, cost
+        and the count of behind-camera observations, all at the
         array-valued state. rot is quat_to_matrix(q); both kernels read
         their pose rotations from it."""
-        idx_i = static["odo_i"]
+        idx_i, rel_j = layout.odo_i.rows, layout.rel_j.rows
         r, jac = odometry_kernel(
             np.concatenate([_IDENTITY, q[idx_i]]),
             np.concatenate([np.zeros((1, 3)), t[idx_i]]),
-            q[static["rel_j"]], t[static["rel_j"]], static["rel_q"], static["rel_t"],
-            rot_i=np.concatenate([_IDENTITY_R, rot[idx_i]]), rz_t=static["rel_rt"],
+            q[rel_j], t[rel_j], layout.rel_q.rows, layout.rel_t.rows,
+            rot_i=np.concatenate([_IDENTITY_R, rot[idx_i]]),
+            rz_t=np.swapaxes(layout.rel_r.rows, 1, 2),
         )
         parts = [
             # the prior keeps only the J_j half: its X_i is the fixed identity
-            _normal_entries(jac[:1, :, 6:], r[:1], self.prior.information[None]),
-            _normal_entries(jac[1:], r[1:], static["odo_info"]),
+            _normal_entries(jac[:1, :, 6:], r[:1], layout.prior.information[None]),
+            _normal_entries(jac[1:], r[1:], layout.odo_info.rows),
         ]
         deactivated = 0
-        if static["obs_p"].size:
-            idx_p = static["obs_p"]
+        if layout.obs_p.size:
+            idx_p = layout.obs_p
             r, jac, active = observation_kernel(
-                q[idx_p], t[idx_p], lm[static["obs_l"]], static["obs_px"], self.intrinsics,
+                q[idx_p], t[idx_p], lm[layout.obs_l], layout.obs_px, self.intrinsics,
                 rot=rot[idx_p],
             )
             deactivated = int(np.count_nonzero(~active))
             # a deactivated observation has a zero residual and Jacobian:
             # it keeps its slots with zero values and costs nothing
-            parts.append(_normal_entries(jac, r, static["obs_info"]))
+            parts.append(_normal_entries(jac, r, layout.obs_info))
 
         h_parts, g_parts, costs = zip(*parts)
         grad = np.bincount(
-            static["g_dofs"], np.concatenate([x.ravel() for x in g_parts]),
-            minlength=static["dim"],
+            layout.g_dofs, np.concatenate([x.ravel() for x in g_parts]),
+            minlength=layout.dim,
         )
         return np.concatenate([x.ravel() for x in h_parts]), grad, sum(costs), deactivated
 
@@ -630,52 +754,36 @@ class PoseGraph:
             raise SingularSystemError("graph has no gauge prior")
         pose_ids = sorted(self.poses)
         lm_ids = sorted(self.landmarks)
-        pose_pos = {pid: i for i, pid in enumerate(pose_ids)}
-        lm_pos = {lid: i for i, lid in enumerate(lm_ids)}
-        static = self._prepare_factors(pose_pos, lm_pos)
-        base, dim = static["base"], static["dim"]
-        # odometry between neighbouring pose positions keeps the pose
-        # block inside the band
-        off_chain = np.abs(static["odo_i"] - static["odo_j"]) > 1
-        if not fix_poses and np.any(off_chain):
-            f = self.odometry[int(np.argmax(off_chain))]
-            raise DataError(
-                f"odometry {f.from_id} -> {f.to_id} joins poses that are not "
-                "neighbours; only a chain of poses can be solved"
-            )
-        layout = _ChainLayout(static, fix_poses)
+        layout = self._synced_layout(pose_ids, lm_ids, fix_poses)
+        dim = layout.dim
 
         q, t, lm = self._state_arrays(pose_ids, lm_ids)
         rot = quat_to_matrix(q)
 
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
-        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, static, rot)
+        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, layout, rot)
         report.initial_cost = cost_now
         report.cost_trace.append(cost_now)
         report.deactivated_observations = deact
 
-        lo = base if fix_poses else 0
+        lo = layout.base if fix_poses else 0
 
         # structural rank check: every node must be referenced by some
         # factor. A zero diagonal from behind-camera deactivation is
         # repairable (damping freezes the block for that iteration) and
         # must not raise.
-        cov_pose = np.zeros(len(pose_ids), dtype=bool)
-        cov_pose[static["prior_pos"]] = True
-        cov_pose[static["odo_i"]] = True
-        cov_pose[static["odo_j"]] = True
-        cov_pose[static["obs_p"]] = True
+        if not fix_poses and layout.uncovered:
+            uncovered = layout.uncovered.difference(layout.obs_p.tolist())
+            if uncovered:
+                raise SingularSystemError(f"pose {pose_ids[min(uncovered)]} has no factor")
         cov_lm = np.zeros(len(lm_ids), dtype=bool)
-        cov_lm[static["obs_l"]] = True
-        if not fix_poses and not np.all(cov_pose):
-            pid = pose_ids[int(np.argmin(cov_pose))]
-            raise SingularSystemError(f"pose {pid} has no factor")
+        cov_lm[layout.obs_l] = True
         if not np.all(cov_lm):
             lid = lm_ids[int(np.argmin(cov_lm))]
             raise SingularSystemError(f"landmark {lid} has no factor")
 
-        system = layout.assemble(vals)
+        system = layout.assemble(vals, g)
 
         for _ in range(cfg.max_iterations):
             gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
@@ -700,11 +808,11 @@ class PoseGraph:
                 q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
                 rot_new = quat_to_matrix(q_new)
                 vals, g_new, cost_new, deact = self._linearize_arrays(
-                    q_new, t_new, lm_new, static, rot_new
+                    q_new, t_new, lm_new, layout, rot_new
                 )
                 if cost_new < cost_now:
                     q, t, lm, g, rot = q_new, t_new, lm_new, g_new, rot_new
-                    system = layout.assemble(vals)
+                    system = layout.assemble(vals, g)
                     report.iterations += 1
                     report.lambda_trace.append(lam)
                     report.cost_trace.append(cost_new)

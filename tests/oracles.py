@@ -544,12 +544,31 @@ def rebuilt_poses(pose_ids, q, t):
 class _SparseLayout:
     """Normal equations of any graph as a sparse matrix, solved by sparse
     LU; the reference for the solver's banded chain step, with the same
-    assemble/step interface as posegraph._ChainLayout."""
+    assemble/step interface as posegraph._ChainLayout.
 
-    def __init__(self, static: dict, fix_poses: bool):
-        self.rows, self.cols = static["h_rows"], static["h_cols"]
-        self.dim = static["dim"]
-        self.lo = static["base"] if fix_poses else 0
+    The row and column of every Hessian entry come from the graph's
+    factor lists, factor by factor, in the order the solver emits the
+    values: the prior, the odometry, the observations, each factor's
+    D x D block row-major over its variables' dofs.
+    """
+
+    def __init__(self, graph, fix_poses: bool):
+        pose_dof = {pid: 6 * i for i, pid in enumerate(sorted(graph.poses))}
+        base = 6 * len(pose_dof)
+        lm_dof = {lid: base + 3 * i for i, lid in enumerate(sorted(graph.landmarks))}
+        factors = [[(pose_dof[graph.prior.pose_id], 6)]]
+        factors += [[(pose_dof[f.from_id], 6), (pose_dof[f.to_id], 6)]
+                    for f in graph.odometry]
+        factors += [[(pose_dof[f.pose_id], 6), (lm_dof[f.landmark_id], 3)]
+                    for f in graph.observations]
+        rows, cols = [], []
+        for blocks in factors:
+            dofs = np.concatenate([off + np.arange(d) for off, d in blocks])
+            rows.append(np.repeat(dofs, dofs.size))
+            cols.append(np.tile(dofs, dofs.size))
+        self.rows, self.cols = np.concatenate(rows), np.concatenate(cols)
+        self.dim = base + 3 * len(lm_dof)
+        self.lo = base if fix_poses else 0
 
     def assemble(self, vals: np.ndarray):
         h = scipy.sparse.coo_matrix(

@@ -221,16 +221,16 @@ def test_criterion_6_optimizer_correctness(report):
     # gradient does not mask an error in a landmark's.
     fd_graph, _, _ = _build_consistent_graph(perturb_scale=0.002, seed=6)
     fd_graph.poses[0] = fd_graph.poses[0].retract(rng.normal(scale=0.002, size=6))
-    static, state, _, grad, _, _ = _linearized(fd_graph)
+    layout, state, _, grad, _, _ = _linearized(fd_graph)
 
     def cost_at(delta):
         q, t, lm = _retract(*state, delta, quat_to_matrix(state[0]))
-        return fd_graph._linearize_arrays(q, t, lm, static, quat_to_matrix(q))[2]
+        return fd_graph._linearize_arrays(q, t, lm, layout, quat_to_matrix(q))[2]
 
     h = 1e-6
     fd = np.array([(cost_at(h * e) - cost_at(-h * e)) / (2.0 * h)
                    for e in np.eye(grad.size)])
-    base = static["base"]
+    base = layout.base
     for node in np.split(np.arange(grad.size),
                          [*range(6, base + 1, 6), *range(base + 3, grad.size, 3)]):
         worst = max(worst, _rel_err([2.0 * grad[node]], [fd[node]]))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from semmap import pipeline
 from semmap.cli import main
 
 SCENARIO = {"preset": "desk", "seed": 5, "duration": 8.0,
@@ -106,9 +107,20 @@ class TestRun:
 
     @pytest.mark.parametrize("case", ["absent_detections", "dir_detections",
                                       "file_out_dir", "dir_estimate", "dir_map"])
-    def test_missing_input_exits_2(self, workspace, tmp_path, capsys, case):
+    def test_missing_input_exits_2(self, workspace, tmp_path, capsys, monkeypatch, case):
         # an absent or unreadable input, or an out-dir that is a file, is
-        # a data error: exit 2 with an error line, never a traceback
+        # a data error: exit 2 with an error line, never a traceback.
+        # Each fails before any mapping, and a bad out-dir before parsing
+        entered = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                entered.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("parse_detection_log", "run_pipeline"):
+            monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
         sim, run = workspace / "sim", workspace / "run"
         a_file = tmp_path / "file.txt"
         a_file.write_text("not a directory\n", encoding="utf-8")
@@ -130,6 +142,9 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert "run_pipeline" not in entered
+        if case == "file_out_dir":
+            assert entered == []
 
 
 class TestEval:

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,32 @@ class TestLandmarkMapBytes:
         clouds = [rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (int(rng.integers(1, 60)), 3))
                   for _ in range(8)]
         self._check(tmp_path, _map_of(clouds, {9: 3, 12: 0}), {"config_hash": "f" * 16})
+
+
+class TestLandmarkMapStreaming:
+    """The writer streams the document one landmark record at a time."""
+
+    def test_peak_memory_is_one_record_not_the_document(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lm_map = _map_of([rng.normal(size=(500, 3)) for _ in range(64)])
+        path = tmp_path / "map.json"
+        tracemalloc.start()
+        try:
+            write_landmark_map(str(path), lm_map, {"config_hash": "0" * 16})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one json.dumps of the whole document holds its text and every
+        # point as a Python float at once: more than the file's size
+        assert peak < path.stat().st_size / 4
+
+    def test_extra_key_replacing_the_records(self, tmp_path):
+        lm_map = _map_of([np.ones((2, 3))], {5: 0})
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        for extra in ({"landmarks": [1, {"b": 2, "a": None}]}, {"aliases": "x", "a": 1}):
+            write_landmark_map(str(got), lm_map, extra)
+            json_dump_landmark_map(str(want), lm_map, extra)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestPly:

@@ -448,6 +448,15 @@ class TestDebugLog:
         for line, report in zip(solve_lines, reports):
             assert f" {report.iterations} iterations, {report.steps} steps, " \
                 f"stop {report.stop_reason}," in line
+        # each line ends with its solve's wall time, the optimize sample
+        # timings.json aggregates
+        solve_ms = [float(re.search(r", (\d+\.\d{3}) ms$", line).group(1))
+                    for line in solve_lines]
+        stage = json.loads((tmp_path / "DEBUG" / "timings.json").read_text())[
+            "stages"]["optimize"]
+        assert max(solve_ms) == pytest.approx(stage["max_ms"], abs=5e-4)
+        assert sum(solve_ms) == pytest.approx(stage["mean_ms"] * stage["count"],
+                                              abs=5e-4 * len(solve_ms))
         merge_passes = [int(re.fullmatch(r"merge pass: (\d+) merges", m).group(1))
                         for m in lines[logging.DEBUG] if m.startswith("merge pass:")]
         assert len(merge_passes) >= len(reports)

@@ -1,7 +1,9 @@
 """Pose graph: factor Jacobians against central differences, LM solver
 behavior on satisfiable and inconsistent graphs."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from semmap.geometry import (
 from semmap.posegraph import (
     OptimizerConfig,
     PoseGraph,
-    _ChainLayout,
     apply_correction,
     observation_kernel,
     odometry_kernel,
@@ -611,17 +612,20 @@ class TestBatchedAssembly:
         g.add_observation(0, 50, np.array([11.0, 13.0]), np.eye(2) / 16.0,
                           landmark_position=poses[0].translation * 1.5)
         g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
-        static, _, vals, grad, cost, deact = _linearized(g)
-        band, border, lm_block = _ChainLayout(static, False).assemble(vals)
+        layout, _, vals, grad, cost, deact = _linearized(g)
+        band, gb, lm_block = layout.assemble(vals, grad)
         h_ref, grad_ref, cost_ref, deact_ref = self._dense_oracle(
             g, sorted(g.poses), sorted(g.landmarks))
         assert deact == deact_ref == 1
         assert cost == pytest.approx(cost_ref, rel=1e-12)
         np.testing.assert_allclose(grad, grad_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(
-            _dense_from_blocks(band, border, lm_block), h_ref, rtol=1e-9, atol=1e-9)
+            _dense_from_blocks(band, gb, lm_block), h_ref, rtol=1e-9, atol=1e-9)
+        # LAPACK takes band and [g_pose | B] as they are
+        assert band.flags.f_contiguous and gb.flags.f_contiguous
+        np.testing.assert_array_equal(gb[:, 0], grad[:layout.base])
         # the sparse-LU reference assembles the same matrix
-        h_sparse, _ = _SparseLayout(static, False).assemble(vals)
+        h_sparse, _ = _SparseLayout(g, False).assemble(vals)
         np.testing.assert_allclose(h_sparse.toarray(), h_ref, rtol=1e-9, atol=1e-9)
 
 
@@ -630,34 +634,35 @@ class TestBatchedAssembly:
         g.add_observation(0, 50, np.array([11.0, 13.0]), np.eye(2) / 16.0,
                           landmark_position=poses[0].translation * 1.5)
         g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
-        static, state, *_ = _linearized(g)
+        layout, state, *_ = _linearized(g)
         rot = quat_to_matrix(state[0])
-        shared = g._linearize_arrays(*state, static, rot)
+        shared = g._linearize_arrays(*state, layout, rot)
         odometry, observation = posegraph.odometry_kernel, posegraph.observation_kernel
         monkeypatch.setattr(posegraph, "odometry_kernel",
                             lambda *args, rot_i=None, rz_t=None: odometry(*args))
         monkeypatch.setattr(posegraph, "observation_kernel",
                             lambda *args, rot=None: observation(*args))
-        own = g._linearize_arrays(*state, static, rot)
+        own = g._linearize_arrays(*state, layout, rot)
         for a, b in zip(shared, own):
             np.testing.assert_array_equal(a, b)
 
 
-def _linearized(g):
-    """The solver's own factor layout, state arrays, Hessian entries,
-    gradient, cost and deactivated count at the graph's estimates."""
+def _linearized(g, fix_poses=False):
+    """The solver's own layout (the one the graph keeps), state arrays,
+    Hessian entries, gradient, cost and deactivated count at the
+    graph's estimates."""
     pose_ids, lm_ids = sorted(g.poses), sorted(g.landmarks)
-    static = g._prepare_factors(
-        {pid: i for i, pid in enumerate(pose_ids)},
-        {lid: i for i, lid in enumerate(lm_ids)},
-    )
+    layout = g._synced_layout(pose_ids, lm_ids, fix_poses)
     state = g._state_arrays(pose_ids, lm_ids)
-    vals, grad, cost, deact = g._linearize_arrays(*state, static, quat_to_matrix(state[0]))
-    return static, state, vals, grad, cost, deact
+    vals, grad, cost, deact = g._linearize_arrays(*state, layout, quat_to_matrix(state[0]))
+    return layout, state, vals, grad, cost, deact
 
 
-def _dense_from_blocks(band, border, lm_block):
-    """The full normal matrix from the chain layout's block storage."""
+def _dense_from_blocks(band, gb, lm_block):
+    """The full normal matrix from the chain layout's block storage: the
+    lower band and the border B, the columns of [g_pose | B] after the
+    first."""
+    border = gb[:, 1:]
     p = border.shape[0]
     a = np.zeros((p, p))
     for d in range(band.shape[0]):
@@ -672,11 +677,10 @@ def _dense_from_blocks(band, border, lm_block):
 def _damped_steps(g, lam=1e-3, fix_poses=False):
     """One damped step of the banded Schur solve and of the sparse-LU
     reference on the same linearization."""
-    static, _, vals, grad, _, _ = _linearized(g)
-    steps = []
-    for layout in (_ChainLayout(static, fix_poses), _SparseLayout(static, fix_poses)):
-        steps.append(layout.step(layout.assemble(vals), grad, lam))
-    return steps
+    layout, _, vals, grad, _, _ = _linearized(g, fix_poses)
+    sparse = _SparseLayout(g, fix_poses)
+    return [layout.step(layout.assemble(vals, grad), grad, lam),
+            sparse.step(sparse.assemble(vals), grad, lam)]
 
 
 def _assert_same_step(step, ref):
@@ -702,7 +706,7 @@ class TestChainSolve:
             g.add_observation(0, lid, _pixel_of(poses[0], point) + 2.0, np.eye(2) / 16.0,
                               landmark_position=point)
         g.poses[0] = g.poses[0].retract(np.full(6, 1e-3))
-        assert _ChainLayout(_linearized(g)[0], False).kd == 5
+        assert _linearized(g)[0].kd == 5
         step, ref = _damped_steps(g)
         _assert_same_step(step, ref)
         report = g.optimize()
@@ -735,16 +739,16 @@ class TestChainSolve:
     def test_not_positive_definite_returns_none(self):
         # LM raises the damping when the factorization fails
         spd = np.array([[4.0, 4.0], [1.0, 0.0]])  # A = [[4, 1], [1, 4]]
-        border = np.array([[1.0], [0.0]])
-        g_pose, g_lm = np.ones(2), np.ones(1)
+        gb = np.asfortranarray([[1.0, 1.0], [1.0, 0.0]])  # g_pose = 1, B = [1, 0]
+        g_lm = np.ones(1)
         assert posegraph.solve_chain_schur(
-            spd.copy(), border, np.array([[1.0]]), g_pose, g_lm) is not None
+            spd.copy(), gb, np.array([[1.0]]), g_lm) is not None
         indefinite = np.array([[1.0, 1.0], [2.0, 0.0]])  # A = [[1, 2], [2, 1]]
         assert posegraph.solve_chain_schur(
-            indefinite, border, np.array([[1.0]]), g_pose, g_lm) is None
+            indefinite, gb, np.array([[1.0]]), g_lm) is None
         # C - B^T A^-1 B = 0.2 - 4/15 < 0
         assert posegraph.solve_chain_schur(
-            spd.copy(), border, np.array([[0.2]]), g_pose, g_lm) is None
+            spd.copy(), gb, np.array([[0.2]]), g_lm) is None
 
     def test_chain_graph_never_calls_sparse_lu(self, monkeypatch):
         def no_splu(*args, **kwargs):
@@ -804,3 +808,172 @@ class TestFixedPoseSolve:
         report = g.optimize(fix_poses=True)
         assert report.converged
         assert report.iterations == 0
+
+
+def _fresh_copy(g):
+    """A new graph holding g's factors and estimates and no kept layout."""
+    fresh = PoseGraph(g.intrinsics)
+    for pid in g.poses:
+        fresh.poses[pid] = g.poses[pid]
+    fresh.landmarks = {lid: p.copy() for lid, p in g.landmarks.items()}
+    fresh.prior = g.prior
+    fresh.odometry = list(g.odometry)
+    fresh.observations = list(g.observations)
+    return fresh
+
+
+def _report_bits(report):
+    """Every SolveReport field, each float by its bits."""
+    return {k: [x.hex() for x in v] if isinstance(v, list)
+            else v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(report).items()}
+
+
+def _estimate_bits(g):
+    return ({pid: (g.poses[pid].rotation.tobytes(), g.poses[pid].translation.tobytes())
+             for pid in g.poses},
+            {lid: p.tobytes() for lid, p in g.landmarks.items()})
+
+
+def _solve_like_fresh(g, fix_poses, cfg=None):
+    """Solve g on its kept layout and a fresh copy of g: the same report
+    and estimates bit for bit, or the same error with g's estimates
+    unchanged. Returns "kept" or "rebuilt" for the layout g solved on
+    (None for its first solve or an error)."""
+    fresh = _fresh_copy(g)
+    before = g._layout
+    try:
+        want = fresh.optimize(cfg, fix_poses=fix_poses)
+    except (DataError, SingularSystemError) as exc:
+        estimates = _estimate_bits(g)
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            g.optimize(cfg, fix_poses=fix_poses)
+        assert _estimate_bits(g) == estimates
+        return None
+    got = g.optimize(cfg, fix_poses=fix_poses)
+    assert _report_bits(got) == _report_bits(want)
+    assert _estimate_bits(g) == _estimate_bits(fresh)
+    if before is None:
+        return None
+    return "kept" if g._layout is before else "rebuilt"
+
+
+class TestKeptLayout:
+    """The graph keeps its chain system between solves and appends what
+    each solve adds; every solve must equal a fresh graph's with the
+    same factors and estimates, bit for bit."""
+
+    CFG = OptimizerConfig(max_iterations=15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_interleavings_match_a_fresh_build(self, seed):
+        rng = np.random.default_rng(seed)
+        truth, points = _circle_scene(n_poses=40, n_landmarks=6)
+        # truth index k is pose id 1000 + k - 20; the chain grows at
+        # either end, and an id below every kept one moves every position
+        lo = hi = 20
+        obs_info = np.eye(2) / 16.0
+        g = PoseGraph(K)
+        g.add_prior(1000, truth[lo].retract(rng.normal(scale=0.01, size=6)))
+        if seed % 2:
+            # the other half starts from three poses, not one (kd 5)
+            for _ in range(2):
+                hi += 1
+                g.add_odometry(1000 + hi - 21, 1000 + hi - 20,
+                               truth[hi - 1].inverse().compose(truth[hi]))
+        for lid in range(3):
+            k = int(rng.integers(lo, hi + 1))
+            g.add_observation(1000 + k - 20, lid, _pixel_of(truth[k], points[lid]),
+                              obs_info, landmark_position=points[lid] + 0.05)
+        outcomes = [_solve_like_fresh(g, False, self.CFG)]
+        next_lid = 3
+        for _ in range(60):
+            op = rng.choice(["grow", "observe", "merge", "solve"], p=[0.35, 0.3, 0.1, 0.25])
+            if op == "grow" and hi - lo < len(truth) - 1:
+                noise = _random_pose(rng, 0.01, 0.01)
+                if lo > 0 and (hi == len(truth) - 1 or rng.random() < 0.2):
+                    lo -= 1
+                    a, b = lo + 1, lo
+                else:
+                    hi += 1
+                    a, b = hi - 1, hi
+                g.add_odometry(1000 + a - 20, 1000 + b - 20,
+                               truth[a].inverse().compose(truth[b]).compose(noise))
+            elif op == "observe":
+                k = int(rng.integers(lo, hi + 1))
+                lid = int(rng.choice(list(g.landmarks)))
+                point = points[lid % len(points)]
+                g.add_observation(1000 + k - 20, lid,
+                                  _pixel_of(truth[k], point) + rng.normal(scale=2.0, size=2),
+                                  obs_info)
+            elif op == "merge" and len(g.landmarks) > 1:
+                old, kept = rng.choice(sorted(g.landmarks), size=2, replace=False)
+                if rng.random() < 0.3:
+                    # merging into an id the graph does not hold renames
+                    kept, next_lid = next_lid, next_lid + 1
+                g.merge_landmarks(int(old), int(kept))
+            elif op == "solve":
+                outcomes.append(_solve_like_fresh(g, bool(rng.random() < 0.25), self.CFG))
+        outcomes.append(_solve_like_fresh(g, False, self.CFG))
+        assert "kept" in outcomes and "rebuilt" in outcomes
+
+        # a loop closure leaves the band: every pose solve raises and
+        # leaves the estimates as they were, a fixed-pose solve runs
+        g.add_odometry(1000 + hi - 20, 1000 + lo - 20, truth[hi].inverse().compose(truth[lo]))
+        estimates = _estimate_bits(g)
+        assert _solve_like_fresh(g, False, self.CFG) is None
+        assert _estimate_bits(g) == estimates
+        assert _solve_like_fresh(g, True, self.CFG) == "rebuilt"
+        assert _solve_like_fresh(g, False, self.CFG) is None
+
+    def test_a_solve_stacks_only_the_new_chain_factors(self, monkeypatch):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=14)
+        stacked = []
+        append = posegraph._ChainLayout.append_chain
+        monkeypatch.setattr(posegraph._ChainLayout, "append_chain",
+                            lambda self, odometry: (stacked.append((self, len(odometry))),
+                                                    append(self, odometry)))
+        g.optimize()
+        extra = Pose(poses[0].rotation, poses[-1].translation + 0.1)
+        g.add_odometry(len(poses) - 1, len(poses), poses[-1].inverse().compose(extra))
+        assert _solve_like_fresh(g, False) == "kept"
+        assert _solve_like_fresh(g, False) == "kept"
+        # the first solve stacks the whole chain, then one factor, then none
+        assert [n for layout, n in stacked if layout is g._layout] == [len(poses) - 1, 1, 0]
+
+    def test_one_pose_graph_grows_into_a_chain(self):
+        # one pose has kd 5, two or more kd 11: the layout is rebuilt once
+        poses, landmarks = _circle_scene()
+        g = PoseGraph(K)
+        g.add_prior(0, poses[0])
+        for lid, point in enumerate(landmarks[:3]):
+            g.add_observation(0, lid, _pixel_of(poses[0], point) + 2.0, np.eye(2) / 16.0,
+                              landmark_position=point)
+        assert _solve_like_fresh(g, False) is None
+        assert g._layout.kd == 5
+        g.add_odometry(0, 1, poses[0].inverse().compose(poses[1]))
+        g.add_observation(1, 0, _pixel_of(poses[1], landmarks[0]) - 2.0, np.eye(2) / 16.0)
+        assert _solve_like_fresh(g, False) == "rebuilt"
+        assert g._layout.kd == 11
+        g.add_odometry(1, 2, poses[1].inverse().compose(poses[2]))
+        assert _solve_like_fresh(g, False) == "kept"
+
+    def test_pose_without_factor_raises_until_joined(self):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=15)
+        assert _solve_like_fresh(g, False) is None
+        last = len(poses) - 1
+        g.poses[last + 3] = poses[last].retract(np.full(6, 0.1))
+        with pytest.raises(SingularSystemError, match=f"pose {last + 3} has no factor"):
+            g.optimize()
+        # poses held fixed need no factor
+        assert _solve_like_fresh(g, True) == "rebuilt"
+        g.add_odometry(last, last + 3, poses[last].inverse().compose(g.poses[last + 3]))
+        assert _solve_like_fresh(g, False) == "rebuilt"
+        assert _solve_like_fresh(g, False) == "kept"
+
+    def test_a_replaced_prior_rebuilds(self):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=16)
+        assert _solve_like_fresh(g, False) is None
+        g.prior = posegraph.PriorFactor(0, poses[0].retract(np.full(6, 0.01)),
+                                        g.prior.information)
+        assert _solve_like_fresh(g, False) == "rebuilt"
