@@ -12,8 +12,9 @@ mean nearest-neighbor distance from the candidate cloud to each
 landmark cloud (smaller is better). Fusion averages centroids weighted
 by how many candidates a landmark has absorbed and keeps clouds bounded
 by voxel thinning. Landmarks whose bounding volumes overlap are merged
-into the lower id until no overlapping pair remains; merges are
-recorded as aliases so pose-graph factors can be re-pointed.
+into the lower id until no overlapping pair remains. Each merge
+records one entry, absorbed id -> survivor, and an absorbed id resolves
+to its live landmark by following those entries on read.
 """
 
 from __future__ import annotations
@@ -239,33 +240,19 @@ def _bounds_overlap_ratio(a: Bounds, b: Bounds) -> float:
 
 
 class LandmarkMap:
-    """Single-writer registry of landmarks; ids are never reused."""
+    """Single-writer registry of landmarks; ids are never reused.
+    merged_into records each merge once, absorbed id -> absorber, in
+    absorption order; resolve follows the chain to the survivor."""
 
     def __init__(self):
         self.landmarks: dict[int, Landmark] = {}
-        self.aliases = {}
+        self.merged_into: dict[int, int] = {}
         self._next_id = 0
 
     @property
     def aliases(self) -> dict[int, int]:
-        """Absorbed id -> surviving id, kept flat: each merge re-points
-        the aliases of the absorbed landmark at its survivor. Replace
-        the dict by assignment, not in place, so the reverse index the
-        merges use stays in step."""
-        return self._aliases
-
-    @aliases.setter
-    def aliases(self, aliases: dict[int, int]) -> None:
-        self._aliases = aliases
-        # target -> the ids that were aliased to it, a superset of the
-        # current ones: an id whose alias moved on is skipped on use
-        self._aliased_to: dict[int, list[int]] = {}
-        for old, kept in aliases.items():
-            self._aliased_to.setdefault(kept, []).append(old)
-
-    def _alias(self, old: int, kept: int) -> None:
-        self._aliases[old] = kept
-        self._aliased_to.setdefault(kept, []).append(old)
+        """Absorbed id -> surviving id, flat, in absorption order."""
+        return {old: self.resolve(old) for old in self.merged_into}
 
     def __len__(self) -> int:
         return len(self.landmarks)
@@ -274,11 +261,10 @@ class LandmarkMap:
         return [self.landmarks[i] for i in sorted(self.landmarks)]
 
     def resolve(self, landmark_id: int) -> int:
-        """Follow merge aliases to the surviving id."""
-        seen = landmark_id
-        while seen in self.aliases:
-            seen = self.aliases[seen]
-        return seen
+        """Follow merge records to the surviving id."""
+        while landmark_id in self.merged_into:
+            landmark_id = self.merged_into[landmark_id]
+        return landmark_id
 
     def preselect(self, cand: Candidate, now: float, cfg: AssociationConfig) -> list[Landmark]:
         """Same-class landmarks whose gate contains the candidate centroid."""
@@ -364,7 +350,7 @@ class LandmarkMap:
 
         Repeats until no pair overlaps by at least merge_overlap_ratio
         (fixpoint). The higher id is absorbed into the lower; each merge
-        is returned and recorded as alias old -> kept.
+        is returned and recorded in merged_into as old -> kept.
         """
         records: list[tuple[int, int]] = []
         # each landmark's bounds, computed when a same-class pair first
@@ -395,11 +381,7 @@ class LandmarkMap:
                     del self.landmarks[high]
                     bounds.pop(low)
                     bounds.pop(high)
-                    # re-point the aliases of the absorbed id at the survivor
-                    for old in self._aliased_to.pop(high, ()):
-                        if self._aliases.get(old) == high:
-                            self._alias(old, low)
-                    self._alias(high, low)
+                    self.merged_into[high] = low
                     records.append((high, low))
                     changed = True
                     break

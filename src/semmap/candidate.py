@@ -8,14 +8,15 @@ hint. The tracklet's T views travel as stacks: one (T, 3, 3) rotation
 stack per proposal serves extraction, the likelihood and the seed rays,
 and the grids of all views are built and lifted to the camera frame in
 one pass before each view's rotation moves its slice into the world.
-The per-measurement cloud centroids feed a mean-absolute-deviation gate
-that rejects moving objects: a static object re-observed from a moving
-camera yields nearly coincident centroids, a walking person does not.
-Surviving tracklets get a single 3D position by maximizing the
-measurement likelihood
+The result is one cloud of all views, each view a contiguous slice.
+The slices' means feed a mean-absolute-deviation gate that rejects
+moving objects: a static object re-observed from a moving camera yields
+nearly coincident means, a walking person does not. Surviving
+tracklets get a single 3D position by maximizing the measurement
+likelihood under isotropic pixel noise of standard deviation sigma
 
-    ll(X) = sum_t [ -0.5 * (proj(X, pose_t) - z_t)^T S^-1 (proj(..) - z_t) ]
-            + T * log norm const,   z_t = box center of measurement t,
+    ll(X) = sum_t [ -0.5 * |proj(X, pose_t) - z_t|^2 / sigma^2 ]
+            - T * log(2 pi sigma^2),   z_t = box center of measurement t,
 
 seeded by midpoint triangulation of the box-center rays and refined by a
 random-walk search that keeps the best sample seen. The walk scores a
@@ -48,7 +49,6 @@ from .geometry import (
     Pose,
     Trajectory,
     backproject,
-    centroid,
     quat_to_matrix,
 )
 from .tracker import Measurement, Tracklet
@@ -68,30 +68,6 @@ _GRID_UNIT = np.stack(np.meshgrid(*(np.arange(n) + 0.5 for n in (5, 5, 3)),
 # cap it doubles up to while no proposal improves
 _WALK_BLOCK = 512
 _WALK_BLOCK_MAX = 1024
-
-
-@dataclass(frozen=True)
-class PixelNoiseModel:
-    """Gaussian pixel noise on box centers, covariance in px^2."""
-
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float).reshape(2, 2)
-        if not np.allclose(cov, cov.T):
-            raise ValueError("covariance must be symmetric")
-        if np.any(np.linalg.eigvalsh(cov) <= 0):
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "covariance", cov)
-        # run constants of the likelihood: the information matrix and the
-        # 2D Gaussian's log(1 / sqrt((2 pi)^2 det)) per measurement
-        object.__setattr__(self, "information", np.linalg.inv(cov))
-        _, logdet = np.linalg.slogdet(cov)
-        object.__setattr__(self, "log_norm", -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet))
-
-    @staticmethod
-    def isotropic(sigma_px: float = 4.0) -> "PixelNoiseModel":
-        return PixelNoiseModel(np.eye(2) * sigma_px * sigma_px)
 
 
 @dataclass(frozen=True)
@@ -183,21 +159,21 @@ def extract_clouds(
     tracklet: Tracklet,
     poses: Sequence[Pose],
     k: CameraIntrinsics,
-    rotations: np.ndarray | None = None,
-) -> list[PointCloud]:
-    """World-frame cloud per measurement from its frustum grid.
+    rotations: np.ndarray,
+) -> tuple[PointCloud, list[int]]:
+    """World-frame cloud of every measurement's frustum grid, stacked in
+    view order, and the end row of each view's slice.
 
     Cell centres at or behind the camera (depth not above 0, which
     includes a depth that overflowed to NaN) are dropped; an exhausted
     measurement raises EmptyCloudError naming the first such frame.
-    `rotations` is the views' rotation stack when the caller already
-    has it.
+    `rotations` is the views' rotation stack (see _rotations).
     """
     ms = tracklet.measurements
     if len(poses) != len(ms):
         raise ValueError("one pose per measurement required")
     if not ms:
-        return []
+        return PointCloud(np.empty((0, 3))), []
     grid = _frustum_grid(ms, k)
     keep = grid[..., 2] > 0
     kept = keep.sum(axis=1)
@@ -207,13 +183,12 @@ def extract_clouds(
     raw = grid[keep]
     d = raw[:, 2]
     cam = np.column_stack([(raw[:, 0] - k.cx) * d / k.fx, (raw[:, 1] - k.cy) * d / k.fy, d])
-    if rotations is None:
-        rotations = _rotations(poses)
     ends = np.cumsum(kept).tolist()
-    return [
-        PointCloud(cam[start:end] @ r.T + pose.translation)
+    world = np.vstack([
+        cam[start:end] @ r.T + pose.translation
         for start, end, r, pose in zip([0] + ends[:-1], ends, rotations, poses)
-    ]
+    ])
+    return PointCloud(world), ends
 
 
 def resolve_poses(tracklet: Tracklet, trajectory: Trajectory) -> list[Pose]:
@@ -262,15 +237,12 @@ class _LikelihoodEvaluator:
     transposed view of an (m, 3) block differs in some last bits above
     m = 1024. A single point takes BLAS's matrix-vector path in either
     layout, whose last bits can differ from a block's.
-    `rotations` is the views' camera-to-world stack when the caller
-    already has it.
+    `rotations` is the views' camera-to-world stack, and `sigma_px` the
+    standard deviation of the isotropic pixel noise.
     """
 
     def __init__(self, poses: Sequence[Pose], centers_px: np.ndarray,
-                 k: CameraIntrinsics, noise: PixelNoiseModel,
-                 rotations: np.ndarray | None = None):
-        if rotations is None:
-            rotations = _rotations(poses)
+                 k: CameraIntrinsics, sigma_px: float, rotations: np.ndarray):
         world_to_cam = rotations.transpose(0, 2, 1)
         cam_centers = np.stack([p.translation for p in poses])
         centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
@@ -283,14 +255,11 @@ class _LikelihoodEvaluator:
         self.ref = ref[:, None]
         self.offsets = np.sum(self.rows * np.tile(cam_centers - ref, (3, 1)),
                               axis=1)[:, None]
-        info = noise.information
-        self.weights = (info[0, 0], info[1, 1])
-        # a diagonal covariance makes the cross term a signed zero (NaN
-        # where the quadratic already is not finite), which moves no
-        # decision, so it is skipped
-        self.cross = 2.0 * info[0, 1] if info[0, 1] != 0.0 else None
+        variance = sigma_px * sigma_px
+        self.weight = 1.0 / variance
         self.count = len(poses)
-        self.norm = self.count * noise.log_norm
+        self.norm = self.count * (-0.5 * (2.0 * math.log(2.0 * math.pi)
+                                          + 2.0 * math.log(variance)))
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """xs (m, 3) -> ll (m,); -inf where behind any camera."""
@@ -305,13 +274,9 @@ class _LikelihoodEvaluator:
             ru, rv, z = proj[:t], proj[t:2 * t], proj[2 * t:]
             ru /= z
             rv /= z
-            quad = self.weights[0] * ru
+            quad = self.weight * ru
             quad *= ru
-            if self.cross is not None:
-                term = self.cross * ru
-                term *= rv
-                quad += term
-            term = self.weights[1] * rv
+            term = self.weight * rv
             term *= rv
             quad += term
             out = _sum_views(quad)
@@ -339,11 +304,12 @@ def log_likelihood(
     tracklet: Tracklet,
     poses: Sequence[Pose],
     k: CameraIntrinsics,
-    noise: PixelNoiseModel,
+    sigma_px: float,
 ) -> float:
     """Joint log-likelihood of a world point given the tracklet's boxes."""
     centers = np.array([m.box.center for m in tracklet.measurements])
-    ll = _LikelihoodEvaluator(poses, centers, k, noise)(np.asarray(x).reshape(1, 3))[0]
+    evaluate = _LikelihoodEvaluator(poses, centers, k, sigma_px, _rotations(poses))
+    ll = evaluate(np.asarray(x).reshape(1, 3))[0]
     if not np.isfinite(ll):
         raise BehindCameraError("query point behind at least one camera")
     return float(ll)
@@ -408,10 +374,10 @@ def estimate_centroid(
     tracklet: Tracklet,
     poses: Sequence[Pose],
     k: CameraIntrinsics,
-    noise: PixelNoiseModel,
+    sigma_px: float,
     walk: RandomWalkConfig,
     run_seed: int,
-    rotations: np.ndarray | None = None,
+    rotations: np.ndarray,
 ) -> CentroidEstimate:
     """MAP position of the object from its box centers.
 
@@ -421,15 +387,13 @@ def estimate_centroid(
     measurement's back-projected range hint, flagged low confidence.
     The RNG stream is derived from (run_seed, tracklet.id) so results
     are reproducible per tracklet. `rotations` is the views' rotation
-    stack when the caller already has it.
+    stack (see _rotations).
     """
     ms = tracklet.measurements
     if len(ms) < 2:
         raise TooFewMeasurementsError("localization needs >= 2 measurements")
-    if rotations is None:
-        rotations = _rotations(poses)
     centers = np.array([m.box.center for m in ms])
-    evaluate = _LikelihoodEvaluator(poses, centers, k, noise, rotations)
+    evaluate = _LikelihoodEvaluator(poses, centers, k, sigma_px, rotations)
 
     def fallback() -> CentroidEstimate:
         point = backproject(centers[-1], ms[-1].depth_hint, poses[-1], k)
@@ -476,7 +440,7 @@ def propose_candidate(
     tracklet: Tracklet,
     trajectory: Trajectory,
     k: CameraIntrinsics,
-    noise: PixelNoiseModel,
+    sigma_px: float,
     walk: RandomWalkConfig,
     run_seed: int,
     mad_threshold: float = 0.15,
@@ -485,12 +449,12 @@ def propose_candidate(
     walk (see estimate_centroid)."""
     poses = resolve_poses(tracklet, trajectory)
     rotations = _rotations(poses)
-    clouds = extract_clouds(tracklet, poses, k, rotations)
-    mad = mad_deviation(np.array([centroid(c) for c in clouds]))
+    cloud, ends = extract_clouds(tracklet, poses, k, rotations)
+    mad = mad_deviation(np.array([cloud.points[start:end].mean(axis=0)
+                                  for start, end in zip([0] + ends[:-1], ends)]))
     if mad > mad_threshold:
         return Proposal(tracklet, accepted=False, mad=mad, candidate=None)
-    est = estimate_centroid(tracklet, poses, k, noise, walk, run_seed, rotations)
-    cloud = PointCloud(np.vstack([c.points for c in clouds]))
+    est = estimate_centroid(tracklet, poses, k, sigma_px, walk, run_seed, rotations)
     cand = Candidate(
         tracklet=tracklet,
         cloud=cloud,

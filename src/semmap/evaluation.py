@@ -57,14 +57,6 @@ def match_indices(
     return picked, len(est) - len(picked)
 
 
-def match_timestamps(
-    est: Trajectory, gt: Trajectory, window: float = 0.02
-) -> tuple[list[tuple[Pose, Pose]], int]:
-    """match_indices resolved to (est, gt) pose pairs."""
-    picked, dropped = match_indices(est, gt, window)
-    return [(est.poses[i], gt.poses[j]) for i, j in picked], dropped
-
-
 def align_umeyama(est_positions: np.ndarray, gt_positions: np.ndarray) -> Pose:
     """Least-squares rigid transform S with S(est) ~ gt.
 
@@ -98,8 +90,9 @@ def align_umeyama(est_positions: np.ndarray, gt_positions: np.ndarray) -> Pose:
 @dataclass(frozen=True)
 class AlignedError:
     """Alignment of an estimate onto ground truth plus the
-    per-matched-frame translational errors it leaves. alignment is
-    "rigid" (align_umeyama) or "translation" (the rotation was not
+    per-matched-frame translational errors it leaves, one per matched
+    (est index, gt index) pair of `pairs`. alignment is "rigid"
+    (align_umeyama) or "translation" (the rotation was not
     determined)."""
 
     transform: Pose
@@ -107,6 +100,7 @@ class AlignedError:
     rmse: float
     dropped: int = 0
     alignment: str = "rigid"
+    pairs: tuple[tuple[int, int], ...] = ()
 
 
 def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> AlignedError:
@@ -117,13 +111,13 @@ def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> Align
     not determined, so the estimate is only shifted by the difference
     of the two centroids, its rotation left as it is.
     """
-    pairs, dropped = match_timestamps(est, gt, window)
+    pairs, dropped = match_indices(est, gt, window)
     if len(pairs) < 3:
         raise TimestampMismatchError(
             f"only {len(pairs)} matched timestamps within {window}s"
         )
-    p = np.array([e.translation for e, _ in pairs])
-    q = np.array([g.translation for _, g in pairs])
+    p = np.array([est.poses[i].translation for i, _ in pairs])
+    q = np.array([gt.poses[j].translation for _, j in pairs])
     try:
         s, alignment = align_umeyama(p, q), "rigid"
     except DegenerateConfigurationError:  # collinear: there are >= 3 pairs
@@ -137,6 +131,7 @@ def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> Align
         rmse=float(np.sqrt(np.mean(errors**2))),
         dropped=dropped,
         alignment=alignment,
+        pairs=tuple(pairs),
     )
 
 

@@ -308,13 +308,6 @@ def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def centroid(cloud: PointCloud) -> np.ndarray:
-    """Arithmetic mean of cloud points (exact mean, no weighting)."""
-    if len(cloud) == 0:
-        raise EmptyCloudError("centroid of empty cloud")
-    return cloud.points.mean(axis=0)
-
-
 # ----------------------------------------------------------------------
 # back-projection
 # ----------------------------------------------------------------------

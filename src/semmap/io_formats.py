@@ -342,6 +342,9 @@ def _landmark(rec) -> Landmark:
 
 
 def parse_landmark_map(path: str) -> LandmarkMap:
+    """The map a document describes. Each alias must point at a landmark
+    of the document whose id has no alias itself, as in the flat table
+    write_landmark_map writes, so every alias resolves in one step."""
     doc = read_json(path)
     lm_map = LandmarkMap()
     try:
@@ -349,11 +352,16 @@ def parse_landmark_map(path: str) -> LandmarkMap:
             lm = _landmark(rec)
             lm_map.landmarks[lm.id] = lm
         aliases = _expect(doc.get("aliases", {}), dict, "aliases")
-        lm_map.aliases = {int(k): _expect(v, int, "an alias target")
-                          for k, v in aliases.items()}
+        lm_map.merged_into = {int(k): _expect(v, int, "an alias target")
+                              for k, v in aliases.items()}
     except _FIELD_ERRORS as exc:
         raise ConfigParseError(f"bad landmark map document: {exc}") from exc
-    ids = list(lm_map.landmarks) + list(lm_map.aliases)
+    for old, kept in lm_map.merged_into.items():
+        if kept not in lm_map.landmarks or kept in lm_map.merged_into:
+            raise ConfigParseError(
+                f"bad landmark map document: alias {old} -> {kept} does not "
+                "point at an unaliased landmark")
+    ids = list(lm_map.landmarks) + list(lm_map.merged_into)
     lm_map._next_id = max(ids, default=-1) + 1
     return lm_map
 

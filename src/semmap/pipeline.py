@@ -15,6 +15,7 @@ overlap merge collapses them.
 """
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -23,16 +24,11 @@ from time import perf_counter
 import numpy as np
 
 from .association import AssociationConfig, LandmarkMap, Matched
-from .candidate import (
-    PixelNoiseModel,
-    RandomWalkConfig,
-    propose_candidate,
-)
+from .candidate import RandomWalkConfig, propose_candidate
 from .errors import TimestampMismatchError
 from .evaluation import (
     STAGE_NAMES,
     evaluate_ate,
-    match_indices,
     score_landmarks,
     timing_report,
 )
@@ -110,8 +106,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pixel_noise_sigma <= 0:
-            raise ValueError("pixel_noise_sigma must be positive")
+        # the likelihood weighs residuals by 1 / sigma^2 and takes log(sigma^2)
+        sigma = float(self.pixel_noise_sigma)
+        variance = sigma * sigma
+        if not (sigma > 0 and 0.0 < variance < math.inf
+                and 1.0 / variance < math.inf):
+            raise ValueError("pixel_noise_sigma must be positive, with its square "
+                             "and the square's inverse finite")
         if self.mad_threshold <= 0:
             raise ValueError("mad_threshold must be positive")
         if self.optimize_every < 1:
@@ -252,7 +253,8 @@ def run_pipeline(frames, odometry: Trajectory,
         raise TimestampMismatchError("odometry is empty")
     by_frame = _index_detections(frames, odometry)
 
-    noise = PixelNoiseModel.isotropic(cfg.pixel_noise_sigma)
+    sigma_px = cfg.pixel_noise_sigma
+    observation_information = np.eye(2) / (sigma_px * sigma_px)
     tracker = IouTracker(cfg.tracker)
     graph = PoseGraph(cfg.camera)
     lm_map = LandmarkMap()
@@ -289,7 +291,7 @@ def run_pipeline(frames, odometry: Trajectory,
         proposals = []
         for tracklet in promoted:
             t0 = perf_counter()
-            prop = propose_candidate(tracklet, odometry, cfg.camera, noise,
+            prop = propose_candidate(tracklet, odometry, cfg.camera, sigma_px,
                                      cfg.random_walk, cfg.seed, cfg.mad_threshold)
             timings["candidate_proposal"].append(perf_counter() - t0)
             proposals.append(prop)
@@ -314,7 +316,7 @@ def run_pipeline(frames, odometry: Trajectory,
                 last = prop.tracklet.measurements[-1]
                 graph.add_observation(
                     last.frame_id, decision.landmark_id,
-                    np.asarray(last.box.center), noise.information,
+                    np.asarray(last.box.center), observation_information,
                     landmark_position=lm_map.landmarks[decision.landmark_id].centroid)
             emitted |= emit
             records.append(ProposalRecord(
@@ -359,8 +361,8 @@ def run_pipeline(frames, odometry: Trajectory,
         "optimize_calls": len(solves),
         "optimize_iterations": sum(s.iterations for s in solves),
         "optimize_steps": sum(s.steps for s in solves),
-        # each merge aliases the absorbed id, and ids are never reused
-        "merges": len(lm_map.aliases),
+        # each merge records the absorbed id once, and ids are never reused
+        "merges": len(lm_map.merged_into),
         "landmarks": len(lm_map),
         # behind-camera observation factors, counted at each solve's
         # final linearization point and summed over the run's solves
@@ -529,15 +531,14 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    picked, _ = match_indices(est, gt, window)
-    rot = ate.transform.rotation_matrix()
+    est_idx, gt_idx = (list(ix) for ix in zip(*ate.pairs))
+    aligned = ((ate.transform.rotation_matrix() @ est.positions()[est_idx].T).T
+               + ate.transform.translation)
+    rows = zip(est.stamps[est_idx], aligned, gt.positions()[gt_idx], ate.per_frame_errors)
     with open(out / "aligned_trajectory.csv", "w", encoding="utf-8") as fh:
         fh.write("timestamp,est_x,est_y,est_z,gt_x,gt_y,gt_z,error_m\n")
-        for i, j in picked:
-            p = rot @ est.poses[i].translation + ate.transform.translation
-            q = gt.poses[j].translation
-            err = float(np.linalg.norm(p - q))
-            fh.write(f"{float(est.stamps[i]):.10f},"
+        for stamp, p, q, err in rows:
+            fh.write(f"{float(stamp):.10f},"
                      f"{p[0]:.6f},{p[1]:.6f},{p[2]:.6f},"
                      f"{q[0]:.6f},{q[1]:.6f},{q[2]:.6f},{err:.6f}\n")
     write_json(out / "report.json", report, indent=2)

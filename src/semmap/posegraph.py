@@ -84,24 +84,19 @@ def _inv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def odometry_kernel(
-    q_i, t_i, q_j, t_j, q_z, t_z, rot_i=None, rz_t=None
+    q_i, t_i, q_j, t_j, q_z, t_z, rot_i, rz_t
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals log(Z^-1 X_i^-1 X_j) (n, 6), split as [translation,
     rotation vector], and their Jacobians [J_i | J_j] (n, 6, 12) wrt
     right perturbations of X_i and X_j. Poses and measurements Z are
-    given as quaternions (n, 4) and translations (n, 3). A caller that
-    already holds quat_to_matrix(q_i) passes it as rot_i, and the
-    transposed quat_to_matrix(q_z) as rz_t.
+    given as quaternions (n, 4) and translations (n, 3); rot_i is
+    quat_to_matrix(q_i) and rz_t the transposed quat_to_matrix(q_z).
 
     With Delta = X_i^-1 X_j and E = Z^-1 Delta:
       dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
       dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
       dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
     """
-    if rz_t is None:
-        rz_t = np.swapaxes(quat_to_matrix(q_z), 1, 2)
-    if rot_i is None:
-        rot_i = quat_to_matrix(q_i)
     td = np.einsum("nba,nb->na", rot_i, t_j - t_i)
     qd = quat_normalize(quat_mul(quat_conjugate(q_i), q_j))
     qe = quat_normalize(quat_mul(quat_conjugate(q_z), qd))
@@ -117,10 +112,11 @@ def odometry_kernel(
     return r, jac
 
 
-def observation_kernel(q, t, landmarks, pixels, k: CameraIntrinsics, rot=None):
+def observation_kernel(rot, t, landmarks, pixels, k: CameraIntrinsics):
     """Pixel residuals proj(X^-1 l) - z (n, 2), their Jacobians
-    [J_pose | J_landmark] (n, 2, 9) and the mask of active observations.
-    A caller that already holds quat_to_matrix(q) passes it as rot.
+    [J_pose | J_landmark] (n, 2, 9) and the mask of active observations,
+    for camera poses X given as rotation matrices (n, 3, 3) and
+    translations (n, 3).
 
     An observation whose landmark is behind the camera is deactivated:
     its mask entry is False and its residual and Jacobian are zero.
@@ -128,8 +124,6 @@ def observation_kernel(q, t, landmarks, pixels, k: CameraIntrinsics, rot=None):
       dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
       dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
     """
-    if rot is None:
-        rot = quat_to_matrix(q)
     p = np.einsum("nba,nb->na", rot, landmarks - t)
     active = p[:, 2] > _Z_EPS
     r = np.zeros((active.size, 2))
@@ -680,8 +674,8 @@ class PoseGraph:
             np.concatenate([_IDENTITY, q[idx_i]]),
             np.concatenate([np.zeros((1, 3)), t[idx_i]]),
             q[rel_j], t[rel_j], layout.rel_q.rows, layout.rel_t.rows,
-            rot_i=np.concatenate([_IDENTITY_R, rot[idx_i]]),
-            rz_t=np.swapaxes(layout.rel_r.rows, 1, 2),
+            np.concatenate([_IDENTITY_R, rot[idx_i]]),
+            np.swapaxes(layout.rel_r.rows, 1, 2),
         )
         parts = [
             # the prior keeps only the J_j half: its X_i is the fixed identity
@@ -692,9 +686,7 @@ class PoseGraph:
         if layout.obs_p.size:
             idx_p = layout.obs_p
             r, jac, active = observation_kernel(
-                q[idx_p], t[idx_p], lm[layout.obs_l], layout.obs_px, self.intrinsics,
-                rot=rot[idx_p],
-            )
+                rot[idx_p], t[idx_p], lm[layout.obs_l], layout.obs_px, self.intrinsics)
             deactivated = int(np.count_nonzero(~active))
             # a deactivated observation has a zero residual and Jacobian:
             # it keeps its slots with zero values and costs nothing

@@ -140,13 +140,13 @@ def dict_voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
 class EinsumLikelihoodEvaluator:
     """Vectorized ll over query points for a fixed measurement set."""
 
-    def __init__(self, poses, centers_px, k, noise):
+    def __init__(self, poses, centers_px, k, cov):
         self.world_to_cam = np.stack([p.rotation_matrix().T for p in poses])
         self.cam_centers = np.stack([p.translation for p in poses])
         self.centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
         self.k = k
-        self.info = np.linalg.inv(noise.covariance)
-        _, logdet = np.linalg.slogdet(noise.covariance)
+        self.info = np.linalg.inv(cov)
+        _, logdet = np.linalg.slogdet(cov)
         # 2D Gaussian: log(1 / sqrt((2 pi)^2 det)) per measurement
         self.log_norm = -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet)
         self.count = len(poses)

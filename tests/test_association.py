@@ -411,8 +411,10 @@ class TestMergeOverlapping:
         records = m.merge_overlapping(AssociationConfig())
         assert records == [(7, 3)]
         assert sorted(m.landmarks) == [3]
-        assert m.aliases == {7: 3}
+        assert m.merged_into == m.aliases == {7: 3}
         assert m.resolve(7) == 3
+        with pytest.raises(AttributeError):
+            m.aliases = {}
 
     def test_different_class_never_merges(self):
         m = LandmarkMap()
@@ -467,14 +469,14 @@ class TestMergeOverlapping:
     def test_aliases_match_a_scan_of_every_alias(self):
         # landmarks arrive with shuffled ids, so a survivor that already
         # holds aliases is often absorbed by a lower id later; the map
-        # starts from an assigned alias dict, as a parsed map does
+        # starts from merge records, as a parsed map does
         rng = np.random.default_rng(71)
         sites = np.arange(6)[:, None] * [2.0, 0.0, 0.0]
         m = LandmarkMap()
         m.landmarks[500] = _landmark(500, sites[0], seed=500)
         m.landmarks[501] = _landmark(501, sites[3], seed=501)
         initial = {600: 500, 601: 501, 602: 500}
-        m.aliases = dict(initial)
+        m.merged_into = dict(initial)
         cfg = AssociationConfig()
         records = []
         for chunk in np.split(rng.permutation(240), 40):
@@ -485,18 +487,20 @@ class TestMergeOverlapping:
         want = repoint_aliases(initial, records)
         assert list(m.aliases.items()) == list(want.items())
         assert set(m.aliases.values()) <= set(m.landmarks)
-        # survivors that held aliases when absorbed: the re-point path
+        # each merge records one entry, which resolve follows
+        assert list(m.merged_into.items()) == list(initial.items()) + records
+        # survivors that held aliases when absorbed: chains to follow
         repointed = sum(any(v == high for v in repoint_aliases(initial, records[:i]).values())
                         for i, (high, _) in enumerate(records))
         assert len(records) > 200 and repointed > 10
 
     def test_live_id_with_an_alias_keeps_the_scan_result(self):
         # the map parser accepts an alias key that is also a live id;
-        # once 1 is absorbed into 0, absorbing 3 must not re-point it
+        # once 1 is absorbed into 0, absorbing 3 must not move it
         m = LandmarkMap()
         for lid, x in ((0, 0.0), (1, 0.01), (2, 5.0), (3, 5.01)):
             m.landmarks[lid] = _landmark(lid, [x, 0.0, 0.0], seed=80 + lid)
-        m.aliases = {1: 3}
+        m.merged_into = {1: 3}
         records = m.merge_overlapping(AssociationConfig())
         assert records == [(1, 0), (3, 2)]
         assert m.aliases == repoint_aliases({1: 3}, records) == {1: 0, 3: 2}

@@ -1,19 +1,29 @@
-"""Every name the benchmark's probes wrap still lives where they look it up.
+"""Every name the benchmark's probes wrap still lives where they look it up,
+and every config and command the benchmark calls still takes its call.
 
 mapbench/layers.py replaces functions and methods for the length of a
 run through `owner.__dict__[attr]`. A refactor that moves one of them
 out of its owner (a function imported from elsewhere, a method
 inherited) passes every other test here and then fails the first traced
-benchmark round with a KeyError.
+benchmark round with a KeyError. Likewise mapbench/workloads.py builds
+each scene's PipelineConfig by keyword, and mapbench/run.py calls the
+file-level commands through the pipeline module: a renamed or deleted
+field or command would fail every benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
+
+from semmap import pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "mapbench"))
 
 from layers import FrameClock, Recorder, RenderClock, installed  # noqa: E402
+from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
 PROBES = (Recorder, FrameClock, RenderClock)
 
@@ -33,3 +43,17 @@ def test_probes_install_and_restore():
         with installed(probe()):
             pass
         assert [vars(owner)[attr] for owner, attr, _ in targets] == before
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_workload_config_builds(workload, tmp_path):
+    # parsing only: the scene is not rendered
+    scene = WORKLOADS[workload].scenes[0]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scene.scenario), encoding="utf-8")
+    assert isinstance(pipeline_config(scenario), pipeline.PipelineConfig)
+
+
+def test_file_level_commands_are_in_the_pipeline_module():
+    for name in ("cmd_simulate", "cmd_run", "cmd_eval"):
+        assert callable(vars(pipeline).get(name)), name

@@ -28,7 +28,6 @@ from oracles import (
 
 from semmap.candidate import (
     Candidate,
-    PixelNoiseModel,
     RandomWalkConfig,
     _WALK_BLOCK,
     _WALK_BLOCK_MAX,
@@ -57,7 +56,6 @@ from semmap.geometry import (
     Pose,
     Trajectory,
     backproject,
-    centroid,
     quat_from_matrix,
 )
 from semmap.io_formats import parse_detection_log
@@ -66,6 +64,17 @@ from semmap.tracker import BoundingBox, Measurement, Tracklet
 
 def _k():
     return CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def _extract(t, poses, k=None):
+    """extract_clouds with the views' rotation stack: the stacked cloud
+    and each view's end row."""
+    return extract_clouds(t, poses, k or _k(), _rotations(poses))
+
+
+def _cov(sigma):
+    """The isotropic pixel covariance the oracles take, in px^2."""
+    return np.eye(2) * sigma * sigma
 
 
 def _look_at(eye, target):
@@ -154,21 +163,21 @@ class TestLogLikelihood:
     def test_zero_residual_equals_normalization(self):
         # exact point: ll is T times the Gaussian log-normalization
         point, tracklet, poses = self._setup()
-        noise = PixelNoiseModel.isotropic(4.0)
+        sigma = 4.0
         expected = len(poses) * (-math.log(2 * math.pi) - 0.5 * math.log(16.0 * 16.0))
-        assert log_likelihood(point, tracklet, poses, _k(), noise) == pytest.approx(
+        assert log_likelihood(point, tracklet, poses, _k(), sigma) == pytest.approx(
             expected, abs=1e-9
         )
 
     def test_matches_loop_oracle(self):
         point, tracklet, poses = self._setup()
-        noise = PixelNoiseModel.isotropic(2.0)
+        sigma = 2.0
         rng = np.random.default_rng(0)
         centers = [m.box.center for m in tracklet.measurements]
         for _ in range(20):
             x = point + rng.normal(0, 0.3, 3)
-            want = loop_log_likelihood(x, centers, poses, _k(), noise.covariance)
-            got = log_likelihood(x, tracklet, poses, _k(), noise)
+            want = loop_log_likelihood(x, centers, poses, _k(), _cov(sigma))
+            got = log_likelihood(x, tracklet, poses, _k(), sigma)
             assert got == pytest.approx(want, rel=1e-9)
         # one batch mixing points in front of every camera with points
         # behind camera 0 and at its center: those rows are exactly -inf,
@@ -179,8 +188,8 @@ class TestLogLikelihood:
         xs = np.concatenate([front[:10], behind, eye[None, :], front[10:]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _LikelihoodEvaluator(poses, centers, _k(), noise)(xs)
-        want = [loop_log_likelihood(x, centers, poses, _k(), noise.covariance)
+            got = _LikelihoodEvaluator(poses, centers, _k(), sigma, _rotations(poses))(xs)
+        want = [loop_log_likelihood(x, centers, poses, _k(), _cov(sigma))
                 for x in xs]
         assert np.all(got[10:17] == -np.inf)
         assert np.all(np.isfinite(got[:10])) and np.all(np.isfinite(got[17:]))
@@ -198,30 +207,29 @@ class TestLogLikelihood:
         xs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.5, 2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _LikelihoodEvaluator(poses, centers, _k(),
-                                       PixelNoiseModel.isotropic())(xs)
+            got = _LikelihoodEvaluator(poses, centers, _k(), 4.0, _rotations(poses))(xs)
         assert got[0] == -np.inf and got[1] == -np.inf
         assert np.isfinite(got[2])
 
     def test_perturbation_decreases_likelihood(self):
         point, tracklet, poses = self._setup()
-        noise = PixelNoiseModel.isotropic(4.0)
-        at_truth = log_likelihood(point, tracklet, poses, _k(), noise)
-        off = log_likelihood(point + [0.2, 0.0, 0.0], tracklet, poses, _k(), noise)
+        sigma = 4.0
+        at_truth = log_likelihood(point, tracklet, poses, _k(), sigma)
+        off = log_likelihood(point + [0.2, 0.0, 0.0], tracklet, poses, _k(), sigma)
         assert off < at_truth
 
     def test_behind_camera_raises(self):
         point, tracklet, poses = self._setup()
         behind = poses[0].translation - 5.0 * (point - poses[0].translation)
         with pytest.raises(BehindCameraError):
-            log_likelihood(behind, tracklet, poses, _k(), noise=PixelNoiseModel.isotropic())
+            log_likelihood(behind, tracklet, poses, _k(), 4.0)
 
     def test_rigid_gauge_invariance(self):
         # transforming the world frame moves poses and the point together:
         # the likelihood must not change
         point, tracklet, poses = self._setup()
-        noise = PixelNoiseModel.isotropic(3.0)
-        base = log_likelihood(point, tracklet, poses, _k(), noise)
+        sigma = 3.0
+        base = log_likelihood(point, tracklet, poses, _k(), sigma)
         g = Pose(
             quat_from_matrix(
                 np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -231,7 +239,7 @@ class TestLogLikelihood:
         moved_poses = [g.compose(p) for p in poses]
         moved_point = g.transform(point)
         assert log_likelihood(
-            moved_point, tracklet, moved_poses, _k(), noise
+            moved_point, tracklet, moved_poses, _k(), sigma
         ) == pytest.approx(base, abs=1e-6)
 
 
@@ -295,12 +303,12 @@ def _overflowing(m):
                    depth_hint=1e10)
 
 
-def _loop_estimate(t, poses, noise, walk, run_seed):
+def _loop_estimate(t, poses, sigma, walk, run_seed):
     """estimate_centroid one view at a time: per-view rotation matrices,
     the loop triangulation; None where it falls back to the range hint."""
     k = _k()
     centers = np.array([m.box.center for m in t.measurements])
-    evaluate = _LikelihoodEvaluator(poses, centers, k, noise,
+    evaluate = _LikelihoodEvaluator(poses, centers, k, sigma,
                                     np.stack([p.rotation_matrix() for p in poses]))
     origins = np.stack([p.translation for p in poses])
     seed = loop_triangulate_midpoint(origins, loop_box_center_rays(centers, poses, k))
@@ -320,12 +328,12 @@ class TestFoldedLikelihood:
         # the walk only compares likelihoods, so the folded evaluator must
         # accept exactly the oracle's steps and return the same point bytes
         rng = np.random.default_rng(2024)
-        noise = PixelNoiseModel.isotropic(4.0)
+        sigma = 4.0
         walks = 0
         while walks < 200:
             centers, poses, point = _random_tracklet_views(rng)
-            folded = _LikelihoodEvaluator(poses, centers, _k(), noise)
-            oracle = EinsumLikelihoodEvaluator(poses, centers, _k(), noise)
+            folded = _LikelihoodEvaluator(poses, centers, _k(), sigma, _rotations(poses))
+            oracle = EinsumLikelihoodEvaluator(poses, centers, _k(), _cov(sigma))
             seed = point + rng.normal(0.0, 0.05, 3)
             ll_seed = oracle(seed[None, :])[0]
             if not np.isfinite(ll_seed):
@@ -361,22 +369,22 @@ def _kernel_queries(rng, point, poses):
 
 
 class TestViewMajorKernel:
-    @pytest.mark.parametrize("anisotropic", [False, True])
+    @pytest.mark.parametrize("random_sigma", [False, True])
     @pytest.mark.parametrize("count", range(2, 13))
-    def test_matches_point_major_oracle(self, count, anisotropic):
+    def test_matches_point_major_oracle(self, count, random_sigma):
         # the walk only compares likelihoods, so finite values must match
         # the point-major layout bit for bit, and non-finite ones (-inf
         # behind a camera, or NaN where the projection overflows) must
-        # fall on the same rows; the off-diagonal covariance exercises
-        # the cross term
+        # fall on the same rows; the oracle weighs by the covariance's
+        # inverse and log-determinant, so a random sigma checks that
+        # 1 / sigma^2 and 2 log(sigma^2) give their bits
         rng = np.random.default_rng(100 + count)
-        cov = np.array([[9.0, 2.5], [2.5, 4.0]]) if anisotropic else np.eye(2) * 16.0
-        noise = PixelNoiseModel(cov)
+        sigma = rng.uniform(0.1, 20.0) if random_sigma else 4.0
         for _ in range(3):
             centers, poses, point = _random_tracklet_views(rng, count)
             rotations = _rotations(poses)
-            new = _LikelihoodEvaluator(poses, centers, _k(), noise, rotations)
-            old = PointMajorLikelihoodEvaluator(rotations, poses, centers, _k(), cov)
+            new = _LikelihoodEvaluator(poses, centers, _k(), sigma, rotations)
+            old = PointMajorLikelihoodEvaluator(rotations, poses, centers, _k(), _cov(sigma))
             xs = _kernel_queries(rng, point, poses)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -402,11 +410,11 @@ class TestWalkSchedule:
         # scoring blocks of proposals must take exactly the steps that
         # scoring one proposal per call takes
         rng = np.random.default_rng(n_samples)
-        noise = PixelNoiseModel.isotropic(4.0)
+        sigma = 4.0
         walks = moved = 0
         while walks < 8:
             centers, poses, point = _random_tracklet_views(rng)
-            kernel = _LikelihoodEvaluator(poses, centers, _k(), noise)
+            kernel = _LikelihoodEvaluator(poses, centers, _k(), sigma, _rotations(poses))
 
             def evaluate(xs):
                 # every block at least two rows wide: a single point
@@ -479,7 +487,7 @@ class TestEstimateCentroid:
         eyes = [point + 2.5 * np.array([math.sin(a), -math.cos(a), 0.1 * a]) for a in angles]
         tracklet, poses = _tracklet_viewing(point, eyes, _k())
         est = estimate_centroid(
-            tracklet, poses, _k(), PixelNoiseModel.isotropic(4.0), RandomWalkConfig(), 1
+            tracklet, poses, _k(), 4.0, RandomWalkConfig(), 1, _rotations(poses)
         )
         assert np.linalg.norm(est.point - point) < 1e-3
         assert not est.low_confidence
@@ -492,11 +500,12 @@ class TestEstimateCentroid:
         tracklet, poses = _tracklet_viewing(
             point, eyes, _k(), px_noise=1.0, rng=rng
         )
-        noise = PixelNoiseModel.isotropic(1.0)
-        est = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 2)
+        sigma = 1.0
+        est = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 2,
+                                _rotations(poses))
         centers = [m.box.center for m in tracklet.measurements]
         oracle_pt, _ = grid_search_max(
-            centers, poses, _k(), noise.covariance, around=point, half=0.5, step=0.01
+            centers, poses, _k(), _cov(sigma), around=point, half=0.5, step=0.01
         )
         oracle_err = np.linalg.norm(oracle_pt - point)
         assert np.linalg.norm(est.point - point) <= oracle_err + 0.02
@@ -507,9 +516,10 @@ class TestEstimateCentroid:
                 np.array([0.0, -0.2, 0.9])]
         rng = np.random.default_rng(21)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=3.0, rng=rng)
-        noise = PixelNoiseModel.isotropic(4.0)
-        est = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 3)
-        seed_ll = log_likelihood(est.seed_point, tracklet, poses, _k(), noise)
+        sigma = 4.0
+        est = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 3,
+                                _rotations(poses))
+        seed_ll = log_likelihood(est.seed_point, tracklet, poses, _k(), sigma)
         assert est.log_likelihood >= seed_ll
 
     def test_zero_baseline_falls_back_to_depth_hint(self):
@@ -517,7 +527,7 @@ class TestEstimateCentroid:
         eye = np.array([0.0, -2.0, 2.0])
         tracklet, poses = _tracklet_viewing(point, [eye, eye + 1e-12, eye], _k())
         est = estimate_centroid(
-            tracklet, poses, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(), 4
+            tracklet, poses, _k(), 4.0, RandomWalkConfig(), 4, _rotations(poses)
         )
         assert est.low_confidence
         # fallback point = backprojected box center at the range hint
@@ -528,9 +538,10 @@ class TestEstimateCentroid:
         eyes = [np.array([-0.3, 0.0, 1.0]), np.array([0.3, 0.1, 1.1])]
         rng = np.random.default_rng(33)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=2.0, rng=rng)
-        noise = PixelNoiseModel.isotropic(2.0)
-        a = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 9)
-        b = estimate_centroid(tracklet, poses, _k(), noise, RandomWalkConfig(), 9)
+        sigma = 2.0
+        rotations = _rotations(poses)
+        a = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 9, rotations)
+        b = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 9, rotations)
         assert np.array_equal(a.point, b.point)
         assert a.log_likelihood == b.log_likelihood
 
@@ -541,8 +552,8 @@ class TestEstimateCentroid:
         )
         with pytest.raises(TooFewMeasurementsError):
             estimate_centroid(
-                t, [Pose.identity()], _k(), PixelNoiseModel.isotropic(),
-                RandomWalkConfig(), 0,
+                t, [Pose.identity()], _k(), 4.0,
+                RandomWalkConfig(), 0, _rotations([Pose.identity()]),
             )
 
 
@@ -552,9 +563,9 @@ class TestExtractClouds:
         # (u, v) = (cx, cy) lifts onto the optical axis at its 3 depths
         t = Tracklet(0, "cup")
         t.append(Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0))
-        clouds = extract_clouds(t, [Pose.identity()], _k())
-        assert len(clouds) == 1
-        axis = clouds[0].points.reshape(5, 5, 3, 3)[2, 2]
+        cloud, ends = _extract(t, [Pose.identity()])
+        assert ends == [75]
+        axis = cloud.points.reshape(5, 5, 3, 3)[2, 2]
         np.testing.assert_allclose(
             axis, [[0.0, 0.0, 2.0 - 0.16 / 3.0], [0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 0.16 / 3.0]],
             atol=1e-12)
@@ -563,12 +574,12 @@ class TestExtractClouds:
         t = Tracklet(0, "cup")
         m = Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0)
         t.append(m)
-        clouds = extract_clouds(t, [Pose.identity()], _k())
-        assert len(clouds[0]) == 5 * 5 * 3
+        cloud, _ = _extract(t, [Pose.identity()])
+        assert len(cloud) == 5 * 5 * 3
         h = cuboid_half_depth(m, _k())
         # box is 40 px wide at depth 2 with fx=500 -> 0.16 m wide, h = 0.08
         assert h == pytest.approx(0.5 * 40.0 * 2.0 / 500.0, abs=1e-12)
-        zs = clouds[0].points[:, 2]
+        zs = cloud.points[:, 2]
         assert np.all(np.abs(zs - 2.0) <= h + 1e-12)
 
     def test_out_of_frustum_samples_dropped(self, tmp_path):
@@ -582,9 +593,9 @@ class TestExtractClouds:
         for frame, kept in zip(frames, (50, 25)):
             t = Tracklet(0, "cup")
             t.append(frame.detections[0])
-            clouds = extract_clouds(t, [Pose.identity()], _k())
-            assert len(clouds[0]) == kept
-            assert np.all(clouds[0].points[:, 2] > 0)
+            cloud, ends = _extract(t, [Pose.identity()])
+            assert len(cloud) == ends[0] == kept
+            assert np.all(cloud.points[:, 2] > 0)
 
     def test_exhausted_measurement_raises(self, tmp_path):
         # a half depth that overflows leaves no sample in front of the
@@ -595,7 +606,7 @@ class TestExtractClouds:
         t.append(parse_detection_log(str(log))[0].detections[0])
         with warnings.catch_warnings(), pytest.raises(EmptyCloudError, match="frame 7"):
             warnings.simplefilter("error")
-            extract_clouds(t, [Pose.identity()], _k())
+            _extract(t, [Pose.identity()])
 
     def test_lift_matches_scalar_backproject(self):
         # every kept sample lands where backproject puts its pixel and depth
@@ -603,10 +614,10 @@ class TestExtractClouds:
         k = _k()
         t, poses = _random_tracklet(rng)
         grid = meshgrid_box_sampler(k)
-        clouds = extract_clouds(t, poses, k)
-        for m, pose, cloud in zip(t.measurements, poses, clouds):
-            assert len(cloud) == 75
-            for (u, v, d), p in zip(grid(m), cloud.points):
+        cloud, ends = _extract(t, poses, k)
+        assert ends == [75 * (i + 1) for i in range(len(poses))]
+        for i, (m, pose) in enumerate(zip(t.measurements, poses)):
+            for (u, v, d), p in zip(grid(m), cloud.points[75 * i:75 * (i + 1)]):
                 np.testing.assert_allclose(p, backproject(Pixel(u, v), d, pose, k), atol=1e-12)
 
     def test_sphere_surface_centroid(self):
@@ -629,9 +640,9 @@ class TestExtractClouds:
         )
         t = Tracklet(0, "ball")
         t.append(Measurement(0.0, 0, "ball", 0.9, box, float(front_mean[2])))
-        clouds = extract_clouds(t, [Pose.identity()], k)
-        assert len(clouds[0]) == 75
-        assert np.linalg.norm(centroid(clouds[0]) - front_mean) < 0.05
+        cloud, _ = _extract(t, [Pose.identity()], k)
+        assert len(cloud) == 75
+        assert np.linalg.norm(cloud.points.mean(axis=0) - front_mean) < 0.05
 
 
 class TestStackedViews:
@@ -656,12 +667,14 @@ class TestStackedViews:
         sizes = set()
         for _ in range(100):
             t, poses = _random_tracklet(rng, wide=0.5 if ragged else 0.0)
-            got = extract_clouds(t, poses, _k())
+            got, ends = _extract(t, poses)
             want = loop_extract_clouds(t, poses, _k(), meshgrid_box_sampler(_k()))
-            assert len(got) == len(want) == len(poses)
-            for g, w in zip(got, want):
-                assert g.points.shape == w.shape
-                assert g.points.tobytes() == w.tobytes()
+            assert len(ends) == len(want) == len(poses)
+            assert ends[-1] == len(got)
+            for start, end, w in zip([0] + ends[:-1], ends, want):
+                g = got.points[start:end]
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
                 sizes.add(len(g))
         assert sizes == ({50, 75} if ragged else {75})
 
@@ -676,7 +689,7 @@ class TestStackedViews:
                               for i, m in enumerate(t.measurements)]
             with warnings.catch_warnings(), pytest.raises(EmptyCloudError) as got:
                 warnings.simplefilter("error")
-                extract_clouds(t, poses, _k())
+                _extract(t, poses)
             with np.errstate(invalid="ignore"), pytest.raises(EmptyCloudError) as want:
                 loop_extract_clouds(t, poses, _k(), meshgrid_box_sampler(_k()))
             assert str(got.value) == str(want.value)
@@ -710,14 +723,14 @@ class TestStackedViews:
 
     def test_estimate_matches_loop_oracle(self):
         rng = np.random.default_rng(77)
-        noise = PixelNoiseModel.isotropic(4.0)
+        sigma = 4.0
         walk = RandomWalkConfig(n_samples=300)
         walked = 0
         for _ in range(80):
             t, poses = _random_tracklet(rng)
-            want = _loop_estimate(t, poses, noise, walk, 5)
+            want = _loop_estimate(t, poses, sigma, walk, 5)
             try:
-                got = estimate_centroid(t, poses, _k(), noise, walk, 5)
+                got = estimate_centroid(t, poses, _k(), sigma, walk, 5, _rotations(poses))
             except BehindCameraError:
                 assert want is None
                 continue
@@ -752,7 +765,7 @@ class TestProposeCandidate:
     def test_static_object_accepted(self):
         t, traj, point = self._trajectory_and_tracklet(speed=0.0)
         prop = propose_candidate(
-            t, traj, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(), 5,
+            t, traj, _k(), 4.0, RandomWalkConfig(), 5,
             mad_threshold=0.15,
         )
         assert prop.accepted
@@ -760,9 +773,12 @@ class TestProposeCandidate:
         cand = prop.candidate
         assert isinstance(cand, Candidate)
         assert cand.size_estimate > 0
-        # one cloud: every view's cloud, stacked in view order
-        views = extract_clouds(t, resolve_poses(t, traj), _k())
-        assert cand.cloud.points.tobytes() == np.vstack([c.points for c in views]).tobytes()
+        # the candidate keeps the extracted cloud of all views, whose
+        # per-view slice means fed the gate
+        cloud, ends = _extract(t, resolve_poses(t, traj))
+        assert cand.cloud.points.tobytes() == cloud.points.tobytes()
+        views = [cloud.points[start:end] for start, end in zip([0] + ends[:-1], ends)]
+        assert prop.mad == mad_deviation(np.array([v.mean(axis=0) for v in views]))
         assert np.linalg.norm(cand.map_centroid - point) < 0.05
 
     def test_fast_object_rejected(self):
@@ -770,7 +786,7 @@ class TestProposeCandidate:
         # 5 step march is 1.2 * 0.15 = 0.18 > 0.15
         t, traj, _ = self._trajectory_and_tracklet(speed=1.5)
         prop = propose_candidate(
-            t, traj, _k(), PixelNoiseModel.isotropic(), RandomWalkConfig(), 6,
+            t, traj, _k(), 4.0, RandomWalkConfig(), 6,
             mad_threshold=0.15,
         )
         assert not prop.accepted

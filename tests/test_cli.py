@@ -4,10 +4,13 @@ determinism of emitted files and the exit-code contract."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semmap import pipeline
 from semmap.cli import main
+from semmap.evaluation import evaluate_ate, match_indices
+from semmap.io_formats import parse_tum_trajectory
 
 SCENARIO = {"preset": "desk", "seed": 5, "duration": 8.0,
             "frame_rate": 10.0, "laps": 1.25}
@@ -167,6 +170,24 @@ class TestEval:
         assert (tmp_path / "report.json").is_file()
         assert (tmp_path / "aligned_trajectory.csv").is_file()
 
+    def test_aligned_csv_rows_are_the_matched_pairs(self, workspace, tmp_path):
+        sim, run = workspace / "sim", workspace / "run"
+        assert main(["eval", "--estimate", str(run / "corrected_trajectory.txt"),
+                     "--ground-truth", str(sim / "ground_truth.txt"),
+                     "--out-dir", str(tmp_path)]) == 0
+        est = parse_tum_trajectory(str(run / "corrected_trajectory.txt"))
+        gt = parse_tum_trajectory(str(sim / "ground_truth.txt"))
+        ate = evaluate_ate(est, gt)
+        assert list(ate.pairs) == match_indices(est, gt)[0]
+        rows = np.loadtxt(tmp_path / "aligned_trajectory.csv", delimiter=",", skiprows=1)
+        est_idx, gt_idx = (list(ix) for ix in zip(*ate.pairs))
+        np.testing.assert_allclose(rows[:, 0], est.stamps[est_idx], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(rows[:, 4:7], gt.positions()[gt_idx], rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(rows[:, 7], ate.per_frame_errors, rtol=0.0, atol=1e-6)
+        # the error column is the distance between the aligned pair
+        np.testing.assert_allclose(np.linalg.norm(rows[:, 1:4] - rows[:, 4:7], axis=1),
+                                   rows[:, 7], rtol=0.0, atol=1e-5)
+
     def test_without_registry_scoring_is_skipped(self, workspace, tmp_path,
                                                  capsys):
         sim = workspace / "sim"
@@ -247,6 +268,16 @@ class TestMalformedJson:
     def test_export_alias_target_overflows(self, tmp_path, capsys):
         self._export(tmp_path, capsys, '{"landmarks": [], "aliases": {"3": 1e400}}',
                      "alias target")
+
+    @pytest.mark.parametrize("aliases", ['{"1": 2, "2": 1}', '{"5": 9}'])
+    def test_export_alias_target_not_a_landmark(self, tmp_path, capsys, aliases):
+        self._export(tmp_path, capsys, '{"landmarks": [], "aliases": %s}' % aliases,
+                     "alias")
+
+    def test_run_pixel_noise_sigma_overflows(self, tmp_path, capsys):
+        # sigma^2 is inf: rejected with the config, before any input is read
+        self._run(tmp_path, capsys, "pixel_noise_sigma", "--pixel-noise-sigma", "1e200")
+        assert not (tmp_path / "run").exists()
 
     def test_run_config_not_an_object(self, tmp_path, capsys):
         self._run(tmp_path, capsys, "top level", "--config", self._doc(tmp_path, "[1]"))

@@ -14,7 +14,7 @@ from semmap.evaluation import (
     align_umeyama,
     ate_rmse,
     evaluate_ate,
-    match_timestamps,
+    match_indices,
     score_landmarks,
     timing_report,
 )
@@ -49,19 +49,19 @@ def _random_rigid(rng):
 class TestMatchTimestamps:
     def test_identical_grids_match_fully(self):
         a = _traj_from_positions(_circle_positions(10))
-        pairs, dropped = match_timestamps(a, a)
+        pairs, dropped = match_indices(a, a)
         assert len(pairs) == 10 and dropped == 0
 
     def test_outside_window_dropped(self):
         a = _traj_from_positions(np.zeros((5, 3)), t0=0.0)
         b = _traj_from_positions(np.zeros((5, 3)), t0=0.05)  # 50 ms off the grid
-        pairs, dropped = match_timestamps(a, b, window=0.02)
+        pairs, dropped = match_indices(a, b, window=0.02)
         assert pairs == [] and dropped == 5
 
     def test_each_partner_used_once(self):
         a = Trajectory([0.0, 0.011], [Pose.identity(), Pose.identity()])
         b = Trajectory([0.01], [Pose.identity()])
-        pairs, dropped = match_timestamps(a, b, window=0.02)
+        pairs, dropped = match_indices(a, b, window=0.02)
         # the 1 ms pair beats the 10 ms pair for the single partner
         assert len(pairs) == 1 and dropped == 1
 

@@ -1,4 +1,4 @@
-"""Geometry tests: pinhole back-projection, pose algebra, cloud centroids.
+"""Geometry tests: pinhole back-projection, pose algebra, cloud bounds.
 
 Expected values are computed by hand from the pinhole model
     u = fx * x / z + cx,  v = fy * y / z + cy
@@ -35,7 +35,6 @@ from semmap.geometry import (
     Pose,
     Trajectory,
     backproject,
-    centroid,
     quat_conjugate,
     quat_from_rotvec,
     quat_mul,
@@ -193,37 +192,6 @@ def test_stacked_op_matches_scalar_formula(name):
         one = op(*(a[i] for a in args))
         assert _same_bits(one, scalar(*(a[i] for a in args))), i
         assert _same_bits(stacked[i], one), i
-
-
-class TestCentroid:
-    def test_two_point_midpoint(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(centroid(cloud), [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_single_point(self):
-        cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_allclose(centroid(cloud), [1.0, 2.0, 3.0], atol=1e-15)
-
-    def test_empty_cloud_raises(self):
-        cloud = PointCloud(np.zeros((0, 3)))
-        with pytest.raises(EmptyCloudError):
-            centroid(cloud)
-
-    def test_uniform_cube_statistical(self):
-        # 1000 uniform samples in the unit cube: mean of means is 0.5 per
-        # axis, sd of the sample mean is sqrt(1/12)/sqrt(1000) ~ 0.009,
-        # so 0.05 is a > 5 sigma bound
-        rng = np.random.default_rng(101)
-        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(1000, 3)))
-        np.testing.assert_allclose(centroid(cloud), [0.5, 0.5, 0.5], atol=0.05)
-
-    def test_translation_equivariance(self):
-        rng = np.random.default_rng(103)
-        pts = rng.normal(size=(40, 3))
-        shift = np.array([4.0, -2.0, 0.5])
-        c0 = centroid(PointCloud(pts))
-        c1 = centroid(PointCloud(pts + shift))
-        np.testing.assert_allclose(c1, c0 + shift, atol=1e-12)
 
 
 def _bounds_cases():

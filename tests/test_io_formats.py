@@ -207,7 +207,7 @@ def _toy_map():
             cloud=PointCloud(pts), size=0.3,
             last_association=4.5, n_fused=3,
         )
-    lm_map.aliases = {7: 0}
+    lm_map.merged_into = {7: 0}
     lm_map._next_id = 8
     return lm_map
 
@@ -234,6 +234,22 @@ class TestLandmarkMapDocument:
         back = parse_landmark_map(path)
         assert back._next_id == 8
 
+    @pytest.mark.parametrize("aliases", [
+        {"1": 2, "2": 1},  # a cycle over ids that are no landmarks
+        {"5": 9},  # no landmark 9: a later new landmark would take its id
+        {"0": 1, "1": 0},  # a cycle over landmarks
+        {"7": 1, "1": 0},  # a target that is itself aliased
+    ])
+    def test_alias_that_does_not_resolve_rejected(self, tmp_path, aliases):
+        path = tmp_path / "map.json"
+        write_landmark_map(str(path), _map_of([np.ones((2, 3)), np.zeros((2, 3))]))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for landmarks in (doc["landmarks"], []):
+            path.write_text(json.dumps({"landmarks": landmarks, "aliases": aliases}),
+                            encoding="utf-8")
+            with pytest.raises(ConfigParseError, match="alias"):
+                parse_landmark_map(str(path))
+
 
 def _map_of(clouds, aliases=None, class_ids=None):
     """LandmarkMap with one landmark per (N, 3) cloud, ids 0, 1, ..."""
@@ -247,7 +263,7 @@ def _map_of(clouds, aliases=None, class_ids=None):
             centroid=pts.mean(axis=0), cloud=PointCloud(pts), size=0.25 + lid,
             last_association=1.5 * lid, n_fused=lid + 1, last_emission=0.5 * lid,
         )
-    lm_map.aliases = dict(aliases or {})
+    lm_map.merged_into = dict(aliases or {})
     return lm_map
 
 

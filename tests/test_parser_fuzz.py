@@ -273,7 +273,11 @@ class TestJsonParserFuzz:
     @_FUZZ
     @given(_doc(_landmark_map))
     def test_landmark_map(self, doc_path, doc):
-        _parse(parse_landmark_map, doc_path, _encode(doc), ConfigParseError)
+        lm_map = _parse(parse_landmark_map, doc_path, _encode(doc), ConfigParseError)
+        if lm_map is not None:
+            # every alias of a parsed map resolves, in one step
+            assert all(kept in lm_map.landmarks for kept in lm_map.aliases.values())
+            assert lm_map.aliases == lm_map.merged_into
 
     @_FUZZ
     @given(_doc(_registry))

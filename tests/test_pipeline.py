@@ -4,8 +4,9 @@ dynamic-object exclusion and drift reduction on small scenes."""
 
 import json
 import logging
+import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from semmap.simulator import (
     FrameDetections,
     desk_preset,
     ground_truth_bundle,
+    look_at_pose,
     walking_preset,
 )
 
@@ -40,6 +42,25 @@ def _small_desk(seed=0, **noise_overrides):
     world, noise = desk_preset(seed=seed, duration=12.0, frame_rate=10.0,
                                laps=1.5, **noise_overrides)
     return ground_truth_bundle(world, noise)
+
+
+@dataclass(frozen=True)
+class _PanningPath:
+    """A camera that stays at `position` and pans: its look-at target
+    swings `sweep` radians either way about world z from `center`, one
+    full swing per `period` seconds."""
+
+    position: tuple[float, float, float]
+    center: tuple[float, float, float]
+    sweep: float
+    period: float
+
+    def pose_at(self, t: float) -> Pose:
+        eye = np.asarray(self.position)
+        x, y, z = np.asarray(self.center) - eye
+        a = self.sweep * math.sin(2.0 * math.pi * t / self.period)
+        c, s = math.cos(a), math.sin(a)
+        return look_at_pose(eye, eye + np.array([c * x - s * y, s * x + c * y, z]))
 
 
 class TestConfigRoundTrip:
@@ -118,10 +139,18 @@ class TestConfigRoundTrip:
         {"mad_threshold": -0.1},
         {"optimize_every": 0},
         {"odometry_translation_sigma": -1e-9},
+        # sigma^2 overflows, or its inverse does, or it underflows to 0
+        {"pixel_noise_sigma": 1e200},
+        {"pixel_noise_sigma": 1e-160},
+        {"pixel_noise_sigma": 1e-200},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("sigma", [1e-150, 0.1, 4, 1e150])
+    def test_pixel_noise_sigma_with_finite_weights_accepted(self, sigma):
+        assert PipelineConfig(pixel_noise_sigma=sigma).pixel_noise_sigma == sigma
 
 
 class TestInputValidation:
@@ -159,7 +188,8 @@ class TestInputValidation:
 
 class TestStressScenes:
     """Degenerate scenes through run_pipeline: a camera that never
-    moves, detections that never form a tracklet, and blackouts."""
+    moves, one that only turns, detections that never form a tracklet,
+    and blackouts."""
 
     @pytest.mark.parametrize("start, end, solves", [(6.0, 12.0, 12), (2.0, 18.0, 5)])
     def test_blackout_maps_and_solves_cleanly(self, start, end, solves):
@@ -197,6 +227,23 @@ class TestStressScenes:
         assert all(p.low_confidence for p in accepted)
         assert len(result.landmark_map) == 6
         np.testing.assert_array_equal(result.corrected.stamps, bundle.odometry.stamps)
+
+    def test_pure_rotation_maps_and_solves_cleanly(self):
+        # the camera never moves and pans 0.9 rad either way across the
+        # desk, under the desk noise: views of an object share (up to
+        # odometry drift) one centre, so there is no depth baseline
+        world, noise = desk_preset(seed=0, duration=6.0)
+        world = replace(world, path=_PanningPath(
+            (0.9, 0.0, 1.45), (0.0, 0.0, 0.85), sweep=0.9, period=6.0))
+        bundle = ground_truth_bundle(world, noise)
+        assert np.ptp(bundle.ground_truth.positions(), axis=0).max() == 0.0
+        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(
+            odometry_translation_sigma=noise.odom_translation_sigma,
+            odometry_rotation_sigma=noise.odom_rotation_sigma))
+        np.testing.assert_array_equal(result.corrected.stamps, bundle.odometry.stamps)
+        assert result.solves
+        assert all(s.stop_reason in STOP_REASONS for s in result.solves)
+        assert len(result.landmark_map) > 0
 
     def test_false_positives_only_give_an_empty_map(self):
         world, noise = desk_preset(seed=0, duration=6.0, missed_detection_rate=1.0,

@@ -89,7 +89,9 @@ def _stack(poses):
 
 def _odometry(poses_i, poses_j, meas):
     """odometry_kernel on lists of poses: residuals and [J_i | J_j]."""
-    return odometry_kernel(*_stack(poses_i), *_stack(poses_j), *_stack(meas))
+    (q_i, t_i), (q_z, t_z) = _stack(poses_i), _stack(meas)
+    return odometry_kernel(q_i, t_i, *_stack(poses_j), q_z, t_z,
+                           quat_to_matrix(q_i), np.swapaxes(quat_to_matrix(q_z), 1, 2))
 
 
 def _prior(poses, priors):
@@ -103,7 +105,8 @@ def _prior(poses, priors):
 def _observation(poses, landmarks, pixels):
     """observation_kernel on a list of poses: residuals, [J_pose | J_landmark]
     and the active mask."""
-    return observation_kernel(*_stack(poses), np.asarray(landmarks, float),
+    q, t = _stack(poses)
+    return observation_kernel(quat_to_matrix(q), t, np.asarray(landmarks, float),
                               np.asarray(pixels, float), K)
 
 
@@ -628,23 +631,6 @@ class TestBatchedAssembly:
         h_sparse, _ = _SparseLayout(g, False).assemble(vals)
         np.testing.assert_allclose(h_sparse.toarray(), h_ref, rtol=1e-9, atol=1e-9)
 
-
-    def test_shared_rotations_match_kernels_computing_their_own(self, monkeypatch):
-        g, poses, _ = _build_consistent_graph(perturb_scale=0.4, seed=11)
-        g.add_observation(0, 50, np.array([11.0, 13.0]), np.eye(2) / 16.0,
-                          landmark_position=poses[0].translation * 1.5)
-        g.add_observation(2, 0, np.array([900.0, -50.0]), np.eye(2) / 16.0)
-        layout, state, *_ = _linearized(g)
-        rot = quat_to_matrix(state[0])
-        shared = g._linearize_arrays(*state, layout, rot)
-        odometry, observation = posegraph.odometry_kernel, posegraph.observation_kernel
-        monkeypatch.setattr(posegraph, "odometry_kernel",
-                            lambda *args, rot_i=None, rz_t=None: odometry(*args))
-        monkeypatch.setattr(posegraph, "observation_kernel",
-                            lambda *args, rot=None: observation(*args))
-        own = g._linearize_arrays(*state, layout, rot)
-        for a, b in zip(shared, own):
-            np.testing.assert_array_equal(a, b)
 
 
 def _linearized(g, fix_poses=False):
