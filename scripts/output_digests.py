@@ -22,12 +22,20 @@ Each scene's `run_manifest.json` `counts` are recorded too, under
 `<scene>/run_manifest.json#counts`, so a refactor of the run loop can
 show its counts unchanged as well as its output files.
 
+The solver's path is recorded under `<scene>/solves#path`: one sha256
+over every `PoseGraph.optimize` report of the scene's run, in call
+order, of its `iterations`, `steps`, `stop_reason`,
+`deactivated_observations` and the float64 bits of `cost_trace` and
+`lambda_trace`. A change to the solver that keeps its outputs can then
+show that it also took the same steps.
+
 --compare prints the files whose bytes differ, the scenes whose counts
-differ and, separately, the maps whose content differs. It lists each
-scene that one side has and the other lacks (a selected scene absent
-from the parent file, or a parent scene this run did not map), and
-exits 1 if any bytes or counts differ or any scene is missing. A parent
-file without content digests or counts gets only the byte comparison.
+or solve paths differ and, separately, the maps whose content differs.
+It lists each scene that one side has and the other lacks (a selected
+scene absent from the parent file, or a parent scene this run did not
+map), and exits 1 if any bytes, counts or solve paths differ or any
+scene is missing. A parent file without content digests, counts or
+solve paths gets only the comparisons it has digests for.
 """
 
 import argparse
@@ -35,6 +43,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,10 +51,43 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "mapbench"))
 
 from semmap.pipeline import DETERMINISTIC_RUN_OUTPUTS, cmd_run, cmd_simulate  # noqa: E402
+from semmap.posegraph import PoseGraph  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
 CONTENT = "#content"
 COUNTS = "run_manifest.json#counts"
+SOLVES = "solves#path"
+
+
+@contextmanager
+def recorded_solves():
+    """Every report PoseGraph.optimize returns in the body of the block,
+    in call order; the original method is restored on exit."""
+    reports = []
+    original = PoseGraph.__dict__["optimize"]
+
+    def optimize(self, *args, **kwargs):
+        report = original(self, *args, **kwargs)
+        reports.append(report)
+        return report
+
+    PoseGraph.optimize = optimize
+    try:
+        yield reports
+    finally:
+        PoseGraph.optimize = original
+
+
+def solve_path_digest(reports) -> str:
+    """sha256 of each report's step counts, stop reason, deactivated
+    count and the float64 bits (as float.hex) of its cost and damping
+    traces, one JSON line per report."""
+    h = hashlib.sha256()
+    for r in reports:
+        line = [r.iterations, r.steps, r.stop_reason, r.deactivated_observations,
+                [x.hex() for x in r.cost_trace], [x.hex() for x in r.lambda_trace]]
+        h.update(json.dumps(line).encode("utf-8") + b"\n")
+    return h.hexdigest()
 
 
 def content_digest(data: bytes) -> str:
@@ -55,9 +97,9 @@ def content_digest(data: bytes) -> str:
 
 
 def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
-    """'<scene>/<file>' -> sha256 hex digest, and '<scene>/<COUNTS>' ->
-    the run's counts, over the named workloads' scenes, in workload
-    order."""
+    """'<scene>/<file>' -> sha256 hex digest, '<scene>/<COUNTS>' -> the
+    run's counts and '<scene>/<SOLVES>' -> the digest of its solve path,
+    over the named workloads' scenes, in workload order."""
     out = {}
     for name in workloads:
         for scene in WORKLOADS[name].scenes:
@@ -66,10 +108,12 @@ def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
             scenario = base / "scenario.json"
             scenario.write_text(json.dumps(scene.scenario), encoding="utf-8")
             cmd_simulate(scenario, base / "sim")
-            manifest = cmd_run(base / "sim" / "detections.txt",
-                               base / "sim" / "odometry.txt",
-                               base / "run", pipeline_config(scenario))
+            with recorded_solves() as reports:
+                manifest = cmd_run(base / "sim" / "detections.txt",
+                                   base / "sim" / "odometry.txt",
+                                   base / "run", pipeline_config(scenario))
             out[f"{scene.name}/{COUNTS}"] = manifest.counts
+            out[f"{scene.name}/{SOLVES}"] = solve_path_digest(reports)
             for name in DETERMINISTIC_RUN_OUTPUTS:
                 data = (base / "run" / name).read_bytes()
                 out[f"{scene.name}/{name}"] = hashlib.sha256(data).hexdigest()
@@ -113,17 +157,23 @@ def main(argv=None) -> int:
         print(line)
     keys = sorted(k for k in parent.keys() | digests.keys()
                   if scene_of(k) in mapped & parent_scenes)
-    byte_keys = [k for k in keys if not k.endswith((CONTENT, COUNTS))]
-    has_content = any(k.endswith(CONTENT) for k in parent)
-    content_keys = [k for k in keys if k.endswith(CONTENT)] if has_content else []
-    has_counts = any(k.endswith(COUNTS) for k in parent)
-    count_keys = [k for k in keys if k.endswith(COUNTS)] if has_counts else []
+    byte_keys = [k for k in keys if not k.endswith((CONTENT, COUNTS, SOLVES))]
+
+    def kind(suffix):
+        """The keys of one digest kind, if the parent file records it."""
+        return ([k for k in keys if k.endswith(suffix)]
+                if any(k.endswith(suffix) for k in parent) else [])
+
+    content_keys, count_keys, solve_keys = kind(CONTENT), kind(COUNTS), kind(SOLVES)
     differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
     for key in differ:
         print(f"bytes differ: {key}")
     counts_differ = [k for k in count_keys if parent.get(k) != digests.get(k)]
     for key in counts_differ:
         print(f"counts differ: {scene_of(key)}")
+    solves_differ = [k for k in solve_keys if parent.get(k) != digests.get(k)]
+    for key in solves_differ:
+        print(f"solve path differs: {scene_of(key)}")
     content_differ = [k for k in content_keys if parent.get(k) != digests.get(k)]
     for key in content_differ:
         print(f"content differs: {key.removesuffix(CONTENT)}")
@@ -134,7 +184,10 @@ def main(argv=None) -> int:
     if count_keys:
         print(f"{len(count_keys) - len(counts_differ)}/{len(count_keys)} "
               "scenes with identical counts")
-    return 1 if differ or counts_differ or missing else 0
+    if solve_keys:
+        print(f"{len(solve_keys) - len(solves_differ)}/{len(solve_keys)} "
+              "scenes with identical solve paths")
+    return 1 if differ or counts_differ or solves_differ or missing else 0
 
 
 if __name__ == "__main__":

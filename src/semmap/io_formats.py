@@ -344,7 +344,9 @@ def _landmark(rec) -> Landmark:
 def parse_landmark_map(path: str) -> LandmarkMap:
     """The map a document describes. Each alias must point at a landmark
     of the document whose id has no alias itself, as in the flat table
-    write_landmark_map writes, so every alias resolves in one step."""
+    write_landmark_map writes, so every alias resolves in one step, and
+    no alias may carry the id of a landmark of the document: resolve
+    would then send that live landmark's id to another."""
     doc = read_json(path)
     lm_map = LandmarkMap()
     try:
@@ -357,6 +359,10 @@ def parse_landmark_map(path: str) -> LandmarkMap:
     except _FIELD_ERRORS as exc:
         raise ConfigParseError(f"bad landmark map document: {exc}") from exc
     for old, kept in lm_map.merged_into.items():
+        if old in lm_map.landmarks:
+            raise ConfigParseError(
+                f"bad landmark map document: alias {old} -> {kept} has the id "
+                "of a landmark of the map")
         if kept not in lm_map.landmarks or kept in lm_map.merged_into:
             raise ConfigParseError(
                 f"bad landmark map document: alias {old} -> {kept} does not "

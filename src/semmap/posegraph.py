@@ -9,10 +9,14 @@ pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
 * odometry between neighbouring frames, residual
   log(Z^-1 X_i^-1 X_j) split as [translation, rotation vector]
 * pixel observations of landmarks, residual proj(X^-1 l) - z;
-  observations whose landmark sits behind the camera at the
-  linearization point are deactivated for that iteration
+  observations whose landmark sits behind the camera at a state are
+  deactivated there: no residual, no Jacobian
 
-Every factor costs r^T W r: the cost is plain least squares.
+Every factor costs r^T W r: the cost is plain least squares. Each
+kernel comes in two halves, a residual function that also returns the
+intermediates its Jacobian needs and a Jacobian function built from
+them. The solver scores a trial state by the residual half alone and
+runs the Jacobian half only at the states a damped step is taken from.
 
 The pipeline adds odometry only between consecutive frames and keeps a
 handful of landmarks, so the normal equations are an arrowhead: a
@@ -22,10 +26,11 @@ dense pose x landmark border and the landmark block) through index maps
 the graph keeps between solves: each solve stacks only the odometry
 added since the last, plus the few observation factors. Each damped
 step factors the band, held in LAPACK's own band layout, by banded
-Cholesky and eliminates the landmarks by Schur complement. No matrix of
-pose dimension squared is ever formed. Odometry between poses that are
-not neighbours (a loop closure) would leave the band, so optimize
-rejects it with a DataError unless the poses are held fixed.
+Cholesky and eliminates the landmarks by Schur complement, solving each
+landmark's border columns from the row of its first observing pose. No
+matrix of pose dimension squared is ever formed. Odometry between poses
+that are not neighbours (a loop closure) would leave the band, so
+optimize rejects it with a DataError unless the poses are held fixed.
 """
 
 from __future__ import annotations
@@ -83,56 +88,66 @@ def _inv_right_jacobian_so3(phi: np.ndarray) -> np.ndarray:
 # along the first axis
 # ----------------------------------------------------------------------
 
-def odometry_kernel(
-    q_i, t_i, q_j, t_j, q_z, t_z, rot_i, rz_t
-) -> tuple[np.ndarray, np.ndarray]:
+def odometry_residual(q_i, t_i, q_j, t_j, q_z, t_z, rot_i, rz_t):
     """Residuals log(Z^-1 X_i^-1 X_j) (n, 6), split as [translation,
-    rotation vector], and their Jacobians [J_i | J_j] (n, 6, 12) wrt
-    right perturbations of X_i and X_j. Poses and measurements Z are
-    given as quaternions (n, 4) and translations (n, 3); rot_i is
+    rotation vector], and the intermediates odometry_jacobian takes:
+    Delta.t = td, Delta.q = qd, E.q = qe and r_phi = phi, with Delta =
+    X_i^-1 X_j and E = Z^-1 Delta. Poses and measurements Z are given as
+    quaternions (n, 4) and translations (n, 3); rot_i is
     quat_to_matrix(q_i) and rz_t the transposed quat_to_matrix(q_z).
-
-    With Delta = X_i^-1 X_j and E = Z^-1 Delta:
-      dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
-      dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
-      dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
     """
     td = np.einsum("nba,nb->na", rot_i, t_j - t_i)
     qd = quat_normalize(quat_mul(quat_conjugate(q_i), q_j))
     qe = quat_normalize(quat_mul(quat_conjugate(q_z), qd))
     phi = rotvec_from_quat(qe)
     r = np.concatenate([np.einsum("nab,nb->na", rz_t, td - t_z), phi], axis=1)
+    return r, (td, qd, qe, phi)
+
+
+def odometry_jacobian(rz_t, td, qd, qe, phi) -> np.ndarray:
+    """Jacobians [J_i | J_j] (n, 6, 12) of odometry_residual wrt right
+    perturbations of X_i and X_j, from its intermediates:
+      dr_t/drho_j = E.R, dr_phi/dphi_j = Jr_inv(r_phi)
+      dr_t/drho_i = -R_z^T, dr_t/dphi_i = R_z^T [Delta.t]x
+      dr_phi/dphi_i = -Jr_inv(r_phi) Delta.R^T, remaining blocks zero.
+    """
     jr_inv = _inv_right_jacobian_so3(phi)
-    jac = np.zeros((r.shape[0], 6, 12))
+    jac = np.zeros((phi.shape[0], 6, 12))
     jac[:, :3, :3] = -rz_t
     jac[:, :3, 3:6] = rz_t @ skew(td)
     jac[:, 3:, 3:6] = -(jr_inv @ np.swapaxes(quat_to_matrix(qd), 1, 2))
     jac[:, :3, 6:9] = quat_to_matrix(qe)
     jac[:, 3:, 9:] = jr_inv
-    return r, jac
+    return jac
 
 
-def observation_kernel(rot, t, landmarks, pixels, k: CameraIntrinsics):
-    """Pixel residuals proj(X^-1 l) - z (n, 2), their Jacobians
-    [J_pose | J_landmark] (n, 2, 9) and the mask of active observations,
-    for camera poses X given as rotation matrices (n, 3, 3) and
-    translations (n, 3).
-
-    An observation whose landmark is behind the camera is deactivated:
-    its mask entry is False and its residual and Jacobian are zero.
-    With p = R^T (l - t):
-      dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
-      dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
-    """
+def observation_residual(rot, t, landmarks, pixels, k: CameraIntrinsics):
+    """Pixel residuals proj(X^-1 l) - z (n, 2), the mask of active
+    observations and the camera-frame points p = R^T (l - t) (n, 3), for
+    camera poses X given as rotation matrices (n, 3, 3) and translations
+    (n, 3). An observation whose landmark is behind the camera is
+    deactivated: its mask entry is False and its residual is zero."""
     p = np.einsum("nba,nb->na", rot, landmarks - t)
     active = p[:, 2] > _Z_EPS
     r = np.zeros((active.size, 2))
-    jac = np.zeros((active.size, 2, 9))
-    p, rot, px = p[active], rot[active], pixels[active]
-    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    pa, px = p[active], pixels[active]
+    x, y, z = pa[:, 0], pa[:, 1], pa[:, 2]
     r[active] = np.stack(
         [k.fx * x / z + k.cx - px[:, 0], k.fy * y / z + k.cy - px[:, 1]], axis=1
     )
+    return r, active, p
+
+
+def observation_jacobian(rot, p, active, k: CameraIntrinsics) -> np.ndarray:
+    """Jacobians [J_pose | J_landmark] (n, 2, 9) of observation_residual
+    from the rotations it took and the points and mask it returned; a
+    deactivated observation's rows are zero. With p = R^T (l - t):
+      dp/drho = -I, dp/dphi = [p]x, dp/dl = R^T
+      dr/dp = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
+    """
+    jac = np.zeros((active.size, 2, 9))
+    p, rot = p[active], rot[active]
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
     m = p.shape[0]
     j_pi = np.zeros((m, 2, 3))
     j_pi[:, 0, 0] = k.fx / z
@@ -141,7 +156,7 @@ def observation_kernel(rot, t, landmarks, pixels, k: CameraIntrinsics):
     j_pi[:, 1, 2] = -k.fy * y / (z * z)
     lift = np.concatenate([np.broadcast_to(-np.eye(3), (m, 3, 3)), skew(p)], axis=2)
     jac[active] = np.concatenate([j_pi @ lift, j_pi @ np.swapaxes(rot, 1, 2)], axis=2)
-    return r, jac, active
+    return jac
 
 
 def _entry_indices(blocks: list[tuple[np.ndarray, int]]):
@@ -159,14 +174,18 @@ def _entry_indices(blocks: list[tuple[np.ndarray, int]]):
     return rows.ravel(), cols.ravel(), dofs.ravel()
 
 
+def _cost(r: np.ndarray, info: np.ndarray) -> float:
+    """A factor group's cost sum r^T W r from its residuals (n, res)
+    and information (n, res, res)."""
+    return float(np.einsum("ni,nij,nj->", r, info, r))
+
+
 def _normal_entries(jac: np.ndarray, r: np.ndarray, info: np.ndarray):
     """Hessian J^T W J (n, D, D) and gradient J^T W r (n, D) of each
-    factor, and the group's cost sum r^T W r, from the stacked
-    Jacobians (n, res, D), residuals (n, res) and information (n, res,
-    res)."""
+    factor from the stacked Jacobians (n, res, D), residuals (n, res)
+    and information (n, res, res)."""
     half = np.swapaxes(jac, 1, 2) @ info
-    return (half @ jac, (half @ r[:, :, None])[:, :, 0],
-            float(np.einsum("ni,nij,nj->", r, info, r)))
+    return half @ jac, (half @ r[:, :, None])[:, :, 0]
 
 
 def _retract(q: np.ndarray, t: np.ndarray, lm: np.ndarray, delta: np.ndarray,
@@ -232,7 +251,7 @@ class SolveReport:
     converged: bool
     lambda_trace: list[float] = field(default_factory=list)
     cost_trace: list[float] = field(default_factory=list)
-    # observations behind their camera at the final linearization point
+    # observations behind their camera at the final state
     deactivated_observations: int = 0
     stop_reason: str = "max_iterations"  # one of STOP_REASONS
     # damped steps tried, accepted and rejected: one factorization each
@@ -256,25 +275,41 @@ _CHAIN_KD = 11
 
 def solve_chain_schur(
     band: np.ndarray, gb: np.ndarray, lm_block: np.ndarray, g_lm: np.ndarray,
+    starts: np.ndarray,
 ) -> np.ndarray | None:
     """Solve [[A, B], [B^T, C]] [dp; dl] = -[g_pose; g_lm].
 
     A is given by its lower band (LAPACK pbtrf layout, A[i, j] at
     band[i - j, j]; Fortran order factors without a copy), gb = [g_pose
-    | B] is one Fortran-ordered (P, 1 + M) block, the right-hand sides
-    dtbtrs takes as they are, and C = lm_block is (M, M). With A = L L^T
-    and W = L^-1 [g_pose | B], the landmark step solves
-    (C - W_B^T W_B) dl = W_B^T w_g - g_lm, and the pose step is
+    | B] is one Fortran-ordered (P, 1 + M) block, and C = lm_block is
+    (M, M). With A = L L^T and W = L^-1 [g_pose | B], the landmark step
+    solves (C - W_B^T W_B) dl = W_B^T w_g - g_lm, and the pose step is
     dp = -L^-T (w_g + W_B dl). Returns [dp; dl], or None when A or the
     Schur complement is not positive definite. band and lm_block are
     overwritten; gb is kept.
+
+    starts holds each landmark's first row s that may be nonzero in its
+    three columns of B: 6 x its first observing pose position. W is
+    zero above s too, so those columns are forward-solved from s on,
+    over the band's trailing columns (Triggs et al. 2000, section 6).
+    dtbtrs solves each column alone either way, so W keeps the bits of
+    the solve over every row; a start of 0 is that solve, and a start of
+    P leaves the columns zero.
     """
     p, m = gb.shape[0], gb.shape[1] - 1
     if p:
         chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             return None
-        w, _ = scipy.linalg.lapack.dtbtrs(chol, gb, uplo="L")
+        # Fortran order, as dtbtrs returns its solutions, so W_B^T W_B
+        # runs the BLAS kernel it ran on a solve over every row
+        w = np.zeros((p, 1 + m), order="F")
+        w[:, :1] = scipy.linalg.lapack.dtbtrs(chol, gb[:, :1], uplo="L")[0]
+        for k, s in enumerate(starts.tolist()):
+            if s < p:
+                cols = slice(1 + 3 * k, 4 + 3 * k)
+                w[s:, cols] = scipy.linalg.lapack.dtbtrs(chol[:, s:], gb[s:, cols],
+                                                         uplo="L")[0]
         w_g, w_b = w[:, 0], w[:, 1:]
         schur = lm_block - w_b.T @ w_b
         rhs = w_b.T @ w_g - g_lm
@@ -425,7 +460,7 @@ class _ChainLayout:
     def set_observations(self, observations: list[ObservationFactor],
                          lm_pos: dict[int, int]) -> None:
         """Stack the observation factors and complete the slots and
-        gradient dofs of every entry, in the order _linearize_arrays
+        gradient dofs of every entry, in the order _linear_system
         emits their values: prior, odometry, observations."""
         base, p = self.base, self.p
         m = self.m = 3 * len(lm_pos)
@@ -434,6 +469,11 @@ class _ChainLayout:
         self.size = self.border_end + m * m
         self.obs_p = np.array([self.pose_pos[f.pose_id] for f in observations], dtype=int)
         self.obs_l = np.array([lm_pos[f.landmark_id] for f in observations], dtype=int)
+        # per landmark, the first pose row of its border columns: 6 x its
+        # first observing pose position (the pose count if it has none)
+        first = np.full(len(lm_pos), len(self.pose_ids))
+        np.minimum.at(first, self.obs_l, self.obs_p)
+        self.lm_start = 6 * first
         if observations:
             self.obs_px = np.stack([f.pixel for f in observations])
             self.obs_info = np.stack([f.information for f in observations])
@@ -476,7 +516,23 @@ class _ChainLayout:
         damped_band[0] += np.maximum(band[0], 1e-12) * lam
         damped_lm = lm_block.copy()
         damped_lm[np.diag_indices(self.m)] += np.maximum(np.diagonal(lm_block), 1e-12) * lam
-        return solve_chain_schur(damped_band, gb, damped_lm, g[self.base:])
+        return solve_chain_schur(damped_band, gb, damped_lm, g[self.base:], self.lm_start)
+
+
+@dataclass(frozen=True)
+class _State:
+    """A state of one solve, as node-position-ordered arrays, with what
+    the residual pass computed there for the linear-system pass: the
+    chain residuals (prior as row 0) and odometry_residual's
+    intermediates, and for the observations (None without any) the pose
+    rotations, residuals, active mask and camera-frame points."""
+    q: np.ndarray
+    t: np.ndarray
+    lm: np.ndarray
+    rot: np.ndarray  # quat_to_matrix(q)
+    odo_r: np.ndarray
+    odo_mid: tuple
+    obs: tuple | None
 
 
 def _unit_pose(q: np.ndarray, t: np.ndarray) -> Pose:
@@ -664,40 +720,57 @@ class PoseGraph:
         )
         return q, t, lm
 
-    def _linearize_arrays(self, q, t, lm, layout: _ChainLayout, rot):
-        """Hessian entries (aligned with layout.h_slots), gradient, cost
-        and the count of behind-camera observations, all at the
-        array-valued state. rot is quat_to_matrix(q); both kernels read
-        their pose rotations from it."""
+    def _residuals(self, q, t, lm, layout: _ChainLayout, rot):
+        """Residual pass at the array-valued state: the state with its
+        residuals and the kernels' intermediates (a _State), its cost and
+        the count of behind-camera observations. rot is quat_to_matrix(q);
+        both kernels read their pose rotations from it. The cost sums the
+        prior, odometry and observation groups in that order."""
         idx_i, rel_j = layout.odo_i.rows, layout.rel_j.rows
-        r, jac = odometry_kernel(
+        odo_r, odo_mid = odometry_residual(
             np.concatenate([_IDENTITY, q[idx_i]]),
             np.concatenate([np.zeros((1, 3)), t[idx_i]]),
             q[rel_j], t[rel_j], layout.rel_q.rows, layout.rel_t.rows,
             np.concatenate([_IDENTITY_R, rot[idx_i]]),
             np.swapaxes(layout.rel_r.rows, 1, 2),
         )
+        costs = [_cost(odo_r[:1], layout.prior.information[None]),
+                 _cost(odo_r[1:], layout.odo_info.rows)]
+        obs, deactivated = None, 0
+        if layout.obs_p.size:
+            idx_p = layout.obs_p
+            obs_rot = rot[idx_p]
+            obs_r, active, p_cam = observation_residual(
+                obs_rot, t[idx_p], lm[layout.obs_l], layout.obs_px, self.intrinsics)
+            deactivated = int(np.count_nonzero(~active))
+            # a deactivated observation has a zero residual: it costs nothing
+            costs.append(_cost(obs_r, layout.obs_info))
+            obs = (obs_rot, obs_r, active, p_cam)
+        return _State(q, t, lm, rot, odo_r, odo_mid, obs), sum(costs), deactivated
+
+    def _linear_system(self, state: _State, layout: _ChainLayout):
+        """Linear-system pass: the Hessian entries (aligned with
+        layout.h_slots) and the gradient at a state the residual pass
+        returned, from its residuals and intermediates."""
+        r = state.odo_r
+        jac = odometry_jacobian(np.swapaxes(layout.rel_r.rows, 1, 2), *state.odo_mid)
         parts = [
             # the prior keeps only the J_j half: its X_i is the fixed identity
             _normal_entries(jac[:1, :, 6:], r[:1], layout.prior.information[None]),
             _normal_entries(jac[1:], r[1:], layout.odo_info.rows),
         ]
-        deactivated = 0
-        if layout.obs_p.size:
-            idx_p = layout.obs_p
-            r, jac, active = observation_kernel(
-                rot[idx_p], t[idx_p], lm[layout.obs_l], layout.obs_px, self.intrinsics)
-            deactivated = int(np.count_nonzero(~active))
-            # a deactivated observation has a zero residual and Jacobian:
-            # it keeps its slots with zero values and costs nothing
+        if state.obs is not None:
+            obs_rot, r, active, p_cam = state.obs
+            # a deactivated observation has a zero Jacobian: it keeps its
+            # slots with zero values
+            jac = observation_jacobian(obs_rot, p_cam, active, self.intrinsics)
             parts.append(_normal_entries(jac, r, layout.obs_info))
-
-        h_parts, g_parts, costs = zip(*parts)
+        h_parts, g_parts = zip(*parts)
         grad = np.bincount(
             layout.g_dofs, np.concatenate([x.ravel() for x in g_parts]),
             minlength=layout.dim,
         )
-        return np.concatenate([x.ravel() for x in h_parts]), grad, sum(costs), deactivated
+        return np.concatenate([x.ravel() for x in h_parts]), grad
 
     # ------------------------------------------------------------------
     # solve
@@ -710,8 +783,15 @@ class PoseGraph:
 
         Accepted steps strictly decrease the cost; the report carries
         the accepted damping values and the cost after each accepted
-        step. The solve stops (report.stop_reason, one of STOP_REASONS)
-        at the first of:
+        step. Each trial state is scored by the residual pass alone
+        (residuals, cost, deactivated count), so a rejected trial costs
+        no Jacobian (Madsen, Nielsen & Tingleff 2004, section 3.2). The
+        linear-system pass (Jacobians, normal entries, gradient) runs
+        at the initial state and at each accepted state the stopping
+        tests let through: the states a damped step is taken from. The
+        system is assembled only when the gradient test does not stop
+        the solve. The solve stops (report.stop_reason, one of
+        STOP_REASONS) at the first of:
 
         * gradient: the largest free gradient entry is below
           cfg.gradient_tol;
@@ -750,11 +830,9 @@ class PoseGraph:
         dim = layout.dim
 
         q, t, lm = self._state_arrays(pose_ids, lm_ids)
-        rot = quat_to_matrix(q)
-
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
-        vals, g, cost_now, deact = self._linearize_arrays(q, t, lm, layout, rot)
+        state, cost_now, deact = self._residuals(q, t, lm, layout, quat_to_matrix(q))
         report.initial_cost = cost_now
         report.cost_trace.append(cost_now)
         report.deactivated_observations = deact
@@ -775,16 +853,20 @@ class PoseGraph:
             lid = lm_ids[int(np.argmin(cov_lm))]
             raise SingularSystemError(f"landmark {lid} has no factor")
 
-        system = layout.assemble(vals, g)
-
         for _ in range(cfg.max_iterations):
+            # each iteration starts at the initial state or at an accepted
+            # state the rel_decrease test let through, the only states
+            # whose gradient and system anything reads
+            vals, g = self._linear_system(state, layout)
             gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
             if gmax < cfg.gradient_tol:
                 report.converged = True
                 report.stop_reason = "gradient"
                 break
+            system = layout.assemble(vals, g)
             # the small_step test's scale: |x| of the free state
-            x_norm = math.hypot(np.linalg.norm(lm), 0.0 if fix_poses else np.linalg.norm(t))
+            x_norm = math.hypot(np.linalg.norm(state.lm),
+                                0.0 if fix_poses else np.linalg.norm(state.t))
             accepted = small = False
             while lam <= cfg.lambda_max:
                 solved = layout.step(system, g, lam)
@@ -797,14 +879,12 @@ class PoseGraph:
                     break
                 delta = np.zeros(dim)
                 delta[lo:] = solved
-                q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
-                rot_new = quat_to_matrix(q_new)
-                vals, g_new, cost_new, deact = self._linearize_arrays(
-                    q_new, t_new, lm_new, layout, rot_new
-                )
+                q_new, t_new, lm_new = _retract(state.q, state.t, state.lm, delta, state.rot)
+                # a trial is scored by its residuals alone
+                trial, cost_new, deact = self._residuals(
+                    q_new, t_new, lm_new, layout, quat_to_matrix(q_new))
                 if cost_new < cost_now:
-                    q, t, lm, g, rot = q_new, t_new, lm_new, g_new, rot_new
-                    system = layout.assemble(vals, g)
+                    state = trial
                     report.iterations += 1
                     report.lambda_trace.append(lam)
                     report.cost_trace.append(cost_new)
@@ -830,8 +910,8 @@ class PoseGraph:
                 break
         else:
             report.converged = False
-        self.poses.store(pose_ids, q, t)
-        self.landmarks = {lid: lm[i].copy() for i, lid in enumerate(lm_ids)}
+        self.poses.store(pose_ids, state.q, state.t)
+        self.landmarks = {lid: state.lm[i].copy() for i, lid in enumerate(lm_ids)}
         report.final_cost = cost_now
         return report
 

@@ -13,8 +13,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from semmap.errors import EmptyCloudError
-from semmap.geometry import CameraIntrinsics, Pose, rotvec_from_quat
+from semmap.errors import EmptyCloudError, SingularSystemError
+from semmap.geometry import CameraIntrinsics, Pose, quat_to_matrix, rotvec_from_quat
+from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _retract
 
 _Z_EPS = 1e-9
 
@@ -585,3 +586,96 @@ class _SparseLayout:
             return scipy.sparse.linalg.splu(damped.tocsc()).solve(-g[self.lo:])
         except RuntimeError:
             return None
+
+
+def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
+    """PoseGraph.optimize as it ran before trial steps were scored by
+    their residuals alone: every trial state is linearized in full (its
+    residuals, Jacobians, normal entries and gradient) and every accepted
+    state assembled, before and whether or not a step is taken from it.
+    The reference for the solver's loop; the math of each pass is the
+    graph's own."""
+    cfg = cfg or OptimizerConfig()
+    if graph.prior is None:
+        raise SingularSystemError("graph has no gauge prior")
+    pose_ids = sorted(graph.poses)
+    lm_ids = sorted(graph.landmarks)
+    layout = graph._synced_layout(pose_ids, lm_ids, fix_poses)
+    dim = layout.dim
+
+    def linearize(q, t, lm, rot):
+        state, cost, deact = graph._residuals(q, t, lm, layout, rot)
+        vals, g = graph._linear_system(state, layout)
+        return vals, g, cost, deact
+
+    q, t, lm = graph._state_arrays(pose_ids, lm_ids)
+    rot = quat_to_matrix(q)
+    lam = cfg.lambda_init
+    report = SolveReport(0, 0.0, 0.0, False)
+    vals, g, cost_now, deact = linearize(q, t, lm, rot)
+    report.initial_cost = cost_now
+    report.cost_trace.append(cost_now)
+    report.deactivated_observations = deact
+    lo = layout.base if fix_poses else 0
+    if not fix_poses and layout.uncovered:
+        uncovered = layout.uncovered.difference(layout.obs_p.tolist())
+        if uncovered:
+            raise SingularSystemError(f"pose {pose_ids[min(uncovered)]} has no factor")
+    observed = set(layout.obs_l.tolist())
+    for i, lid in enumerate(lm_ids):
+        if i not in observed:
+            raise SingularSystemError(f"landmark {lid} has no factor")
+    system = layout.assemble(vals, g)
+
+    for _ in range(cfg.max_iterations):
+        gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
+        if gmax < cfg.gradient_tol:
+            report.converged = True
+            report.stop_reason = "gradient"
+            break
+        x_norm = math.hypot(np.linalg.norm(lm), 0.0 if fix_poses else np.linalg.norm(t))
+        accepted = small = False
+        while lam <= cfg.lambda_max:
+            solved = layout.step(system, g, lam)
+            report.steps += 1
+            if solved is None or not np.all(np.isfinite(solved)):
+                lam *= cfg.lambda_up
+                continue
+            if np.linalg.norm(solved) <= _STEP_TOL * (x_norm + _STEP_TOL):
+                small = True
+                break
+            delta = np.zeros(dim)
+            delta[lo:] = solved
+            q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
+            rot_new = quat_to_matrix(q_new)
+            vals, g_new, cost_new, deact = linearize(q_new, t_new, lm_new, rot_new)
+            if cost_new < cost_now:
+                q, t, lm, g, rot = q_new, t_new, lm_new, g_new, rot_new
+                system = layout.assemble(vals, g)
+                report.iterations += 1
+                report.lambda_trace.append(lam)
+                report.cost_trace.append(cost_new)
+                report.deactivated_observations = deact
+                lam = max(lam * cfg.lambda_down, 1e-15)
+                accepted = True
+                prev_cost, cost_now = cost_now, cost_new
+                break
+            lam *= cfg.lambda_up
+        if small:
+            report.converged = True
+            report.stop_reason = "small_step"
+            break
+        if not accepted:
+            report.converged = gmax < math.sqrt(cfg.gradient_tol)
+            report.stop_reason = "stalled"
+            break
+        if abs(prev_cost - cost_now) <= cfg.min_rel_decrease * max(prev_cost, 1e-300):
+            report.converged = True
+            report.stop_reason = "rel_decrease"
+            break
+    else:
+        report.converged = False
+    graph.poses.store(pose_ids, q, t)
+    graph.landmarks = {lid: lm[i].copy() for i, lid in enumerate(lm_ids)}
+    report.final_cost = cost_now
+    return report

@@ -224,7 +224,7 @@ def test_criterion_6_optimizer_correctness(report):
 
     def cost_at(delta):
         q, t, lm = _retract(*state, delta, quat_to_matrix(state[0]))
-        return fd_graph._linearize_arrays(q, t, lm, layout, quat_to_matrix(q))[2]
+        return fd_graph._residuals(q, t, lm, layout, quat_to_matrix(q))[1]
 
     h = 1e-6
     fd = np.array([(cost_at(h * e) - cost_at(-h * e)) / (2.0 * h)

@@ -274,6 +274,12 @@ class TestMalformedJson:
         self._export(tmp_path, capsys, '{"landmarks": [], "aliases": %s}' % aliases,
                      "alias")
 
+    def test_export_alias_key_is_a_landmark(self, tmp_path, capsys):
+        lm = ('{"id": %d, "class_id": "cup", "centroid": [0, 0, 0], '
+              '"points": [], "size": 1, "last_association": 0, "n_fused": 1}')
+        self._export(tmp_path, capsys, '{"landmarks": [%s, %s], "aliases": {"1": 0}}'
+                     % (lm % 0, lm % 1), "alias 1 -> 0")
+
     def test_run_pixel_noise_sigma_overflows(self, tmp_path, capsys):
         # sigma^2 is inf: rejected with the config, before any input is read
         self._run(tmp_path, capsys, "pixel_noise_sigma", "--pixel-noise-sigma", "1e200")

@@ -239,6 +239,7 @@ class TestLandmarkMapDocument:
         {"5": 9},  # no landmark 9: a later new landmark would take its id
         {"0": 1, "1": 0},  # a cycle over landmarks
         {"7": 1, "1": 0},  # a target that is itself aliased
+        {"1": 0},  # a key that is a landmark (or, without landmarks, no target)
     ])
     def test_alias_that_does_not_resolve_rejected(self, tmp_path, aliases):
         path = tmp_path / "map.json"
@@ -294,9 +295,9 @@ class TestLandmarkMapBytes:
     def test_aliases_empty_and_multi_digit(self, tmp_path):
         clouds = [np.full((2, 3), float(i)) for i in range(3)]
         self._check(tmp_path, _map_of(clouds))
-        text = self._check(tmp_path, _map_of(clouds, {10: 0, 2: 1, 31: 2, 3: 0}))
-        # keys sort as strings: "10" before "2"
-        assert text.index('"10"') < text.index('"2"') < text.index('"3"')
+        text = self._check(tmp_path, _map_of(clouds, {10: 0, 20: 1, 31: 2, 3: 0}))
+        # keys sort as strings: "10" before "20" before "3"
+        assert text.index('"10"') < text.index('"20"') < text.index('"3"')
 
     def test_extra_keys(self, tmp_path):
         lm_map = _map_of([np.ones((3, 3))], {4: 0})

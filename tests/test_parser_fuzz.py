@@ -277,6 +277,8 @@ class TestJsonParserFuzz:
         if lm_map is not None:
             # every alias of a parsed map resolves, in one step
             assert all(kept in lm_map.landmarks for kept in lm_map.aliases.values())
+            # and no alias carries a live landmark's id
+            assert not lm_map.aliases.keys() & lm_map.landmarks.keys()
             assert lm_map.aliases == lm_map.merged_into
 
     @_FUZZ

@@ -4,6 +4,7 @@ behavior on satisfiable and inconsistent graphs."""
 import dataclasses
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.sparse.linalg
 
 from oracles import (
     _SparseLayout,
+    linearize_every_trial_optimize,
     observation_residual_jacobians,
     odometry_residual_jacobians,
     prior_residual_jacobian,
@@ -31,8 +33,10 @@ from semmap.posegraph import (
     OptimizerConfig,
     PoseGraph,
     apply_correction,
-    observation_kernel,
-    odometry_kernel,
+    observation_jacobian,
+    observation_residual,
+    odometry_jacobian,
+    odometry_residual,
 )
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -88,10 +92,13 @@ def _stack(poses):
 
 
 def _odometry(poses_i, poses_j, meas):
-    """odometry_kernel on lists of poses: residuals and [J_i | J_j]."""
+    """The odometry kernel's two halves on lists of poses: residuals and
+    [J_i | J_j]."""
     (q_i, t_i), (q_z, t_z) = _stack(poses_i), _stack(meas)
-    return odometry_kernel(q_i, t_i, *_stack(poses_j), q_z, t_z,
-                           quat_to_matrix(q_i), np.swapaxes(quat_to_matrix(q_z), 1, 2))
+    rz_t = np.swapaxes(quat_to_matrix(q_z), 1, 2)
+    r, mid = odometry_residual(q_i, t_i, *_stack(poses_j), q_z, t_z,
+                               quat_to_matrix(q_i), rz_t)
+    return r, odometry_jacobian(rz_t, *mid)
 
 
 def _prior(poses, priors):
@@ -103,11 +110,13 @@ def _prior(poses, priors):
 
 
 def _observation(poses, landmarks, pixels):
-    """observation_kernel on a list of poses: residuals, [J_pose | J_landmark]
-    and the active mask."""
+    """The observation kernel's two halves on a list of poses: residuals,
+    [J_pose | J_landmark] and the active mask."""
     q, t = _stack(poses)
-    return observation_kernel(quat_to_matrix(q), t, np.asarray(landmarks, float),
-                              np.asarray(pixels, float), K)
+    rot = quat_to_matrix(q)
+    r, active, p = observation_residual(rot, t, np.asarray(landmarks, float),
+                                        np.asarray(pixels, float), K)
+    return r, observation_jacobian(rot, p, active, K), active
 
 
 def _odometry_fd_error(poses_i, poses_j, meas):
@@ -640,7 +649,8 @@ def _linearized(g, fix_poses=False):
     pose_ids, lm_ids = sorted(g.poses), sorted(g.landmarks)
     layout = g._synced_layout(pose_ids, lm_ids, fix_poses)
     state = g._state_arrays(pose_ids, lm_ids)
-    vals, grad, cost, deact = g._linearize_arrays(*state, layout, quat_to_matrix(state[0]))
+    lin, cost, deact = g._residuals(*state, layout, quat_to_matrix(state[0]))
+    vals, grad = g._linear_system(lin, layout)
     return layout, state, vals, grad, cost, deact
 
 
@@ -726,15 +736,15 @@ class TestChainSolve:
         # LM raises the damping when the factorization fails
         spd = np.array([[4.0, 4.0], [1.0, 0.0]])  # A = [[4, 1], [1, 4]]
         gb = np.asfortranarray([[1.0, 1.0], [1.0, 0.0]])  # g_pose = 1, B = [1, 0]
-        g_lm = np.ones(1)
+        g_lm, starts = np.ones(1), np.zeros(1, dtype=int)
         assert posegraph.solve_chain_schur(
-            spd.copy(), gb, np.array([[1.0]]), g_lm) is not None
+            spd.copy(), gb, np.array([[1.0]]), g_lm, starts) is not None
         indefinite = np.array([[1.0, 1.0], [2.0, 0.0]])  # A = [[1, 2], [2, 1]]
         assert posegraph.solve_chain_schur(
-            indefinite, gb, np.array([[1.0]]), g_lm) is None
+            indefinite, gb, np.array([[1.0]]), g_lm, starts) is None
         # C - B^T A^-1 B = 0.2 - 4/15 < 0
         assert posegraph.solve_chain_schur(
-            spd.copy(), gb, np.array([[0.2]]), g_lm) is None
+            spd.copy(), gb, np.array([[0.2]]), g_lm, starts) is None
 
     def test_chain_graph_never_calls_sparse_lu(self, monkeypatch):
         def no_splu(*args, **kwargs):
@@ -821,22 +831,36 @@ def _estimate_bits(g):
             {lid: p.tobytes() for lid, p in g.landmarks.items()})
 
 
+def _solve_like_old_loop(g, fix_poses=False, cfg=None):
+    """Solve g and a fresh copy of it through the linearize-every-trial
+    loop (oracles.py): the same report and estimates bit for bit.
+    Returns g's report."""
+    old = _fresh_copy(g)
+    want = linearize_every_trial_optimize(old, cfg, fix_poses=fix_poses)
+    got = g.optimize(cfg, fix_poses=fix_poses)
+    assert _report_bits(got) == _report_bits(want)
+    assert _estimate_bits(g) == _estimate_bits(old)
+    return got
+
+
 def _solve_like_fresh(g, fix_poses, cfg=None):
-    """Solve g on its kept layout and a fresh copy of g: the same report
-    and estimates bit for bit, or the same error with g's estimates
-    unchanged. Returns "kept" or "rebuilt" for the layout g solved on
-    (None for its first solve or an error)."""
+    """Solve g on its kept layout, a fresh copy of g, and another fresh
+    copy through the linearize-every-trial loop (oracles.py): the same
+    report and estimates bit for bit, or the same error with g's
+    estimates unchanged. Returns "kept" or "rebuilt" for the layout g
+    solved on (None for its first solve or an error)."""
     fresh = _fresh_copy(g)
     before = g._layout
     try:
         want = fresh.optimize(cfg, fix_poses=fix_poses)
     except (DataError, SingularSystemError) as exc:
         estimates = _estimate_bits(g)
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            g.optimize(cfg, fix_poses=fix_poses)
+        for solve in (g.optimize, partial(linearize_every_trial_optimize, _fresh_copy(g))):
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                solve(cfg, fix_poses=fix_poses)
         assert _estimate_bits(g) == estimates
         return None
-    got = g.optimize(cfg, fix_poses=fix_poses)
+    got = _solve_like_old_loop(g, fix_poses, cfg)
     assert _report_bits(got) == _report_bits(want)
     assert _estimate_bits(g) == _estimate_bits(fresh)
     if before is None:
@@ -847,7 +871,8 @@ def _solve_like_fresh(g, fix_poses, cfg=None):
 class TestKeptLayout:
     """The graph keeps its chain system between solves and appends what
     each solve adds; every solve must equal a fresh graph's with the
-    same factors and estimates, bit for bit."""
+    same factors and estimates, bit for bit, and so must the
+    linearize-every-trial loop's on another fresh copy."""
 
     CFG = OptimizerConfig(max_iterations=15)
 
@@ -963,3 +988,121 @@ class TestKeptLayout:
         g.prior = posegraph.PriorFactor(0, poses[0].retract(np.full(6, 0.01)),
                                         g.prior.information)
         assert _solve_like_fresh(g, False) == "rebuilt"
+
+
+class TestResidualOnlyTrials:
+    """optimize scores each trial state by its residuals alone and runs
+    the linear-system pass only on the states a damped step is taken
+    from; the linearize-every-trial loop (oracles.py) is its reference,
+    bit for bit. TestKeptLayout's solves are checked against it too."""
+
+    def test_observation_behind_its_camera_at_the_start(self):
+        g, poses, _ = _build_consistent_graph(perturb_scale=0.05, seed=3)
+        # landmark 0 starts behind pose 0, which observes it; the solve
+        # pulls it back in front
+        g.landmarks[0] = poses[0].translation * 1.6
+        assert _linearized(g)[-1] == 1
+        report = _solve_like_old_loop(g)
+        assert report.deactivated_observations == 0
+
+    def test_fixed_poses(self):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.0, seed=2)
+        rng = np.random.default_rng(2)
+        for lid in g.landmarks:
+            g.landmarks[lid] = g.landmarks[lid] + rng.normal(scale=0.3, size=3)
+        report = _solve_like_old_loop(g, fix_poses=True)
+        assert report.iterations > 1
+
+    def test_one_linear_system_per_state_a_step_is_taken_from(self, monkeypatch):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.4, seed=3)
+        assert _linearized(g)[-1] == 3
+        callers = []
+        linear_system = PoseGraph._linear_system
+        monkeypatch.setattr(PoseGraph, "_linear_system",
+                            lambda self, *args: (callers.append(self),
+                                                 linear_system(self, *args))[1])
+        report = _solve_like_old_loop(g, cfg=OptimizerConfig(min_rel_decrease=1e-6))
+        # k accepted steps are taken from the initial state and the k - 1
+        # accepted states before the last, whose rel_decrease stop takes
+        # none; the rejected trials add no call. The old loop makes one
+        # call per state it reaches.
+        assert report.stop_reason == "rel_decrease"
+        assert report.steps > report.iterations > 1
+        assert callers.count(g) == report.iterations
+        assert len(callers) - report.iterations == 1 + report.steps
+
+
+def _random_band_system(rng, n_poses, starts):
+    """A damped chain system of the solver's shape: the lower band of a
+    symmetric positive definite block-tridiagonal A of 6-dof poses (kd
+    11, Fortran order), [g_pose | B] with landmark k's three columns zero
+    above row starts[k] and sparse below it, C with a positive definite
+    Schur complement, and g_lm. Returns them with the dense matrix."""
+    p, kd = 6 * n_poses, 11
+    a = np.zeros((p, p))
+    for i in range(p):
+        lo = max(0, i - kd)
+        a[i, lo:i] = rng.normal(scale=0.3, size=i - lo)
+    a += a.T + np.diag(rng.uniform(4.0, 8.0, p))
+    band = np.zeros((kd + 1, p), order="F")
+    for d in range(kd + 1):
+        band[d, :p - d] = np.diagonal(a, -d)
+    m = 3 * len(starts)
+    b = np.zeros((p, m))
+    for k, s in enumerate(starts):
+        # observing poses: the first at s, then a random few after it
+        rows = [s // 6] + [r for r in range(s // 6 + 1, n_poses) if rng.random() < 0.3]
+        for r in rows:
+            b[6 * r:6 * r + 6, 3 * k:3 * k + 3] = rng.normal(size=(6, 3))
+    gb = np.asfortranarray(np.column_stack([rng.normal(size=p), b]))
+    s_rand = rng.normal(size=(m, m))
+    c = b.T @ np.linalg.solve(a, b) + s_rand @ s_rand.T + np.eye(m)
+    return band, gb, c, rng.normal(size=m), np.block([[a, b], [b.T, c]])
+
+
+class TestFirstPoseForwardSolve:
+    """solve_chain_schur forward-solves each landmark's border columns
+    from the row of its first observing pose; the result must equal the
+    solve over every row bit for bit."""
+
+    N_POSES = 30
+
+    @pytest.mark.parametrize("starts", [
+        [0, 0, 0],  # every landmark seen from the first pose
+        [42, 96, 150],  # interior starts
+        [0, 66, 6 * (N_POSES - 1)],  # the last landmark first seen at the last pose
+        [60, 60, 60, 12, 12],  # landmarks sharing a start
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_all_rows_solve(self, starts, seed):
+        rng = np.random.default_rng(seed)
+        band, gb, c, g_lm, full = _random_band_system(rng, self.N_POSES, starts)
+        got = posegraph.solve_chain_schur(band.copy(order="F"), gb, c.copy(), g_lm,
+                                          np.array(starts))
+        want = posegraph.solve_chain_schur(band.copy(order="F"), gb, c.copy(), g_lm,
+                                           np.zeros(len(starts), dtype=int))
+        assert got.tobytes() == want.tobytes()
+        rhs = np.concatenate([gb[:, 0], g_lm])
+        np.testing.assert_allclose(got, np.linalg.solve(full, -rhs), rtol=1e-9, atol=1e-12)
+
+    def test_not_positive_definite_returns_none(self):
+        rng = np.random.default_rng(5)
+        starts = np.array([24, 90])
+        band, gb, c, g_lm, _ = _random_band_system(rng, self.N_POSES, starts)
+        indefinite = band.copy(order="F")
+        indefinite[0, 40] = -1.0
+        assert posegraph.solve_chain_schur(indefinite, gb, c.copy(), g_lm, starts) is None
+        # C - B^T A^-1 B is not positive definite
+        assert posegraph.solve_chain_schur(band.copy(order="F"), gb, np.zeros_like(c),
+                                           g_lm, starts) is None
+
+    def test_layout_starts_at_each_landmarks_first_observing_pose(self):
+        g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=4)
+        # pose ids 0-9 sit at positions 0-9; landmarks 0-5 are seen from
+        # every even pose, landmark 7 from poses 7 and 3 only
+        g.add_observation(7, 7, np.array([320.0, 240.0]), np.eye(2) / 16.0,
+                          landmark_position=np.zeros(3))
+        g.add_observation(3, 7, np.array([320.0, 240.0]), np.eye(2) / 16.0)
+        layout = _linearized(g)[0]
+        np.testing.assert_array_equal(layout.lm_start, [0] * 6 + [18])
+        _assert_same_step(*_damped_steps(g))
