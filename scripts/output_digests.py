@@ -29,13 +29,22 @@ order, of its `iterations`, `steps`, `stop_reason`,
 `lambda_trace`. A change to the solver that keeps its outputs can then
 show that it also took the same steps.
 
---compare prints the files whose bytes differ, the scenes whose counts
-or solve paths differ and, separately, the maps whose content differs.
-It lists each scene that one side has and the other lacks (a selected
-scene absent from the parent file, or a parent scene this run did not
-map), and exits 1 if any bytes, counts or solve paths differ or any
-scene is missing. A parent file without content digests, counts or
-solve paths gets only the comparisons it has digests for.
+The proposal stream is recorded under `<scene>/proposals#stream`: one
+sha256 over every `propose_candidate` result of the scene's run, in
+call order, of its tracklet id, `accepted`, `low_confidence`, the bits
+(as float.hex) of `mad`, and for an accepted proposal the bits of the
+candidate's `map_centroid` and `size_estimate` and the sha256 of its
+cloud's point bytes. A change to the proposal path that keeps its
+outputs can then show that every candidate is unchanged too.
+
+--compare prints the files whose bytes differ, the scenes whose counts,
+solve paths or proposal streams differ and, separately, the maps whose
+content differs. It lists each scene that one side has and the other
+lacks (a selected scene absent from the parent file, or a parent scene
+this run did not map), and exits 1 if any bytes, counts, solve paths or
+proposal streams differ or any scene is missing. A parent file without
+content digests, counts, solve paths or proposal streams gets only the
+comparisons it has digests for.
 """
 
 import argparse
@@ -50,6 +59,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "mapbench"))
 
+from semmap import pipeline  # noqa: E402
 from semmap.pipeline import DETERMINISTIC_RUN_OUTPUTS, cmd_run, cmd_simulate  # noqa: E402
 from semmap.posegraph import PoseGraph  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
@@ -57,25 +67,43 @@ from workloads import WORKLOADS, pipeline_config  # noqa: E402
 CONTENT = "#content"
 COUNTS = "run_manifest.json#counts"
 SOLVES = "solves#path"
+PROPOSALS = "proposals#stream"
 
 
 @contextmanager
-def recorded_solves():
-    """Every report PoseGraph.optimize returns in the body of the block,
-    in call order; the original method is restored on exit."""
-    reports = []
-    original = PoseGraph.__dict__["optimize"]
+def recorded(owner, attr: str):
+    """Every value `owner.attr` returns in the body of the block, in call
+    order: a method looked up on its class, or a module global its
+    module's callers look up at call time. The original is restored on
+    exit."""
+    results = []
+    original = owner.__dict__[attr]
 
-    def optimize(self, *args, **kwargs):
-        report = original(self, *args, **kwargs)
-        reports.append(report)
-        return report
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
 
-    PoseGraph.optimize = optimize
+    setattr(owner, attr, wrapper)
     try:
-        yield reports
+        yield results
     finally:
-        PoseGraph.optimize = original
+        setattr(owner, attr, original)
+
+
+def proposal_stream_digest(proposals) -> str:
+    """sha256 of each proposal's tracklet id, flags and the bits of its
+    MAD, and of an accepted candidate's centroid, size and cloud, one
+    JSON line per proposal."""
+    h = hashlib.sha256()
+    for p in proposals:
+        line = [p.tracklet.id, p.accepted, p.low_confidence, p.mad.hex()]
+        if p.candidate is not None:
+            c = p.candidate
+            line += [[float(x).hex() for x in c.map_centroid], c.size_estimate.hex(),
+                     hashlib.sha256(c.cloud.points.tobytes()).hexdigest()]
+        h.update(json.dumps(line).encode("utf-8") + b"\n")
+    return h.hexdigest()
 
 
 def solve_path_digest(reports) -> str:
@@ -98,8 +126,9 @@ def content_digest(data: bytes) -> str:
 
 def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
     """'<scene>/<file>' -> sha256 hex digest, '<scene>/<COUNTS>' -> the
-    run's counts and '<scene>/<SOLVES>' -> the digest of its solve path,
-    over the named workloads' scenes, in workload order."""
+    run's counts, '<scene>/<SOLVES>' -> the digest of its solve path and
+    '<scene>/<PROPOSALS>' -> the digest of its proposal stream, over the
+    named workloads' scenes, in workload order."""
     out = {}
     for name in workloads:
         for scene in WORKLOADS[name].scenes:
@@ -108,12 +137,14 @@ def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
             scenario = base / "scenario.json"
             scenario.write_text(json.dumps(scene.scenario), encoding="utf-8")
             cmd_simulate(scenario, base / "sim")
-            with recorded_solves() as reports:
+            with (recorded(PoseGraph, "optimize") as reports,
+                  recorded(pipeline, "propose_candidate") as proposals):
                 manifest = cmd_run(base / "sim" / "detections.txt",
                                    base / "sim" / "odometry.txt",
                                    base / "run", pipeline_config(scenario))
             out[f"{scene.name}/{COUNTS}"] = manifest.counts
             out[f"{scene.name}/{SOLVES}"] = solve_path_digest(reports)
+            out[f"{scene.name}/{PROPOSALS}"] = proposal_stream_digest(proposals)
             for name in DETERMINISTIC_RUN_OUTPUTS:
                 data = (base / "run" / name).read_bytes()
                 out[f"{scene.name}/{name}"] = hashlib.sha256(data).hexdigest()
@@ -157,14 +188,15 @@ def main(argv=None) -> int:
         print(line)
     keys = sorted(k for k in parent.keys() | digests.keys()
                   if scene_of(k) in mapped & parent_scenes)
-    byte_keys = [k for k in keys if not k.endswith((CONTENT, COUNTS, SOLVES))]
+    byte_keys = [k for k in keys if not k.endswith((CONTENT, COUNTS, SOLVES, PROPOSALS))]
 
     def kind(suffix):
         """The keys of one digest kind, if the parent file records it."""
         return ([k for k in keys if k.endswith(suffix)]
                 if any(k.endswith(suffix) for k in parent) else [])
 
-    content_keys, count_keys, solve_keys = kind(CONTENT), kind(COUNTS), kind(SOLVES)
+    content_keys, count_keys, solve_keys, proposal_keys = (
+        kind(CONTENT), kind(COUNTS), kind(SOLVES), kind(PROPOSALS))
     differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
     for key in differ:
         print(f"bytes differ: {key}")
@@ -174,6 +206,9 @@ def main(argv=None) -> int:
     solves_differ = [k for k in solve_keys if parent.get(k) != digests.get(k)]
     for key in solves_differ:
         print(f"solve path differs: {scene_of(key)}")
+    proposals_differ = [k for k in proposal_keys if parent.get(k) != digests.get(k)]
+    for key in proposals_differ:
+        print(f"proposal stream differs: {scene_of(key)}")
     content_differ = [k for k in content_keys if parent.get(k) != digests.get(k)]
     for key in content_differ:
         print(f"content differs: {key.removesuffix(CONTENT)}")
@@ -187,7 +222,10 @@ def main(argv=None) -> int:
     if solve_keys:
         print(f"{len(solve_keys) - len(solves_differ)}/{len(solve_keys)} "
               "scenes with identical solve paths")
-    return 1 if differ or counts_differ or solves_differ or missing else 0
+    if proposal_keys:
+        print(f"{len(proposal_keys) - len(proposals_differ)}/{len(proposal_keys)} "
+              "scenes with identical proposal streams")
+    return 1 if differ or counts_differ or solves_differ or proposals_differ or missing else 0
 
 
 if __name__ == "__main__":

@@ -4,12 +4,16 @@ localization.
 A promoted tracklet becomes a candidate in three steps. Each measurement
 is lifted to a small world-frame cloud: a 5 x 5 x 3 grid of cell
 centres filling the box frustum over a depth window around the range
-hint. The tracklet's T views travel as stacks: one (T, 3, 3) rotation
-stack per proposal serves extraction, the likelihood and the seed rays,
-and the grids of all views are built and lifted to the camera frame in
-one pass before each view's rotation moves its slice into the world.
-The result is one cloud of all views, each view a contiguous slice.
-The slices' means feed a mean-absolute-deviation gate that rejects
+hint. The run's trajectory is stacked once (ViewStacks: quaternions,
+rotation matrices and translations of every pose), and each proposal
+gathers its T views from those rows by timestamp, so one (T, 3, 3)
+rotation stack serves extraction, the likelihood and the seed rays
+without rebuilding a pose. One (T, 5) array holds the boxes and range
+hints; all T grids are built, lifted to the camera frame and rotated
+into the world with one matmul, and only then are the cells at or
+behind the camera dropped. The result is one cloud of all views, each
+view a contiguous slice. The slices' means, summed over the kept cells
+of the lifted stack, feed a mean-absolute-deviation gate that rejects
 moving objects: a static object re-observed from a moving camera yields
 nearly coincident means, a walking person does not. Surviving
 tracklets get a single 3D position by maximizing the measurement
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .geometry import (
     Trajectory,
     backproject,
     quat_to_matrix,
+    unit_pose,
 )
 from .tracker import Measurement, Tracklet
 
@@ -126,74 +131,114 @@ class Proposal:
 
 
 # ----------------------------------------------------------------------
+# views
+# ----------------------------------------------------------------------
+
+class Views(NamedTuple):
+    """Camera poses as stacks: unit quaternions (T, 4), camera-to-world
+    rotation matrices (T, 3, 3) and camera centres (T, 3). Row t of each
+    has the bits of pose t's own rotation, quat_to_matrix of it, and
+    translation."""
+
+    quaternions: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+
+    @staticmethod
+    def of(poses: Sequence[Pose]) -> "Views":
+        q = np.stack([p.rotation for p in poses])
+        return Views(q, quat_to_matrix(q), np.stack([p.translation for p in poses]))
+
+
+class ViewStacks:
+    """A trajectory's poses stacked once per run; each proposal gathers
+    the views of its measurements by row.
+
+    A measurement stamped on the trajectory's grid (see
+    Trajectory.grid_rows) takes that row; one between two stamps takes
+    pose_at's interpolated pose, so every view equals pose_at's.
+    """
+
+    def __init__(self, trajectory: Trajectory):
+        self.trajectory = trajectory
+        self.all = Views.of(trajectory.poses)
+
+    def views(self, ms: Sequence[Measurement]) -> Views:
+        stamps = [m.timestamp for m in ms]
+        rows = self.trajectory.grid_rows(stamps)
+        views = Views(*(stack[rows] for stack in self.all))
+        for t in np.flatnonzero(rows < 0).tolist():
+            pose = self.trajectory.pose_at(stamps[t])
+            views.quaternions[t] = pose.rotation
+            views.rotations[t] = pose.rotation_matrix()
+            views.translations[t] = pose.translation
+        return views
+
+
+# ----------------------------------------------------------------------
 # cloud extraction
 # ----------------------------------------------------------------------
 
-def cuboid_half_depth(m: Measurement, k: CameraIntrinsics) -> float:
-    """Half the metric width the box subtends at its range hint."""
-    return 0.5 * m.box.width * m.depth_hint / k.fx
+def cuboid_half_depth(width, depth_hint, k: CameraIntrinsics):
+    """Half the metric width a box of `width` px subtends at its range
+    hint (floats or arrays)."""
+    return 0.5 * width * depth_hint / k.fx
 
 
 def _frustum_grid(ms: Sequence[Measurement], k: CameraIntrinsics) -> np.ndarray:
     """(T, 75, 3) (u, v, depth) cell centres filling each view's box
     frustum slab: per axis x_min + c * width / nu, evaluated in that
     order, with the depth axis spanning the range hint plus or minus
-    cuboid_half_depth."""
-    lo, span = [], []
-    for m in ms:
-        h = cuboid_half_depth(m, k)
-        lo.append((m.box.x_min, m.box.y_min, m.depth_hint - h))
-        span.append((m.box.width, m.box.height, 2.0 * h))
-    # a half depth that overflows to inf gives NaN depths (-inf + inf),
-    # which extraction drops
-    with np.errstate(invalid="ignore"):
-        return np.array(lo)[:, None] + _GRID_UNIT * np.array(span)[:, None] / _GRID_COUNTS
-
-
-def _rotations(poses: Sequence[Pose]) -> np.ndarray:
-    """(T, 3, 3) camera-to-world rotations of the views."""
-    return quat_to_matrix(np.stack([p.rotation for p in poses]))
+    cuboid_half_depth. One (T, 5) array holds the boxes and hints. A
+    half depth that overflows to inf gives NaN depths (-inf + inf),
+    which extraction drops; call under an errstate that ignores
+    overflow and invalid values."""
+    boxes = np.array([(m.box.x_min, m.box.y_min, m.box.x_max, m.box.y_max, m.depth_hint)
+                      for m in ms]).reshape(-1, 5)
+    lo = boxes[:, (0, 1, 4)]
+    span = boxes[:, (2, 3, 4)] - lo
+    h = cuboid_half_depth(span[:, 0], boxes[:, 4], k)
+    lo[:, 2] -= h
+    span[:, 2] = 2.0 * h
+    return lo[:, None] + _GRID_UNIT * span[:, None] / _GRID_COUNTS
 
 
 def extract_clouds(
     tracklet: Tracklet,
-    poses: Sequence[Pose],
+    views: Views,
     k: CameraIntrinsics,
-    rotations: np.ndarray,
-) -> tuple[PointCloud, list[int]]:
+) -> tuple[PointCloud, np.ndarray]:
     """World-frame cloud of every measurement's frustum grid, stacked in
-    view order, and the end row of each view's slice.
+    view order, and the (T, 3) mean of each view's slice.
 
-    Cell centres at or behind the camera (depth not above 0, which
-    includes a depth that overflowed to NaN) are dropped; an exhausted
-    measurement raises EmptyCloudError naming the first such frame.
-    `rotations` is the views' rotation stack (see _rotations).
+    All T grids are lifted in one pass, then cell centres at or behind
+    the camera (depth not above 0, which includes a depth that
+    overflowed to NaN) are dropped; an exhausted measurement raises
+    EmptyCloudError naming the first such frame. A kept cell gets the
+    bits that lifting its view's kept cells alone gives it, and a mean
+    those of its slice's mean(axis=0): the masked sum adds the kept
+    cells in order, as that does. Cells drop in whole depth layers of
+    25, so no view keeps a single cell, whose one-row product alone
+    would take BLAS's matrix-vector path and could differ.
     """
     ms = tracklet.measurements
-    if len(poses) != len(ms):
+    if len(views.translations) != len(ms):
         raise ValueError("one pose per measurement required")
-    if not ms:
-        return PointCloud(np.empty((0, 3))), []
-    grid = _frustum_grid(ms, k)
-    keep = grid[..., 2] > 0
-    kept = keep.sum(axis=1)
-    if not kept.all():
-        m = ms[int(np.argmin(kept))]
-        raise EmptyCloudError(f"no samples survive the frustum of frame {m.frame_id}")
-    raw = grid[keep]
-    d = raw[:, 2]
-    cam = np.column_stack([(raw[:, 0] - k.cx) * d / k.fx, (raw[:, 1] - k.cy) * d / k.fy, d])
-    ends = np.cumsum(kept).tolist()
-    world = np.vstack([
-        cam[start:end] @ r.T + pose.translation
-        for start, end, r, pose in zip([0] + ends[:-1], ends, rotations, poses)
-    ])
-    return PointCloud(world), ends
-
-
-def resolve_poses(tracklet: Tracklet, trajectory: Trajectory) -> list[Pose]:
-    """Interpolated camera pose at each measurement timestamp."""
-    return [trajectory.pose_at(m.timestamp) for m in tracklet.measurements]
+    # dropped cells may overflow or meet inf - inf on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        cam = _frustum_grid(ms, k)
+        u, v, d = cam.transpose(2, 0, 1)
+        keep = d > 0
+        kept = keep.sum(axis=1)
+        if not kept.all():
+            m = ms[int(np.argmin(kept))]
+            raise EmptyCloudError(f"no samples survive the frustum of frame {m.frame_id}")
+        cam[..., 0] = (u - k.cx) * d / k.fx
+        cam[..., 1] = (v - k.cy) * d / k.fy
+        world = np.matmul(cam, views.rotations.transpose(0, 2, 1))
+        world += views.translations[:, None]
+    means = np.add.reduce(world, axis=1, where=keep[..., None]) / kept[:, None]
+    return PointCloud(world[keep]), means
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +248,13 @@ def resolve_poses(tracklet: Tracklet, trajectory: Trajectory) -> list[Pose]:
 def mad_deviation(centroids: np.ndarray) -> float:
     """Norm of the per-axis mean absolute deviation of the centroids."""
     c = np.asarray(centroids, dtype=float).reshape(-1, 3)
-    if c.shape[0] < 2:
+    n = c.shape[0]
+    if n < 2:
         raise TooFewMeasurementsError("deviation needs at least 2 centroids")
-    mad = np.abs(c - c.mean(axis=0)).mean(axis=0)
-    return float(np.linalg.norm(mad))
+    # mean(axis=0) and np.linalg.norm without their Python wrappers: the
+    # same reductions, divisions and dot
+    mad = np.add.reduce(np.abs(c - np.add.reduce(c, axis=0) / n), axis=0) / n
+    return math.sqrt(mad.dot(mad))
 
 
 # ----------------------------------------------------------------------
@@ -237,51 +285,59 @@ class _LikelihoodEvaluator:
     transposed view of an (m, 3) block differs in some last bits above
     m = 1024. A single point takes BLAS's matrix-vector path in either
     layout, whose last bits can differ from a block's.
-    `rotations` is the views' camera-to-world stack, and `sigma_px` the
-    standard deviation of the isotropic pixel noise.
+    `sigma_px` is the standard deviation of the isotropic pixel noise.
+    Calling the evaluator scores under an errstate that ignores every
+    floating-point error; `score` leaves that to the caller, which can
+    hold one errstate over many calls.
     """
 
-    def __init__(self, poses: Sequence[Pose], centers_px: np.ndarray,
-                 k: CameraIntrinsics, sigma_px: float, rotations: np.ndarray):
-        world_to_cam = rotations.transpose(0, 2, 1)
-        cam_centers = np.stack([p.translation for p in poses])
+    def __init__(self, views: Views, centers_px: np.ndarray,
+                 k: CameraIntrinsics, sigma_px: float):
+        t = self.count = len(views.translations)
+        world_to_cam = views.rotations.transpose(0, 2, 1)
+        depth_row = world_to_cam[:, 2]
         centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
         self.rows = np.concatenate([
-            k.fx * world_to_cam[:, 0] + (k.cx - centers_px[:, :1]) * world_to_cam[:, 2],
-            k.fy * world_to_cam[:, 1] + (k.cy - centers_px[:, 1:]) * world_to_cam[:, 2],
-            world_to_cam[:, 2],
+            k.fx * world_to_cam[:, 0] + (k.cx - centers_px[:, :1]) * depth_row,
+            k.fy * world_to_cam[:, 1] + (k.cy - centers_px[:, 1:]) * depth_row,
+            depth_row,
         ])
-        ref = cam_centers.mean(axis=0)
+        # the mean camera centre, with mean(axis=0)'s bits
+        ref = np.add.reduce(views.translations, axis=0) / t
         self.ref = ref[:, None]
-        self.offsets = np.sum(self.rows * np.tile(cam_centers - ref, (3, 1)),
-                              axis=1)[:, None]
+        # each row dotted with its view's centre: one 3-term sum per row
+        self.offsets = (self.rows.reshape(3, t, 3) * (views.translations - ref)
+                        ).sum(axis=2).reshape(-1, 1)
         variance = sigma_px * sigma_px
         self.weight = 1.0 / variance
-        self.count = len(poses)
         self.norm = self.count * (-0.5 * (2.0 * math.log(2.0 * math.pi)
                                           + 2.0 * math.log(variance)))
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """xs (m, 3) -> ll (m,); -inf where behind any camera."""
+        with np.errstate(all="ignore"):
+            return self.score(xs)
+
+    def score(self, xs: np.ndarray) -> np.ndarray:
+        """The call's values, under the caller's errstate: rows behind a
+        camera may divide by zero or overflow before they are
+        overwritten with -inf, and points far enough out to overflow the
+        product come out -inf or NaN."""
         xs = np.asarray(xs, dtype=float).reshape(-1, 3)
         t = self.count
-        # rows behind a camera may divide by zero or overflow, and are
-        # overwritten with -inf below; points far enough out to overflow
-        # the product come out -inf or NaN
-        with np.errstate(all="ignore"):
-            proj = self.rows @ np.subtract(xs.T, self.ref, order="C")
-            proj -= self.offsets
-            ru, rv, z = proj[:t], proj[t:2 * t], proj[2 * t:]
-            ru /= z
-            rv /= z
-            quad = self.weight * ru
-            quad *= ru
-            term = self.weight * rv
-            term *= rv
-            quad += term
-            out = _sum_views(quad)
-            out *= -0.5
-            out += self.norm
+        proj = self.rows @ np.subtract(xs.T, self.ref, order="C")
+        proj -= self.offsets
+        ru, rv, z = proj[:t], proj[t:2 * t], proj[2 * t:]
+        ru /= z
+        rv /= z
+        quad = self.weight * ru
+        quad *= ru
+        term = self.weight * rv
+        term *= rv
+        quad += term
+        out = _sum_views(quad)
+        out *= -0.5
+        out += self.norm
         out[(z <= 0.0).any(axis=0)] = -np.inf
         return out
 
@@ -308,7 +364,7 @@ def log_likelihood(
 ) -> float:
     """Joint log-likelihood of a world point given the tracklet's boxes."""
     centers = np.array([m.box.center for m in tracklet.measurements])
-    evaluate = _LikelihoodEvaluator(poses, centers, k, sigma_px, _rotations(poses))
+    evaluate = _LikelihoodEvaluator(Views.of(poses), centers, k, sigma_px)
     ll = evaluate(np.asarray(x).reshape(1, 3))[0]
     if not np.isfinite(ll):
         raise BehindCameraError("query point behind at least one camera")
@@ -372,12 +428,11 @@ def _hill_climb(x0, ll0, steps, evaluate):
 
 def estimate_centroid(
     tracklet: Tracklet,
-    poses: Sequence[Pose],
+    views: Views,
     k: CameraIntrinsics,
     sigma_px: float,
     walk: RandomWalkConfig,
     run_seed: int,
-    rotations: np.ndarray,
 ) -> CentroidEstimate:
     """MAP position of the object from its box centers.
 
@@ -386,21 +441,21 @@ def estimate_centroid(
     the depth is unobservable; the estimate falls back to the last
     measurement's back-projected range hint, flagged low confidence.
     The RNG stream is derived from (run_seed, tracklet.id) so results
-    are reproducible per tracklet. `rotations` is the views' rotation
-    stack (see _rotations).
+    are reproducible per tracklet.
     """
     ms = tracklet.measurements
     if len(ms) < 2:
         raise TooFewMeasurementsError("localization needs >= 2 measurements")
     centers = np.array([m.box.center for m in ms])
-    evaluate = _LikelihoodEvaluator(poses, centers, k, sigma_px, rotations)
+    evaluate = _LikelihoodEvaluator(views, centers, k, sigma_px)
 
     def fallback() -> CentroidEstimate:
-        point = backproject(centers[-1], ms[-1].depth_hint, poses[-1], k)
+        last = unit_pose(views.quaternions[-1], views.translations[-1])
+        point = backproject(centers[-1], ms[-1].depth_hint, last, k)
         ll = float(evaluate(point.reshape(1, 3))[0])
         return CentroidEstimate(point, ll, point.copy(), low_confidence=True)
 
-    origins = np.stack([p.translation for p in poses])
+    origins = views.translations
     span = origins.max(axis=0) - origins.min(axis=0)
     if float(np.linalg.norm(span)) < 1e-9:
         return fallback()
@@ -412,22 +467,24 @@ def estimate_centroid(
             np.ones(len(ms)),
         ]
     )
-    dirs = np.matmul(rotations, rays_cam[..., None])[..., 0]
+    dirs = np.matmul(views.rotations, rays_cam[..., None])[..., 0]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     seed = triangulate_midpoint(origins, dirs)
     if seed is None:
         return fallback()
 
-    ll_seed = float(evaluate(seed.reshape(1, 3))[0])
+    # one errstate over the seed and the whole walk
+    with np.errstate(all="ignore"):
+        ll_seed = float(evaluate.score(seed.reshape(1, 3))[0])
+        if np.isfinite(ll_seed):
+            rng = np.random.default_rng((run_seed, tracklet.id))
+            steps = rng.standard_normal(size=(walk.n_samples, 3)) * walk.step_sigma
+            point, ll = _hill_climb(seed, ll_seed, steps, evaluate.score)
     if not np.isfinite(ll_seed):
         est = fallback()
         if not np.isfinite(est.log_likelihood):
             raise BehindCameraError("no finite-likelihood starting point")
         return est
-
-    rng = np.random.default_rng((run_seed, tracklet.id))
-    steps = rng.standard_normal(size=(walk.n_samples, 3)) * walk.step_sigma
-    point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
     assert ll >= ll_seed
     return CentroidEstimate(point, ll, seed, low_confidence=False)
 
@@ -438,23 +495,22 @@ def estimate_centroid(
 
 def propose_candidate(
     tracklet: Tracklet,
-    trajectory: Trajectory,
+    stacks: ViewStacks,
     k: CameraIntrinsics,
     sigma_px: float,
     walk: RandomWalkConfig,
     run_seed: int,
     mad_threshold: float = 0.15,
 ) -> Proposal:
-    """Validate and localize one promoted tracklet; `run_seed` seeds the
-    walk (see estimate_centroid)."""
-    poses = resolve_poses(tracklet, trajectory)
-    rotations = _rotations(poses)
-    cloud, ends = extract_clouds(tracklet, poses, k, rotations)
-    mad = mad_deviation(np.array([cloud.points[start:end].mean(axis=0)
-                                  for start, end in zip([0] + ends[:-1], ends)]))
+    """Validate and localize one promoted tracklet, viewed from the
+    run's stacked trajectory; `run_seed` seeds the walk (see
+    estimate_centroid)."""
+    views = stacks.views(tracklet.measurements)
+    cloud, means = extract_clouds(tracklet, views, k)
+    mad = mad_deviation(means)
     if mad > mad_threshold:
         return Proposal(tracklet, accepted=False, mad=mad, candidate=None)
-    est = estimate_centroid(tracklet, poses, k, sigma_px, walk, run_seed, rotations)
+    est = estimate_centroid(tracklet, views, k, sigma_px, walk, run_seed)
     cand = Candidate(
         tracklet=tracklet,
         cloud=cloud,

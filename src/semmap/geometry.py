@@ -241,6 +241,39 @@ class Pose:
         return pts @ r.T + self.translation
 
 
+def unit_pose(q: np.ndarray, t: np.ndarray) -> Pose:
+    """A Pose holding q and t as given, without renormalizing q. q is a
+    row of quat_normalize's output, which is exactly what Pose stores
+    for the quaternion it normalized; normalizing again could move the
+    last bit."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "rotation", q)
+    object.__setattr__(pose, "translation", t)
+    return pose
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) @ (n, 3) row by row, each with the bits of m[i] @ v[i]."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
+
+
+def relative_poses(q: np.ndarray, t: np.ndarray) -> list[Pose]:
+    """`poses[i - 1].inverse().compose(poses[i])` for i = 1 .. n - 1 of
+    the poses with unit quaternions q (n, 4) and translations t (n, 3),
+    in one stacked pass with that expression's bits: inverse() rotates
+    by the conjugate before Pose normalizes it, and compose() normalizes
+    the product, which Pose then normalizes once more. Raises ValueError
+    where a step's translation is not finite, as Pose would."""
+    qc = quat_conjugate(q[:-1])
+    t_inv = -_matvec(quat_to_matrix(qc), t[:-1])
+    q_inv = quat_normalize(qc)
+    q_rel = quat_normalize(quat_normalize(quat_mul(q_inv, q[1:])))
+    t_rel = t_inv + _matvec(quat_to_matrix(q_inv), t[1:])
+    if not np.isfinite(t_rel).all():
+        raise ValueError("pose fields must be finite")
+    return [unit_pose(a, b) for a, b in zip(q_rel, t_rel)]
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -355,6 +388,21 @@ class Trajectory:
     def positions(self) -> np.ndarray:
         return np.array([p.translation for p in self.poses]).reshape(-1, 3)
 
+    def grid_rows(self, ts: Sequence[float], tol: float = 1e-9) -> np.ndarray:
+        """The row of the pose pose_at returns as is for each stamp: the
+        first stamp at or after t when within tol of t, else the one
+        before it when within tol; -1 where pose_at interpolates or
+        raises."""
+        ts = np.asarray(ts, dtype=float)
+        if len(self) == 0:
+            return np.full(ts.shape, -1)
+        idx = np.searchsorted(self.stamps, ts)
+        # clipped at either end, both name the one row there is
+        after = np.minimum(idx, len(self) - 1)
+        before = np.maximum(idx - 1, 0)
+        return np.where(np.abs(self.stamps[after] - ts) <= tol, after,
+                        np.where(np.abs(self.stamps[before] - ts) <= tol, before, -1))
+
     def pose_at(self, t: float, tol: float = 1e-9) -> Pose:
         if len(self) == 0:
             raise MissingPoseError("empty trajectory")
@@ -362,11 +410,10 @@ class Trajectory:
             raise MissingPoseError(
                 f"t={t:.6f} outside [{self.stamps[0]:.6f}, {self.stamps[-1]:.6f}]"
             )
+        row = int(self.grid_rows([t], tol)[0])
+        if row >= 0:
+            return self.poses[row]
         idx = int(np.searchsorted(self.stamps, t))
-        if idx < len(self) and abs(self.stamps[idx] - t) <= tol:
-            return self.poses[idx]
-        if idx > 0 and abs(self.stamps[idx - 1] - t) <= tol:
-            return self.poses[idx - 1]
         lo, hi = idx - 1, idx
         t0, t1 = self.stamps[lo], self.stamps[hi]
         alpha = (t - t0) / (t1 - t0)

@@ -24,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .association import AssociationConfig, LandmarkMap, Matched
-from .candidate import RandomWalkConfig, propose_candidate
+from .candidate import RandomWalkConfig, ViewStacks, propose_candidate
 from .errors import TimestampMismatchError
 from .evaluation import (
     STAGE_NAMES,
@@ -32,7 +32,7 @@ from .evaluation import (
     score_landmarks,
     timing_report,
 )
-from .geometry import CameraIntrinsics, Trajectory
+from .geometry import CameraIntrinsics, Trajectory, relative_poses
 from .io_formats import (
     config_hash,
     parse_detection_log,
@@ -252,6 +252,10 @@ def run_pipeline(frames, odometry: Trajectory,
     if len(odometry) == 0:
         raise TimestampMismatchError("odometry is empty")
     by_frame = _index_detections(frames, odometry)
+    # the raw odometry stacked once: every proposal's views and every
+    # frame's relative motion come from these rows
+    stacks = ViewStacks(odometry)
+    steps = relative_poses(stacks.all.quaternions, stacks.all.translations)
 
     sigma_px = cfg.pixel_noise_sigma
     observation_information = np.eye(2) / (sigma_px * sigma_px)
@@ -291,7 +295,7 @@ def run_pipeline(frames, odometry: Trajectory,
         proposals = []
         for tracklet in promoted:
             t0 = perf_counter()
-            prop = propose_candidate(tracklet, odometry, cfg.camera, sigma_px,
+            prop = propose_candidate(tracklet, stacks, cfg.camera, sigma_px,
                                      cfg.random_walk, cfg.seed, cfg.mad_threshold)
             timings["candidate_proposal"].append(perf_counter() - t0)
             proposals.append(prop)
@@ -299,8 +303,7 @@ def run_pipeline(frames, odometry: Trajectory,
         if i == 0:
             graph.add_prior(0, odometry.poses[0])
         else:
-            rel = odometry.poses[i - 1].inverse().compose(odometry.poses[i])
-            graph.add_odometry(i - 1, i, rel, odometry_information)
+            graph.add_odometry(i - 1, i, steps[i - 1], odometry_information)
 
         emitted = False
         for prop in proposals:

@@ -53,6 +53,7 @@ from .geometry import (
     quat_to_matrix,
     rotvec_from_quat,
     skew,
+    unit_pose,
 )
 
 _Z_EPS = 1e-9
@@ -535,17 +536,6 @@ class _State:
     obs: tuple | None
 
 
-def _unit_pose(q: np.ndarray, t: np.ndarray) -> Pose:
-    """A Pose holding q and t as given, without renormalizing q. q is a
-    row of quat_normalize's output, which is exactly what Pose stores
-    for the quaternion it normalized; normalizing again could move the
-    last bit."""
-    pose = object.__new__(Pose)
-    object.__setattr__(pose, "rotation", q)
-    object.__setattr__(pose, "translation", t)
-    return pose
-
-
 class PoseEstimates(Mapping):
     """Pose estimates keyed by id, stored as growing quaternion (n, 4)
     and translation (n, 3) arrays in insertion order.
@@ -574,7 +564,7 @@ class PoseEstimates(Mapping):
         pose = self._built.get(pid)
         if pose is None:
             i = self._row[pid]
-            pose = _unit_pose(self._q.rows[i].copy(), self._t.rows[i].copy())
+            pose = unit_pose(self._q.rows[i].copy(), self._t.rows[i].copy())
             self._built[pid] = pose
         return pose
 

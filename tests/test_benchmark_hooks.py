@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from semmap import pipeline
+from semmap.simulator import desk_preset, ground_truth_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "mapbench"))
@@ -57,3 +58,16 @@ def test_every_workload_config_builds(workload, tmp_path):
 def test_file_level_commands_are_in_the_pipeline_module():
     for name in ("cmd_simulate", "cmd_run", "cmd_eval"):
         assert callable(vars(pipeline).get(name)), name
+
+
+def test_layer_probes_record_the_proposal_path():
+    # the candidate spans wrap the names propose_candidate and the
+    # pipeline look up at call time; a refactor that stopped calling
+    # through them would leave the names in place and zero the layers
+    world, noise = desk_preset(seed=0, duration=12.0, frame_rate=10.0, laps=1.5)
+    bundle = ground_truth_bundle(world, noise)
+    rec = Recorder()
+    with installed(rec):
+        pipeline.run_pipeline(bundle.frames, bundle.odometry, pipeline.PipelineConfig())
+    for name in ("candidate.propose", "candidate.extract", "candidate.localize"):
+        assert rec.n_spans(name) >= 1, name

@@ -23,6 +23,7 @@ from oracles import (
     loop_triangulate_midpoint,
     meshgrid_box_sampler,
     pinhole_uv,
+    resolve_poses,
     sequential_walk,
 )
 
@@ -34,14 +35,14 @@ from semmap.candidate import (
     _frustum_grid,
     _hill_climb,
     _LikelihoodEvaluator,
-    _rotations,
+    Views,
+    ViewStacks,
     cuboid_half_depth,
     estimate_centroid,
     extract_clouds,
     log_likelihood,
     mad_deviation,
     propose_candidate,
-    resolve_poses,
     triangulate_midpoint,
 )
 from semmap.errors import (
@@ -67,9 +68,9 @@ def _k():
 
 
 def _extract(t, poses, k=None):
-    """extract_clouds with the views' rotation stack: the stacked cloud
-    and each view's end row."""
-    return extract_clouds(t, poses, k or _k(), _rotations(poses))
+    """extract_clouds over the poses' view stacks: the stacked cloud and
+    each view's mean."""
+    return extract_clouds(t, Views.of(poses), k or _k())
 
 
 def _cov(sigma):
@@ -188,7 +189,7 @@ class TestLogLikelihood:
         xs = np.concatenate([front[:10], behind, eye[None, :], front[10:]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _LikelihoodEvaluator(poses, centers, _k(), sigma, _rotations(poses))(xs)
+            got = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)(xs)
         want = [loop_log_likelihood(x, centers, poses, _k(), _cov(sigma))
                 for x in xs]
         assert np.all(got[10:17] == -np.inf)
@@ -207,7 +208,7 @@ class TestLogLikelihood:
         xs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.5, 2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _LikelihoodEvaluator(poses, centers, _k(), 4.0, _rotations(poses))(xs)
+            got = _LikelihoodEvaluator(Views.of(poses), centers, _k(), 4.0)(xs)
         assert got[0] == -np.inf and got[1] == -np.inf
         assert np.isfinite(got[2])
 
@@ -308,8 +309,10 @@ def _loop_estimate(t, poses, sigma, walk, run_seed):
     the loop triangulation; None where it falls back to the range hint."""
     k = _k()
     centers = np.array([m.box.center for m in t.measurements])
-    evaluate = _LikelihoodEvaluator(poses, centers, k, sigma,
-                                    np.stack([p.rotation_matrix() for p in poses]))
+    views = Views(np.stack([p.rotation for p in poses]),
+                  np.stack([p.rotation_matrix() for p in poses]),
+                  np.stack([p.translation for p in poses]))
+    evaluate = _LikelihoodEvaluator(views, centers, k, sigma)
     origins = np.stack([p.translation for p in poses])
     seed = loop_triangulate_midpoint(origins, loop_box_center_rays(centers, poses, k))
     if seed is None:
@@ -332,7 +335,7 @@ class TestFoldedLikelihood:
         walks = 0
         while walks < 200:
             centers, poses, point = _random_tracklet_views(rng)
-            folded = _LikelihoodEvaluator(poses, centers, _k(), sigma, _rotations(poses))
+            folded = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)
             oracle = EinsumLikelihoodEvaluator(poses, centers, _k(), _cov(sigma))
             seed = point + rng.normal(0.0, 0.05, 3)
             ll_seed = oracle(seed[None, :])[0]
@@ -382,9 +385,10 @@ class TestViewMajorKernel:
         sigma = rng.uniform(0.1, 20.0) if random_sigma else 4.0
         for _ in range(3):
             centers, poses, point = _random_tracklet_views(rng, count)
-            rotations = _rotations(poses)
-            new = _LikelihoodEvaluator(poses, centers, _k(), sigma, rotations)
-            old = PointMajorLikelihoodEvaluator(rotations, poses, centers, _k(), _cov(sigma))
+            views = Views.of(poses)
+            new = _LikelihoodEvaluator(views, centers, _k(), sigma)
+            old = PointMajorLikelihoodEvaluator(views.rotations, poses, centers, _k(),
+                                                _cov(sigma))
             xs = _kernel_queries(rng, point, poses)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -414,7 +418,7 @@ class TestWalkSchedule:
         walks = moved = 0
         while walks < 8:
             centers, poses, point = _random_tracklet_views(rng)
-            kernel = _LikelihoodEvaluator(poses, centers, _k(), sigma, _rotations(poses))
+            kernel = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)
 
             def evaluate(xs):
                 # every block at least two rows wide: a single point
@@ -486,9 +490,7 @@ class TestEstimateCentroid:
         angles = np.linspace(-0.8, 0.8, 10)
         eyes = [point + 2.5 * np.array([math.sin(a), -math.cos(a), 0.1 * a]) for a in angles]
         tracklet, poses = _tracklet_viewing(point, eyes, _k())
-        est = estimate_centroid(
-            tracklet, poses, _k(), 4.0, RandomWalkConfig(), 1, _rotations(poses)
-        )
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, RandomWalkConfig(), 1)
         assert np.linalg.norm(est.point - point) < 1e-3
         assert not est.low_confidence
 
@@ -501,8 +503,7 @@ class TestEstimateCentroid:
             point, eyes, _k(), px_noise=1.0, rng=rng
         )
         sigma = 1.0
-        est = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 2,
-                                _rotations(poses))
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, RandomWalkConfig(), 2)
         centers = [m.box.center for m in tracklet.measurements]
         oracle_pt, _ = grid_search_max(
             centers, poses, _k(), _cov(sigma), around=point, half=0.5, step=0.01
@@ -517,8 +518,7 @@ class TestEstimateCentroid:
         rng = np.random.default_rng(21)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=3.0, rng=rng)
         sigma = 4.0
-        est = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 3,
-                                _rotations(poses))
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, RandomWalkConfig(), 3)
         seed_ll = log_likelihood(est.seed_point, tracklet, poses, _k(), sigma)
         assert est.log_likelihood >= seed_ll
 
@@ -526,9 +526,7 @@ class TestEstimateCentroid:
         point = np.array([0.0, 0.0, 2.0])
         eye = np.array([0.0, -2.0, 2.0])
         tracklet, poses = _tracklet_viewing(point, [eye, eye + 1e-12, eye], _k())
-        est = estimate_centroid(
-            tracklet, poses, _k(), 4.0, RandomWalkConfig(), 4, _rotations(poses)
-        )
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, RandomWalkConfig(), 4)
         assert est.low_confidence
         # fallback point = backprojected box center at the range hint
         np.testing.assert_allclose(est.point, point, atol=1e-6)
@@ -539,9 +537,9 @@ class TestEstimateCentroid:
         rng = np.random.default_rng(33)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=2.0, rng=rng)
         sigma = 2.0
-        rotations = _rotations(poses)
-        a = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 9, rotations)
-        b = estimate_centroid(tracklet, poses, _k(), sigma, RandomWalkConfig(), 9, rotations)
+        views = Views.of(poses)
+        a = estimate_centroid(tracklet, views, _k(), sigma, RandomWalkConfig(), 9)
+        b = estimate_centroid(tracklet, views, _k(), sigma, RandomWalkConfig(), 9)
         assert np.array_equal(a.point, b.point)
         assert a.log_likelihood == b.log_likelihood
 
@@ -552,8 +550,7 @@ class TestEstimateCentroid:
         )
         with pytest.raises(TooFewMeasurementsError):
             estimate_centroid(
-                t, [Pose.identity()], _k(), 4.0,
-                RandomWalkConfig(), 0, _rotations([Pose.identity()]),
+                t, Views.of([Pose.identity()]), _k(), 4.0, RandomWalkConfig(), 0,
             )
 
 
@@ -563,8 +560,8 @@ class TestExtractClouds:
         # (u, v) = (cx, cy) lifts onto the optical axis at its 3 depths
         t = Tracklet(0, "cup")
         t.append(Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0))
-        cloud, ends = _extract(t, [Pose.identity()])
-        assert ends == [75]
+        cloud, means = _extract(t, [Pose.identity()])
+        assert len(cloud) == 75 and means.shape == (1, 3)
         axis = cloud.points.reshape(5, 5, 3, 3)[2, 2]
         np.testing.assert_allclose(
             axis, [[0.0, 0.0, 2.0 - 0.16 / 3.0], [0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 0.16 / 3.0]],
@@ -576,7 +573,7 @@ class TestExtractClouds:
         t.append(m)
         cloud, _ = _extract(t, [Pose.identity()])
         assert len(cloud) == 5 * 5 * 3
-        h = cuboid_half_depth(m, _k())
+        h = cuboid_half_depth(m.box.width, m.depth_hint, _k())
         # box is 40 px wide at depth 2 with fx=500 -> 0.16 m wide, h = 0.08
         assert h == pytest.approx(0.5 * 40.0 * 2.0 / 500.0, abs=1e-12)
         zs = cloud.points[:, 2]
@@ -593,8 +590,9 @@ class TestExtractClouds:
         for frame, kept in zip(frames, (50, 25)):
             t = Tracklet(0, "cup")
             t.append(frame.detections[0])
-            cloud, ends = _extract(t, [Pose.identity()])
-            assert len(cloud) == ends[0] == kept
+            cloud, means = _extract(t, [Pose.identity()])
+            assert len(cloud) == kept
+            assert means.tobytes() == cloud.points.mean(axis=0, keepdims=True).tobytes()
             assert np.all(cloud.points[:, 2] > 0)
 
     def test_exhausted_measurement_raises(self, tmp_path):
@@ -614,8 +612,8 @@ class TestExtractClouds:
         k = _k()
         t, poses = _random_tracklet(rng)
         grid = meshgrid_box_sampler(k)
-        cloud, ends = _extract(t, poses, k)
-        assert ends == [75 * (i + 1) for i in range(len(poses))]
+        cloud, _ = _extract(t, poses, k)
+        assert len(cloud) == 75 * len(poses)
         for i, (m, pose) in enumerate(zip(t.measurements, poses)):
             for (u, v, d), p in zip(grid(m), cloud.points[75 * i:75 * (i + 1)]):
                 np.testing.assert_allclose(p, backproject(Pixel(u, v), d, pose, k), atol=1e-12)
@@ -661,21 +659,22 @@ class TestStackedViews:
 
     @pytest.mark.parametrize("ragged", [False, True], ids=["grid", "ragged"])
     def test_clouds_match_loop_oracle(self, ragged):
-        # ragged: wide boxes lose their near layer, so views keep 50 or
-        # 75 samples
+        # ragged: wide boxes put their near layer behind the camera, so
+        # views keep 50 or 75 samples; lifting every cell and dropping
+        # afterwards must give each kept cell, and each view's mean, the
+        # bits of lifting that view's kept cells alone
         rng = np.random.default_rng(72 + ragged)
         sizes = set()
         for _ in range(100):
             t, poses = _random_tracklet(rng, wide=0.5 if ragged else 0.0)
-            got, ends = _extract(t, poses)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, means = _extract(t, poses)
             want = loop_extract_clouds(t, poses, _k(), meshgrid_box_sampler(_k()))
-            assert len(ends) == len(want) == len(poses)
-            assert ends[-1] == len(got)
-            for start, end, w in zip([0] + ends[:-1], ends, want):
-                g = got.points[start:end]
-                assert g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
-                sizes.add(len(g))
+            assert len(want) == len(poses)
+            assert got.points.tobytes() == np.concatenate(want).tobytes()
+            assert means.tobytes() == np.array([w.mean(axis=0) for w in want]).tobytes()
+            sizes.update(len(w) for w in want)
         assert sizes == ({50, 75} if ragged else {75})
 
     def test_first_exhausted_frame_named(self):
@@ -730,7 +729,7 @@ class TestStackedViews:
             t, poses = _random_tracklet(rng)
             want = _loop_estimate(t, poses, sigma, walk, 5)
             try:
-                got = estimate_centroid(t, poses, _k(), sigma, walk, 5, _rotations(poses))
+                got = estimate_centroid(t, Views.of(poses), _k(), sigma, walk, 5)
             except BehindCameraError:
                 assert want is None
                 continue
@@ -744,6 +743,29 @@ class TestStackedViews:
             assert got.point.tobytes() == point.tobytes()
             assert got.log_likelihood == ll
         assert walked >= 60
+
+
+class TestViewStacks:
+    def test_views_match_pose_at_route(self):
+        # measurements on the grid, within tol of it and between stamps
+        # (pose_at's slerp): every stack row has the bits of the pose
+        # pose_at gives, rotated by quat_to_matrix of its quaternion
+        rng = np.random.default_rng(78)
+        stamps = [0.1 * i for i in range(40)]
+        traj = Trajectory(stamps, [_look_at(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
+                                   for _ in stamps])
+        stacks = ViewStacks(traj)
+        for shift in (0.0, 4e-10, 0.005, 0.05, 0.0999):
+            t = Tracklet(0, "cup")
+            for i in range(0, 39, 3):
+                t.append(Measurement(stamps[i] + shift, i, "cup", 0.9,
+                                     BoundingBox(300, 220, 340, 260), 2.0))
+            got = stacks.views(t.measurements)
+            want = Views.of(resolve_poses(t, traj))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        assert len(stacks.all.translations) == 40
 
 
 class TestProposeCandidate:
@@ -765,7 +787,7 @@ class TestProposeCandidate:
     def test_static_object_accepted(self):
         t, traj, point = self._trajectory_and_tracklet(speed=0.0)
         prop = propose_candidate(
-            t, traj, _k(), 4.0, RandomWalkConfig(), 5,
+            t, ViewStacks(traj), _k(), 4.0, RandomWalkConfig(), 5,
             mad_threshold=0.15,
         )
         assert prop.accepted
@@ -775,9 +797,8 @@ class TestProposeCandidate:
         assert cand.size_estimate > 0
         # the candidate keeps the extracted cloud of all views, whose
         # per-view slice means fed the gate
-        cloud, ends = _extract(t, resolve_poses(t, traj))
-        assert cand.cloud.points.tobytes() == cloud.points.tobytes()
-        views = [cloud.points[start:end] for start, end in zip([0] + ends[:-1], ends)]
+        views = loop_extract_clouds(t, resolve_poses(t, traj), _k(), meshgrid_box_sampler(_k()))
+        assert cand.cloud.points.tobytes() == np.concatenate(views).tobytes()
         assert prop.mad == mad_deviation(np.array([v.mean(axis=0) for v in views]))
         assert np.linalg.norm(cand.map_centroid - point) < 0.05
 
@@ -786,7 +807,7 @@ class TestProposeCandidate:
         # 5 step march is 1.2 * 0.15 = 0.18 > 0.15
         t, traj, _ = self._trajectory_and_tracklet(speed=1.5)
         prop = propose_candidate(
-            t, traj, _k(), 4.0, RandomWalkConfig(), 6,
+            t, ViewStacks(traj), _k(), 4.0, RandomWalkConfig(), 6,
             mad_threshold=0.15,
         )
         assert not prop.accepted
@@ -797,4 +818,4 @@ class TestProposeCandidate:
         t, traj, _ = self._trajectory_and_tracklet()
         late = Trajectory([10.0, 11.0], [Pose.identity(), Pose.identity()])
         with pytest.raises(MissingPoseError):
-            resolve_poses(t, late)
+            propose_candidate(t, ViewStacks(late), _k(), 4.0, RandomWalkConfig(), 5)

@@ -19,6 +19,7 @@ from oracles import (
     scalar_quat_from_rotvec,
     scalar_quat_mul,
     scalar_quat_normalize,
+    scalar_grid_row,
     scalar_quat_to_matrix,
     scalar_rotvec_from_quat,
 )
@@ -41,8 +42,15 @@ from semmap.geometry import (
     quat_normalize,
     quat_slerp,
     quat_to_matrix,
+    relative_poses,
     rotvec_from_quat,
     skew,
+)
+from semmap.simulator import (
+    desk_preset,
+    drift_odometry,
+    ground_truth_trajectory,
+    walking_preset,
 )
 
 
@@ -263,6 +271,32 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], [Pose.identity(), Pose.identity()])
 
+    def test_grid_rows_name_the_pose_pose_at_returns(self):
+        # two stamps closer together than tol, queries on, within tol of,
+        # just outside tol of, between and beyond the stamps: a row is the
+        # very pose pose_at returns, -1 a pose it interpolates or refuses
+        rng = np.random.default_rng(41)
+        stamps = [0.0, 0.1, 0.2, 0.2 + 5e-10, 0.3]
+        traj = Trajectory(stamps, [_random_pose(rng) for _ in stamps])
+        queries = [s + d for s in stamps for d in (0.0, 4e-10, -4e-10, 2e-9, -2e-9)]
+        queries += [0.05, 0.25, 0.3 + 1e-3, -1e-3]
+        rows = traj.grid_rows(queries)
+        assert rows.shape == (len(queries),)
+        for t, row in zip(queries, rows.tolist()):
+            assert row == scalar_grid_row(traj.stamps, t)
+            assert traj.grid_rows([t]).tolist() == [row]
+            try:
+                pose = traj.pose_at(t)
+            except MissingPoseError:
+                assert row == -1
+                continue
+            if row >= 0:
+                assert pose is traj.poses[row]
+            else:
+                assert all(pose is not p for p in traj.poses)
+        assert (rows >= 0).sum() == 15
+        assert Trajectory([], []).grid_rows([0.0]).tolist() == [-1]
+
     def test_slerp_consistent_with_quat_slerp(self):
         rng = np.random.default_rng(31)
         qa = quat_from_rotvec(rng.normal(0, 1, 3))
@@ -271,3 +305,45 @@ class TestTrajectory:
         got = traj.pose_at(0.25).rotation
         want = quat_slerp(qa, qb, 0.25)
         assert min(np.linalg.norm(got - want), np.linalg.norm(got + want)) < 1e-12
+
+
+def _poses_bits(poses):
+    return [(p.rotation.tobytes(), p.translation.tobytes()) for p in poses]
+
+
+def _steps(poses):
+    q = np.stack([p.rotation for p in poses])
+    return relative_poses(q, np.stack([p.translation for p in poses]))
+
+
+class TestRelativePoses:
+    """The stacked relative odometry against inverse().compose(), one
+    pair of poses at a time: the same bits."""
+
+    @pytest.mark.parametrize("preset", [desk_preset, walking_preset])
+    def test_matches_inverse_compose_on_drifting_odometry(self, preset):
+        world, noise = preset(seed=3)
+        poses = drift_odometry(ground_truth_trajectory(world), noise).poses
+        want = [a.inverse().compose(b) for a, b in zip(poses, poses[1:])]
+        assert _poses_bits(_steps(poses)) == _poses_bits(want)
+
+    def test_matches_across_quaternion_sign_flips(self):
+        rng = np.random.default_rng(42)
+        poses = [_random_pose(rng) for _ in range(300)]
+        # q and -q are the same rotation; every third pose stores -q
+        poses = [Pose(-p.rotation, p.translation) if i % 3 == 0 else p
+                 for i, p in enumerate(poses)]
+        assert sum(p.rotation[0] < 0.0 for p in poses) >= 50
+        want = [a.inverse().compose(b) for a, b in zip(poses, poses[1:])]
+        assert _poses_bits(_steps(poses)) == _poses_bits(want)
+
+    def test_overflowing_step_raises_like_pose(self):
+        # half a turn about z maps the first translation's -1e308 onto
+        # +1e308, and the second pose adds another 1e308
+        half_turn = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1e308, 0.0, 0.0]))
+        poses = [half_turn, Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1e308, 0.0, 0.0]))]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                poses[0].inverse().compose(poses[1])
+            with pytest.raises(ValueError, match="finite"):
+                _steps(poses)

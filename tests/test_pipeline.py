@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from oracles import rebuilt_poses
+from oracles import PoseAtStacks, rebuilt_poses
 
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
-from semmap import association, posegraph, tracker
+from semmap import association, pipeline, posegraph, tracker
 from semmap.candidate import RandomWalkConfig
 from semmap.pipeline import (
     DETERMINISTIC_RUN_OUTPUTS,
@@ -289,6 +289,48 @@ class TestDeterminism:
             np.testing.assert_array_equal(
                 lm.centroid, other.landmark_map.landmarks[lid].centroid)
         assert first.counts == other.counts
+
+
+def _same_proposal(a, b) -> bool:
+    """Same decision, MAD bits, and candidate centroid, size and cloud
+    bits."""
+    if (a.tracklet.id, a.accepted, a.low_confidence, a.mad.hex()) != \
+            (b.tracklet.id, b.accepted, b.low_confidence, b.mad.hex()):
+        return False
+    if a.candidate is None or b.candidate is None:
+        return a.candidate is b.candidate
+    return (a.candidate.map_centroid.tobytes() == b.candidate.map_centroid.tobytes()
+            and a.candidate.size_estimate.hex() == b.candidate.size_estimate.hex()
+            and a.candidate.cloud.points.tobytes() == b.candidate.cloud.points.tobytes())
+
+
+class TestOffGridStamps:
+    def test_proposals_match_the_pose_at_route(self, monkeypatch):
+        # every detection stamped 5 ms after its odometry stamp, inside
+        # the 20 ms matching window: each view comes from pose_at's
+        # slerp, and each proposal must equal, bit for bit, the one built
+        # from that proposal's own resolved and stacked poses
+        bundle = _small_desk(seed=2)
+        last = float(bundle.odometry.stamps[-1])
+        frames = [
+            FrameDetections(f.frame_id, f.timestamp + 0.005, tuple(
+                replace(m, timestamp=m.timestamp + 0.005) for m in f.detections))
+            for f in bundle.frames if f.timestamp + 0.005 <= last]
+        real = pipeline.propose_candidate
+        pairs = []
+
+        def both(tracklet, stacks, *args):
+            stamps = [m.timestamp for m in tracklet.measurements]
+            assert (stacks.trajectory.grid_rows(stamps) == -1).all()
+            got = real(tracklet, stacks, *args)
+            pairs.append((got, real(tracklet, PoseAtStacks(stacks.trajectory), *args)))
+            return got
+
+        monkeypatch.setattr(pipeline, "propose_candidate", both)
+        result = run_pipeline(frames, bundle.odometry, PipelineConfig(seed=2))
+        assert len(pairs) == len(result.proposals) >= 20
+        assert sum(got.accepted for got, _ in pairs) >= 10
+        assert all(_same_proposal(got, want) for got, want in pairs)
 
 
 class TestDynamicExclusion:
