@@ -4,20 +4,22 @@ localization.
 A promoted tracklet becomes a candidate in three steps. Each measurement
 is lifted to a small world-frame cloud: a 5 x 5 x 3 grid of cell
 centres filling the box frustum over a depth window around the range
-hint. The run's trajectory is stacked once (ViewStacks: quaternions,
-rotation matrices and translations of every pose), and each proposal
-gathers its T views from those rows by timestamp, so one (T, 3, 3)
-rotation stack serves extraction, the likelihood and the seed rays
-without rebuilding a pose. One (T, 5) array holds the boxes and range
-hints; all T grids are built, lifted to the camera frame and rotated
-into the world with one matmul, and only then are the cells at or
-behind the camera dropped. The result is one cloud of all views, each
-view a contiguous slice. The slices' means, summed over the kept cells
-of the lifted stack, feed a mean-absolute-deviation gate that rejects
-moving objects: a static object re-observed from a moving camera yields
-nearly coincident means, a walking person does not. Surviving
-tracklets get a single 3D position by maximizing the measurement
-likelihood under isotropic pixel noise of standard deviation sigma
+hint. The run's odometry is stacked once (Views: quaternions, rotation
+matrices and translations of every pose), and each proposal gathers its
+T views from those rows by frame id: a measurement is seen from the
+pose of the frame that saw it, the row its observation factor
+constrains in the pose graph. One (T, 3, 3) rotation stack then serves
+extraction, the likelihood and the seed rays without rebuilding a pose.
+One (T, 5) array holds the boxes and range hints; all T grids are
+built, lifted to the camera frame and rotated into the world with one
+matmul, and only then are the cells at or behind the camera dropped.
+The result is one cloud of all views, each view a contiguous slice.
+The slices' means, summed over the kept cells of the lifted stack, feed
+a mean-absolute-deviation gate that rejects moving objects: a static
+object re-observed from a moving camera yields nearly coincident means,
+a walking person does not. Surviving tracklets get a single 3D position
+by maximizing the measurement likelihood under isotropic pixel noise of
+standard deviation sigma
 
     ll(X) = sum_t [ -0.5 * |proj(X, pose_t) - z_t|^2 / sigma^2 ]
             - T * log(2 pi sigma^2),   z_t = box center of measurement t,
@@ -51,7 +53,6 @@ from .geometry import (
     CameraIntrinsics,
     PointCloud,
     Pose,
-    Trajectory,
     backproject,
     quat_to_matrix,
     unit_pose,
@@ -148,31 +149,6 @@ class Views(NamedTuple):
     def of(poses: Sequence[Pose]) -> "Views":
         q = np.stack([p.rotation for p in poses])
         return Views(q, quat_to_matrix(q), np.stack([p.translation for p in poses]))
-
-
-class ViewStacks:
-    """A trajectory's poses stacked once per run; each proposal gathers
-    the views of its measurements by row.
-
-    A measurement stamped on the trajectory's grid (see
-    Trajectory.grid_rows) takes that row; one between two stamps takes
-    pose_at's interpolated pose, so every view equals pose_at's.
-    """
-
-    def __init__(self, trajectory: Trajectory):
-        self.trajectory = trajectory
-        self.all = Views.of(trajectory.poses)
-
-    def views(self, ms: Sequence[Measurement]) -> Views:
-        stamps = [m.timestamp for m in ms]
-        rows = self.trajectory.grid_rows(stamps)
-        views = Views(*(stack[rows] for stack in self.all))
-        for t in np.flatnonzero(rows < 0).tolist():
-            pose = self.trajectory.pose_at(stamps[t])
-            views.quaternions[t] = pose.rotation
-            views.rotations[t] = pose.rotation_matrix()
-            views.translations[t] = pose.translation
-        return views
 
 
 # ----------------------------------------------------------------------
@@ -495,17 +471,18 @@ def estimate_centroid(
 
 def propose_candidate(
     tracklet: Tracklet,
-    stacks: ViewStacks,
+    odometry: Views,
     k: CameraIntrinsics,
     sigma_px: float,
     walk: RandomWalkConfig,
     run_seed: int,
     mad_threshold: float = 0.15,
 ) -> Proposal:
-    """Validate and localize one promoted tracklet, viewed from the
-    run's stacked trajectory; `run_seed` seeds the walk (see
-    estimate_centroid)."""
-    views = stacks.views(tracklet.measurements)
+    """Validate and localize one promoted tracklet, each measurement
+    viewed from its frame's row of the run's stacked odometry;
+    `run_seed` seeds the walk (see estimate_centroid)."""
+    rows = [m.frame_id for m in tracklet.measurements]
+    views = Views(*(stack[rows] for stack in odometry))
     cloud, means = extract_clouds(tracklet, views, k)
     mad = mad_deviation(means)
     if mad > mad_threshold:

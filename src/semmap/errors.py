@@ -35,10 +35,6 @@ class OutOfOrderTimestampError(DataError):
     """Timestamps moved backwards where monotone time is required."""
 
 
-class MissingPoseError(DataError):
-    """No pose brackets the requested timestamp."""
-
-
 class TooFewMeasurementsError(DataError):
     """Operation requires more measurements than were supplied."""
 
@@ -78,7 +74,8 @@ class ConfigParseError(FormatError):
 
 
 class TimestampMismatchError(DataError):
-    """Two trajectories share too few timestamps to compare."""
+    """Stamps or frame ids that do not line up: a detection off its
+    frame's odometry row, or two trajectories sharing too few stamps."""
 
 
 class IllPosedScenarioError(DataError):

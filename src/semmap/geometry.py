@@ -19,11 +19,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyCloudError,
-    MissingPoseError,
-    NonPositiveDepthError,
-)
+from .errors import EmptyCloudError, NonPositiveDepthError
 
 
 class Pixel(NamedTuple):
@@ -166,20 +162,6 @@ def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
     ).reshape(sin_half.shape)
     scale = np.where(small, 2.0, angle / np.where(small, 1.0, sin_half))
     return np.ascontiguousarray((scale * np.array([x, y, z])).T)
-
-
-def quat_slerp(qa: np.ndarray, qb: np.ndarray, alpha: float) -> np.ndarray:
-    qa = np.asarray(qa, dtype=float)
-    qb = np.asarray(qb, dtype=float)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-10:
-        return quat_normalize(qa + alpha * (qb - qa))
-    theta = math.acos(min(dot, 1.0))
-    s = math.sin(theta)
-    return (math.sin((1.0 - alpha) * theta) / s) * qa + (math.sin(alpha * theta) / s) * qb
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +344,8 @@ def backproject(pixel: Pixel | Sequence[float], depth: float, pose: Pose,
 class Trajectory:
     """Sequence of (timestamp, Pose), strictly increasing timestamps.
 
-    pose_at() interpolates between the bracketing poses, linear on the
-    translation and slerp on the rotation.
+    Poses exist at the stamps only: the pipeline takes a detection's
+    camera pose from the odometry row its frame id names.
     """
 
     def __init__(self, stamps: Sequence[float], poses: Sequence[Pose]):
@@ -387,37 +369,3 @@ class Trajectory:
 
     def positions(self) -> np.ndarray:
         return np.array([p.translation for p in self.poses]).reshape(-1, 3)
-
-    def grid_rows(self, ts: Sequence[float], tol: float = 1e-9) -> np.ndarray:
-        """The row of the pose pose_at returns as is for each stamp: the
-        first stamp at or after t when within tol of t, else the one
-        before it when within tol; -1 where pose_at interpolates or
-        raises."""
-        ts = np.asarray(ts, dtype=float)
-        if len(self) == 0:
-            return np.full(ts.shape, -1)
-        idx = np.searchsorted(self.stamps, ts)
-        # clipped at either end, both name the one row there is
-        after = np.minimum(idx, len(self) - 1)
-        before = np.maximum(idx - 1, 0)
-        return np.where(np.abs(self.stamps[after] - ts) <= tol, after,
-                        np.where(np.abs(self.stamps[before] - ts) <= tol, before, -1))
-
-    def pose_at(self, t: float, tol: float = 1e-9) -> Pose:
-        if len(self) == 0:
-            raise MissingPoseError("empty trajectory")
-        if t < self.stamps[0] - tol or t > self.stamps[-1] + tol:
-            raise MissingPoseError(
-                f"t={t:.6f} outside [{self.stamps[0]:.6f}, {self.stamps[-1]:.6f}]"
-            )
-        row = int(self.grid_rows([t], tol)[0])
-        if row >= 0:
-            return self.poses[row]
-        idx = int(np.searchsorted(self.stamps, t))
-        lo, hi = idx - 1, idx
-        t0, t1 = self.stamps[lo], self.stamps[hi]
-        alpha = (t - t0) / (t1 - t0)
-        pa, pb = self.poses[lo], self.poses[hi]
-        q = quat_slerp(pa.rotation, pb.rotation, alpha)
-        tr = (1.0 - alpha) * pa.translation + alpha * pb.translation
-        return Pose(q, tr)

@@ -24,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .association import AssociationConfig, LandmarkMap, Matched
-from .candidate import RandomWalkConfig, ViewStacks, propose_candidate
+from .candidate import RandomWalkConfig, Views, propose_candidate
 from .errors import TimestampMismatchError
 from .evaluation import (
     STAGE_NAMES,
@@ -222,7 +222,12 @@ class RunManifest:
 
 def _index_detections(frames, odometry: Trajectory,
                       window: float = 0.02) -> dict[int, list]:
-    """Group detections by frame id, validated against the odometry grid."""
+    """Group detections by frame id, validated against the odometry grid.
+
+    A detection is seen from odometry row frame_id (see
+    propose_candidate), so each must carry its frame's id, and the
+    frame's stamp must lie within `window` of that row's.
+    """
     n = len(odometry)
     by_frame: dict[int, list] = {}
     for fr in frames:
@@ -234,6 +239,10 @@ def _index_detections(frames, odometry: Trajectory,
             raise TimestampMismatchError(
                 f"frame {fr.frame_id} timestamp is {gap:.4f}s away from "
                 "its odometry stamp")
+        for m in fr.detections:
+            if m.frame_id != fr.frame_id:
+                raise TimestampMismatchError(
+                    f"frame {fr.frame_id} holds a detection of frame {m.frame_id}")
         if fr.frame_id in by_frame:
             raise ValueError(f"duplicate frame id {fr.frame_id}")
         by_frame[fr.frame_id] = list(fr.detections)
@@ -254,8 +263,8 @@ def run_pipeline(frames, odometry: Trajectory,
     by_frame = _index_detections(frames, odometry)
     # the raw odometry stacked once: every proposal's views and every
     # frame's relative motion come from these rows
-    stacks = ViewStacks(odometry)
-    steps = relative_poses(stacks.all.quaternions, stacks.all.translations)
+    views = Views.of(odometry.poses)
+    steps = relative_poses(views.quaternions, views.translations)
 
     sigma_px = cfg.pixel_noise_sigma
     observation_information = np.eye(2) / (sigma_px * sigma_px)
@@ -295,7 +304,7 @@ def run_pipeline(frames, odometry: Trajectory,
         proposals = []
         for tracklet in promoted:
             t0 = perf_counter()
-            prop = propose_candidate(tracklet, stacks, cfg.camera, sigma_px,
+            prop = propose_candidate(tracklet, views, cfg.camera, sigma_px,
                                      cfg.random_walk, cfg.seed, cfg.mad_threshold)
             timings["candidate_proposal"].append(perf_counter() - t0)
             proposals.append(prop)

@@ -179,10 +179,11 @@ class IouTracker:
         for det in detections:
             best_id = -1
             best_iou = 0.0
-            for tid in sorted(self.active.keys()):
+            # ids are issued in increasing order and tracklets are only
+            # inserted or deleted, so insertion order already is id order
+            for tid, t in self.active.items():
                 if tid in matched_ids:
                     continue
-                t = self.active[tid]
                 if t.class_id != det.class_id:
                     continue
                 score = iou(t.latest_box, det.box)

@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from semmap.candidate import Views
 from semmap.errors import EmptyCloudError, SingularSystemError
 from semmap.geometry import CameraIntrinsics, Pose, quat_to_matrix, rotvec_from_quat
 from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _retract
@@ -231,16 +230,12 @@ def sequential_walk(x0, ll0, steps, evaluate):
 
 
 def brute_force_nn_mean(query_pts, target_pts):
-    """Mean over query points of the distance to the closest target."""
-    total = 0.0
-    for p in query_pts:
-        best = math.inf
-        for q in target_pts:
-            d = math.dist(p, q)
-            if d < best:
-                best = d
-        total += best
-    return total / len(query_pts)
+    """Mean over query points of the distance to the closest target: the
+    full (na, nb) distance matrix, no spatial index."""
+    q = np.asarray(query_pts, dtype=float)
+    t = np.asarray(target_pts, dtype=float)
+    dist = np.sqrt(((q[:, None, :] - t[None, :, :]) ** 2).sum(axis=2))
+    return float(dist.min(axis=1).mean())
 
 
 def horn_quaternion_align(src, dst):
@@ -301,37 +296,6 @@ def meshgrid_box_sampler(k, grid=(5, 5, 3)):
         return np.column_stack([uu.ravel(), vv.ravel(), dd.ravel()])
 
     return sample
-
-
-def scalar_grid_row(stamps, t, tol=1e-9):
-    """The row whose pose Trajectory.pose_at returns as is, one stamp at
-    a time: the first stamp at or after t if within tol, else the one
-    before it if within tol; -1 otherwise."""
-    idx = int(np.searchsorted(stamps, t))
-    if idx < len(stamps) and abs(stamps[idx] - t) <= tol:
-        return idx
-    if idx > 0 and abs(stamps[idx - 1] - t) <= tol:
-        return idx - 1
-    return -1
-
-
-def resolve_poses(tracklet, trajectory):
-    """The camera pose at each measurement's timestamp, one pose_at call
-    per measurement: the route each proposal took before the run's
-    trajectory was stacked once (see candidate.ViewStacks)."""
-    return [trajectory.pose_at(m.timestamp) for m in tracklet.measurements]
-
-
-class PoseAtStacks:
-    """Stands in for candidate.ViewStacks: one pose_at call per
-    measurement, as resolve_poses makes, and a stack of that proposal's
-    poses alone."""
-
-    def __init__(self, trajectory):
-        self.trajectory = trajectory
-
-    def views(self, ms):
-        return Views.of([self.trajectory.pose_at(m.timestamp) for m in ms])
 
 
 def loop_extract_clouds(tracklet, poses, k, sampler):

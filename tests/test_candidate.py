@@ -23,10 +23,10 @@ from oracles import (
     loop_triangulate_midpoint,
     meshgrid_box_sampler,
     pinhole_uv,
-    resolve_poses,
     sequential_walk,
 )
 
+from semmap import candidate
 from semmap.candidate import (
     Candidate,
     RandomWalkConfig,
@@ -36,7 +36,6 @@ from semmap.candidate import (
     _hill_climb,
     _LikelihoodEvaluator,
     Views,
-    ViewStacks,
     cuboid_half_depth,
     estimate_centroid,
     extract_clouds,
@@ -48,7 +47,6 @@ from semmap.candidate import (
 from semmap.errors import (
     BehindCameraError,
     EmptyCloudError,
-    MissingPoseError,
     TooFewMeasurementsError,
 )
 from semmap.geometry import (
@@ -745,29 +743,6 @@ class TestStackedViews:
         assert walked >= 60
 
 
-class TestViewStacks:
-    def test_views_match_pose_at_route(self):
-        # measurements on the grid, within tol of it and between stamps
-        # (pose_at's slerp): every stack row has the bits of the pose
-        # pose_at gives, rotated by quat_to_matrix of its quaternion
-        rng = np.random.default_rng(78)
-        stamps = [0.1 * i for i in range(40)]
-        traj = Trajectory(stamps, [_look_at(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
-                                   for _ in stamps])
-        stacks = ViewStacks(traj)
-        for shift in (0.0, 4e-10, 0.005, 0.05, 0.0999):
-            t = Tracklet(0, "cup")
-            for i in range(0, 39, 3):
-                t.append(Measurement(stamps[i] + shift, i, "cup", 0.9,
-                                     BoundingBox(300, 220, 340, 260), 2.0))
-            got = stacks.views(t.measurements)
-            want = Views.of(resolve_poses(t, traj))
-            for g, w in zip(got, want):
-                assert g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
-        assert len(stacks.all.translations) == 40
-
-
 class TestProposeCandidate:
     def _trajectory_and_tracklet(self, speed=0.0, n=5, fps=10.0):
         k = _k()
@@ -787,7 +762,7 @@ class TestProposeCandidate:
     def test_static_object_accepted(self):
         t, traj, point = self._trajectory_and_tracklet(speed=0.0)
         prop = propose_candidate(
-            t, ViewStacks(traj), _k(), 4.0, RandomWalkConfig(), 5,
+            t, Views.of(traj.poses), _k(), 4.0, RandomWalkConfig(), 5,
             mad_threshold=0.15,
         )
         assert prop.accepted
@@ -797,7 +772,8 @@ class TestProposeCandidate:
         assert cand.size_estimate > 0
         # the candidate keeps the extracted cloud of all views, whose
         # per-view slice means fed the gate
-        views = loop_extract_clouds(t, resolve_poses(t, traj), _k(), meshgrid_box_sampler(_k()))
+        poses = [traj.poses[m.frame_id] for m in t.measurements]
+        views = loop_extract_clouds(t, poses, _k(), meshgrid_box_sampler(_k()))
         assert cand.cloud.points.tobytes() == np.concatenate(views).tobytes()
         assert prop.mad == mad_deviation(np.array([v.mean(axis=0) for v in views]))
         assert np.linalg.norm(cand.map_centroid - point) < 0.05
@@ -807,15 +783,44 @@ class TestProposeCandidate:
         # 5 step march is 1.2 * 0.15 = 0.18 > 0.15
         t, traj, _ = self._trajectory_and_tracklet(speed=1.5)
         prop = propose_candidate(
-            t, ViewStacks(traj), _k(), 4.0, RandomWalkConfig(), 6,
+            t, Views.of(traj.poses), _k(), 4.0, RandomWalkConfig(), 6,
             mad_threshold=0.15,
         )
         assert not prop.accepted
         assert prop.candidate is None
         assert prop.mad > 0.15
 
-    def test_missing_pose_propagates(self):
+    def test_views_are_the_frames_odometry_rows(self, monkeypatch):
+        # measurements stamped off their frames' stamps, each frame with
+        # other frames between it and the next: extraction and the
+        # localizer both see, bit for bit, the stacked poses of the
+        # measurements' frame ids
         t, traj, _ = self._trajectory_and_tracklet()
-        late = Trajectory([10.0, 11.0], [Pose.identity(), Pose.identity()])
-        with pytest.raises(MissingPoseError):
-            propose_candidate(t, ViewStacks(late), _k(), 4.0, RandomWalkConfig(), 5)
+        rng = np.random.default_rng(78)
+        poses = [_look_at(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
+                 for _ in range(3 * len(t))]
+        poses[1::3] = traj.poses
+        odometry = Trajectory([0.1 * i for i in range(len(poses))], poses)
+        shifted = Tracklet(t.id, t.class_id)
+        for i, (m, shift) in enumerate(zip(t.measurements, (-0.005, 0.0, 0.005, 0.0199, 0.01))):
+            row = 3 * i + 1
+            shifted.append(replace(m, frame_id=row,
+                                   timestamp=float(odometry.stamps[row]) + shift))
+        seen = []
+
+        def spy(real):
+            def wrapper(tracklet, views, *args):
+                seen.append(views)
+                return real(tracklet, views, *args)
+            return wrapper
+
+        monkeypatch.setattr(candidate, "extract_clouds", spy(extract_clouds))
+        monkeypatch.setattr(candidate, "estimate_centroid", spy(estimate_centroid))
+        prop = propose_candidate(shifted, Views.of(odometry.poses), _k(), 4.0,
+                                 RandomWalkConfig(), 5)
+        assert prop.accepted and len(seen) == 2
+        want = Views.of([odometry.poses[m.frame_id] for m in shifted.measurements])
+        for views in seen:
+            for got, w in zip(views, want):
+                assert got.shape == w.shape
+                assert got.tobytes() == w.tobytes()

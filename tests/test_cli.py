@@ -108,6 +108,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"line {first + 2}:" in err and "timestamp" in err
 
+    def test_detections_stamped_off_the_odometry_grid(self, workspace, tmp_path):
+        # every detection line 19.9 ms after its odometry stamp, inside the
+        # 20 ms window, the last frame's past the last stamp: each is seen
+        # from its frame's odometry row, so the outputs keep their bytes
+        lines = (workspace / "sim" / "detections.txt").read_text().splitlines()
+        shifted = []
+        for line in lines:
+            if not line.startswith("#"):
+                stamp, rest = line.split(" ", 1)
+                line = f"{float(stamp) + 0.0199:.10f} {rest}"
+            shifted.append(line)
+        path = tmp_path / "detections.txt"
+        path.write_text("\n".join(shifted) + "\n", encoding="utf-8")
+        assert main(["run", "--detections", str(path),
+                     "--odometry", str(workspace / "sim" / "odometry.txt"),
+                     "--out-dir", str(tmp_path / "run"), "--seed", "5"]) == 0
+        for name in pipeline.DETERMINISTIC_RUN_OUTPUTS:
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (workspace / "run" / name).read_bytes()
+
     @pytest.mark.parametrize("case", ["absent_detections", "dir_detections",
                                       "file_out_dir", "dir_estimate", "dir_map"])
     def test_missing_input_exits_2(self, workspace, tmp_path, capsys, monkeypatch, case):

@@ -19,16 +19,11 @@ from oracles import (
     scalar_quat_from_rotvec,
     scalar_quat_mul,
     scalar_quat_normalize,
-    scalar_grid_row,
     scalar_quat_to_matrix,
     scalar_rotvec_from_quat,
 )
 
-from semmap.errors import (
-    EmptyCloudError,
-    MissingPoseError,
-    NonPositiveDepthError,
-)
+from semmap.errors import EmptyCloudError, NonPositiveDepthError
 from semmap.geometry import (
     CameraIntrinsics,
     Pixel,
@@ -40,7 +35,6 @@ from semmap.geometry import (
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
-    quat_slerp,
     quat_to_matrix,
     relative_poses,
     rotvec_from_quat,
@@ -242,69 +236,9 @@ class TestCloudBounds:
 
 
 class TestTrajectory:
-    def test_endpoints_exact(self):
-        p0 = Pose.identity()
-        p1 = Pose(quat_from_rotvec([0.0, 0.0, math.pi / 2]), np.array([1.0, 0.0, 0.0]))
-        traj = Trajectory([0.0, 1.0], [p0, p1])
-        np.testing.assert_allclose(traj.pose_at(0.0).translation, p0.translation, atol=1e-12)
-        np.testing.assert_allclose(traj.pose_at(1.0).translation, p1.translation, atol=1e-12)
-
-    def test_midpoint_interpolation(self):
-        # half of a 90 degree yaw is 45 degrees; translation is linear
-        p0 = Pose.identity()
-        p1 = Pose(quat_from_rotvec([0.0, 0.0, math.pi / 2]), np.array([2.0, 0.0, 0.0]))
-        traj = Trajectory([0.0, 1.0], [p0, p1])
-        mid = traj.pose_at(0.5)
-        np.testing.assert_allclose(mid.translation, [1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(
-            rotvec_from_quat(mid.rotation), [0.0, 0.0, math.pi / 4], atol=1e-12
-        )
-
-    def test_outside_range_raises(self):
-        traj = Trajectory([0.0, 1.0], [Pose.identity(), Pose.identity()])
-        with pytest.raises(MissingPoseError):
-            traj.pose_at(-0.5)
-        with pytest.raises(MissingPoseError):
-            traj.pose_at(1.5)
-
     def test_nonmonotone_stamps_rejected(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], [Pose.identity(), Pose.identity()])
-
-    def test_grid_rows_name_the_pose_pose_at_returns(self):
-        # two stamps closer together than tol, queries on, within tol of,
-        # just outside tol of, between and beyond the stamps: a row is the
-        # very pose pose_at returns, -1 a pose it interpolates or refuses
-        rng = np.random.default_rng(41)
-        stamps = [0.0, 0.1, 0.2, 0.2 + 5e-10, 0.3]
-        traj = Trajectory(stamps, [_random_pose(rng) for _ in stamps])
-        queries = [s + d for s in stamps for d in (0.0, 4e-10, -4e-10, 2e-9, -2e-9)]
-        queries += [0.05, 0.25, 0.3 + 1e-3, -1e-3]
-        rows = traj.grid_rows(queries)
-        assert rows.shape == (len(queries),)
-        for t, row in zip(queries, rows.tolist()):
-            assert row == scalar_grid_row(traj.stamps, t)
-            assert traj.grid_rows([t]).tolist() == [row]
-            try:
-                pose = traj.pose_at(t)
-            except MissingPoseError:
-                assert row == -1
-                continue
-            if row >= 0:
-                assert pose is traj.poses[row]
-            else:
-                assert all(pose is not p for p in traj.poses)
-        assert (rows >= 0).sum() == 15
-        assert Trajectory([], []).grid_rows([0.0]).tolist() == [-1]
-
-    def test_slerp_consistent_with_quat_slerp(self):
-        rng = np.random.default_rng(31)
-        qa = quat_from_rotvec(rng.normal(0, 1, 3))
-        qb = quat_from_rotvec(rng.normal(0, 1, 3))
-        traj = Trajectory([0.0, 1.0], [Pose(qa, np.zeros(3)), Pose(qb, np.zeros(3))])
-        got = traj.pose_at(0.25).rotation
-        want = quat_slerp(qa, qb, 0.25)
-        assert min(np.linalg.norm(got - want), np.linalg.norm(got + want)) < 1e-12
 
 
 def _poses_bits(poses):

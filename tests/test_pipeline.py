@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from oracles import PoseAtStacks, rebuilt_poses
+from oracles import rebuilt_poses
 
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
@@ -34,6 +34,7 @@ from semmap.simulator import (
     look_at_pose,
     walking_preset,
 )
+from semmap.tracker import BoundingBox, Measurement
 
 
 def _small_desk(seed=0, **noise_overrides):
@@ -174,6 +175,15 @@ class TestInputValidation:
         with pytest.raises(TimestampMismatchError, match="0.4"):
             run_pipeline(frames, self._odometry())
 
+    @pytest.mark.parametrize("det_frame", [-1, 2])
+    def test_detection_of_another_frame_rejected(self, det_frame):
+        # a view is taken from odometry row frame_id, where -1 would
+        # silently index the last pose and 2 another frame's
+        det = Measurement(0.1, det_frame, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0)
+        frames = [FrameDetections(frame_id=1, timestamp=0.1, detections=(det,))]
+        with pytest.raises(TimestampMismatchError, match=f"detection of frame {det_frame}"):
+            run_pipeline(frames, self._odometry())
+
     def test_duplicate_frame_id_rejected(self):
         frames = [FrameDetections(0, 0.0, ()), FrameDetections(0, 0.0, ())]
         with pytest.raises(ValueError, match="duplicate"):
@@ -304,44 +314,84 @@ def _same_proposal(a, b) -> bool:
             and a.candidate.cloud.points.tobytes() == b.candidate.cloud.points.tobytes())
 
 
+def _stamped(frame, shift):
+    """The frame with it and each of its detections stamped `shift`
+    seconds later."""
+    return FrameDetections(frame.frame_id, frame.timestamp + shift, tuple(
+        replace(m, timestamp=m.timestamp + shift) for m in frame.detections))
+
+
+def _run_recording_proposals(frames, odometry, cfg):
+    """run_pipeline's result and every propose_candidate result of the
+    run, in call order."""
+    real = pipeline.propose_candidate
+    proposals = []
+
+    def record(*args):
+        proposals.append(real(*args))
+        return proposals[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "propose_candidate", record)
+        result = run_pipeline(frames, odometry, cfg)
+    return result, proposals
+
+
+def _walking_scene(seed=1):
+    world, noise = walking_preset(seed=seed)
+    cfg = PipelineConfig(seed=seed,
+                         odometry_translation_sigma=noise.odom_translation_sigma,
+                         odometry_rotation_sigma=noise.odom_rotation_sigma)
+    return ground_truth_bundle(world, noise), cfg
+
+
 class TestOffGridStamps:
-    def test_proposals_match_the_pose_at_route(self, monkeypatch):
-        # every detection stamped 5 ms after its odometry stamp, inside
-        # the 20 ms matching window: each view comes from pose_at's
-        # slerp, and each proposal must equal, bit for bit, the one built
-        # from that proposal's own resolved and stacked poses
+    """Detections stamped off their odometry stamps, inside the 20 ms
+    matching window, the last frame's included. Each is seen from its
+    frame's odometry row, the pose its observation factor constrains,
+    so the run is the on-grid run bit for bit."""
+
+    @pytest.fixture(scope="class", params=["desk", "walking"])
+    def scene(self, request):
+        if request.param == "desk":
+            bundle, cfg = _small_desk(seed=2), PipelineConfig(seed=2)
+        else:
+            bundle, cfg = _walking_scene()
+        return bundle, cfg, _run_recording_proposals(bundle.frames, bundle.odometry, cfg)
+
+    # -0.005 s on every walking frame is left out: the tracker's gap
+    # check compares detection stamps with odometry stamps, so a tracklet
+    # silent for 0.5 s is pruned one frame earlier and the proposals
+    # differ
+    @pytest.mark.parametrize("shift", [0.005, 0.0199])
+    def test_run_equals_the_on_grid_run(self, scene, shift):
+        bundle, cfg, (base, base_proposals) = scene
+        assert bundle.frames[-1].frame_id == len(bundle.odometry) - 1
+        frames = [_stamped(f, shift) for f in bundle.frames]
+        result, proposals = _run_recording_proposals(frames, bundle.odometry, cfg)
+        assert len(proposals) == len(base_proposals) >= 20
+        assert sum(p.accepted for p in proposals) >= 10
+        assert all(_same_proposal(got, want)
+                   for got, want in zip(proposals, base_proposals))
+        for got, want in zip(result.corrected.poses, base.corrected.poses):
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
+        assert result.counts == base.counts
+
+    def test_first_frame_stamped_early_maps(self):
+        # 5 ms before the odometry's first stamp, still seen from row 0
         bundle = _small_desk(seed=2)
-        last = float(bundle.odometry.stamps[-1])
-        frames = [
-            FrameDetections(f.frame_id, f.timestamp + 0.005, tuple(
-                replace(m, timestamp=m.timestamp + 0.005) for m in f.detections))
-            for f in bundle.frames if f.timestamp + 0.005 <= last]
-        real = pipeline.propose_candidate
-        pairs = []
-
-        def both(tracklet, stacks, *args):
-            stamps = [m.timestamp for m in tracklet.measurements]
-            assert (stacks.trajectory.grid_rows(stamps) == -1).all()
-            got = real(tracklet, stacks, *args)
-            pairs.append((got, real(tracklet, PoseAtStacks(stacks.trajectory), *args)))
-            return got
-
-        monkeypatch.setattr(pipeline, "propose_candidate", both)
-        result = run_pipeline(frames, bundle.odometry, PipelineConfig(seed=2))
-        assert len(pairs) == len(result.proposals) >= 20
-        assert sum(got.accepted for got, _ in pairs) >= 10
-        assert all(_same_proposal(got, want) for got, want in pairs)
+        first, *rest = bundle.frames
+        frames = [_stamped(first, -0.005), *rest]
+        result, proposals = _run_recording_proposals(
+            frames, bundle.odometry, PipelineConfig(seed=2))
+        assert any(m.frame_id == 0 for p in proposals for m in p.tracklet.measurements)
+        assert len(result.landmark_map) > 0
 
 
 class TestDynamicExclusion:
     def test_walker_never_becomes_a_landmark(self):
-        world, noise = walking_preset(seed=0)
-        bundle = ground_truth_bundle(world, noise)
-        cfg = PipelineConfig(
-            seed=0,
-            odometry_translation_sigma=noise.odom_translation_sigma,
-            odometry_rotation_sigma=noise.odom_rotation_sigma,
-        )
+        bundle, cfg = _walking_scene(seed=0)
         result = run_pipeline(bundle.frames, bundle.odometry, cfg)
         classes = {lm.class_id for lm in result.landmark_map.ordered()}
         assert "person" not in classes
