@@ -4,7 +4,11 @@
 Renders each scene of `mapbench/workloads.py` through `cmd_simulate`,
 maps it through `cmd_run` with the scene's config, and records the
 digest of `corrected_trajectory.txt`, `landmark_map.json` and
-`graph.g2o` (each embeds the config hash). Each `landmark_map.json`
+`graph.g2o` (each embeds the config hash). The four files
+`cmd_simulate` writes (`ground_truth.txt`, `odometry.txt`,
+`detections.txt` and `registry.json`) are digested too, under
+`<scene>/sim/<file>`, so a change to the simulator can show that it
+renders the same logs. Each `landmark_map.json`
 also gets a content digest under `<scene>/landmark_map.json#content`:
 the sha256 of the parsed document re-dumped with sorted keys, which
 stays the same when only the file's layout changes. A refactor that
@@ -41,9 +45,10 @@ outputs can then show that every candidate is unchanged too.
 solve paths or proposal streams differ and, separately, the maps whose
 content differs. It lists each scene that one side has and the other
 lacks (a selected scene absent from the parent file, or a parent scene
-this run did not map), and exits 1 if any bytes, counts, solve paths or
-proposal streams differ or any scene is missing. A parent file without
-content digests, counts, solve paths or proposal streams gets only the
+this run did not map), and exits 1 if any bytes (of a run output or of
+a simulator output), counts, solve paths or proposal streams differ or
+any scene is missing. A parent file without simulator digests, content
+digests, counts, solve paths or proposal streams gets only the
 comparisons it has digests for.
 """
 
@@ -60,7 +65,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "mapbench"))
 
 from semmap import pipeline  # noqa: E402
-from semmap.pipeline import DETERMINISTIC_RUN_OUTPUTS, cmd_run, cmd_simulate  # noqa: E402
+from semmap.pipeline import (DETERMINISTIC_RUN_OUTPUTS, SIMULATE_OUTPUTS,  # noqa: E402
+                             cmd_run, cmd_simulate)
 from semmap.posegraph import PoseGraph  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
@@ -68,6 +74,7 @@ CONTENT = "#content"
 COUNTS = "run_manifest.json#counts"
 SOLVES = "solves#path"
 PROPOSALS = "proposals#stream"
+SIM = "/sim/"
 
 
 @contextmanager
@@ -125,7 +132,8 @@ def content_digest(data: bytes) -> str:
 
 
 def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
-    """'<scene>/<file>' -> sha256 hex digest, '<scene>/<COUNTS>' -> the
+    """'<scene>/<file>' and '<scene>/sim/<file>' -> sha256 hex digest of a
+    run output and of a simulator output, '<scene>/<COUNTS>' -> the
     run's counts, '<scene>/<SOLVES>' -> the digest of its solve path and
     '<scene>/<PROPOSALS>' -> the digest of its proposal stream, over the
     named workloads' scenes, in workload order."""
@@ -137,6 +145,9 @@ def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
             scenario = base / "scenario.json"
             scenario.write_text(json.dumps(scene.scenario), encoding="utf-8")
             cmd_simulate(scenario, base / "sim")
+            for name in SIMULATE_OUTPUTS:
+                data = (base / "sim" / name).read_bytes()
+                out[f"{scene.name}{SIM}{name}"] = hashlib.sha256(data).hexdigest()
             with (recorded(PoseGraph, "optimize") as reports,
                   recorded(pipeline, "propose_candidate") as proposals):
                 manifest = cmd_run(base / "sim" / "detections.txt",
@@ -188,7 +199,8 @@ def main(argv=None) -> int:
         print(line)
     keys = sorted(k for k in parent.keys() | digests.keys()
                   if scene_of(k) in mapped & parent_scenes)
-    byte_keys = [k for k in keys if not k.endswith((CONTENT, COUNTS, SOLVES, PROPOSALS))]
+    byte_keys = [k for k in keys if SIM not in k
+                 and not k.endswith((CONTENT, COUNTS, SOLVES, PROPOSALS))]
 
     def kind(suffix):
         """The keys of one digest kind, if the parent file records it."""
@@ -197,8 +209,10 @@ def main(argv=None) -> int:
 
     content_keys, count_keys, solve_keys, proposal_keys = (
         kind(CONTENT), kind(COUNTS), kind(SOLVES), kind(PROPOSALS))
+    sim_keys = [k for k in keys if SIM in k] if any(SIM in k for k in parent) else []
     differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
-    for key in differ:
+    sim_differ = [k for k in sim_keys if parent.get(k) != digests.get(k)]
+    for key in differ + sim_differ:
         print(f"bytes differ: {key}")
     counts_differ = [k for k in count_keys if parent.get(k) != digests.get(k)]
     for key in counts_differ:
@@ -213,6 +227,9 @@ def main(argv=None) -> int:
     for key in content_differ:
         print(f"content differs: {key.removesuffix(CONTENT)}")
     print(f"{len(byte_keys) - len(differ)}/{len(byte_keys)} outputs byte-identical")
+    if sim_keys:
+        print(f"{len(sim_keys) - len(sim_differ)}/{len(sim_keys)} "
+              "simulator outputs byte-identical")
     if content_keys:
         print(f"{len(content_keys) - len(content_differ)}/{len(content_keys)} "
               "landmark maps content-identical")
@@ -225,7 +242,8 @@ def main(argv=None) -> int:
     if proposal_keys:
         print(f"{len(proposal_keys) - len(proposals_differ)}/{len(proposal_keys)} "
               "scenes with identical proposal streams")
-    return 1 if differ or counts_differ or solves_differ or proposals_differ or missing else 0
+    return 1 if (differ or sim_differ or counts_differ or solves_differ or proposals_differ
+                 or missing) else 0
 
 
 if __name__ == "__main__":

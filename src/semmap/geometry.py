@@ -234,26 +234,33 @@ def unit_pose(q: np.ndarray, t: np.ndarray) -> Pose:
     return pose
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) @ (n, 3) row by row, each with the bits of m[i] @ v[i]."""
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) @ (n, 3) row by row, each with the bits of m[i] @ v[i];
+    one (3, 3) m multiplies every row."""
     return np.matmul(m, v[:, :, None])[:, :, 0]
 
 
-def relative_poses(q: np.ndarray, t: np.ndarray) -> list[Pose]:
-    """`poses[i - 1].inverse().compose(poses[i])` for i = 1 .. n - 1 of
-    the poses with unit quaternions q (n, 4) and translations t (n, 3),
-    in one stacked pass with that expression's bits: inverse() rotates
-    by the conjugate before Pose normalizes it, and compose() normalizes
+def relative_motion(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quaternions (n - 1, 4) and translations (n - 1, 3) of
+    `poses[i - 1].inverse().compose(poses[i])` for i = 1 .. n - 1 of the
+    poses with unit quaternions q (n, 4) and translations t (n, 3), in
+    one stacked pass with that expression's bits: inverse() rotates by
+    the conjugate before Pose normalizes it, and compose() normalizes
     the product, which Pose then normalizes once more. Raises ValueError
     where a step's translation is not finite, as Pose would."""
     qc = quat_conjugate(q[:-1])
-    t_inv = -_matvec(quat_to_matrix(qc), t[:-1])
+    t_inv = -matvec(quat_to_matrix(qc), t[:-1])
     q_inv = quat_normalize(qc)
     q_rel = quat_normalize(quat_normalize(quat_mul(q_inv, q[1:])))
-    t_rel = t_inv + _matvec(quat_to_matrix(q_inv), t[1:])
+    t_rel = t_inv + matvec(quat_to_matrix(q_inv), t[1:])
     if not np.isfinite(t_rel).all():
         raise ValueError("pose fields must be finite")
-    return [unit_pose(a, b) for a, b in zip(q_rel, t_rel)]
+    return q_rel, t_rel
+
+
+def relative_poses(q: np.ndarray, t: np.ndarray) -> list[Pose]:
+    """relative_motion's steps as Poses that hold its rows."""
+    return [unit_pose(a, b) for a, b in zip(*relative_motion(q, t))]
 
 
 @dataclass(frozen=True)

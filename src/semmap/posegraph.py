@@ -578,6 +578,20 @@ class PoseEstimates(Mapping):
             self._t.rows[i] = pose.translation
         self._built[pid] = pose
 
+    def add_composed(self, pid, from_pid, rel: Pose) -> None:
+        """Add pid at `self[from_pid].compose(rel)`, with compose's bits,
+        from from_pid's rows and without building a Pose. Raises
+        ValueError where the result is not finite, as Pose would."""
+        i = self._row[from_pid]
+        q, t = self._q.rows[i], self._t.rows[i]
+        q_new = quat_normalize(quat_normalize(quat_mul(q, rel.rotation)))
+        t_new = t + quat_to_matrix(q) @ rel.translation
+        if not np.isfinite(t_new).all():
+            raise ValueError("pose fields must be finite")
+        self._row[pid] = len(self._row)
+        self._q.append(q_new[None])
+        self._t.append(t_new[None])
+
     def _rows(self, ids: list[int]) -> np.ndarray:
         return np.fromiter(map(self._row.__getitem__, ids), int, len(ids))
 
@@ -633,7 +647,7 @@ class PoseGraph:
         info = DEFAULT_ODOMETRY_INFORMATION if information is None else np.asarray(information, float)
         self.odometry.append(OdometryFactor(from_id, to_id, rel, info))
         if to_id not in self.poses:
-            self.poses[to_id] = self.poses[from_id].compose(rel)
+            self.poses.add_composed(to_id, from_id, rel)
 
     def add_observation(
         self,

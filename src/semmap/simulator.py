@@ -5,6 +5,16 @@ Stands in for a detector plus real sensor logs so every pipeline stage
 can be exercised and scored against exact ground truth. All randomness
 derives from a single seed; per-frame draws are seeded by
 (seed, frame_id) so frames can be rendered in any order.
+
+`ground_truth_bundle` computes each frame's camera pose once, as its
+ground-truth pose, and renders the frame from it. What stays per frame
+is the (seed, frame_id) random stream and one call of the module-level
+`render_detections`, through the module global, which the benchmark's
+set-up speed probe wraps; `render_detections(world, noise, t)` alone
+gives the same frame. Each call projects the corners and centres of all
+objects in one stacked pass, with the bits of projecting each object on
+its own. The drifted odometry is integrated from stacked relative
+motions and noise draws; only the running composition is a loop.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, IllPosedScenarioError
-from .geometry import CameraIntrinsics, Pose, Trajectory, quat_from_matrix
+from .geometry import (CameraIntrinsics, Pose, Trajectory, matvec, quat_from_matrix,
+                       quat_from_rotvec, quat_mul, quat_normalize, quat_to_matrix,
+                       relative_motion, unit_pose)
 from .tracker import BoundingBox, Measurement
 
 _ODOMETRY_STREAM = 10_000_019  # rng stream tag, disjoint from frame ids
@@ -50,6 +62,15 @@ class SceneObject:
         return np.asarray(self.center) + np.asarray(self.velocity) * t
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b of two float 3-sequences, with np.cross's operations."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+_UP = (0.0, 0.0, 1.0)
+
+
 def look_at_pose(position: np.ndarray, target: np.ndarray) -> Pose:
     """Camera pose at `position` with +z toward `target`, world +z up.
 
@@ -60,14 +81,14 @@ def look_at_pose(position: np.ndarray, target: np.ndarray) -> Pose:
     norm = np.linalg.norm(forward)
     if norm < 1e-9:
         raise DegenerateConfigurationError("camera position coincides with target")
-    forward = forward / norm
-    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    forward = (forward / norm).tolist()
+    right = np.array(_cross(forward, _UP))
     r_norm = np.linalg.norm(right)
     if r_norm < 1e-9:
         raise DegenerateConfigurationError("camera looks straight along world z")
-    right = right / r_norm
-    down = np.cross(forward, right)
-    rot = np.column_stack([right, down, forward])
+    right = (right / r_norm).tolist()
+    down = _cross(forward, right)
+    rot = np.array([right, down, forward]).T.copy()  # the axes as columns
     return Pose(rotation=quat_from_matrix(rot), translation=position)
 
 
@@ -86,28 +107,28 @@ class CameraPathSpec:
             raise ValueError("path needs at least one waypoint")
         if self.speed < 0.0:
             raise ValueError("speed must be non-negative")
-
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(self.waypoints, dtype=float)
         if self.closed and len(pts) > 1:
             pts = np.vstack([pts, pts[0]])
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        return pts, seg
+        steps = np.diff(pts, axis=0)
+        seg = np.linalg.norm(steps, axis=1)
+        # the segments, once per path: each segment's start point, its
+        # vector to the next waypoint, its length, and the path length
+        # at its end, summed segment by segment
+        object.__setattr__(self, "_segments", (
+            pts, steps, seg.tolist(), np.cumsum(seg), float(seg.sum())))
 
     def position_at(self, t: float) -> np.ndarray:
-        pts, seg = self._segments()
-        total = float(seg.sum())
+        pts, steps, seg, ends, total = self._segments
         if total < 1e-12 or self.speed == 0.0:
             return pts[0].copy()
         d = self.speed * t
         d = d % total if self.closed else min(d, total)
-        cum = 0.0
-        for i, length in enumerate(seg):
-            if d <= cum + length or i == len(seg) - 1:
-                a = (d - cum) / length if length > 0 else 0.0
-                return pts[i] + a * (pts[i + 1] - pts[i])
-            cum += length
-        return pts[-1].copy()
+        # the first segment whose end reaches d; the last takes the rest
+        i = min(int(np.searchsorted(ends, d)), len(seg) - 1)
+        start = ends[i - 1] if i else 0.0
+        a = (d - start) / seg[i] if seg[i] > 0 else 0.0
+        return pts[i] + a * steps[i]
 
     def pose_at(self, t: float) -> Pose:
         return look_at_pose(self.position_at(t), np.asarray(self.target))
@@ -191,46 +212,54 @@ class ScenarioBundle:
     registry: tuple[SceneObject, ...]
 
 
-def _project_center(world: WorldSpec, pose: Pose, point: np.ndarray):
-    """(u, v, z) of a world point, or None when behind the camera."""
-    p = pose.rotation_matrix().T @ (point - pose.translation)
-    if p[2] <= _MIN_DEPTH:
-        return None
+def _camera_points(world: WorldSpec, pose: Pose, t: float):
+    """Every object's centre (n, 3) and 8 corners (n, 8, 3) at time t, in
+    the camera frame of pose. Each object's rows keep the bits of its own
+    projection: a centre is R.T @ (c - t) and its corners are
+    (corners - t) @ R, stacked over the objects in one matmul each."""
+    objects = world.objects
+    rot = pose.rotation_matrix()
+    centers = (np.array([o.center for o in objects], dtype=float)
+               + np.array([o.velocity for o in objects], dtype=float) * t)
+    extents = np.array([o.extent for o in objects], dtype=float)
+    corners = centers[:, None] + _CORNER_SIGNS * extents[:, None]
+    center_cam = matvec(rot.T, centers - pose.translation)
+    return center_cam, (corners - pose.translation) @ rot
+
+
+def _visible(world: WorldSpec, pose: Pose, t: float) -> np.ndarray:
+    """Per object, trackable: its centre projects inside the image at
+    working range."""
+    x, y, z = _camera_points(world, pose, t)[0].T
     k = world.camera
-    return (k.fx * p[0] / p[2] + k.cx, k.fy * p[1] / p[2] + k.cy, p[2])
+    visible = (0.2 <= z) & (z <= 25.0)
+    u = k.fx * x[visible] / z[visible] + k.cx
+    v = k.fy * y[visible] / z[visible] + k.cy
+    visible[visible] = (0.0 <= u) & (u < k.width) & (0.0 <= v) & (v < k.height)
+    return visible
 
 
-def _true_box(world: WorldSpec, pose: Pose, obj: SceneObject, t: float):
-    """Pixel bounds of the projected corner set, or None if any corner
-    is behind the camera or the clipped box degenerates."""
-    corners = obj.position_at(t) + _CORNER_SIGNS * np.asarray(obj.extent)
-    cam = (corners - pose.translation) @ pose.rotation_matrix()
-    if np.any(cam[:, 2] <= _MIN_DEPTH):
-        return None
+def _true_boxes(world: WorldSpec, center_cam: np.ndarray, corner_cam: np.ndarray):
+    """(object index, pixel bounds, centre depth) of each object whose
+    corners are all in front of the camera and whose clipped box spans
+    at least _MIN_BOX_PX both ways, in object order."""
     k = world.camera
-    us = k.fx * cam[:, 0] / cam[:, 2] + k.cx
-    vs = k.fy * cam[:, 1] / cam[:, 2] + k.cy
-    x_min, x_max = max(us.min(), 0.0), min(us.max(), float(k.width))
-    y_min, y_max = max(vs.min(), 0.0), min(vs.max(), float(k.height))
-    if x_max - x_min < _MIN_BOX_PX or y_max - y_min < _MIN_BOX_PX:
-        return None
-    return x_min, y_min, x_max, y_max
-
-
-def _visible(world: WorldSpec, pose: Pose, obj: SceneObject, t: float) -> bool:
-    """Trackable: center projects inside the image at working range."""
-    out = _project_center(world, pose, obj.position_at(t))
-    if out is None:
-        return False
-    u, v, z = out
-    k = world.camera
-    return 0.0 <= u < k.width and 0.0 <= v < k.height and 0.2 <= z <= 25.0
+    front = np.flatnonzero((corner_cam[:, :, 2] > _MIN_DEPTH).all(axis=1))
+    x, y, z = corner_cam[front].transpose(2, 0, 1)
+    us = k.fx * x / z + k.cx
+    vs = k.fy * y / z + k.cy
+    x_min, x_max = np.maximum(us.min(axis=1), 0.0), np.minimum(us.max(axis=1), float(k.width))
+    y_min, y_max = np.maximum(vs.min(axis=1), 0.0), np.minimum(vs.max(axis=1), float(k.height))
+    keep = (x_max - x_min >= _MIN_BOX_PX) & (y_max - y_min >= _MIN_BOX_PX)
+    boxes = np.stack([x_min, y_min, x_max, y_max], axis=1)[keep]
+    return zip(front[keep].tolist(), boxes.tolist(), center_cam[front[keep], 2].tolist())
 
 
 def render_detections(
-    world: WorldSpec, noise: SensorNoiseSpec, t: float
+    world: WorldSpec, noise: SensorNoiseSpec, t: float, pose: Pose | None = None
 ) -> list[Measurement]:
-    """Noisy detections for the frame at time t.
+    """Noisy detections for the frame at time t, seen from pose, the
+    camera pose at t (world.path.pose_at(t) when not given).
 
     Per visible object the draw order is fixed (miss, box center x/y,
     box size w/h, depth, confidence) so output is a pure function of
@@ -240,16 +269,14 @@ def render_detections(
         raise ValueError("t outside scenario duration")
     frame_id = int(round(t * world.frame_rate))
     rng = np.random.default_rng([noise.seed, frame_id])
-    pose = world.path.pose_at(t)
+    if pose is None:
+        pose = world.path.pose_at(t)
     k = world.camera
     out: list[Measurement] = []
 
-    for obj in world.objects:
-        box = _true_box(world, pose, obj, t)
-        if box is None:
-            continue
+    for j, box, center_z in _true_boxes(world, *_camera_points(world, pose, t)):
         draws = rng.uniform(size=1)
-        jitter = rng.normal(size=5)
+        jitter = rng.normal(size=5).tolist()
         if draws[0] < noise.missed_detection_rate:
             continue
         x_min, y_min, x_max, y_max = box
@@ -261,12 +288,11 @@ def render_detections(
         y0, y1 = max(cy - 0.5 * h, 0.0), min(cy + 0.5 * h, float(k.height))
         if x1 - x0 < _MIN_BOX_PX or y1 - y0 < _MIN_BOX_PX:
             continue
-        center_z = _project_center(world, pose, obj.position_at(t))[2]
         depth = max(center_z + jitter[4] * noise.depth_sigma, _MIN_DEPTH)
         confidence = float(rng.uniform(0.5, 1.0))
         out.append(
             Measurement(
-                timestamp=t, frame_id=frame_id, class_id=obj.class_id,
+                timestamp=t, frame_id=frame_id, class_id=world.objects[j].class_id,
                 confidence=confidence, box=BoundingBox(x0, y0, x1, y1),
                 depth_hint=depth,
             )
@@ -305,25 +331,38 @@ def drift_odometry(gt: Trajectory, noise: SensorNoiseSpec) -> Trajectory:
     """Integrates ground-truth relative motions, each perturbed on the
     tangent space by Gaussian noise plus the configured bias. The first
     pose is exact, so drift is zero at the start and grows with path
-    length."""
+    length.
+
+    Each step is `rel.compose(Pose.exp(xi))` with rel the ground truth's
+    relative motion, and the odometry pose is the running
+    `current.compose(step)`; all of it runs on stacked rows with those
+    expressions' bits, and only the running composition is a loop."""
     rng = np.random.default_rng([noise.seed, _ODOMETRY_STREAM])
-    pairs = list(gt)
-    if len(pairs) < 2:
+    n = len(gt)
+    if n < 2:
         raise ValueError("drifted odometry needs at least 2 poses")
+    q = np.array([p.rotation for p in gt.poses])
+    t = np.array([p.translation for p in gt.poses])
+    rel_q, rel_t = relative_motion(q, t)
     bias = np.concatenate(
         [np.asarray(noise.odom_translation_bias), np.asarray(noise.odom_rotation_bias)]
     )
-    out = [pairs[0]]
-    current = pairs[0][1]
-    for (_, prev), (stamp, cur) in zip(pairs, pairs[1:]):
-        rel = prev.inverse().compose(cur)
-        xi = np.concatenate([
-            rng.normal(scale=noise.odom_translation_sigma, size=3),
-            rng.normal(scale=noise.odom_rotation_sigma, size=3),
-        ]) + bias
-        current = current.compose(rel.compose(Pose.exp(xi)))
-        out.append((stamp, current))
-    return Trajectory.from_pairs(out)
+    # per step, rng.normal(scale=s, size=3) for the translation and then
+    # for the rotation: 0.0 + s * z over the stream's standard normals
+    scale = np.repeat([noise.odom_translation_sigma, noise.odom_rotation_sigma], 3)
+    xi = (0.0 + scale * rng.standard_normal((n - 1, 6))) + bias
+    if not np.isfinite(xi).all():
+        raise ValueError("pose fields must be finite")
+    exp_q = quat_normalize(quat_from_rotvec(xi[:, 3:]))
+    step_q = quat_normalize(quat_normalize(quat_mul(rel_q, exp_q)))
+    step_t = rel_t + matvec(quat_to_matrix(rel_q), np.ascontiguousarray(xi[:, :3]))
+    q[1:], t[1:] = step_q, step_t
+    for i in range(1, n):
+        t[i] = t[i - 1] + quat_to_matrix(q[i - 1]) @ t[i]
+        q[i] = quat_normalize(quat_normalize(quat_mul(q[i - 1], q[i])))
+    if not np.isfinite(t).all():
+        raise ValueError("pose fields must be finite")
+    return Trajectory(gt.stamps.copy(), [unit_pose(a, b) for a, b in zip(q, t)])
 
 
 def ground_truth_bundle(
@@ -332,33 +371,31 @@ def ground_truth_bundle(
     """Full scenario package: exact trajectory, drifted odometry,
     per-frame detections, and the object registry for scoring.
 
+    Each frame's camera pose is computed once, as a ground-truth pose,
+    and the frame is rendered from it.
+
     Raises IllPosedScenarioError unless at least one object stays
     trackable (in frame, within working range) for min_track
     consecutive frames."""
-    stamps = world.timestamps()
+    stamps = world.timestamps().tolist()
     gt = ground_truth_trajectory(world)
 
-    well_posed = False
-    for obj in world.objects:
-        run = 0
-        for t, pose in zip(stamps, gt.poses):
-            run = run + 1 if _visible(world, pose, obj, float(t)) else 0
-            if run >= min_track:
-                well_posed = True
-                break
-        if well_posed:
+    run = np.zeros(len(world.objects), dtype=int)
+    for t, pose in zip(stamps, gt.poses):
+        run = np.where(_visible(world, pose, t), run + 1, 0)
+        if run.max() >= min_track:
             break
-    if not well_posed:
+    else:
         raise IllPosedScenarioError(
             f"no object stays trackable for {min_track} consecutive frames"
         )
 
     frames = [
         FrameDetections(
-            frame_id=i, timestamp=float(t),
-            detections=tuple(render_detections(world, noise, float(t))),
+            frame_id=i, timestamp=t,
+            detections=tuple(render_detections(world, noise, t, pose)),
         )
-        for i, t in enumerate(stamps)
+        for i, (t, pose) in enumerate(zip(stamps, gt.poses))
     ]
     return ScenarioBundle(
         world=world, noise=noise, ground_truth=gt,

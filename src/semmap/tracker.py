@@ -74,25 +74,30 @@ class Measurement:
 
 @dataclass
 class Tracklet:
+    """Measurements of one object, in time order. `last_update` is the
+    stamp of the frame its latest measurement arrived in: the `now` of
+    the IouTracker.step that appended it, whatever the measurement's
+    own stamp."""
+
     id: int
     class_id: str
     measurements: list[Measurement] = field(default_factory=list)
-
-    @property
-    def last_update(self) -> float:
-        return self.measurements[-1].timestamp
+    last_update: float = float("-inf")
 
     @property
     def latest_box(self) -> BoundingBox:
         return self.measurements[-1].box
 
-    def append(self, m: Measurement) -> None:
+    def append(self, m: Measurement, now: float | None = None) -> None:
+        """Add m, which arrived in the frame stamped now (its own stamp
+        when not given)."""
         assert m.class_id == self.class_id, "class changes within a tracklet"
-        if self.measurements and m.timestamp <= self.last_update:
+        if self.measurements and m.timestamp <= self.measurements[-1].timestamp:
             raise OutOfOrderTimestampError(
-                f"measurement at {m.timestamp} not after {self.last_update}"
+                f"measurement at {m.timestamp} not after {self.measurements[-1].timestamp}"
             )
         self.measurements.append(m)
+        self.last_update = m.timestamp if now is None else now
 
     def __len__(self) -> int:
         return len(self.measurements)
@@ -147,7 +152,8 @@ class IouTracker:
         self._next_id = 0
 
     def prune_expired(self, now: float) -> list[Tracklet]:
-        """Remove and return tracklets whose silence exceeds max_gap."""
+        """Remove and return tracklets whose silence exceeds max_gap: the
+        frame stamp now against the frame stamp of their last update."""
         expired = [
             t for t in self.active.values() if now - t.last_update > self.cfg.max_gap
         ]
@@ -158,7 +164,12 @@ class IouTracker:
     def step(
         self, detections: list[Measurement], now: float
     ) -> tuple[list[Tracklet], list[Tracklet]]:
-        """Advance one frame; returns (promoted, expired).
+        """Advance one frame stamped now; returns (promoted, expired).
+
+        The tracker runs on frame stamps alone: now must not precede
+        the frame a tracklet was last updated in, and max_gap is
+        measured between frame stamps. A detection's own stamp orders
+        the measurements within a tracklet only.
 
         Detections are taken in input order; each attaches to the
         unmatched same-class tracklet with the highest IOU against its
@@ -198,7 +209,7 @@ class IouTracker:
                 self._next_id += 1
                 self.active[target.id] = target
                 matched_ids.add(target.id)
-            target.append(det)
+            target.append(det, now)
             if len(target) == self.cfg.min_tracklet_size:
                 promoted.append(target)
                 del self.active[target.id]

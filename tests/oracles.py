@@ -8,14 +8,17 @@ each other.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
 from semmap.errors import EmptyCloudError, SingularSystemError
-from semmap.geometry import CameraIntrinsics, Pose, quat_to_matrix, rotvec_from_quat
+from semmap.geometry import (CameraIntrinsics, Pose, quat_from_matrix, quat_to_matrix,
+                             rotvec_from_quat)
 from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _retract
+from semmap.simulator import look_at_pose
 
 _Z_EPS = 1e-9
 
@@ -675,3 +678,131 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     graph.landmarks = {lid: lm[i].copy() for i, lid in enumerate(lm_ids)}
     report.final_cost = cost_now
     return report
+
+
+# ----------------------------------------------------------------------
+# simulator: one pose, one object, one odometry step at a time
+# ----------------------------------------------------------------------
+
+def loop_position_at(path, t):
+    """CameraPathSpec.position_at by walking its segments from the first,
+    summing their lengths as it goes."""
+    pts = np.asarray(path.waypoints, dtype=float)
+    if path.closed and len(pts) > 1:
+        pts = np.vstack([pts, pts[0]])
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    total = float(seg.sum())
+    if total < 1e-12 or path.speed == 0.0:
+        return pts[0].copy()
+    d = path.speed * t
+    d = d % total if path.closed else min(d, total)
+    cum = 0.0
+    for i, length in enumerate(seg):
+        if d <= cum + length or i == len(seg) - 1:
+            a = (d - cum) / length if length > 0 else 0.0
+            return pts[i] + a * (pts[i + 1] - pts[i])
+        cum += length
+    raise AssertionError("unreachable")
+
+
+def cross_look_at_pose(position, target):
+    """look_at_pose with np.cross and np.column_stack."""
+    position = np.asarray(position, dtype=float)
+    forward = np.asarray(target, dtype=float) - position
+    forward = forward / np.linalg.norm(forward)
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    right = right / np.linalg.norm(right)
+    down = np.cross(forward, right)
+    return Pose(rotation=quat_from_matrix(np.column_stack([right, down, forward])),
+                translation=position)
+
+
+def per_object_render(world, noise, t, pose):
+    """render_detections with each object projected on its own: its
+    centre by R.T @ (c - t), its corners by (corners - t) @ R."""
+    frame_id = int(round(t * world.frame_rate))
+    rng = np.random.default_rng([noise.seed, frame_id])
+    k = world.camera
+    rot = pose.rotation_matrix()
+    signs = np.array([[sx, sy, sz] for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)
+                      for sz in (-0.5, 0.5)])
+    out = []
+    for obj in world.objects:
+        center = np.asarray(obj.center) + np.asarray(obj.velocity) * t
+        cam = (center + signs * np.asarray(obj.extent) - pose.translation) @ rot
+        if np.any(cam[:, 2] <= 0.05):
+            continue
+        us = k.fx * cam[:, 0] / cam[:, 2] + k.cx
+        vs = k.fy * cam[:, 1] / cam[:, 2] + k.cy
+        x_min, x_max = max(us.min(), 0.0), min(us.max(), float(k.width))
+        y_min, y_max = max(vs.min(), 0.0), min(vs.max(), float(k.height))
+        if x_max - x_min < 2.0 or y_max - y_min < 2.0:
+            continue
+        missed = rng.uniform(size=1)[0] < noise.missed_detection_rate
+        jitter = rng.normal(size=5)
+        if missed:
+            continue
+        cx = 0.5 * (x_min + x_max) + jitter[0] * noise.box_center_sigma
+        cy = 0.5 * (y_min + y_max) + jitter[1] * noise.box_center_sigma
+        w = max((x_max - x_min) + jitter[2] * noise.box_size_sigma, 2.0)
+        h = max((y_max - y_min) + jitter[3] * noise.box_size_sigma, 2.0)
+        x0, x1 = max(cx - 0.5 * w, 0.0), min(cx + 0.5 * w, float(k.width))
+        y0, y1 = max(cy - 0.5 * h, 0.0), min(cy + 0.5 * h, float(k.height))
+        if x1 - x0 < 2.0 or y1 - y0 < 2.0:
+            continue
+        depth = (rot.T @ (center - pose.translation))[2]
+        out.append((t, frame_id, obj.class_id, float(rng.uniform(0.5, 1.0)),
+                    (x0, y0, x1, y1), max(depth + jitter[4] * noise.depth_sigma, 0.05)))
+    classes = sorted({o.class_id for o in world.objects})
+    for _ in range(rng.poisson(noise.false_positive_rate)):
+        cx = rng.uniform(0.1, 0.9) * k.width
+        cy = rng.uniform(0.1, 0.9) * k.height
+        w = rng.uniform(10.0, 0.25 * k.width)
+        h = rng.uniform(10.0, 0.25 * k.height)
+        x0, x1 = max(cx - 0.5 * w, 0.0), min(cx + 0.5 * w, float(k.width))
+        y0, y1 = max(cy - 0.5 * h, 0.0), min(cy + 0.5 * h, float(k.height))
+        if x1 - x0 < 2.0 or y1 - y0 < 2.0:
+            continue
+        class_id = classes[int(rng.integers(len(classes)))]
+        confidence = float(rng.uniform(0.25, 0.9))
+        out.append((t, frame_id, class_id, confidence, (x0, y0, x1, y1),
+                    float(rng.uniform(0.5, 20.0))))
+    return out
+
+
+def pose_chain_odometry(gt, noise):
+    """drift_odometry one Pose at a time: per step two rng.normal draws,
+    the ground truth's prev.inverse().compose(cur), Pose.exp of the noise
+    and two composes."""
+    rng = np.random.default_rng([noise.seed, 10_000_019])
+    bias = np.concatenate([np.asarray(noise.odom_translation_bias),
+                           np.asarray(noise.odom_rotation_bias)])
+    current = gt.poses[0]
+    out = [current]
+    for prev, cur in zip(gt.poses, gt.poses[1:]):
+        xi = np.concatenate([
+            rng.normal(scale=noise.odom_translation_sigma, size=3),
+            rng.normal(scale=noise.odom_rotation_sigma, size=3),
+        ]) + bias
+        current = current.compose(prev.inverse().compose(cur).compose(Pose.exp(xi)))
+        out.append(current)
+    return out
+
+
+@dataclass(frozen=True)
+class PanningPath:
+    """A camera path with only `pose_at`: the camera stays at `position`
+    and pans, its look-at target swinging `sweep` radians either way
+    about world z from `center`, one full swing per `period` seconds."""
+
+    position: tuple[float, float, float]
+    center: tuple[float, float, float]
+    sweep: float
+    period: float
+
+    def pose_at(self, t: float) -> Pose:
+        eye = np.asarray(self.position)
+        x, y, z = np.asarray(self.center) - eye
+        a = self.sweep * math.sin(2.0 * math.pi * t / self.period)
+        c, s = math.cos(a), math.sin(a)
+        return look_at_pose(eye, eye + np.array([c * x - s * y, s * x + c * y, z]))

@@ -4,14 +4,13 @@ dynamic-object exclusion and drift reduction on small scenes."""
 
 import json
 import logging
-import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import rebuilt_poses
+from oracles import PanningPath, rebuilt_poses
 
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
@@ -31,7 +30,6 @@ from semmap.simulator import (
     FrameDetections,
     desk_preset,
     ground_truth_bundle,
-    look_at_pose,
     walking_preset,
 )
 from semmap.tracker import BoundingBox, Measurement
@@ -43,25 +41,6 @@ def _small_desk(seed=0, **noise_overrides):
     world, noise = desk_preset(seed=seed, duration=12.0, frame_rate=10.0,
                                laps=1.5, **noise_overrides)
     return ground_truth_bundle(world, noise)
-
-
-@dataclass(frozen=True)
-class _PanningPath:
-    """A camera that stays at `position` and pans: its look-at target
-    swings `sweep` radians either way about world z from `center`, one
-    full swing per `period` seconds."""
-
-    position: tuple[float, float, float]
-    center: tuple[float, float, float]
-    sweep: float
-    period: float
-
-    def pose_at(self, t: float) -> Pose:
-        eye = np.asarray(self.position)
-        x, y, z = np.asarray(self.center) - eye
-        a = self.sweep * math.sin(2.0 * math.pi * t / self.period)
-        c, s = math.cos(a), math.sin(a)
-        return look_at_pose(eye, eye + np.array([c * x - s * y, s * x + c * y, z]))
 
 
 class TestConfigRoundTrip:
@@ -243,7 +222,7 @@ class TestStressScenes:
         # desk, under the desk noise: views of an object share (up to
         # odometry drift) one centre, so there is no depth baseline
         world, noise = desk_preset(seed=0, duration=6.0)
-        world = replace(world, path=_PanningPath(
+        world = replace(world, path=PanningPath(
             (0.9, 0.0, 1.45), (0.0, 0.0, 0.85), sweep=0.9, period=6.0))
         bundle = ground_truth_bundle(world, noise)
         assert np.ptp(bundle.ground_truth.positions(), axis=0).max() == 0.0
@@ -349,7 +328,8 @@ class TestOffGridStamps:
     """Detections stamped off their odometry stamps, inside the 20 ms
     matching window, the last frame's included. Each is seen from its
     frame's odometry row, the pose its observation factor constrains,
-    so the run is the on-grid run bit for bit."""
+    and the tracker runs on frame stamps, so the run is the on-grid run
+    bit for bit."""
 
     @pytest.fixture(scope="class", params=["desk", "walking"])
     def scene(self, request):
@@ -359,11 +339,10 @@ class TestOffGridStamps:
             bundle, cfg = _walking_scene()
         return bundle, cfg, _run_recording_proposals(bundle.frames, bundle.odometry, cfg)
 
-    # -0.005 s on every walking frame is left out: the tracker's gap
-    # check compares detection stamps with odometry stamps, so a tracklet
-    # silent for 0.5 s is pruned one frame earlier and the proposals
-    # differ
-    @pytest.mark.parametrize("shift", [0.005, 0.0199])
+    # -0.005 s: a tracklet silent for max_gap is pruned on the frame
+    # clock, not a frame earlier by its detection stamps (on walking s1,
+    # 101 proposals instead of 107 when the tracker read them)
+    @pytest.mark.parametrize("shift", [-0.005, 0.005, 0.0199])
     def test_run_equals_the_on_grid_run(self, scene, shift):
         bundle, cfg, (base, base_proposals) = scene
         assert bundle.frames[-1].frame_id == len(bundle.odometry) - 1
@@ -373,10 +352,22 @@ class TestOffGridStamps:
         assert sum(p.accepted for p in proposals) >= 10
         assert all(_same_proposal(got, want)
                    for got, want in zip(proposals, base_proposals))
+        assert result.proposals == base.proposals
         for got, want in zip(result.corrected.poses, base.corrected.poses):
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
         assert result.counts == base.counts
+
+    def test_stamped_past_the_next_frame_maps(self):
+        # at 60 Hz, +18 ms is inside the matching window but past the
+        # next frame's stamp: a tracklet's detection stamp then follows
+        # the frame that updates it
+        world, noise = desk_preset(seed=2, duration=4.0, frame_rate=60.0)
+        bundle = ground_truth_bundle(world, noise)
+        frames = [_stamped(f, 0.018) for f in bundle.frames]
+        result = run_pipeline(frames, bundle.odometry, PipelineConfig(seed=2))
+        assert sum(p.accepted for p in result.proposals) >= 10
+        assert len(result.landmark_map) > 0
 
     def test_first_frame_stamped_early_maps(self):
         # 5 ms before the odometry's first stamp, still seen from row 0

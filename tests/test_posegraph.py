@@ -472,6 +472,33 @@ class TestGraphConstruction:
         expected = start.compose(rel)
         np.testing.assert_allclose(g.poses[1].translation, expected.translation)
 
+    def test_odometry_node_has_the_bits_of_compose(self):
+        # each new node is its `from` estimate composed with the step,
+        # read back from the arrays; the `from` node was stored, solved or
+        # composed itself
+        rng = np.random.default_rng(5)
+        steps = [Pose.exp(rng.normal(scale=0.3, size=6)) for _ in range(12)]
+        g = PoseGraph(K)
+        g.add_prior(0, Pose.exp(rng.normal(size=6)))
+        for i, rel in enumerate(steps[:6], start=1):
+            want = g.poses[i - 1].compose(rel)
+            g.add_odometry(i - 1, i, rel)
+            assert g.poses[i].rotation.tobytes() == want.rotation.tobytes()
+            assert g.poses[i].translation.tobytes() == want.translation.tobytes()
+        g.optimize()
+        for i, rel in enumerate(steps[6:], start=7):
+            want = g.poses[i - 1].compose(rel)
+            g.add_odometry(i - 1, i, rel)
+            assert g.poses[i].rotation.tobytes() == want.rotation.tobytes()
+            assert g.poses[i].translation.tobytes() == want.translation.tobytes()
+
+    def test_odometry_to_a_non_finite_node_raises(self):
+        g = PoseGraph(K)
+        g.add_prior(0, Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1e308, 0.0, 0.0])))
+        far = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1e308, 0.0, 0.0]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            g.add_odometry(0, 1, far)
+
     def test_odometry_from_unknown_pose_raises(self):
         g = PoseGraph(K)
         g.add_prior(0, Pose.identity())

@@ -2,9 +2,19 @@
 noise statistics, drift integration, presets and well-posedness."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from oracles import (
+    PanningPath,
+    cross_look_at_pose,
+    loop_position_at,
+    per_object_render,
+    pose_chain_odometry,
+)
 
 from semmap.errors import DegenerateConfigurationError, IllPosedScenarioError
 from semmap.geometry import CameraIntrinsics, Pose
@@ -318,3 +328,142 @@ class TestSpecValidation:
     def test_frame_count(self):
         world, _ = desk_preset(seed=0)
         assert world.n_frames == 600
+
+
+def _bits(m):
+    """A measurement's fields, floats as their bits."""
+    return (m.timestamp.hex(), m.frame_id, m.class_id, m.confidence.hex(),
+            tuple(float(v).hex() for v in (m.box.x_min, m.box.y_min, m.box.x_max,
+                                             m.box.y_max)),
+            float(m.depth_hint).hex())
+
+
+def _oracle_bits(row):
+    t, frame_id, class_id, confidence, box, depth = row
+    return (t.hex(), frame_id, class_id, confidence.hex(),
+            tuple(float(v).hex() for v in box), float(depth).hex())
+
+
+def _pose_bits(pose):
+    return pose.rotation.tobytes(), pose.translation.tobytes()
+
+
+def _behind_world():
+    # a static camera looking +y: one cube ahead, one behind, a box that
+    # straddles the image plane, and a ball that crosses it from behind
+    objects = (
+        SceneObject("cube", (0.0, 2.0, 1.5), (0.4, 0.4, 0.4)),
+        SceneObject("crate", (0.0, -3.0, 1.5), (0.4, 0.4, 0.4)),
+        SceneObject("beam", (0.3, 0.3, 1.5), (0.2, 1.0, 0.2)),
+        SceneObject("ball", (-0.4, -1.0, 1.4), (0.2, 0.2, 0.2), velocity=(0.0, 1.0, 0.0)),
+    )
+    return WorldSpec(
+        objects=objects,
+        path=CameraPathSpec(waypoints=((0.0, 0.0, 1.5),), target=(0.0, 2.0, 1.5),
+                            speed=0.0),
+        camera=K, duration=4.0, frame_rate=10.0,
+    )
+
+
+def _scene(name):
+    if name == "desk":
+        return desk_preset(seed=3, duration=3.0)
+    if name == "walking":
+        return walking_preset(seed=2)
+    if name == "drift_loop":
+        return drift_loop_preset(seed=1)
+    if name == "panning":
+        world, noise = desk_preset(seed=0, duration=3.0)
+        return replace(world, path=PanningPath(
+            (0.9, 0.0, 1.45), (0.0, 0.0, 0.85), sweep=0.9, period=3.0)), noise
+    return _behind_world(), SensorNoiseSpec(box_center_sigma=1.0, depth_sigma=0.02,
+                                            false_positive_rate=0.3, seed=6)
+
+
+SCENES = ["desk", "walking", "drift_loop", "panning", "behind"]
+
+
+class TestBundleBitForBit:
+    """ground_truth_bundle renders each frame from its ground-truth pose,
+    all objects in one pass, and stacks the odometry: bit for bit the
+    frame rendered alone, each object projected on its own, and the
+    odometry integrated one Pose at a time."""
+
+    @pytest.fixture(scope="class", params=SCENES)
+    def scene(self, request):
+        world, noise = _scene(request.param)
+        return request.param, world, noise, ground_truth_bundle(world, noise)
+
+    def test_frames_equal_the_frame_rendered_alone(self, scene):
+        _, world, noise, bundle = scene
+        assert sum(len(f.detections) for f in bundle.frames) > 0
+        for frame in bundle.frames:
+            alone = render_detections(world, noise, frame.timestamp)
+            assert [_bits(m) for m in frame.detections] == [_bits(m) for m in alone]
+
+    def test_frames_equal_each_object_projected_alone(self, scene):
+        _, world, noise, bundle = scene
+        for frame, pose in zip(bundle.frames, bundle.ground_truth.poses):
+            want = per_object_render(world, noise, frame.timestamp, pose)
+            assert [_bits(m) for m in frame.detections] == [_oracle_bits(r) for r in want]
+
+    def test_odometry_equals_the_pose_chain(self, scene):
+        _, _, noise, bundle = scene
+        want = pose_chain_odometry(bundle.ground_truth, noise)
+        assert [_pose_bits(p) for p in bundle.odometry.poses] == [_pose_bits(p) for p in want]
+        np.testing.assert_array_equal(bundle.odometry.stamps, bundle.ground_truth.stamps)
+
+    def test_behind_camera_objects_are_skipped(self):
+        world, noise = _scene("behind")
+        bundle = ground_truth_bundle(world, replace(noise, false_positive_rate=0.0))
+        seen = {m.class_id for f in bundle.frames for m in f.detections}
+        # the crate stays behind and the beam always has corners behind
+        assert "crate" not in seen and "beam" not in seen
+        assert {"cube", "ball"} <= seen
+
+
+@pytest.mark.parametrize("name", ["desk", "walking", "drift_loop", "behind"])
+def test_poses_equal_the_cross_product_route(name):
+    # pose_at walks cached segments and crosses floats: the bits of
+    # walking the waypoints and crossing with np.cross
+    world, _ = _scene(name)
+    for t in world.timestamps().tolist():
+        want = cross_look_at_pose(loop_position_at(world.path, t), world.path.target)
+        assert _pose_bits(world.path.pose_at(t)) == _pose_bits(want)
+
+
+class TestOdometryBitForBit:
+    @pytest.mark.parametrize("noise", [
+        SensorNoiseSpec(),
+        SensorNoiseSpec(odom_translation_bias=(1e-3, 0, 0), odom_rotation_bias=(0, 0, 2e-3)),
+        SensorNoiseSpec(odom_translation_sigma=0.01, odom_rotation_sigma=0.0, seed=4),
+    ])
+    def test_equals_the_pose_chain(self, noise):
+        gt = ground_truth_trajectory(desk_preset(seed=0, duration=2.0)[0])
+        want = pose_chain_odometry(gt, noise)
+        got = drift_odometry(gt, noise)
+        assert [_pose_bits(p) for p in got.poses] == [_pose_bits(p) for p in want]
+
+    @pytest.mark.parametrize("sigma", ["odom_translation_sigma", "odom_rotation_sigma"])
+    def test_infinite_sigma_raises_pose_error_without_warnings(self, sigma):
+        # the pose chain raises at its first Pose; the stacked steps
+        # raise the same error before any arithmetic on the infinities
+        gt = ground_truth_trajectory(desk_preset(seed=0, duration=2.0)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pose fields must be finite"):
+                drift_odometry(gt, SensorNoiseSpec(**{sigma: math.inf}))
+
+
+class TestDegenerateLookAt:
+    @pytest.mark.parametrize("waypoint", [(0.0, 0.0, 3.0), (0.0, 0.0, 1.0)])
+    def test_bundle_raises(self, waypoint):
+        # straight down at the target, and at the target itself
+        world = WorldSpec(
+            objects=(SceneObject("cube", (0.0, 0.0, 0.5), (0.4, 0.4, 0.4)),),
+            path=CameraPathSpec(waypoints=(waypoint,), target=(0.0, 0.0, 1.0),
+                                speed=0.0),
+            camera=K, duration=1.0, frame_rate=10.0,
+        )
+        with pytest.raises(DegenerateConfigurationError):
+            ground_truth_bundle(world, QUIET)

@@ -188,6 +188,18 @@ class TestTrackerStep:
         with pytest.raises(OutOfOrderTimestampError):
             tracker.step([], 0.5)
 
+    def test_runs_on_the_frame_clock(self):
+        # detections stamped 18 ms after their frame, at 60 Hz: the next
+        # frame's stamp precedes the detection's, and the gap to max_gap
+        # is measured from the frame the tracklet was last updated in
+        tracker = IouTracker(TrackerConfig(max_gap=0.5))
+        box = BoundingBox(0.0, 0.0, 5.0, 5.0)
+        tracker.step([_det(0.018, box)], 0.0)
+        tracker.step([], 1.0 / 60.0)
+        assert tracker.active[0].last_update == 0.0
+        assert tracker.prune_expired(0.5) == []
+        assert len(tracker.prune_expired(0.5 + 1e-9)) == 1
+
     def test_deterministic_ids(self):
         def run():
             tracker = IouTracker(TrackerConfig())
