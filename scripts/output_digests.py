@@ -41,20 +41,31 @@ candidate's `map_centroid` and `size_estimate` and the sha256 of its
 cloud's point bytes. A change to the proposal path that keeps its
 outputs can then show that every candidate is unchanged too.
 
+Each run output also gets a hash-blind digest under
+`<scene>/<file>#nohash`: the sha256 of its bytes with the config hash
+blanked (the hex digits of every `# config <hash>` line and of the
+`"config_hash"` value). A change that deletes a config field changes
+that hash; these digests show that nothing else moved.
+
 --compare prints the files whose bytes differ, the scenes whose counts,
 solve paths or proposal streams differ and, separately, the maps whose
-content differs. It lists each scene that one side has and the other
-lacks (a selected scene absent from the parent file, or a parent scene
-this run did not map), and exits 1 if any bytes (of a run output or of
-a simulator output), counts, solve paths or proposal streams differ or
-any scene is missing. A parent file without simulator digests, content
-digests, counts, solve paths or proposal streams gets only the
-comparisons it has digests for.
+content differs; a run output or map whose hash-blind digest agrees is
+marked "(config hash only)". It lists each scene that one side has and
+the other lacks (a selected scene absent from the parent file, or a
+parent scene this run did not map), and exits 1 if any bytes (of a run
+output or of a simulator output), counts, solve paths or proposal
+streams differ or any scene is missing. A run output that differs in
+its config hash only does not count: `tests/test_pipeline.py` pins that
+hash, so a change to it is labelled there. A parent file without
+simulator digests, content digests, hash-blind digests, counts, solve
+paths or proposal streams gets only the comparisons it has digests for;
+against one without hash-blind digests every byte difference counts.
 """
 
 import argparse
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -71,10 +82,14 @@ from semmap.posegraph import PoseGraph  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
 CONTENT = "#content"
+NOHASH = "#nohash"
 COUNTS = "run_manifest.json#counts"
 SOLVES = "solves#path"
 PROPOSALS = "proposals#stream"
 SIM = "/sim/"
+# the config hash in a run output: the hex digits after a `# config `
+# header and of landmark_map.json's "config_hash" value
+_CONFIG_HASH = re.compile(rb'(^# config |"config_hash": ")[0-9a-f]+', re.MULTILINE)
 
 
 @contextmanager
@@ -125,6 +140,11 @@ def solve_path_digest(reports) -> str:
     return h.hexdigest()
 
 
+def hash_blind_digest(data: bytes) -> str:
+    """sha256 of a run output with its config hash blanked."""
+    return hashlib.sha256(_CONFIG_HASH.sub(rb"\1", data)).hexdigest()
+
+
 def content_digest(data: bytes) -> str:
     """sha256 of a JSON document re-dumped with sorted keys."""
     doc = json.loads(data)
@@ -133,7 +153,8 @@ def content_digest(data: bytes) -> str:
 
 def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
     """'<scene>/<file>' and '<scene>/sim/<file>' -> sha256 hex digest of a
-    run output and of a simulator output, '<scene>/<COUNTS>' -> the
+    run output and of a simulator output, '<scene>/<file><NOHASH>' -> the
+    run output's hash-blind digest, '<scene>/<COUNTS>' -> the
     run's counts, '<scene>/<SOLVES>' -> the digest of its solve path and
     '<scene>/<PROPOSALS>' -> the digest of its proposal stream, over the
     named workloads' scenes, in workload order."""
@@ -159,6 +180,7 @@ def scene_digests(work: Path, workloads: list[str]) -> dict[str, str | dict]:
             for name in DETERMINISTIC_RUN_OUTPUTS:
                 data = (base / "run" / name).read_bytes()
                 out[f"{scene.name}/{name}"] = hashlib.sha256(data).hexdigest()
+                out[f"{scene.name}/{name}{NOHASH}"] = hash_blind_digest(data)
                 if name == "landmark_map.json":
                     out[f"{scene.name}/{name}{CONTENT}"] = content_digest(data)
             print(f"{scene.name}: done", file=sys.stderr)
@@ -200,20 +222,22 @@ def main(argv=None) -> int:
     keys = sorted(k for k in parent.keys() | digests.keys()
                   if scene_of(k) in mapped & parent_scenes)
     byte_keys = [k for k in keys if SIM not in k
-                 and not k.endswith((CONTENT, COUNTS, SOLVES, PROPOSALS))]
+                 and not k.endswith((CONTENT, NOHASH, COUNTS, SOLVES, PROPOSALS))]
 
     def kind(suffix):
         """The keys of one digest kind, if the parent file records it."""
         return ([k for k in keys if k.endswith(suffix)]
                 if any(k.endswith(suffix) for k in parent) else [])
 
-    content_keys, count_keys, solve_keys, proposal_keys = (
-        kind(CONTENT), kind(COUNTS), kind(SOLVES), kind(PROPOSALS))
+    content_keys, blind_keys, count_keys, solve_keys, proposal_keys = (
+        kind(CONTENT), kind(NOHASH), kind(COUNTS), kind(SOLVES), kind(PROPOSALS))
     sim_keys = [k for k in keys if SIM in k] if any(SIM in k for k in parent) else []
     differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
     sim_differ = [k for k in sim_keys if parent.get(k) != digests.get(k)]
+    blind_differ = [k for k in blind_keys if parent.get(k) != digests.get(k)]
+    hash_only = [k for k in differ if blind_keys and k + NOHASH not in blind_differ]
     for key in differ + sim_differ:
-        print(f"bytes differ: {key}")
+        print(f"bytes differ: {key}" + (" (config hash only)" if key in hash_only else ""))
     counts_differ = [k for k in count_keys if parent.get(k) != digests.get(k)]
     for key in counts_differ:
         print(f"counts differ: {scene_of(key)}")
@@ -225,8 +249,12 @@ def main(argv=None) -> int:
         print(f"proposal stream differs: {scene_of(key)}")
     content_differ = [k for k in content_keys if parent.get(k) != digests.get(k)]
     for key in content_differ:
-        print(f"content differs: {key.removesuffix(CONTENT)}")
+        name = key.removesuffix(CONTENT)
+        print(f"content differs: {name}" + (" (config hash only)" if name in hash_only else ""))
     print(f"{len(byte_keys) - len(differ)}/{len(byte_keys)} outputs byte-identical")
+    if blind_keys:
+        print(f"{len(blind_keys) - len(blind_differ)}/{len(blind_keys)} "
+              "outputs identical apart from the config hash")
     if sim_keys:
         print(f"{len(sim_keys) - len(sim_differ)}/{len(sim_keys)} "
               "simulator outputs byte-identical")
@@ -242,8 +270,9 @@ def main(argv=None) -> int:
     if proposal_keys:
         print(f"{len(proposal_keys) - len(proposals_differ)}/{len(proposal_keys)} "
               "scenes with identical proposal streams")
-    return 1 if (differ or sim_differ or counts_differ or solves_differ or proposals_differ
-                 or missing) else 0
+    real_differ = [k for k in differ if k not in hash_only]
+    return 1 if (real_differ or sim_differ or counts_differ or solves_differ
+                 or proposals_differ or missing) else 0
 
 
 if __name__ == "__main__":

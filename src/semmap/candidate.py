@@ -70,29 +70,13 @@ _GRID_COUNTS = np.array([5.0, 5.0, 3.0])
 _GRID_UNIT = np.stack(np.meshgrid(*(np.arange(n) + 0.5 for n in (5, 5, 3)),
                                   indexing="ij"), axis=-1).reshape(-1, 3)
 
-# proposals the random walk scores per call: the first block and the
-# cap it doubles up to while no proposal improves
+# the random walk: _WALK_STEPS Gaussian steps of _WALK_STEP_SIGMA m
+# per axis, scored in blocks of proposals: the first block and the cap
+# it doubles up to while no proposal improves
+_WALK_STEPS = 2000
+_WALK_STEP_SIGMA = 0.05
 _WALK_BLOCK = 512
 _WALK_BLOCK_MAX = 1024
-
-
-@dataclass(frozen=True)
-class RandomWalkConfig:
-    """Random-walk refinement of the likelihood maximum.
-
-    The walk proposes Gaussian steps of scale step_sigma from the
-    current point and moves only on improvement, so the reported
-    maximum never falls below the triangulation seed.
-    """
-
-    n_samples: int = 2000
-    step_sigma: float = 0.05
-
-    def __post_init__(self):
-        if self.n_samples < 0:
-            raise ValueError("n_samples must be non-negative")
-        if self.step_sigma <= 0:
-            raise ValueError("step_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -407,17 +391,17 @@ def estimate_centroid(
     views: Views,
     k: CameraIntrinsics,
     sigma_px: float,
-    walk: RandomWalkConfig,
     run_seed: int,
 ) -> CentroidEstimate:
     """MAP position of the object from its box centers.
 
     Seeds with midpoint triangulation of the box-center rays, then runs
-    the random walk. With no baseline (all camera centers coincident)
-    the depth is unobservable; the estimate falls back to the last
-    measurement's back-projected range hint, flagged low confidence.
-    The RNG stream is derived from (run_seed, tracklet.id) so results
-    are reproducible per tracklet.
+    the random walk, which moves only on improvement, so the reported
+    maximum never falls below the seed. With no baseline (all camera
+    centers coincident) the depth is unobservable; the estimate falls
+    back to the last measurement's back-projected range hint, flagged
+    low confidence. The RNG stream is derived from (run_seed,
+    tracklet.id) so results are reproducible per tracklet.
     """
     ms = tracklet.measurements
     if len(ms) < 2:
@@ -454,7 +438,7 @@ def estimate_centroid(
         ll_seed = float(evaluate.score(seed.reshape(1, 3))[0])
         if np.isfinite(ll_seed):
             rng = np.random.default_rng((run_seed, tracklet.id))
-            steps = rng.standard_normal(size=(walk.n_samples, 3)) * walk.step_sigma
+            steps = rng.standard_normal(size=(_WALK_STEPS, 3)) * _WALK_STEP_SIGMA
             point, ll = _hill_climb(seed, ll_seed, steps, evaluate.score)
     if not np.isfinite(ll_seed):
         est = fallback()
@@ -474,20 +458,20 @@ def propose_candidate(
     odometry: Views,
     k: CameraIntrinsics,
     sigma_px: float,
-    walk: RandomWalkConfig,
     run_seed: int,
-    mad_threshold: float = 0.15,
+    mad_threshold: float,
 ) -> Proposal:
     """Validate and localize one promoted tracklet, each measurement
-    viewed from its frame's row of the run's stacked odometry;
-    `run_seed` seeds the walk (see estimate_centroid)."""
+    viewed from its frame's row of the run's stacked odometry. A MAD of
+    the views' cloud means above mad_threshold rejects it; `run_seed`
+    seeds the walk (see estimate_centroid)."""
     rows = [m.frame_id for m in tracklet.measurements]
     views = Views(*(stack[rows] for stack in odometry))
     cloud, means = extract_clouds(tracklet, views, k)
     mad = mad_deviation(means)
     if mad > mad_threshold:
         return Proposal(tracklet, accepted=False, mad=mad, candidate=None)
-    est = estimate_centroid(tracklet, views, k, sigma_px, walk, run_seed)
+    est = estimate_centroid(tracklet, views, k, sigma_px, run_seed)
     cand = Candidate(
         tracklet=tracklet,
         cloud=cloud,

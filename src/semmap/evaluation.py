@@ -22,11 +22,13 @@ STAGE_NAMES = (
     "optimize",
 )
 
+# how far apart two stamps may lie and still name the same frame: a
+# detection frame and its odometry row, an estimate and its ground truth
+STAMP_WINDOW = 0.02
 
-def match_indices(
-    est: Trajectory, gt: Trajectory, window: float = 0.02
-) -> tuple[list[tuple[int, int]], int]:
-    """Nearest-neighbor timestamp pairing within the window.
+
+def match_indices(est: Trajectory, gt: Trajectory) -> tuple[list[tuple[int, int]], int]:
+    """Nearest-neighbor timestamp pairing within STAMP_WINDOW.
 
     Each ground-truth pose is used at most once; closest time gaps win.
     Returns matched (est_index, gt_index) pairs in estimate order and
@@ -41,7 +43,7 @@ def match_indices(
         for jj in (j - 1, j):
             if 0 <= jj < len(gt_stamps):
                 dt = abs(float(gt_stamps[jj] - t))
-                if dt <= window:
+                if dt <= STAMP_WINDOW:
                     candidates.append((dt, i, jj))
     candidates.sort()
     used_i: set[int] = set()
@@ -103,7 +105,7 @@ class AlignedError:
     pairs: tuple[tuple[int, int], ...] = ()
 
 
-def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> AlignedError:
+def evaluate_ate(est: Trajectory, gt: Trajectory) -> AlignedError:
     """Absolute trajectory error after timestamp matching + alignment.
 
     The alignment is rigid. When the matched ground-truth positions are
@@ -111,10 +113,10 @@ def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> Align
     not determined, so the estimate is only shifted by the difference
     of the two centroids, its rotation left as it is.
     """
-    pairs, dropped = match_indices(est, gt, window)
+    pairs, dropped = match_indices(est, gt)
     if len(pairs) < 3:
         raise TimestampMismatchError(
-            f"only {len(pairs)} matched timestamps within {window}s"
+            f"only {len(pairs)} matched timestamps within {STAMP_WINDOW}s"
         )
     p = np.array([est.poses[i].translation for i, _ in pairs])
     q = np.array([gt.poses[j].translation for _, j in pairs])
@@ -135,8 +137,8 @@ def evaluate_ate(est: Trajectory, gt: Trajectory, window: float = 0.02) -> Align
     )
 
 
-def ate_rmse(est: Trajectory, gt: Trajectory, window: float = 0.02) -> float:
-    return evaluate_ate(est, gt, window).rmse
+def ate_rmse(est: Trajectory, gt: Trajectory) -> float:
+    return evaluate_ate(est, gt).rmse
 
 
 def _segment_distance(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

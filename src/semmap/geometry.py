@@ -200,13 +200,11 @@ class Pose:
         return Pose(quat_from_rotvec(xi[3:]), xi[:3].copy())
 
     def compose(self, other: "Pose") -> "Pose":
-        q = quat_normalize(quat_mul(self.rotation, other.rotation))
-        t = self.translation + quat_to_matrix(self.rotation) @ other.translation
-        return Pose(q, t)
+        return unit_pose(*compose(self.rotation, self.translation,
+                                  other.rotation, other.translation))
 
     def inverse(self) -> "Pose":
-        qc = quat_conjugate(self.rotation)
-        return Pose(qc, -(quat_to_matrix(qc) @ self.translation))
+        return unit_pose(*inverse(self.rotation, self.translation))
 
     def retract(self, delta: np.ndarray) -> "Pose":
         return self.compose(Pose.exp(delta))
@@ -240,22 +238,44 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(m, v[:, :, None])[:, :, 0]
 
 
+def _rotate(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for one rotation matrix and vector, row by row over stacks."""
+    return m @ v if v.ndim == 1 else matvec(m, v)
+
+
+def _finite(t: np.ndarray) -> np.ndarray:
+    if not np.isfinite(t).all():
+        raise ValueError("pose fields must be finite")
+    return t
+
+
+# Pose math on rows: unit quaternions (4,) and translations (3,), or
+# stacks (n, 4) and (n, 3) whose row i gets the bits of row i alone.
+# Each returns what the Pose holds, and raises ValueError on a
+# translation that is not finite, as Pose does.
+
+def compose(qa: np.ndarray, ta: np.ndarray,
+            qb: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of Pose(qa, ta).compose(Pose(qb, tb)): the product of
+    the quaternions normalized, and normalized once more as Pose does,
+    and ta + R(qa) tb."""
+    q = quat_normalize(quat_normalize(quat_mul(qa, qb)))
+    return q, _finite(ta + _rotate(quat_to_matrix(qa), tb))
+
+
+def inverse(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of Pose(q, t).inverse(): the conjugate, normalized as
+    Pose does, and -(R(conjugate) t), rotated by the conjugate before
+    that normalization."""
+    qc = quat_conjugate(q)
+    return quat_normalize(qc), _finite(-_rotate(quat_to_matrix(qc), t))
+
+
 def relative_motion(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quaternions (n - 1, 4) and translations (n - 1, 3) of
     `poses[i - 1].inverse().compose(poses[i])` for i = 1 .. n - 1 of the
-    poses with unit quaternions q (n, 4) and translations t (n, 3), in
-    one stacked pass with that expression's bits: inverse() rotates by
-    the conjugate before Pose normalizes it, and compose() normalizes
-    the product, which Pose then normalizes once more. Raises ValueError
-    where a step's translation is not finite, as Pose would."""
-    qc = quat_conjugate(q[:-1])
-    t_inv = -matvec(quat_to_matrix(qc), t[:-1])
-    q_inv = quat_normalize(qc)
-    q_rel = quat_normalize(quat_normalize(quat_mul(q_inv, q[1:])))
-    t_rel = t_inv + matvec(quat_to_matrix(q_inv), t[1:])
-    if not np.isfinite(t_rel).all():
-        raise ValueError("pose fields must be finite")
-    return q_rel, t_rel
+    poses with unit quaternions q (n, 4) and translations t (n, 3)."""
+    return compose(*inverse(q[:-1], t[:-1]), q[1:], t[1:])
 
 
 def relative_poses(q: np.ndarray, t: np.ndarray) -> list[Pose]:

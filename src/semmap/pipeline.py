@@ -24,10 +24,11 @@ from time import perf_counter
 import numpy as np
 
 from .association import AssociationConfig, LandmarkMap, Matched
-from .candidate import RandomWalkConfig, Views, propose_candidate
+from .candidate import Views, propose_candidate
 from .errors import TimestampMismatchError
 from .evaluation import (
     STAGE_NAMES,
+    STAMP_WINDOW,
     evaluate_ate,
     score_landmarks,
     timing_report,
@@ -64,6 +65,11 @@ logger = logging.getLogger("semmap")
 # zero-noise configuration solvable while still pinning poses hard
 _SIGMA_FLOOR = 1e-4
 
+# a solve stops at a 1e-6 relative cost decrease, where a standalone
+# OptimizerConfig stops at 1e-9: the run re-solves a few frames later
+# from the warm estimates, so digits below that are redone anyway
+_SOLVER = OptimizerConfig(min_rel_decrease=1e-6)
+
 SIMULATE_OUTPUTS = ("ground_truth.txt", "odometry.txt",
                     "detections.txt", "registry.json")
 RUN_OUTPUTS = ("corrected_trajectory.txt", "landmark_map.json", "graph.g2o",
@@ -76,7 +82,8 @@ DETERMINISTIC_RUN_OUTPUTS = ("corrected_trajectory.txt", "landmark_map.json",
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every tunable of one mapping run.
+    """The settings of one mapping run: the sensor, the tracker and
+    association thresholds and the mapping policy.
 
     seed drives the random walk, the only stochastic stage: each
     tracklet's stream is derived from (seed, tracklet id). The solver
@@ -84,20 +91,14 @@ class PipelineConfig:
     optimize_every only paces the merge-only passes between solves.
     The odometry sigmas weight the relative-motion factors and should
     match the sensor; they are floored at 1e-4 so a zero value means
-    "trust fully" rather than a singular information matrix.
-
-    The optimizer section stops a solve at a 1e-6 relative cost
-    decrease, where a standalone OptimizerConfig stops at 1e-9: the
-    pipeline re-solves a few frames later from the warm estimates, so
-    digits below that are redone anyway.
+    "trust fully" rather than a singular information matrix. The
+    solver's settings and the walk's length and step are constants
+    (pipeline._SOLVER, candidate._WALK_STEPS and _WALK_STEP_SIGMA).
     """
 
     camera: CameraIntrinsics = DEFAULT_CAMERA
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     association: AssociationConfig = field(default_factory=AssociationConfig)
-    random_walk: RandomWalkConfig = field(default_factory=RandomWalkConfig)
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(min_rel_decrease=1e-6))
     pixel_noise_sigma: float = 4.0
     mad_threshold: float = 0.15
     optimize_every: int = 10
@@ -220,13 +221,12 @@ class RunManifest:
         return asdict(self)
 
 
-def _index_detections(frames, odometry: Trajectory,
-                      window: float = 0.02) -> dict[int, list]:
+def _index_detections(frames, odometry: Trajectory) -> dict[int, list]:
     """Group detections by frame id, validated against the odometry grid.
 
     A detection is seen from odometry row frame_id (see
     propose_candidate), so each must carry its frame's id, and the
-    frame's stamp must lie within `window` of that row's.
+    frame's stamp must lie within STAMP_WINDOW of that row's.
     """
     n = len(odometry)
     by_frame: dict[int, list] = {}
@@ -235,7 +235,7 @@ def _index_detections(frames, odometry: Trajectory,
             raise TimestampMismatchError(
                 f"frame {fr.frame_id} has no odometry pose (have {n})")
         gap = abs(fr.timestamp - float(odometry.stamps[fr.frame_id]))
-        if gap > window:
+        if gap > STAMP_WINDOW:
             raise TimestampMismatchError(
                 f"frame {fr.frame_id} timestamp is {gap:.4f}s away from "
                 "its odometry stamp")
@@ -305,7 +305,7 @@ def run_pipeline(frames, odometry: Trajectory,
         for tracklet in promoted:
             t0 = perf_counter()
             prop = propose_candidate(tracklet, views, cfg.camera, sigma_px,
-                                     cfg.random_walk, cfg.seed, cfg.mad_threshold)
+                                     cfg.seed, cfg.mad_threshold)
             timings["candidate_proposal"].append(perf_counter() - t0)
             proposals.append(prop)
 
@@ -344,7 +344,7 @@ def run_pipeline(frames, odometry: Trajectory,
         # churn; every frame that emitted an observation solves
         if emitted:
             t0 = perf_counter()
-            report = graph.optimize(cfg.optimizer, fix_poses=fix_poses)
+            report = graph.optimize(_SOLVER, fix_poses=fix_poses)
             timings["optimize"].append(perf_counter() - t0)
             solves.append(report)
             logger.debug(
@@ -486,8 +486,7 @@ def cmd_run(detections_path, odometry_path, out_dir,
 
 
 def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
-             baseline_path=None, timings_path=None,
-             window: float = 0.02) -> dict:
+             baseline_path=None, timings_path=None) -> dict:
     """Score a run against ground truth.
 
     Reports ATE RMSE (plus improvement over a baseline trajectory when
@@ -529,14 +528,14 @@ def cmd_eval(est_path, gt_path, out_dir, map_path=None, registry_path=None,
     else:
         report["timing"] = {"no_data": True}
 
-    ate = evaluate_ate(est, gt, window=window)
+    ate = evaluate_ate(est, gt)
     report["ate_rmse"] = ate.rmse
     report["alignment"] = ate.alignment
     report["matched_frames"] = len(ate.per_frame_errors)
     report["dropped_frames"] = ate.dropped
     if baseline_path is not None:
         baseline = parse_tum_trajectory(baseline_path)
-        base = evaluate_ate(baseline, gt, window=window)
+        base = evaluate_ate(baseline, gt)
         report["baseline_ate_rmse"] = base.rmse
         report["improvement_percent"] = (
             100.0 * (1.0 - ate.rmse / base.rmse) if base.rmse > 0 else None)

@@ -46,6 +46,7 @@ from .errors import DataError, SingularSystemError, UnknownNodeError
 from .geometry import (
     CameraIntrinsics,
     Pose,
+    compose,
     quat_conjugate,
     quat_from_rotvec,
     quat_mul,
@@ -583,11 +584,8 @@ class PoseEstimates(Mapping):
         from from_pid's rows and without building a Pose. Raises
         ValueError where the result is not finite, as Pose would."""
         i = self._row[from_pid]
-        q, t = self._q.rows[i], self._t.rows[i]
-        q_new = quat_normalize(quat_normalize(quat_mul(q, rel.rotation)))
-        t_new = t + quat_to_matrix(q) @ rel.translation
-        if not np.isfinite(t_new).all():
-            raise ValueError("pose fields must be finite")
+        q_new, t_new = compose(self._q.rows[i], self._t.rows[i],
+                               rel.rotation, rel.translation)
         self._row[pid] = len(self._row)
         self._q.append(q_new[None])
         self._t.append(t_new[None])

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, IllPosedScenarioError
-from .geometry import (CameraIntrinsics, Pose, Trajectory, matvec, quat_from_matrix,
-                       quat_from_rotvec, quat_mul, quat_normalize, quat_to_matrix,
+from .geometry import (CameraIntrinsics, Pose, Trajectory, compose, matvec,
+                       quat_from_matrix, quat_from_rotvec, quat_normalize,
                        relative_motion, unit_pose)
 from .tracker import BoundingBox, Measurement
 
@@ -354,14 +354,9 @@ def drift_odometry(gt: Trajectory, noise: SensorNoiseSpec) -> Trajectory:
     if not np.isfinite(xi).all():
         raise ValueError("pose fields must be finite")
     exp_q = quat_normalize(quat_from_rotvec(xi[:, 3:]))
-    step_q = quat_normalize(quat_normalize(quat_mul(rel_q, exp_q)))
-    step_t = rel_t + matvec(quat_to_matrix(rel_q), np.ascontiguousarray(xi[:, :3]))
-    q[1:], t[1:] = step_q, step_t
+    q[1:], t[1:] = compose(rel_q, rel_t, exp_q, np.ascontiguousarray(xi[:, :3]))
     for i in range(1, n):
-        t[i] = t[i - 1] + quat_to_matrix(q[i - 1]) @ t[i]
-        q[i] = quat_normalize(quat_normalize(quat_mul(q[i - 1], q[i])))
-    if not np.isfinite(t).all():
-        raise ValueError("pose fields must be finite")
+        q[i], t[i] = compose(q[i - 1], t[i - 1], q[i], t[i])
     return Trajectory(gt.stamps.copy(), [unit_pose(a, b) for a, b in zip(q, t)])
 
 

@@ -74,10 +74,10 @@ class Measurement:
 
 @dataclass
 class Tracklet:
-    """Measurements of one object, in time order. `last_update` is the
-    stamp of the frame its latest measurement arrived in: the `now` of
-    the IouTracker.step that appended it, whatever the measurement's
-    own stamp."""
+    """Measurements of one object, in the order of the frames they
+    arrived in. `last_update` is the stamp of the frame its latest
+    measurement arrived in: the `now` of the IouTracker.step that
+    appended it, whatever the measurement's own stamp."""
 
     id: int
     class_id: str
@@ -90,14 +90,14 @@ class Tracklet:
 
     def append(self, m: Measurement, now: float | None = None) -> None:
         """Add m, which arrived in the frame stamped now (its own stamp
-        when not given)."""
+        when not given), a frame after the one of the last update."""
         assert m.class_id == self.class_id, "class changes within a tracklet"
-        if self.measurements and m.timestamp <= self.measurements[-1].timestamp:
+        now = m.timestamp if now is None else now
+        if now <= self.last_update:
             raise OutOfOrderTimestampError(
-                f"measurement at {m.timestamp} not after {self.measurements[-1].timestamp}"
-            )
+                f"measurement at {now} not after {self.last_update}")
         self.measurements.append(m)
-        self.last_update = m.timestamp if now is None else now
+        self.last_update = now
 
     def __len__(self) -> int:
         return len(self.measurements)
@@ -167,9 +167,10 @@ class IouTracker:
         """Advance one frame stamped now; returns (promoted, expired).
 
         The tracker runs on frame stamps alone: now must not precede
-        the frame a tracklet was last updated in, and max_gap is
-        measured between frame stamps. A detection's own stamp orders
-        the measurements within a tracklet only.
+        the frame a tracklet was last updated in, a tracklet's
+        measurements are ordered by the frames they arrived in, and
+        max_gap is measured between frame stamps. A detection's own
+        stamp is not read.
 
         Detections are taken in input order; each attaches to the
         unmatched same-class tracklet with the highest IOU against its

@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 
 from semmap.errors import EmptyCloudError, SingularSystemError
 from semmap.geometry import (CameraIntrinsics, Pose, quat_from_matrix, quat_to_matrix,
-                             rotvec_from_quat)
+                             rotvec_from_quat, unit_pose)
 from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _retract
 from semmap.simulator import look_at_pose
 
@@ -443,6 +443,22 @@ def scalar_rotvec_from_quat(q):
     return (angle / sin_half) * np.array([x, y, z])
 
 
+def scalar_compose(qa, ta, qb, tb):
+    """Pose(qa, ta).compose(Pose(qb, tb)) for one pose, by the scalar
+    formulas: the product normalized, and normalized once more as Pose
+    normalizes its rotation, and ta + R(qa) tb."""
+    q = scalar_quat_normalize(scalar_quat_normalize(scalar_quat_mul(qa, qb)))
+    return q, ta + scalar_quat_to_matrix(qa) @ tb
+
+
+def scalar_inverse(q, t):
+    """Pose(q, t).inverse() for one pose, by the scalar formulas: the
+    conjugate, normalized as Pose normalizes its rotation, and
+    -(R(conjugate) t)."""
+    qc = scalar_quat_conjugate(q)
+    return scalar_quat_normalize(qc), -(scalar_quat_to_matrix(qc) @ t)
+
+
 # ----------------------------------------------------------------------
 # per-factor residuals and Jacobians, one factor at a time on Pose
 # objects: the reference for the solver's stacked factor kernels
@@ -771,21 +787,27 @@ def per_object_render(world, noise, t, pose):
 
 
 def pose_chain_odometry(gt, noise):
-    """drift_odometry one Pose at a time: per step two rng.normal draws,
-    the ground truth's prev.inverse().compose(cur), Pose.exp of the noise
+    """drift_odometry one pose at a time, by Pose's formulas
+    (scalar_compose, scalar_inverse): per step two rng.normal draws, the
+    ground truth's prev.inverse().compose(cur), Pose.exp of the noise
     and two composes."""
     rng = np.random.default_rng([noise.seed, 10_000_019])
     bias = np.concatenate([np.asarray(noise.odom_translation_bias),
                            np.asarray(noise.odom_rotation_bias)])
-    current = gt.poses[0]
-    out = [current]
+    q, t = gt.poses[0].rotation, gt.poses[0].translation
+    out = [gt.poses[0]]
     for prev, cur in zip(gt.poses, gt.poses[1:]):
         xi = np.concatenate([
             rng.normal(scale=noise.odom_translation_sigma, size=3),
             rng.normal(scale=noise.odom_rotation_sigma, size=3),
         ]) + bias
-        current = current.compose(prev.inverse().compose(cur).compose(Pose.exp(xi)))
-        out.append(current)
+        rel = scalar_compose(*scalar_inverse(prev.rotation, prev.translation),
+                             cur.rotation, cur.translation)
+        # Pose.exp(xi): Pose normalizes the rotation vector's quaternion
+        step = scalar_compose(*rel, scalar_quat_normalize(scalar_quat_from_rotvec(xi[3:])),
+                              xi[:3])
+        q, t = scalar_compose(q, t, *step)
+        out.append(unit_pose(q, t))
     return out
 
 

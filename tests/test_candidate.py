@@ -29,7 +29,6 @@ from oracles import (
 from semmap import candidate
 from semmap.candidate import (
     Candidate,
-    RandomWalkConfig,
     _WALK_BLOCK,
     _WALK_BLOCK_MAX,
     _frustum_grid,
@@ -302,7 +301,7 @@ def _overflowing(m):
                    depth_hint=1e10)
 
 
-def _loop_estimate(t, poses, sigma, walk, run_seed):
+def _loop_estimate(t, poses, sigma, run_seed):
     """estimate_centroid one view at a time: per-view rotation matrices,
     the loop triangulation; None where it falls back to the range hint."""
     k = _k()
@@ -319,7 +318,7 @@ def _loop_estimate(t, poses, sigma, walk, run_seed):
     if not np.isfinite(ll_seed):
         return None
     steps = np.random.default_rng((run_seed, t.id)).normal(
-        0.0, walk.step_sigma, size=(walk.n_samples, 3))
+        0.0, candidate._WALK_STEP_SIGMA, size=(candidate._WALK_STEPS, 3))
     point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
     return seed, point, ll
 
@@ -488,7 +487,7 @@ class TestEstimateCentroid:
         angles = np.linspace(-0.8, 0.8, 10)
         eyes = [point + 2.5 * np.array([math.sin(a), -math.cos(a), 0.1 * a]) for a in angles]
         tracklet, poses = _tracklet_viewing(point, eyes, _k())
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, RandomWalkConfig(), 1)
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, 1)
         assert np.linalg.norm(est.point - point) < 1e-3
         assert not est.low_confidence
 
@@ -501,7 +500,7 @@ class TestEstimateCentroid:
             point, eyes, _k(), px_noise=1.0, rng=rng
         )
         sigma = 1.0
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, RandomWalkConfig(), 2)
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, 2)
         centers = [m.box.center for m in tracklet.measurements]
         oracle_pt, _ = grid_search_max(
             centers, poses, _k(), _cov(sigma), around=point, half=0.5, step=0.01
@@ -516,7 +515,7 @@ class TestEstimateCentroid:
         rng = np.random.default_rng(21)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=3.0, rng=rng)
         sigma = 4.0
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, RandomWalkConfig(), 3)
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, 3)
         seed_ll = log_likelihood(est.seed_point, tracklet, poses, _k(), sigma)
         assert est.log_likelihood >= seed_ll
 
@@ -524,7 +523,7 @@ class TestEstimateCentroid:
         point = np.array([0.0, 0.0, 2.0])
         eye = np.array([0.0, -2.0, 2.0])
         tracklet, poses = _tracklet_viewing(point, [eye, eye + 1e-12, eye], _k())
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, RandomWalkConfig(), 4)
+        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, 4)
         assert est.low_confidence
         # fallback point = backprojected box center at the range hint
         np.testing.assert_allclose(est.point, point, atol=1e-6)
@@ -536,8 +535,8 @@ class TestEstimateCentroid:
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=2.0, rng=rng)
         sigma = 2.0
         views = Views.of(poses)
-        a = estimate_centroid(tracklet, views, _k(), sigma, RandomWalkConfig(), 9)
-        b = estimate_centroid(tracklet, views, _k(), sigma, RandomWalkConfig(), 9)
+        a = estimate_centroid(tracklet, views, _k(), sigma, 9)
+        b = estimate_centroid(tracklet, views, _k(), sigma, 9)
         assert np.array_equal(a.point, b.point)
         assert a.log_likelihood == b.log_likelihood
 
@@ -548,7 +547,7 @@ class TestEstimateCentroid:
         )
         with pytest.raises(TooFewMeasurementsError):
             estimate_centroid(
-                t, Views.of([Pose.identity()]), _k(), 4.0, RandomWalkConfig(), 0,
+                t, Views.of([Pose.identity()]), _k(), 4.0, 0,
             )
 
 
@@ -718,16 +717,17 @@ class TestStackedViews:
                 assert got.tobytes() == want.tobytes()
         assert degenerate >= 50
 
-    def test_estimate_matches_loop_oracle(self):
+    def test_estimate_matches_loop_oracle(self, monkeypatch):
+        # 300 walk steps each keep the loop oracle quick
+        monkeypatch.setattr(candidate, "_WALK_STEPS", 300)
         rng = np.random.default_rng(77)
         sigma = 4.0
-        walk = RandomWalkConfig(n_samples=300)
         walked = 0
         for _ in range(80):
             t, poses = _random_tracklet(rng)
-            want = _loop_estimate(t, poses, sigma, walk, 5)
+            want = _loop_estimate(t, poses, sigma, 5)
             try:
-                got = estimate_centroid(t, Views.of(poses), _k(), sigma, walk, 5)
+                got = estimate_centroid(t, Views.of(poses), _k(), sigma, 5)
             except BehindCameraError:
                 assert want is None
                 continue
@@ -762,7 +762,7 @@ class TestProposeCandidate:
     def test_static_object_accepted(self):
         t, traj, point = self._trajectory_and_tracklet(speed=0.0)
         prop = propose_candidate(
-            t, Views.of(traj.poses), _k(), 4.0, RandomWalkConfig(), 5,
+            t, Views.of(traj.poses), _k(), 4.0, 5,
             mad_threshold=0.15,
         )
         assert prop.accepted
@@ -783,7 +783,7 @@ class TestProposeCandidate:
         # 5 step march is 1.2 * 0.15 = 0.18 > 0.15
         t, traj, _ = self._trajectory_and_tracklet(speed=1.5)
         prop = propose_candidate(
-            t, Views.of(traj.poses), _k(), 4.0, RandomWalkConfig(), 6,
+            t, Views.of(traj.poses), _k(), 4.0, 6,
             mad_threshold=0.15,
         )
         assert not prop.accepted
@@ -816,8 +816,7 @@ class TestProposeCandidate:
 
         monkeypatch.setattr(candidate, "extract_clouds", spy(extract_clouds))
         monkeypatch.setattr(candidate, "estimate_centroid", spy(estimate_centroid))
-        prop = propose_candidate(shifted, Views.of(odometry.poses), _k(), 4.0,
-                                 RandomWalkConfig(), 5)
+        prop = propose_candidate(shifted, Views.of(odometry.poses), _k(), 4.0, 5, 0.15)
         assert prop.accepted and len(seen) == 2
         want = Views.of([odometry.poses[m.frame_id] for m in shifted.measurements])
         for views in seen:

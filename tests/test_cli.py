@@ -316,12 +316,23 @@ class TestMalformedJson:
                   "--tracker-max-gap", "0.4")
 
     def test_run_random_walk_seed_rejected(self, tmp_path, capsys):
-        # the top-level seed drives the walk; the nested key is unknown
+        # the top-level seed drives the walk, whose section is gone
         config = self._doc(tmp_path, '{"random_walk": {"seed": 0}}')
-        self._run(tmp_path, capsys, "seed", "--config", config)
+        self._run(tmp_path, capsys, "'random_walk'", "--config", config)
         # and the flag is gone with the field: a usage error
         assert main(["run", "--detections", "d", "--odometry", "o", "--out-dir",
                      str(tmp_path), "--random-walk-seed", "5"]) == 1
+
+    @pytest.mark.parametrize("section, flag", [
+        ("optimizer", "--optimizer-max-iterations 50"),
+        ("random_walk", "--random-walk-n-samples 10")])
+    def test_run_deleted_section_rejected(self, tmp_path, capsys, section, flag):
+        # the solver's settings and the walk's are constants: the section
+        # is an unknown key and its flags are usage errors
+        config = self._doc(tmp_path, '{"%s": {}}' % section)
+        self._run(tmp_path, capsys, f"'{section}'", "--config", config)
+        assert main(["run", "--detections", "d", "--odometry", "o", "--out-dir",
+                     str(tmp_path), *flag.split()]) == 1
 
     def test_run_one_view_tracklets_rejected(self, tmp_path, capsys):
         config = self._doc(tmp_path, '{"tracker": {"min_tracklet_size": 1}}')
@@ -330,7 +341,7 @@ class TestMalformedJson:
 
     def test_run_deleted_huber_scale_key_exits_2(self, tmp_path, capsys):
         config = self._doc(tmp_path, '{"optimizer": {"huber_scale_px": 5.0}}')
-        self._run(tmp_path, capsys, "huber_scale_px", "--config", config)
+        self._run(tmp_path, capsys, "'optimizer'", "--config", config)
         # and the flag is gone with the field: a usage error
         assert main(["run", "--detections", "d", "--odometry", "o", "--out-dir",
                      str(tmp_path), "--optimizer-huber-scale-px", "5"]) == 1

@@ -55,13 +55,13 @@ class TestMatchTimestamps:
     def test_outside_window_dropped(self):
         a = _traj_from_positions(np.zeros((5, 3)), t0=0.0)
         b = _traj_from_positions(np.zeros((5, 3)), t0=0.05)  # 50 ms off the grid
-        pairs, dropped = match_indices(a, b, window=0.02)
+        pairs, dropped = match_indices(a, b)
         assert pairs == [] and dropped == 5
 
     def test_each_partner_used_once(self):
         a = Trajectory([0.0, 0.011], [Pose.identity(), Pose.identity()])
         b = Trajectory([0.01], [Pose.identity()])
-        pairs, dropped = match_indices(a, b, window=0.02)
+        pairs, dropped = match_indices(a, b)
         # the 1 ms pair beats the 10 ms pair for the single partner
         assert len(pairs) == 1 and dropped == 1
 

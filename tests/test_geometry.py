@@ -15,6 +15,8 @@ from oracles import (
     pinhole_uv,
     rowwise_bounds,
     rowwise_extent,
+    scalar_compose,
+    scalar_inverse,
     scalar_quat_conjugate,
     scalar_quat_from_rotvec,
     scalar_quat_mul,
@@ -31,6 +33,8 @@ from semmap.geometry import (
     Pose,
     Trajectory,
     backproject,
+    compose,
+    inverse,
     quat_conjugate,
     quat_from_rotvec,
     quat_mul,
@@ -39,6 +43,7 @@ from semmap.geometry import (
     relative_poses,
     rotvec_from_quat,
     skew,
+    unit_pose,
 )
 from semmap.simulator import (
     desk_preset,
@@ -196,6 +201,61 @@ def test_stacked_op_matches_scalar_formula(name):
         assert _same_bits(stacked[i], one), i
 
 
+def _pose_rows(rng, n=200):
+    """_quats' rotations (w < 0, near the identity, the identity and its
+    negation) with translations of all sizes, zero among them."""
+    t = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    t[2] = 0.0
+    return _quats(rng, n), t
+
+
+class TestPoseRowOps:
+    """compose and inverse give Pose's formulas of oracles.py bit for
+    bit, on one row and on every row of a stack, and Pose's
+    ValueError where the translation is not finite."""
+
+    @staticmethod
+    def _check(op, oracle, args):
+        stacked = op(*args)
+        for i in range(len(args[0])):
+            row = [a[i] for a in args]
+            one = op(*row)
+            for got, got_one, want in zip(stacked, one, oracle(*row)):
+                assert _same_bits(got_one, want), i
+                assert _same_bits(got[i], got_one), i
+
+    def test_compose_matches_pose_formula(self):
+        rng = np.random.default_rng(41)
+        self._check(compose, scalar_compose, (*_pose_rows(rng), *_pose_rows(rng)))
+
+    def test_inverse_matches_pose_formula(self):
+        self._check(inverse, scalar_inverse, _pose_rows(np.random.default_rng(43)))
+
+    def test_pose_methods_hold_the_rows(self):
+        rng = np.random.default_rng(47)
+        (qa, ta), (qb, tb) = _pose_rows(rng, 20), _pose_rows(rng, 20)
+        for i in range(20):
+            a, b = Pose(qa[i], ta[i]), Pose(qb[i], tb[i])
+            got = a.compose(b)
+            want = scalar_compose(a.rotation, a.translation, b.rotation, b.translation)
+            assert _same_bits(got.rotation, want[0]) and _same_bits(got.translation, want[1])
+            got = a.inverse()
+            want = scalar_inverse(a.rotation, a.translation)
+            assert _same_bits(got.rotation, want[0]) and _same_bits(got.translation, want[1])
+
+    def test_overflowing_translation_raises_like_pose(self):
+        # an eighth of a turn about z rotates (a, a, 0) to a length
+        # sqrt(2) a along an axis, past the largest float
+        eighth = np.array([math.cos(math.pi / 8), 0.0, 0.0, math.sin(math.pi / 8)])
+        big = np.array([1.7e308, 1.7e308, 0.0])
+        with np.errstate(over="ignore"):
+            for q, t in [(eighth, big), (eighth[None], big[None])]:
+                with pytest.raises(ValueError, match="finite"):
+                    compose(q, t, q, t)
+                with pytest.raises(ValueError, match="finite"):
+                    inverse(q, t)
+
+
 def _bounds_cases():
     """Clouds on which bounds and extent must keep the row-wise bytes."""
     rng = np.random.default_rng(107)
@@ -250,16 +310,22 @@ def _steps(poses):
     return relative_poses(q, np.stack([p.translation for p in poses]))
 
 
+def _oracle_steps(poses):
+    """a.inverse().compose(b) by Pose's formulas, pair by pair."""
+    return [unit_pose(*scalar_compose(*scalar_inverse(a.rotation, a.translation),
+                                      b.rotation, b.translation))
+            for a, b in zip(poses, poses[1:])]
+
+
 class TestRelativePoses:
-    """The stacked relative odometry against inverse().compose(), one
-    pair of poses at a time: the same bits."""
+    """The stacked relative odometry against inverse().compose() by
+    Pose's formulas, one pair of poses at a time: the same bits."""
 
     @pytest.mark.parametrize("preset", [desk_preset, walking_preset])
     def test_matches_inverse_compose_on_drifting_odometry(self, preset):
         world, noise = preset(seed=3)
         poses = drift_odometry(ground_truth_trajectory(world), noise).poses
-        want = [a.inverse().compose(b) for a, b in zip(poses, poses[1:])]
-        assert _poses_bits(_steps(poses)) == _poses_bits(want)
+        assert _poses_bits(_steps(poses)) == _poses_bits(_oracle_steps(poses))
 
     def test_matches_across_quaternion_sign_flips(self):
         rng = np.random.default_rng(42)
@@ -268,8 +334,7 @@ class TestRelativePoses:
         poses = [Pose(-p.rotation, p.translation) if i % 3 == 0 else p
                  for i, p in enumerate(poses)]
         assert sum(p.rotation[0] < 0.0 for p in poses) >= 50
-        want = [a.inverse().compose(b) for a, b in zip(poses, poses[1:])]
-        assert _poses_bits(_steps(poses)) == _poses_bits(want)
+        assert _poses_bits(_steps(poses)) == _poses_bits(_oracle_steps(poses))
 
     def test_overflowing_step_raises_like_pose(self):
         # half a turn about z maps the first translation's -1e308 onto

@@ -151,8 +151,6 @@ _world_scenario = st.fixed_dictionaries({
 _sections = {
     "tracker": ["min_confidence", "iou_threshold", "min_tracklet_size", "max_gap"],
     "association": ["ground_uncertainty", "merge_overlap_ratio", "cloud_cap"],
-    "random_walk": ["n_samples", "step_sigma", "seed"],
-    "optimizer": ["max_iterations", "lambda_init"],
     "camera": ["fx", "cx", "width"],
 }
 _pipeline_config = st.dictionaries(

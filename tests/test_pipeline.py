@@ -16,7 +16,6 @@ from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
 from semmap import association, pipeline, posegraph, tracker
-from semmap.candidate import RandomWalkConfig
 from semmap.pipeline import (
     DETERMINISTIC_RUN_OUTPUTS,
     PipelineConfig,
@@ -53,13 +52,13 @@ class TestConfigRoundTrip:
             assert again.hash() == cfg.hash()
 
     def test_pipeline_solves_stop_earlier_than_standalone(self):
-        assert PipelineConfig().optimizer.min_rel_decrease == 1e-6
+        assert pipeline._SOLVER == OptimizerConfig(min_rel_decrease=1e-6)
         assert OptimizerConfig().min_rel_decrease == 1e-9
 
     def test_partial_section_overrides_only_its_keys(self):
-        cfg = PipelineConfig.from_dict({"optimizer": {"max_iterations": 50}})
-        assert cfg.optimizer == replace(PipelineConfig().optimizer, max_iterations=50)
-        assert cfg.optimizer.min_rel_decrease == 1e-6
+        cfg = PipelineConfig.from_dict({"tracker": {"max_gap": 0.4}})
+        assert cfg.tracker == replace(PipelineConfig().tracker, max_gap=0.4)
+        assert cfg.tracker.min_tracklet_size == 5
 
     def test_json_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(seed=3, pixel_noise_sigma=2.5)
@@ -81,13 +80,19 @@ class TestConfigRoundTrip:
             PipelineConfig.from_dict(doc)
 
     def test_deleted_random_walk_seed_key_rejected(self):
-        # the top-level seed drives the walk; the nested key is gone, so
-        # even its old default is an unknown key
+        # the top-level seed drives the walk, whose section is gone
         for value in (5, 0):
-            with pytest.raises(ValueError, match="unknown random_walk config key 'seed'"):
+            with pytest.raises(ValueError, match="unknown config key 'random_walk'"):
                 PipelineConfig.from_dict({"random_walk": {"seed": value}})
-        with pytest.raises(TypeError):
-            RandomWalkConfig(seed=1)
+
+    @pytest.mark.parametrize("doc", [
+        {"optimizer": {"max_iterations": 50}}, {"optimizer": {}},
+        {"random_walk": {"n_samples": 10}}, {"random_walk": {}}])
+    def test_deleted_sections_rejected(self, doc):
+        # the solver's settings and the walk's are constants now
+        (key,) = doc
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            PipelineConfig.from_dict(doc)
 
     @pytest.mark.parametrize("doc", [
         {"tracker": 5}, {"tracker": [1]}, {"pixel_noise_sigma": "4"},
@@ -100,14 +105,14 @@ class TestConfigRoundTrip:
 
     def test_hash_pinned(self):
         # the hashes the run outputs of these configs embed
-        assert PipelineConfig().hash() == "4589918507edebb4"
+        assert PipelineConfig().hash() == "edc21ca262fe914b"
         assert PipelineConfig.from_dict({"seed": 3, "odometry_translation_sigma": 0.002}
-                                        ).hash() == "900e4c230cc25c8c"
+                                        ).hash() == "8cb85f3c3dd25071"
 
     def test_deleted_huber_scale_key_rejected(self):
-        # the observation cost is plain least squares; the robust
-        # kernel's scale is no longer a config key
-        with pytest.raises(ValueError, match="huber_scale_px"):
+        # the observation cost is plain least squares, and the section
+        # that held the robust kernel's scale is gone
+        with pytest.raises(ValueError, match="unknown config key 'optimizer'"):
             PipelineConfig.from_dict({"optimizer": {"huber_scale_px": 5.0}})
 
     def test_hash_tracks_content(self):
@@ -300,6 +305,20 @@ def _stamped(frame, shift):
         replace(m, timestamp=m.timestamp + shift) for m in frame.detections))
 
 
+def _assert_same_run(run, base):
+    """Two (result, proposals) pairs of _run_recording_proposals: the
+    same proposals and records, corrected trajectory bits and counts."""
+    (result, proposals), (want, want_proposals) = run, base
+    assert len(proposals) == len(want_proposals) >= 20
+    assert sum(p.accepted for p in proposals) >= 10
+    assert all(_same_proposal(got, w) for got, w in zip(proposals, want_proposals))
+    assert result.proposals == want.proposals
+    for got, w in zip(result.corrected.poses, want.corrected.poses):
+        assert got.rotation.tobytes() == w.rotation.tobytes()
+        assert got.translation.tobytes() == w.translation.tobytes()
+    assert result.counts == want.counts
+
+
 def _run_recording_proposals(frames, odometry, cfg):
     """run_pipeline's result and every propose_candidate result of the
     run, in call order."""
@@ -344,19 +363,22 @@ class TestOffGridStamps:
     # 101 proposals instead of 107 when the tracker read them)
     @pytest.mark.parametrize("shift", [-0.005, 0.005, 0.0199])
     def test_run_equals_the_on_grid_run(self, scene, shift):
-        bundle, cfg, (base, base_proposals) = scene
+        bundle, cfg, base = scene
         assert bundle.frames[-1].frame_id == len(bundle.odometry) - 1
         frames = [_stamped(f, shift) for f in bundle.frames]
-        result, proposals = _run_recording_proposals(frames, bundle.odometry, cfg)
-        assert len(proposals) == len(base_proposals) >= 20
-        assert sum(p.accepted for p in proposals) >= 10
-        assert all(_same_proposal(got, want)
-                   for got, want in zip(proposals, base_proposals))
-        assert result.proposals == base.proposals
-        for got, want in zip(result.corrected.poses, base.corrected.poses):
-            assert got.rotation.tobytes() == want.rotation.tobytes()
-            assert got.translation.tobytes() == want.translation.tobytes()
-        assert result.counts == base.counts
+        _assert_same_run(_run_recording_proposals(frames, bundle.odometry, cfg), base)
+
+    def test_stamps_alternating_about_the_grid_equal_the_on_grid_run(self):
+        # at 60 Hz, even frames +9 ms and odd frames -9 ms: a detection
+        # can be stamped before the detection of the frame before it,
+        # and its tracklet still takes it in frame order
+        world, noise = desk_preset(seed=2, duration=4.0, frame_rate=60.0)
+        bundle = ground_truth_bundle(world, noise)
+        cfg = PipelineConfig(seed=2)
+        frames = [_stamped(f, 0.009 if f.frame_id % 2 == 0 else -0.009)
+                  for f in bundle.frames]
+        _assert_same_run(_run_recording_proposals(frames, bundle.odometry, cfg),
+                         _run_recording_proposals(bundle.frames, bundle.odometry, cfg))
 
     def test_stamped_past_the_next_frame_maps(self):
         # at 60 Hz, +18 ms is inside the matching window but past the
