@@ -47,8 +47,9 @@ blanked (the hex digits of every `# config <hash>` line and of the
 `"config_hash"` value). A change that deletes a config field changes
 that hash; these digests show that nothing else moved.
 
---compare prints the files whose bytes differ, the scenes whose counts,
-solve paths or proposal streams differ and, separately, the maps whose
+--compare prints the files whose bytes differ, the scenes whose counts
+(each differing count with the parent's value and this run's), solve
+paths or proposal streams differ and, separately, the maps whose
 content differs; a run output or map whose hash-blind digest agrees is
 marked "(config hash only)". It lists each scene that one side has and
 the other lacks (a selected scene absent from the parent file, or a
@@ -191,6 +192,21 @@ def scene_of(key: str) -> str:
     return key.split("/", 1)[0]
 
 
+def count_changes(parent: dict, change: dict, prefix: str = "") -> list[str]:
+    """'<count> <parent value> -> <change value>' for each count that
+    differs, in the parent's key order; a nested section
+    (solves_by_stop_reason) names its counts as '<section>.<count>', and
+    a count one side lacks reads 'absent' there."""
+    out = []
+    for key in [*parent, *(k for k in change if k not in parent)]:
+        a, b = parent.get(key, "absent"), change.get(key, "absent")
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += count_changes(a, b, f"{prefix}{key}.")
+        elif a != b:
+            out.append(f"{prefix}{key} {a} -> {b}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="write the digests as JSON")
@@ -240,7 +256,8 @@ def main(argv=None) -> int:
         print(f"bytes differ: {key}" + (" (config hash only)" if key in hash_only else ""))
     counts_differ = [k for k in count_keys if parent.get(k) != digests.get(k)]
     for key in counts_differ:
-        print(f"counts differ: {scene_of(key)}")
+        changes = count_changes(parent.get(key) or {}, digests.get(key) or {})
+        print(f"counts differ: {scene_of(key)}: {', '.join(changes)}")
     solves_differ = [k for k in solve_keys if parent.get(k) != digests.get(k)]
     for key in solves_differ:
         print(f"solve path differs: {scene_of(key)}")

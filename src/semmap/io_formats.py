@@ -54,7 +54,7 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
         value = float(token)
     except ValueError:
         raise MalformedLineError(f"unparseable {what}: {token!r}", line=line_no)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise MalformedLineError(f"non-finite {what}: {token!r}", line=line_no)
     return value
 

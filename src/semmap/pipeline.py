@@ -341,7 +341,10 @@ def run_pipeline(frames, odometry: Trajectory,
         # a graph extended only by odometry since the last solve keeps
         # its previous optimum (new chain factors are exactly satisfied
         # by the composed initialization), so re-solving would only
-        # churn; every frame that emitted an observation solves
+        # churn; every frame that emitted an observation calls optimize,
+        # which places new landmarks on their rays instead of solving
+        # when their first observations are all the graph gained since
+        # (see PoseGraph.optimize)
         if emitted:
             t0 = perf_counter()
             report = graph.optimize(_SOLVER, fix_poses=fix_poses)

@@ -450,6 +450,10 @@ class TestRunRecords:
             for reason in STOP_REASONS}
         # every accepted step is one of the damped steps tried
         assert all(s.steps >= s.iterations for s in solves)
+        # a frame whose only new factors are first observations places
+        # their landmarks and takes no step
+        placed = [s for s in solves if s.stop_reason == "placed"]
+        assert placed and all(s.steps == s.iterations == 0 for s in placed)
         assert sum(s.steps for s in solves) == result.counts["optimize_steps"]
         # fusion inside associate and the post-solve merge pass are
         # separate stages
