@@ -55,12 +55,10 @@ marked "(config hash only)". It lists each scene that one side has and
 the other lacks (a selected scene absent from the parent file, or a
 parent scene this run did not map), and exits 1 if any bytes (of a run
 output or of a simulator output), counts, solve paths or proposal
-streams differ or any scene is missing. A run output that differs in
-its config hash only does not count: `tests/test_pipeline.py` pins that
-hash, so a change to it is labelled there. A parent file without
-simulator digests, content digests, hash-blind digests, counts, solve
-paths or proposal streams gets only the comparisons it has digests for;
-against one without hash-blind digests every byte difference counts.
+streams differ or any scene is missing. A digest one side lacks counts
+as a difference. A run output that differs in its config hash only does
+not count: `tests/test_pipeline.py` pins that hash, so a change to it is
+labelled there.
 """
 
 import argparse
@@ -240,18 +238,14 @@ def main(argv=None) -> int:
     byte_keys = [k for k in keys if SIM not in k
                  and not k.endswith((CONTENT, NOHASH, COUNTS, SOLVES, PROPOSALS))]
 
-    def kind(suffix):
-        """The keys of one digest kind, if the parent file records it."""
-        return ([k for k in keys if k.endswith(suffix)]
-                if any(k.endswith(suffix) for k in parent) else [])
-
     content_keys, blind_keys, count_keys, solve_keys, proposal_keys = (
-        kind(CONTENT), kind(NOHASH), kind(COUNTS), kind(SOLVES), kind(PROPOSALS))
-    sim_keys = [k for k in keys if SIM in k] if any(SIM in k for k in parent) else []
+        [k for k in keys if k.endswith(suffix)]
+        for suffix in (CONTENT, NOHASH, COUNTS, SOLVES, PROPOSALS))
+    sim_keys = [k for k in keys if SIM in k]
     differ = [k for k in byte_keys if parent.get(k) != digests.get(k)]
     sim_differ = [k for k in sim_keys if parent.get(k) != digests.get(k)]
     blind_differ = [k for k in blind_keys if parent.get(k) != digests.get(k)]
-    hash_only = [k for k in differ if blind_keys and k + NOHASH not in blind_differ]
+    hash_only = [k for k in differ if k + NOHASH not in blind_differ]
     for key in differ + sim_differ:
         print(f"bytes differ: {key}" + (" (config hash only)" if key in hash_only else ""))
     counts_differ = [k for k in count_keys if parent.get(k) != digests.get(k)]
@@ -268,25 +262,15 @@ def main(argv=None) -> int:
     for key in content_differ:
         name = key.removesuffix(CONTENT)
         print(f"content differs: {name}" + (" (config hash only)" if name in hash_only else ""))
-    print(f"{len(byte_keys) - len(differ)}/{len(byte_keys)} outputs byte-identical")
-    if blind_keys:
-        print(f"{len(blind_keys) - len(blind_differ)}/{len(blind_keys)} "
-              "outputs identical apart from the config hash")
-    if sim_keys:
-        print(f"{len(sim_keys) - len(sim_differ)}/{len(sim_keys)} "
-              "simulator outputs byte-identical")
-    if content_keys:
-        print(f"{len(content_keys) - len(content_differ)}/{len(content_keys)} "
-              "landmark maps content-identical")
-    if count_keys:
-        print(f"{len(count_keys) - len(counts_differ)}/{len(count_keys)} "
-              "scenes with identical counts")
-    if solve_keys:
-        print(f"{len(solve_keys) - len(solves_differ)}/{len(solve_keys)} "
-              "scenes with identical solve paths")
-    if proposal_keys:
-        print(f"{len(proposal_keys) - len(proposals_differ)}/{len(proposal_keys)} "
-              "scenes with identical proposal streams")
+    for selected, unequal, what in (
+            (byte_keys, differ, "outputs byte-identical"),
+            (blind_keys, blind_differ, "outputs identical apart from the config hash"),
+            (sim_keys, sim_differ, "simulator outputs byte-identical"),
+            (content_keys, content_differ, "landmark maps content-identical"),
+            (count_keys, counts_differ, "scenes with identical counts"),
+            (solve_keys, solves_differ, "scenes with identical solve paths"),
+            (proposal_keys, proposals_differ, "scenes with identical proposal streams")):
+        print(f"{len(selected) - len(unequal)}/{len(selected)} {what}")
     real_differ = [k for k in differ if k not in hash_only]
     return 1 if (real_differ or sim_differ or counts_differ or solves_differ
                  or proposals_differ or missing) else 0

@@ -27,6 +27,23 @@ STAGE_NAMES = (
 STAMP_WINDOW = 0.02
 
 
+def _greedy_matches(candidates) -> list[tuple]:
+    """Greedy one-to-one assignment by ascending cost: candidates are
+    (cost, a, b) triples, taken cheapest first (ties by a, then b) while
+    neither a nor b is used. Returns the taken (a, b, cost) triples in
+    ascending order of a."""
+    used_a: set = set()
+    used_b: set = set()
+    picked = []
+    for cost, a, b in sorted(candidates):
+        if a in used_a or b in used_b:
+            continue
+        used_a.add(a)
+        used_b.add(b)
+        picked.append((a, b, cost))
+    return sorted(picked)
+
+
 def match_indices(est: Trajectory, gt: Trajectory) -> tuple[list[tuple[int, int]], int]:
     """Nearest-neighbor timestamp pairing within STAMP_WINDOW.
 
@@ -45,17 +62,7 @@ def match_indices(est: Trajectory, gt: Trajectory) -> tuple[list[tuple[int, int]
                 dt = abs(float(gt_stamps[jj] - t))
                 if dt <= STAMP_WINDOW:
                     candidates.append((dt, i, jj))
-    candidates.sort()
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    picked: list[tuple[int, int]] = []
-    for _, i, j in candidates:
-        if i in used_i or j in used_j:
-            continue
-        used_i.add(i)
-        used_j.add(j)
-        picked.append((i, j))
-    picked.sort()
+    picked = [(i, j) for i, j, _ in _greedy_matches(candidates)]
     return picked, len(est) - len(picked)
 
 
@@ -190,17 +197,9 @@ def score_landmarks(
             dist = float(np.linalg.norm(lm.centroid - np.asarray(obj.center)))
             if dist <= 2.0 * max(obj.extent):
                 pairs.append((dist, lm.id, i))
-    pairs.sort()
-    used_lm: set[int] = set()
-    used_obj: set[int] = set()
-    matches = []
-    for dist, lid, i in pairs:
-        if lid in used_lm or i in used_obj:
-            continue
-        used_lm.add(lid)
-        used_obj.add(i)
-        matches.append((lid, i, dist))
-    matches.sort()
+    matches = _greedy_matches(pairs)
+    used_lm = {lid for lid, _, _ in matches}
+    used_obj = {i for _, i, _ in matches}
 
     dynamic_matches = []
     for lm in lm_list:
@@ -248,16 +247,16 @@ class StageTimings:
 def timing_report(trace: dict[str, list[float]]) -> StageTimings:
     """Aggregate per-stage wall-clock samples (seconds) into ms stats.
 
-    Stages with no samples report zeros; a fully empty trace sets the
-    no_data flag.
+    One entry per STAGE_NAMES, the stages run_pipeline times. Stages
+    with no samples report zeros; a fully empty trace sets the no_data
+    flag.
     """
     stages: dict[str, StageStat] = {}
-    extra = [name for name in trace if name not in STAGE_NAMES]
-    for name in (*STAGE_NAMES, *extra):
+    for name in STAGE_NAMES:
         samples = trace.get(name, [])
         if samples:
             ms = np.asarray(samples, dtype=float) * 1e3
             stages[name] = StageStat(float(ms.mean()), float(ms.max()), len(ms))
-        elif name in STAGE_NAMES:
+        else:
             stages[name] = StageStat(0.0, 0.0, 0)
     return StageTimings(stages=stages, no_data=not any(s.count for s in stages.values()))

@@ -37,7 +37,7 @@ from .simulator import (
     SensorNoiseSpec,
     WorldSpec,
 )
-from .tracker import BoundingBox, Measurement
+from .tracker import BoundingBox, Measurement, check_class_id
 
 logger = logging.getLogger("semmap")
 
@@ -136,8 +136,7 @@ def write_detection_log(
             fh.write(f"# {line}\n")
         for frame in frames:
             for m in frame.detections:
-                if " " in m.class_id:
-                    raise ValueError(f"class_id may not contain spaces: {m.class_id!r}")
+                check_class_id(m.class_id)
                 fh.write(
                     f"{m.timestamp:.10f} {m.frame_id} {m.class_id} "
                     f"{m.confidence:.6f} {m.box.x_min:.6f} {m.box.y_min:.6f} "

@@ -150,10 +150,6 @@ class PipelineConfig:
     def hash(self) -> str:
         return config_hash(self.canonical_json())
 
-    @classmethod
-    def from_json_file(cls, path) -> "PipelineConfig":
-        return cls.from_dict(read_json(path))
-
 
 # PipelineConfig's nested sections, each a dataclass: field name -> type
 CONFIG_SECTIONS = {f.name: f.type for f in fields(PipelineConfig) if is_dataclass(f.type)}

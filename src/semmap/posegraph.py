@@ -2,7 +2,10 @@
 Levenberg-Marquardt on the normal equations.
 
 State: one 6-dof node per camera frame (retracted on the right,
-pose * exp([rho, phi])) and one 3-dof node per landmark. Factors:
+pose * exp([rho, phi])) and one 3-dof node per landmark. A pose's id is
+its frame's row, 0..n-1, and its row in every solver array: the prior
+creates pose 0 and odometry to the next row n creates pose n, so poses
+are added in order and each with a factor. Factors:
 
 * prior on the first pose (gauge fixing), residual log(P^-1 X): the
   odometry residual from the identity to X
@@ -29,8 +32,8 @@ step factors the band, held in LAPACK's own band layout, by banded
 Cholesky and eliminates the landmarks by Schur complement, solving each
 landmark's border columns from the row of its first observing pose. No
 matrix of pose dimension squared is ever formed. Odometry between poses
-that are not neighbours (a loop closure) would leave the band, so
-optimize rejects it with a DataError unless the poses are held fixed.
+that are not neighbouring rows (a loop closure) would leave the band,
+so optimize rejects it with a DataError unless the poses are held fixed.
 
 A landmark's first observation cannot correct a pose: its 2 x 3
 landmark Jacobian has full row rank, so the factor's Schur complement
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg.lapack
@@ -324,7 +328,7 @@ def solve_chain_schur(
     overwritten; gb is kept.
 
     starts holds each landmark's first row s that may be nonzero in its
-    three columns of B: 6 x its first observing pose position. W is
+    three columns of B: 6 x its first observing pose. W is
     zero above s too, so those columns are forward-solved from s on,
     over the band's trailing columns (Triggs et al. 2000, section 6).
     dtbtrs solves each column alone either way, so W keeps the bits of
@@ -394,7 +398,7 @@ class _Rows:
 
 class _ChainLayout:
     """Normal equations of a graph whose odometry joins only neighbouring
-    pose positions, written straight into block storage: the pose
+    pose rows, written straight into block storage: the pose
     chain's lower band, the dense pose x landmark border B and the
     landmark block C (block-diagonal: no factor joins two landmarks).
     With fix_poses the pose block is empty and C is the whole system.
@@ -410,22 +414,19 @@ class _ChainLayout:
     (i - j) + j (kd + 1), so a pose entry's slot depends on (i, j) alone
     and not on the pose count; gB the Fortran-ordered [g_pose | B]
     block; and slot 0 taking every discarded entry (the upper triangle,
-    B^T and, with fix_poses, every pose entry). A layout is valid for
-    one prior, one fix_poses and one kd, and for pose positions that
-    only grow at the end; anything else builds a new one.
+    B^T and, with fix_poses, every pose entry). kd is _CHAIN_KD whatever
+    the pose count: on a single pose, the band's rows past its sixth are
+    padding that no entry reaches. A layout is valid for one prior and
+    one fix_poses; poses only ever grow at the end.
     """
 
-    def __init__(self, prior: PriorFactor, fix_poses: bool, kd: int):
-        self.prior, self.fix_poses, self.kd = prior, fix_poses, kd
-        self.pose_ids: list[int] = []
-        self.pose_pos: dict[int, int] = {}
-        # pose positions no chain factor references
-        self.uncovered: set[int] = set()
-        # per odometry factor: the from position and the information
+    def __init__(self, prior: PriorFactor, fix_poses: bool):
+        self.prior, self.fix_poses = prior, fix_poses
+        # per odometry factor: the from pose and the information
         self.odo_i = _Rows((), int)
         self.odo_info = _Rows((6, 6))
         # per chain row, the prior as row 0 and odometry factor k as row
-        # k + 1: the to position and the measurement (quaternion,
+        # k + 1: the to pose and the measurement (quaternion,
         # translation, rotation matrix)
         self.rel_j = _Rows((), int)
         self.rel_q = _Rows((4,))
@@ -438,18 +439,6 @@ class _ChainLayout:
     def n_odometry(self) -> int:
         return len(self.odo_i.rows)
 
-    def add_poses(self, pose_ids: list[int]) -> None:
-        """Extend the node positions to the sorted pose_ids, whose head
-        is the layout's pose_ids."""
-        first = len(self.pose_ids)
-        for i, pid in enumerate(pose_ids[first:], first):
-            self.pose_pos[pid] = i
-        self.uncovered.update(range(first, len(pose_ids)))
-        self.pose_ids = pose_ids
-        self.base = 6 * len(pose_ids)
-        self.p = 0 if self.fix_poses else self.base
-        self.band_end = 1 + (self.kd + 1) * self.p
-
     def append_chain(self, odometry: list[OdometryFactor]) -> None:
         """Stack the prior (on the first call) and the given odometry
         factors after the chain rows. Raises DataError, stacking
@@ -458,11 +447,10 @@ class _ChainLayout:
         first = not len(self.rel_j.rows)
         if not (first or odometry):
             return
-        pos = self.pose_pos
-        odo_i = np.array([pos[f.from_id] for f in odometry], dtype=int)
-        odo_j = np.array([pos[f.to_id] for f in odometry], dtype=int)
-        # odometry between neighbouring pose positions keeps the pose
-        # block inside the band
+        odo_i = np.array([f.from_id for f in odometry], dtype=int)
+        odo_j = np.array([f.to_id for f in odometry], dtype=int)
+        # odometry between neighbouring pose rows keeps the pose block
+        # inside the band
         off_chain = np.abs(odo_i - odo_j) > 1
         if not self.fix_poses and np.any(off_chain):
             f = odometry[int(np.argmax(off_chain))]
@@ -476,10 +464,10 @@ class _ChainLayout:
         if first:
             # the prior log(P^-1 X) is the odometry residual from the
             # identity to X, so it rides as row 0 of the odometry batch
-            prior_pos = pos[self.prior.pose_id]
+            prior_id = self.prior.pose_id
             rel = [self.prior.pose] + rel
-            rel_j = np.concatenate([[prior_pos], odo_j])
-            groups.insert(0, [(np.array([6 * prior_pos]), 6)])
+            rel_j = np.concatenate([[prior_id], odo_j])
+            groups.insert(0, [(np.array([6 * prior_id]), 6)])
         rel_q = np.stack([z.rotation for z in rel])
         rows, cols, dofs = zip(*(_entry_indices(blocks) for blocks in groups))
         self.odo_i.append(odo_i)
@@ -490,23 +478,25 @@ class _ChainLayout:
         self.odo_info.append(np.array([f.information for f in odometry]).reshape(-1, 6, 6))
         self._h_slots.append(self._pose_slots(np.concatenate(rows), np.concatenate(cols)))
         self._g_dofs.append(np.concatenate(dofs))
-        self.uncovered.difference_update(rel_j.tolist(), odo_i.tolist())
 
-    def set_observations(self, observations: list[ObservationFactor],
+    def set_observations(self, n_poses: int, observations: list[ObservationFactor],
                          lm_pos: dict[int, int]) -> None:
-        """Stack the observation factors and complete the slots and
-        gradient dofs of every entry, in the order _linear_system
-        emits their values: prior, odometry, observations."""
-        base, p = self.base, self.p
+        """Size the system for n_poses poses, stack the observation
+        factors and complete the slots and gradient dofs of every entry,
+        in the order _linear_system emits their values: prior, odometry,
+        observations."""
+        base = self.base = 6 * n_poses
+        p = self.p = 0 if self.fix_poses else base
+        self.band_end = 1 + (_CHAIN_KD + 1) * p
         m = self.m = 3 * len(lm_pos)
         self.dim = base + m
         self.border_end = self.band_end + p * (1 + m)
         self.size = self.border_end + m * m
-        self.obs_p = np.array([self.pose_pos[f.pose_id] for f in observations], dtype=int)
+        self.obs_p = np.array([f.pose_id for f in observations], dtype=int)
         self.obs_l = np.array([lm_pos[f.landmark_id] for f in observations], dtype=int)
         # per landmark, the first pose row of its border columns: 6 x its
-        # first observing pose position (the pose count if it has none)
-        first = np.full(len(lm_pos), len(self.pose_ids))
+        # first observing pose (the pose count if it has none)
+        first = np.full(len(lm_pos), n_poses)
         np.minimum.at(first, self.obs_l, self.obs_p)
         self.lm_start = 6 * first
         if observations:
@@ -529,9 +519,9 @@ class _ChainLayout:
     def _pose_slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Slots of pose x pose entries: the lower band, or the discard
         slot for the upper triangle and, with fix_poses, every entry."""
-        if not self.p:
+        if self.fix_poses:
             return np.zeros(rows.shape, dtype=np.intp)
-        return np.where(rows >= cols, 1 + rows - cols + cols * (self.kd + 1), 0)
+        return np.where(rows >= cols, 1 + rows - cols + cols * (_CHAIN_KD + 1), 0)
 
     def assemble(self, vals: np.ndarray, g: np.ndarray):
         """(band, gB, C) from the Hessian entries and the gradient of one
@@ -540,7 +530,7 @@ class _ChainLayout:
         gb = store[self.band_end:self.border_end].reshape(1 + self.m, self.p).T
         gb[:, 0] = g[:self.p]
         return (
-            store[1:self.band_end].reshape(self.p, self.kd + 1).T,
+            store[1:self.band_end].reshape(self.p, _CHAIN_KD + 1).T,
             gb,
             store[self.border_end:].reshape(self.m, self.m),
         )
@@ -556,7 +546,7 @@ class _ChainLayout:
 
 @dataclass(frozen=True)
 class _State:
-    """A state of one solve, as node-position-ordered arrays, with what
+    """A state of one solve, as arrays in pose and landmark order, with what
     the residual pass computed there for the linear-system pass: the
     chain residuals (prior as row 0) and odometry_residual's
     intermediates, and for the observations (None without any) the pose
@@ -571,75 +561,74 @@ class _State:
 
 
 class PoseEstimates(Mapping):
-    """Pose estimates keyed by id, stored as growing quaternion (n, 4)
-    and translation (n, 3) arrays in insertion order.
+    """Pose estimates keyed by row, 0..n-1, stored as growing quaternion
+    (n, 4) and translation (n, 3) arrays; only `append` and
+    `add_composed` add a row, the next one.
 
-    Reading an id builds its Pose on first access and keeps it until the
-    solver rewrites the arrays; assigning a Pose stores its rows and
-    keeps that object, so reads return it unchanged. An assignment also
-    sets `assigned`, which the graph clears when it solves.
+    Reading a row builds its Pose on first access and keeps it until the
+    solver rewrites the arrays; assigning a Pose overwrites its row and
+    keeps that object, so reads return it unchanged, and sets
+    `assigned`, which the graph clears when it solves. A read or an
+    assignment outside 0..n-1 raises KeyError.
     """
 
     def __init__(self):
-        self._row: dict[int, int] = {}
         self._q = _Rows((4,))
         self._t = _Rows((3,))
         self._built: dict[int, Pose] = {}
         self.assigned = False
 
     def __len__(self) -> int:
-        return len(self._row)
+        return len(self._q.rows)
 
     def __iter__(self):
-        return iter(self._row)
+        return iter(range(len(self)))
 
     def __contains__(self, pid) -> bool:
-        return pid in self._row
+        return isinstance(pid, Integral) and 0 <= pid < len(self)
 
     def __getitem__(self, pid) -> Pose:
         pose = self._built.get(pid)
         if pose is None:
-            i = self._row[pid]
-            pose = unit_pose(self._q.rows[i].copy(), self._t.rows[i].copy())
+            if pid not in self:
+                raise KeyError(pid)
+            pose = unit_pose(self._q.rows[pid].copy(), self._t.rows[pid].copy())
             self._built[pid] = pose
         return pose
 
     def __setitem__(self, pid, pose: Pose) -> None:
+        if pid not in self:
+            raise KeyError(f"pose {pid} is not a row of the graph's {len(self)} poses")
         self.assigned = True
-        i = self._row.setdefault(pid, len(self._row))
-        if i == len(self._q.rows):
-            self._q.append(pose.rotation[None])
-            self._t.append(pose.translation[None])
-        else:
-            self._q.rows[i] = pose.rotation
-            self._t.rows[i] = pose.translation
+        self._q.rows[pid] = pose.rotation
+        self._t.rows[pid] = pose.translation
         self._built[pid] = pose
 
-    def add_composed(self, pid, from_pid, rel: Pose) -> None:
-        """Add pid at `self[from_pid].compose(rel)`, with compose's bits,
-        from from_pid's rows and without building a Pose. Raises
-        ValueError where the result is not finite, as Pose would."""
-        i = self._row[from_pid]
-        q_new, t_new = compose(self._q.rows[i], self._t.rows[i],
+    def append(self, pose: Pose) -> None:
+        """Add pose as the next row, keeping that object."""
+        self._built[len(self)] = pose
+        self._q.append(pose.rotation[None])
+        self._t.append(pose.translation[None])
+
+    def add_composed(self, from_pid, rel: Pose) -> None:
+        """Add the next row at `self[from_pid].compose(rel)`, with
+        compose's bits, from from_pid's row and without building a Pose.
+        Raises ValueError where the result is not finite, as Pose would."""
+        q_new, t_new = compose(self._q.rows[from_pid], self._t.rows[from_pid],
                                rel.rotation, rel.translation)
-        self._row[pid] = len(self._row)
         self._q.append(q_new[None])
         self._t.append(t_new[None])
 
-    def _rows(self, ids: list[int]) -> np.ndarray:
-        return np.fromiter(map(self._row.__getitem__, ids), int, len(ids))
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quaternions (n, 4) and translations (n, 3) of every row: the
+        stored rows themselves, not copies."""
+        return self._q.rows, self._t.rows
 
-    def arrays(self, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Quaternions (n, 4) and translations (n, 3) of ids, in order."""
-        rows = self._rows(ids)
-        return self._q.rows[rows], self._t.rows[rows]
-
-    def store(self, ids: list[int], q: np.ndarray, t: np.ndarray) -> None:
-        """Overwrite the estimates of ids. One stacked quat_normalize
-        gives each row the bits Pose(q[i], t[i]) would hold."""
-        rows = self._rows(ids)
-        self._q.rows[rows] = quat_normalize(q)
-        self._t.rows[rows] = t
+    def store(self, q: np.ndarray, t: np.ndarray) -> None:
+        """Overwrite every row. One stacked quat_normalize gives each row
+        the bits Pose(q[i], t[i]) would hold."""
+        self._q.rows[:] = quat_normalize(q)
+        self._t.rows[:] = t
         self._built.clear()
 
 
@@ -663,12 +652,13 @@ class _Landmarks(dict):
 
 
 class PoseGraph:
-    """Mutable graph; pose estimates live in a PoseEstimates mapping and
-    landmark positions in a dict, both keyed by id. The odometry list
-    only grows: each solve stacks the factors past those it stacked
-    before. Factors are added and merged through the graph's methods;
-    its prior is checked at each solve, but direct edits of its factor
-    lists are not tracked (see optimize)."""
+    """Mutable graph; pose estimates live in a PoseEstimates mapping
+    keyed by frame row (the prior creates pose 0, odometry to the next
+    row creates that row) and landmark positions in a dict keyed by id.
+    The odometry list only grows: each solve stacks the factors past
+    those it stacked before. Factors are added and merged through the
+    graph's methods; its prior is checked at each solve, but direct
+    edits of its factor lists are not tracked (see optimize)."""
 
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
@@ -695,28 +685,39 @@ class PoseGraph:
     # construction
     # ------------------------------------------------------------------
 
+    def _check_new_pose(self, pose_id: int, what: str) -> None:
+        """Raise UnknownNodeError unless pose_id is the next row."""
+        if pose_id != len(self.poses):
+            raise UnknownNodeError(
+                f"{what} to unknown pose {pose_id}: a new pose must take the "
+                f"next row, {len(self.poses)}")
+
     def add_prior(self, pose_id: int, pose: Pose, information: np.ndarray | None = None) -> None:
+        """Gauge prior; on an empty graph it creates pose 0 at `pose`."""
         if self.prior is not None:
             raise ValueError("graph already has its gauge prior")
         info = DEFAULT_PRIOR_INFORMATION if information is None else np.asarray(information, float)
-        self.prior = PriorFactor(pose_id, pose, info)
         if pose_id not in self.poses:
-            self.poses[pose_id] = pose
+            self._check_new_pose(pose_id, "prior")
+            self.poses.append(pose)
+        self.prior = PriorFactor(pose_id, pose, info)
 
     def add_odometry(
         self, from_id: int, to_id: int, rel: Pose, information: np.ndarray | None = None
     ) -> None:
-        """Relative-motion factor; initializes a missing `to` node by
-        composing the `from` estimate with the measurement, which
-        satisfies the factor and keeps the graph at its last optimum.
-        Odometry between existing poses moves that optimum."""
+        """Relative-motion factor. A new `to` pose must be the next row;
+        it is initialized by composing the `from` estimate with the
+        measurement, which satisfies the factor and keeps the graph at
+        its last optimum. Odometry between existing poses moves that
+        optimum."""
         if from_id not in self.poses:
             raise UnknownNodeError(f"odometry from unknown pose {from_id}")
         info = DEFAULT_ODOMETRY_INFORMATION if information is None else np.asarray(information, float)
         if to_id in self.poses:
             self._optimum = None
         else:
-            self.poses.add_composed(to_id, from_id, rel)
+            self._check_new_pose(to_id, "odometry")
+            self.poses.add_composed(from_id, rel)
         self.odometry.append(OdometryFactor(from_id, to_id, rel, info))
 
     def add_observation(
@@ -771,32 +772,26 @@ class PoseGraph:
     # linearization
     # ------------------------------------------------------------------
 
-    def _synced_layout(self, pose_ids: list[int], lm_ids: list[int],
-                       fix_poses: bool) -> _ChainLayout:
+    def _synced_layout(self, lm_ids: list[int], fix_poses: bool) -> _ChainLayout:
         """The graph's kept layout, extended by the poses and odometry
         added since the last solve and holding the current observations.
 
-        A pose id that sorts before a kept one, a new prior, or a change
-        of fix_poses or of kd starts a new layout, which stacks every
-        factor from the first through the same append.
+        A new prior or a change of fix_poses starts a new layout, which
+        stacks every factor from the first through the same append.
         """
-        p = 0 if fix_poses else 6 * len(pose_ids)
-        kd = max(min(_CHAIN_KD, p - 1), 0)
         layout = self._layout
         if (layout is None or layout.prior is not self.prior
-                or layout.fix_poses != fix_poses or layout.kd != kd
-                or pose_ids[:len(layout.pose_ids)] != layout.pose_ids):
-            layout = self._layout = _ChainLayout(self.prior, fix_poses, kd)
-        layout.add_poses(pose_ids)
+                or layout.fix_poses != fix_poses):
+            layout = self._layout = _ChainLayout(self.prior, fix_poses)
         layout.append_chain(self.odometry[layout.n_odometry:])
-        layout.set_observations(self.observations,
+        layout.set_observations(len(self.poses), self.observations,
                                 {lid: i for i, lid in enumerate(lm_ids)})
         return layout
 
-    def _state_arrays(self, pose_ids: list[int], lm_ids: list[int]):
-        """Estimates as arrays in node-position order: quaternions (n, 4),
-        translations (n, 3) and landmark positions (m, 3)."""
-        q, t = self.poses.arrays(pose_ids)
+    def _state_arrays(self, lm_ids: list[int]):
+        """Estimates as arrays: quaternions (n, 4) and translations (n, 3)
+        in row order and landmark positions (m, 3) in lm_ids order."""
+        q, t = self.poses.arrays()
         lm = (
             np.stack([self.landmarks[lid] for lid in lm_ids])
             if lm_ids else np.zeros((0, 3))
@@ -901,8 +896,8 @@ class PoseGraph:
 
         Raises DataError, leaving every estimate unchanged, when poses
         are solved and an odometry factor joins two poses that are not
-        neighbours in id order (a loop closure): the solver factors the
-        pose block as a band. With fix_poses any odometry is accepted.
+        neighbouring rows (a loop closure): the solver factors the pose
+        block as a band. With fix_poses any odometry is accepted.
 
         A graph that still sits at its last solve's optimum, solved with
         the same fix_poses and prior, and whose only factors added since
@@ -924,12 +919,11 @@ class PoseGraph:
         self._optimum = None
         if self.prior is None:
             raise SingularSystemError("graph has no gauge prior")
-        pose_ids = sorted(self.poses)
         lm_ids = sorted(self.landmarks)
-        layout = self._synced_layout(pose_ids, lm_ids, fix_poses)
+        layout = self._synced_layout(lm_ids, fix_poses)
         dim = layout.dim
 
-        q, t, lm = self._state_arrays(pose_ids, lm_ids)
+        q, t, lm = self._state_arrays(lm_ids)
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
         state, cost_now, deact = self._residuals(q, t, lm, layout, quat_to_matrix(q))
@@ -939,14 +933,10 @@ class PoseGraph:
 
         lo = layout.base if fix_poses else 0
 
-        # structural rank check: every node must be referenced by some
-        # factor. A zero diagonal from behind-camera deactivation is
-        # repairable (damping freezes the block for that iteration) and
-        # must not raise.
-        if not fix_poses and layout.uncovered:
-            uncovered = layout.uncovered.difference(layout.obs_p.tolist())
-            if uncovered:
-                raise SingularSystemError(f"pose {pose_ids[min(uncovered)]} has no factor")
+        # structural rank check: every landmark must be referenced by
+        # some factor (every pose is created with one). A zero diagonal
+        # from behind-camera deactivation is repairable (damping freezes
+        # the block for that iteration) and must not raise.
         cov_lm = np.zeros(len(lm_ids), dtype=bool)
         cov_lm[layout.obs_l] = True
         if not np.all(cov_lm):
@@ -1010,7 +1000,7 @@ class PoseGraph:
                 break
         else:
             report.converged = False
-        self.poses.store(pose_ids, state.q, state.t)
+        self.poses.store(state.q, state.t)
         self.poses.assigned = False
         self._landmarks = _Landmarks(
             (lid, state.lm[i].copy()) for i, lid in enumerate(lm_ids))
@@ -1043,7 +1033,8 @@ class PoseGraph:
         """
         fresh, k = kept.fresh, self.intrinsics
         lm_ids = [f.landmark_id for f in fresh]
-        q, t = self.poses.arrays([f.pose_id for f in fresh])
+        rows = [f.pose_id for f in fresh]
+        q, t = (x[rows] for x in self.poses.arrays())
         rot = quat_to_matrix(q)
         l0 = np.stack([self._landmarks[lid] for lid in lm_ids])
         pixels = np.stack([f.pixel for f in fresh])

@@ -30,7 +30,7 @@ from .errors import DegenerateConfigurationError, IllPosedScenarioError
 from .geometry import (CameraIntrinsics, Pose, Trajectory, compose, matvec,
                        quat_from_matrix, quat_from_rotvec, quat_normalize,
                        relative_motion, unit_pose)
-from .tracker import BoundingBox, Measurement
+from .tracker import BoundingBox, Measurement, check_class_id
 
 _ODOMETRY_STREAM = 10_000_019  # rng stream tag, disjoint from frame ids
 _MIN_BOX_PX = 2.0
@@ -43,7 +43,9 @@ _CORNER_SIGNS = np.array(
 
 @dataclass(frozen=True)
 class SceneObject:
-    """Axis-aligned box, static or moving at constant velocity."""
+    """Axis-aligned box, static or moving at constant velocity. Its
+    class_id is one token without whitespace, so that the detection log
+    holds it as one field."""
 
     class_id: str
     center: tuple[float, float, float]
@@ -51,6 +53,7 @@ class SceneObject:
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        check_class_id(self.class_id)
         if min(self.extent) <= 0.0:
             raise ValueError("object extent must be positive on every axis")
 

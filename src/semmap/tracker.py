@@ -54,6 +54,14 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def check_class_id(class_id: str) -> None:
+    """Raise ValueError unless class_id is one non-empty token without
+    whitespace: the one field a detection log line splits it into."""
+    if class_id.split() != [class_id]:
+        raise ValueError(
+            f"class_id must be one token without whitespace, got {class_id!r}")
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One detection: a timestamped box with class, score and range hint."""

@@ -551,10 +551,10 @@ def observation_residual_jacobians(
     return r, j_pose, j_lm
 
 
-def rebuilt_poses(pose_ids, q, t):
-    """Solved estimates as one Pose per id, each normalizing its own
+def rebuilt_poses(q, t):
+    """Solved estimates as one Pose per row, each normalizing its own
     quaternion: the reference for the graph's stacked write-back."""
-    return {pid: Pose(q[i], t[i]) for i, pid in enumerate(pose_ids)}
+    return [Pose(qi, ti) for qi, ti in zip(q, t)]
 
 
 class _SparseLayout:
@@ -569,13 +569,11 @@ class _SparseLayout:
     """
 
     def __init__(self, graph, fix_poses: bool):
-        pose_dof = {pid: 6 * i for i, pid in enumerate(sorted(graph.poses))}
-        base = 6 * len(pose_dof)
+        base = 6 * len(graph.poses)
         lm_dof = {lid: base + 3 * i for i, lid in enumerate(sorted(graph.landmarks))}
-        factors = [[(pose_dof[graph.prior.pose_id], 6)]]
-        factors += [[(pose_dof[f.from_id], 6), (pose_dof[f.to_id], 6)]
-                    for f in graph.odometry]
-        factors += [[(pose_dof[f.pose_id], 6), (lm_dof[f.landmark_id], 3)]
+        factors = [[(6 * graph.prior.pose_id, 6)]]
+        factors += [[(6 * f.from_id, 6), (6 * f.to_id, 6)] for f in graph.odometry]
+        factors += [[(6 * f.pose_id, 6), (lm_dof[f.landmark_id], 3)]
                     for f in graph.observations]
         rows, cols = [], []
         for blocks in factors:
@@ -613,9 +611,8 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     cfg = cfg or OptimizerConfig()
     if graph.prior is None:
         raise SingularSystemError("graph has no gauge prior")
-    pose_ids = sorted(graph.poses)
     lm_ids = sorted(graph.landmarks)
-    layout = graph._synced_layout(pose_ids, lm_ids, fix_poses)
+    layout = graph._synced_layout(lm_ids, fix_poses)
     dim = layout.dim
 
     def linearize(q, t, lm, rot):
@@ -623,7 +620,7 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
         vals, g = graph._linear_system(state, layout)
         return vals, g, cost, deact
 
-    q, t, lm = graph._state_arrays(pose_ids, lm_ids)
+    q, t, lm = graph._state_arrays(lm_ids)
     rot = quat_to_matrix(q)
     lam = cfg.lambda_init
     report = SolveReport(0, 0.0, 0.0, False)
@@ -632,10 +629,6 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     report.cost_trace.append(cost_now)
     report.deactivated_observations = deact
     lo = layout.base if fix_poses else 0
-    if not fix_poses and layout.uncovered:
-        uncovered = layout.uncovered.difference(layout.obs_p.tolist())
-        if uncovered:
-            raise SingularSystemError(f"pose {pose_ids[min(uncovered)]} has no factor")
     observed = set(layout.obs_l.tolist())
     for i, lid in enumerate(lm_ids):
         if i not in observed:
@@ -690,7 +683,7 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
             break
     else:
         report.converged = False
-    graph.poses.store(pose_ids, q, t)
+    graph.poses.store(q, t)
     graph.landmarks = {lid: lm[i].copy() for i, lid in enumerate(lm_ids)}
     report.final_cost = cost_now
     return report

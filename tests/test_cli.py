@@ -16,6 +16,22 @@ SCENARIO = {"preset": "desk", "seed": 5, "duration": 8.0,
             "frame_rate": 10.0, "laps": 1.25}
 
 
+def _world_scenario(class_id):
+    """An explicit-world scenario whose first object has class_id: the
+    camera pans past it and a cube for 3 s."""
+    return {
+        "world": {
+            "objects": [
+                {"class_id": class_id, "center": [0.0, 2.0, 1.0], "extent": [0.4, 0.4, 0.4]},
+                {"class_id": "cube", "center": [0.5, 2.0, 1.0], "extent": [0.3, 0.3, 0.3]}],
+            "path": {"waypoints": [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
+                     "target": [0.0, 2.0, 1.0], "speed": 0.2},
+            "camera": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
+                       "width": 640, "height": 480},
+            "duration": 3.0, "frame_rate": 10.0},
+        "noise": {"seed": 3}}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One simulated scenario plus one pipeline run, shared read-only."""
@@ -52,6 +68,17 @@ class TestSimulate:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["simulate", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_id", ["a\tb", "", "coffee cup", "cup\r"])
+    def test_class_id_not_one_token_exits_2_before_rendering(self, tmp_path, capsys,
+                                                             class_id):
+        # rendered, it would make a detection log that `run` rejects
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(_world_scenario(class_id)), encoding="utf-8")
+        assert main(["simulate", str(scenario), "--out-dir", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class_id" in err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestRun:
@@ -218,6 +245,21 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["ate_rmse"] == pytest.approx(0.0, abs=1e-12)
         assert "skipped" in report["landmarks"]
+
+    @pytest.mark.parametrize("class_id", ["a\tb", ""])
+    def test_registry_class_id_not_one_token_exits_2(self, workspace, tmp_path, capsys,
+                                                     class_id):
+        sim, run = workspace / "sim", workspace / "run"
+        doc = json.loads((sim / "registry.json").read_text(encoding="utf-8"))
+        doc["objects"][0]["class_id"] = class_id
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "--estimate", str(run / "corrected_trajectory.txt"),
+                     "--ground-truth", str(sim / "ground_truth.txt"),
+                     "--map", str(run / "landmark_map.json"),
+                     "--registry", str(registry), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class_id" in err
 
     def test_collinear_path_aligned_by_translation(self, tmp_path, capsys):
         line = tmp_path / "line.txt"

@@ -290,7 +290,3 @@ class TestTimingReport:
         assert report.stages["optimize"].mean_ms == pytest.approx(4.0)
         assert report.stages["optimize"].max_ms == pytest.approx(5.0)
         assert report.stages["optimize"].count == 2
-
-    def test_unknown_stage_preserved(self):
-        report = timing_report({"custom_stage": [0.001]})
-        assert report.stages["custom_stage"].mean_ms == pytest.approx(1.0)

@@ -175,6 +175,19 @@ class TestDetectionLog:
                 [FrameDetections(0, 0.0, (m,))],
             )
 
+    # each would split into other than the one field the parser reads
+    @pytest.mark.parametrize("class_id", ["a\tb", "", " ", "cup\n", "a\u00a0b",
+                                          "a\x1cb"])
+    def test_class_id_not_one_token_rejected_on_write(self, tmp_path, class_id):
+        from semmap.simulator import FrameDetections
+
+        m = Measurement(0.0, 0, class_id, 0.9, BoundingBox(0, 0, 5, 5), 2.0)
+        with pytest.raises(ValueError, match="class_id"):
+            write_detection_log(
+                str(tmp_path / "d.txt"),
+                [FrameDetections(0, 0.0, (m,))],
+            )
+
 
 class TestRegistry:
     def test_round_trip_with_dynamic_flag(self, tmp_path):

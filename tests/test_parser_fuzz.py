@@ -35,6 +35,7 @@ from semmap.io_formats import (
     parse_registry,
     parse_scenario_config,
     parse_tum_trajectory,
+    read_json,
 )
 from semmap.pipeline import PipelineConfig
 
@@ -85,6 +86,11 @@ _FUZZ = settings(max_examples=120, deadline=None,
 def doc_path():
     with tempfile.TemporaryDirectory() as tmp:
         yield Path(tmp) / "doc.json"
+
+
+def _pipeline_config_file(path) -> PipelineConfig:
+    """A config file as `semmap run --config` reads it."""
+    return PipelineConfig.from_dict(read_json(path))
 
 
 def _parse(parser, path: Path, text: str, allowed):
@@ -298,14 +304,14 @@ class TestJsonParserFuzz:
     @given(_doc(_pipeline_config))
     def test_pipeline_config(self, doc_path, doc):
         # ConfigParseError for the file, ValueError for a value
-        _parse(PipelineConfig.from_json_file, doc_path, _encode(doc),
+        _parse(_pipeline_config_file, doc_path, _encode(doc),
                (ConfigParseError, ValueError))
 
     @pytest.mark.parametrize("text", ["", "{", "[1]", '"x"', "1e400", "NaN", "{} {}"])
     def test_not_an_object(self, doc_path, text):
         doc_path.write_text(text, encoding="utf-8")
         for parser in (parse_landmark_map, parse_registry, parse_scenario_config,
-                       PipelineConfig.from_json_file):
+                       _pipeline_config_file):
             with pytest.raises(ConfigParseError):
                 parser(str(doc_path))
 

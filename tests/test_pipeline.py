@@ -15,6 +15,7 @@ from oracles import PanningPath, rebuilt_poses
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
+from semmap.io_formats import read_json
 from semmap import association, pipeline, posegraph, tracker
 from semmap.pipeline import (
     DETERMINISTIC_RUN_OUTPUTS,
@@ -64,7 +65,7 @@ class TestConfigRoundTrip:
         cfg = PipelineConfig(seed=3, pixel_noise_sigma=2.5)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
-        again = PipelineConfig.from_json_file(path)
+        again = PipelineConfig.from_dict(read_json(path))
         assert again.to_dict() == cfg.to_dict()
 
     def test_unknown_top_level_key_rejected(self):
@@ -468,12 +469,12 @@ class TestRunRecords:
         store = posegraph.PoseEstimates.store
         checked = []
 
-        def checked_store(self, ids, q, t):
-            store(self, ids, q, t)
-            for pid, ref in rebuilt_poses(ids, q, t).items():
+        def checked_store(self, q, t):
+            store(self, q, t)
+            for pid, ref in enumerate(rebuilt_poses(q, t)):
                 assert self[pid].rotation.tobytes() == ref.rotation.tobytes()
                 assert self[pid].translation.tobytes() == ref.translation.tobytes()
-            checked.append(len(ids))
+            checked.append(len(q))
 
         monkeypatch.setattr(posegraph.PoseEstimates, "store", checked_store)
         bundle = _small_desk(seed=1)

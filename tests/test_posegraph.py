@@ -390,7 +390,8 @@ class TestOptimize:
 
     def test_no_prior_raises(self):
         g = PoseGraph(K)
-        g.poses[0] = Pose.identity()
+        g.add_prior(0, Pose.identity())
+        g.prior = None
         with pytest.raises(SingularSystemError):
             g.optimize()
 
@@ -505,6 +506,23 @@ class TestGraphConstruction:
         with pytest.raises(UnknownNodeError):
             g.add_odometry(3, 4, Pose.identity())
 
+    @pytest.mark.parametrize("to_id", [5, -1, 1000])
+    def test_odometry_to_a_new_id_other_than_the_next_row_raises(self, to_id):
+        # pose ids are the rows 0..n-1: a new pose takes row n = 4
+        g = _drift_biased_circle(n_poses=4)
+        before = _estimate_bits(g), list(g.odometry)
+        with pytest.raises(UnknownNodeError, match=f"unknown pose {to_id}.*next row, 4"):
+            g.add_odometry(3, to_id, Pose.identity())
+        assert (_estimate_bits(g), g.odometry) == before
+        assert len(g.poses) == 4
+
+    @pytest.mark.parametrize("pose_id", [1, -1])
+    def test_prior_on_an_empty_graph_must_create_pose_0(self, pose_id):
+        g = PoseGraph(K)
+        with pytest.raises(UnknownNodeError, match="next row, 0"):
+            g.add_prior(pose_id, Pose.identity())
+        assert g.prior is None and len(g.poses) == 0
+
     def test_observation_from_unknown_pose_raises(self):
         g = PoseGraph(K)
         g.add_prior(0, Pose.identity())
@@ -572,29 +590,27 @@ class TestPoseEstimates:
         assert g.poses[2] is not moved
         assert g.poses[2] is g.poses[2]
 
-    def test_insertion_order_does_not_change_the_solve(self):
-        # the same factors over poses stored in ascending and descending
-        # id order: the solver gathers rows by id
-        poses, landmarks = _circle_scene()
-        solved = []
-        for order in (range(len(poses)), range(len(poses) - 1, -1, -1)):
-            g = PoseGraph(K)
-            for pid in order:
-                g.poses[pid] = poses[pid].retract(np.full(6, 0.01 * pid))
-            g.add_prior(0, poses[0])
-            for i in range(1, len(poses)):
-                g.add_odometry(i - 1, i, poses[i - 1].inverse().compose(poses[i]))
-            for lid, point in enumerate(landmarks):
-                g.add_observation(1, lid, _pixel_of(poses[1], point), np.eye(2) / 16.0,
-                                  landmark_position=point)
-            assert list(g.poses) == list(order)
-            g.optimize()
-            solved.append(g)
-        for pid in range(len(poses)):
-            np.testing.assert_array_equal(solved[0].poses[pid].rotation,
-                                          solved[1].poses[pid].rotation)
-            np.testing.assert_array_equal(solved[0].poses[pid].translation,
-                                          solved[1].poses[pid].translation)
+    def test_ids_are_the_rows(self):
+        g, poses, _ = _build_consistent_graph()
+        n = len(poses)
+        assert list(g.poses) == list(range(n)) and len(g.poses) == n
+        assert n - 1 in g.poses and np.int64(n - 1) in g.poses
+        for absent in (n, -1, 2.0, "0"):
+            assert absent not in g.poses
+        for absent in (n, -1):
+            with pytest.raises(KeyError):
+                g.poses[absent]
+
+    def test_assigning_a_row_past_the_end_raises(self):
+        g, poses, _ = _build_consistent_graph()
+        n = len(poses)
+        before = _estimate_bits(g)
+        for pid in (n, n + 3, -1):
+            with pytest.raises(KeyError, match=f"pose {pid} is not a row"):
+                g.poses[pid] = Pose.identity()
+        assert _estimate_bits(g) == before and not g.poses.assigned
+        g.poses[n - 1] = Pose.identity()
+        assert g.poses.assigned and len(g.poses) == n
 
 
 class TestApplyCorrection:
@@ -687,9 +703,9 @@ def _linearized(g, fix_poses=False):
     """The solver's own layout (the one the graph keeps), state arrays,
     Hessian entries, gradient, cost and deactivated count at the
     graph's estimates."""
-    pose_ids, lm_ids = sorted(g.poses), sorted(g.landmarks)
-    layout = g._synced_layout(pose_ids, lm_ids, fix_poses)
-    state = g._state_arrays(pose_ids, lm_ids)
+    lm_ids = sorted(g.landmarks)
+    layout = g._synced_layout(lm_ids, fix_poses)
+    state = g._state_arrays(lm_ids)
     lin, cost, deact = g._residuals(*state, layout, quat_to_matrix(state[0]))
     vals, grad = g._linear_system(lin, layout)
     return layout, state, vals, grad, cost, deact
@@ -704,7 +720,7 @@ def _dense_from_blocks(band, gb, lm_block):
     a = np.zeros((p, p))
     for d in range(band.shape[0]):
         # entries past the end of a diagonal are padding, never written
-        assert not band[d, p - d:].any()
+        assert not band[d, max(p - d, 0):].any()
         idx = np.arange(p - d)
         a[idx + d, idx] = band[d, :p - d]
     a += np.tril(a, -1).T
@@ -735,7 +751,8 @@ class TestChainSolve:
             _assert_same_step(*_damped_steps(g, lam))
 
     def test_single_pose_graph(self):
-        # one pose is narrower than the chain's band: kd is clamped to 5
+        # one pose is narrower than the chain's band: the band keeps kd
+        # 11, and its rows past the sixth are padding
         poses, landmarks = _circle_scene()
         g = PoseGraph(K)
         g.add_prior(0, poses[0])
@@ -743,7 +760,8 @@ class TestChainSolve:
             g.add_observation(0, lid, _pixel_of(poses[0], point) + 2.0, np.eye(2) / 16.0,
                               landmark_position=point)
         g.poses[0] = g.poses[0].retract(np.full(6, 1e-3))
-        assert _linearized(g)[0].kd == 5
+        layout, _, vals, grad, _, _ = _linearized(g)
+        assert layout.assemble(vals, grad)[0].shape == (12, 6)
         step, ref = _damped_steps(g)
         _assert_same_step(step, ref)
         report = g.optimize()
@@ -848,13 +866,16 @@ class TestFixedPoseSolve:
 
 
 def _fresh_copy(g):
-    """A new graph holding g's factors and estimates and no kept layout."""
+    """A new graph holding g's factors and estimates and no kept layout:
+    its poses are created by the same prior and odometry, in g's order,
+    then set to g's estimates."""
     fresh = PoseGraph(g.intrinsics)
+    fresh.add_prior(g.prior.pose_id, g.prior.pose, g.prior.information)
+    for f in g.odometry:
+        fresh.add_odometry(f.from_id, f.to_id, f.rel, f.information)
     for pid in g.poses:
         fresh.poses[pid] = g.poses[pid]
     fresh.landmarks = {lid: p.copy() for lid, p in g.landmarks.items()}
-    fresh.prior = g.prior
-    fresh.odometry = list(g.odometry)
     fresh.observations = list(g.observations)
     return fresh
 
@@ -923,41 +944,35 @@ class TestKeptLayout:
     def test_random_interleavings_match_a_fresh_build(self, seed):
         rng = np.random.default_rng(seed)
         truth, points = _circle_scene(n_poses=40, n_landmarks=6)
-        # truth index k is pose id 1000 + k - 20; the chain grows at
-        # either end, and an id below every kept one moves every position
-        lo = hi = 20
+        # truth index k is pose id k; the chain grows at its end from
+        # pose 0, hi being its last pose
+        hi = 0
         obs_info = np.eye(2) / 16.0
         g = PoseGraph(K)
-        g.add_prior(1000, truth[lo].retract(rng.normal(scale=0.01, size=6)))
+        g.add_prior(0, truth[0].retract(rng.normal(scale=0.01, size=6)))
         if seed % 2:
-            # the other half starts from three poses, not one (kd 5)
+            # the other half starts from three poses, not one
             for _ in range(2):
                 hi += 1
-                g.add_odometry(1000 + hi - 21, 1000 + hi - 20,
-                               truth[hi - 1].inverse().compose(truth[hi]))
+                g.add_odometry(hi - 1, hi, truth[hi - 1].inverse().compose(truth[hi]))
         for lid in range(3):
-            k = int(rng.integers(lo, hi + 1))
-            g.add_observation(1000 + k - 20, lid, _pixel_of(truth[k], points[lid]),
+            k = int(rng.integers(0, hi + 1))
+            g.add_observation(k, lid, _pixel_of(truth[k], points[lid]),
                               obs_info, landmark_position=points[lid] + 0.05)
         outcomes = [_solve_like_fresh(g, False, self.CFG)]
         next_lid = 3
         for _ in range(60):
             op = rng.choice(["grow", "observe", "merge", "solve"], p=[0.35, 0.3, 0.1, 0.25])
-            if op == "grow" and hi - lo < len(truth) - 1:
+            if op == "grow" and hi < len(truth) - 1:
                 noise = _random_pose(rng, 0.01, 0.01)
-                if lo > 0 and (hi == len(truth) - 1 or rng.random() < 0.2):
-                    lo -= 1
-                    a, b = lo + 1, lo
-                else:
-                    hi += 1
-                    a, b = hi - 1, hi
-                g.add_odometry(1000 + a - 20, 1000 + b - 20,
-                               truth[a].inverse().compose(truth[b]).compose(noise))
+                hi += 1
+                g.add_odometry(hi - 1, hi,
+                               truth[hi - 1].inverse().compose(truth[hi]).compose(noise))
             elif op == "observe":
-                k = int(rng.integers(lo, hi + 1))
+                k = int(rng.integers(0, hi + 1))
                 lid = int(rng.choice(list(g.landmarks)))
                 point = points[lid % len(points)]
-                g.add_observation(1000 + k - 20, lid,
+                g.add_observation(k, lid,
                                   _pixel_of(truth[k], point) + rng.normal(scale=2.0, size=2),
                                   obs_info)
             elif op == "merge" and len(g.landmarks) > 1:
@@ -973,7 +988,7 @@ class TestKeptLayout:
 
         # a loop closure leaves the band: every pose solve raises and
         # leaves the estimates as they were, a fixed-pose solve runs
-        g.add_odometry(1000 + hi - 20, 1000 + lo - 20, truth[hi].inverse().compose(truth[lo]))
+        g.add_odometry(hi, 0, truth[hi].inverse().compose(truth[0]))
         estimates = _estimate_bits(g)
         assert _solve_like_fresh(g, False, self.CFG) is None
         assert _estimate_bits(g) == estimates
@@ -996,34 +1011,26 @@ class TestKeptLayout:
         assert [n for layout, n in stacked if layout is g._layout] == [len(poses) - 1, 1, 0]
 
     def test_one_pose_graph_grows_into_a_chain(self):
-        # one pose has kd 5, two or more kd 11: the layout is rebuilt once
+        # the band has kd 11 from one pose on: the layout is kept as the
+        # chain grows, and each step matches the sparse-LU reference
         poses, landmarks = _circle_scene()
         g = PoseGraph(K)
         g.add_prior(0, poses[0])
         for lid, point in enumerate(landmarks[:3]):
             g.add_observation(0, lid, _pixel_of(poses[0], point) + 2.0, np.eye(2) / 16.0,
                               landmark_position=point)
-        assert _solve_like_fresh(g, False) is None
-        assert g._layout.kd == 5
+        g.poses[0] = g.poses[0].retract(np.full(6, 1e-3))
+        # the reference step builds the layout the first solve keeps
+        _assert_same_step(*_damped_steps(g))
+        layout = g._layout
+        assert _solve_like_fresh(g, False) == "kept"
         g.add_odometry(0, 1, poses[0].inverse().compose(poses[1]))
         g.add_observation(1, 0, _pixel_of(poses[1], landmarks[0]) - 2.0, np.eye(2) / 16.0)
-        assert _solve_like_fresh(g, False) == "rebuilt"
-        assert g._layout.kd == 11
+        _assert_same_step(*_damped_steps(g))
+        assert _solve_like_fresh(g, False) == "kept"
         g.add_odometry(1, 2, poses[1].inverse().compose(poses[2]))
         assert _solve_like_fresh(g, False) == "kept"
-
-    def test_pose_without_factor_raises_until_joined(self):
-        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=15)
-        assert _solve_like_fresh(g, False) is None
-        last = len(poses) - 1
-        g.poses[last + 3] = poses[last].retract(np.full(6, 0.1))
-        with pytest.raises(SingularSystemError, match=f"pose {last + 3} has no factor"):
-            g.optimize()
-        # poses held fixed need no factor
-        assert _solve_like_fresh(g, True) == "rebuilt"
-        g.add_odometry(last, last + 3, poses[last].inverse().compose(g.poses[last + 3]))
-        assert _solve_like_fresh(g, False) == "rebuilt"
-        assert _solve_like_fresh(g, False) == "kept"
+        assert g._layout is layout
 
     def test_a_replaced_prior_rebuilds(self):
         g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=16)
@@ -1323,7 +1330,7 @@ class TestFirstPoseForwardSolve:
 
     def test_layout_starts_at_each_landmarks_first_observing_pose(self):
         g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=4)
-        # pose ids 0-9 sit at positions 0-9; landmarks 0-5 are seen from
+        # pose ids 0-9 are rows 0-9; landmarks 0-5 are seen from
         # every even pose, landmark 7 from poses 7 and 3 only
         g.add_observation(7, 7, np.array([320.0, 240.0]), np.eye(2) / 16.0,
                           landmark_position=np.zeros(3))
