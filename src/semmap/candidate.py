@@ -25,15 +25,21 @@ standard deviation sigma
             - T * log(2 pi sigma^2),   z_t = box center of measurement t,
 
 seeded by midpoint triangulation of the box-center rays and refined by a
-random-walk search that keeps the best sample seen. The walk scores a
-block of proposals per call through a folded projection: the
+random walk of 2000 Gaussian steps that moves whenever a step beats the
+current point. The likelihood goes through a folded projection: the
 intrinsics and each box center fold into three rows per view, so one
 matrix product gives every residual numerator and depth. The kernel is
 view-major: that product is (3T, m), one contiguous row of m values per
 view and quantity, so the elementwise steps run over long rows instead
 of strided (m, 3, T) slices. The BLAS operand layout fixes the
 rounding, and the one chosen reproduces the point-major product bit for
-bit (see _LikelihoodEvaluator).
+bit (see _LikelihoodEvaluator). Most steps cannot beat the current
+point even on one view's pixel term, so the walk bounds and verifies:
+from the current point it bounds every pending step's likelihood by the
+last view's term alone, a few elementwise passes over three rows,
+scores exactly only the steps the bound cannot rule out, in one block,
+and moves to the first that improves (see _ViewBound and _hill_climb).
+It takes the steps the sequential rule takes, with the same bits.
 """
 
 from __future__ import annotations
@@ -71,12 +77,15 @@ _GRID_UNIT = np.stack(np.meshgrid(*(np.arange(n) + 0.5 for n in (5, 5, 3)),
                                   indexing="ij"), axis=-1).reshape(-1, 3)
 
 # the random walk: _WALK_STEPS Gaussian steps of _WALK_STEP_SIGMA m
-# per axis, scored in blocks of proposals: the first block and the cap
-# it doubles up to while no proposal improves
+# per axis
 _WALK_STEPS = 2000
 _WALK_STEP_SIGMA = 0.05
-_WALK_BLOCK = 512
-_WALK_BLOCK_MAX = 1024
+
+# the walk bound's rounding margin (see _ViewBound): the share by which
+# the likelihood gap is widened, and the multiple of the unit roundoff
+# that bounds the bound's projection error relative to its magnitude
+_BOUND_SHARE = 1e-9
+_BOUND_ULPS = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -241,10 +250,11 @@ class _LikelihoodEvaluator:
     which bounds the cancellation far from the origin. The operand
     layouts pick the BLAS kernel and so fix the rounding: with C-ordered
     rows and a C-ordered point block, each value equals the point-major
-    product `(xs - ref) @ rows.T` bit for bit at every m, while the
-    transposed view of an (m, 3) block differs in some last bits above
-    m = 1024. A single point takes BLAS's matrix-vector path in either
-    layout, whose last bits can differ from a block's.
+    product `(xs - ref) @ rows.T` bit for bit at every m of 2 or more,
+    so a point scores the same in any block, while the transposed view
+    of an (m, 3) block differs in some last bits for blocks of over a
+    thousand points. A single point takes BLAS's matrix-vector path in
+    either layout, whose last bits can differ from a block's.
     `sigma_px` is the standard deviation of the isotropic pixel noise.
     Calling the evaluator scores under an errstate that ignores every
     floating-point error; `score` leaves that to the caller, which can
@@ -350,39 +360,109 @@ def triangulate_midpoint(origins: np.ndarray, directions: np.ndarray) -> np.ndar
     return np.linalg.solve(a, b)
 
 
-def _hill_climb(x0, ll0, steps, evaluate):
-    """First-improvement random walk, block-scanned.
+class _ViewBound:
+    """Upper bounds on the likelihood of the walk's proposals from one
+    view's pixel term.
 
-    Evaluating a block of pending proposals from the current point is
-    exactly the sequential rule: the point only changes at the first
-    improving index, so proposals before it see the same state, and any
-    block schedule gives the same walk as long as `evaluate` scores a
-    point the same in every block (see _LikelihoodEvaluator for a
-    block of one). Improvements are rare (most walks have none or
-    one), so blocks start large.
+    Every view's term w (ru^2 + rv^2) is non-negative, the likelihood
+    -0.5 S + norm falls as the sum S of the terms grows, and a rounded
+    sum of non-negative terms is at least each of them. So a proposal
+    cannot beat llx once the view's term alone reaches 2 (norm - llx),
+    nor once it is behind the view's camera. The view's three folded
+    rows are linear in the point, so their values at x + s are those at
+    x plus the rows' product with s, taken once per walk, and a pass is
+    a few elementwise steps on three rows: nu^2 + nv^2 against the gap
+    times depth^2.
+
+    Those values are not the kernel's bits, so a rounding margin keeps
+    the bound above the kernel's likelihood: the depth is raised by
+    twice the largest difference a projected value can have (_BOUND_ULPS
+    times the rows' 1-norms times a reach holding every point of the
+    walk, plus the offset), the gap is widened by 2 _BOUND_SHARE, and an
+    absolute slack covers numerators that nearly cancel, near the
+    box-centre ray. A NaN keeps its proposal.
+    """
+
+    def __init__(self, evaluate: _LikelihoodEvaluator, x0: np.ndarray,
+                 steps: np.ndarray, view: int):
+        t = evaluate.count
+        self.rows = evaluate.rows[view::t]
+        self.ref = evaluate.ref
+        self.proj = self.rows @ steps
+        self.gap_scale = 2.0 * (1.0 + 2.0 * _BOUND_SHARE) / evaluate.weight
+        self.norm = evaluate.norm
+        # every point of the walk lies within x0 plus the steps' summed
+        # lengths, at most sqrt(n) times their Frobenius norm
+        reach = (max(map(abs, np.ravel(x0).tolist())) + max(map(abs, self.ref[:, 0].tolist()))
+                 + math.sqrt(steps.shape[1] * float(np.vdot(steps, steps))))
+        offsets = evaluate.offsets[view::t, 0].tolist()
+        du, dv, dz = (_BOUND_ULPS * (sum(map(abs, row)) * reach + abs(offset))
+                      for row, offset in zip(self.rows.tolist(), offsets))
+        offsets[2] -= 2.0 * dz
+        self.offsets = np.array(offsets)[:, None]
+        self.slack = 2.0 * (du * du + dv * dv) / _BOUND_SHARE
+
+    def survivors(self, x: np.ndarray, llx: float, start: int = 0) -> np.ndarray:
+        """Indices j >= start of the steps whose proposal x + steps[:, j]
+        (x a (3, 1) column) the bound cannot rule out below llx."""
+        proj = self.proj[:, start:] + (self.rows @ (x - self.ref) - self.offsets)
+        behind = proj[2] <= 0.0
+        proj *= proj
+        proj[0] += proj[1]
+        proj[2] *= self.gap_scale * (self.norm - llx)
+        proj[2] += self.slack
+        out = proj[0] > proj[2]
+        out |= behind
+        keep = np.flatnonzero(~out)
+        keep += start
+        return keep
+
+
+def _walk_steps(run_seed: int, tracklet_id: int) -> np.ndarray:
+    """The walk's (3, _WALK_STEPS) steps, coordinate-major: drawn as
+    (_WALK_STEPS, 3) standard normals from the (run_seed, tracklet_id)
+    stream and scaled by _WALK_STEP_SIGMA in the pass that transposes
+    them, with the bits of the scaled draw's transpose."""
+    draw = np.random.default_rng((run_seed, tracklet_id)).standard_normal((_WALK_STEPS, 3))
+    return np.multiply(draw.T, _WALK_STEP_SIGMA, order="C")
+
+
+def _hill_climb(x0, ll0, steps, evaluate: _LikelihoodEvaluator):
+    """First-improvement random walk over (3, n) coordinate-major steps:
+    move to x + steps[:, j] whenever it beats the current likelihood.
+
+    Bound and verify: each pass bounds every pending proposal from the
+    current point with the last view's term (see _ViewBound), scores the
+    ones the bound cannot rule out in one block, and moves to the first
+    of them that improves; the rest are bounded again from the new
+    point. Every pending proposal before that one was ruled out or
+    scored no better, so this is the sequential rule's walk as long as
+    `evaluate.score` gives a point the same bits in every block, which
+    holds for blocks of two or more points (see _LikelihoodEvaluator).
+    So a lone survivor is scored as two columns, except when it is the
+    walk's only pending proposal: that one is scored alone, on the
+    matrix-vector path, whose bits the mapped outputs depend on.
     """
     x = np.asarray(x0, dtype=float)[:, None]
     llx = float(ll0)
+    n = steps.shape[1]
+    bound = _ViewBound(evaluate, x, steps, evaluate.count - 1)
     i = 0
-    n = steps.shape[0]
-    # proposals are built coordinate-major, (3, m), so each sum runs
-    # over whole rows; evaluate gets the (m, 3) view
-    steps = np.ascontiguousarray(steps.T)
-    block = _WALK_BLOCK
     while i < n:
-        j = min(n, i + block)
-        cand = x + steps[:, i:j]
-        lls = evaluate(cand.T)
+        cols = bound.survivors(x, llx, i)
+        if cols.size == 0:
+            break
+        if cols.size == 1 and i < n - 1:
+            cols = cols.repeat(2)
+        cand = x + steps[:, cols]
+        lls = evaluate.score(cand.T)
         better = (lls > llx).nonzero()[0]
         if better.size == 0:
-            i = j
-            block = min(block * 2, _WALK_BLOCK_MAX)
-        else:
-            first = int(better[0])
-            x = cand[:, first:first + 1]
-            llx = float(lls[first])
-            i += first + 1
-            block = _WALK_BLOCK
+            break
+        first = int(better[0])
+        x = cand[:, first:first + 1]
+        llx = float(lls[first])
+        i = int(cols[first]) + 1
     return x[:, 0].copy(), llx
 
 
@@ -437,9 +517,8 @@ def estimate_centroid(
     with np.errstate(all="ignore"):
         ll_seed = float(evaluate.score(seed.reshape(1, 3))[0])
         if np.isfinite(ll_seed):
-            rng = np.random.default_rng((run_seed, tracklet.id))
-            steps = rng.standard_normal(size=(_WALK_STEPS, 3)) * _WALK_STEP_SIGMA
-            point, ll = _hill_climb(seed, ll_seed, steps, evaluate.score)
+            point, ll = _hill_climb(seed, ll_seed, _walk_steps(run_seed, tracklet.id),
+                                    evaluate)
     if not np.isfinite(ll_seed):
         est = fallback()
         if not np.isfinite(est.log_likelihood):

@@ -56,10 +56,15 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def check_class_id(class_id: str) -> None:
     """Raise ValueError unless class_id is one non-empty token without
-    whitespace: the one field a detection log line splits it into."""
+    whitespace that encodes as UTF-8: the one field a detection log
+    line splits it into, in the encoding the log is written in."""
     if class_id.split() != [class_id]:
         raise ValueError(
             f"class_id must be one token without whitespace, got {class_id!r}")
+    try:
+        class_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"class_id must encode as UTF-8, got {class_id!r}") from None
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,28 @@ def sequential_walk(x0, ll0, steps, evaluate):
     return x, llx
 
 
+def block_walk(x0, ll0, steps, evaluate, block=256):
+    """sequential_walk scoring the next `block` pending proposals per
+    call: move to the first that beats the current likelihood, and score
+    on from the proposal after it. The same walk as sequential_walk's
+    for any evaluate that scores a point the same in every block."""
+    x = np.asarray(x0, dtype=float)
+    llx = float(ll0)
+    steps = np.asarray(steps, dtype=float).reshape(-1, 3)
+    i = 0
+    while i < len(steps):
+        cand = x + steps[i:i + block]
+        lls = evaluate(cand)
+        better = np.flatnonzero(lls > llx)
+        if better.size == 0:
+            i += block
+            continue
+        first = int(better[0])
+        x, llx = cand[first], float(lls[first])
+        i += first + 1
+    return x, llx
+
+
 def brute_force_nn_mean(query_pts, target_pts):
     """Mean over query points of the distance to the closest target: the
     full (na, nb) distance matrix, no spatial index."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     EinsumLikelihoodEvaluator,
     PointMajorLikelihoodEvaluator,
+    block_walk,
     grid_search_max,
     loop_box_center_rays,
     loop_extract_clouds,
@@ -29,11 +30,11 @@ from oracles import (
 from semmap import candidate
 from semmap.candidate import (
     Candidate,
-    _WALK_BLOCK,
-    _WALK_BLOCK_MAX,
     _frustum_grid,
     _hill_climb,
     _LikelihoodEvaluator,
+    _ViewBound,
+    _walk_steps,
     Views,
     cuboid_half_depth,
     estimate_centroid,
@@ -319,7 +320,8 @@ def _loop_estimate(t, poses, sigma, run_seed):
         return None
     steps = np.random.default_rng((run_seed, t.id)).normal(
         0.0, candidate._WALK_STEP_SIGMA, size=(candidate._WALK_STEPS, 3))
-    point, ll = _hill_climb(seed, ll_seed, steps, evaluate)
+    with np.errstate(all="ignore"):
+        point, ll = _hill_climb(seed, ll_seed, np.ascontiguousarray(steps.T), evaluate)
     return seed, point, ll
 
 
@@ -347,8 +349,10 @@ class TestFoldedLikelihood:
             np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
             ll_seed_folded = folded(seed[None, :])[0]
             assert ll_seed_folded == pytest.approx(ll_seed, rel=1e-12, abs=0.0)
-            x_got, ll_got = _hill_climb(seed, ll_seed_folded, steps, folded)
-            x_want, ll_want = _hill_climb(seed, ll_seed, steps, oracle)
+            with np.errstate(all="ignore"):
+                x_got, ll_got = _hill_climb(seed, ll_seed_folded,
+                                            np.ascontiguousarray(steps.T), folded)
+                x_want, ll_want = block_walk(seed, ll_seed, steps, oracle)
             assert x_got.tobytes() == x_want.tobytes()
             assert ll_got == pytest.approx(ll_want, rel=1e-12, abs=0.0)
 
@@ -404,64 +408,192 @@ class TestViewMajorKernel:
             assert np.isneginf(want).any()
 
 
+class _Paired(_LikelihoodEvaluator):
+    """The kernel with every block it is asked to score recorded, and
+    scored at least two rows wide: a single point takes BLAS's
+    matrix-vector path, whose last bits differ, so the walk and the
+    one-point-per-call oracle then score every point alike."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.blocks = []
+
+    def score(self, xs):
+        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+        self.blocks.append(len(xs))
+        return super().score(np.concatenate([xs, xs]))[:len(xs)]
+
+
+def _paired_walk(seed, ll_seed, steps, paired):
+    """The walk over (n, 3) steps with a _Paired kernel, and
+    sequential_walk's, scoring each point in a block of two."""
+
+    def evaluate(xs):
+        return _LikelihoodEvaluator.score(paired, np.concatenate([xs, xs]))[:len(xs)]
+
+    with np.errstate(all="ignore"):
+        got = _hill_climb(seed, ll_seed, np.ascontiguousarray(steps.T), paired)
+        want = sequential_walk(seed, ll_seed, steps, evaluate)
+    return got, want, paired.blocks
+
+
 class TestWalkSchedule:
-    @pytest.mark.parametrize("n_samples", [0, 1, _WALK_BLOCK - 1, _WALK_BLOCK,
-                                           _WALK_BLOCK + 1, 2000])
+    @pytest.mark.parametrize("n_samples", [0, 1, 2, 511, 512, 513, 2000])
     def test_matches_sequential_walk(self, n_samples):
-        # scoring blocks of proposals must take exactly the steps that
-        # scoring one proposal per call takes
+        # bounding the pending proposals and scoring the rest in one block
+        # must take exactly the steps that scoring one proposal per call
+        # takes
         rng = np.random.default_rng(n_samples)
         sigma = 4.0
         walks = moved = 0
         while walks < 8:
             centers, poses, point = _random_tracklet_views(rng)
-            kernel = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)
-
-            def evaluate(xs):
-                # every block at least two rows wide: a single point
-                # takes BLAS's matrix-vector path, whose last bits differ
-                return kernel(np.concatenate([xs, xs]))[:len(xs)]
-
+            kernel = _Paired(Views.of(poses), centers, _k(), sigma)
             seed = point + rng.normal(0.0, 0.05, 3)
-            ll_seed = float(evaluate(seed[None, :])[0])
+            ll_seed = float(kernel(seed)[0])
             if not np.isfinite(ll_seed):
                 continue
             walks += 1
             steps = rng.standard_normal((n_samples, 3)) * 0.05
-            x_got, ll_got = _hill_climb(seed, ll_seed, steps, evaluate)
-            x_want, ll_want = sequential_walk(seed, ll_seed, steps, evaluate)
+            (x_got, ll_got), (x_want, ll_want), _ = _paired_walk(seed, ll_seed, steps, kernel)
             assert x_got.tobytes() == x_want.tobytes()
             assert ll_got == ll_want
             moved += x_got.tobytes() != seed.tobytes()
-        assert n_samples < _WALK_BLOCK or moved >= 4
+        assert n_samples < 511 or moved >= 4
+
+    @staticmethod
+    def _engineered_walk(improving, n=2000, nudge=None):
+        """A noise-free tracklet, a seed 5 cm off its point, and n steps
+        that each move 0.5 m across the last view's ray, except those at
+        `improving`, each halfway from the walk's point to the object,
+        and the one at `nudge`, 0.1 % of the offset further away."""
+        rng = np.random.default_rng(len(improving) + 10 * n)
+        point = np.array([0.2, 2.5, 1.0])
+        eyes = [np.array([-0.6 + 0.3 * i, 0.0, 1.0 + 0.05 * i]) for i in range(5)]
+        k = _k()
+        poses = [_look_at(e, point) for e in eyes]
+        centers = np.array([pinhole_uv(point, p, k) for p in poses])
+        kernel = _Paired(Views.of(poses), centers, k, 4.0)
+        seed = point + np.array([0.04, -0.03, 0.02])
+        axis = poses[-1].rotation_matrix()[:, 2]
+        across = rng.normal(0.0, 1.0, (n, 3))
+        across -= np.outer(across @ axis, axis)
+        steps = 0.5 * across / np.linalg.norm(across, axis=1, keepdims=True)
+        x = seed
+        for i in improving:
+            steps[i] = 0.5 * (point - x)
+            x = x + steps[i]
+        if nudge is not None:
+            steps[nudge] = 1e-3 * (x - point)
+        ll_seed = float(kernel(seed)[0])
+        kernel.blocks.clear()
+        return seed, ll_seed, steps, kernel
 
     @pytest.mark.parametrize("improving", [
-        [0],  # first index of the first block
-        [_WALK_BLOCK - 1],  # its last index
-        [_WALK_BLOCK],  # first index of the doubled second block
-        [_WALK_BLOCK + _WALK_BLOCK_MAX - 1],  # its last index
-        [0, 1, 2],  # each the first index of the block after the last
-        [_WALK_BLOCK - 1, 2 * _WALK_BLOCK - 1],  # last of a block, twice
-        [1999],  # the last proposal
+        [0],  # the first proposal, a lone survivor
+        [1000],  # a lone survivor mid-walk
+        [1998],  # leaves the last proposal pending alone, ruled out
+        [1999],  # the last proposal, a lone survivor of the whole walk
+        [1998, 1999],  # the last proposal as the walk's only pending one
+        [0, 1, 2],  # consecutive improvements
+        [3, 1997, 1999],  # the last proposal, a lone survivor after a ruled-out one
     ])
     def test_improvement_at_block_edges(self, improving):
-        # the likelihood is the first coordinate, and every step lowers it
-        # by 1 except those at `improving`, which raise it by 1: the walk
-        # must take exactly those
-        steps = np.random.default_rng(3).normal(0.0, 1.0, (2000, 3))
-        steps[:, 0] = -1.0
-        steps[improving, 0] = 1.0
-        scored = []
-
-        def evaluate(xs):
-            scored.append(len(xs))
-            return xs[:, 0].copy()
-
-        x, ll = _hill_climb(np.zeros(3), 0.0, steps, evaluate)
-        assert ll == len(improving)
-        want = sequential_walk(np.zeros(3), 0.0, steps, lambda xs: xs[:, 0].copy())
+        # the walk must take exactly the improving steps, scoring one
+        # block per move: a lone survivor as two columns, and a single
+        # point only when it is the walk's only pending proposal
+        seed, ll_seed, steps, kernel = self._engineered_walk(improving)
+        (x, ll), want, blocks = _paired_walk(seed, ll_seed, steps, kernel)
         assert x.tobytes() == want[0].tobytes() and ll == want[1]
-        assert max(scored) > 1
+        taken = seed
+        for i in improving:
+            taken = taken + steps[i]
+        assert x.tobytes() == taken.tobytes() and ll > ll_seed
+        assert len(blocks) == len(improving)
+        alone = improving[-2:] == [1998, 1999]
+        assert min(blocks[:-1], default=2) >= 2
+        assert (blocks[-1] == 1) if alone else (blocks[-1] >= 2)
+
+    def test_lone_survivor_that_does_not_improve(self):
+        # one proposal mid-walk survives the bound and is scored, as two
+        # columns, and the walk stays at its seed
+        seed, ll_seed, steps, kernel = self._engineered_walk([], nudge=700)
+        (x, ll), want, blocks = _paired_walk(seed, ll_seed, steps, kernel)
+        assert x.tobytes() == want[0].tobytes() == seed.tobytes()
+        assert ll == want[1] == ll_seed
+        assert blocks == [2]
+
+    def test_steps_are_the_scaled_draw_transposed(self):
+        # one draw of (n, 3) standard normals, scaled into the (3, n)
+        # layout in one pass, with the bits of scaling then transposing
+        got = _walk_steps(7, 123)
+        want = (np.random.default_rng((7, 123)).standard_normal((2000, 3)) * 0.05).T
+        assert got.shape == (3, 2000) and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _bound_queries(rng, point, poses, k):
+    """Points around the object, and for every view: behind its camera
+    near the backward box-centre ray, on its image plane, near its
+    box-centre ray in front, and far off its image."""
+    out = [point + rng.normal(0.0, 0.3, (40, 3))]
+    for pose in poses:
+        eye = pose.translation
+        axes = pose.rotation_matrix()
+        ray = point - eye
+        out.append(eye - rng.uniform(0.1, 5.0, (6, 1)) * ray
+                   + rng.normal(0.0, 1e-3, (6, 3)))
+        out.append(eye + rng.normal(0.0, 1.0, (6, 1)) * axes[:, 0]
+                   + rng.normal(0.0, 1.0, (6, 1)) * axes[:, 1])
+        out.append(eye + rng.uniform(0.3, 3.0, (6, 1)) * ray
+                   + rng.normal(0.0, 1e-6, (6, 3)))
+        off = rng.uniform(1e3, 1e6, (6, 1)) * rng.choice([-1.0, 1.0], (6, 2))
+        out.append(eye + 2.0 * axes[:, 2] + off[:, :1] * axes[:, 0] / k.fx
+                   + off[:, 1:] * axes[:, 1] / k.fy)
+    return np.concatenate(out)
+
+
+class TestViewBound:
+    def test_never_rules_out_an_improvement(self):
+        # a proposal whose exact score beats llx must survive every view's
+        # bound, both for the current point's llx and for an llx one ulp
+        # below the proposal's own score; a proposal behind the bound's
+        # camera is ruled out, unless its bound is NaN
+        rng = np.random.default_rng(25)
+        sigma = 4.0
+        ruled = total = tracklets = 0
+        while tracklets < 40:
+            centers, poses, point = _random_tracklet_views(rng)
+            kernel = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)
+            x = point + rng.normal(0.0, 0.05, 3)
+            llx = float(kernel(np.stack([x, x]))[0])
+            if not np.isfinite(llx):
+                continue
+            tracklets += 1
+            queries = _bound_queries(rng, point, poses, _k())
+            m = len(queries)
+            exact = kernel(np.concatenate([queries, queries]))[:m]
+            steps = np.ascontiguousarray((queries - x).T)
+            finite = np.flatnonzero(np.isfinite(exact))
+            with np.errstate(all="ignore"):
+                for view, pose in enumerate(poses):
+                    bound = _ViewBound(kernel, x[:, None], steps, view)
+                    kept = np.zeros(m, dtype=bool)
+                    kept[bound.survivors(x[:, None], llx)] = True
+                    better = np.flatnonzero(exact > llx)
+                    assert kept[better].all(), f"view {view} ruled out {better[~kept[better]]}"
+                    depth = (queries - pose.translation) @ pose.rotation_matrix()[:, 2]
+                    behind = depth < -1e-9
+                    assert not kept[behind].any()
+                    ruled += m - kept.sum()
+                    total += m
+                    for j in finite:
+                        below = float(np.nextafter(exact[j], -np.inf))
+                        assert j in bound.survivors(x[:, None], below), (view, j)
+                    bound.proj[:, behind.argmax()] = np.nan
+                    assert behind.argmax() in bound.survivors(x[:, None], llx)
+        share = ruled / total
+        assert share > 0.5, f"the bound rules out {share:.1%} of {total} proposals"
 
 
 class TestTriangulationSeed:

@@ -80,6 +80,17 @@ class TestSimulate:
         assert err.startswith("error:") and "class_id" in err
         assert not (tmp_path / "sim").exists()
 
+    def test_class_id_not_utf8_exits_2_before_writing(self, tmp_path, capsys):
+        # a lone surrogate is one token, but no log line can hold it
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(_world_scenario("\ud800")), encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["simulate", str(scenario), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class_id" in err
+        for name in pipeline.SIMULATE_OUTPUTS:
+            assert not (out / name).exists()
+
 
 class TestRun:
     def test_writes_manifest_and_outputs(self, workspace):
