@@ -5,10 +5,9 @@ Renders each scene of the workload through `cmd_simulate`, maps it once
 through `run_pipeline` with the scene's config, and keeps the argument
 tuple of every `propose_candidate` call. It then replays all of them
 --repeat times and prints, per call, the microseconds of the whole
-`propose_candidate`, of `extract_clouds`, of `estimate_centroid` (the
-calls whose MAD gate accepts) and of the random walk
-(`candidate._hill_climb`, the estimates that walk): the minimum and the
-median over the rounds of each round's mean.
+`propose_candidate`, of `extract_clouds` and of `estimate_centroid`
+(the calls whose MAD gate accepts): the minimum and the median over the
+rounds of each round's mean.
 
     python3 scripts/proposal_replay.py --workload desk --repeat 5
 
@@ -25,8 +24,6 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -63,24 +60,6 @@ def recorded_proposals(workload: str, work: Path) -> list[tuple]:
     return calls
 
 
-def recorded_walks(estimates: list[tuple]) -> list[tuple]:
-    """The argument tuple of every walk the estimates run."""
-    walks = []
-    original = candidate._hill_climb
-
-    def keep(*args):
-        walks.append(args)
-        return original(*args)
-
-    candidate._hill_climb = keep
-    try:
-        for args in estimates:
-            candidate.estimate_centroid(*args)
-    finally:
-        candidate._hill_climb = original
-    return walks
-
-
 def mean_us(fn, calls: list[tuple]) -> float:
     """Mean microseconds of fn over the calls, one timer around all."""
     t0 = perf_counter()
@@ -101,25 +80,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         proposals = recorded_proposals(args.workload, Path(tmp))
     extracts, estimates = [], []
-    for tracklet, odometry, k, sigma_px, run_seed, mad_threshold in proposals:
+    for tracklet, odometry, k, mad_threshold in proposals:
         rows = [m.frame_id for m in tracklet.measurements]
         views = candidate.Views(*(stack[rows] for stack in odometry))
         extracts.append((tracklet, views, k))
         _, means = candidate.extract_clouds(tracklet, views, k)
         if candidate.mad_deviation(means) <= mad_threshold:
-            estimates.append((tracklet, views, k, sigma_px, run_seed))
-    walks = recorded_walks(estimates)
+            estimates.append((tracklet, views, k))
 
     parts = (("propose_candidate", candidate.propose_candidate, proposals),
              ("extract_clouds", candidate.extract_clouds, extracts),
-             ("estimate_centroid", candidate.estimate_centroid, estimates),
-             ("walk", candidate._hill_climb, walks))
+             ("estimate_centroid", candidate.estimate_centroid, estimates))
     rounds = {name: [] for name, _, _ in parts}
-    # estimate_centroid runs its walk under this errstate
-    with np.errstate(all="ignore"):
-        for _ in range(args.repeat):
-            for name, fn, calls in parts:
-                rounds[name].append(mean_us(fn, calls))
+    for _ in range(args.repeat):
+        for name, fn, calls in parts:
+            rounds[name].append(mean_us(fn, calls))
 
     print(f"{args.workload}: {len(proposals)} proposals, {args.repeat} rounds")
     print(f"{'part':<18} {'calls':>6} {'min us':>9} {'median us':>10}")

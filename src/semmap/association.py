@@ -7,12 +7,14 @@ associated,
     r = sqrt((dt / ground_uncertainty) * size),
 
 which absorbs odometry drift accumulated while the object was out of
-view. When several landmarks pass the gate the tie is broken by the
-mean nearest-neighbor distance from the candidate cloud to each
-landmark cloud (smaller is better). Fusion averages centroids weighted
-by how many candidates a landmark has absorbed and keeps clouds bounded
-by voxel thinning. Landmarks whose bounding volumes overlap are merged
-into the lower id until no overlapping pair remains. Each merge
+view. A candidate whose tracklet continues one already mapped skips
+the gate and fuses into that tracklet's landmark. When several
+landmarks pass the gate the tie is broken by the mean nearest-neighbor
+distance from the candidate cloud to each landmark cloud (smaller is
+better). Fusion averages centroids weighted by how many candidates a
+landmark has absorbed and keeps clouds bounded by voxel thinning.
+Landmarks whose bounding volumes overlap are merged into the lower id
+until no overlapping pair remains. Each merge
 records one entry, absorbed id -> survivor, and an absorbed id resolves
 to its live landmark by following those entries on read.
 """
@@ -287,8 +289,12 @@ class LandmarkMap:
         now: float,
         cfg: AssociationConfig,
         timings: dict[str, float] | None = None,
+        inherit: int | None = None,
     ) -> AssocDecision:
         """Match-or-create for one candidate; mutates the registry.
+
+        `inherit`, a live landmark id, skips the gate: the candidate is
+        fused into that landmark, which emits by the usual interval.
 
         When `timings` is given, seconds spent in the centroid gate and
         in the cloud nearest-neighbor disambiguation are accumulated
@@ -296,13 +302,17 @@ class LandmarkMap:
         mutation (create or fuse) under 'landmark_update'. The
         post-solve merge pass is timed by the caller as 'landmark_merge'.
         """
-        t0 = time.perf_counter()
-        gate = self.preselect(cand, now, cfg)
-        t1 = time.perf_counter()
-        if timings is not None:
-            timings["association_path1"] = timings.get("association_path1", 0.0) + (t1 - t0)
-        target = gate[0] if gate else None
         nn_dist: float | None = None
+        if inherit is not None:
+            gate = [self.landmarks[inherit]]
+        else:
+            t0 = time.perf_counter()
+            gate = self.preselect(cand, now, cfg)
+            t1 = time.perf_counter()
+            if timings is not None:
+                timings["association_path1"] = (timings.get("association_path1", 0.0)
+                                                + (t1 - t0))
+        target = gate[0] if gate else None
         if len(gate) > 1:
             nn_dist = math.inf
             for lm in gate:  # gate is id-ordered, ties keep the lower id

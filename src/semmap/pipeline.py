@@ -3,9 +3,14 @@ corrected trajectory out.
 
 One loop runs per odometry frame: track the frame's detections, propose
 a localized candidate for each promoted tracklet, associate the accepted
-candidates with the landmark map, and optimize the pose graph on every
-frame that emitted an observation factor.
+candidates with the landmark map, and optimize the pose graph on a
+frame that emitted an observation factor when no solve ran in the last
+min_reobservation_interval seconds. A run whose last observation came
+after its last solve ends with one more solve.
 
+A tracklet that continues a promoted one (its tracker parent) fuses
+straight into the landmark its parent's candidate went to, resolved
+through merges, without the gate; the MAD gate still judges it first.
 Candidates are localized on raw odometry, so the candidate stream never
 depends on when the optimizer last ran. Duplicate landmarks are a
 designed-for consequence: under odometry drift a revisited object can
@@ -85,15 +90,18 @@ class PipelineConfig:
     """The settings of one mapping run: the sensor, the tracker and
     association thresholds and the mapping policy.
 
-    seed drives the random walk, the only stochastic stage: each
-    tracklet's stream is derived from (seed, tracklet id). The solver
-    runs on every frame that emitted an observation factor;
-    optimize_every only paces the merge-only passes between solves.
-    The odometry sigmas weight the relative-motion factors and should
-    match the sensor; they are floored at 1e-4 so a zero value means
-    "trust fully" rather than a singular information matrix. The
-    solver's settings and the walk's length and step are constants
-    (pipeline._SOLVER, candidate._WALK_STEPS and _WALK_STEP_SIGMA).
+    seed drives nothing: the run has no stochastic stage. It stays
+    because the benchmark's configs pass it, and it is recorded in
+    the run manifest. The solver runs on a frame that emitted an
+    observation factor when no solve ran in the last
+    association.min_reobservation_interval seconds, the interval that
+    already spaces each landmark's emissions, and once more at the end
+    of a run whose last observation came after its last solve;
+    optimize_every only paces the merge-only passes between emitting
+    frames. The odometry sigmas weight the relative-motion factors and
+    should match the sensor; they are floored at 1e-4 so a zero value
+    means "trust fully" rather than a singular information matrix. The
+    solver's settings are a constant (pipeline._SOLVER).
     """
 
     camera: CameraIntrinsics = DEFAULT_CAMERA
@@ -187,7 +195,9 @@ class ProposalRecord:
     accepted: bool
     mad: float
     low_confidence: bool
-    decision: str | None  # "new" | "matched" | None when rejected
+    # "new" | "matched" (through the gate) | "inherited" (fused into the
+    # landmark of the tracklet's parent) | None when rejected
+    decision: str | None
     landmark_id: int | None
     emitted_observation: bool
 
@@ -279,6 +289,26 @@ def run_pipeline(frames, odometry: Trajectory,
     sigma_r = max(cfg.odometry_rotation_sigma, _SIGMA_FLOOR)
     odometry_information = np.diag([1.0 / sigma_t**2] * 3 + [1.0 / sigma_r**2] * 3)
 
+    # each accepted tracklet's landmark, for its successor to inherit
+    landmark_of: dict[int, int] = {}
+    last_solve = -math.inf
+    pending = False  # an observation the graph has not solved with
+
+    def solve(now: float) -> None:
+        nonlocal last_solve, pending
+        t0 = perf_counter()
+        report = graph.optimize(_SOLVER, fix_poses=fix_poses)
+        timings["optimize"].append(perf_counter() - t0)
+        solves.append(report)
+        logger.debug(
+            "solve: %d poses, %d landmarks, %d observations, %d iterations, "
+            "%d steps, stop %s, cost %.6g -> %.6g, %.3f ms",
+            len(graph.poses), len(graph.landmarks), len(graph.observations),
+            report.iterations, report.steps, report.stop_reason,
+            report.initial_cost, report.final_cost, 1e3 * timings["optimize"][-1])
+        apply_correction(graph, lm_map)
+        last_solve, pending = now, False
+
     def merge_pass() -> None:
         t0 = perf_counter()
         merges = lm_map.merge_overlapping(cfg.association)
@@ -300,8 +330,7 @@ def run_pipeline(frames, odometry: Trajectory,
         proposals = []
         for tracklet in promoted:
             t0 = perf_counter()
-            prop = propose_candidate(tracklet, views, cfg.camera, sigma_px,
-                                     cfg.seed, cfg.mad_threshold)
+            prop = propose_candidate(tracklet, views, cfg.camera, cfg.mad_threshold)
             timings["candidate_proposal"].append(perf_counter() - t0)
             proposals.append(prop)
 
@@ -313,12 +342,16 @@ def run_pipeline(frames, odometry: Trajectory,
         emitted = False
         for prop in proposals:
             decision = None
+            inherit = landmark_of.get(prop.tracklet.parent)
+            if inherit is not None:
+                inherit = lm_map.resolve(inherit)
             if prop.accepted:
                 call_timings: dict[str, float] = {}
                 decision = lm_map.associate(
-                    prop.candidate, stamp, cfg.association, call_timings)
+                    prop.candidate, stamp, cfg.association, call_timings, inherit)
                 for key, seconds in call_timings.items():
                     timings[key].append(seconds)
+                landmark_of[prop.tracklet.id] = decision.landmark_id
             emit = isinstance(decision, Matched) and decision.emit_observation
             if emit:
                 last = prop.tracklet.measurements[-1]
@@ -330,33 +363,25 @@ def run_pipeline(frames, odometry: Trajectory,
             records.append(ProposalRecord(
                 i, stamp, prop.tracklet.id, prop.tracklet.class_id,
                 prop.accepted, prop.mad, prop.low_confidence,
-                None if decision is None
+                None if decision is None else "inherited" if inherit is not None
                 else "matched" if isinstance(decision, Matched) else "new",
                 None if decision is None else decision.landmark_id, emit))
 
         # a graph extended only by odometry since the last solve keeps
         # its previous optimum (new chain factors are exactly satisfied
         # by the composed initialization), so re-solving would only
-        # churn; every frame that emitted an observation calls optimize,
-        # which places new landmarks on their rays instead of solving
-        # when their first observations are all the graph gained since
-        # (see PoseGraph.optimize)
-        if emitted:
-            t0 = perf_counter()
-            report = graph.optimize(_SOLVER, fix_poses=fix_poses)
-            timings["optimize"].append(perf_counter() - t0)
-            solves.append(report)
-            logger.debug(
-                "solve: %d poses, %d landmarks, %d observations, %d iterations, "
-                "%d steps, stop %s, cost %.6g -> %.6g, %.3f ms",
-                len(graph.poses), len(graph.landmarks), len(graph.observations),
-                report.iterations, report.steps, report.stop_reason,
-                report.initial_cost, report.final_cost, 1e3 * timings["optimize"][-1])
-            apply_correction(graph, lm_map)
+        # churn; an emitting frame solves at most once per re-observation
+        # interval, and optimize places new landmarks on their rays
+        # instead of solving when their first observations are all the
+        # graph gained since (see PoseGraph.optimize)
+        pending |= emitted
+        if emitted and stamp - last_solve >= cfg.association.min_reobservation_interval:
+            solve(stamp)
         if emitted or (graph.observations and (i + 1) % cfg.optimize_every == 0):
             merge_pass()
 
-    # the last emitting frame already solved; only merge
+    if pending:
+        solve(stamp)
     if graph.observations:
         merge_pass()
 
@@ -368,6 +393,7 @@ def run_pipeline(frames, odometry: Trajectory,
         "tracklets_promoted": len(records),
         "proposals_accepted": accepted,
         "proposals_rejected": len(records) - accepted,
+        "proposals_inherited": sum(rec.decision == "inherited" for rec in records),
         "observations_emitted": sum(rec.emitted_observation for rec in records),
         "optimize_calls": len(solves),
         "optimize_iterations": sum(s.iterations for s in solves),

@@ -3,8 +3,10 @@
 Detections are matched frame to frame by bounding-box overlap against
 each tracklet's latest box. A tracklet that reaches min_tracklet_size
 measurements is promoted (handed to candidate generation) and removed
-from the active set; continued sightings of the same object simply start
-a fresh tracklet and are reconciled later by data association.
+from the active set, but its latest box is kept for max_gap. A
+continued sighting of the same object starts a fresh tracklet whose
+parent is the promoted one, so the successor can inherit the landmark
+its parent was mapped to.
 """
 
 from __future__ import annotations
@@ -90,12 +92,14 @@ class Tracklet:
     """Measurements of one object, in the order of the frames they
     arrived in. `last_update` is the stamp of the frame its latest
     measurement arrived in: the `now` of the IouTracker.step that
-    appended it, whatever the measurement's own stamp."""
+    appended it, whatever the measurement's own stamp. `parent` is the
+    id of the promoted tracklet this one continues, if any."""
 
     id: int
     class_id: str
     measurements: list[Measurement] = field(default_factory=list)
     last_update: float = float("-inf")
+    parent: int | None = None
 
     @property
     def latest_box(self) -> BoundingBox:
@@ -157,21 +161,28 @@ def filter_detections(detections: list[Measurement], cfg: TrackerConfig) -> list
 
 
 class IouTracker:
-    """Single-owner mutable tracker state; one step() call per frame."""
+    """Single-owner mutable tracker state; one step() call per frame.
+    `promoted` holds the promoted tracklets that may still parent a
+    successor: for max_gap after their last update, and until one
+    does."""
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
         self.active: dict[int, Tracklet] = {}
+        self.promoted: dict[int, Tracklet] = {}
         self._next_id = 0
 
     def prune_expired(self, now: float) -> list[Tracklet]:
         """Remove and return tracklets whose silence exceeds max_gap: the
-        frame stamp now against the frame stamp of their last update."""
+        frame stamp now against the frame stamp of their last update.
+        Promoted tracklets that silent are dropped too."""
         expired = [
             t for t in self.active.values() if now - t.last_update > self.cfg.max_gap
         ]
         for t in expired:
             del self.active[t.id]
+        self.promoted = {tid: t for tid, t in self.promoted.items()
+                         if now - t.last_update <= self.cfg.max_gap}
         return expired
 
     def step(
@@ -188,11 +199,14 @@ class IouTracker:
         Detections are taken in input order; each attaches to the
         unmatched same-class tracklet with the highest IOU against its
         latest box, provided that IOU reaches the threshold. Ties go to
-        the lower tracklet id. Unmatched detections seed new tracklets.
-        Promotion happens exactly when a tracklet reaches
-        min_tracklet_size and removes it from the active set.
+        the lower tracklet id. Unmatched detections seed new tracklets;
+        one whose box meets the threshold against a kept promoted
+        tracklet's latest box (by the same rule, among those promoted
+        before this frame) is its successor, and that promoted tracklet
+        parents no other. Promotion happens exactly when a tracklet
+        reaches min_tracklet_size and removes it from the active set.
         """
-        for t in self.active.values():
+        for t in (*self.active.values(), *self.promoted.values()):
             if now < t.last_update:
                 raise OutOfOrderTimestampError(
                     f"step at {now} precedes tracklet {t.id} update {t.last_update}"
@@ -202,29 +216,40 @@ class IouTracker:
         promoted: list[Tracklet] = []
         matched_ids: set[int] = set()
         for det in detections:
-            best_id = -1
-            best_iou = 0.0
-            # ids are issued in increasing order and tracklets are only
-            # inserted or deleted, so insertion order already is id order
-            for tid, t in self.active.items():
-                if tid in matched_ids:
-                    continue
-                if t.class_id != det.class_id:
-                    continue
-                score = iou(t.latest_box, det.box)
-                if score > best_iou:
-                    best_iou = score
-                    best_id = tid
-            if best_id >= 0 and best_iou >= self.cfg.iou_threshold:
+            best_id = self._best_match(det, self.active, matched_ids)
+            if best_id is not None:
                 target = self.active[best_id]
-                matched_ids.add(best_id)
             else:
-                target = Tracklet(self._next_id, det.class_id)
+                parent = self._best_match(det, self.promoted, ())
+                if parent is not None:
+                    del self.promoted[parent]
+                target = Tracklet(self._next_id, det.class_id, parent=parent)
                 self._next_id += 1
                 self.active[target.id] = target
-                matched_ids.add(target.id)
+            matched_ids.add(target.id)
             target.append(det, now)
             if len(target) == self.cfg.min_tracklet_size:
                 promoted.append(target)
                 del self.active[target.id]
+        self.promoted.update((t.id, t) for t in promoted)
         return promoted, expired
+
+    def _best_match(self, det: Measurement, tracklets: dict[int, Tracklet],
+                    taken) -> int | None:
+        """Id of the same-class tracklet not in `taken` whose latest box
+        overlaps the detection's most, if that IOU reaches the threshold;
+        ties go to the lower id."""
+        best_id = None
+        best_iou = 0.0
+        # the promoted tracklets are kept in promotion order, which is
+        # not id order, so an equal IOU compares ids
+        for tid, t in tracklets.items():
+            if tid in taken or t.class_id != det.class_id:
+                continue
+            score = iou(t.latest_box, det.box)
+            if score > best_iou or (score == best_iou > 0.0 and tid < best_id):
+                best_iou = score
+                best_id = tid
+        if best_id is not None and best_iou >= self.cfg.iou_threshold:
+            return best_id
+        return None

@@ -34,25 +34,11 @@ def pinhole_uv(point_world, pose, k):
     )
 
 
-def loop_log_likelihood(x, centers, poses, k, cov):
-    """Plain double-loop likelihood with per-view scalar math."""
-    info = np.linalg.inv(cov)
-    log_norm = -math.log(2.0 * math.pi) - 0.5 * math.log(np.linalg.det(cov))
-    total = 0.0
-    for center, pose in zip(centers, poses):
-        uv = pinhole_uv(x, pose, k)
-        if uv is None:
-            return -math.inf
-        r = uv - np.asarray(center, dtype=float)
-        total += -0.5 * float(r @ info @ r) + log_norm
-    return total
-
-
 def grid_search_max(centers, poses, k, cov, around, half=0.5, step=0.01):
     """Dense grid argmax of the likelihood over a cube around `around`.
 
-    Vectorized per grid axis chunk but algorithmically independent of
-    the package evaluator (explicit per-view rotation application).
+    Vectorized per grid axis chunk, with an explicit per-view rotation
+    application.
     """
     around = np.asarray(around, dtype=float)
     axis = np.arange(-half, half + step / 2, step)
@@ -139,119 +125,6 @@ def dict_voxel_thin(points: np.ndarray, cap: int, edge: float) -> np.ndarray:
         if len(seen) <= cap:
             return pts[sorted(seen.values())]
         edge *= 2.0
-
-
-class EinsumLikelihoodEvaluator:
-    """Vectorized ll over query points for a fixed measurement set."""
-
-    def __init__(self, poses, centers_px, k, cov):
-        self.world_to_cam = np.stack([p.rotation_matrix().T for p in poses])
-        self.cam_centers = np.stack([p.translation for p in poses])
-        self.centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
-        self.k = k
-        self.info = np.linalg.inv(cov)
-        _, logdet = np.linalg.slogdet(cov)
-        # 2D Gaussian: log(1 / sqrt((2 pi)^2 det)) per measurement
-        self.log_norm = -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet)
-        self.count = len(poses)
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        """xs (m, 3) -> ll (m,); -inf where behind any camera."""
-        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-        d = xs[:, None, :] - self.cam_centers[None, :, :]
-        p = np.einsum("tij,mtj->mti", self.world_to_cam, d)
-        z = p[..., 2]
-        ok = np.all(z > 0.0, axis=1)
-        out = np.full(xs.shape[0], -np.inf)
-        if not np.any(ok):
-            return out
-        pz = z[ok]
-        ru = self.k.fx * p[ok, :, 0] / pz + self.k.cx - self.centers_px[:, 0]
-        rv = self.k.fy * p[ok, :, 1] / pz + self.k.cy - self.centers_px[:, 1]
-        quad = (
-            self.info[0, 0] * ru * ru
-            + 2.0 * self.info[0, 1] * ru * rv
-            + self.info[1, 1] * rv * rv
-        )
-        out[ok] = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
-        return out
-
-
-class PointMajorLikelihoodEvaluator:
-    """The folded likelihood in the point-major layout the package used
-    before its view-major kernel, kept as that kernel's bit-exact
-    reference: `(xs - ref) @ rows.T` is read as strided (m, 3, T)
-    slices, the cross term is always added, and numpy sums each point's
-    T terms along its row. `rotations` is the views' camera-to-world
-    stack."""
-
-    def __init__(self, rotations, poses, centers_px, k, cov):
-        world_to_cam = np.asarray(rotations).transpose(0, 2, 1)
-        cam_centers = np.stack([p.translation for p in poses])
-        centers_px = np.asarray(centers_px, dtype=float).reshape(-1, 2)
-        rows = np.concatenate([
-            k.fx * world_to_cam[:, 0] + (k.cx - centers_px[:, :1]) * world_to_cam[:, 2],
-            k.fy * world_to_cam[:, 1] + (k.cy - centers_px[:, 1:]) * world_to_cam[:, 2],
-            world_to_cam[:, 2],
-        ])
-        self.ref = cam_centers.mean(axis=0)
-        self.rows_t = rows.T
-        self.offsets = np.sum(rows * np.tile(cam_centers - self.ref, (3, 1)), axis=1)
-        self.info = np.linalg.inv(cov)
-        _, logdet = np.linalg.slogdet(cov)
-        self.log_norm = -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet)
-        self.count = len(poses)
-
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-        proj = ((xs - self.ref) @ self.rows_t - self.offsets).reshape(-1, 3, self.count)
-        num_u, num_v, z = proj[:, 0], proj[:, 1], proj[:, 2]
-        with np.errstate(all="ignore"):
-            ru = num_u / z
-            rv = num_v / z
-            quad = (
-                self.info[0, 0] * ru * ru
-                + 2.0 * self.info[0, 1] * ru * rv
-                + self.info[1, 1] * rv * rv
-            )
-            out = -0.5 * quad.sum(axis=1) + self.count * self.log_norm
-        out[np.any(z <= 0.0, axis=1)] = -np.inf
-        return out
-
-
-def sequential_walk(x0, ll0, steps, evaluate):
-    """First-improvement random walk scoring one proposal per call:
-    move to x + step whenever it beats the current likelihood."""
-    x = np.asarray(x0, dtype=float)
-    llx = float(ll0)
-    for step in steps:
-        cand = x + step
-        ll = float(evaluate(cand[None, :])[0])
-        if ll > llx:
-            x, llx = cand, ll
-    return x, llx
-
-
-def block_walk(x0, ll0, steps, evaluate, block=256):
-    """sequential_walk scoring the next `block` pending proposals per
-    call: move to the first that beats the current likelihood, and score
-    on from the proposal after it. The same walk as sequential_walk's
-    for any evaluate that scores a point the same in every block."""
-    x = np.asarray(x0, dtype=float)
-    llx = float(ll0)
-    steps = np.asarray(steps, dtype=float).reshape(-1, 3)
-    i = 0
-    while i < len(steps):
-        cand = x + steps[i:i + block]
-        lls = evaluate(cand)
-        better = np.flatnonzero(lls > llx)
-        if better.size == 0:
-            i += block
-            continue
-        first = int(better[0])
-        x, llx = cand[first], float(lls[first])
-        i += first + 1
-    return x, llx
 
 
 def brute_force_nn_mean(query_pts, target_pts):

@@ -167,7 +167,7 @@ def test_criterion_5_map_localization(report):
     eyes = [point + 2.5 * np.array([math.sin(a), -math.cos(a), 0.1 * a])
             for a in angles]
     tracklet, poses = _tracklet_viewing(point, eyes, k)
-    est = estimate_centroid(tracklet, Views.of(poses), k, 4.0, 1)
+    est = estimate_centroid(tracklet, Views.of(poses), k)
     noise_free_err = float(np.linalg.norm(est.point - point))
 
     # two views at 1 px noise against the 1 cm grid oracle
@@ -176,7 +176,7 @@ def test_criterion_5_map_localization(report):
     rng = np.random.default_rng(8)
     tracklet2, poses2 = _tracklet_viewing(point2, eyes2, k, px_noise=1.0,
                                           rng=rng)
-    est2 = estimate_centroid(tracklet2, Views.of(poses2), k, 1.0, 2)
+    est2 = estimate_centroid(tracklet2, Views.of(poses2), k)
     centers = [m.box.center for m in tracklet2.measurements]
     oracle_pt, _ = grid_search_max(centers, poses2, k, np.eye(2),
                                    around=point2, half=0.5, step=0.01)

@@ -1,7 +1,8 @@
 """Candidate validation and localization tests.
 
-The MAP estimate is checked against a dense grid-search oracle and the
-likelihood against a plain per-view loop implementation (see oracles.py).
+The estimate is checked against a dense grid-search oracle of the
+likelihood and against a plain per-view loop triangulation (see
+oracles.py).
 """
 
 import math
@@ -14,32 +15,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
-    EinsumLikelihoodEvaluator,
-    PointMajorLikelihoodEvaluator,
-    block_walk,
     grid_search_max,
     loop_box_center_rays,
     loop_extract_clouds,
-    loop_log_likelihood,
     loop_triangulate_midpoint,
     meshgrid_box_sampler,
     pinhole_uv,
-    sequential_walk,
 )
 
 from semmap import candidate
 from semmap.candidate import (
     Candidate,
     _frustum_grid,
-    _hill_climb,
-    _LikelihoodEvaluator,
-    _ViewBound,
-    _walk_steps,
     Views,
     cuboid_half_depth,
     estimate_centroid,
     extract_clouds,
-    log_likelihood,
     mad_deviation,
     propose_candidate,
     triangulate_midpoint,
@@ -152,96 +143,6 @@ class TestMadGate:
             assert m1 > 0.15
 
 
-class TestLogLikelihood:
-    def _setup(self, n_views=4):
-        point = np.array([0.3, 2.0, 1.1])
-        eyes = [np.array([math.cos(a), -1.5 + 0.3 * i, 1.0]) for i, a in
-                enumerate(np.linspace(-0.5, 0.5, n_views))]
-        return point, *_tracklet_viewing(point, eyes, _k())
-
-    def test_zero_residual_equals_normalization(self):
-        # exact point: ll is T times the Gaussian log-normalization
-        point, tracklet, poses = self._setup()
-        sigma = 4.0
-        expected = len(poses) * (-math.log(2 * math.pi) - 0.5 * math.log(16.0 * 16.0))
-        assert log_likelihood(point, tracklet, poses, _k(), sigma) == pytest.approx(
-            expected, abs=1e-9
-        )
-
-    def test_matches_loop_oracle(self):
-        point, tracklet, poses = self._setup()
-        sigma = 2.0
-        rng = np.random.default_rng(0)
-        centers = [m.box.center for m in tracklet.measurements]
-        for _ in range(20):
-            x = point + rng.normal(0, 0.3, 3)
-            want = loop_log_likelihood(x, centers, poses, _k(), _cov(sigma))
-            got = log_likelihood(x, tracklet, poses, _k(), sigma)
-            assert got == pytest.approx(want, rel=1e-9)
-        # one batch mixing points in front of every camera with points
-        # behind camera 0 and at its center: those rows are exactly -inf,
-        # and no division or overflow warning escapes
-        eye = poses[0].translation
-        front = point + rng.normal(0, 0.3, (20, 3))
-        behind = eye - rng.uniform(0.5, 5.0, (6, 1)) * (point - eye)
-        xs = np.concatenate([front[:10], behind, eye[None, :], front[10:]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)(xs)
-        want = [loop_log_likelihood(x, centers, poses, _k(), _cov(sigma))
-                for x in xs]
-        assert np.all(got[10:17] == -np.inf)
-        assert np.all(np.isfinite(got[:10])) and np.all(np.isfinite(got[17:]))
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, rel=1e-9)
-
-    def test_point_on_image_plane_is_minus_inf_without_warning(self):
-        # camera 0 at the origin looks down +z, camera 1 at z = 4 looks
-        # back (180 degrees about x); every value is dyadic, so a point
-        # in camera 0's plane z = 0 has a depth of exactly 0, and the
-        # division by it must not warn
-        poses = [Pose.identity(),
-                 Pose(np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 4.0]))]
-        centers = [pinhole_uv([0.25, 0.5, 2.0], pose, _k()) for pose in poses]
-        xs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.5, 2.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _LikelihoodEvaluator(Views.of(poses), centers, _k(), 4.0)(xs)
-        assert got[0] == -np.inf and got[1] == -np.inf
-        assert np.isfinite(got[2])
-
-    def test_perturbation_decreases_likelihood(self):
-        point, tracklet, poses = self._setup()
-        sigma = 4.0
-        at_truth = log_likelihood(point, tracklet, poses, _k(), sigma)
-        off = log_likelihood(point + [0.2, 0.0, 0.0], tracklet, poses, _k(), sigma)
-        assert off < at_truth
-
-    def test_behind_camera_raises(self):
-        point, tracklet, poses = self._setup()
-        behind = poses[0].translation - 5.0 * (point - poses[0].translation)
-        with pytest.raises(BehindCameraError):
-            log_likelihood(behind, tracklet, poses, _k(), 4.0)
-
-    def test_rigid_gauge_invariance(self):
-        # transforming the world frame moves poses and the point together:
-        # the likelihood must not change
-        point, tracklet, poses = self._setup()
-        sigma = 3.0
-        base = log_likelihood(point, tracklet, poses, _k(), sigma)
-        g = Pose(
-            quat_from_matrix(
-                np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-            ),
-            np.array([5.0, -2.0, 0.7]),
-        )
-        moved_poses = [g.compose(p) for p in poses]
-        moved_point = g.transform(point)
-        assert log_likelihood(
-            moved_point, tracklet, moved_poses, _k(), sigma
-        ) == pytest.approx(base, abs=1e-6)
-
-
 def _random_tracklet_views(rng, count=None):
     """Box centers, poses and true point of a random 3-8 view tracklet,
     or of `count` views.
@@ -302,298 +203,17 @@ def _overflowing(m):
                    depth_hint=1e10)
 
 
-def _loop_estimate(t, poses, sigma, run_seed):
+def _loop_estimate(t, poses):
     """estimate_centroid one view at a time: per-view rotation matrices,
-    the loop triangulation; None where it falls back to the range hint."""
+    the loop triangulation and per-view depths; None where it falls back
+    to the range hint."""
     k = _k()
     centers = np.array([m.box.center for m in t.measurements])
-    views = Views(np.stack([p.rotation for p in poses]),
-                  np.stack([p.rotation_matrix() for p in poses]),
-                  np.stack([p.translation for p in poses]))
-    evaluate = _LikelihoodEvaluator(views, centers, k, sigma)
     origins = np.stack([p.translation for p in poses])
     seed = loop_triangulate_midpoint(origins, loop_box_center_rays(centers, poses, k))
-    if seed is None:
+    if seed is None or any(pinhole_uv(seed, pose, k) is None for pose in poses):
         return None
-    ll_seed = float(evaluate(seed[None, :])[0])
-    if not np.isfinite(ll_seed):
-        return None
-    steps = np.random.default_rng((run_seed, t.id)).normal(
-        0.0, candidate._WALK_STEP_SIGMA, size=(candidate._WALK_STEPS, 3))
-    with np.errstate(all="ignore"):
-        point, ll = _hill_climb(seed, ll_seed, np.ascontiguousarray(steps.T), evaluate)
-    return seed, point, ll
-
-
-class TestFoldedLikelihood:
-    def test_walk_matches_einsum_oracle(self):
-        # the walk only compares likelihoods, so the folded evaluator must
-        # accept exactly the oracle's steps and return the same point bytes
-        rng = np.random.default_rng(2024)
-        sigma = 4.0
-        walks = 0
-        while walks < 200:
-            centers, poses, point = _random_tracklet_views(rng)
-            folded = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)
-            oracle = EinsumLikelihoodEvaluator(poses, centers, _k(), _cov(sigma))
-            seed = point + rng.normal(0.0, 0.05, 3)
-            ll_seed = oracle(seed[None, :])[0]
-            if not np.isfinite(ll_seed):
-                continue
-            walks += 1
-            steps = rng.normal(0.0, 0.05, size=(2000, 3))
-            batch = seed + steps[:256]
-            got, want = folded(batch), oracle(batch)
-            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
-            ok = np.isfinite(want)
-            np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0.0)
-            ll_seed_folded = folded(seed[None, :])[0]
-            assert ll_seed_folded == pytest.approx(ll_seed, rel=1e-12, abs=0.0)
-            with np.errstate(all="ignore"):
-                x_got, ll_got = _hill_climb(seed, ll_seed_folded,
-                                            np.ascontiguousarray(steps.T), folded)
-                x_want, ll_want = block_walk(seed, ll_seed, steps, oracle)
-            assert x_got.tobytes() == x_want.tobytes()
-            assert ll_got == pytest.approx(ll_want, rel=1e-12, abs=0.0)
-
-
-def _kernel_queries(rng, point, poses):
-    """Rows around `point` (over 1024 of them), shuffled with rows behind
-    view 0's camera, at its center, on its image plane, and so far out
-    that the projection overflows (to NaN where infinite terms of
-    opposite sign meet)."""
-    eye = poses[0].translation
-    axes = poses[0].rotation_matrix()
-    front = point + rng.normal(0.0, 0.3, (1100, 3))
-    behind = eye - rng.uniform(0.5, 5.0, (8, 1)) * (point - eye)
-    plane = eye + rng.normal(0.0, 1.0, (8, 1)) * axes[:, 0] + rng.normal(0.0, 1.0, (8, 1)) * axes[:, 1]
-    huge = rng.choice([-1.0, 1.0], (16, 3)) * 10.0 ** rng.uniform(150.0, 308.0, (16, 3))
-    huge[:8] = np.copysign(1e308, huge[:8])
-    return rng.permutation(np.concatenate([front, behind, eye[None, :], plane, huge]))
-
-
-class TestViewMajorKernel:
-    @pytest.mark.parametrize("random_sigma", [False, True])
-    @pytest.mark.parametrize("count", range(2, 13))
-    def test_matches_point_major_oracle(self, count, random_sigma):
-        # the walk only compares likelihoods, so finite values must match
-        # the point-major layout bit for bit, and non-finite ones (-inf
-        # behind a camera, or NaN where the projection overflows) must
-        # fall on the same rows; the oracle weighs by the covariance's
-        # inverse and log-determinant, so a random sigma checks that
-        # 1 / sigma^2 and 2 log(sigma^2) give their bits
-        rng = np.random.default_rng(100 + count)
-        sigma = rng.uniform(0.1, 20.0) if random_sigma else 4.0
-        for _ in range(3):
-            centers, poses, point = _random_tracklet_views(rng, count)
-            views = Views.of(poses)
-            new = _LikelihoodEvaluator(views, centers, _k(), sigma)
-            old = PointMajorLikelihoodEvaluator(views.rotations, poses, centers, _k(),
-                                                _cov(sigma))
-            xs = _kernel_queries(rng, point, poses)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = new(xs)
-                single = np.concatenate([new(x) for x in xs[:60]])
-            with np.errstate(all="ignore"):
-                want = old(xs)
-                # one point takes BLAS's matrix-vector path, whose last
-                # bits differ from a block's in both layouts
-                want_single = np.concatenate([old(x) for x in xs[:60]])
-            for g, w in ((got, want), (single, want_single)):
-                finite = np.isfinite(w)
-                np.testing.assert_array_equal(np.isfinite(g), finite)
-                assert g[finite].view(np.int64).tolist() == w[finite].view(np.int64).tolist()
-            assert np.isfinite(want).sum() >= 300
-            assert np.isneginf(want).any()
-
-
-class _Paired(_LikelihoodEvaluator):
-    """The kernel with every block it is asked to score recorded, and
-    scored at least two rows wide: a single point takes BLAS's
-    matrix-vector path, whose last bits differ, so the walk and the
-    one-point-per-call oracle then score every point alike."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.blocks = []
-
-    def score(self, xs):
-        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-        self.blocks.append(len(xs))
-        return super().score(np.concatenate([xs, xs]))[:len(xs)]
-
-
-def _paired_walk(seed, ll_seed, steps, paired):
-    """The walk over (n, 3) steps with a _Paired kernel, and
-    sequential_walk's, scoring each point in a block of two."""
-
-    def evaluate(xs):
-        return _LikelihoodEvaluator.score(paired, np.concatenate([xs, xs]))[:len(xs)]
-
-    with np.errstate(all="ignore"):
-        got = _hill_climb(seed, ll_seed, np.ascontiguousarray(steps.T), paired)
-        want = sequential_walk(seed, ll_seed, steps, evaluate)
-    return got, want, paired.blocks
-
-
-class TestWalkSchedule:
-    @pytest.mark.parametrize("n_samples", [0, 1, 2, 511, 512, 513, 2000])
-    def test_matches_sequential_walk(self, n_samples):
-        # bounding the pending proposals and scoring the rest in one block
-        # must take exactly the steps that scoring one proposal per call
-        # takes
-        rng = np.random.default_rng(n_samples)
-        sigma = 4.0
-        walks = moved = 0
-        while walks < 8:
-            centers, poses, point = _random_tracklet_views(rng)
-            kernel = _Paired(Views.of(poses), centers, _k(), sigma)
-            seed = point + rng.normal(0.0, 0.05, 3)
-            ll_seed = float(kernel(seed)[0])
-            if not np.isfinite(ll_seed):
-                continue
-            walks += 1
-            steps = rng.standard_normal((n_samples, 3)) * 0.05
-            (x_got, ll_got), (x_want, ll_want), _ = _paired_walk(seed, ll_seed, steps, kernel)
-            assert x_got.tobytes() == x_want.tobytes()
-            assert ll_got == ll_want
-            moved += x_got.tobytes() != seed.tobytes()
-        assert n_samples < 511 or moved >= 4
-
-    @staticmethod
-    def _engineered_walk(improving, n=2000, nudge=None):
-        """A noise-free tracklet, a seed 5 cm off its point, and n steps
-        that each move 0.5 m across the last view's ray, except those at
-        `improving`, each halfway from the walk's point to the object,
-        and the one at `nudge`, 0.1 % of the offset further away."""
-        rng = np.random.default_rng(len(improving) + 10 * n)
-        point = np.array([0.2, 2.5, 1.0])
-        eyes = [np.array([-0.6 + 0.3 * i, 0.0, 1.0 + 0.05 * i]) for i in range(5)]
-        k = _k()
-        poses = [_look_at(e, point) for e in eyes]
-        centers = np.array([pinhole_uv(point, p, k) for p in poses])
-        kernel = _Paired(Views.of(poses), centers, k, 4.0)
-        seed = point + np.array([0.04, -0.03, 0.02])
-        axis = poses[-1].rotation_matrix()[:, 2]
-        across = rng.normal(0.0, 1.0, (n, 3))
-        across -= np.outer(across @ axis, axis)
-        steps = 0.5 * across / np.linalg.norm(across, axis=1, keepdims=True)
-        x = seed
-        for i in improving:
-            steps[i] = 0.5 * (point - x)
-            x = x + steps[i]
-        if nudge is not None:
-            steps[nudge] = 1e-3 * (x - point)
-        ll_seed = float(kernel(seed)[0])
-        kernel.blocks.clear()
-        return seed, ll_seed, steps, kernel
-
-    @pytest.mark.parametrize("improving", [
-        [0],  # the first proposal, a lone survivor
-        [1000],  # a lone survivor mid-walk
-        [1998],  # leaves the last proposal pending alone, ruled out
-        [1999],  # the last proposal, a lone survivor of the whole walk
-        [1998, 1999],  # the last proposal as the walk's only pending one
-        [0, 1, 2],  # consecutive improvements
-        [3, 1997, 1999],  # the last proposal, a lone survivor after a ruled-out one
-    ])
-    def test_improvement_at_block_edges(self, improving):
-        # the walk must take exactly the improving steps, scoring one
-        # block per move: a lone survivor as two columns, and a single
-        # point only when it is the walk's only pending proposal
-        seed, ll_seed, steps, kernel = self._engineered_walk(improving)
-        (x, ll), want, blocks = _paired_walk(seed, ll_seed, steps, kernel)
-        assert x.tobytes() == want[0].tobytes() and ll == want[1]
-        taken = seed
-        for i in improving:
-            taken = taken + steps[i]
-        assert x.tobytes() == taken.tobytes() and ll > ll_seed
-        assert len(blocks) == len(improving)
-        alone = improving[-2:] == [1998, 1999]
-        assert min(blocks[:-1], default=2) >= 2
-        assert (blocks[-1] == 1) if alone else (blocks[-1] >= 2)
-
-    def test_lone_survivor_that_does_not_improve(self):
-        # one proposal mid-walk survives the bound and is scored, as two
-        # columns, and the walk stays at its seed
-        seed, ll_seed, steps, kernel = self._engineered_walk([], nudge=700)
-        (x, ll), want, blocks = _paired_walk(seed, ll_seed, steps, kernel)
-        assert x.tobytes() == want[0].tobytes() == seed.tobytes()
-        assert ll == want[1] == ll_seed
-        assert blocks == [2]
-
-    def test_steps_are_the_scaled_draw_transposed(self):
-        # one draw of (n, 3) standard normals, scaled into the (3, n)
-        # layout in one pass, with the bits of scaling then transposing
-        got = _walk_steps(7, 123)
-        want = (np.random.default_rng((7, 123)).standard_normal((2000, 3)) * 0.05).T
-        assert got.shape == (3, 2000) and got.flags.c_contiguous
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-
-def _bound_queries(rng, point, poses, k):
-    """Points around the object, and for every view: behind its camera
-    near the backward box-centre ray, on its image plane, near its
-    box-centre ray in front, and far off its image."""
-    out = [point + rng.normal(0.0, 0.3, (40, 3))]
-    for pose in poses:
-        eye = pose.translation
-        axes = pose.rotation_matrix()
-        ray = point - eye
-        out.append(eye - rng.uniform(0.1, 5.0, (6, 1)) * ray
-                   + rng.normal(0.0, 1e-3, (6, 3)))
-        out.append(eye + rng.normal(0.0, 1.0, (6, 1)) * axes[:, 0]
-                   + rng.normal(0.0, 1.0, (6, 1)) * axes[:, 1])
-        out.append(eye + rng.uniform(0.3, 3.0, (6, 1)) * ray
-                   + rng.normal(0.0, 1e-6, (6, 3)))
-        off = rng.uniform(1e3, 1e6, (6, 1)) * rng.choice([-1.0, 1.0], (6, 2))
-        out.append(eye + 2.0 * axes[:, 2] + off[:, :1] * axes[:, 0] / k.fx
-                   + off[:, 1:] * axes[:, 1] / k.fy)
-    return np.concatenate(out)
-
-
-class TestViewBound:
-    def test_never_rules_out_an_improvement(self):
-        # a proposal whose exact score beats llx must survive every view's
-        # bound, both for the current point's llx and for an llx one ulp
-        # below the proposal's own score; a proposal behind the bound's
-        # camera is ruled out, unless its bound is NaN
-        rng = np.random.default_rng(25)
-        sigma = 4.0
-        ruled = total = tracklets = 0
-        while tracklets < 40:
-            centers, poses, point = _random_tracklet_views(rng)
-            kernel = _LikelihoodEvaluator(Views.of(poses), centers, _k(), sigma)
-            x = point + rng.normal(0.0, 0.05, 3)
-            llx = float(kernel(np.stack([x, x]))[0])
-            if not np.isfinite(llx):
-                continue
-            tracklets += 1
-            queries = _bound_queries(rng, point, poses, _k())
-            m = len(queries)
-            exact = kernel(np.concatenate([queries, queries]))[:m]
-            steps = np.ascontiguousarray((queries - x).T)
-            finite = np.flatnonzero(np.isfinite(exact))
-            with np.errstate(all="ignore"):
-                for view, pose in enumerate(poses):
-                    bound = _ViewBound(kernel, x[:, None], steps, view)
-                    kept = np.zeros(m, dtype=bool)
-                    kept[bound.survivors(x[:, None], llx)] = True
-                    better = np.flatnonzero(exact > llx)
-                    assert kept[better].all(), f"view {view} ruled out {better[~kept[better]]}"
-                    depth = (queries - pose.translation) @ pose.rotation_matrix()[:, 2]
-                    behind = depth < -1e-9
-                    assert not kept[behind].any()
-                    ruled += m - kept.sum()
-                    total += m
-                    for j in finite:
-                        below = float(np.nextafter(exact[j], -np.inf))
-                        assert j in bound.survivors(x[:, None], below), (view, j)
-                    bound.proj[:, behind.argmax()] = np.nan
-                    assert behind.argmax() in bound.survivors(x[:, None], llx)
-        share = ruled / total
-        assert share > 0.5, f"the bound rules out {share:.1%} of {total} proposals"
+    return seed
 
 
 class TestTriangulationSeed:
@@ -619,12 +239,13 @@ class TestEstimateCentroid:
         angles = np.linspace(-0.8, 0.8, 10)
         eyes = [point + 2.5 * np.array([math.sin(a), -math.cos(a), 0.1 * a]) for a in angles]
         tracklet, poses = _tracklet_viewing(point, eyes, _k())
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, 1)
+        est = estimate_centroid(tracklet, Views.of(poses), _k())
         assert np.linalg.norm(est.point - point) < 1e-3
         assert not est.low_confidence
 
     def test_two_views_one_px_noise_vs_grid_oracle(self):
-        # the walk must land within the grid oracle's own error + 2 cm
+        # the triangulation must land within the grid oracle's own error
+        # of the likelihood maximum + 2 cm
         point = np.array([0.0, 2.0, 1.0])
         eyes = [np.array([-0.4, 0.0, 1.0]), np.array([0.4, 0.0, 1.0])]
         rng = np.random.default_rng(8)
@@ -632,7 +253,7 @@ class TestEstimateCentroid:
             point, eyes, _k(), px_noise=1.0, rng=rng
         )
         sigma = 1.0
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, 2)
+        est = estimate_centroid(tracklet, Views.of(poses), _k())
         centers = [m.box.center for m in tracklet.measurements]
         oracle_pt, _ = grid_search_max(
             centers, poses, _k(), _cov(sigma), around=point, half=0.5, step=0.01
@@ -640,22 +261,44 @@ class TestEstimateCentroid:
         oracle_err = np.linalg.norm(oracle_pt - point)
         assert np.linalg.norm(est.point - point) <= oracle_err + 0.02
 
-    def test_result_at_least_as_likely_as_seed(self):
-        point = np.array([0.2, 3.0, 0.8])
-        eyes = [np.array([-0.5, 0.5, 1.0]), np.array([0.5, 0.0, 1.2]),
-                np.array([0.0, -0.2, 0.9])]
-        rng = np.random.default_rng(21)
-        tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=3.0, rng=rng)
-        sigma = 4.0
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), sigma, 3)
-        seed_ll = log_likelihood(est.seed_point, tracklet, poses, _k(), sigma)
-        assert est.log_likelihood >= seed_ll
+    @staticmethod
+    def _diverging(second_eye, second_target, second_point):
+        """Two views whose box-center rays meet only behind the first
+        camera: one at the origin looking along +z at (0.3, 0, 1), the
+        other at second_eye looking at second_target, its box centered
+        on second_point; range hints of 2 m."""
+        k = _k()
+        t = Tracklet(0, "cup")
+        poses = [_look_at([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                 _look_at(second_eye, second_target)]
+        for i, (pose, seen) in enumerate(zip(poses, ([0.3, 0.0, 1.0], second_point))):
+            px = pinhole_uv(seen, pose, k)
+            t.append(Measurement(0.1 * i, i, "cup", 0.9, _box_at(px), 2.0))
+        return t, poses
+
+    def test_point_behind_a_camera_falls_back_to_depth_hint(self):
+        # rays from (0, 0, 0) and (1, 0, 0), both looking along +z, that
+        # spread apart: they meet behind both cameras, so the estimate
+        # is the last box center back-projected at its range hint
+        t, poses = self._diverging([1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.3, 0.0, 1.0])
+        est = estimate_centroid(t, Views.of(poses), _k())
+        assert est.low_confidence
+        # depth 2 along the optical axis, on the ray through (1.3, 0, 1)
+        np.testing.assert_allclose(est.point, [1.6, 0.0, 2.0], atol=1e-9)
+
+    def test_no_point_in_front_of_every_camera_raises(self):
+        # the second camera at z = -5 looks along -z: the rays meet at
+        # (-0.75, 0, -2.5), behind both cameras, and the range-hint point
+        # in front of the second camera is behind the first
+        t, poses = self._diverging([0.0, 0.0, -5.0], [0.0, 0.0, -6.0], [0.3, 0.0, -6.0])
+        with pytest.raises(BehindCameraError):
+            estimate_centroid(t, Views.of(poses), _k())
 
     def test_zero_baseline_falls_back_to_depth_hint(self):
         point = np.array([0.0, 0.0, 2.0])
         eye = np.array([0.0, -2.0, 2.0])
         tracklet, poses = _tracklet_viewing(point, [eye, eye + 1e-12, eye], _k())
-        est = estimate_centroid(tracklet, Views.of(poses), _k(), 4.0, 4)
+        est = estimate_centroid(tracklet, Views.of(poses), _k())
         assert est.low_confidence
         # fallback point = backprojected box center at the range hint
         np.testing.assert_allclose(est.point, point, atol=1e-6)
@@ -665,12 +308,12 @@ class TestEstimateCentroid:
         eyes = [np.array([-0.3, 0.0, 1.0]), np.array([0.3, 0.1, 1.1])]
         rng = np.random.default_rng(33)
         tracklet, poses = _tracklet_viewing(point, eyes, _k(), px_noise=2.0, rng=rng)
-        sigma = 2.0
+        # no stream seeds the estimate: repeated calls give the same bits
         views = Views.of(poses)
-        a = estimate_centroid(tracklet, views, _k(), sigma, 9)
-        b = estimate_centroid(tracklet, views, _k(), sigma, 9)
-        assert np.array_equal(a.point, b.point)
-        assert a.log_likelihood == b.log_likelihood
+        a = estimate_centroid(tracklet, views, _k())
+        b = estimate_centroid(tracklet, views, _k())
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.low_confidence == b.low_confidence
 
     def test_single_measurement_rejected(self):
         t = Tracklet(0, "cup")
@@ -678,9 +321,7 @@ class TestEstimateCentroid:
             Measurement(0.0, 0, "cup", 0.9, BoundingBox(300, 220, 340, 260), 2.0)
         )
         with pytest.raises(TooFewMeasurementsError):
-            estimate_centroid(
-                t, Views.of([Pose.identity()]), _k(), 4.0, 0,
-            )
+            estimate_centroid(t, Views.of([Pose.identity()]), _k())
 
 
 class TestExtractClouds:
@@ -849,30 +490,26 @@ class TestStackedViews:
                 assert got.tobytes() == want.tobytes()
         assert degenerate >= 50
 
-    def test_estimate_matches_loop_oracle(self, monkeypatch):
-        # 300 walk steps each keep the loop oracle quick
-        monkeypatch.setattr(candidate, "_WALK_STEPS", 300)
+    def test_estimate_matches_loop_oracle(self):
+        # the estimate is the loop triangulation, bit for bit, wherever
+        # that point is in front of every camera
         rng = np.random.default_rng(77)
-        sigma = 4.0
-        walked = 0
+        placed = 0
         for _ in range(80):
             t, poses = _random_tracklet(rng)
-            want = _loop_estimate(t, poses, sigma, 5)
+            want = _loop_estimate(t, poses)
             try:
-                got = estimate_centroid(t, Views.of(poses), _k(), sigma, 5)
+                got = estimate_centroid(t, Views.of(poses), _k())
             except BehindCameraError:
                 assert want is None
                 continue
             if want is None:
                 assert got.low_confidence
                 continue
-            walked += 1
-            seed, point, ll = want
+            placed += 1
             assert not got.low_confidence
-            assert got.seed_point.tobytes() == seed.tobytes()
-            assert got.point.tobytes() == point.tobytes()
-            assert got.log_likelihood == ll
-        assert walked >= 60
+            assert got.point.tobytes() == want.tobytes()
+        assert placed >= 60
 
 
 class TestProposeCandidate:
@@ -894,8 +531,7 @@ class TestProposeCandidate:
     def test_static_object_accepted(self):
         t, traj, point = self._trajectory_and_tracklet(speed=0.0)
         prop = propose_candidate(
-            t, Views.of(traj.poses), _k(), 4.0, 5,
-            mad_threshold=0.15,
+            t, Views.of(traj.poses), _k(), mad_threshold=0.15,
         )
         assert prop.accepted
         assert prop.mad < 0.15
@@ -915,8 +551,7 @@ class TestProposeCandidate:
         # 5 step march is 1.2 * 0.15 = 0.18 > 0.15
         t, traj, _ = self._trajectory_and_tracklet(speed=1.5)
         prop = propose_candidate(
-            t, Views.of(traj.poses), _k(), 4.0, 6,
-            mad_threshold=0.15,
+            t, Views.of(traj.poses), _k(), mad_threshold=0.15,
         )
         assert not prop.accepted
         assert prop.candidate is None
@@ -948,7 +583,7 @@ class TestProposeCandidate:
 
         monkeypatch.setattr(candidate, "extract_clouds", spy(extract_clouds))
         monkeypatch.setattr(candidate, "estimate_centroid", spy(estimate_centroid))
-        prop = propose_candidate(shifted, Views.of(odometry.poses), _k(), 4.0, 5, 0.15)
+        prop = propose_candidate(shifted, Views.of(odometry.poses), _k(), 0.15)
         assert prop.accepted and len(seen) == 2
         want = Views.of([odometry.poses[m.frame_id] for m in shifted.measurements])
         for views in seen:

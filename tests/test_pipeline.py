@@ -12,6 +12,7 @@ import pytest
 
 from oracles import PanningPath, rebuilt_poses
 
+from semmap.association import AssociationConfig
 from semmap.errors import TimestampMismatchError
 from semmap.evaluation import ate_rmse
 from semmap.geometry import Pose, Trajectory
@@ -41,6 +42,46 @@ def _small_desk(seed=0, **noise_overrides):
     world, noise = desk_preset(seed=seed, duration=12.0, frame_rate=10.0,
                                laps=1.5, **noise_overrides)
     return ground_truth_bundle(world, noise)
+
+
+def _blackout(start, end):
+    """The 20 s desk scene (seed 0) with every detection stamped in
+    [start, end] dropped."""
+    world, noise = desk_preset(seed=0, duration=20.0)
+    bundle = ground_truth_bundle(world, noise)
+    frames = [replace(f, detections=()) if start <= f.timestamp <= end else f
+              for f in bundle.frames]
+    return bundle, frames
+
+
+def _rule_solve_stamps(records, last_stamp, interval):
+    """The stamps at which the solve rule solves, from a run's proposal
+    records: an emitting frame solves when no solve ran in the last
+    `interval` seconds (the first always does), and a run whose last
+    observation came after its last solve solves once more, at its last
+    stamp."""
+    emitting = sorted({r.timestamp for r in records if r.emitted_observation})
+    stamps = []
+    for t in emitting:
+        if not stamps or t - stamps[-1] >= interval:
+            stamps.append(t)
+    if emitting and emitting[-1] > stamps[-1]:
+        stamps.append(last_stamp)
+    return stamps
+
+
+def _solve_stamps(monkeypatch, odometry):
+    """A list that collects the odometry stamp of every frame at which
+    PoseGraph.optimize runs (the graph's newest pose)."""
+    stamps = []
+    optimize = posegraph.PoseGraph.optimize
+
+    def stamped(self, *args, **kwargs):
+        stamps.append(float(odometry.stamps[len(self.poses) - 1]))
+        return optimize(self, *args, **kwargs)
+
+    monkeypatch.setattr(posegraph.PoseGraph, "optimize", stamped)
+    return stamps
 
 
 class TestConfigRoundTrip:
@@ -186,22 +227,22 @@ class TestStressScenes:
     moves, one that only turns, detections that never form a tracklet,
     and blackouts."""
 
-    @pytest.mark.parametrize("start, end, solves", [(6.0, 12.0, 12), (2.0, 18.0, 5)])
-    def test_blackout_maps_and_solves_cleanly(self, start, end, solves):
+    @pytest.mark.parametrize("start, end", [(6.0, 12.0), (2.0, 18.0)])
+    def test_blackout_maps_and_solves_cleanly(self, start, end):
         # every detection dropped for seconds on end: gates grow with
         # the time since association, and the objects seen before the
-        # blackout are seen again after it
-        world, noise = desk_preset(seed=0, duration=20.0)
-        bundle = ground_truth_bundle(world, noise)
-        frames = [replace(f, detections=()) if start <= f.timestamp <= end else f
-                  for f in bundle.frames]
+        # blackout are seen again after it, by tracklets too late to
+        # continue the ones before
+        bundle, frames = _blackout(start, end)
         result = run_pipeline(frames, bundle.odometry, PipelineConfig())
         assert len(result.landmark_map) == 8
         made_before = {p.landmark_id for p in result.proposals
                        if p.decision == "new" and p.timestamp < start}
         assert any(p.decision == "matched" and p.landmark_id in made_before
                    for p in result.proposals if p.timestamp > end)
-        assert len(result.solves) == solves
+        interval = PipelineConfig().association.min_reobservation_interval
+        assert len(result.solves) == len(_rule_solve_stamps(
+            result.proposals, float(bundle.odometry.stamps[-1]), interval)) >= 2
         assert not {s.stop_reason for s in result.solves} & {"stalled", "max_iterations"}
         np.testing.assert_array_equal(result.corrected.stamps, bundle.odometry.stamps)
 
@@ -438,11 +479,14 @@ class TestRunRecords:
             return report
 
         monkeypatch.setattr(posegraph.PoseGraph, "optimize", one_deactivated)
-        bundle = _small_desk(seed=1)
-        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
+        # the long blackout's last solve finds only first observations
+        bundle, frames = _blackout(2.0, 18.0)
+        cfg = PipelineConfig()
+        result = run_pipeline(frames, bundle.odometry, cfg)
         solves = result.solves
-        assert len(solves) >= 2
-        assert len(solves) == result.counts["optimize_calls"]
+        assert len(solves) == result.counts["optimize_calls"] == len(_rule_solve_stamps(
+            result.proposals, float(bundle.odometry.stamps[-1]),
+            cfg.association.min_reobservation_interval)) >= 2
         assert sum(s.iterations for s in solves) == \
             result.counts["optimize_iterations"]
         assert result.counts["deactivated_observations"] == len(solves)
@@ -525,14 +569,17 @@ class TestRunRecords:
 
         monkeypatch.setattr(tracker.IouTracker, "step", counted_step)
         monkeypatch.setattr(association.LandmarkMap, "merge_overlapping", counted_merge)
-        bundle = _small_desk(seed=1)
-        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=1))
+        # walking s0 merges, rejects the walker and inherits
+        bundle, cfg = _walking_scene(seed=0)
+        result = run_pipeline(bundle.frames, bundle.odometry, cfg)
         counts, records = result.counts, result.proposals
         # the scene exercises every path the counts summarize
         assert counts["merges"] > 0 and counts["optimize_calls"] > 0
-        assert counts["proposals_rejected"] >= 1
+        assert counts["proposals_rejected"] >= 1 and counts["proposals_inherited"] >= 1
         assert counts["tracklets_promoted"] == len(records) == seen["promoted"]
         assert counts["proposals_accepted"] == sum(r.accepted for r in records)
+        assert counts["proposals_inherited"] == sum(r.decision == "inherited"
+                                                    for r in records)
         assert counts["proposals_rejected"] == sum(not r.accepted for r in records)
         assert counts["observations_emitted"] == \
             sum(r.emitted_observation for r in records)
@@ -593,6 +640,14 @@ class TestDebugLog:
             return reports[-1]
 
         monkeypatch.setattr(posegraph.PoseGraph, "optimize", recorded)
+        results = []
+        run = pipeline.run_pipeline
+
+        def kept(*args):
+            results.append(run(*args))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline, "run_pipeline", kept)
         outputs, lines, counts = _runs_at((logging.WARNING, logging.DEBUG), logging.DEBUG,
                                           tmp_path, caplog)
         # the DEBUG run's reports follow the WARNING run's
@@ -600,8 +655,12 @@ class TestDebugLog:
         assert outputs[logging.DEBUG] == outputs[logging.WARNING]
         assert lines[logging.WARNING] == []
         solve_lines = [m for m in lines[logging.DEBUG] if m.startswith("solve:")]
-        assert len(solve_lines) == len(reports) == counts[logging.DEBUG]["optimize_calls"]
-        assert len(reports) >= 2
+        # every solve the rule asks for is logged
+        result = results[-1]
+        rule = _rule_solve_stamps(result.proposals, float(result.corrected.stamps[-1]),
+                                  PipelineConfig().association.min_reobservation_interval)
+        assert len(solve_lines) == len(reports) == len(rule) == \
+            counts[logging.DEBUG]["optimize_calls"]
         for line, report in zip(solve_lines, reports):
             assert f" {report.iterations} iterations, {report.steps} steps, " \
                 f"stop {report.stop_reason}," in line
@@ -618,6 +677,124 @@ class TestDebugLog:
                         for m in lines[logging.DEBUG] if m.startswith("merge pass:")]
         assert len(merge_passes) >= len(reports)
         assert sum(merge_passes) == counts[logging.DEBUG]["merges"]
+
+
+class TestSolveCadence:
+    """An emitting frame solves only when no solve ran in the last
+    min_reobservation_interval seconds, and a run whose last observation
+    came after its last solve ends with one more."""
+
+    @pytest.mark.parametrize("interval", [0.5, 2.0])
+    def test_solves_are_an_interval_apart(self, monkeypatch, interval):
+        bundle = _small_desk(seed=1)
+        stamps = _solve_stamps(monkeypatch, bundle.odometry)
+        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(
+            association=AssociationConfig(min_reobservation_interval=interval)))
+        assert len(stamps) == len(result.solves) >= 3
+        # a closing solve, at the run's last stamp, may come sooner
+        last = float(bundle.odometry.stamps[-1])
+        paced = [t for t in stamps if t != last]
+        assert all(b - a >= interval for a, b in zip(paced, paced[1:]))
+        emitting = [r.timestamp for r in result.proposals if r.emitted_observation]
+        assert stamps[0] == emitting[0]
+        assert stamps == _rule_solve_stamps(result.proposals, last, interval)
+
+    @staticmethod
+    def _cut(bundle, stamp):
+        """The scene's frames and odometry up to and including `stamp`."""
+        n = int(np.searchsorted(bundle.odometry.stamps, stamp, side="right"))
+        odometry = Trajectory(bundle.odometry.stamps[:n], bundle.odometry.poses[:n])
+        return [f for f in bundle.frames if f.frame_id < n], odometry
+
+    @pytest.mark.parametrize("pending", [True, False])
+    def test_final_solve_only_for_a_pending_observation(self, monkeypatch, caplog,
+                                                        pending):
+        # the run cut at an emitting frame that did not solve ends with
+        # one more solve there, timed and logged as any other; cut at
+        # one that did, it ends with none
+        bundle = _small_desk(seed=1)
+        full = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig())
+        solved = _rule_solve_stamps(full.proposals, float(bundle.odometry.stamps[-1]), 2.0)
+        cut = min(r.timestamp for r in full.proposals
+                  if r.emitted_observation and (r.timestamp in solved) != pending
+                  and r.timestamp > solved[0])
+        frames, odometry = self._cut(bundle, cut)
+        stamps = _solve_stamps(monkeypatch, odometry)
+        caplog.set_level(logging.DEBUG, logger="semmap")
+        result = run_pipeline(frames, odometry, PipelineConfig())
+        assert stamps == [s for s in solved if s < cut] + [cut]
+        logged = [r for r in caplog.records if r.getMessage().startswith("solve:")]
+        assert len(result.solves) == len(result.timings["optimize"]) == len(logged) \
+            == len(stamps)
+
+
+class TestTrackContinuity:
+    """A promoted tracklet's successor fuses into the landmark its
+    parent's candidate went to, without the gate."""
+
+    @staticmethod
+    def _gated(monkeypatch):
+        """A list that collects the tracklet id of every candidate the
+        gate judges."""
+        gated = []
+        preselect = association.LandmarkMap.preselect
+
+        def counted(self, cand, *args):
+            gated.append(cand.tracklet.id)
+            return preselect(self, cand, *args)
+
+        monkeypatch.setattr(association.LandmarkMap, "preselect", counted)
+        return gated
+
+    def test_successor_fuses_into_its_parents_landmark(self, monkeypatch):
+        # desk s2 merges landmarks that successors go on to inherit
+        gated = self._gated(monkeypatch)
+        bundle = _small_desk(seed=2)
+        result, proposals = _run_recording_proposals(bundle.frames, bundle.odometry,
+                                                     PipelineConfig(seed=2))
+        parent = {p.tracklet.id: p.tracklet.parent for p in proposals}
+        record = {r.tracklet_id: r for r in result.proposals}
+        lm_map = result.landmark_map
+        inherited = [r for r in result.proposals if r.decision == "inherited"]
+        assert len(inherited) == result.counts["proposals_inherited"] >= 100
+        for r in result.proposals:
+            up = record.get(parent[r.tracklet_id])
+            assert (r.decision == "inherited") == (r.accepted and up is not None
+                                                   and up.accepted)
+            if r.decision == "inherited":
+                assert lm_map.resolve(r.landmark_id) == lm_map.resolve(up.landmark_id)
+        # some parents' landmarks were merged away before the successor
+        # came: it fused into the survivor
+        assert any(r.landmark_id != record[parent[r.tracklet_id]].landmark_id
+                   for r in inherited)
+        assert gated == [r.tracklet_id for r in result.proposals
+                         if r.accepted and r.decision != "inherited"]
+
+    def test_successor_of_a_rejected_proposal_meets_the_gate(self, monkeypatch):
+        # the MAD gate judges every proposal first: a successor it
+        # rejects maps nothing, and its own successor has no landmark to
+        # inherit
+        real = pipeline.propose_candidate
+        parent, rejected = {}, []
+
+        def reject_one(tracklet, *args):
+            prop = real(tracklet, *args)
+            parent[tracklet.id] = tracklet.parent
+            if not rejected and tracklet.parent is not None and prop.accepted:
+                rejected.append(tracklet.id)
+                return replace(prop, accepted=False, candidate=None)
+            return prop
+
+        monkeypatch.setattr(pipeline, "propose_candidate", reject_one)
+        gated = self._gated(monkeypatch)
+        bundle = _small_desk(seed=2)
+        result = run_pipeline(bundle.frames, bundle.odometry, PipelineConfig(seed=2))
+        record = {r.tracklet_id: r for r in result.proposals}
+        (gone,) = rejected
+        assert record[gone].decision is None and record[gone].landmark_id is None
+        (child,) = [tid for tid, up in parent.items() if up == gone]
+        assert record[child].accepted
+        assert record[child].decision in ("new", "matched") and child in gated
 
 
 class TestStraightPathEval:

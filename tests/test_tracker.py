@@ -214,6 +214,75 @@ class TestTrackerStep:
         assert run() == run()
 
 
+class TestSuccessors:
+    """A detection that matches no active tracklet but overlaps a kept
+    promoted tracklet's latest box continues it."""
+
+    @staticmethod
+    def _promoted(box, class_id="cup"):
+        """A tracker (min_tracklet_size 2, max_gap 0.5) whose tracklet 0,
+        seen at 0.0 and 0.1, was promoted at 0.1."""
+        tracker = IouTracker(TrackerConfig(min_tracklet_size=2, max_gap=0.5))
+        tracker.step([_det(0.0, box, class_id=class_id)], 0.0)
+        promoted, _ = tracker.step([_det(0.1, box, class_id=class_id, frame=1)], 0.1)
+        assert [t.id for t in promoted] == [0] and promoted[0].parent is None
+        return tracker
+
+    def test_successor_within_max_gap_gets_its_parent(self):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        tracker = self._promoted(box)
+        # shifted by 2 px: IOU 64/136 against the kept box, 0.5 s later
+        tracker.step([_det(0.6, BoundingBox(2.0, 2.0, 12.0, 12.0), frame=6)], 0.6)
+        assert [(t.id, t.parent) for t in tracker.active.values()] == [(1, 0)]
+        # and its own promotion makes it a parent in turn
+        promoted, _ = tracker.step([_det(0.7, box, frame=7)], 0.7)
+        assert promoted[0].parent == 0
+        tracker.step([_det(0.8, box, frame=8)], 0.8)
+        assert tracker.active[2].parent == 1
+
+    @pytest.mark.parametrize("stamp, class_id, box", [
+        (0.6 + 1e-9, "cup", (0.0, 0.0, 10.0, 10.0)),  # after max_gap
+        (0.2, "book", (0.0, 0.0, 10.0, 10.0)),  # another class
+        (0.2, "cup", (5.0, 5.0, 15.0, 15.0)),  # IOU 25/175 below 0.2
+    ], ids=["after_max_gap", "other_class", "low_iou"])
+    def test_no_parent(self, stamp, class_id, box):
+        tracker = self._promoted(BoundingBox(0.0, 0.0, 10.0, 10.0))
+        tracker.step([_det(stamp, BoundingBox(*box), class_id=class_id, frame=2)], stamp)
+        assert [t.parent for t in tracker.active.values()] == [None]
+
+    def test_kept_box_parents_one_successor(self):
+        # two unmatched detections on the kept box in one frame: the
+        # first continues tracklet 0, the second starts afresh, and so
+        # does one a frame later
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        tracker = self._promoted(box)
+        tracker.step([_det(0.2, box, frame=2), _det(0.2, box, frame=2)], 0.2)
+        assert [(t.id, t.parent) for t in tracker.active.values()] == [(1, 0), (2, None)]
+        assert tracker.promoted == {}
+
+    def test_no_successor_in_the_frame_of_promotion(self):
+        # a second detection in the frame that promotes tracklet 0 is not
+        # its successor: the kept box parents from the next frame on
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        tracker = IouTracker(TrackerConfig(min_tracklet_size=2))
+        tracker.step([_det(0.0, box)], 0.0)
+        tracker.step([_det(0.1, box, frame=1), _det(0.1, box, frame=1)], 0.1)
+        assert [(t.id, t.parent) for t in tracker.active.values()] == [(1, None)]
+        assert list(tracker.promoted) == [0]
+
+    def test_equal_overlap_goes_to_the_lower_id(self):
+        # tracklet 1 (box b) is promoted before tracklet 0 (box a); a box
+        # between them overlaps both by 60/140, and continues tracklet 0
+        # whatever the promotion order
+        a, b = BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(8.0, 0.0, 18.0, 10.0)
+        tracker = IouTracker(TrackerConfig(min_tracklet_size=2))
+        for f, box in enumerate((a, b, b, a)):
+            tracker.step([_det(0.1 * f, box, frame=f)], 0.1 * f)
+        assert list(tracker.promoted) == [1, 0]
+        tracker.step([_det(0.4, BoundingBox(4.0, 0.0, 14.0, 10.0), frame=4)], 0.4)
+        assert [(t.id, t.parent) for t in tracker.active.values()] == [(2, 0)]
+
+
 class TestPruneExpired:
     def test_idempotent(self):
         tracker = IouTracker(TrackerConfig())
