@@ -115,7 +115,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the likelihood weighs residuals by 1 / sigma^2 and takes log(sigma^2)
+        # each pixel observation's information is eye(2) / sigma^2
         sigma = float(self.pixel_noise_sigma)
         variance = sigma * sigma
         if not (sigma > 0 and 0.0 < variance < math.inf
@@ -371,9 +371,7 @@ def run_pipeline(frames, odometry: Trajectory,
         # its previous optimum (new chain factors are exactly satisfied
         # by the composed initialization), so re-solving would only
         # churn; an emitting frame solves at most once per re-observation
-        # interval, and optimize places new landmarks on their rays
-        # instead of solving when their first observations are all the
-        # graph gained since (see PoseGraph.optimize)
+        # interval
         pending |= emitted
         if emitted and stamp - last_solve >= cfg.association.min_reobservation_interval:
             solve(stamp)

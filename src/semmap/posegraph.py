@@ -34,18 +34,6 @@ landmark's border columns from the row of its first observing pose. No
 matrix of pose dimension squared is ever formed. Odometry between poses
 that are not neighbouring rows (a loop closure) would leave the band,
 so optimize rejects it with a DataError unless the poses are held fixed.
-
-A landmark's first observation cannot correct a pose: its 2 x 3
-landmark Jacobian has full row rank, so the factor's Schur complement
-onto the poses is zero, and the joint optimum keeps every old variable
-and may put the landmark anywhere on the observation ray. The graph
-therefore records whether it still sits at its last solve's optimum
-(odometry that creates its `to` node and an observation that creates
-its landmark keep that; every other mutation clears it). When it does
-and the only factors added since are such first observations, optimize
-places each new landmark on its ray instead of solving (stop reason
-"placed"), at a cost that grows with those landmarks alone rather than
-with the graph; the next full solve polishes it with the rest.
 """
 
 from __future__ import annotations
@@ -257,20 +245,13 @@ class OptimizerConfig:
 # step was no longer than _STEP_TOL relative to the free state (Madsen,
 # Nielsen & Tingleff, "Methods for Non-Linear Least Squares Problems",
 # 2004, section 3.2), damping reached lambda_max without an acceptable
-# step, or max_iterations ran out; or it did not solve but placed new
-# landmarks on their rays (see PoseGraph.optimize)
-STOP_REASONS = ("gradient", "rel_decrease", "small_step", "stalled", "max_iterations",
-                "placed")
+# step, or max_iterations ran out
+STOP_REASONS = ("gradient", "rel_decrease", "small_step", "stalled", "max_iterations")
 
 
 @dataclass
 class SolveReport:
-    """What one optimize call did. A placement ("placed") takes no step:
-    iterations and steps are 0, lambda_trace is empty and cost_trace
-    holds its initial cost alone. Its costs are the last report's final
-    cost plus the placed factors' own costs, before and after the
-    placement, and its deactivated count is the last report's plus the
-    placed landmarks left behind their camera."""
+    """What one optimize call did."""
     iterations: int
     initial_cost: float
     final_cost: float
@@ -282,19 +263,6 @@ class SolveReport:
     stop_reason: str = "max_iterations"  # one of STOP_REASONS
     # damped steps tried, accepted and rejected: one factorization each
     steps: int = 0
-
-
-@dataclass
-class _Optimum:
-    """What a graph keeps of its last solve while it still sits at that
-    solve's optimum: the solve's fix_poses and prior, the last report's
-    final cost and deactivated count, and the observations added since,
-    each the only factor of the landmark it created."""
-    fix_poses: bool
-    prior: PriorFactor
-    cost: float
-    deactivated: int
-    fresh: list[ObservationFactor] = field(default_factory=list)
 
 
 DEFAULT_PRIOR_INFORMATION = np.eye(6) * 1e8
@@ -567,8 +535,7 @@ class PoseEstimates(Mapping):
 
     Reading a row builds its Pose on first access and keeps it until the
     solver rewrites the arrays; assigning a Pose overwrites its row and
-    keeps that object, so reads return it unchanged, and sets
-    `assigned`, which the graph clears when it solves. A read or an
+    keeps that object, so reads return it unchanged. A read or an
     assignment outside 0..n-1 raises KeyError.
     """
 
@@ -576,7 +543,6 @@ class PoseEstimates(Mapping):
         self._q = _Rows((4,))
         self._t = _Rows((3,))
         self._built: dict[int, Pose] = {}
-        self.assigned = False
 
     def __len__(self) -> int:
         return len(self._q.rows)
@@ -599,7 +565,6 @@ class PoseEstimates(Mapping):
     def __setitem__(self, pid, pose: Pose) -> None:
         if pid not in self:
             raise KeyError(f"pose {pid} is not a row of the graph's {len(self)} poses")
-        self.assigned = True
         self._q.rows[pid] = pose.rotation
         self._t.rows[pid] = pose.translation
         self._built[pid] = pose
@@ -632,54 +597,24 @@ class PoseEstimates(Mapping):
         self._built.clear()
 
 
-class _Landmarks(dict):
-    """Landmark positions keyed by id. Assigning or deleting a key sets
-    `assigned`; the graph writes the nodes it creates and the positions
-    it places with `write`, which does not."""
-
-    assigned = False
-
-    def __setitem__(self, lid, position) -> None:
-        self.assigned = True
-        super().__setitem__(lid, position)
-
-    def __delitem__(self, lid) -> None:
-        self.assigned = True
-        super().__delitem__(lid)
-
-    def write(self, lid, position) -> None:
-        super().__setitem__(lid, position)
-
-
 class PoseGraph:
     """Mutable graph; pose estimates live in a PoseEstimates mapping
     keyed by frame row (the prior creates pose 0, odometry to the next
     row creates that row) and landmark positions in a dict keyed by id.
     The odometry list only grows: each solve stacks the factors past
-    those it stacked before. Factors are added and merged through the
-    graph's methods; its prior is checked at each solve, but direct
-    edits of its factor lists are not tracked (see optimize)."""
+    those it stacked before, so an edit of a factor already stacked is
+    not seen; a new prior or fix_poses stacks every factor again (see
+    _synced_layout)."""
 
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
         self.poses = PoseEstimates()
-        self._landmarks = _Landmarks()
+        self.landmarks: dict[int, np.ndarray] = {}
         self.prior: PriorFactor | None = None
         self.odometry: list[OdometryFactor] = []
         self.observations: list[ObservationFactor] = []
         # the chain system kept between solves (see _ChainLayout)
         self._layout: _ChainLayout | None = None
-        # the last solve's optimum, while the graph still sits at it
-        self._optimum: _Optimum | None = None
-
-    @property
-    def landmarks(self) -> dict[int, np.ndarray]:
-        return self._landmarks
-
-    @landmarks.setter
-    def landmarks(self, positions: Mapping[int, np.ndarray]) -> None:
-        self._landmarks = _Landmarks(positions)
-        self._optimum = None
 
     # ------------------------------------------------------------------
     # construction
@@ -707,15 +642,11 @@ class PoseGraph:
     ) -> None:
         """Relative-motion factor. A new `to` pose must be the next row;
         it is initialized by composing the `from` estimate with the
-        measurement, which satisfies the factor and keeps the graph at
-        its last optimum. Odometry between existing poses moves that
-        optimum."""
+        measurement."""
         if from_id not in self.poses:
             raise UnknownNodeError(f"odometry from unknown pose {from_id}")
         info = DEFAULT_ODOMETRY_INFORMATION if information is None else np.asarray(information, float)
-        if to_id in self.poses:
-            self._optimum = None
-        else:
+        if to_id not in self.poses:
             self._check_new_pose(to_id, "odometry")
             self.poses.add_composed(from_id, rel)
         self.odometry.append(OdometryFactor(from_id, to_id, rel, info))
@@ -729,35 +660,26 @@ class PoseGraph:
         landmark_position: np.ndarray | None = None,
     ) -> None:
         """Pixel observation; first reference must supply a landmark
-        position to initialize the node. The observation that creates
-        its landmark keeps the graph at its last optimum (optimize then
-        places the landmark); one of an existing landmark moves it."""
+        position to initialize the node."""
         if pose_id not in self.poses:
             raise UnknownNodeError(f"observation from unknown pose {pose_id}")
-        fresh = landmark_id not in self.landmarks
-        if fresh:
+        if landmark_id not in self.landmarks:
             if landmark_position is None:
                 raise UnknownNodeError(
                     f"landmark {landmark_id} has no node and no initial position"
                 )
-            self._landmarks.write(landmark_id, np.asarray(landmark_position, float).copy())
-        factor = ObservationFactor(
+            self.landmarks[landmark_id] = np.asarray(landmark_position, float).copy()
+        self.observations.append(ObservationFactor(
             pose_id, landmark_id, np.asarray(pixel, float).copy(),
             np.asarray(information, float).copy(),
-        )
-        self.observations.append(factor)
-        if not fresh:
-            self._optimum = None
-        elif self._optimum is not None:
-            self._optimum.fresh.append(factor)
+        ))
 
     def merge_landmarks(self, old_id: int, kept_id: int) -> None:
-        """Re-point factors of a merged-away landmark at the survivor,
-        which moves the graph off its last optimum. Merging a landmark
-        into itself, or one without a node, changes nothing."""
+        """Re-point factors of a merged-away landmark at the survivor.
+        Merging a landmark into itself, or one without a node, changes
+        nothing."""
         if old_id == kept_id or old_id not in self.landmarks:
             return
-        self._optimum = None
         if kept_id not in self.landmarks:
             self.landmarks[kept_id] = self.landmarks.pop(old_id)
         else:
@@ -898,25 +820,8 @@ class PoseGraph:
         are solved and an odometry factor joins two poses that are not
         neighbouring rows (a loop closure): the solver factors the pose
         block as a band. With fix_poses any odometry is accepted.
-
-        A graph that still sits at its last solve's optimum, solved with
-        the same fix_poses and prior, and whose only factors added since
-        are first observations of new landmarks is not solved: each new
-        landmark is placed on its ray (see _place_fresh) and the report's
-        stop_reason is "placed". The graph leaves that state on odometry
-        between existing poses, an observation of an existing landmark, a
-        merge that re-points factors, an assigned or deleted estimate and
-        a solve that raises.
         """
         cfg = cfg or OptimizerConfig()
-        kept = self._optimum
-        if (kept is not None and kept.fresh and kept.fix_poses == fix_poses
-                and kept.prior is self.prior
-                and not (self.poses.assigned or self._landmarks.assigned)):
-            report = self._place_fresh(kept)
-            if report is not None:
-                return report
-        self._optimum = None
         if self.prior is None:
             raise SingularSystemError("graph has no gauge prior")
         lm_ids = sorted(self.landmarks)
@@ -1001,68 +906,9 @@ class PoseGraph:
         else:
             report.converged = False
         self.poses.store(state.q, state.t)
-        self.poses.assigned = False
-        self._landmarks = _Landmarks(
-            (lid, state.lm[i].copy()) for i, lid in enumerate(lm_ids))
+        self.landmarks = {lid: state.lm[i].copy() for i, lid in enumerate(lm_ids)}
         report.final_cost = cost_now
-        self._optimum = _Optimum(fix_poses, self.prior, cost_now,
-                                 report.deactivated_observations)
         return report
-
-    def _place_fresh(self, kept: _Optimum) -> SolveReport | None:
-        """Place each landmark created since the last solve on the ray
-        of its one observation, touching no pose, and forget them as
-        new; None, with nothing changed, when some placement is not
-        defined (the caller then solves).
-
-        With c the observing camera's centre and R its rotation, the
-        pixel's ray is d = R ((u - cx) / fx, (v - cy) / fy, 1); with l0
-        the landmark's position, v = l0 - c, and D = diag(J_l^T W J_l) at
-        l0, the diagonal with which LM damps that landmark
-        (_ChainLayout.step), the landmark moves to c + s d with
-        s = (v^T D v) / (d^T D v): the point of the ray on the plane
-        through l0 that is D-orthogonal to the line of sight. LM's first
-        damped step from l0 is D-orthogonal to v, the null direction of
-        the factor's Jacobian, and aims at that point; its later steps,
-        taken where the line of sight and D have moved, end off it by an
-        amount of second order in l0's offset from the ray (TestPlacement
-        bounds it). A landmark behind its camera at l0 stays,
-        deactivated, as LM leaves it. An s that is not finite or not
-        above the depth at which an observation deactivates (1e-9) has
-        no placement.
-        """
-        fresh, k = kept.fresh, self.intrinsics
-        lm_ids = [f.landmark_id for f in fresh]
-        rows = [f.pose_id for f in fresh]
-        q, t = (x[rows] for x in self.poses.arrays())
-        rot = quat_to_matrix(q)
-        l0 = np.stack([self._landmarks[lid] for lid in lm_ids])
-        pixels = np.stack([f.pixel for f in fresh])
-        info = np.stack([f.information for f in fresh])
-        r0, active, p = observation_residual(rot, t, l0, pixels, k)
-        j_l = observation_jacobian(rot, p, active, k)[:, :, 6:]
-        damp = np.maximum(np.einsum("nri,nrs,nsi->ni", j_l, info, j_l), 1e-12)
-        ray = np.einsum("nab,nb->na", rot, np.stack(
-            [(pixels[:, 0] - k.cx) / k.fx, (pixels[:, 1] - k.cy) / k.fy,
-             np.ones(len(fresh))], axis=1))
-        v = l0 - t
-        with np.errstate(all="ignore"):
-            s = (np.einsum("ni,ni,ni->n", v, damp, v)
-                 / np.einsum("ni,ni,ni->n", ray, damp, v))
-            placed = t + s[:, None] * ray
-        if not np.all((np.isfinite(s) & (s > _Z_EPS))[active]):
-            return None
-        placed[~active] = l0[~active]
-        r1, active1, _ = observation_residual(rot, t, placed, pixels, k)
-        initial = kept.cost + _cost(r0, info)
-        kept.cost += _cost(r1, info)
-        kept.deactivated += int(np.count_nonzero(~active1))
-        for lid, position in zip(lm_ids, placed):
-            self._landmarks.write(lid, position)
-        kept.fresh = []
-        return SolveReport(0, initial, kept.cost, True, cost_trace=[initial],
-                           deactivated_observations=kept.deactivated,
-                           stop_reason="placed")
 
     # ------------------------------------------------------------------
     # exports

@@ -8,7 +8,9 @@ inherited) passes every other test here and then fails the first traced
 benchmark round with a KeyError. Likewise mapbench/workloads.py builds
 each scene's PipelineConfig by keyword, and mapbench/run.py calls the
 file-level commands through the pipeline module: a renamed or deleted
-field or command would fail every benchmark run.
+field or command would fail every benchmark run. scripts/output_digests.py,
+which a refactor uses to show its outputs unchanged, records the solver
+and proposal paths the same way.
 """
 
 import json
@@ -22,7 +24,9 @@ from semmap.simulator import desk_preset, ground_truth_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "mapbench"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
+import output_digests  # noqa: E402
 from layers import FrameClock, Recorder, RenderClock, installed  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
@@ -71,3 +75,18 @@ def test_layer_probes_record_the_proposal_path():
         pipeline.run_pipeline(bundle.frames, bundle.odometry, pipeline.PipelineConfig())
     for name in ("candidate.propose", "candidate.extract", "candidate.localize"):
         assert rec.n_spans(name) >= 1, name
+
+
+def test_output_digests_record_and_compare(tmp_path, capsys):
+    # the names the script wraps while a scene runs
+    assert "optimize" in vars(output_digests.PoseGraph)
+    assert "propose_candidate" in vars(output_digests.pipeline)
+    digests = tmp_path / "digests.json"
+    assert output_digests.main(["--workload", "desk", "--out", str(digests)]) == 0
+    capsys.readouterr()
+    assert output_digests.main(["--workload", "desk", "--compare", str(digests)]) == 0
+    out = capsys.readouterr().out
+    n = len(WORKLOADS["desk"].scenes)
+    for line in (f"{n}/{n} scenes with identical solve paths",
+                 f"{n}/{n} scenes with identical proposal streams"):
+        assert line in out

@@ -479,7 +479,6 @@ class TestRunRecords:
             return report
 
         monkeypatch.setattr(posegraph.PoseGraph, "optimize", one_deactivated)
-        # the long blackout's last solve finds only first observations
         bundle, frames = _blackout(2.0, 18.0)
         cfg = PipelineConfig()
         result = run_pipeline(frames, bundle.odometry, cfg)
@@ -495,10 +494,6 @@ class TestRunRecords:
             for reason in STOP_REASONS}
         # every accepted step is one of the damped steps tried
         assert all(s.steps >= s.iterations for s in solves)
-        # a frame whose only new factors are first observations places
-        # their landmarks and takes no step
-        placed = [s for s in solves if s.stop_reason == "placed"]
-        assert placed and all(s.steps == s.iterations == 0 for s in placed)
         assert sum(s.steps for s in solves) == result.counts["optimize_steps"]
         # fusion inside associate and the post-solve merge pass are
         # separate stages
