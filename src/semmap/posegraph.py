@@ -4,13 +4,13 @@ Levenberg-Marquardt on the normal equations.
 State: one 6-dof node per camera frame (retracted on the right,
 pose * exp([rho, phi])) and one 3-dof node per landmark. A pose's id is
 its frame's row, 0..n-1, and its row in every solver array: the prior
-creates pose 0 and odometry to the next row n creates pose n, so poses
+creates pose 0 and each odometry factor creates the next row, so poses
 are added in order and each with a factor. Factors:
 
 * prior on the first pose (gauge fixing), residual log(P^-1 X): the
   odometry residual from the identity to X
-* odometry between neighbouring frames, residual
-  log(Z^-1 X_i^-1 X_j) split as [translation, rotation vector]
+* odometry from each pose to the next, residual log(Z^-1 X_i^-1 X_j)
+  split as [translation, rotation vector]
 * pixel observations of landmarks, residual proj(X^-1 l) - z;
   observations whose landmark sits behind the camera at a state are
   deactivated there: no residual, no Jacobian
@@ -21,19 +21,17 @@ intermediates its Jacobian needs and a Jacobian function built from
 them. The solver scores a trial state by the residual half alone and
 runs the Jacobian half only at the states a damped step is taken from.
 
-The pipeline adds odometry only between consecutive frames and keeps a
-handful of landmarks, so the normal equations are an arrowhead: a
-block-tridiagonal pose chain plus a thin landmark border. Linearization
-writes them straight into block storage (the chain's lower band, the
-dense pose x landmark border and the landmark block) through index maps
-the graph keeps between solves: each solve stacks only the odometry
-added since the last, plus the few observation factors. Each damped
-step factors the band, held in LAPACK's own band layout, by banded
-Cholesky and eliminates the landmarks by Schur complement, solving each
-landmark's border columns from the row of its first observing pose. No
-matrix of pose dimension squared is ever formed. Odometry between poses
-that are not neighbouring rows (a loop closure) would leave the band,
-so optimize rejects it with a DataError unless the poses are held fixed.
+The graph is a chain by construction: odometry only joins the last pose
+to the next row. With a handful of landmarks the normal equations are
+an arrowhead, a block-tridiagonal pose chain plus a thin landmark
+border. Linearization sums them by block: each pose's diagonal block
+and the block below it from the chain's factors, the few observation
+terms scattered onto those sums, and the chain's lower band read out of
+the blocks in LAPACK's own band layout. The graph keeps the chain's
+stacked factors between solves, so a solve stacks only the odometry
+added since the last, plus the observation factors. Each damped step
+factors the band by banded Cholesky and eliminates the landmarks by
+Schur complement. No matrix of pose dimension squared is ever formed.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from numbers import Integral
 import numpy as np
 import scipy.linalg.lapack
 
-from .errors import DataError, SingularSystemError, UnknownNodeError
+from .errors import SingularSystemError, UnknownNodeError
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -165,21 +163,6 @@ def observation_jacobian(rot, p, active, k: CameraIntrinsics) -> np.ndarray:
     return jac
 
 
-def _entry_indices(blocks: list[tuple[np.ndarray, int]]):
-    """Where a factor group's normal-equation entries land.
-
-    blocks lists the variables each factor of the group touches: the
-    global dof offset of that variable per factor (n,) and its dof
-    count. A factor's stacked Jacobian [J_a | J_b | ...] has D columns;
-    returns the global row and column of each entry of its D x D
-    Hessian (row-major) and the dof of each of its D gradient entries,
-    factor-major and flattened.
-    """
-    dofs = np.concatenate([off[:, None] + np.arange(d) for off, d in blocks], axis=1)
-    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-    return rows.ravel(), cols.ravel(), dofs.ravel()
-
-
 def _cost(r: np.ndarray, info: np.ndarray) -> float:
     """A factor group's cost sum r^T W r from its residuals (n, res)
     and information (n, res, res)."""
@@ -272,51 +255,39 @@ DEFAULT_ODOMETRY_INFORMATION = np.eye(6) * 1e4
 # ----------------------------------------------------------------------
 # linear algebra of one damped step: the chain graph's arrowhead system
 # by banded Cholesky plus a landmark Schur complement (Triggs et al.,
-# "Bundle Adjustment - A Modern Synthesis", 2000); odometry off the
-# chain is rejected before it gets here
+# "Bundle Adjustment - A Modern Synthesis", 2000)
 # ----------------------------------------------------------------------
 
 # half-bandwidth of a block-tridiagonal chain of 6-dof poses
 _CHAIN_KD = 11
+# an observation factor's terms as set_observations places them: from
+# its 9 x 9 Hessian (row-major), the pose block, the pose x landmark
+# block and the landmark block, then its 9 gradient entries
+_H9 = np.arange(81).reshape(9, 9)
+_OBS_TERMS = np.concatenate([_H9[:6, :6].ravel(), _H9[:6, 6:].ravel(), _H9[6:, 6:].ravel(),
+                             81 + np.arange(9)])
 
 
 def solve_chain_schur(
     band: np.ndarray, gb: np.ndarray, lm_block: np.ndarray, g_lm: np.ndarray,
-    starts: np.ndarray,
 ) -> np.ndarray | None:
     """Solve [[A, B], [B^T, C]] [dp; dl] = -[g_pose; g_lm].
 
     A is given by its lower band (LAPACK pbtrf layout, A[i, j] at
     band[i - j, j]; Fortran order factors without a copy), gb = [g_pose
-    | B] is one Fortran-ordered (P, 1 + M) block, and C = lm_block is
-    (M, M). With A = L L^T and W = L^-1 [g_pose | B], the landmark step
-    solves (C - W_B^T W_B) dl = W_B^T w_g - g_lm, and the pose step is
-    dp = -L^-T (w_g + W_B dl). Returns [dp; dl], or None when A or the
-    Schur complement is not positive definite. band and lm_block are
-    overwritten; gb is kept.
-
-    starts holds each landmark's first row s that may be nonzero in its
-    three columns of B: 6 x its first observing pose. W is
-    zero above s too, so those columns are forward-solved from s on,
-    over the band's trailing columns (Triggs et al. 2000, section 6).
-    dtbtrs solves each column alone either way, so W keeps the bits of
-    the solve over every row; a start of 0 is that solve, and a start of
-    P leaves the columns zero.
+    | B] is one (P, 1 + M) block, and C = lm_block is (M, M). With A =
+    L L^T and W = L^-1 [g_pose | B], one banded triangular solve over
+    every column, the landmark step solves (C - W_B^T W_B) dl = W_B^T
+    w_g - g_lm, and the pose step is dp = -L^-T (w_g + W_B dl). Returns
+    [dp; dl], or None when A or the Schur complement is not positive
+    definite. band and lm_block are overwritten; gb is kept.
     """
     p, m = gb.shape[0], gb.shape[1] - 1
     if p:
         chol, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             return None
-        # Fortran order, as dtbtrs returns its solutions, so W_B^T W_B
-        # runs the BLAS kernel it ran on a solve over every row
-        w = np.zeros((p, 1 + m), order="F")
-        w[:, :1] = scipy.linalg.lapack.dtbtrs(chol, gb[:, :1], uplo="L")[0]
-        for k, s in enumerate(starts.tolist()):
-            if s < p:
-                cols = slice(1 + 3 * k, 4 + 3 * k)
-                w[s:, cols] = scipy.linalg.lapack.dtbtrs(chol[:, s:], gb[s:, cols],
-                                                         uplo="L")[0]
+        w = scipy.linalg.lapack.dtbtrs(chol, gb, uplo="L")[0]
         w_g, w_b = w[:, 0], w[:, 1:]
         schur = lm_block - w_b.T @ w_b
         rhs = w_b.T @ w_g - g_lm
@@ -336,180 +307,103 @@ def solve_chain_schur(
     return np.concatenate([dp[:, 0], dl])
 
 
+def _damped_step(band: np.ndarray, cols: np.ndarray, lam: float,
+                 fix_poses: bool) -> np.ndarray | None:
+    """solve_chain_schur on the system PoseGraph._linear_system returned,
+    its diagonal grown by lam times itself (at least 1e-12 each): the
+    step [dp; dl], or only dl with fix_poses, the poses held."""
+    base = band.shape[1]
+    p = 0 if fix_poses else base
+    damped_band = band[:, :p].copy(order="F")  # factored in place
+    damped_band[0] += np.maximum(band[0, :p], 1e-12) * lam
+    lm_block = cols[base:, 1:]
+    damped_lm = lm_block.copy()
+    damped_lm[np.diag_indices(len(lm_block))] += np.maximum(np.diagonal(lm_block), 1e-12) * lam
+    return solve_chain_schur(damped_band, cols[:p], damped_lm, cols[base:, 0])
+
+
 class _Rows:
     """Rows appended along the first axis of a buffer whose capacity
     doubles as it fills; `rows` is the filled part."""
 
-    def __init__(self, row_shape=(), dtype=float):
-        self._buf = np.empty((16, *row_shape), dtype)
+    def __init__(self, row_shape=()):
+        self._buf = np.empty((16, *row_shape))
         self.rows = self._buf[:0]
 
-    def _fit(self, end: int) -> None:
-        if end > len(self._buf):
-            n = len(self.rows)
-            self._buf = np.empty((max(end, 2 * len(self._buf)), *self._buf.shape[1:]),
-                                 self._buf.dtype)
-            self._buf[:n] = self.rows
-            self.rows = self._buf[:n]
-
     def append(self, new: np.ndarray) -> None:
-        self.rows = self.with_tail(new)
-
-    def with_tail(self, tail: np.ndarray) -> np.ndarray:
-        """The filled rows followed by tail, written past them without
-        appending: the next append or with_tail overwrites it."""
-        n = len(self.rows)
-        self._fit(n + len(tail))
-        self._buf[n:n + len(tail)] = tail
-        return self._buf[:n + len(tail)]
+        n, end = len(self.rows), len(self.rows) + len(new)
+        if end > len(self._buf):
+            self._buf = np.empty((max(end, 2 * len(self._buf)), *self._buf.shape[1:]))
+            self._buf[:n] = self.rows
+        self._buf[n:end] = new
+        self.rows = self._buf[:end]
 
 
 class _ChainLayout:
-    """Normal equations of a graph whose odometry joins only neighbouring
-    pose rows, written straight into block storage: the pose
-    chain's lower band, the dense pose x landmark border B and the
-    landmark block C (block-diagonal: no factor joins two landmarks).
-    With fix_poses the pose block is empty and C is the whole system.
+    """The factors of one solve stacked for the solver: the chain's,
+    kept between solves, and the observations'.
 
-    The graph keeps one layout between solves. Its chain part, the
-    prior as row 0 and the odometry factors after it, lives in growing
-    buffers: the measurement constants, the storage slot of every
-    Hessian entry and the dof of every gradient entry. Each solve
-    appends only the chain factors added since the last (append_chain)
-    and stacks the observation factors anew (set_observations), which
-    merging re-points. Storage is one flat array [discard | band | gB |
-    C]: the band in LAPACK's column-major layout, A[i, j] at
-    (i - j) + j (kd + 1), so a pose entry's slot depends on (i, j) alone
-    and not on the pose count; gB the Fortran-ordered [g_pose | B]
-    block; and slot 0 taking every discarded entry (the upper triangle,
-    B^T and, with fix_poses, every pose entry). kd is _CHAIN_KD whatever
-    the pose count: on a single pose, the band's rows past its sixth are
-    padding that no entry reaches. A layout is valid for one prior and
-    one fix_poses; poses only ever grow at the end.
+    The graph keeps one layout between solves. Its chain part, the prior
+    as row 0 and odometry factor k (pose k to pose k + 1) as row k + 1,
+    lives in growing buffers of the measurement constants. Each solve
+    appends only the odometry added since the last (append_chain) and
+    stacks the observation factors anew (set_observations), which
+    merging re-points. A layout is valid for one prior.
     """
 
-    def __init__(self, prior: PriorFactor, fix_poses: bool):
-        self.prior, self.fix_poses = prior, fix_poses
-        # per odometry factor: the from pose and the information
-        self.odo_i = _Rows((), int)
-        self.odo_info = _Rows((6, 6))
-        # per chain row, the prior as row 0 and odometry factor k as row
-        # k + 1: the to pose and the measurement (quaternion,
-        # translation, rotation matrix)
-        self.rel_j = _Rows((), int)
+    def __init__(self, prior: PriorFactor):
+        self.prior = prior
+        # per chain row, the measurement (quaternion, translation,
+        # rotation matrix); per odometry factor, the information
         self.rel_q = _Rows((4,))
         self.rel_t = _Rows((3,))
         self.rel_r = _Rows((3, 3))
-        self._h_slots = _Rows((), np.intp)
-        self._g_dofs = _Rows((), np.intp)
+        self.odo_info = _Rows((6, 6))
+        self._append_rows([prior.pose])
 
     @property
     def n_odometry(self) -> int:
-        return len(self.odo_i.rows)
+        return len(self.odo_info.rows)
 
-    def append_chain(self, odometry: list[OdometryFactor]) -> None:
-        """Stack the prior (on the first call) and the given odometry
-        factors after the chain rows. Raises DataError, stacking
-        nothing, when poses are solved and a factor joins two poses that
-        are not neighbours."""
-        first = not len(self.rel_j.rows)
-        if not (first or odometry):
-            return
-        odo_i = np.array([f.from_id for f in odometry], dtype=int)
-        odo_j = np.array([f.to_id for f in odometry], dtype=int)
-        # odometry between neighbouring pose rows keeps the pose block
-        # inside the band
-        off_chain = np.abs(odo_i - odo_j) > 1
-        if not self.fix_poses and np.any(off_chain):
-            f = odometry[int(np.argmax(off_chain))]
-            raise DataError(
-                f"odometry {f.from_id} -> {f.to_id} joins poses that are not "
-                "neighbours; only a chain of poses can be solved"
-            )
-        rel = [f.rel for f in odometry]
-        rel_j = odo_j
-        groups = [[(6 * odo_i, 6), (6 * odo_j, 6)]]
-        if first:
-            # the prior log(P^-1 X) is the odometry residual from the
-            # identity to X, so it rides as row 0 of the odometry batch
-            prior_id = self.prior.pose_id
-            rel = [self.prior.pose] + rel
-            rel_j = np.concatenate([[prior_id], odo_j])
-            groups.insert(0, [(np.array([6 * prior_id]), 6)])
+    def _append_rows(self, rel: list[Pose]) -> None:
         rel_q = np.stack([z.rotation for z in rel])
-        rows, cols, dofs = zip(*(_entry_indices(blocks) for blocks in groups))
-        self.odo_i.append(odo_i)
-        self.rel_j.append(rel_j)
         self.rel_q.append(rel_q)
         self.rel_t.append(np.stack([z.translation for z in rel]))
         self.rel_r.append(quat_to_matrix(rel_q))
-        self.odo_info.append(np.array([f.information for f in odometry]).reshape(-1, 6, 6))
-        self._h_slots.append(self._pose_slots(np.concatenate(rows), np.concatenate(cols)))
-        self._g_dofs.append(np.concatenate(dofs))
+
+    def append_chain(self, odometry: list[OdometryFactor]) -> None:
+        """Stack the given odometry factors after the chain rows."""
+        if odometry:
+            self._append_rows([f.rel for f in odometry])
+            self.odo_info.append(np.array([f.information for f in odometry]))
 
     def set_observations(self, n_poses: int, observations: list[ObservationFactor],
                          lm_pos: dict[int, int]) -> None:
-        """Size the system for n_poses poses, stack the observation
-        factors and complete the slots and gradient dofs of every entry,
-        in the order _linear_system emits their values: prior, odometry,
-        observations."""
+        """Size the system for n_poses poses and the landmarks of lm_pos
+        (id -> place in the solve's landmark order), stack the
+        observation factors and index where their terms (_OBS_TERMS)
+        land in the store _linear_system sums into: [pose column blocks
+        (n, 18, 6) | cols], cols the Fortran-ordered (6 n + m, 1 + m)
+        [g | H[:, 6 n:]]."""
         base = self.base = 6 * n_poses
-        p = self.p = 0 if self.fix_poses else base
-        self.band_end = 1 + (_CHAIN_KD + 1) * p
         m = self.m = 3 * len(lm_pos)
-        self.dim = base + m
-        self.border_end = self.band_end + p * (1 + m)
-        self.size = self.border_end + m * m
         self.obs_p = np.array([f.pose_id for f in observations], dtype=int)
         self.obs_l = np.array([lm_pos[f.landmark_id] for f in observations], dtype=int)
-        # per landmark, the first pose row of its border columns: 6 x its
-        # first observing pose (the pose count if it has none)
-        first = np.full(len(lm_pos), n_poses)
-        np.minimum.at(first, self.obs_l, self.obs_p)
-        self.lm_start = 6 * first
         if observations:
             self.obs_px = np.stack([f.pixel for f in observations])
             self.obs_info = np.stack([f.information for f in observations])
-        rows, cols, dofs = _entry_indices([(6 * self.obs_p, 6), (base + 3 * self.obs_l, 3)])
-        pose_r, pose_c = rows < base, cols < base
-        # B^T lands in the discard slot 0
-        slots = np.zeros(rows.shape, dtype=np.intp)
-        pp = pose_r & pose_c
-        slots[pp] = self._pose_slots(rows[pp], cols[pp])
-        if p:
-            pl = pose_r & ~pose_c
-            slots[pl] = (self.band_end + (1 + cols - base) * p + rows)[pl]
-        ll = ~pose_r & ~pose_c
-        slots[ll] = (self.border_end + (rows - base) * m + cols - base)[ll]
-        self.h_slots = self._h_slots.with_tail(slots)
-        self.g_dofs = self._g_dofs.with_tail(dofs)
+        pose = 6 * self.obs_p[:, None] + np.arange(6)
+        lm = base + 3 * self.obs_l[:, None] + np.arange(3)
 
-    def _pose_slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Slots of pose x pose entries: the lower band, or the discard
-        slot for the upper triangle and, with fix_poses, every entry."""
-        if self.fix_poses:
-            return np.zeros(rows.shape, dtype=np.intp)
-        return np.where(rows >= cols, 1 + rows - cols + cols * (_CHAIN_KD + 1), 0)
+        def at(rows, col):
+            return 18 * base + col * (base + m) + rows
 
-    def assemble(self, vals: np.ndarray, g: np.ndarray):
-        """(band, gB, C) from the Hessian entries and the gradient of one
-        linearization; band and gB are Fortran-ordered views."""
-        store = np.bincount(self.h_slots, vals, minlength=self.size)
-        gb = store[self.band_end:self.border_end].reshape(1 + self.m, self.p).T
-        gb[:, 0] = g[:self.p]
-        return (
-            store[1:self.band_end].reshape(self.p, _CHAIN_KD + 1).T,
-            gb,
-            store[self.border_end:].reshape(self.m, self.m),
-        )
-
-    def step(self, system, g: np.ndarray, lam: float) -> np.ndarray | None:
-        band, gb, lm_block = system
-        damped_band = band.copy(order="F")  # factored in place
-        damped_band[0] += np.maximum(band[0], 1e-12) * lam
-        damped_lm = lm_block.copy()
-        damped_lm[np.diag_indices(self.m)] += np.maximum(np.diagonal(lm_block), 1e-12) * lam
-        return solve_chain_schur(damped_band, gb, damped_lm, g[self.base:], self.lm_start)
+        border = at(pose[:, :, None], lm[:, None, :] - base + 1)
+        lm_lm = at(lm[:, :, None], lm[:, None, :] - base + 1)
+        self.obs_at = np.concatenate([
+            108 * self.obs_p[:, None] + np.arange(36),
+            border.reshape(-1, 18), lm_lm.reshape(-1, 9), at(pose, 0), at(lm, 0),
+        ], axis=1).ravel()
 
 
 @dataclass(frozen=True)
@@ -597,14 +491,18 @@ class PoseEstimates(Mapping):
         self._built.clear()
 
 
+def _is_row(pose_id, row: int) -> bool:
+    """Whether pose_id is the integer row; a float id such as 1.0 is not."""
+    return isinstance(pose_id, Integral) and pose_id == row
+
+
 class PoseGraph:
     """Mutable graph; pose estimates live in a PoseEstimates mapping
-    keyed by frame row (the prior creates pose 0, odometry to the next
-    row creates that row) and landmark positions in a dict keyed by id.
-    The odometry list only grows: each solve stacks the factors past
-    those it stacked before, so an edit of a factor already stacked is
-    not seen; a new prior or fix_poses stacks every factor again (see
-    _synced_layout)."""
+    keyed by frame row (the prior creates pose 0, each odometry factor
+    the next row) and landmark positions in a dict keyed by id. The
+    odometry list only grows: each solve stacks the factors past those
+    it stacked before, so an edit of a factor already stacked is not
+    seen; a new prior stacks every factor again (see _synced_layout)."""
 
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
@@ -613,42 +511,41 @@ class PoseGraph:
         self.prior: PriorFactor | None = None
         self.odometry: list[OdometryFactor] = []
         self.observations: list[ObservationFactor] = []
-        # the chain system kept between solves (see _ChainLayout)
+        # the chain factors kept between solves (see _ChainLayout)
         self._layout: _ChainLayout | None = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _check_new_pose(self, pose_id: int, what: str) -> None:
-        """Raise UnknownNodeError unless pose_id is the next row."""
-        if pose_id != len(self.poses):
-            raise UnknownNodeError(
-                f"{what} to unknown pose {pose_id}: a new pose must take the "
-                f"next row, {len(self.poses)}")
-
     def add_prior(self, pose_id: int, pose: Pose, information: np.ndarray | None = None) -> None:
-        """Gauge prior; on an empty graph it creates pose 0 at `pose`."""
+        """Gauge prior; it creates pose 0 at `pose` on an empty graph."""
         if self.prior is not None:
             raise ValueError("graph already has its gauge prior")
+        if not _is_row(pose_id, len(self.poses)):
+            raise UnknownNodeError(
+                f"prior to unknown pose {pose_id!r}: a new pose must take the "
+                f"next row, {len(self.poses)}")
         info = DEFAULT_PRIOR_INFORMATION if information is None else np.asarray(information, float)
-        if pose_id not in self.poses:
-            self._check_new_pose(pose_id, "prior")
-            self.poses.append(pose)
+        self.poses.append(pose)
         self.prior = PriorFactor(pose_id, pose, info)
 
     def add_odometry(
         self, from_id: int, to_id: int, rel: Pose, information: np.ndarray | None = None
     ) -> None:
-        """Relative-motion factor. A new `to` pose must be the next row;
-        it is initialized by composing the `from` estimate with the
-        measurement."""
-        if from_id not in self.poses:
-            raise UnknownNodeError(f"odometry from unknown pose {from_id}")
+        """Relative-motion factor from the last pose to a new pose, the
+        next row, initialized by composing the last estimate with the
+        measurement. The graph is a chain by construction: any other
+        pair of ids (a duplicate or reversed factor, a factor into an
+        existing row, a loop closure) raises UnknownNodeError and leaves
+        the graph unchanged."""
+        n = len(self.poses)
+        if not (n and _is_row(from_id, n - 1) and _is_row(to_id, n)):
+            raise UnknownNodeError(
+                f"odometry {from_id!r} -> {to_id!r} does not extend the chain of "
+                f"{n} poses: it must join the last pose to the next row, {n}")
         info = DEFAULT_ODOMETRY_INFORMATION if information is None else np.asarray(information, float)
-        if to_id not in self.poses:
-            self._check_new_pose(to_id, "odometry")
-            self.poses.add_composed(from_id, rel)
+        self.poses.add_composed(from_id, rel)
         self.odometry.append(OdometryFactor(from_id, to_id, rel, info))
 
     def add_observation(
@@ -694,17 +591,16 @@ class PoseGraph:
     # linearization
     # ------------------------------------------------------------------
 
-    def _synced_layout(self, lm_ids: list[int], fix_poses: bool) -> _ChainLayout:
-        """The graph's kept layout, extended by the poses and odometry
-        added since the last solve and holding the current observations.
+    def _synced_layout(self, lm_ids: list[int]) -> _ChainLayout:
+        """The graph's kept layout, extended by the odometry added since
+        the last solve and holding the current observations.
 
-        A new prior or a change of fix_poses starts a new layout, which
-        stacks every factor from the first through the same append.
+        A new prior starts a new layout, which stacks every factor from
+        the first through the same append.
         """
         layout = self._layout
-        if (layout is None or layout.prior is not self.prior
-                or layout.fix_poses != fix_poses):
-            layout = self._layout = _ChainLayout(self.prior, fix_poses)
+        if layout is None or layout.prior is not self.prior:
+            layout = self._layout = _ChainLayout(self.prior)
         layout.append_chain(self.odometry[layout.n_odometry:])
         layout.set_observations(len(self.poses), self.observations,
                                 {lid: i for i, lid in enumerate(lm_ids)})
@@ -726,12 +622,12 @@ class PoseGraph:
         the count of behind-camera observations. rot is quat_to_matrix(q);
         both kernels read their pose rotations from it. The cost sums the
         prior, odometry and observation groups in that order."""
-        idx_i, rel_j = layout.odo_i.rows, layout.rel_j.rows
+        # chain row k runs from pose k - 1 (the identity for the prior) to pose k
         odo_r, odo_mid = odometry_residual(
-            np.concatenate([_IDENTITY, q[idx_i]]),
-            np.concatenate([np.zeros((1, 3)), t[idx_i]]),
-            q[rel_j], t[rel_j], layout.rel_q.rows, layout.rel_t.rows,
-            np.concatenate([_IDENTITY_R, rot[idx_i]]),
+            np.concatenate([_IDENTITY, q[:-1]]),
+            np.concatenate([np.zeros((1, 3)), t[:-1]]),
+            q, t, layout.rel_q.rows, layout.rel_t.rows,
+            np.concatenate([_IDENTITY_R, rot[:-1]]),
             np.swapaxes(layout.rel_r.rows, 1, 2),
         )
         costs = [_cost(odo_r[:1], layout.prior.information[None]),
@@ -749,28 +645,52 @@ class PoseGraph:
         return _State(q, t, lm, rot, odo_r, odo_mid, obs), sum(costs), deactivated
 
     def _linear_system(self, state: _State, layout: _ChainLayout):
-        """Linear-system pass: the Hessian entries (aligned with
-        layout.h_slots) and the gradient at a state the residual pass
-        returned, from its residuals and intermediates."""
+        """Linear-system pass: the normal equations at a state the
+        residual pass returned, from its residuals and intermediates.
+        Returns the pose block A's lower band (LAPACK pbtrf layout,
+        Fortran-ordered (_CHAIN_KD + 1, 6 n)) and cols, the
+        Fortran-ordered (6 n + m, 1 + m) [g | H[:, 6 n:]]: the gradient
+        and the landmark columns, the border B above the landmark block C
+        (block-diagonal: no factor joins two landmarks).
+
+        A is summed by pose column block: the pose's diagonal block above
+        the block below it, then six rows of zeros. Each entry is a sum
+        from zero in factor order. A diagonal block sums the prior, the
+        jj block of the odometry into the pose and the ii block of the
+        odometry out of it, then its observations' pose blocks; the block
+        below it is that odometry's ji block. The observations' terms are
+        scattered onto those sums.
+        """
+        n = len(state.q)
         r = state.odo_r
         jac = odometry_jacobian(np.swapaxes(layout.rel_r.rows, 1, 2), *state.odo_mid)
-        parts = [
-            # the prior keeps only the J_j half: its X_i is the fixed identity
-            _normal_entries(jac[:1, :, 6:], r[:1], layout.prior.information[None]),
-            _normal_entries(jac[1:], r[1:], layout.odo_info.rows),
-        ]
+        # the prior keeps only the J_j half: its X_i is the fixed identity
+        h_prior, g_prior = _normal_entries(jac[:1, :, 6:], r[:1], layout.prior.information[None])
+        h_odo, g_odo = _normal_entries(jac[1:], r[1:], layout.odo_info.rows)
+        store = np.zeros(108 * n + (layout.base + layout.m) * (1 + layout.m))
+        blocks = store[:108 * n].reshape(n, 18, 6)
+        cols = store[108 * n:].reshape(1 + layout.m, -1).T
+        g_pose = cols[:layout.base, 0].reshape(n, 6)
+        blocks[0, :6] += h_prior[0]
+        blocks[1:, :6] += h_odo[:, 6:, 6:]
+        blocks[:-1, :12] += h_odo[:, :, :6]
+        g_pose[0] += g_prior[0]
+        g_pose[1:] += g_odo[:, 6:]
+        g_pose[:-1] += g_odo[:, :6]
         if state.obs is not None:
             obs_rot, r, active, p_cam = state.obs
-            # a deactivated observation has a zero Jacobian: it keeps its
-            # slots with zero values
+            # a deactivated observation has a zero Jacobian: its terms are zeros
             jac = observation_jacobian(obs_rot, p_cam, active, self.intrinsics)
-            parts.append(_normal_entries(jac, r, layout.obs_info))
-        h_parts, g_parts = zip(*parts)
-        grad = np.bincount(
-            layout.g_dofs, np.concatenate([x.ravel() for x in g_parts]),
-            minlength=layout.dim,
-        )
-        return np.concatenate([x.ravel() for x in h_parts]), grad
+            h, g = _normal_entries(jac, r, layout.obs_info)
+            terms = np.concatenate([h.reshape(-1, 81), g], axis=1)[:, _OBS_TERMS]
+            np.add.at(store, layout.obs_at, terms.ravel())
+        # band column 6k + c, A[6k + c + d, 6k + c] for d = 0..11, is
+        # entry (c + d, c) of pose k's column block: 7 c + 6 d into its
+        # 108 entries
+        step = store.itemsize
+        band = np.lib.stride_tricks.as_strided(
+            blocks, (n, 6, _CHAIN_KD + 1), (108 * step, 7 * step, 6 * step)).copy()
+        return band.reshape(6 * n, _CHAIN_KD + 1).T, cols
 
     # ------------------------------------------------------------------
     # solve
@@ -786,12 +706,11 @@ class PoseGraph:
         step. Each trial state is scored by the residual pass alone
         (residuals, cost, deactivated count), so a rejected trial costs
         no Jacobian (Madsen, Nielsen & Tingleff 2004, section 3.2). The
-        linear-system pass (Jacobians, normal entries, gradient) runs
-        at the initial state and at each accepted state the stopping
-        tests let through: the states a damped step is taken from. The
-        system is assembled only when the gradient test does not stop
-        the solve. The solve stops (report.stop_reason, one of
-        STOP_REASONS) at the first of:
+        linear-system pass (Jacobians, the normal equations by block)
+        runs at the initial state and at each accepted state the
+        stopping tests let through: the states a damped step is taken
+        from. The solve stops (report.stop_reason, one of STOP_REASONS)
+        at the first of:
 
         * gradient: the largest free gradient entry is below
           cfg.gradient_tol;
@@ -815,18 +734,13 @@ class PoseGraph:
         infinite odometry information: a floor on the information
         matrix would still let pixel residuals bend the soft long-chain
         modes of a perfectly consistent trajectory.
-
-        Raises DataError, leaving every estimate unchanged, when poses
-        are solved and an odometry factor joins two poses that are not
-        neighbouring rows (a loop closure): the solver factors the pose
-        block as a band. With fix_poses any odometry is accepted.
         """
         cfg = cfg or OptimizerConfig()
         if self.prior is None:
             raise SingularSystemError("graph has no gauge prior")
         lm_ids = sorted(self.landmarks)
-        layout = self._synced_layout(lm_ids, fix_poses)
-        dim = layout.dim
+        layout = self._synced_layout(lm_ids)
+        dim = layout.base + layout.m
 
         q, t, lm = self._state_arrays(lm_ids)
         lam = cfg.lambda_init
@@ -852,19 +766,19 @@ class PoseGraph:
             # each iteration starts at the initial state or at an accepted
             # state the rel_decrease test let through, the only states
             # whose gradient and system anything reads
-            vals, g = self._linear_system(state, layout)
-            gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
+            band, cols = self._linear_system(state, layout)
+            # cols[:, 0] is the gradient
+            gmax = float(np.max(np.abs(cols[lo:, 0]))) if dim > lo else 0.0
             if gmax < cfg.gradient_tol:
                 report.converged = True
                 report.stop_reason = "gradient"
                 break
-            system = layout.assemble(vals, g)
             # the small_step test's scale: |x| of the free state
             x_norm = math.hypot(np.linalg.norm(state.lm),
                                 0.0 if fix_poses else np.linalg.norm(state.t))
             accepted = small = False
             while lam <= cfg.lambda_max:
-                solved = layout.step(system, g, lam)
+                solved = _damped_step(band, cols, lam, fix_poses)
                 report.steps += 1
                 if solved is None or not np.all(np.isfinite(solved)):
                     lam *= cfg.lambda_up
@@ -895,7 +809,7 @@ class PoseGraph:
                 break
             if not accepted:
                 # damping exhausted without an acceptable step: stalled.
-                # No step was accepted, so g and gmax are the loop head's
+                # No step was accepted, so gmax is the loop head's
                 report.converged = gmax < math.sqrt(cfg.gradient_tol)
                 report.stop_reason = "stalled"
                 break

@@ -11,6 +11,8 @@ its parent was mapped to.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +85,8 @@ class Measurement:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must lie in [0, 1]")
-        if self.depth_hint <= 0.0:
-            raise ValueError("depth_hint must be positive")
+        if not (self.depth_hint > 0.0 and math.isfinite(self.depth_hint)):
+            raise ValueError(f"depth_hint must be positive and finite, not {self.depth_hint}")
 
 
 @dataclass

@@ -11,13 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
 from semmap.errors import EmptyCloudError, SingularSystemError
 from semmap.geometry import (CameraIntrinsics, Pose, quat_from_matrix, quat_to_matrix,
                              rotvec_from_quat, unit_pose)
-from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _retract
+from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _damped_step, _retract
 from semmap.simulator import look_at_pose
 
 _Z_EPS = 1e-9
@@ -452,13 +453,39 @@ def rebuilt_poses(q, t):
     return [Pose(qi, ti) for qi, ti in zip(q, t)]
 
 
+def sequential_normal_equations(dim: int, terms):
+    """The normal matrix (dim, dim) and gradient (dim,) summed the plain
+    way, from zero: one += per factor term, factor after factor in the
+    order given. terms holds each factor's dofs (D,), Hessian (D, D) and
+    gradient (D,). Zero-initialized sums turn a -0.0 term into +0.0."""
+    h, g = np.zeros((dim, dim)), np.zeros(dim)
+    for dofs, h_f, g_f in terms:
+        for a, row in enumerate(dofs):
+            g[row] += g_f[a]
+            for b, col in enumerate(dofs):
+                h[row, col] += h_f[a, b]
+    return h, g
+
+
+def lower_band(a: np.ndarray, kd: int) -> np.ndarray:
+    """The lower band of a square matrix in LAPACK's pbtrf layout, A[i, j]
+    at band[i - j, j], read one entry at a time; entries past the end of
+    a diagonal are zero."""
+    p = a.shape[0]
+    band = np.zeros((kd + 1, p))
+    for j in range(p):
+        for d in range(min(kd + 1, p - j)):
+            band[d, j] = a[j + d, j]
+    return band
+
+
 class _SparseLayout:
-    """Normal equations of any graph as a sparse matrix, solved by sparse
-    LU; the reference for the solver's banded chain step, with the same
-    assemble/step interface as posegraph._ChainLayout.
+    """Normal equations of a graph as a sparse matrix, solved by sparse
+    LU; the reference for the solver's banded chain step
+    (posegraph._damped_step).
 
     The row and column of every Hessian entry come from the graph's
-    factor lists, factor by factor, in the order the solver emits the
+    factor lists, factor by factor, in the order assemble takes the
     values: the prior, the odometry, the observations, each factor's
     D x D block row-major over its variables' dofs.
     """
@@ -496,30 +523,55 @@ class _SparseLayout:
             return None
 
 
+def first_pose_forward_solve(band, gb, lm_block, g_lm, starts):
+    """posegraph.solve_chain_schur on a system with poses and landmarks,
+    forward-solving [g_pose | B] one column block at a time: the
+    gradient over every row, each landmark's three columns of B only
+    from its start row s on (6 x its first observing pose; B, and so
+    L^-1 B, is zero above it), over the band's trailing columns (Triggs
+    et al. 2000, section 6). band and lm_block are overwritten."""
+    lapack = scipy.linalg.lapack
+    p, m = gb.shape[0], gb.shape[1] - 1
+    chol, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        return None
+    w = np.zeros((p, 1 + m), order="F")
+    w[:, :1] = lapack.dtbtrs(chol, gb[:, :1], uplo="L")[0]
+    for k, s in enumerate(starts):
+        cols = slice(1 + 3 * k, 4 + 3 * k)
+        w[s:, cols] = lapack.dtbtrs(chol[:, s:], gb[s:, cols], uplo="L")[0]
+    w_g, w_b = w[:, 0], w[:, 1:]
+    c, info = lapack.dpotrf(lm_block - w_b.T @ w_b, lower=1, overwrite_a=1)
+    if info != 0:
+        return None
+    dl = lapack.dpotrs(c, w_b.T @ w_g - g_lm, lower=1)[0]
+    dp = lapack.dtbtrs(chol, -(w_g + w_b @ dl)[:, None], uplo="L", trans="T")[0]
+    return np.concatenate([dp[:, 0], dl])
+
+
 def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     """PoseGraph.optimize as it ran before trial steps were scored by
     their residuals alone: every trial state is linearized in full (its
-    residuals, Jacobians, normal entries and gradient) and every accepted
-    state assembled, before and whether or not a step is taken from it.
+    residuals, Jacobians and normal equations), before and whether or
+    not a step is taken from it.
     The reference for the solver's loop; the math of each pass is the
     graph's own."""
     cfg = cfg or OptimizerConfig()
     if graph.prior is None:
         raise SingularSystemError("graph has no gauge prior")
     lm_ids = sorted(graph.landmarks)
-    layout = graph._synced_layout(lm_ids, fix_poses)
-    dim = layout.dim
+    layout = graph._synced_layout(lm_ids)
+    dim = layout.base + layout.m
 
     def linearize(q, t, lm, rot):
         state, cost, deact = graph._residuals(q, t, lm, layout, rot)
-        vals, g = graph._linear_system(state, layout)
-        return vals, g, cost, deact
+        return graph._linear_system(state, layout), cost, deact
 
     q, t, lm = graph._state_arrays(lm_ids)
     rot = quat_to_matrix(q)
     lam = cfg.lambda_init
     report = SolveReport(0, 0.0, 0.0, False)
-    vals, g, cost_now, deact = linearize(q, t, lm, rot)
+    system, cost_now, deact = linearize(q, t, lm, rot)
     report.initial_cost = cost_now
     report.cost_trace.append(cost_now)
     report.deactivated_observations = deact
@@ -528,10 +580,9 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     for i, lid in enumerate(lm_ids):
         if i not in observed:
             raise SingularSystemError(f"landmark {lid} has no factor")
-    system = layout.assemble(vals, g)
 
     for _ in range(cfg.max_iterations):
-        gmax = float(np.max(np.abs(g[lo:]))) if dim > lo else 0.0
+        gmax = float(np.max(np.abs(system[1][lo:, 0]))) if dim > lo else 0.0
         if gmax < cfg.gradient_tol:
             report.converged = True
             report.stop_reason = "gradient"
@@ -539,7 +590,7 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
         x_norm = math.hypot(np.linalg.norm(lm), 0.0 if fix_poses else np.linalg.norm(t))
         accepted = small = False
         while lam <= cfg.lambda_max:
-            solved = layout.step(system, g, lam)
+            solved = _damped_step(*system, lam, fix_poses)
             report.steps += 1
             if solved is None or not np.all(np.isfinite(solved)):
                 lam *= cfg.lambda_up
@@ -551,10 +602,9 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
             delta[lo:] = solved
             q_new, t_new, lm_new = _retract(q, t, lm, delta, rot)
             rot_new = quat_to_matrix(q_new)
-            vals, g_new, cost_new, deact = linearize(q_new, t_new, lm_new, rot_new)
+            system_new, cost_new, deact = linearize(q_new, t_new, lm_new, rot_new)
             if cost_new < cost_now:
-                q, t, lm, g, rot = q_new, t_new, lm_new, g_new, rot_new
-                system = layout.assemble(vals, g)
+                q, t, lm, rot, system = q_new, t_new, lm_new, rot_new, system_new
                 report.iterations += 1
                 report.lambda_trace.append(lam)
                 report.cost_trace.append(cost_new)

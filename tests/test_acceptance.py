@@ -218,7 +218,8 @@ def test_criterion_6_optimizer_correctness(report):
     # gradient does not mask an error in a landmark's.
     fd_graph, _, _ = _build_consistent_graph(perturb_scale=0.002, seed=6)
     fd_graph.poses[0] = fd_graph.poses[0].retract(rng.normal(scale=0.002, size=6))
-    layout, state, _, grad, _, _ = _linearized(fd_graph)
+    _, cols, lin, layout, _, _ = _linearized(fd_graph)
+    state, grad = (lin.q, lin.t, lin.lm), cols[:, 0]
 
     def cost_at(delta):
         q, t, lm = _retract(*state, delta, quat_to_matrix(state[0]))

@@ -10,9 +10,11 @@ each scene's PipelineConfig by keyword, and mapbench/run.py calls the
 file-level commands through the pipeline module: a renamed or deleted
 field or command would fail every benchmark run. scripts/output_digests.py,
 which a refactor uses to show its outputs unchanged, records the solver
-and proposal paths the same way.
+and proposal paths the same way, and scripts/solve_replay.py times the
+solver through the names it wraps.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ sys.path.insert(0, str(ROOT / "mapbench"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import output_digests  # noqa: E402
+import solve_replay  # noqa: E402
 from layers import FrameClock, Recorder, RenderClock, installed  # noqa: E402
 from workloads import WORKLOADS, pipeline_config  # noqa: E402
 
@@ -90,3 +93,20 @@ def test_output_digests_record_and_compare(tmp_path, capsys):
     for line in (f"{n}/{n} scenes with identical solve paths",
                  f"{n}/{n} scenes with identical proposal streams"):
         assert line in out
+
+
+def test_solve_replay_times_every_part(monkeypatch, capsys):
+    # the names the script wraps, each in its owner's __dict__
+    assert "optimize" in vars(solve_replay.posegraph.PoseGraph)
+    assert "_linear_system" in vars(solve_replay.posegraph.PoseGraph)
+    assert "solve_chain_schur" in vars(solve_replay.posegraph)
+    desk = WORKLOADS["desk"]
+    monkeypatch.setitem(solve_replay.WORKLOADS, "desk",
+                        dataclasses.replace(desk, scenes=desk.scenes[:1]))
+    assert solve_replay.main(["--workload", "desk", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "desk: 10 solves, 1 rounds"
+    times = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in out[2:]}
+    assert set(times) == set(solve_replay.PARTS)
+    # every part ran: a wrapped name the solver no longer calls would read 0
+    assert all(t > 0.0 for us in times.values() for t in us)

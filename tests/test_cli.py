@@ -91,6 +91,21 @@ class TestSimulate:
         for name in pipeline.SIMULATE_OUTPUTS:
             assert not (out / name).exists()
 
+    def test_depth_sigma_that_overflows_a_depth_hint_exits_2_before_writing(
+            self, tmp_path, capsys):
+        # a draw of depth_sigma = 1e308 overflows to an infinite depth
+        # hint, which `run` would reject in the detection log
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "desk", "duration": 1.0,
+                                        "noise": {"depth_sigma": 1e308}}),
+                            encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["simulate", str(scenario), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "depth_hint" in err
+        for name in pipeline.SIMULATE_OUTPUTS:
+            assert not (out / name).exists()
+
 
 class TestRun:
     def test_writes_manifest_and_outputs(self, workspace):

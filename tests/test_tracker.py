@@ -5,6 +5,8 @@ integer corners, area equals the number of unit cells covered, so IOU
 computed from cell membership must equal the closed form exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,14 @@ class TestBoundingBox:
 
     def test_center(self):
         assert BoundingBox(0.0, 0.0, 4.0, 2.0).center == (2.0, 1.0)
+
+
+class TestMeasurement:
+    @pytest.mark.parametrize("depth", [0.0, -1.0, math.inf, math.nan])
+    def test_depth_hint_not_positive_and_finite_rejected(self, depth):
+        # the detection log cannot hold a depth hint the parser rejects
+        with pytest.raises(ValueError, match="depth_hint"):
+            Measurement(0.0, 0, "cup", 0.9, BoundingBox(0.0, 0.0, 1.0, 1.0), depth)
 
 
 class TestTrackerStep:
