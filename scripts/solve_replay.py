@@ -3,7 +3,7 @@
 
 Renders each scene of the workload through `cmd_simulate`, maps it once
 through `run_pipeline` with the scene's config, and keeps a deep copy of
-the graph (its kept chain factors included) and the arguments of every
+the graph (its stacked chain rows included) and the arguments of every
 `PoseGraph.optimize` call, taken before the call. It then solves fresh
 copies of all of them --repeat times and prints, per solve, the
 microseconds of the whole `optimize`, of its linear-system passes

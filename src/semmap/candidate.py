@@ -174,8 +174,7 @@ def extract_clouds(
         if not kept.all():
             m = ms[int(np.argmin(kept))]
             raise EmptyCloudError(f"no samples survive the frustum of frame {m.frame_id}")
-        cam[..., 0] = (u - k.cx) * d / k.fx
-        cam[..., 1] = (v - k.cy) * d / k.fy
+        cam[..., 0], cam[..., 1] = k.lift(u, v, d)
         world = np.matmul(cam, views.rotations.transpose(0, 2, 1))
         world += views.translations[:, None]
     means = np.add.reduce(world, axis=1, where=keep[..., None]) / kept[:, None]
@@ -257,13 +256,7 @@ def estimate_centroid(
     if float(np.linalg.norm(span)) < 1e-9:
         return fallback()
 
-    rays_cam = np.column_stack(
-        [
-            (centers[:, 0] - k.cx) / k.fx,
-            (centers[:, 1] - k.cy) / k.fy,
-            np.ones(len(ms)),
-        ]
-    )
+    rays_cam = np.column_stack([*k.lift(centers[:, 0], centers[:, 1], 1.0), np.ones(len(ms))])
     dirs = np.matmul(views.rotations, rays_cam[..., None])[..., 0]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     seed = triangulate_midpoint(origins, dirs)

@@ -298,6 +298,16 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
+    def project(self, x, y, z):
+        """Pixel (u, v) of the camera-frame point (x, y, z), z > 0; each
+        argument a float or an array."""
+        return self.fx * x / z + self.cx, self.fy * y / z + self.cy
+
+    def lift(self, u, v, depth):
+        """Camera-frame (x, y) of pixel (u, v) at the given depth: the
+        inverse of project."""
+        return (u - self.cx) * depth / self.fx, (v - self.cy) * depth / self.fy
+
 
 # ----------------------------------------------------------------------
 # point clouds
@@ -360,7 +370,7 @@ def backproject(pixel: Pixel | Sequence[float], depth: float, pose: Pose,
     if depth <= 0.0:
         raise NonPositiveDepthError(f"depth {depth} <= 0")
     u, v = float(pixel[0]), float(pixel[1])
-    p_cam = np.array([(u - k.cx) * depth / k.fx, (v - k.cy) * depth / k.fy, depth])
+    p_cam = np.array([*k.lift(u, v, depth), depth])
     return pose.transform(p_cam)
 
 

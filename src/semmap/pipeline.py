@@ -75,6 +75,10 @@ _SIGMA_FLOOR = 1e-4
 # from the warm estimates, so digits below that are redone anyway
 _SOLVER = OptimizerConfig(min_rel_decrease=1e-6)
 
+# between emitting frames, a merge-only pass runs every _MERGE_EVERY
+# frames once the graph holds an observation
+_MERGE_EVERY = 10
+
 SIMULATE_OUTPUTS = ("ground_truth.txt", "odometry.txt",
                     "detections.txt", "registry.json")
 RUN_OUTPUTS = ("corrected_trajectory.txt", "landmark_map.json", "graph.g2o",
@@ -96,12 +100,12 @@ class PipelineConfig:
     observation factor when no solve ran in the last
     association.min_reobservation_interval seconds, the interval that
     already spaces each landmark's emissions, and once more at the end
-    of a run whose last observation came after its last solve;
-    optimize_every only paces the merge-only passes between emitting
-    frames. The odometry sigmas weight the relative-motion factors and
-    should match the sensor; they are floored at 1e-4 so a zero value
-    means "trust fully" rather than a singular information matrix. The
-    solver's settings are a constant (pipeline._SOLVER).
+    of a run whose last observation came after its last solve. The
+    odometry sigmas weight the relative-motion factors and should match
+    the sensor; they are floored at 1e-4 so a zero value means "trust
+    fully" rather than a singular information matrix, and each must
+    have a finite square. The solver's settings and the pace of the
+    merge-only passes are constants (pipeline._SOLVER, _MERGE_EVERY).
     """
 
     camera: CameraIntrinsics = DEFAULT_CAMERA
@@ -109,7 +113,6 @@ class PipelineConfig:
     association: AssociationConfig = field(default_factory=AssociationConfig)
     pixel_noise_sigma: float = 4.0
     mad_threshold: float = 0.15
-    optimize_every: int = 10
     odometry_translation_sigma: float = 0.005
     odometry_rotation_sigma: float = 0.0017453292519943295
     seed: int = 0
@@ -124,10 +127,10 @@ class PipelineConfig:
                              "and the square's inverse finite")
         if self.mad_threshold <= 0:
             raise ValueError("mad_threshold must be positive")
-        if self.optimize_every < 1:
-            raise ValueError("optimize_every must be at least 1")
-        if self.odometry_translation_sigma < 0 or self.odometry_rotation_sigma < 0:
-            raise ValueError("odometry sigmas must be non-negative")
+        for name in ("odometry_translation_sigma", "odometry_rotation_sigma"):
+            sigma = float(getattr(self, name))
+            if not (sigma >= 0 and sigma * sigma < math.inf):
+                raise ValueError(f"{name} must be non-negative, with a finite square")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -375,7 +378,7 @@ def run_pipeline(frames, odometry: Trajectory,
         pending |= emitted
         if emitted and stamp - last_solve >= cfg.association.min_reobservation_interval:
             solve(stamp)
-        if emitted or (graph.observations and (i + 1) % cfg.optimize_every == 0):
+        if emitted or (graph.observations and (i + 1) % _MERGE_EVERY == 0):
             merge_pass()
 
     if pending:

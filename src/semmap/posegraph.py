@@ -27,11 +27,11 @@ an arrowhead, a block-tridiagonal pose chain plus a thin landmark
 border. Linearization sums them by block: each pose's diagonal block
 and the block below it from the chain's factors, the few observation
 terms scattered onto those sums, and the chain's lower band read out of
-the blocks in LAPACK's own band layout. The graph keeps the chain's
-stacked factors between solves, so a solve stacks only the odometry
-added since the last, plus the observation factors. Each damped step
-factors the band by banded Cholesky and eliminates the landmarks by
-Schur complement. No matrix of pose dimension squared is ever formed.
+the blocks in LAPACK's own band layout. Each chain factor is stacked
+once, when it is added, so a solve stacks only the observation factors.
+Each damped step factors the band by banded Cholesky and eliminates the
+landmarks by Schur complement. No matrix of pose dimension squared is
+ever formed.
 """
 
 from __future__ import annotations
@@ -135,10 +135,8 @@ def observation_residual(rot, t, landmarks, pixels, k: CameraIntrinsics):
     active = p[:, 2] > _Z_EPS
     r = np.zeros((active.size, 2))
     pa, px = p[active], pixels[active]
-    x, y, z = pa[:, 0], pa[:, 1], pa[:, 2]
-    r[active] = np.stack(
-        [k.fx * x / z + k.cx - px[:, 0], k.fy * y / z + k.cy - px[:, 1]], axis=1
-    )
+    u, v = k.project(pa[:, 0], pa[:, 1], pa[:, 2])
+    r[active] = np.stack([u - px[:, 0], v - px[:, 1]], axis=1)
     return r, active, p
 
 
@@ -260,7 +258,7 @@ DEFAULT_ODOMETRY_INFORMATION = np.eye(6) * 1e4
 
 # half-bandwidth of a block-tridiagonal chain of 6-dof poses
 _CHAIN_KD = 11
-# an observation factor's terms as set_observations places them: from
+# an observation factor's terms as _stack_observations places them: from
 # its 9 x 9 Hessian (row-major), the pose block, the pose x landmark
 # block and the landmark block, then its 9 gradient entries
 _H9 = np.arange(81).reshape(9, 9)
@@ -339,71 +337,44 @@ class _Rows:
         self.rows = self._buf[:end]
 
 
-class _ChainLayout:
-    """The factors of one solve stacked for the solver: the chain's,
-    kept between solves, and the observations'.
+@dataclass(frozen=True)
+class _Observations:
+    """The observation factors of one solve stacked for the solver: each
+    factor's pose row p, landmark place l (in the solve's landmark
+    order), pixel px and information info, and where its terms
+    (_OBS_TERMS) land in the store _linear_system sums into."""
+    p: np.ndarray
+    l: np.ndarray
+    px: np.ndarray
+    info: np.ndarray
+    at: np.ndarray
 
-    The graph keeps one layout between solves. Its chain part, the prior
-    as row 0 and odometry factor k (pose k to pose k + 1) as row k + 1,
-    lives in growing buffers of the measurement constants. Each solve
-    appends only the odometry added since the last (append_chain) and
-    stacks the observation factors anew (set_observations), which
-    merging re-points. A layout is valid for one prior.
-    """
 
-    def __init__(self, prior: PriorFactor):
-        self.prior = prior
-        # per chain row, the measurement (quaternion, translation,
-        # rotation matrix); per odometry factor, the information
-        self.rel_q = _Rows((4,))
-        self.rel_t = _Rows((3,))
-        self.rel_r = _Rows((3, 3))
-        self.odo_info = _Rows((6, 6))
-        self._append_rows([prior.pose])
+def _stack_observations(n_poses: int, observations: list[ObservationFactor],
+                        lm_ids: list[int]) -> _Observations:
+    """Stack the observation factors of a system of n_poses poses and the
+    landmarks lm_ids, in that order. The store is [pose column blocks
+    (n, 18, 6) | cols], cols the Fortran-ordered (6 n + m, 1 + m)
+    [g | H[:, 6 n:]]."""
+    lm_pos = {lid: i for i, lid in enumerate(lm_ids)}
+    base, m = 6 * n_poses, 3 * len(lm_ids)
+    obs_p = np.array([f.pose_id for f in observations], dtype=int)
+    obs_l = np.array([lm_pos[f.landmark_id] for f in observations], dtype=int)
+    px = np.array([f.pixel for f in observations]).reshape(-1, 2)
+    info = np.array([f.information for f in observations]).reshape(-1, 2, 2)
+    pose = 6 * obs_p[:, None] + np.arange(6)
+    lm = base + 3 * obs_l[:, None] + np.arange(3)
 
-    @property
-    def n_odometry(self) -> int:
-        return len(self.odo_info.rows)
+    def at(rows, col):
+        return 18 * base + col * (base + m) + rows
 
-    def _append_rows(self, rel: list[Pose]) -> None:
-        rel_q = np.stack([z.rotation for z in rel])
-        self.rel_q.append(rel_q)
-        self.rel_t.append(np.stack([z.translation for z in rel]))
-        self.rel_r.append(quat_to_matrix(rel_q))
-
-    def append_chain(self, odometry: list[OdometryFactor]) -> None:
-        """Stack the given odometry factors after the chain rows."""
-        if odometry:
-            self._append_rows([f.rel for f in odometry])
-            self.odo_info.append(np.array([f.information for f in odometry]))
-
-    def set_observations(self, n_poses: int, observations: list[ObservationFactor],
-                         lm_pos: dict[int, int]) -> None:
-        """Size the system for n_poses poses and the landmarks of lm_pos
-        (id -> place in the solve's landmark order), stack the
-        observation factors and index where their terms (_OBS_TERMS)
-        land in the store _linear_system sums into: [pose column blocks
-        (n, 18, 6) | cols], cols the Fortran-ordered (6 n + m, 1 + m)
-        [g | H[:, 6 n:]]."""
-        base = self.base = 6 * n_poses
-        m = self.m = 3 * len(lm_pos)
-        self.obs_p = np.array([f.pose_id for f in observations], dtype=int)
-        self.obs_l = np.array([lm_pos[f.landmark_id] for f in observations], dtype=int)
-        if observations:
-            self.obs_px = np.stack([f.pixel for f in observations])
-            self.obs_info = np.stack([f.information for f in observations])
-        pose = 6 * self.obs_p[:, None] + np.arange(6)
-        lm = base + 3 * self.obs_l[:, None] + np.arange(3)
-
-        def at(rows, col):
-            return 18 * base + col * (base + m) + rows
-
-        border = at(pose[:, :, None], lm[:, None, :] - base + 1)
-        lm_lm = at(lm[:, :, None], lm[:, None, :] - base + 1)
-        self.obs_at = np.concatenate([
-            108 * self.obs_p[:, None] + np.arange(36),
-            border.reshape(-1, 18), lm_lm.reshape(-1, 9), at(pose, 0), at(lm, 0),
-        ], axis=1).ravel()
+    border = at(pose[:, :, None], lm[:, None, :] - base + 1)
+    lm_lm = at(lm[:, :, None], lm[:, None, :] - base + 1)
+    obs_at = np.concatenate([
+        108 * obs_p[:, None] + np.arange(36),
+        border.reshape(-1, 18), lm_lm.reshape(-1, 9), at(pose, 0), at(lm, 0),
+    ], axis=1).ravel()
+    return _Observations(obs_p, obs_l, px, info, obs_at)
 
 
 @dataclass(frozen=True)
@@ -427,16 +398,14 @@ class PoseEstimates(Mapping):
     (n, 4) and translation (n, 3) arrays; only `append` and
     `add_composed` add a row, the next one.
 
-    Reading a row builds its Pose on first access and keeps it until the
-    solver rewrites the arrays; assigning a Pose overwrites its row and
-    keeps that object, so reads return it unchanged. A read or an
+    Reading a row builds a Pose from copies of its arrays, with the bits
+    the row holds; assigning a Pose writes its row. A read or an
     assignment outside 0..n-1 raises KeyError.
     """
 
     def __init__(self):
         self._q = _Rows((4,))
         self._t = _Rows((3,))
-        self._built: dict[int, Pose] = {}
 
     def __len__(self) -> int:
         return len(self._q.rows)
@@ -448,24 +417,18 @@ class PoseEstimates(Mapping):
         return isinstance(pid, Integral) and 0 <= pid < len(self)
 
     def __getitem__(self, pid) -> Pose:
-        pose = self._built.get(pid)
-        if pose is None:
-            if pid not in self:
-                raise KeyError(pid)
-            pose = unit_pose(self._q.rows[pid].copy(), self._t.rows[pid].copy())
-            self._built[pid] = pose
-        return pose
+        if pid not in self:
+            raise KeyError(pid)
+        return unit_pose(self._q.rows[pid].copy(), self._t.rows[pid].copy())
 
     def __setitem__(self, pid, pose: Pose) -> None:
         if pid not in self:
             raise KeyError(f"pose {pid} is not a row of the graph's {len(self)} poses")
         self._q.rows[pid] = pose.rotation
         self._t.rows[pid] = pose.translation
-        self._built[pid] = pose
 
     def append(self, pose: Pose) -> None:
-        """Add pose as the next row, keeping that object."""
-        self._built[len(self)] = pose
+        """Add pose as the next row."""
         self._q.append(pose.rotation[None])
         self._t.append(pose.translation[None])
 
@@ -488,7 +451,6 @@ class PoseEstimates(Mapping):
         the bits Pose(q[i], t[i]) would hold."""
         self._q.rows[:] = quat_normalize(q)
         self._t.rows[:] = t
-        self._built.clear()
 
 
 def _is_row(pose_id, row: int) -> bool:
@@ -496,13 +458,23 @@ def _is_row(pose_id, row: int) -> bool:
     return isinstance(pose_id, Integral) and pose_id == row
 
 
+def _information(information, default: np.ndarray) -> np.ndarray:
+    """The default for None, else the given matrix in the default's shape (ValueError)."""
+    info = default if information is None else np.asarray(information, float)
+    if info.shape != default.shape:
+        raise ValueError(f"information must have shape {default.shape}, not {info.shape}")
+    return info
+
+
 class PoseGraph:
     """Mutable graph; pose estimates live in a PoseEstimates mapping
     keyed by frame row (the prior creates pose 0, each odometry factor
-    the next row) and landmark positions in a dict keyed by id. The
-    odometry list only grows: each solve stacks the factors past those
-    it stacked before, so an edit of a factor already stacked is not
-    seen; a new prior stacks every factor again (see _synced_layout)."""
+    the next row) and landmark positions in a dict keyed by id.
+    `prior`, `odometry` and `observations` record the factors. The
+    solver reads the chain's measurements and information from rows
+    stacked as each factor is added (row 0 the prior, row k the odometry
+    into pose k) and stacks the observations, which merging re-points,
+    at each solve."""
 
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
@@ -511,12 +483,19 @@ class PoseGraph:
         self.prior: PriorFactor | None = None
         self.odometry: list[OdometryFactor] = []
         self.observations: list[ObservationFactor] = []
-        # the chain factors kept between solves (see _ChainLayout)
-        self._layout: _ChainLayout | None = None
+        self._chain_q = _Rows((4,))
+        self._chain_t = _Rows((3,))
+        self._chain_info = _Rows((6, 6))
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+
+    def _stack_chain(self, rel: Pose, info: np.ndarray) -> None:
+        """Append a chain factor's measurement and information as the next chain row."""
+        self._chain_q.append(rel.rotation[None])
+        self._chain_t.append(rel.translation[None])
+        self._chain_info.append(info[None])
 
     def add_prior(self, pose_id: int, pose: Pose, information: np.ndarray | None = None) -> None:
         """Gauge prior; it creates pose 0 at `pose` on an empty graph."""
@@ -526,8 +505,9 @@ class PoseGraph:
             raise UnknownNodeError(
                 f"prior to unknown pose {pose_id!r}: a new pose must take the "
                 f"next row, {len(self.poses)}")
-        info = DEFAULT_PRIOR_INFORMATION if information is None else np.asarray(information, float)
+        info = _information(information, DEFAULT_PRIOR_INFORMATION)
         self.poses.append(pose)
+        self._stack_chain(pose, info)
         self.prior = PriorFactor(pose_id, pose, info)
 
     def add_odometry(
@@ -544,8 +524,9 @@ class PoseGraph:
             raise UnknownNodeError(
                 f"odometry {from_id!r} -> {to_id!r} does not extend the chain of "
                 f"{n} poses: it must join the last pose to the next row, {n}")
-        info = DEFAULT_ODOMETRY_INFORMATION if information is None else np.asarray(information, float)
+        info = _information(information, DEFAULT_ODOMETRY_INFORMATION)
         self.poses.add_composed(from_id, rel)
+        self._stack_chain(rel, info)
         self.odometry.append(OdometryFactor(from_id, to_id, rel, info))
 
     def add_observation(
@@ -591,60 +572,40 @@ class PoseGraph:
     # linearization
     # ------------------------------------------------------------------
 
-    def _synced_layout(self, lm_ids: list[int]) -> _ChainLayout:
-        """The graph's kept layout, extended by the odometry added since
-        the last solve and holding the current observations.
-
-        A new prior starts a new layout, which stacks every factor from
-        the first through the same append.
-        """
-        layout = self._layout
-        if layout is None or layout.prior is not self.prior:
-            layout = self._layout = _ChainLayout(self.prior)
-        layout.append_chain(self.odometry[layout.n_odometry:])
-        layout.set_observations(len(self.poses), self.observations,
-                                {lid: i for i, lid in enumerate(lm_ids)})
-        return layout
-
     def _state_arrays(self, lm_ids: list[int]):
         """Estimates as arrays: quaternions (n, 4) and translations (n, 3)
         in row order and landmark positions (m, 3) in lm_ids order."""
         q, t = self.poses.arrays()
-        lm = (
-            np.stack([self.landmarks[lid] for lid in lm_ids])
-            if lm_ids else np.zeros((0, 3))
-        )
-        return q, t, lm
+        return q, t, np.array([self.landmarks[lid] for lid in lm_ids]).reshape(-1, 3)
 
-    def _residuals(self, q, t, lm, layout: _ChainLayout, rot):
+    def _residuals(self, q, t, lm, rot, rz_t, obs: _Observations):
         """Residual pass at the array-valued state: the state with its
         residuals and the kernels' intermediates (a _State), its cost and
         the count of behind-camera observations. rot is quat_to_matrix(q);
-        both kernels read their pose rotations from it. The cost sums the
+        both kernels read their pose rotations from it. rz_t holds the
+        chain rows' transposed measurement rotations. The cost sums the
         prior, odometry and observation groups in that order."""
         # chain row k runs from pose k - 1 (the identity for the prior) to pose k
         odo_r, odo_mid = odometry_residual(
             np.concatenate([_IDENTITY, q[:-1]]),
             np.concatenate([np.zeros((1, 3)), t[:-1]]),
-            q, t, layout.rel_q.rows, layout.rel_t.rows,
-            np.concatenate([_IDENTITY_R, rot[:-1]]),
-            np.swapaxes(layout.rel_r.rows, 1, 2),
+            q, t, self._chain_q.rows, self._chain_t.rows,
+            np.concatenate([_IDENTITY_R, rot[:-1]]), rz_t,
         )
-        costs = [_cost(odo_r[:1], layout.prior.information[None]),
-                 _cost(odo_r[1:], layout.odo_info.rows)]
-        obs, deactivated = None, 0
-        if layout.obs_p.size:
-            idx_p = layout.obs_p
-            obs_rot = rot[idx_p]
+        info = self._chain_info.rows
+        costs = [_cost(odo_r[:1], info[:1]), _cost(odo_r[1:], info[1:])]
+        obs_state, deactivated = None, 0
+        if obs.p.size:
+            obs_rot = rot[obs.p]
             obs_r, active, p_cam = observation_residual(
-                obs_rot, t[idx_p], lm[layout.obs_l], layout.obs_px, self.intrinsics)
+                obs_rot, t[obs.p], lm[obs.l], obs.px, self.intrinsics)
             deactivated = int(np.count_nonzero(~active))
             # a deactivated observation has a zero residual: it costs nothing
-            costs.append(_cost(obs_r, layout.obs_info))
-            obs = (obs_rot, obs_r, active, p_cam)
-        return _State(q, t, lm, rot, odo_r, odo_mid, obs), sum(costs), deactivated
+            costs.append(_cost(obs_r, obs.info))
+            obs_state = (obs_rot, obs_r, active, p_cam)
+        return _State(q, t, lm, rot, odo_r, odo_mid, obs_state), sum(costs), deactivated
 
-    def _linear_system(self, state: _State, layout: _ChainLayout):
+    def _linear_system(self, state: _State, rz_t, obs: _Observations):
         """Linear-system pass: the normal equations at a state the
         residual pass returned, from its residuals and intermediates.
         Returns the pose block A's lower band (LAPACK pbtrf layout,
@@ -661,16 +622,16 @@ class PoseGraph:
         below it is that odometry's ji block. The observations' terms are
         scattered onto those sums.
         """
-        n = len(state.q)
-        r = state.odo_r
-        jac = odometry_jacobian(np.swapaxes(layout.rel_r.rows, 1, 2), *state.odo_mid)
+        n, m = len(state.q), state.lm.size
+        r, info = state.odo_r, self._chain_info.rows
+        jac = odometry_jacobian(rz_t, *state.odo_mid)
         # the prior keeps only the J_j half: its X_i is the fixed identity
-        h_prior, g_prior = _normal_entries(jac[:1, :, 6:], r[:1], layout.prior.information[None])
-        h_odo, g_odo = _normal_entries(jac[1:], r[1:], layout.odo_info.rows)
-        store = np.zeros(108 * n + (layout.base + layout.m) * (1 + layout.m))
+        h_prior, g_prior = _normal_entries(jac[:1, :, 6:], r[:1], info[:1])
+        h_odo, g_odo = _normal_entries(jac[1:], r[1:], info[1:])
+        store = np.zeros(108 * n + (6 * n + m) * (1 + m))
         blocks = store[:108 * n].reshape(n, 18, 6)
-        cols = store[108 * n:].reshape(1 + layout.m, -1).T
-        g_pose = cols[:layout.base, 0].reshape(n, 6)
+        cols = store[108 * n:].reshape(1 + m, -1).T
+        g_pose = cols[:6 * n, 0].reshape(n, 6)
         blocks[0, :6] += h_prior[0]
         blocks[1:, :6] += h_odo[:, 6:, 6:]
         blocks[:-1, :12] += h_odo[:, :, :6]
@@ -681,9 +642,9 @@ class PoseGraph:
             obs_rot, r, active, p_cam = state.obs
             # a deactivated observation has a zero Jacobian: its terms are zeros
             jac = observation_jacobian(obs_rot, p_cam, active, self.intrinsics)
-            h, g = _normal_entries(jac, r, layout.obs_info)
+            h, g = _normal_entries(jac, r, obs.info)
             terms = np.concatenate([h.reshape(-1, 81), g], axis=1)[:, _OBS_TERMS]
-            np.add.at(store, layout.obs_at, terms.ravel())
+            np.add.at(store, obs.at, terms.ravel())
         # band column 6k + c, A[6k + c + d, 6k + c] for d = 0..11, is
         # entry (c + d, c) of pose k's column block: 7 c + 6 d into its
         # 108 entries
@@ -739,25 +700,27 @@ class PoseGraph:
         if self.prior is None:
             raise SingularSystemError("graph has no gauge prior")
         lm_ids = sorted(self.landmarks)
-        layout = self._synced_layout(lm_ids)
-        dim = layout.base + layout.m
+        obs = _stack_observations(len(self.poses), self.observations, lm_ids)
+        rz_t = np.swapaxes(quat_to_matrix(self._chain_q.rows), 1, 2)
+        base = 6 * len(self.poses)
+        dim = base + 3 * len(lm_ids)
 
         q, t, lm = self._state_arrays(lm_ids)
         lam = cfg.lambda_init
         report = SolveReport(0, 0.0, 0.0, False)
-        state, cost_now, deact = self._residuals(q, t, lm, layout, quat_to_matrix(q))
+        state, cost_now, deact = self._residuals(q, t, lm, quat_to_matrix(q), rz_t, obs)
         report.initial_cost = cost_now
         report.cost_trace.append(cost_now)
         report.deactivated_observations = deact
 
-        lo = layout.base if fix_poses else 0
+        lo = base if fix_poses else 0
 
         # structural rank check: every landmark must be referenced by
         # some factor (every pose is created with one). A zero diagonal
         # from behind-camera deactivation is repairable (damping freezes
         # the block for that iteration) and must not raise.
         cov_lm = np.zeros(len(lm_ids), dtype=bool)
-        cov_lm[layout.obs_l] = True
+        cov_lm[obs.l] = True
         if not np.all(cov_lm):
             lid = lm_ids[int(np.argmin(cov_lm))]
             raise SingularSystemError(f"landmark {lid} has no factor")
@@ -766,7 +729,7 @@ class PoseGraph:
             # each iteration starts at the initial state or at an accepted
             # state the rel_decrease test let through, the only states
             # whose gradient and system anything reads
-            band, cols = self._linear_system(state, layout)
+            band, cols = self._linear_system(state, rz_t, obs)
             # cols[:, 0] is the gradient
             gmax = float(np.max(np.abs(cols[lo:, 0]))) if dim > lo else 0.0
             if gmax < cfg.gradient_tol:
@@ -791,7 +754,7 @@ class PoseGraph:
                 q_new, t_new, lm_new = _retract(state.q, state.t, state.lm, delta, state.rot)
                 # a trial is scored by its residuals alone
                 trial, cost_new, deact = self._residuals(
-                    q_new, t_new, lm_new, layout, quat_to_matrix(q_new))
+                    q_new, t_new, lm_new, quat_to_matrix(q_new), rz_t, obs)
                 if cost_new < cost_now:
                     state = trial
                     report.iterations += 1

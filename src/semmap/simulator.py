@@ -150,6 +150,8 @@ class WorldSpec:
             raise ValueError("duration must be positive and finite")
         if not 0.0 < self.frame_rate < math.inf:
             raise ValueError("frame_rate must be positive and finite")
+        if not self.duration * self.frame_rate < math.inf:
+            raise ValueError("duration * frame_rate, the frame count, must be finite")
         if not self.objects:
             raise ValueError("world needs at least one object")
 
@@ -236,8 +238,7 @@ def _visible(world: WorldSpec, pose: Pose, t: float) -> np.ndarray:
     x, y, z = _camera_points(world, pose, t)[0].T
     k = world.camera
     visible = (0.2 <= z) & (z <= 25.0)
-    u = k.fx * x[visible] / z[visible] + k.cx
-    v = k.fy * y[visible] / z[visible] + k.cy
+    u, v = k.project(x[visible], y[visible], z[visible])
     visible[visible] = (0.0 <= u) & (u < k.width) & (0.0 <= v) & (v < k.height)
     return visible
 
@@ -249,8 +250,7 @@ def _true_boxes(world: WorldSpec, center_cam: np.ndarray, corner_cam: np.ndarray
     k = world.camera
     front = np.flatnonzero((corner_cam[:, :, 2] > _MIN_DEPTH).all(axis=1))
     x, y, z = corner_cam[front].transpose(2, 0, 1)
-    us = k.fx * x / z + k.cx
-    vs = k.fy * y / z + k.cy
+    us, vs = k.project(x, y, z)
     x_min, x_max = np.maximum(us.min(axis=1), 0.0), np.minimum(us.max(axis=1), float(k.width))
     y_min, y_max = np.maximum(vs.min(axis=1), 0.0), np.minimum(vs.max(axis=1), float(k.height))
     keep = (x_max - x_min >= _MIN_BOX_PX) & (y_max - y_min >= _MIN_BOX_PX)

@@ -18,7 +18,8 @@ import scipy.sparse.linalg
 from semmap.errors import EmptyCloudError, SingularSystemError
 from semmap.geometry import (CameraIntrinsics, Pose, quat_from_matrix, quat_to_matrix,
                              rotvec_from_quat, unit_pose)
-from semmap.posegraph import _STEP_TOL, OptimizerConfig, SolveReport, _damped_step, _retract
+from semmap.posegraph import (_STEP_TOL, OptimizerConfig, SolveReport, _damped_step, _retract,
+                              _stack_observations)
 from semmap.simulator import look_at_pose
 
 _Z_EPS = 1e-9
@@ -549,6 +550,14 @@ def first_pose_forward_solve(band, gb, lm_block, g_lm, starts):
     return np.concatenate([dp[:, 0], dl])
 
 
+def solve_stacks(graph, lm_ids):
+    """What PoseGraph.optimize stacks for one solve of graph with the
+    landmarks lm_ids: the observation factors and the transposed
+    rotation matrices of the chain rows' measurements."""
+    return (_stack_observations(len(graph.poses), graph.observations, lm_ids),
+            np.swapaxes(quat_to_matrix(graph._chain_q.rows), 1, 2))
+
+
 def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     """PoseGraph.optimize as it ran before trial steps were scored by
     their residuals alone: every trial state is linearized in full (its
@@ -560,12 +569,13 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     if graph.prior is None:
         raise SingularSystemError("graph has no gauge prior")
     lm_ids = sorted(graph.landmarks)
-    layout = graph._synced_layout(lm_ids)
-    dim = layout.base + layout.m
+    obs, rz_t = solve_stacks(graph, lm_ids)
+    base = 6 * len(graph.poses)
+    dim = base + 3 * len(lm_ids)
 
     def linearize(q, t, lm, rot):
-        state, cost, deact = graph._residuals(q, t, lm, layout, rot)
-        return graph._linear_system(state, layout), cost, deact
+        state, cost, deact = graph._residuals(q, t, lm, rot, rz_t, obs)
+        return graph._linear_system(state, rz_t, obs), cost, deact
 
     q, t, lm = graph._state_arrays(lm_ids)
     rot = quat_to_matrix(q)
@@ -575,8 +585,8 @@ def linearize_every_trial_optimize(graph, cfg=None, fix_poses: bool = False):
     report.initial_cost = cost_now
     report.cost_trace.append(cost_now)
     report.deactivated_observations = deact
-    lo = layout.base if fix_poses else 0
-    observed = set(layout.obs_l.tolist())
+    lo = base if fix_poses else 0
+    observed = set(obs.l.tolist())
     for i, lid in enumerate(lm_ids):
         if i not in observed:
             raise SingularSystemError(f"landmark {lid} has no factor")

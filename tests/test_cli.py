@@ -107,6 +107,18 @@ class TestSimulate:
             assert not (out / name).exists()
 
 
+    def test_frame_count_that_overflows_exits_2_before_writing(self, tmp_path, capsys):
+        # 1e307 s at the preset's 30 Hz is an infinite frame count
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "desk", "seed": 0, "duration": 1e307}),
+                            encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["simulate", str(scenario), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "frame count" in err
+        assert not out.exists()
+
+
 class TestRun:
     def test_writes_manifest_and_outputs(self, workspace):
         run = workspace / "run"
@@ -132,7 +144,7 @@ class TestRun:
         from semmap.pipeline import PipelineConfig
 
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(PipelineConfig(seed=3, optimize_every=7).to_dict()),
+        cfg_path.write_text(json.dumps(PipelineConfig(seed=3, mad_threshold=0.2).to_dict()),
                             encoding="utf-8")
         sim = workspace / "sim"
         code = main(["run", "--detections", str(sim / "detections.txt"),
@@ -142,8 +154,22 @@ class TestRun:
         assert code == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["seed"] == 11
-        expected = PipelineConfig(seed=11, optimize_every=7).hash()
+        expected = PipelineConfig(seed=11, mad_threshold=0.2).hash()
         assert manifest["config_hash"] == expected
+
+    def test_odometry_sigmas_whose_squares_overflow_exit_2(self, workspace, tmp_path,
+                                                            capsys):
+        # 1e200^2 overflows: rejected with the config, before any output
+        sim = workspace / "sim"
+        out = tmp_path / "run"
+        code = main(["run", "--detections", str(sim / "detections.txt"),
+                     "--odometry", str(sim / "odometry.txt"), "--out-dir", str(out),
+                     "--odometry-translation-sigma", "1e200",
+                     "--odometry-rotation-sigma", "1e200"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "odometry_translation_sigma" in err
+        assert not out.exists()
 
     def test_frame_with_two_stamps_exits_2(self, workspace, tmp_path, capsys):
         # one frame id whose records disagree on the timestamp is named by

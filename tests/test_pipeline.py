@@ -87,8 +87,8 @@ def _solve_stamps(monkeypatch, odometry):
 class TestConfigRoundTrip:
     def test_dict_round_trip_preserves_every_field(self):
         for cfg in (PipelineConfig(),
-                    PipelineConfig(seed=7, optimize_every=3, mad_threshold=0.2,
-                                   odometry_translation_sigma=0.001)):
+                    PipelineConfig(seed=7, mad_threshold=0.2, odometry_translation_sigma=0.001,
+                                   odometry_rotation_sigma=0.01)):
             again = PipelineConfig.from_dict(cfg.to_dict())
             assert again.to_dict() == cfg.to_dict()
             assert again.hash() == cfg.hash()
@@ -138,7 +138,7 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("doc", [
         {"tracker": 5}, {"tracker": [1]}, {"pixel_noise_sigma": "4"},
-        {"optimize_every": 2.0}, {"seed": True}, {"camera": {"width": 640.0}},
+        {"seed": 2.0}, {"seed": True}, {"camera": {"width": 640.0}},
         {"association": {"cloud_cap": None}}, {"odometry_translation_sigma": 10**400},
         {"mad_threshold": float("nan")}, {"tracker": {"max_gap": float("inf")}}])
     def test_value_of_the_wrong_type_rejected(self, doc):
@@ -147,9 +147,9 @@ class TestConfigRoundTrip:
 
     def test_hash_pinned(self):
         # the hashes the run outputs of these configs embed
-        assert PipelineConfig().hash() == "edc21ca262fe914b"
+        assert PipelineConfig().hash() == "7fce527bff88c808"
         assert PipelineConfig.from_dict({"seed": 3, "odometry_translation_sigma": 0.002}
-                                        ).hash() == "8cb85f3c3dd25071"
+                                        ).hash() == "f34dea641740a11f"
 
     def test_deleted_huber_scale_key_rejected(self):
         # the observation cost is plain least squares, and the section
@@ -164,12 +164,14 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("kwargs", [
         {"pixel_noise_sigma": 0.0},
         {"mad_threshold": -0.1},
-        {"optimize_every": 0},
+        # an odometry sigma whose square overflows
+        {"odometry_translation_sigma": 1e200},
         {"odometry_translation_sigma": -1e-9},
         # sigma^2 overflows, or its inverse does, or it underflows to 0
         {"pixel_noise_sigma": 1e200},
         {"pixel_noise_sigma": 1e-160},
         {"pixel_noise_sigma": 1e-200},
+        {"odometry_rotation_sigma": 1e200},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from oracles import (
     odometry_residual_jacobians,
     prior_residual_jacobian,
     sequential_normal_equations,
+    solve_stacks,
 )
 
 from semmap import posegraph
@@ -539,8 +540,8 @@ class TestGraphConstruction:
             g.add_odometry(from_id, to_id, Pose.identity())
         assert (_estimate_bits(g), g.odometry) == before
         assert len(g.poses) == 4
-        # the kept layout is untouched: the next solve equals a fresh build's
-        assert _solve_like_fresh(g, False) == "kept"
+        # the chain rows are untouched: the next solve equals a fresh build's
+        _solve_like_fresh(g, False)
 
     @pytest.mark.parametrize("pose_id", [1, -1, 0.0])
     def test_prior_on_an_empty_graph_must_create_pose_0(self, pose_id):
@@ -608,15 +609,20 @@ class TestGraphConstruction:
 class TestPoseEstimates:
     """Pose estimates live in arrays; graph.poses reads them as Poses."""
 
-    def test_reads_keep_identity_until_the_next_solve(self):
+    def test_a_read_is_a_copy_of_its_row(self):
         g, _, _ = _build_consistent_graph(perturb_scale=0.05, seed=3)
         moved = g.poses[2].retract(np.full(6, 1e-3))
         g.poses[2] = moved
-        assert g.poses[2] is moved
-        assert g.poses[4] is g.poses[4]
+        read = g.poses[2]
+        assert read is not moved
+        assert (read.rotation.tobytes(), read.translation.tobytes()) == (
+            moved.rotation.tobytes(), moved.translation.tobytes())
+        read.translation[:] = 0.0
+        assert g.poses[2].translation.tobytes() == moved.translation.tobytes()
+        q, t = g.poses.arrays()
         g.optimize()
-        assert g.poses[2] is not moved
-        assert g.poses[2] is g.poses[2]
+        assert g.poses[2].translation.tobytes() == t[2].tobytes()
+        assert g.poses[2].rotation.tobytes() == q[2].tobytes()
 
     def test_ids_are_the_rows(self):
         g, poses, _ = _build_consistent_graph()
@@ -764,37 +770,39 @@ class TestBatchedAssembly:
 
 def _linearized(g):
     """The solver's band and columns [g | H[:, 6 n:]] (see
-    PoseGraph._linear_system), the state and layout they came from, the
-    cost and the deactivated count at the graph's estimates, on the
-    layout the graph keeps."""
+    PoseGraph._linear_system), the state and the solve's stacks
+    (oracles.solve_stacks: observations, chain rotations) they came
+    from, the cost and the deactivated count at the graph's estimates."""
     lm_ids = sorted(g.landmarks)
-    layout = g._synced_layout(lm_ids)
+    obs, rz_t = solve_stacks(g, lm_ids)
     q, t, lm = g._state_arrays(lm_ids)
-    state, cost, deact = g._residuals(q, t, lm, layout, quat_to_matrix(q))
-    band, cols = g._linear_system(state, layout)
-    return band, cols, state, layout, cost, deact
+    state, cost, deact = g._residuals(q, t, lm, quat_to_matrix(q), rz_t, obs)
+    band, cols = g._linear_system(state, rz_t, obs)
+    return band, cols, state, (obs, rz_t), cost, deact
 
 
 def _factor_terms(g):
     """Each factor's dofs, Hessian and gradient at the graph's estimates
     as the solver's kernels compute them, in factor order: the prior,
     the odometry, the observations."""
-    _, _, state, layout, _, _ = _linearized(g)
+    _, _, state, (obs, rz_t), _, _ = _linearized(g)
     r = state.odo_r
-    jac = odometry_jacobian(np.swapaxes(layout.rel_r.rows, 1, 2), *state.odo_mid)
+    jac = odometry_jacobian(rz_t, *state.odo_mid)
     h_prior, g_prior = posegraph._normal_entries(jac[:1, :, 6:], r[:1],
                                                  g.prior.information[None])
-    h_odo, g_odo = posegraph._normal_entries(jac[1:], r[1:], layout.odo_info.rows)
+    h_odo, g_odo = posegraph._normal_entries(
+        jac[1:], r[1:], np.array([f.information for f in g.odometry]).reshape(-1, 6, 6))
     terms = [(np.arange(6), h_prior[0], g_prior[0])]
     terms += [(6 * k + np.arange(12), h, grad)
               for k, (h, grad) in enumerate(zip(h_odo, g_odo))]
     if state.obs is not None:
         rot, r, active, p_cam = state.obs
         h_obs, g_obs = posegraph._normal_entries(
-            observation_jacobian(rot, p_cam, active, g.intrinsics), r, layout.obs_info)
-        terms += [(np.concatenate([6 * p + np.arange(6), layout.base + 3 * l + np.arange(3)]),
+            observation_jacobian(rot, p_cam, active, g.intrinsics), r, obs.info)
+        base = 6 * len(g.poses)
+        terms += [(np.concatenate([6 * p + np.arange(6), base + 3 * l + np.arange(3)]),
                    h, grad)
-                  for p, l, h, grad in zip(layout.obs_p, layout.obs_l, h_obs, g_obs)]
+                  for p, l, h, grad in zip(obs.p, obs.l, h_obs, g_obs)]
     return terms
 
 
@@ -922,16 +930,11 @@ class TestChainSolve:
         # added, and the graph solves as it was
         g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=12)
         last = len(poses) - 1
-        poses_before = dict(g.poses)
-        landmarks_before = {lid: p.copy() for lid, p in g.landmarks.items()}
+        before = _estimate_bits(g)
         with pytest.raises(UnknownNodeError, match=f"odometry {last} -> 0"):
             g.add_odometry(last, 0, poses[last].inverse().compose(poses[0]))
         assert len(g.odometry) == last
-        assert g.poses.keys() == poses_before.keys()
-        assert all(g.poses[pid] is p for pid, p in poses_before.items())
-        assert g.landmarks.keys() == landmarks_before.keys()
-        for lid, p in landmarks_before.items():
-            np.testing.assert_array_equal(g.landmarks[lid], p)
+        assert _estimate_bits(g) == before
         assert g.optimize().final_cost < 1e-12
 
 
@@ -962,9 +965,10 @@ class TestFixedPoseSolve:
 
 
 def _fresh_copy(g):
-    """A new graph holding g's factors and estimates and no kept layout:
-    its poses are created by the same prior and odometry, in g's order,
-    then set to g's estimates."""
+    """A new graph holding g's factors and estimates, its chain rows
+    stacked from g's factor record in one go: its poses are created by
+    the same prior and odometry, in g's order, then set to g's
+    estimates."""
     fresh = PoseGraph(g.intrinsics)
     fresh.add_prior(g.prior.pose_id, g.prior.pose, g.prior.information)
     for f in g.odometry:
@@ -974,6 +978,10 @@ def _fresh_copy(g):
     fresh.landmarks = {lid: p.copy() for lid, p in g.landmarks.items()}
     fresh.observations = list(g.observations)
     return fresh
+
+
+def _chain_bits(g):
+    return tuple(rows.rows.tobytes() for rows in (g._chain_q, g._chain_t, g._chain_info))
 
 
 def _report_bits(report):
@@ -1002,13 +1010,12 @@ def _solve_like_old_loop(g, fix_poses=False, cfg=None):
 
 
 def _solve_like_fresh(g, fix_poses, cfg=None):
-    """Solve g on its kept layout, a fresh copy of g, and another fresh
-    copy through the linearize-every-trial loop (oracles.py): the same
-    report and estimates bit for bit, or the same error with g's
-    estimates unchanged. Returns "kept" or "rebuilt" for the layout g
-    solved on (None for its first solve or an error)."""
+    """Solve g, a fresh copy of g, and another fresh copy through the
+    linearize-every-trial loop (oracles.py): the same chain rows, and
+    the same report and estimates bit for bit, or the same error with
+    g's estimates unchanged."""
     fresh = _fresh_copy(g)
-    before = g._layout
+    assert _chain_bits(g) == _chain_bits(fresh)
     try:
         want = fresh.optimize(cfg, fix_poses=fix_poses)
     except SingularSystemError as exc:
@@ -1017,20 +1024,18 @@ def _solve_like_fresh(g, fix_poses, cfg=None):
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 solve(cfg, fix_poses=fix_poses)
         assert _estimate_bits(g) == estimates
-        return None
+        return
     got = _solve_like_old_loop(g, fix_poses, cfg)
     assert _report_bits(got) == _report_bits(want)
     assert _estimate_bits(g) == _estimate_bits(fresh)
-    if before is None:
-        return None
-    return "kept" if g._layout is before else "rebuilt"
 
 
 class TestKeptLayout:
-    """The graph keeps its chain's stacked factors between solves and
-    appends what each solve adds; every solve must equal a fresh graph's with the
-    same factors and estimates, bit for bit, and so must the
-    linearize-every-trial loop's on another fresh copy."""
+    """The graph keeps its chain's stacked rows, each appended when its
+    factor is added, between solves; every solve must equal that of a
+    fresh graph whose rows are stacked from the same factors in one go,
+    bit for bit, and so must the linearize-every-trial loop's on another
+    fresh copy."""
 
     CFG = OptimizerConfig(max_iterations=15)
 
@@ -1053,7 +1058,7 @@ class TestKeptLayout:
             k = int(rng.integers(0, hi + 1))
             g.add_observation(k, lid, _pixel_of(truth[k], points[lid]),
                               obs_info, landmark_position=points[lid] + 0.05)
-        outcomes = [_solve_like_fresh(g, False, self.CFG)]
+        _solve_like_fresh(g, False, self.CFG)
         next_lid = 3
         for _ in range(60):
             op = rng.choice(["grow", "observe", "merge", "solve"], p=[0.35, 0.3, 0.1, 0.25])
@@ -1076,37 +1081,47 @@ class TestKeptLayout:
                     kept, next_lid = next_lid, next_lid + 1
                 g.merge_landmarks(int(old), int(kept))
             elif op == "solve":
-                outcomes.append(_solve_like_fresh(g, bool(rng.random() < 0.25), self.CFG))
-        outcomes.append(_solve_like_fresh(g, False, self.CFG))
-        # fix_poses or not, every solve after the first runs on the layout
-        # the first built
-        assert set(outcomes[1:]) == {"kept"}
+                _solve_like_fresh(g, bool(rng.random() < 0.25), self.CFG)
+        _solve_like_fresh(g, False, self.CFG)
 
         # a loop closure would leave the band: it is rejected when it is
-        # added, and the kept layout solves on
+        # added, and the rows stacked before solve on
         with pytest.raises(UnknownNodeError):
             g.add_odometry(hi, 0, truth[hi].inverse().compose(truth[0]))
-        assert _solve_like_fresh(g, True, self.CFG) == "kept"
-        assert _solve_like_fresh(g, False, self.CFG) == "kept"
+        _solve_like_fresh(g, True, self.CFG)
+        _solve_like_fresh(g, False, self.CFG)
 
-    def test_a_solve_stacks_only_the_new_chain_factors(self, monkeypatch):
-        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=14)
-        stacked = []
-        append = posegraph._ChainLayout.append_chain
-        monkeypatch.setattr(posegraph._ChainLayout, "append_chain",
-                            lambda self, odometry: (stacked.append((self, len(odometry))),
-                                                    append(self, odometry)))
-        g.optimize()
-        extra = Pose(poses[0].rotation, poses[-1].translation + 0.1)
-        g.add_odometry(len(poses) - 1, len(poses), poses[-1].inverse().compose(extra))
-        assert _solve_like_fresh(g, False) == "kept"
-        assert _solve_like_fresh(g, False) == "kept"
-        # the first solve stacks the whole chain, then one factor, then none
-        assert [n for layout, n in stacked if layout is g._layout] == [len(poses) - 1, 1, 0]
+    def test_chain_rows_hold_the_factors_bits(self):
+        g = _drift_biased_circle(n_poses=5)
+        info = np.diag([1e4, 2e4, 3e4, 4e4, 5e4, 6e4])
+        g.add_odometry(4, 5, Pose.exp(np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.2])), info)
+        chain = [(g.prior.pose, g.prior.information)]
+        chain += [(f.rel, f.information) for f in g.odometry]
+        assert len(g._chain_q.rows) == len(g.poses) == len(chain) == 6
+        for rows, want in ((g._chain_q, [z.rotation for z, _ in chain]),
+                           (g._chain_t, [z.translation for z, _ in chain]),
+                           (g._chain_info, [w for _, w in chain])):
+            _assert_same_bits(rows.rows, np.array(want))
+        before = _chain_bits(g)
+        for from_id, to_id in ((4, 5), (5, 7), (5.0, 6)):
+            with pytest.raises(UnknownNodeError):
+                g.add_odometry(from_id, to_id, Pose.identity())
+        with pytest.raises(ValueError, match="information must have shape"):
+            g.add_odometry(5, 6, Pose.identity(), np.ones(6))
+        assert _chain_bits(g) == before
+        assert len(g.odometry) == len(g.poses) - 1 == 5
+        # a pose that composes to a non-finite estimate is rejected too
+        far = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1e308, 0.0, 0.0]))
+        g = PoseGraph(K)
+        g.add_prior(0, far)
+        before = _chain_bits(g)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            g.add_odometry(0, 1, far)
+        assert _chain_bits(g) == before and len(g.poses) == 1
 
     def test_one_pose_graph_grows_into_a_chain(self):
-        # the band has kd 11 from one pose on: the layout is kept as the
-        # chain grows, and each step matches the sparse-LU reference
+        # the band has kd 11 from one pose on: each step matches the
+        # sparse-LU reference as the chain grows
         poses, landmarks = _circle_scene()
         g = PoseGraph(K)
         g.add_prior(0, poses[0])
@@ -1114,24 +1129,14 @@ class TestKeptLayout:
             g.add_observation(0, lid, _pixel_of(poses[0], point) + 2.0, np.eye(2) / 16.0,
                               landmark_position=point)
         g.poses[0] = g.poses[0].retract(np.full(6, 1e-3))
-        # the reference step builds the layout the first solve keeps
         _assert_same_step(*_damped_steps(g))
-        layout = g._layout
-        assert _solve_like_fresh(g, False) == "kept"
+        _solve_like_fresh(g, False)
         g.add_odometry(0, 1, poses[0].inverse().compose(poses[1]))
         g.add_observation(1, 0, _pixel_of(poses[1], landmarks[0]) - 2.0, np.eye(2) / 16.0)
         _assert_same_step(*_damped_steps(g))
-        assert _solve_like_fresh(g, False) == "kept"
+        _solve_like_fresh(g, False)
         g.add_odometry(1, 2, poses[1].inverse().compose(poses[2]))
-        assert _solve_like_fresh(g, False) == "kept"
-        assert g._layout is layout
-
-    def test_a_replaced_prior_rebuilds(self):
-        g, poses, _ = _build_consistent_graph(perturb_scale=0.02, seed=16)
-        assert _solve_like_fresh(g, False) is None
-        g.prior = posegraph.PriorFactor(0, poses[0].retract(np.full(6, 0.01)),
-                                        g.prior.information)
-        assert _solve_like_fresh(g, False) == "rebuilt"
+        _solve_like_fresh(g, False)
 
     def test_a_landmark_that_can_escape_behind_its_camera(self):
         g, _ = _one_pose_graph()
@@ -1141,7 +1146,7 @@ class TestKeptLayout:
         # factor deactivates
         g.add_observation(0, 1, np.array([70.0, 240.0]), _OBS_INFO,
                           landmark_position=np.array([0.2, 0.0, 2.0]))
-        assert _solve_like_fresh(g, False) == "kept"
+        _solve_like_fresh(g, False)
 
 
 _OBS_INFO = np.eye(2) / 16.0
